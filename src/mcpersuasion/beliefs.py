@@ -84,11 +84,6 @@ class BeliefDistribution:
                 return m
         return Fraction(0)
 
-    def expectation(self, values: Mapping[Posterior, Fraction]) -> Fraction:
-        return sum(
-            (m * values[p] for p, m in zip(self.points, self.masses)), Fraction(0)
-        )
-
 
 def is_bayes_plausible(dist: BeliefDistribution, prior: Prior) -> bool:
     """True iff the mass-weighted mean of the support equals the prior."""

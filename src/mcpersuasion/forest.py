@@ -290,8 +290,8 @@ def solve_fptas(
     if epsilon is None:
         raise BadEpsilon("no epsilon given and the instance carries none")
     grid = PosteriorGrid.for_epsilon(instance.space.size, Fraction(epsilon))
-    solution = solve_grid(instance, grid)
-    return solution, extract_table(solution, instance)
+    solution = solve_grid(instance, grid)  # validates the solution
+    return solution, _extract_validated(solution, instance)
 
 
 def _divergence(
@@ -480,6 +480,12 @@ def extract_table(
     state information.
     """
     solution.validate(instance)
+    return _extract_validated(solution, instance)
+
+
+def _extract_validated(
+    solution: GridSolution, instance: PersuasionInstance
+) -> SignalingTable:
     graph, edges = _forest_edges(instance)
     parent = graph.parent
     order = graph.top_down()

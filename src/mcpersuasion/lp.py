@@ -3,10 +3,11 @@
 maximize c.x  subject to  rows with relations =, <=, >=  and  x >= 0.
 
 The engine is a two-phase revised simplex with an explicit basis
-inverse, run entirely in rational arithmetic (gmpy2.mpq when available,
-fractions.Fraction otherwise; both give identical pivoting decisions).
-No status is ever reported on trust: an optimal answer carries a dual
-vector and is re-checked against the original program (feasibility,
+inverse, run in integer arithmetic: the rows are scaled to integers and
+the inverse is kept as an integer adjugate over the basis determinant,
+so that every division is exact (fraction-free elimination).  No status
+is ever reported on trust: an optimal answer carries a dual vector and
+is re-checked in Fractions against the original program (feasibility,
 dual sign conditions, reduced costs, strong duality), an infeasible
 answer carries a Farkas vector, an unbounded answer carries a feasible
 point and an improving ray, and each certificate is verified exactly
@@ -25,25 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, ValidationError
-
-try:  # pragma: no cover - exercised implicitly
-    from gmpy2 import mpq as _Q
-
-    def _to_fraction(q) -> Fraction:
-        return Fraction(int(q.numerator), int(q.denominator))
-
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
-    def _to_fraction(q) -> Fraction:
-        return q
-
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
 
 EQ = "="
 LE = "<="
@@ -237,138 +223,143 @@ def check_ray(lp, x0, d) -> bool:
 
 
 class _Engine:
-    """Two-phase revised simplex over one program instance."""
+    """Two-phase revised simplex over one program instance, in integers.
+
+    Every row of the standard form is scaled by one common integer, the
+    lcm of the denominators of the constraints and right-hand sides, and
+    the objective by its own lcm.  A common row scale changes no ratio in
+    the ratio test and multiplies every reduced cost by one positive
+    number, so the pivot path is that of the rational program; a scale
+    per row would reweight phase 1's artificials and change it.
+
+    The basis inverse is held as binv = den * B^-1 with den = |det B| > 0:
+    binv is the adjugate of B up to sign, xb = binv . b, and each update
+    divides exactly by the previous den (Bareiss).  Ratios and reduced
+    costs are compared by cross-multiplication; values become Fractions
+    only when a result is read out.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self.n_real = lp.n_vars
-        # standard equality form: real vars, then one slack per inequality
+        scale = self.scale = lcm(
+            *(v.denominator for row, _, _ in lp.constraints for v in row.values()),
+            *(rhs.denominator for _, _, rhs in lp.constraints),
+        )
+        self.obj_scale = lcm(*(v.denominator for v in lp.objective.values()))
+        # standard equality form: real vars, then one slack per inequality;
+        # rows with a negative right-hand side are negated
         cols = [dict() for _ in range(self.n_real)]
         b = []
         row_orig = []  # (original constraint index, sign)
-        for idx, (row, rel, rhs) in enumerate(lp.constraints):
-            i = len(b)
+        for i, (row, rel, rhs) in enumerate(lp.constraints):
+            sign = -1 if rhs < 0 else 1
+            unit = sign * scale
             for j, v in row.items():
-                cols[j][i] = _Q(v)
-            if rel == LE:
-                cols.append({i: _ONE})
-            elif rel == GE:
-                cols.append({i: -_ONE})
-            b.append(_Q(rhs))
-            row_orig.append((idx, 1))
+                cols[j][i] = unit * v.numerator // v.denominator
+            if rel != EQ:
+                cols.append({i: unit if rel == LE else -unit})
+            b.append(unit * rhs.numerator // rhs.denominator)
+            row_orig.append((i, sign))
         self.n_std = len(cols)
-        # flip rows to make b nonnegative (slack entries flip along)
-        for i in range(len(b)):
-            if b[i] < 0:
-                b[i] = -b[i]
-                row_orig[i] = (row_orig[i][0], -1)
-                for col in cols:
-                    if i in col:
-                        col[i] = -col[i]
         self.cols = cols
         self.b = b
         self.row_orig = row_orig
         self.m = len(b)
-        self.obj = [_Q(lp.objective.get(j, 0)) for j in range(self.n_real)]
-        self.obj += [_ZERO] * (self.n_std - self.n_real)
+        self.obj = [0] * self.n_std
+        for j, v in lp.objective.items():
+            self.obj[j] = self.obj_scale * v.numerator // v.denominator
         self.basis: list[int] = []
-        self.binv: list[list] = []
-        self.xb: list = []
+        self.binv: list[list[int]] = []
+        self.den = 1
+        self.xb: list[int] = []
 
     # -- basic linear algebra helpers
 
-    def _col_times_binv_row(self, j: int, r: int):
-        row = self.binv[r]
-        return sum((row[i] * v for i, v in self.cols[j].items()), _ZERO)
+    def _direction(self, j: int) -> list[int]:
+        """den times B^-1 a_j."""
+        col = self.cols[j].items()
+        return [sum(row[i] * v for i, v in col) for row in self.binv]
 
-    def _direction(self, j: int) -> list:
-        col = self.cols[j]
-        return [
-            sum((self.binv[r][i] * v for i, v in col.items()), _ZERO)
-            for r in range(self.m)
-        ]
-
-    def _duals(self, obj) -> list:
-        y = [_ZERO] * self.m
+    def _duals(self, obj) -> list[int]:
+        """den times c_B B^-1."""
+        y = [0] * self.m
         for r in range(self.m):
             cb = obj[self.basis[r]]
             if cb:
-                row = self.binv[r]
-                for i in range(self.m):
-                    if row[i]:
-                        y[i] += cb * row[i]
+                y = [a + cb * v for a, v in zip(y, self.binv[r])]
         return y
 
     def _refactor(self) -> bool:
-        """Rebuild binv and xb from self.basis; False if basis singular."""
+        """Rebuild binv, den and xb from self.basis; False if the basis
+        is singular."""
         m = self.m
-        tab = [
-            [self.cols[self.basis[p]].get(i, _ZERO) for p in range(m)]
-            + [_ONE if q == i else _ZERO for q in range(m)]
+        rows = (
+            [self.cols[j].get(i, 0) for j in self.basis] + [int(q == i) for q in range(m)]
             for i in range(m)
-        ]
-        for p in range(m):
-            pivot = next((i for i in range(p, m) if tab[i][p]), None)
-            if pivot is None:
-                return False
-            tab[p], tab[pivot] = tab[pivot], tab[p]
-            pv = tab[p][p]
-            tab[p] = [v / pv for v in tab[p]]
-            for i in range(m):
-                if i != p and tab[i][p]:
-                    f = tab[i][p]
-                    tab[i] = [a - f * c for a, c in zip(tab[i], tab[p])]
-        self.binv = [row[m:] for row in tab]
-        self.xb = [
-            sum((self.binv[r][i] * self.b[i] for i in range(m)), _ZERO)
-            for r in range(m)
-        ]
+        )
+        kept, g = _gauss_jordan(rows, m)
+        if len(kept) < m:
+            return False
+        # the kept rows are g * [P | P B^-1] for a permutation P
+        sign = 1 if g > 0 else -1
+        self.den = sign * g
+        self.binv = [None] * m
+        for _, pivot, row in kept:
+            self.binv[pivot] = [sign * v for v in row[m:]]
+        self.xb = [sum(a * v for a, v in zip(row, self.b)) for row in self.binv]
         return True
 
-    def _pivot(self, j: int, r: int, d: list):
+    def _pivot(self, j: int, r: int, d: list[int]):
+        binv, xb, den = self.binv, self.xb, self.den
         pe = d[r]
-        self.binv[r] = [v / pe for v in self.binv[r]]
-        self.xb[r] = self.xb[r] / pe
-        prow = self.binv[r]
-        pxb = self.xb[r]
+        if pe < 0:
+            pe = -pe
+            binv[r] = [-v for v in binv[r]]
+            xb[r] = -xb[r]
+        prow, pxb = binv[r], xb[r]
         for i in range(self.m):
-            if i != r and d[i]:
-                f = d[i]
-                self.binv[i] = [a - f * c for a, c in zip(self.binv[i], prow)]
-                self.xb[i] = self.xb[i] - f * pxb
+            if i == r:
+                continue
+            f = d[i]
+            if f:
+                binv[i] = [(pe * a - f * c) // den for a, c in zip(binv[i], prow)]
+                xb[i] = (pe * xb[i] - f * pxb) // den
+            elif pe != den:
+                binv[i] = [pe * a // den for a in binv[i]]
+                xb[i] = pe * xb[i] // den
+        self.den = pe
         self.basis[r] = j
 
     # -- simplex core
 
     def _entering(self, obj, y, limit, bland):
+        """The column with the largest reduced cost, den * (c_j - y a_j),
+        or with Bland's rule the first positive one; None at optimality."""
         best = None
-        best_rc = _ZERO
+        best_rc = 0
+        den = self.den
         in_basis = set(self.basis)
         for j in range(limit):
             if j in in_basis:
                 continue
-            rc = obj[j] - sum((y[i] * v for i, v in self.cols[j].items()), _ZERO)
-            if rc > 0:
+            rc = obj[j] * den - sum(y[i] * v for i, v in self.cols[j].items())
+            if rc > best_rc:
                 if bland:
-                    return j, rc
-                if best is None or rc > best_rc:
-                    best, best_rc = j, rc
-        return (best, best_rc) if best is not None else (None, None)
+                    return j
+                best, best_rc = j, rc
+        return best
 
     def _leaving(self, d):
-        best_r = None
-        best_ratio = None
-        best_key = None
-        for r in range(self.m):
-            if d[r] > 0:
-                ratio = self.xb[r] / d[r]
+        best = None  # (row, xb, d, tie key); ratios xb/d compared crosswise
+        for r, dr in enumerate(d):
+            if dr > 0:
+                x = self.xb[r]
                 # prefer evicting artificials, then low variable index
                 key = (self.basis[r] < self.n_std, self.basis[r])
-                if best_r is None or ratio < best_ratio or (
-                    ratio == best_ratio and key < best_key
-                ):
-                    best_r, best_ratio, best_key = r, ratio, key
-        return best_r
+                if best is None or (x * best[2], key) < (best[1] * dr, best[3]):
+                    best = (r, x, dr, key)
+        return None if best is None else best[0]
 
     def _run(self, obj, limit):
         """Iterate to optimality of obj over columns < limit.
@@ -380,16 +371,16 @@ class _Engine:
         bland = False
         while True:
             y = self._duals(obj)
-            j, _rc = self._entering(obj, y, limit, bland)
+            j = self._entering(obj, y, limit, bland)
             if j is None:
                 return None
             d = self._direction(j)
             r = self._leaving(d)
             if r is None:
                 return j
-            theta = self.xb[r] / d[r] if d[r] else _ZERO
+            degenerate = self.xb[r] == 0
             self._pivot(j, r, d)
-            if theta == 0:
+            if degenerate:
                 degenerate_streak += 1
                 if degenerate_streak > self.m + 10:
                     bland = True
@@ -401,25 +392,21 @@ class _Engine:
 
     def _start_all_artificial(self):
         for r in range(self.m):
-            self.cols.append({r: _ONE})
-            self.obj.append(_ZERO)
+            self.cols.append({r: 1})
+            self.obj.append(0)
             self.basis.append(self.n_std + r)
-        self.binv = [
-            [_ONE if q == r else _ZERO for q in range(self.m)] for r in range(self.m)
-        ]
-        self.xb = list(self.b)
+        self._refactor()
 
     def _phase1(self):
         """Returns True if a feasible basis was reached."""
-        obj1 = [_ZERO] * self.n_std + [-_ONE] * (len(self.cols) - self.n_std)
-        unbounded = self._run(obj1, self.n_std)
-        if unbounded is not None:
+        obj1 = [0] * self.n_std + [-1] * (len(self.cols) - self.n_std)
+        if self._run(obj1, self.n_std) is not None:
             raise InvariantViolation("phase-1 objective cannot be unbounded")
-        value = sum(
-            (obj1[self.basis[r]] * self.xb[r] for r in range(self.m)), _ZERO
-        )
+        value = sum(obj1[self.basis[r]] * self.xb[r] for r in range(self.m))
         if value < 0:
-            self._farkas = self._duals(obj1)
+            # artificials are unit columns in the scaled rows, so this
+            # dual needs no undoing of the row scale
+            self._farkas = self._map_dual(self._duals(obj1), 1, self.den)
             return False
         return True
 
@@ -432,16 +419,14 @@ class _Engine:
                 continue
             if self.xb[r] != 0:
                 raise InvariantViolation("artificial basic at nonzero level")
-            entered = False
             in_basis = set(self.basis)
             for j in range(self.n_std):
-                if j in in_basis:
-                    continue
-                if self._col_times_binv_row(j, r) != 0:
+                if j not in in_basis and sum(
+                    self.binv[r][i] * v for i, v in self.cols[j].items()
+                ):
                     self._pivot(j, r, self._direction(j))
-                    entered = True
                     break
-            if not entered:
+            else:
                 redundant.append(r)
         if redundant:
             self._drop_rows(redundant)
@@ -481,12 +466,12 @@ class _Engine:
             for i, v in col.items():
                 rows.append(i)
                 cols_idx.append(j)
-                data.append(float(v))
+                data.append(v / self.scale)
         A = csc_matrix(
             (data, (rows, cols_idx)), shape=(self.m, self.n_std), dtype=float
         )
-        c = np.array([-float(v) for v in self.obj[: self.n_std]])
-        b = np.array([float(v) for v in self.b])
+        c = np.array([-(v / self.obj_scale) for v in self.obj[: self.n_std]])
+        b = np.array([v / self.scale for v in self.b])
         try:
             res = linprog(c, A_eq=A, b_eq=b, method="highs")
         except Exception:
@@ -497,55 +482,24 @@ class _Engine:
             (j for j in range(self.n_std) if res.x[j] > 1e-9),
             key=lambda j: (-res.x[j], j),
         )
-        # exact Gauss-Jordan rank completion over the candidate columns
-        pivots: list[tuple[int, list]] = []  # (pivot row, reduced dense column)
-        chosen: list[int] = []
-        used_rows: set[int] = set()
-        for j in support:
-            if len(chosen) == self.m:
-                break
-            v = [_ZERO] * self.m
-            for i, val in self.cols[j].items():
-                v[i] = val
-            for pr, pv in pivots:
-                f = v[pr]
-                if f:
-                    v = [a - f * c2 for a, c2 in zip(v, pv)]
-            pr = next(
-                (i for i in range(self.m) if i not in used_rows and v[i]), None
-            )
-            if pr is None:
-                continue
-            pe = v[pr]
-            v = [a / pe for a in v]
-            for q, (qr, qv) in enumerate(pivots):
-                f = qv[pr]
-                if f:
-                    pivots[q] = (qr, [a - f * c2 for a, c2 in zip(qv, v)])
-            pivots.append((pr, v))
-            chosen.append(j)
-            used_rows.add(pr)
+        # exact rank completion: the support's columns in that order, each
+        # kept if independent of those before it
+        kept, _ = _gauss_jordan(
+            ([self.cols[j].get(i, 0) for i in range(self.m)] for j in support), self.m
+        )
         basis = [-1] * self.m
-        for (pr, _), j in zip(pivots, chosen):
-            basis[pr] = j
-        pads = []
+        for index, pivot, _ in kept:
+            basis[pivot] = support[index]
         for r in range(self.m):
-            if basis[r] == -1:
-                self.cols.append({r: _ONE})
-                self.obj.append(_ZERO)
-                basis[r] = len(self.cols) - 1
-                pads.append(basis[r])
+            if basis[r] == -1:  # a unit pad column, to be evicted
+                basis[r] = len(self.cols)
+                self.cols.append({r: 1})
+                self.obj.append(0)
         self.basis = basis
-        if not self._refactor():
-            return False
-        if any(v < 0 for v in self.xb):
-            return False
-        pad_set = set(pads)
-        if any(
-            self.xb[r] != 0 for r in range(self.m) if self.basis[r] in pad_set
-        ):
-            return False
-        return True
+        # the basis must be feasible, with every pad at zero
+        return self._refactor() and all(
+            x >= 0 and (x == 0 or j < self.n_std) for x, j in zip(self.xb, basis)
+        )
 
     # -- public
 
@@ -561,10 +515,9 @@ class _Engine:
         if not crashed:
             self._start_all_artificial()
             if self.m > 0 and not self._phase1():
-                y = self._map_dual(self._farkas)
-                if not check_farkas(self.lp, y):
+                if not check_farkas(self.lp, self._farkas):
                     raise InvariantViolation("Farkas certificate failed verification")
-                return LPSolution(status=INFEASIBLE, farkas=tuple(y))
+                return LPSolution(status=INFEASIBLE, farkas=tuple(self._farkas))
         self._evict_artificials()
         entering = self._run(self.obj, self.n_std)
         if entering is not None:
@@ -574,12 +527,11 @@ class _Engine:
                 raise InvariantViolation("unboundedness certificate failed verification")
             return LPSolution(status=UNBOUNDED, assignment=tuple(x0), ray=tuple(d))
         x = self._assignment()
-        y = self._map_dual(self._duals(self.obj))
+        # undo the row scale, the objective scale and den
+        y = self._map_dual(self._duals(self.obj), self.scale, self.obj_scale * self.den)
         if not check_optimal(self.lp, x, y):
             raise InvariantViolation("optimality certificate failed verification")
-        value = sum(
-            (x[j] * v for j, v in self.lp.objective.items()), Fraction(0)
-        )
+        value = sum((x[j] * v for j, v in self.lp.objective.items()), Fraction(0))
         return LPSolution(
             status=OPTIMAL, assignment=tuple(x), objective=value, dual=tuple(y)
         )
@@ -588,7 +540,7 @@ class _Engine:
         x = [Fraction(0)] * self.n_real
         for r in range(self.m):
             if self.basis[r] < self.n_real:
-                x[self.basis[r]] = _to_fraction(self.xb[r])
+                x[self.basis[r]] = Fraction(self.xb[r], self.den)
         return x
 
     def _ray(self, j: int) -> list[Fraction]:
@@ -598,14 +550,62 @@ class _Engine:
             ray[j] = Fraction(1)
         for r in range(self.m):
             if self.basis[r] < self.n_real and d[r]:
-                ray[self.basis[r]] = _to_fraction(-d[r])
+                ray[self.basis[r]] = Fraction(-d[r], self.den)
         return ray
 
-    def _map_dual(self, y_std) -> list[Fraction]:
+    def _map_dual(self, y_std, num: int, den: int) -> list[Fraction]:
+        """Original-row duals num/den * y_std, with the row flips undone."""
         y = [Fraction(0)] * self.lp.n_constraints
         for i, (orig, sign) in enumerate(self.row_orig):
-            y[orig] = _to_fraction(y_std[i]) * sign
+            y[orig] = Fraction(sign * num * y_std[i], den)
         return y
+
+
+def _gauss_jordan(vectors, width: int):
+    """Fraction-free Gauss-Jordan elimination of integer vectors, in turn.
+
+    Each vector is reduced against those kept before it, and kept if it
+    has a nonzero entry at one of the first width positions that no kept
+    vector pivots on; the first such position becomes its pivot.  Stops
+    once width vectors are kept.  Returns the kept (index, pivot, vector)
+    triples and g: each vector is g times its reduced form, whose entry is
+    1 at its own pivot and 0 at the others, so that g is up to sign the
+    determinant of the kept vectors on their pivots.  Every division is
+    exact, as each entry is a minor (Bareiss).
+    """
+    kept = []  # [index, pivot, vector, level]: the vector times g // level
+    g = 1
+
+    def current(entry):
+        # a step that leaves a vector otherwise unchanged scales it by
+        # new g / old g; that is applied only when the vector is next used
+        if entry[3] != g:
+            entry[2] = [a * g // entry[3] for a in entry[2]]
+            entry[3] = g
+        return entry[2]
+
+    for index, v in enumerate(vectors):
+        if len(kept) == width:
+            break
+        red = [g * a for a in v]
+        for entry in kept:
+            f = v[entry[1]]
+            if f:
+                red = [a - f * c for a, c in zip(red, current(entry))]
+        # red is 0 at every kept pivot
+        pivot = next((i for i in range(width) if red[i]), None)
+        if pivot is None:
+            continue
+        pe = red[pivot]
+        for entry in kept:
+            if entry[2][pivot]:
+                row = current(entry)
+                f = row[pivot]
+                entry[2] = [(pe * a - f * c) // g for a, c in zip(row, red)]
+                entry[3] = pe
+        kept.append([index, pivot, red, pe])
+        g = pe
+    return [(entry[0], entry[1], current(entry)) for entry in kept], g
 
 
 def solve(lp: LinearProgram, use_crash: bool | None = None) -> LPSolution:

@@ -203,20 +203,14 @@ def merge_duplicate_receivers(
 # ---------------------------------------------------------------------------
 # Receiver utilities (additive family)
 
-PIECEWISE_CONSTANT = "piecewise-constant"
-LIPSCHITZ = "lipschitz"
-
 
 class ReceiverUtility:
     """One receiver's utility as a function of his marginal posterior.
 
-    Subclasses implement value_at.  The declared smoothness class is
-    metadata used for reporting; every kind except "linear" is piecewise
-    constant.
+    Subclasses implement value_at.
     """
 
     kind = "abstract"
-    smoothness = PIECEWISE_CONSTANT
 
     def value_at(self, point: Posterior, space: StateSpace) -> Fraction:
         raise NotImplementedError
@@ -342,7 +336,6 @@ class LinearUtility(ReceiverUtility):
     offset: Fraction = Fraction(0)
 
     kind = "linear"
-    smoothness = LIPSCHITZ
 
     def value_at(self, point, space):
         if len(self.coeffs) != len(point):

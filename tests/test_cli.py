@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +169,27 @@ def test_solve_single_receiver(capsys, files, tmp_path):
     assert report["ok"] is True
     assert report["expected_utility"] == "3/5"
     assert all(report["checks"].values())
+
+
+@pytest.mark.parametrize(
+    "name, epsilon, expected",
+    [
+        ("chain2", "1/40", "chain2.solve-1-40.json"),
+        ("star3", "1/20", "star3.solve-1-20.json"),
+    ],
+)
+def test_solve_documents_are_pinned(capsys, name, epsilon, expected):
+    """The solve document of a criterion-5 chain at 1/40 and of a
+    three-receiver star at 1/20, byte for byte as recorded with the
+    rational (Fraction) LP engine that preceded the integer one.  Both
+    programs are large enough for the scipy crash start, which picks the
+    optimal vertex the document shows."""
+    pytest.importorskip("scipy.optimize")
+    data = Path(__file__).parent / "data"
+    instance = str(data / f"{name}.instance.json")
+    code, out, err = run(capsys, "solve", instance, "--epsilon", epsilon)
+    assert code == 0, err
+    assert out.encode() == (data / expected).read_bytes()
 
 
 def test_solve_decimal_flag(capsys, files):

@@ -1,9 +1,12 @@
+import hashlib
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from mcpersuasion import lp as lp_module
 from mcpersuasion.lp import (
     EQ,
     GE,
@@ -272,3 +275,119 @@ def test_feasibility_checker():
     assert check_feasible(lp, (F(1, 2), F(1, 2)))
     assert not check_feasible(lp, (F(1), F(1)))
     assert not check_feasible(lp, (F(-1), F(0)))
+
+
+# --- the pivot path, pinned ---
+
+
+def _pinned_program(rng):
+    """A small random program with rational data over mixed denominators.
+    Most carry a bounding <= row; about a third carry an = row twice, once
+    scaled, so that the engine must drop a linearly dependent row."""
+
+    def q():
+        return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5)))
+
+    n = rng.randint(2, 7)
+    obj = [q() for _ in range(n)]
+    # most programs are built around a feasible point x0
+    x0 = [F(rng.randint(0, 3)) for _ in range(n)] if rng.random() < 0.7 else None
+    cons = []
+    for _ in range(rng.randint(1, 6)):
+        row = [q() if rng.random() < 0.7 else F(0) for _ in range(n)]
+        rel = rng.choice((EQ, LE, GE))
+        if x0 is None:
+            rhs = q()
+        else:
+            slack = {EQ: 0, LE: abs(q()), GE: -abs(q())}[rel]
+            rhs = sum(a * b for a, b in zip(row, x0)) + slack
+        cons.append((row, rel, rhs))
+    if rng.random() < 0.6:
+        cons.append(([F(rng.randint(0, 2)) for _ in range(n)], LE, F(rng.randint(1, 9))))
+    if rng.random() < 0.35:
+        row, _, rhs = rng.choice(cons)
+        k = F(rng.randint(1, 3), rng.choice((1, 2)))
+        cons.append((row, EQ, rhs))
+        cons.insert(rng.randrange(len(cons)), ([k * v for v in row], EQ, k * rhs))
+    return LinearProgram(n, obj, cons)
+
+
+#: md5 of the repr of every solution of the 400 programs _pinned_program
+#: draws from random.Random(3), recorded with the rational (Fraction)
+#: engine that preceded the integer one.  With use_crash the start comes
+#: from scipy's HiGHS (recorded with scipy 1.17.1); without scipy that
+#: route falls back to the all-artificial start, whose digest is PURE.
+PINNED_PURE = "effba59032129210aad71fd6f8779951"
+PINNED_CRASH = "fd947066f7f8c78558e5fc08e56fe6eb"
+
+
+@pytest.mark.parametrize("use_crash", [False, True])
+def test_pivot_path_matches_the_rational_engine(use_crash, monkeypatch):
+    drops = []
+    real_drop = lp_module._Engine._drop_rows
+
+    def counting_drop(engine, rows):
+        drops.append(rows)
+        return real_drop(engine, rows)
+
+    monkeypatch.setattr(lp_module._Engine, "_drop_rows", counting_drop)
+    rng = random.Random(3)
+    solutions = [solve(_pinned_program(rng), use_crash=use_crash) for _ in range(400)]
+    assert {sol.status for sol in solutions} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert drops
+    digest = hashlib.md5("\n".join(map(repr, solutions)).encode()).hexdigest()
+    if use_crash and importlib.util.find_spec("scipy") is not None:
+        assert digest == PINNED_CRASH
+    else:
+        assert digest == PINNED_PURE
+
+
+def _assert_inverse(engine):
+    """B binv == den I with den > 0, and xb == binv b."""
+    m = engine.m
+    assert engine.den > 0
+    for i in range(m):
+        for k in range(m):
+            entry = sum(
+                engine.cols[j].get(i, 0) * engine.binv[p][k]
+                for p, j in enumerate(engine.basis)
+            )
+            assert entry == (engine.den if i == k else 0), (i, k)
+    assert engine.xb == [sum(a * v for a, v in zip(row, engine.b)) for row in engine.binv]
+
+
+def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
+    checked = []
+    real_refactor = lp_module._Engine._refactor
+    real_pivot = lp_module._Engine._pivot
+
+    def refactor(engine):
+        ok = real_refactor(engine)
+        if ok:
+            _assert_inverse(engine)
+            checked.append("refactor")
+        return ok
+
+    def pivot(engine, j, r, d):
+        real_pivot(engine, j, r, d)
+        _assert_inverse(engine)
+        checked.append("pivot")
+
+    monkeypatch.setattr(lp_module._Engine, "_refactor", refactor)
+    monkeypatch.setattr(lp_module._Engine, "_pivot", pivot)
+    # fractional data, a row twice (dropped), a flipped row, a degenerate vertex
+    lp = LinearProgram(
+        3,
+        [F(3, 2), F(1), F(-1, 3)],
+        [
+            ([F(1, 2), F(1), F(1)], EQ, F(3, 2)),
+            ([F(1), F(2), F(2)], EQ, F(3)),
+            ([F(-1), F(0), F(1, 4)], LE, F(-1, 5)),
+            ([F(1), F(-1, 3), F(0)], LE, F(1)),
+        ],
+    )
+    for use_crash in (False, True):
+        sol = solve(lp, use_crash=use_crash)
+        assert sol.status == OPTIMAL
+        assert check_optimal(lp, sol.assignment, sol.dual)
+    assert "refactor" in checked and "pivot" in checked
