@@ -14,6 +14,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Mapping, Optional
 
 from .beliefs import BeliefDistribution
@@ -218,11 +219,7 @@ def channel_scheme_to_doc(scheme: ChannelScheme) -> dict:
     ]
     executions: dict[str, list] = {state: [] for state in scheme.table.space.states}
     listed = 0
-    omitted = 0
-    for record in enumerate_executions(scheme):
-        if listed == EXECUTION_DUMP_LIMIT:
-            omitted += 1
-            continue
+    for record in islice(enumerate_executions(scheme), EXECUTION_DUMP_LIMIT):
         executions[record.state].append(
             {
                 "branch": record.branch + 1,
@@ -232,6 +229,9 @@ def channel_scheme_to_doc(scheme: ChannelScheme) -> dict:
             }
         )
         listed += 1
+    # every positive-mass branch of every state runs once per key vector
+    branches = sum(mass != 0 for row in scheme.table.rows.values() for mass in row)
+    omitted = branches * scheme.q**scheme.key_count - listed
     doc = {
         "q": scheme.q,
         "structure": structure_to_doc(scheme.structure),

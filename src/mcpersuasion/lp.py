@@ -5,7 +5,10 @@ maximize c.x  subject to  rows with relations =, <=, >=  and  x >= 0.
 The engine is a two-phase revised simplex with an explicit basis
 inverse, run in integer arithmetic: the rows are scaled to integers and
 the inverse is kept as an integer adjugate over the basis determinant,
-so that every division is exact (fraction-free elimination).  No status
+so that every division is exact (fraction-free elimination).  Each row
+has one unit artificial column; a row that no real column can serve is
+linearly dependent on the others and keeps its artificial basic at zero
+for the rest of the solve, with dual 0.  No status
 is ever reported on trust: an optimal answer carries a dual vector and
 is re-checked in Fractions against the original program (feasibility,
 dual sign conditions, reduced costs, strong duality), an infeasible
@@ -237,6 +240,12 @@ class _Engine:
     divides exactly by the previous den (Bareiss).  Ratios and reduced
     costs are compared by cross-multiplication; values become Fractions
     only when a result is read out.
+
+    Columns n_std + r are the unit artificials, one per row, made once.
+    An artificial still basic after eviction sits in a row that depends
+    linearly on the others: its row of binv is orthogonal to every real
+    column, so it never enters a ratio test, stays at zero and gets dual
+    0.  Such rows do not count towards the Bland fallback's streak limit.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -262,17 +271,19 @@ class _Engine:
             b.append(unit * rhs.numerator // rhs.denominator)
             row_orig.append((i, sign))
         self.n_std = len(cols)
+        self.m = len(b)
+        cols.extend({r: 1} for r in range(self.m))
         self.cols = cols
         self.b = b
         self.row_orig = row_orig
-        self.m = len(b)
-        self.obj = [0] * self.n_std
+        self.obj = [0] * len(cols)
         for j, v in lp.objective.items():
             self.obj[j] = self.obj_scale * v.numerator // v.denominator
         self.basis: list[int] = []
         self.binv: list[list[int]] = []
         self.den = 1
         self.xb: list[int] = []
+        self.dependent = 0  # rows left with a basic artificial by eviction
 
     # -- basic linear algebra helpers
 
@@ -382,7 +393,7 @@ class _Engine:
             self._pivot(j, r, d)
             if degenerate:
                 degenerate_streak += 1
-                if degenerate_streak > self.m + 10:
+                if degenerate_streak > self.m - self.dependent + 10:
                     bland = True
             else:
                 degenerate_streak = 0
@@ -391,15 +402,12 @@ class _Engine:
     # -- phases
 
     def _start_all_artificial(self):
-        for r in range(self.m):
-            self.cols.append({r: 1})
-            self.obj.append(0)
-            self.basis.append(self.n_std + r)
+        self.basis = list(range(self.n_std, self.n_std + self.m))
         self._refactor()
 
     def _phase1(self):
         """Returns True if a feasible basis was reached."""
-        obj1 = [0] * self.n_std + [-1] * (len(self.cols) - self.n_std)
+        obj1 = [0] * self.n_std + [-1] * self.m
         if self._run(obj1, self.n_std) is not None:
             raise InvariantViolation("phase-1 objective cannot be unbounded")
         value = sum(obj1[self.basis[r]] * self.xb[r] for r in range(self.m))
@@ -411,9 +419,8 @@ class _Engine:
         return True
 
     def _evict_artificials(self):
-        """Drive artificials out of the basis; drop rows that cannot be
-        served by any real column (they are linearly dependent)."""
-        redundant = []
+        """Drive artificials out of the basis; one that no real column can
+        replace stays basic at zero in its linearly dependent row."""
         for r in range(self.m):
             if self.basis[r] < self.n_std:
                 continue
@@ -427,30 +434,7 @@ class _Engine:
                     self._pivot(j, r, self._direction(j))
                     break
             else:
-                redundant.append(r)
-        if redundant:
-            self._drop_rows(redundant)
-
-    def _drop_rows(self, rows):
-        drop = set(rows)
-        keep = [i for i in range(self.m) if i not in drop]
-        remap = {old: new for new, old in enumerate(keep)}
-        for col in self.cols:
-            stale = [i for i in col if i in drop]
-            for i in stale:
-                del col[i]
-            if any(i in remap and remap[i] != i for i in list(col)):
-                updated = {remap[i]: v for i, v in col.items()}
-                col.clear()
-                col.update(updated)
-        self.b = [self.b[i] for i in keep]
-        self.row_orig = [self.row_orig[i] for i in keep]
-        self.basis = [self.basis[r] for r in range(self.m) if r not in drop]
-        self.m = len(keep)
-        if not self._refactor():
-            raise InvariantViolation("basis became singular after dropping rows")
-        if any(v < 0 for v in self.xb):
-            raise InvariantViolation("negative basic value after dropping rows")
+                self.dependent += 1
 
     # -- crash start from a floating-point solve
 
@@ -462,7 +446,7 @@ class _Engine:
         except ImportError:
             return False
         rows, cols_idx, data = [], [], []
-        for j, col in enumerate(self.cols):
+        for j, col in enumerate(self.cols[: self.n_std]):
             for i, v in col.items():
                 rows.append(i)
                 cols_idx.append(j)
@@ -491,12 +475,10 @@ class _Engine:
         for index, pivot, _ in kept:
             basis[pivot] = support[index]
         for r in range(self.m):
-            if basis[r] == -1:  # a unit pad column, to be evicted
-                basis[r] = len(self.cols)
-                self.cols.append({r: 1})
-                self.obj.append(0)
+            if basis[r] == -1:  # the row's artificial, to be evicted
+                basis[r] = self.n_std + r
         self.basis = basis
-        # the basis must be feasible, with every pad at zero
+        # the basis must be feasible, with every artificial at zero
         return self._refactor() and all(
             x >= 0 and (x == 0 or j < self.n_std) for x, j in zip(self.xb, basis)
         )
@@ -504,15 +486,7 @@ class _Engine:
     # -- public
 
     def solve(self, use_crash) -> LPSolution:
-        crashed = False
-        if use_crash and self.m > 0:
-            crashed = self._try_crash()
-            if not crashed:
-                # throw away any pad columns a failed attempt left behind
-                del self.cols[self.n_std :]
-                del self.obj[self.n_std :]
-                self.basis = []
-        if not crashed:
+        if not (use_crash and self.m > 0 and self._try_crash()):
             self._start_all_artificial()
             if self.m > 0 and not self._phase1():
                 if not check_farkas(self.lp, self._farkas):

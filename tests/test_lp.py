@@ -283,7 +283,8 @@ def test_feasibility_checker():
 def _pinned_program(rng):
     """A small random program with rational data over mixed denominators.
     Most carry a bounding <= row; about a third carry an = row twice, once
-    scaled, so that the engine must drop a linearly dependent row."""
+    scaled, so that the engine must leave an artificial basic at zero in a
+    linearly dependent row."""
 
     def q():
         return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5)))
@@ -323,18 +324,19 @@ PINNED_CRASH = "fd947066f7f8c78558e5fc08e56fe6eb"
 
 @pytest.mark.parametrize("use_crash", [False, True])
 def test_pivot_path_matches_the_rational_engine(use_crash, monkeypatch):
-    drops = []
-    real_drop = lp_module._Engine._drop_rows
+    dependent = []
+    real_evict = lp_module._Engine._evict_artificials
 
-    def counting_drop(engine, rows):
-        drops.append(rows)
-        return real_drop(engine, rows)
+    def recording_evict(engine):
+        real_evict(engine)
+        if any(j >= engine.n_std for j in engine.basis):
+            dependent.append(engine)
 
-    monkeypatch.setattr(lp_module._Engine, "_drop_rows", counting_drop)
+    monkeypatch.setattr(lp_module._Engine, "_evict_artificials", recording_evict)
     rng = random.Random(3)
     solutions = [solve(_pinned_program(rng), use_crash=use_crash) for _ in range(400)]
     assert {sol.status for sol in solutions} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
-    assert drops
+    assert dependent
     digest = hashlib.md5("\n".join(map(repr, solutions)).encode()).hexdigest()
     if use_crash and importlib.util.find_spec("scipy") is not None:
         assert digest == PINNED_CRASH
@@ -375,7 +377,8 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
 
     monkeypatch.setattr(lp_module._Engine, "_refactor", refactor)
     monkeypatch.setattr(lp_module._Engine, "_pivot", pivot)
-    # fractional data, a row twice (dropped), a flipped row, a degenerate vertex
+    # fractional data, a row twice (one left dependent), a flipped row, a
+    # degenerate vertex
     lp = LinearProgram(
         3,
         [F(3, 2), F(1), F(-1, 3)],
@@ -391,3 +394,42 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
         assert sol.status == OPTIMAL
         assert check_optimal(lp, sol.assignment, sol.dual)
     assert "refactor" in checked and "pivot" in checked
+
+
+def test_bland_fallback_counts_only_rows_not_left_dependent(monkeypatch):
+    """Beale's cycling example, its slacks written as columns s1..s3 and
+    joined by a variable z fixed at 0 by copies of one row.  From the
+    slack basis the largest-reduced-cost rule cycles; Bland's rule must
+    take over after the same number of degenerate pivots however many
+    copies are left dependent, as if they were not there."""
+    steps = []
+    real_entering = lp_module._Engine._entering
+
+    def entering(engine, obj, y, limit, bland):
+        steps.append(bland)
+        return real_entering(engine, obj, y, limit, bland)
+
+    monkeypatch.setattr(lp_module._Engine, "_entering", entering)
+    switches = []
+    for copies in (1, 2, 3):
+        # s1, s2, s3, x4, x5, x6, x7, z
+        obj = [0, 0, 0, F(3, 4), F(-20), F(1, 2), F(-6), 0]
+        cons = [
+            ([1, 0, 0, F(1, 4), F(-8), F(-1), F(9), 0], EQ, 0),
+            ([0, 1, 0, F(1, 2), F(-12), F(-1, 2), F(3), 0], EQ, 0),
+            ([0, 0, 1, 0, 0, 1, 0, 0], EQ, 1),
+        ] + [([0] * 7 + [1], EQ, 0)] * copies
+        engine = lp_module._Engine(LinearProgram(8, obj, cons))
+        engine._start_all_artificial()
+        assert engine._phase1()
+        engine._evict_artificials()
+        assert engine.dependent == copies - 1
+        # the slack basis, z, and the artificials left in the copies
+        engine.basis = [0, 1, 2, 7] + [engine.n_std + 4 + c for c in range(copies - 1)]
+        assert engine._refactor()
+        steps.clear()
+        assert engine._run(engine.obj, engine.n_std) is None
+        assert engine.xb[engine.basis.index(5)] == engine.den  # x6 = 1
+        switches.append(steps.index(True))
+    # one largest-reduced-cost step per degenerate pivot: m - dependent + 11
+    assert switches == [4 + 11] * 3

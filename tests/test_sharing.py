@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from mcpersuasion import io as mc_io
 from mcpersuasion.dominance import dominance_set
 from mcpersuasion.errors import (
     AlphabetTooSmall,
@@ -404,3 +405,28 @@ def test_random_transports_reproduce_the_law():
         )
         assert report.ok, (destination.matrix, report)
         assert report.law_matches
+
+
+@pytest.mark.parametrize("limit", [0, 20, 72])
+def test_scheme_document_lists_a_prefix_and_counts_the_rest(limit, monkeypatch):
+    monkeypatch.setattr(mc_io, "EXECUTION_DUMP_LIMIT", limit)
+    # seven zero-mass branches, 72 executions in all
+    table = _independent_table(random.Random(0), 3)
+    scheme = emulate_private_subset(SPERNER3, [0, 1, 2], table)
+    records = list(enumerate_executions(scheme))
+    doc = mc_io.channel_scheme_to_doc(scheme)
+    listed = [entry for state in BIN.states for entry in doc["executions"][state]]
+    assert len(listed) == min(limit, len(records))
+    assert len(listed) + doc.get("executions_omitted", 0) == len(records) == 72
+    assert ("executions_omitted" in doc) == (limit < len(records))
+    assert listed == [
+        {
+            "branch": record.branch + 1,
+            "keys": list(record.keys),
+            "probability": mc_io.format_rational(record.probability),
+            "channels": [list(symbols) for symbols in record.channels],
+        }
+        for record in records[: len(listed)]
+    ]
+    states = [state for state in BIN.states for _ in doc["executions"][state]]
+    assert states == [record.state for record in records[: len(listed)]]
