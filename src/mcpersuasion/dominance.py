@@ -174,9 +174,6 @@ class NetworkGraph:
     def adjacent(self, a: int, b: int) -> bool:
         return frozenset((a, b)) in self.edges
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(u for u in range(self.k) if self.adjacent(v, u)))
-
 
 def network_structure(graph: NetworkGraph) -> CommunicationStructure:
     """Square structure where receiver i observes channel j iff j = i or

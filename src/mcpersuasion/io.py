@@ -30,7 +30,13 @@ from .model import (
     parse_posterior,
     parse_rational,
 )
-from .sharing import ChannelScheme, LabelAlphabet, Slot, enumerate_executions
+from .sharing import (
+    ChannelScheme,
+    LabelAlphabet,
+    Slot,
+    enumerate_executions,
+    execution_count,
+)
 
 #: Executions listed in a channel-scheme file are capped; past this many
 #: the remainder is summarized by an "executions_omitted" count.  The
@@ -229,9 +235,7 @@ def channel_scheme_to_doc(scheme: ChannelScheme) -> dict:
             }
         )
         listed += 1
-    # every positive-mass branch of every state runs once per key vector
-    branches = sum(mass != 0 for row in scheme.table.rows.values() for mass in row)
-    omitted = branches * scheme.q**scheme.key_count - listed
+    omitted = execution_count(scheme) - listed
     doc = {
         "q": scheme.q,
         "structure": structure_to_doc(scheme.structure),

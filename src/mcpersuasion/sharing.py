@@ -18,6 +18,7 @@ channel order.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -158,12 +159,6 @@ class ChannelScheme:
         if sorted(bare) != list(range(self.key_count)):
             raise ValidationError("each key must ride exactly one bare slot")
 
-    def arity(self, channel: int) -> int:
-        return sum(1 for slot in self.slots if slot.channel == channel)
-
-    def channel_slots(self, channel: int) -> tuple[Slot, ...]:
-        return tuple(s for s in self.slots if s.channel == channel)
-
 
 @dataclass(frozen=True)
 class ExecutionRecord:
@@ -176,12 +171,6 @@ class ExecutionRecord:
     keys: tuple[int, ...]
     probability: Fraction
     channels: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class ReceiverView:
-    receiver: int
-    symbols: tuple[int, ...]
 
 
 def _fill_channels(
@@ -197,6 +186,13 @@ def _fill_channels(
                 value += keys[e]
         wires[slot.channel].append(value % scheme.q)
     return tuple(tuple(w) for w in wires)
+
+
+def execution_count(scheme: ChannelScheme) -> int:
+    """How many executions enumerate_executions yields: every
+    positive-mass branch of every state, once per key vector."""
+    branches = sum(mass != 0 for row in scheme.table.rows.values() for mass in row)
+    return branches * scheme.q**scheme.key_count
 
 
 def enumerate_executions(scheme: ChannelScheme) -> Iterator[ExecutionRecord]:
@@ -221,10 +217,9 @@ def enumerate_executions(scheme: ChannelScheme) -> Iterator[ExecutionRecord]:
 
 def receiver_view(
     scheme: ChannelScheme, execution: ExecutionRecord, receiver: int
-) -> ReceiverView:
+) -> tuple[int, ...]:
     chans = scheme.structure.channels_of(receiver)
-    symbols = tuple(s for j in chans for s in execution.channels[j])
-    return ReceiverView(receiver, symbols)
+    return tuple(s for j in chans for s in execution.channels[j])
 
 
 class _SchemeBuilder:
@@ -487,16 +482,17 @@ def verify_scheme(
     instance: PersuasionInstance,
     budget: Optional[int] = DEFAULT_VERIFY_BUDGET,
 ) -> SchemeReport:
-    """Enumerate every execution and check, in exact arithmetic, that the
-    scheme delivers labels and leaks nothing.
+    """Walk the executions once, counting per receiver and (state,
+    branch) the key vectors that show each view; check in exact
+    arithmetic that the scheme delivers labels and leaks nothing.
 
-    Three checks.  Recovery: for every covered receiver, each possible
-    view is consistent with a single target label, and the posterior over
-    states given the view equals that label.  Privacy: for every
-    receiver, the distribution of his view conditioned on the labels he
-    is entitled to is the same across all states and branches, and
-    uniform on its support.  Law: the joint distribution of state and
-    covered labels matches the target table under the instance's prior.
+    Recovery: for every covered receiver, each possible view is
+    consistent with a single target label, and the posterior over states
+    given the view equals that label.  Privacy: for every receiver, the
+    distribution of his view conditioned on the labels he is entitled to
+    is the same across all states and branches, and uniform on its
+    support.  Law: the joint distribution of state and covered labels
+    matches the target table under the instance's prior.
     """
     if scheme.structure != M:
         raise ValidationError("scheme was built for a different structure")
@@ -507,22 +503,29 @@ def verify_scheme(
     space = instance.space
     if scheme.table.space != space or target.space != space:
         raise StateSpaceMismatch("scheme, target, and instance disagree on states")
-    size = space.size * len(scheme.table.profiles) * scheme.q**scheme.key_count
+    size = execution_count(scheme)
     if budget is not None and size > budget:
         raise BudgetExceeded(
-            f"verification needs about {size} executions, budget allows {budget}"
+            f"verification needs {size} executions, budget allows {budget}"
         )
     prior = instance.prior
-    records = list(enumerate_executions(scheme))
     covered = tuple(sorted(scheme.covered))
+
+    tally = [defaultdict(Counter) for _ in range(M.k)]
+    executions = 0
+    for rec in enumerate_executions(scheme):
+        executions += 1
+        for r, by_event in enumerate(tally):
+            by_event[rec.state, rec.branch][receiver_view(scheme, rec, r)] += 1
 
     recovery: list[str] = []
     for r in covered:
-        by_view: dict[tuple[int, ...], list[ExecutionRecord]] = {}
-        for rec in records:
-            by_view.setdefault(receiver_view(scheme, rec, r).symbols, []).append(rec)
+        by_view = defaultdict(list)
+        for (state, branch), views in tally[r].items():
+            for view, count in views.items():
+                by_view[view].append((state, branch, count))
         for view, grp in sorted(by_view.items()):
-            labels = {scheme.table.profiles[rec.branch][r] for rec in grp}
+            labels = {scheme.table.profiles[branch][r] for _, branch, _ in grp}
             if len(labels) > 1:
                 recovery.append(
                     f"receiver {r + 1}: view {view} is consistent with "
@@ -530,9 +533,11 @@ def verify_scheme(
                 )
                 continue
             label = labels.pop()
+            # masses leave out the q^-keys factor all executions share
             mass = [Fraction(0)] * space.size
-            for rec in grp:
-                mass[space.index(rec.state)] += prior[space.index(rec.state)] * rec.probability
+            for state, branch, count in grp:
+                b = space.index(state)
+                mass[b] += prior[b] * scheme.table.rows[state][branch] * count
             total = sum(mass)
             posterior = tuple(m / total for m in mass)
             if posterior != label:
@@ -544,17 +549,11 @@ def verify_scheme(
     dom = dominance_set(M)
     privacy: list[str] = []
     for r in range(M.k):
-        entitled = sorted(
-            ({r} if r in scheme.covered else set())
-            | {d for d in scheme.covered if (r, d) in dom}
-        )
-        groups: dict[tuple, dict[tuple[str, int], dict[tuple[int, ...], int]]] = {}
-        for rec in records:
-            cond = tuple(scheme.table.profiles[rec.branch][d] for d in entitled)
-            event = (rec.state, rec.branch)
-            dist = groups.setdefault(cond, {}).setdefault(event, {})
-            view = receiver_view(scheme, rec, r).symbols
-            dist[view] = dist.get(view, 0) + 1
+        entitled = sorted(d for d in scheme.covered if d == r or (r, d) in dom)
+        groups = defaultdict(dict)
+        for event, views in tally[r].items():
+            cond = tuple(scheme.table.profiles[event[1]][d] for d in entitled)
+            groups[cond][event] = views
         for cond, by_event in sorted(groups.items()):
             events = sorted(by_event)
             reference = by_event[events[0]]
@@ -582,5 +581,5 @@ def verify_scheme(
         recovery_failures=tuple(recovery),
         privacy_failures=tuple(privacy),
         law_matches=law_matches,
-        execution_count=len(records),
+        execution_count=executions,
     )

@@ -306,9 +306,13 @@ def test_verify_share_budget_exit(capsys, files, tmp_path):
     table = files("reveal.json", REVEAL3)
     out = str(tmp_path / "cs.json")
     run_doc(capsys, "share", instance, table, "--subset", "1", "--q", "3", "--out", out)
-    code, _, err = run(capsys, "verify-share", out, instance, table, "--budget", "10^1")
+    code, _, err = run(capsys, "verify-share", out, instance, table, "--budget", "5")
     assert code == 4
     assert "budget" in err
+    # two positive-mass branches times 3^1 key vectors: exactly 6 executions
+    code, printed, _ = run(capsys, "verify-share", out, instance, table, "--budget", "6")
+    assert code == 0
+    assert json.loads(printed)["executions"] == 6
 
 
 def test_share_dominated_target(capsys, files):

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -6,7 +8,8 @@ from itertools import combinations, product
 import pytest
 
 from mcpersuasion import io as mc_io
-from mcpersuasion.dominance import dominance_set
+from mcpersuasion import sharing
+from mcpersuasion.dominance import dominance_set, sperner_structure
 from mcpersuasion.errors import (
     AlphabetTooSmall,
     BudgetExceeded,
@@ -170,7 +173,7 @@ def test_emulate_single_target_on_shared_channels():
     views = {1: {}, 2: {}}
     for rec in enumerate_executions(scheme):
         for r in views:
-            key = (rec.state, receiver_view(scheme, rec, r).symbols)
+            key = (rec.state, receiver_view(scheme, rec, r))
             views[r][key] = views[r].get(key, Fraction(0)) + rec.probability
     for r, acc in views.items():
         by_state = {}
@@ -244,13 +247,13 @@ def test_shield_skips_channels_guarded_by_dominated_receivers():
     by_label = {}
     for rec in enumerate_executions(shielded):
         b = BIN.index(rec.state)
-        view = receiver_view(shielded, rec, 0).symbols
+        view = receiver_view(shielded, rec, 0)
         label = table.profiles[rec.branch][1]
         for acc, key in ((by_view, view), (by_label, label)):
             vec = acc.setdefault(key, [Fraction(0), Fraction(0)])
             vec[b] += HALF[b] * rec.probability
     for rec in enumerate_executions(shielded):
-        view = receiver_view(shielded, rec, 0).symbols
+        view = receiver_view(shielded, rec, 0)
         label = table.profiles[rec.branch][1]
         v, l = by_view[view], by_label[label]
         assert tuple(x / sum(v) for x in v) == tuple(x / sum(l) for x in l)
@@ -430,3 +433,130 @@ def test_scheme_document_lists_a_prefix_and_counts_the_rest(limit, monkeypatch):
     ]
     states = [state for state in BIN.states for _ in doc["executions"][state]]
     assert states == [record.state for record in records[: len(listed)]]
+
+
+def _full_revelation(k):
+    return SignalingTable(
+        space=BIN,
+        profiles=((LO,) * k, (HI,) * k),
+        rows={"0": (Fraction(0), Fraction(1)), "1": (Fraction(1), Fraction(0))},
+    )
+
+
+def _move_keys(scheme, owner, channel):
+    """Move every key of owner's payload onto channel."""
+    payload = next(s for s in scheme.slots if s.owner == owner)
+    return replace(
+        scheme,
+        slots=tuple(
+            replace(s, channel=channel)
+            if s.owner is None and s.keys[0] in payload.keys
+            else s
+            for s in scheme.slots
+        ),
+    )
+
+
+def _report_family():
+    """Seeded (structure, table, scheme, instance) cases: full and
+    singleton schemes under full revelation and random tables, their
+    misrouted-key and key-hiding mutants, transports from private
+    channels, one scheme checked under a prior its table was not built
+    for and one against a table other than its own.
+    sperner_structure(3) is the private layout; SPERNER3 is the
+    three-receiver antichain on shared channels."""
+    rng = random.Random(55)
+    for structure in (sperner_structure(3), SPERNER3, sperner_structure(4)):
+        k = structure.k
+        instance = _instance(structure)
+        for q in (2, 3):
+            tables = [_full_revelation(k)]
+            if q == 2 or k == 3:
+                tables.append(_independent_table(rng, k))
+            for table in tables:
+                full = emulate_private_subset(structure, range(k), table, q=q)
+                yield structure, table, full, instance
+                owner = rng.randrange(k)
+                single = emulate_private_subset(structure, [owner], table, q=q)
+                yield structure, table, single, instance
+                # misrouted: the payload's co-observers read key and
+                # ciphertext together
+                carrier = next(s.channel for s in single.slots if s.owner == owner)
+                yield structure, table, _move_keys(single, owner, carrier), instance
+                # hidden: owner can no longer strip the mask
+                blind = next(
+                    j for j in range(structure.n) if not structure.observes(owner, j)
+                )
+                yield structure, table, _move_keys(single, owner, blind), instance
+        for _ in range(2):
+            table = _independent_table(rng, k)
+            scheme = transport_scheme(_identity(k), structure, table)
+            yield structure, table, scheme, instance
+    skewed = Prior(BIN, (Fraction(1, 3), Fraction(2, 3)))
+    instance = PersuasionInstance(
+        BIN, skewed, SPERNER3, AdditiveUtility((ConstantUtility(Fraction(1)),) * 3)
+    )
+    table = _independent_table(rng, 3)
+    yield SPERNER3, table, emulate_private_subset(SPERNER3, [0, 1, 2], table), instance
+    # checked against a table other than the one it carries
+    other = _independent_table(rng, 3)
+    scheme = emulate_private_subset(SPERNER3, [0, 1, 2], table)
+    yield SPERNER3, other, scheme, _instance(SPERNER3)
+
+
+def test_reports_match_the_pinned_digest():
+    """The reports of a seeded family of honest and broken schemes, byte
+    for byte; the digest was recorded from a verifier that kept every
+    execution record and walked the list once per receiver."""
+    reports = [
+        verify_scheme(scheme, structure, table, instance)
+        for structure, table, scheme, instance in _report_family()
+    ]
+    assert len(reports) == 52
+    assert sum(bool(r.recovery_failures) for r in reports) == 8
+    assert sum(bool(r.privacy_failures) for r in reports) == 14
+    assert sum(not r.law_matches for r in reports) == 1
+    digest = hashlib.md5("\n".join(map(repr, reports)).encode()).hexdigest()
+    assert digest == "c5aa6ec1b1f94234bec2ced42d605c21"
+
+
+def test_hidden_keys_break_recovery():
+    table = _reveal_to_first(3)
+    scheme = emulate_private_subset(SPERNER3, [0], table, q=2)
+    # the key leaves channel 2 for channel 3: receiver 1 no longer sees
+    # it, and receiver 3 now sees it next to the payload on channel 1
+    broken = _move_keys(scheme, 0, 2)
+    assert broken.slots == (Slot(2, None, (0,)), Slot(0, 0, (0,)))
+    report = verify_scheme(broken, SPERNER3, table, _instance(SPERNER3))
+    assert report.recovery_failures == (
+        "receiver 1: view (0,) is consistent with 2 different labels",
+        "receiver 1: view (1,) is consistent with 2 different labels",
+    )
+    assert report.privacy_failures == (
+        "receiver 3: view law given labels [nothing] differs between "
+        "(state 0, profile 2) and (state 1, profile 1)",
+    )
+    assert report.law_matches and not report.ok
+
+
+def test_verification_walks_the_executions_once_without_keeping_them(monkeypatch):
+    table = _independent_table(random.Random(0), 3)
+    scheme = emulate_private_subset(SPERNER3, [0, 1, 2], table)
+    enumerate_all = sharing.enumerate_executions
+    calls = []
+    most_alive = 0
+
+    def watched(walked):
+        nonlocal most_alive
+        calls.append(walked)
+        refs = []
+        for record in enumerate_all(walked):
+            refs.append(weakref.ref(record))
+            most_alive = max(most_alive, sum(ref() is not None for ref in refs))
+            yield record
+
+    monkeypatch.setattr(sharing, "enumerate_executions", watched)
+    report = verify_scheme(scheme, SPERNER3, table, _instance(SPERNER3))
+    assert report.ok and report.execution_count == 72
+    assert calls == [scheme]
+    assert most_alive <= 2
