@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None, help="key modulus (default: fit labels)")
     out_flag(p)
 
-    p = command("verify-share", _cmd_verify_share, "enumerate a channel scheme, check leaks")
+    p = command("verify-share", _cmd_verify_share, "check a channel scheme for leaks")
     p.add_argument("scheme")
     p.add_argument("instance")
     p.add_argument("table")

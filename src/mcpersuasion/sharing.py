@@ -7,18 +7,25 @@ would learn more than his own label.  The constructions here hide labels
 behind additive masks over Z_q so that each receiver recovers exactly the
 labels of the receivers he information-dominates, plus his own, and
 nothing else.  All randomness is finite, so the zero-leak property is
-checked by exhaustive enumeration instead of being asserted.
+checked exactly instead of being asserted.
 
 Wire format: each channel carries a fixed-length tuple of Z_q symbols.  A
 slot is either a payload (the owner's label code plus a sum of keys, mod
 q) or a bare key (uniform on Z_q, independent of everything else).  A
 receiver's view is the concatenation of the tuples on his channels, in
 channel order.
+
+Every slot is affine in the keys, so for a fixed state and table branch
+a receiver's view is uniform on a coset of the image of one matrix over
+Z_q, fixed by the slots.  The verifier reads that coset law off the
+wire layout, coset by coset, instead of enumerating the q^keys key
+vectors; enumerate_executions still lists concrete executions for
+scheme documents.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -220,6 +227,85 @@ def receiver_view(
 ) -> tuple[int, ...]:
     chans = scheme.structure.channels_of(receiver)
     return tuple(s for j in chans for s in execution.channels[j])
+
+
+def _shift(view: tuple[int, ...], by: tuple[int, ...], q: int) -> tuple[int, ...]:
+    return tuple([(a + b) % q for a, b in zip(view, by)])
+
+
+def _minus(view: tuple[int, ...], by: tuple[int, ...], q: int) -> tuple[int, ...]:
+    return tuple([(a - b) % q for a, b in zip(view, by)])
+
+
+def _span(wire: list[Slot], key_count: int, q: int) -> frozenset[tuple[int, ...]]:
+    """im(A) over Z_q, where A[p][e] counts how often key e rides slot p
+    of wire: the additive closure of A's columns, so composite q needs
+    no special case."""
+    columns = [[0] * len(wire) for _ in range(key_count)]
+    for p, slot in enumerate(wire):
+        for e in slot.keys:
+            columns[e][p] += 1
+    image = {(0,) * len(wire)}
+    for column in columns:
+        step = tuple(a % q for a in column)
+        if step in image:
+            continue
+        multiples = {tuple(t * a % q for a in step) for t in range(q)}
+        image = {_shift(v, m, q) for v in image for m in multiples}
+    return frozenset(image)
+
+
+@dataclass(frozen=True)
+class ViewLaw:
+    """Exact law of one receiver's view, per positive-mass event
+    (state, branch).
+
+    Every slot is affine in the keys over Z_q, so in each event the view
+    is offset + A·keys for a matrix A fixed by the wire layout: it is
+    uniform on the coset offset + image, each of whose views is shown by
+    weight of the q^keys key vectors.  offsets[event] is the offset of
+    the first event seen in that coset, so two events show the same law
+    iff their offsets are equal.
+    """
+
+    q: int
+    image: frozenset[tuple[int, ...]]
+    weight: int
+    offsets: dict[tuple[str, int], tuple[int, ...]]
+
+    def views(self, offset: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The views of offset's coset, in sorted order."""
+        return sorted(_shift(offset, v, self.q) for v in self.image)
+
+
+def view_laws(scheme: ChannelScheme) -> list[ViewLaw]:
+    """Each receiver's view law, read off the slots instead of
+    enumerating executions.  An event's offset is its view under the
+    all-zero key vector."""
+    q = scheme.q
+    zero = (0,) * scheme.key_count
+    events = {
+        (state, branch): _fill_channels(scheme, scheme.table.profiles[branch], zero)
+        for state in scheme.table.space.states
+        for branch, mass in enumerate(scheme.table.rows[state])
+        if mass != 0
+    }
+    laws = []
+    for r in range(scheme.structure.k):
+        chans = scheme.structure.channels_of(r)
+        wire = [slot for j in chans for slot in scheme.slots if slot.channel == j]
+        image = _span(wire, scheme.key_count, q)
+        cosets: list[tuple[int, ...]] = []
+        offsets = {}
+        for event, wires in events.items():
+            raw = tuple(s for j in chans for s in wires[j])
+            home = next((c for c in cosets if _minus(raw, c, q) in image), None)
+            if home is None:
+                home = raw
+                cosets.append(raw)
+            offsets[event] = home
+        laws.append(ViewLaw(q, image, q**scheme.key_count // len(image), offsets))
+    return laws
 
 
 class _SchemeBuilder:
@@ -434,13 +520,16 @@ def transport_scheme(
 
 @dataclass(frozen=True)
 class SchemeReport:
-    """Outcome of exhaustive scheme verification.
+    """Outcome of exact scheme verification.
 
     recovery_failures: receivers whose view fails to pin down their
-    target label, or pins down the wrong posterior.
+    target label, or pins down the wrong posterior, one line per view.
     privacy_failures: receivers whose view, conditioned on the labels of
     the receivers they dominate (and their own), still depends on the
-    state or on other labels, or is not uniform on its support.
+    state or on other labels.  A view is uniform on its coset in every
+    event, so uniformity holds by construction.
+    execution_count: the executions the law stands for, positive-mass
+    branches x q^keys, as execution_count(scheme) counts them.
     """
 
     ok: bool
@@ -482,17 +571,20 @@ def verify_scheme(
     instance: PersuasionInstance,
     budget: Optional[int] = DEFAULT_VERIFY_BUDGET,
 ) -> SchemeReport:
-    """Walk the executions once, counting per receiver and (state,
-    branch) the key vectors that show each view; check in exact
-    arithmetic that the scheme delivers labels and leaks nothing.
+    """Check in exact arithmetic that the scheme delivers labels and
+    leaks nothing, from each receiver's coset law (view_laws) instead of
+    the executions.
 
     Recovery: for every covered receiver, each possible view is
     consistent with a single target label, and the posterior over states
-    given the view equals that label.  Privacy: for every receiver, the
-    distribution of his view conditioned on the labels he is entitled to
-    is the same across all states and branches, and uniform on its
-    support.  Law: the joint distribution of state and covered labels
-    matches the target table under the instance's prior.
+    given the view equals that label; views of one coset share their
+    events, so this is decided once per coset.  Privacy: for every
+    receiver, the distribution of his view conditioned on the labels he
+    is entitled to is the same across all states and branches, that is,
+    those events share one coset.  Law: the joint distribution of state
+    and covered labels matches the target table under the instance's
+    prior.  budget caps execution_count(scheme), which bounds the work:
+    a receiver's image holds at most q^keys views.
     """
     if scheme.structure != M:
         raise ValidationError("scheme was built for a different structure")
@@ -511,49 +603,49 @@ def verify_scheme(
     prior = instance.prior
     covered = tuple(sorted(scheme.covered))
 
-    tally = [defaultdict(Counter) for _ in range(M.k)]
-    executions = 0
-    for rec in enumerate_executions(scheme):
-        executions += 1
-        for r, by_event in enumerate(tally):
-            by_event[rec.state, rec.branch][receiver_view(scheme, rec, r)] += 1
+    laws = view_laws(scheme)
 
     recovery: list[str] = []
     for r in covered:
-        by_view = defaultdict(list)
-        for (state, branch), views in tally[r].items():
-            for view, count in views.items():
-                by_view[view].append((state, branch, count))
-        for view, grp in sorted(by_view.items()):
-            labels = {scheme.table.profiles[branch][r] for _, branch, _ in grp}
+        law = laws[r]
+        by_coset = defaultdict(list)
+        for event, offset in law.offsets.items():
+            by_coset[offset].append(event)
+        failures: list[tuple[tuple[int, ...], str]] = []
+        for offset, events in by_coset.items():
+            labels = {scheme.table.profiles[branch][r] for _, branch in events}
             if len(labels) > 1:
-                recovery.append(
-                    f"receiver {r + 1}: view {view} is consistent with "
-                    f"{len(labels)} different labels"
+                verdict = f"is consistent with {len(labels)} different labels"
+            else:
+                label = labels.pop()
+                # every view of the coset is shown by law.weight key
+                # vectors in each of its events, so the views share one
+                # posterior and the weight cancels from it
+                mass = [Fraction(0)] * space.size
+                for state, branch in events:
+                    b = space.index(state)
+                    mass[b] += prior[b] * scheme.table.rows[state][branch]
+                total = sum(mass)
+                posterior = tuple(m / total for m in mass)
+                if posterior == label:
+                    continue
+                verdict = (
+                    f"yields posterior {_fmt_label(posterior)} "
+                    f"instead of {_fmt_label(label)}"
                 )
-                continue
-            label = labels.pop()
-            # masses leave out the q^-keys factor all executions share
-            mass = [Fraction(0)] * space.size
-            for state, branch, count in grp:
-                b = space.index(state)
-                mass[b] += prior[b] * scheme.table.rows[state][branch] * count
-            total = sum(mass)
-            posterior = tuple(m / total for m in mass)
-            if posterior != label:
-                recovery.append(
-                    f"receiver {r + 1}: view {view} yields posterior "
-                    f"{_fmt_label(posterior)} instead of {_fmt_label(label)}"
-                )
+            failures.extend((view, verdict) for view in law.views(offset))
+        recovery.extend(
+            f"receiver {r + 1}: view {view} {verdict}" for view, verdict in sorted(failures)
+        )
 
     dom = dominance_set(M)
     privacy: list[str] = []
     for r in range(M.k):
         entitled = sorted(d for d in scheme.covered if d == r or (r, d) in dom)
         groups = defaultdict(dict)
-        for event, views in tally[r].items():
+        for event, offset in laws[r].offsets.items():
             cond = tuple(scheme.table.profiles[event[1]][d] for d in entitled)
-            groups[cond][event] = views
+            groups[cond][event] = offset
         for cond, by_event in sorted(groups.items()):
             events = sorted(by_event)
             reference = by_event[events[0]]
@@ -567,11 +659,6 @@ def verify_scheme(
                         f"{event[1] + 1})"
                     )
                     break
-            if len(set(reference.values())) > 1:
-                privacy.append(
-                    f"receiver {r + 1}: view law given labels [{conditioning}] "
-                    "is not uniform on its support"
-                )
 
     law_matches = _covered_law(scheme.table, prior, covered) == _covered_law(
         target, prior, covered
@@ -581,5 +668,5 @@ def verify_scheme(
         recovery_failures=tuple(recovery),
         privacy_failures=tuple(privacy),
         law_matches=law_matches,
-        execution_count=executions,
+        execution_count=size,
     )

@@ -1,15 +1,16 @@
 import hashlib
 import random
 import weakref
+from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from mcpersuasion import io as mc_io
 from mcpersuasion import sharing
-from mcpersuasion.dominance import dominance_set, sperner_structure
+from mcpersuasion.dominance import dominance_set, is_superior, sperner_structure
 from mcpersuasion.errors import (
     AlphabetTooSmall,
     BudgetExceeded,
@@ -34,10 +35,12 @@ from mcpersuasion.sharing import (
     Slot,
     emulate_private_subset,
     enumerate_executions,
+    execution_count,
     receiver_view,
     shield_receiver,
     transport_scheme,
     verify_scheme,
+    view_laws,
 )
 
 BIN = StateSpace(("0", "1"))
@@ -353,6 +356,26 @@ def test_misrouted_key_is_caught():
     assert any(f.startswith("receiver 3") for f in report.privacy_failures)
 
 
+def test_a_key_listed_twice_counts_twice():
+    table = _reveal_to_first(3)
+    for q, leaking in ((2, ["receiver 3"]), (3, [])):
+        scheme = emulate_private_subset(SPERNER3, [0], table, q=q)
+        # the payload adds its key twice: 2·key is no mask over Z_2, and
+        # still a one-time pad over Z_3
+        doubled = replace(
+            scheme,
+            slots=tuple(
+                replace(s, keys=s.keys * 2) if s.owner is not None else s
+                for s in scheme.slots
+            ),
+        )
+        _assert_laws_match_brute_force(doubled)
+        report = verify_scheme(doubled, SPERNER3, table, _instance(SPERNER3))
+        assert not report.recovery_failures
+        assert report.ok == (not leaking)
+        assert [f.split(":")[0] for f in report.privacy_failures] == leaking
+
+
 def test_verify_budget_is_enforced():
     table = _reveal_to_first(3)
     scheme = emulate_private_subset(SPERNER3, [0], table, q=2)
@@ -395,6 +418,59 @@ def test_sampled_four_receiver_antichains_emulate_cleanly():
             scheme, structure, table, _instance(structure), budget=10**6
         )
         assert report.ok, (structure.matrix, report)
+
+
+def _structures_up_to_relabelling(k, n):
+    """Every structure of k distinct non-empty rows on n channels, once
+    per orbit under permuting the channels."""
+    seen = set()
+    for masks in product(range(1, 2**n), repeat=k):
+        if len(set(masks)) < k:
+            continue
+        rows = [tuple((m >> j) & 1 for j in range(n)) for m in masks]
+        seen.add(
+            min(
+                tuple(tuple(row[j] for j in order) for row in rows)
+                for order in permutations(range(n))
+            )
+        )
+    return [CommunicationStructure(matrix) for matrix in sorted(seen)]
+
+
+def _channel_signal_table(rng, M):
+    """A table realizable under M: per state, two random joint signals
+    on M's channels; each receiver's signal is what his channels carry."""
+    per_state = {}
+    for state in BIN.states:
+        dist = {}
+        weight = rng.randint(1, 3)
+        for mass in (Fraction(weight, 4), Fraction(4 - weight, 4)):
+            wire = [rng.randint(0, 1) for _ in range(M.n)]
+            profile = tuple(tuple(wire[j] for j in M.channels_of(i)) for i in range(M.k))
+            dist[profile] = dist.get(profile, Fraction(0)) + mass
+        per_state[state] = dist
+    return SignalingTable.from_signals(HALF, per_state)
+
+
+def test_transport_realizes_every_small_superior_pair():
+    """The sufficiency direction, exhaustively on small structures: a
+    table realizable under M1 is realized under every M2 superior to
+    M1, with no leak."""
+    rng = random.Random(518)
+    pairs = 0
+    for k in (1, 2, 3):
+        structures = [M for n in (1, 2, 3) for M in _structures_up_to_relabelling(k, n)]
+        for M1 in structures:
+            for M2 in structures:
+                if not is_superior(M2, M1):
+                    continue
+                pairs += 1
+                table = _channel_signal_table(rng, M1)
+                scheme = transport_scheme(M1, M2, table)
+                report = verify_scheme(scheme, M2, table, _instance(M2))
+                assert report.ok and report.law_matches, (M1.matrix, M2.matrix, report)
+                _assert_laws_match_brute_force(scheme)
+    assert pairs == 518
 
 
 def test_random_transports_reproduce_the_law():
@@ -457,6 +533,23 @@ def _move_keys(scheme, owner, channel):
     )
 
 
+def _scheme_quartet(structure, table, q, rng):
+    """The full scheme, a seeded singleton, and the singleton's
+    misrouted-key and key-hiding mutants."""
+    k = structure.k
+    yield emulate_private_subset(structure, range(k), table, q=q)
+    owner = rng.randrange(k)
+    single = emulate_private_subset(structure, [owner], table, q=q)
+    yield single
+    # misrouted: the payload's co-observers read key and ciphertext
+    # together
+    carrier = next(s.channel for s in single.slots if s.owner == owner)
+    yield _move_keys(single, owner, carrier)
+    # hidden: owner can no longer strip the mask
+    blind = next(j for j in range(structure.n) if not structure.observes(owner, j))
+    yield _move_keys(single, owner, blind)
+
+
 def _report_family():
     """Seeded (structure, table, scheme, instance) cases: full and
     singleton schemes under full revelation and random tables, their
@@ -474,20 +567,8 @@ def _report_family():
             if q == 2 or k == 3:
                 tables.append(_independent_table(rng, k))
             for table in tables:
-                full = emulate_private_subset(structure, range(k), table, q=q)
-                yield structure, table, full, instance
-                owner = rng.randrange(k)
-                single = emulate_private_subset(structure, [owner], table, q=q)
-                yield structure, table, single, instance
-                # misrouted: the payload's co-observers read key and
-                # ciphertext together
-                carrier = next(s.channel for s in single.slots if s.owner == owner)
-                yield structure, table, _move_keys(single, owner, carrier), instance
-                # hidden: owner can no longer strip the mask
-                blind = next(
-                    j for j in range(structure.n) if not structure.observes(owner, j)
-                )
-                yield structure, table, _move_keys(single, owner, blind), instance
+                for scheme in _scheme_quartet(structure, table, q, rng):
+                    yield structure, table, scheme, instance
         for _ in range(2):
             table = _independent_table(rng, k)
             scheme = transport_scheme(_identity(k), structure, table)
@@ -504,6 +585,23 @@ def _report_family():
     yield SPERNER3, other, scheme, _instance(SPERNER3)
 
 
+def _composite_family():
+    """The same quartets at the composite moduli 4 and 6, under full
+    revelation and a random table."""
+    rng = random.Random(46)
+    for structure in (sperner_structure(3), SPERNER3, sperner_structure(4)):
+        instance = _instance(structure)
+        for q in (4, 6):
+            k = structure.k
+            for table in (_full_revelation(k), _independent_table(rng, k)):
+                for scheme in _scheme_quartet(structure, table, q, rng):
+                    yield structure, table, scheme, instance
+
+
+def _digest(reports):
+    return hashlib.md5("\n".join(map(repr, reports)).encode()).hexdigest()
+
+
 def test_reports_match_the_pinned_digest():
     """The reports of a seeded family of honest and broken schemes, byte
     for byte; the digest was recorded from a verifier that kept every
@@ -516,8 +614,23 @@ def test_reports_match_the_pinned_digest():
     assert sum(bool(r.recovery_failures) for r in reports) == 8
     assert sum(bool(r.privacy_failures) for r in reports) == 14
     assert sum(not r.law_matches for r in reports) == 1
-    digest = hashlib.md5("\n".join(map(repr, reports)).encode()).hexdigest()
-    assert digest == "c5aa6ec1b1f94234bec2ced42d605c21"
+    assert _digest(reports) == "c5aa6ec1b1f94234bec2ced42d605c21"
+
+
+def test_composite_modulus_reports_match_the_pinned_digest():
+    """The same kinds of scheme over Z_4 and Z_6, where the key images
+    are not vector spaces; the digest was recorded from the verifier
+    that enumerated every execution."""
+    reports = [
+        verify_scheme(scheme, structure, table, instance)
+        for structure, table, scheme, instance in _composite_family()
+    ]
+    assert len(reports) == 48
+    assert sum(not r.ok for r in reports) == 16
+    assert sum(bool(r.recovery_failures) for r in reports) == 8
+    assert sum(bool(r.privacy_failures) for r in reports) == 16
+    assert all(r.law_matches for r in reports)
+    assert _digest(reports) == "3e790b946538997d0b81481416b67b77"
 
 
 def test_hidden_keys_break_recovery():
@@ -539,10 +652,62 @@ def test_hidden_keys_break_recovery():
     assert report.law_matches and not report.ok
 
 
-def test_verification_walks_the_executions_once_without_keeping_them(monkeypatch):
+def _brute_force_tally(scheme):
+    """Per receiver, per (state, branch), how many key vectors show each
+    view: one walk of enumerate_executions, the oracle for view_laws."""
+    tally = [defaultdict(Counter) for _ in range(scheme.structure.k)]
+    for record in sharing.enumerate_executions(scheme):
+        for r, by_event in enumerate(tally):
+            by_event[record.state, record.branch][receiver_view(scheme, record, r)] += 1
+    return tally
+
+
+#: The two composite schemes above this limit (559,872 and 6,718,464
+#: executions) would take minutes by brute force; their pinned reports
+#: cover them.
+BRUTE_FORCE_LIMIT = 2**17
+
+
+def _assert_laws_match_brute_force(scheme):
+    tally = _brute_force_tally(scheme)
+    for r, law in enumerate(view_laws(scheme)):
+        assert set(tally[r]) == set(law.offsets), r
+        for event, views in tally[r].items():
+            # uniform on its support, which is the law's coset
+            assert len(set(views.values())) == 1
+            coset = law.views(law.offsets[event])
+            assert views == Counter(dict.fromkeys(coset, law.weight)), (r, event)
+
+
+def test_view_laws_match_the_brute_force_tally():
+    checked = 0
+    for _, _, scheme, _ in (*_report_family(), *_composite_family()):
+        if execution_count(scheme) <= BRUTE_FORCE_LIMIT:
+            _assert_laws_match_brute_force(scheme)
+            checked += 1
+    assert checked == 98
+
+
+def test_verification_enumerates_no_executions(monkeypatch):
     table = _independent_table(random.Random(0), 3)
     scheme = emulate_private_subset(SPERNER3, [0, 1, 2], table)
-    enumerate_all = sharing.enumerate_executions
+    calls = []
+
+    def watched(walked):
+        calls.append(walked)
+        return enumerate_executions(walked)
+
+    monkeypatch.setattr(sharing, "enumerate_executions", watched)
+    report = verify_scheme(scheme, SPERNER3, table, _instance(SPERNER3))
+    assert report.ok and report.execution_count == 72
+    assert calls == []
+
+
+def test_brute_force_tally_walks_the_executions_once_without_keeping_them(
+    monkeypatch,
+):
+    table = _independent_table(random.Random(0), 3)
+    scheme = emulate_private_subset(SPERNER3, [0, 1, 2], table)
     calls = []
     most_alive = 0
 
@@ -550,13 +715,13 @@ def test_verification_walks_the_executions_once_without_keeping_them(monkeypatch
         nonlocal most_alive
         calls.append(walked)
         refs = []
-        for record in enumerate_all(walked):
+        for record in enumerate_executions(walked):
             refs.append(weakref.ref(record))
             most_alive = max(most_alive, sum(ref() is not None for ref in refs))
             yield record
 
     monkeypatch.setattr(sharing, "enumerate_executions", watched)
-    report = verify_scheme(scheme, SPERNER3, table, _instance(SPERNER3))
-    assert report.ok and report.execution_count == 72
+    tally = _brute_force_tally(scheme)
     assert calls == [scheme]
     assert most_alive <= 2
+    assert sum(sum(views.values()) for views in tally[0].values()) == 72
