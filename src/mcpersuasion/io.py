@@ -4,17 +4,20 @@ Every number that matters is a rational and travels as a "num/den"
 string.  Writers are deterministic (sorted keys, fixed indentation) so
 rerunning a command on the same input reproduces the same bytes, and
 all writes go through a temp-file-then-rename so a crash never leaves a
-half-written document behind.
+half-written document behind.  Documents are rendered by io's own
+renderer, byte-equal to sorted-key, indent-2 json.dumps.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from json.encoder import encode_basestring
 from typing import Mapping, Optional
 
 from .beliefs import BeliefDistribution
@@ -62,7 +65,78 @@ def load_document(path) -> dict:
 
 
 def render_document(doc: Mapping) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """The bytes json.dumps(doc, indent=2, sort_keys=True,
+    ensure_ascii=False) gives, plus a final newline.
+
+    json.dumps with an indent runs CPython's pure-Python encoder; this
+    renderer appends pieces to one list and joins them once, and renders
+    a list of plain ints or of strs with a single join.  Values with no
+    JSON form raise TypeError, and so do keys that are not str: no
+    document has them, so they are not stringified after sorting as
+    json.dumps would.  NaN and infinities raise ValueError, as under
+    json.dumps(allow_nan=False), instead of leaving non-JSON tokens.
+    """
+    pieces: list[str] = []
+    _render(doc, "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+_INT_ONLY, _STR_ONLY = frozenset({int}), frozenset({str})
+
+
+def _render(value, newline: str, out: list[str]) -> None:
+    """Append value's rendering to out; newline is a line break plus the
+    indent of the line value starts on."""
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"float {value!r} has no JSON form")
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        kinds = set(map(type, value))
+        if kinds == _INT_ONLY:
+            out += ("[", inner, comma.join(map(int.__repr__, value)), newline, "]")
+        elif kinds == _STR_ONLY:
+            out += ("[", inner, comma.join(map(encode_basestring, value)), newline, "]")
+        else:
+            out += ("[", inner)
+            for i, item in enumerate(value):
+                if i:
+                    out.append(comma)
+                _render(item, inner, out)
+            out += (newline, "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        out += ("{", inner)
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"document keys must be str, not {type(key).__name__}")
+            if i:
+                out.append(comma)
+            out += (encode_basestring(key), ": ")
+            _render(value[key], inner, out)
+        out += (newline, "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_document(path, doc: Mapping) -> None:
@@ -83,9 +157,29 @@ def write_document(path, doc: Mapping) -> None:
 
 
 def _require(doc: Mapping, keys, what: str) -> None:
+    _object(doc, what)
     for key in keys:
         if key not in doc:
             raise ValidationError(f"{what} document is missing field {key!r}")
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be an array, not {type(value).__name__}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +239,14 @@ def table_to_doc(table: SignalingTable) -> dict:
 
 def table_from_doc(doc: Mapping) -> SignalingTable:
     _require(doc, ["states", "profiles", "rows"], "table")
-    space = StateSpace(tuple(str(s) for s in doc["states"]))
+    space = StateSpace(tuple(str(s) for s in _array(doc["states"], "table field 'states'")))
     profiles = tuple(
-        tuple(parse_posterior(label) for label in profile) for profile in doc["profiles"]
+        tuple(parse_posterior(label) for label in _array(profile, "table profile"))
+        for profile in _array(doc["profiles"], "table field 'profiles'")
     )
     rows = {
-        str(state): tuple(parse_rational(v) for v in vec)
-        for state, vec in doc["rows"].items()
+        str(state): tuple(parse_rational(v) for v in _array(vec, f"table row {state!r}"))
+        for state, vec in _object(doc["rows"], "table field 'rows'").items()
     }
     return SignalingTable(space=space, profiles=profiles, rows=rows)
 
@@ -165,7 +260,7 @@ def _marginal_to_doc(dist: BeliefDistribution) -> list:
 
 def _marginal_from_doc(entries) -> BeliefDistribution:
     pairs = []
-    for entry in entries:
+    for entry in _array(entries, "marginal"):
         _require(entry, ["point", "mass"], "marginal")
         pairs.append((parse_posterior(entry["point"]), parse_rational(entry["mass"])))
     return BeliefDistribution.from_pairs(pairs)
@@ -195,7 +290,9 @@ def scheme_from_doc(doc: Mapping) -> SchemeDocument:
     _require(doc, ["step", "objective", "table"], "scheme")
     marginals = None
     if doc.get("marginals") is not None:
-        marginals = tuple(_marginal_from_doc(m) for m in doc["marginals"])
+        marginals = tuple(
+            _marginal_from_doc(m) for m in _array(doc["marginals"], "scheme field 'marginals'")
+        )
     return SchemeDocument(
         step=parse_rational(doc["step"]),
         objective=parse_rational(doc["objective"]),
@@ -225,12 +322,17 @@ def channel_scheme_to_doc(scheme: ChannelScheme) -> dict:
     ]
     executions: dict[str, list] = {state: [] for state in scheme.table.space.states}
     listed = 0
+    event = probability = None
     for record in islice(enumerate_executions(scheme), EXECUTION_DUMP_LIMIT):
+        if (record.state, record.branch) != event:
+            # one probability per branch: format it once
+            event = (record.state, record.branch)
+            probability = format_rational(record.probability)
         executions[record.state].append(
             {
                 "branch": record.branch + 1,
                 "keys": list(record.keys),
-                "probability": format_rational(record.probability),
+                "probability": probability,
                 "channels": [list(symbols) for symbols in record.channels],
             }
         )
@@ -267,22 +369,27 @@ def channel_scheme_from_doc(doc: Mapping) -> ChannelScheme:
         raise ValidationError("channel scheme counts must be integers") from None
     structure = structure_from_doc(doc["structure"])
     alphabets: list[Optional[LabelAlphabet]] = [None] * structure.k
-    for key, labels in doc["alphabets"].items():
-        i = int(key) - 1
+    alphabet_docs = _object(doc["alphabets"], "channel scheme field 'alphabets'")
+    for key, labels in alphabet_docs.items():
+        i = _integer(key, "alphabet receiver") - 1
         if not 0 <= i < structure.k:
             raise ValidationError(f"alphabet for unknown receiver {key}")
         alphabets[i] = LabelAlphabet(
-            modulus=q, labels=tuple(parse_posterior(l) for l in labels)
+            modulus=q,
+            labels=tuple(parse_posterior(l) for l in _array(labels, f"alphabet {key}")),
         )
     slots = []
-    for entry in doc["slots"]:
+    for entry in _array(doc["slots"], "channel scheme field 'slots'"):
         _require(entry, ["channel", "owner", "keys"], "slot")
         owner = entry["owner"]
         slots.append(
             Slot(
-                channel=int(entry["channel"]) - 1,
-                owner=None if owner is None else int(owner) - 1,
-                keys=tuple(int(key) - 1 for key in entry["keys"]),
+                channel=_integer(entry["channel"], "slot channel") - 1,
+                owner=None if owner is None else _integer(owner, "slot owner") - 1,
+                keys=tuple(
+                    _integer(key, "slot key") - 1
+                    for key in _array(entry["keys"], "slot field 'keys'")
+                ),
             )
         )
     return ChannelScheme(

@@ -52,6 +52,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_posterior(items: Sequence) -> Posterior:
+    if not isinstance(items, (list, tuple)):
+        raise ValidationError(f"a posterior must be an array of rationals, got {items!r}")
     point = tuple(parse_rational(x) for x in items)
     check_posterior(point)
     return point

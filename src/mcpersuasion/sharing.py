@@ -180,17 +180,24 @@ class ExecutionRecord:
     channels: tuple[tuple[int, ...], ...]
 
 
+def _slot_codes(scheme: ChannelScheme, profile: tuple[Posterior, ...]) -> list[int]:
+    """Each slot's value under the all-zero key vector: the owner's label
+    code for a payload, 0 for a bare key.  Fixed per branch."""
+    return [
+        0 if slot.owner is None else scheme.alphabets[slot.owner].code(profile[slot.owner])
+        for slot in scheme.slots
+    ]
+
+
 def _fill_channels(
-    scheme: ChannelScheme, profile: tuple[Posterior, ...], keys: tuple[int, ...]
+    scheme: ChannelScheme, codes: list[int], keys: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
+    """The channel tuples of one execution: each slot's code plus its
+    keys, mod q."""
     wires: list[list[int]] = [[] for _ in range(scheme.structure.n)]
-    for slot in scheme.slots:
-        if slot.owner is None:
-            value = keys[slot.keys[0]]
-        else:
-            value = scheme.alphabets[slot.owner].code(profile[slot.owner])
-            for e in slot.keys:
-                value += keys[e]
+    for slot, value in zip(scheme.slots, codes):
+        for e in slot.keys:
+            value += keys[e]
         wires[slot.channel].append(value % scheme.q)
     return tuple(tuple(w) for w in wires)
 
@@ -204,21 +211,23 @@ def execution_count(scheme: ChannelScheme) -> int:
 
 def enumerate_executions(scheme: ChannelScheme) -> Iterator[ExecutionRecord]:
     """All positive-probability executions, state by state, branch by
-    branch, keys in lexicographic order."""
+    branch, keys in lexicographic order.  The records of one branch
+    share its probability object."""
     key_mass = Fraction(1, scheme.q**scheme.key_count)
     for state in scheme.table.space.states:
         row = scheme.table.rows[state]
         for branch, mass in enumerate(row):
             if mass == 0:
                 continue
-            profile = scheme.table.profiles[branch]
+            codes = _slot_codes(scheme, scheme.table.profiles[branch])
+            probability = mass * key_mass
             for keys in product(range(scheme.q), repeat=scheme.key_count):
                 yield ExecutionRecord(
                     state=state,
                     branch=branch,
                     keys=keys,
-                    probability=mass * key_mass,
-                    channels=_fill_channels(scheme, profile, keys),
+                    probability=probability,
+                    channels=_fill_channels(scheme, codes, keys),
                 )
 
 
@@ -285,7 +294,9 @@ def view_laws(scheme: ChannelScheme) -> list[ViewLaw]:
     q = scheme.q
     zero = (0,) * scheme.key_count
     events = {
-        (state, branch): _fill_channels(scheme, scheme.table.profiles[branch], zero)
+        (state, branch): _fill_channels(
+            scheme, _slot_codes(scheme, scheme.table.profiles[branch]), zero
+        )
         for state in scheme.table.space.states
         for branch, mass in enumerate(scheme.table.rows[state])
         if mass != 0

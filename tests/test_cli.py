@@ -1,9 +1,12 @@
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from mcpersuasion.cli import main
+from mcpersuasion.dominance import sperner_structure
 from mcpersuasion.forest import evaluate_table
 from mcpersuasion.io import (
     bunion_from_doc,
@@ -248,6 +251,18 @@ def test_verify_scheme_catches_offgrid_step(capsys, files, tmp_path):
     assert json.loads(printed)["checks"]["grid_aligned"] is False
 
 
+def test_verify_scheme_rejects_a_non_object_marginal_entry(capsys, files, tmp_path):
+    instance = files("single.json", SINGLE)
+    out = str(tmp_path / "scheme.json")
+    run_doc(capsys, "solve", instance, "--epsilon", "1/10", "--out", out)
+    doc = load_document(out)
+    doc["marginals"][0].append(5)
+    write_document(out, doc)
+    code, _, err = run(capsys, "verify-scheme", instance, out)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # Share and verify-share
 
@@ -313,6 +328,42 @@ def test_verify_share_budget_exit(capsys, files, tmp_path):
     code, printed, _ = run(capsys, "verify-share", out, instance, table, "--budget", "6")
     assert code == 0
     assert json.loads(printed)["executions"] == 6
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(
+            lambda doc: doc.update(alphabets={"x": doc["alphabets"]["1"]}), id="alphabet-key"
+        ),
+        pytest.param(lambda doc: doc["slots"][0].update(channel="a"), id="slot-channel"),
+        pytest.param(lambda doc: doc["slots"][0].update(keys=["z"]), id="slot-keys"),
+        pytest.param(lambda doc: doc["slots"].append(5), id="slot-entry"),
+    ],
+)
+def test_verify_share_rejects_malformed_schemes(capsys, files, tmp_path, corrupt):
+    instance = files("sperner3.json", SPERNER3_INSTANCE)
+    table = files("reveal.json", REVEAL3)
+    out = str(tmp_path / "cs.json")
+    run_doc(capsys, "share", instance, table, "--subset", "1", "--q", "3", "--out", out)
+    doc = load_document(out)
+    corrupt(doc)
+    write_document(out, doc)
+    code, _, err = run(capsys, "verify-share", out, instance, table)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rows", [["0", "1"], ["1", "0"]]), ("profiles", 5)],
+)
+def test_share_rejects_malformed_tables(capsys, files, field, value):
+    instance = files("sperner3.json", SPERNER3_INSTANCE)
+    table = files("bad-table.json", dict(REVEAL3, **{field: value}))
+    code, _, err = run(capsys, "share", instance, table, "--subset", "1")
+    assert code == 2
+    assert err.startswith("error:") and repr(field) in err
 
 
 def test_share_dominated_target(capsys, files):
@@ -445,12 +496,87 @@ def test_out_files_are_valid_json(capsys, files, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Byte pins: sha256 of whole outputs, recorded with json.dumps rendering
+
+
+@pytest.fixture
+def no_scipy(monkeypatch):
+    """Make the LP crash start's import fail, so a pinned output cannot
+    depend on whether scipy is installed."""
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def sperner_share_inputs(files, k):
+    """Instance and full-revelation table files on sperner_structure(k)."""
+    structure = sperner_structure(k)
+    instance = dict(
+        SPERNER3_INSTANCE,
+        structure=[list(row) for row in structure.matrix],
+        utilities=[{"kind": "constant", "value": "0"}] * k,
+    )
+    table = dict(REVEAL3, profiles=[[["0", "1"]] * k, [["1", "0"]] * k])
+    return files(f"sperner{k}.json", instance), files(f"reveal{k}.json", table)
+
+
+@pytest.mark.parametrize(
+    "k, subset, omitted, digest",
+    [
+        (4, "1,2,3,4", 0, "b9239f83d16707a18f3bce4487d4267a808ffe7b5caa9e57f97ff2e4814a4151"),
+        (4, "2", 0, "6257a0890e4b34228e5350f633705091c6b12f39c427b1a5dff281bdc635c9f6"),
+        (
+            5,
+            "1,2,3,4,5",
+            98_098,
+            "5db6aa5ddacb2ed9aed1384eafe0ddcb1c02ae339072745c8dea96f59ad99c1d",
+        ),
+    ],
+)
+def test_share_documents_are_pinned(
+    capsys, files, tmp_path, no_scipy, k, subset, omitted, digest
+):
+    """share --out at q = 3 on sperner_structure(k), full revelation;
+    the five-receiver document is the 11.6 MB one whose listing stops
+    at EXECUTION_DUMP_LIMIT."""
+    instance, table = sperner_share_inputs(files, k)
+    out = tmp_path / "cs.json"
+    run_doc(capsys, "share", instance, table, "--subset", subset, "--q", "3", "--out", str(out))
+    data = out.read_bytes()
+    assert json.loads(data).get("executions_omitted", 0) == omitted
+    assert sha256(data) == digest
+
+
+def test_reduce_documents_are_pinned(capsys, files, tmp_path, no_scipy):
+    path = files("flagship.json", FLAGSHIP)
+    inst_path, wit_path = tmp_path / "inst.json", tmp_path / "wit.json"
+    run_doc(capsys, "reduce", path, "--out", f"{inst_path},{wit_path}")
+    assert sha256(inst_path.read_bytes()) == (
+        "0b57ddae04a7aad7ab3a3f6e162455c5b7ea5106ff36c6a8ad7813949d845c5b"
+    )
+    assert sha256(wit_path.read_bytes()) == (
+        "7b2101ab065995f8741182e59bc1ebeeeeb17f4287cfdfb4b15533751d4b7865"
+    )
+
+
+def test_decimal_solve_output_is_pinned(capsys, no_scipy):
+    """A chain small enough for the all-artificial LP route, so the
+    bytes are the same with and without scipy; --decimal adds a float."""
+    instance = str(Path(__file__).parent / "data" / "chain2.instance.json")
+    code, out, err = run(capsys, "solve", instance, "--epsilon", "1/10", "--decimal")
+    assert code == 0, err
+    assert sha256(out.encode()) == (
+        "81929560dde59d1eda1391cac7f5262a9651ba35832544062569b1d8eb958b3f"
+    )
+
+
+# ---------------------------------------------------------------------------
 # Round trips through the document readers
 
 
 def test_structure_doc_roundtrip(capsys):
-    from mcpersuasion.dominance import sperner_structure
-
     for k in (1, 3, 6, 10):
         s = sperner_structure(k)
         assert structure_from_doc(structure_to_doc(s)) == s

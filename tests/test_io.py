@@ -1,0 +1,245 @@
+"""render_document against json.dumps, the renderer it replaced: the same
+text for every document the command line writes and for seeded random
+documents, and the same refusals for values with no JSON form."""
+
+import json
+import math
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from mcpersuasion import io as mc_io
+from mcpersuasion.cli import build_parser
+from mcpersuasion.io import render_document, table_from_doc, table_to_doc, write_document
+from mcpersuasion.model import instance_to_doc, validate_instance
+from test_cli import FLAGSHIP, REVEAL3, SINGLE, SPERNER3_INSTANCE, sperner_share_inputs
+
+DATA = Path(__file__).parent / "data"
+
+
+def reference(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def assert_renders_like_json(doc):
+    assert render_document(doc) == reference(doc)
+
+
+# ---------------------------------------------------------------------------
+# Every document kind the command line writes
+
+
+def handler_doc(*argv):
+    """The document a command hands to the renderer, before rendering."""
+    args = build_parser().parse_args(list(argv))
+    doc, _ = args.handler(args)
+    return doc
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    def put(name, doc):
+        path = tmp_path / name
+        write_document(path, doc)
+        return str(path)
+
+    return {
+        "sperner3": put("sperner3.json", SPERNER3_INSTANCE),
+        "reveal3": put("reveal3.json", REVEAL3),
+        "single": put("single.json", SINGLE),
+        "flagship": put("flagship.json", FLAGSHIP),
+        "cycle": put("cycle.json", {"k": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}),
+        "chain2": str(DATA / "chain2.instance.json"),
+        "star3": str(DATA / "star3.instance.json"),
+        "dir": tmp_path,
+        "put": put,
+    }
+
+
+def test_structure_and_report_documents(inputs):
+    for argv in (
+        ("analyze", inputs["chain2"]),
+        ("analyze", inputs["star3"]),
+        ("compare", inputs["star3"], inputs["sperner3"]),
+        ("sperner", "6"),
+        ("netstruct", inputs["cycle"]),
+        ("bunion", inputs["flagship"]),
+    ):
+        assert_renders_like_json(handler_doc(*argv))
+
+
+def test_instance_table_and_reduce_documents(inputs):
+    for name in ("chain2", "star3", "single", "sperner3"):
+        with open(inputs[name], encoding="utf-8") as handle:
+            assert_renders_like_json(instance_to_doc(validate_instance(json.load(handle))))
+    assert_renders_like_json(table_to_doc(table_from_doc(REVEAL3)))
+    inline = handler_doc("reduce", inputs["flagship"], "--decimal")
+    assert isinstance(inline["value_decimal"], float)
+    assert_renders_like_json(inline)
+    # reduce --out writes the inline document's two halves
+    assert_renders_like_json(inline["instance"])
+    assert_renders_like_json(inline["witness"])
+    inst, wit = inputs["dir"] / "inst.json", inputs["dir"] / "wit.json"
+    assert_renders_like_json(handler_doc("reduce", inputs["flagship"], "--out", f"{inst},{wit}"))
+    assert inst.read_text(encoding="utf-8") == reference(inline["instance"])
+    assert wit.read_text(encoding="utf-8") == reference(inline["witness"])
+
+
+def test_solve_and_verify_scheme_documents(inputs):
+    plain = handler_doc("solve", inputs["chain2"], "--epsilon", "1/10")
+    decimal = handler_doc("solve", inputs["chain2"], "--epsilon", "1/10", "--decimal")
+    assert isinstance(decimal["objective_decimal"], float)
+    for doc in (plain, decimal, handler_doc("solve", inputs["single"], "--epsilon", "1/20")):
+        assert_renders_like_json(doc)
+    scheme = str(inputs["dir"] / "scheme.json")
+    write_document(scheme, decimal)
+    assert_renders_like_json(handler_doc("verify-scheme", inputs["chain2"], scheme, "--decimal"))
+
+
+def test_channel_scheme_documents(inputs, monkeypatch):
+    listed = handler_doc("share", inputs["sperner3"], inputs["reveal3"], "--subset", "1,2,3")
+    assert "executions_omitted" not in listed
+    assert_renders_like_json(listed)
+    path = str(inputs["dir"] / "cs.json")
+    write_document(path, listed)
+    report = handler_doc("verify-share", path, inputs["sperner3"], inputs["reveal3"])
+    assert report["ok"] is True
+    assert_renders_like_json(report)
+
+    instance, table = sperner_share_inputs(inputs["put"], 4)
+    wide = handler_doc("share", instance, table, "--subset", "1,2,3,4", "--q", "3")
+    assert len(wide["executions"]["low"]) == 2187
+    assert_renders_like_json(wide)
+
+    monkeypatch.setattr(mc_io, "EXECUTION_DUMP_LIMIT", 5)
+    capped = handler_doc(
+        "share", inputs["sperner3"], inputs["reveal3"], "--subset", "1", "--q", "3"
+    )
+    assert capped["executions_omitted"] == 1
+    assert_renders_like_json(capped)
+
+
+# ---------------------------------------------------------------------------
+# Seeded random documents
+
+
+STRINGS = (
+    "",
+    "plain",
+    'a "quoted" word',
+    "back\\slash",
+    "tab\tline\ncarriage\rfeed\fbell\b",
+    "\x00\x01\x1f\x7f",
+    "line\u2028paragraph\u2029",
+    "héllo wörld",
+    "日本語",
+    "\U0001f600 astral",
+    "1/3",
+    "-0",
+)
+
+SCALARS = (
+    None,
+    True,
+    False,
+    0,
+    1,
+    -1,
+    -(10**40) - 7,
+    10**40 + 3,
+    0.0,
+    -0.0,
+    0.1,
+    -2.5e-10,
+    1e308,
+    -1e308,
+    5e-324,
+    *STRINGS,
+)
+
+
+def random_scalar(rng):
+    roll = rng.random()
+    if roll < 0.2:
+        return rng.randint(-(10**41), 10**41)
+    if roll < 0.3:
+        return rng.uniform(-1e6, 1e6)
+    return rng.choice(SCALARS)
+
+
+def random_key(rng):
+    return rng.choice(STRINGS) + rng.choice(("", "k", "é", str(rng.randrange(100))))
+
+
+def random_value(rng, depth):
+    """Scalars, empty containers, flat int/str lists (the single-join
+    path), mixed lists with bools beside 0 and 1, tuples and dicts."""
+    if depth >= 5 or rng.random() < 0.3:
+        return random_scalar(rng)
+    n = rng.randrange(6)
+    kind = rng.choice(("empty", "ints", "strs", "bools", "list", "tuple", "dict", "dict"))
+    if kind == "empty":
+        return rng.choice(([], (), {}))
+    if kind == "ints":
+        return [rng.choice((0, 1, -1, 10**40, rng.randrange(-999, 999))) for _ in range(n + 1)]
+    if kind == "strs":
+        return [rng.choice(STRINGS) for _ in range(n + 1)]
+    if kind == "bools":
+        return [rng.choice((True, False, 0, 1)) for _ in range(n + 1)]
+    items = [random_value(rng, depth + 1) for _ in range(n)]
+    if kind == "list":
+        return items
+    if kind == "tuple":
+        return tuple(items)
+    return {random_key(rng): item for item in items}
+
+
+def random_document(rng):
+    return {random_key(rng): random_value(rng, 1) for _ in range(rng.randrange(4))}
+
+
+def test_random_documents_render_like_json():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        assert_renders_like_json(random_document(rng))
+
+
+def test_every_special_value_at_every_depth():
+    nested = {"scalars": list(SCALARS), "empties": [[], (), {}]}
+    for _ in range(6):
+        assert_renders_like_json(nested)
+        nested = {"at": nested, "list": [nested, [], {}, ()], "keys": {k: 0 for k in STRINGS}}
+    assert_renders_like_json({})
+    assert_renders_like_json({"": [True, 1, False, 0], "ints": (1, 2), "tuple": ((),)})
+
+
+# ---------------------------------------------------------------------------
+# Refusals
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 3), {1, 2}, b"bytes", object()],
+    ids=["fraction", "set", "bytes", "object"],
+)
+def test_values_with_no_json_form_raise_type_error(value):
+    for doc in ({"v": value}, {"v": [1, value]}, {"v": [{"w": [value]}]}):
+        with pytest.raises(TypeError):
+            reference(doc)
+        with pytest.raises(TypeError):
+            render_document(doc)
+
+
+@pytest.mark.parametrize("key", [1, 2.5, None, True, (1, 2)], ids=repr)
+def test_keys_that_are_not_str_raise_type_error(key):
+    for doc in ({key: 0}, {"outer": {key: 0}}, {"outer": [{key: [1]}]}):
+        with pytest.raises(TypeError):
+            render_document(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+def test_non_finite_floats_raise_value_error(value):
+    with pytest.raises(ValueError):
+        render_document({"v": [value]})

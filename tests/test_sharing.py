@@ -1,10 +1,11 @@
 import hashlib
 import random
+import sys
 import weakref
 from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, zip_longest
 
 import pytest
 
@@ -31,6 +32,7 @@ from mcpersuasion.model import (
 )
 from mcpersuasion.sharing import (
     ChannelScheme,
+    ExecutionRecord,
     LabelAlphabet,
     Slot,
     emulate_private_subset,
@@ -652,20 +654,62 @@ def test_hidden_keys_break_recovery():
     assert report.law_matches and not report.ok
 
 
-def _brute_force_tally(scheme):
-    """Per receiver, per (state, branch), how many key vectors show each
-    view: one walk of enumerate_executions, the oracle for view_laws."""
-    tally = [defaultdict(Counter) for _ in range(scheme.structure.k)]
-    for record in sharing.enumerate_executions(scheme):
-        for r, by_event in enumerate(tally):
-            by_event[record.state, record.branch][receiver_view(scheme, record, r)] += 1
-    return tally
+def _reference_executions(scheme):
+    """The records enumerate_executions yields, built without its code:
+    every payload label is coded with LabelAlphabet.code for every slot
+    of every execution, and every probability is worked out anew."""
+    q, key_count = scheme.q, scheme.key_count
+    for state in scheme.table.space.states:
+        for branch, mass in enumerate(scheme.table.rows[state]):
+            if mass == 0:
+                continue
+            profile = scheme.table.profiles[branch]
+            for keys in product(range(q), repeat=key_count):
+                wires = [[] for _ in range(scheme.structure.n)]
+                for slot in scheme.slots:
+                    value = sum(keys[e] for e in slot.keys)
+                    if slot.owner is not None:
+                        value += scheme.alphabets[slot.owner].code(profile[slot.owner])
+                    wires[slot.channel].append(value % q)
+                yield ExecutionRecord(
+                    state=state,
+                    branch=branch,
+                    keys=keys,
+                    probability=mass / q**key_count,
+                    channels=tuple(tuple(w) for w in wires),
+                )
 
 
 #: The two composite schemes above this limit (559,872 and 6,718,464
 #: executions) would take minutes by brute force; their pinned reports
 #: cover them.
 BRUTE_FORCE_LIMIT = 2**17
+
+
+def _small_family_schemes():
+    for _, _, scheme, _ in (*_report_family(), *_composite_family()):
+        if execution_count(scheme) <= BRUTE_FORCE_LIMIT:
+            yield scheme
+
+
+def test_executions_match_the_reference_enumeration():
+    checked = 0
+    for scheme in _small_family_schemes():
+        for got, want in zip_longest(enumerate_executions(scheme), _reference_executions(scheme)):
+            assert got == want
+        checked += 1
+    assert checked == 98
+
+
+def _brute_force_tally(scheme):
+    """Per receiver, per (state, branch), how many key vectors show each
+    view: one walk of the reference enumeration, the oracle for
+    view_laws, which shares no code with enumerate_executions."""
+    tally = [defaultdict(Counter) for _ in range(scheme.structure.k)]
+    for record in _reference_executions(scheme):
+        for r, by_event in enumerate(tally):
+            by_event[record.state, record.branch][receiver_view(scheme, record, r)] += 1
+    return tally
 
 
 def _assert_laws_match_brute_force(scheme):
@@ -681,10 +725,9 @@ def _assert_laws_match_brute_force(scheme):
 
 def test_view_laws_match_the_brute_force_tally():
     checked = 0
-    for _, _, scheme, _ in (*_report_family(), *_composite_family()):
-        if execution_count(scheme) <= BRUTE_FORCE_LIMIT:
-            _assert_laws_match_brute_force(scheme)
-            checked += 1
+    for scheme in _small_family_schemes():
+        _assert_laws_match_brute_force(scheme)
+        checked += 1
     assert checked == 98
 
 
@@ -711,16 +754,18 @@ def test_brute_force_tally_walks_the_executions_once_without_keeping_them(
     calls = []
     most_alive = 0
 
+    reference = _reference_executions
+
     def watched(walked):
         nonlocal most_alive
         calls.append(walked)
         refs = []
-        for record in enumerate_executions(walked):
+        for record in reference(walked):
             refs.append(weakref.ref(record))
             most_alive = max(most_alive, sum(ref() is not None for ref in refs))
             yield record
 
-    monkeypatch.setattr(sharing, "enumerate_executions", watched)
+    monkeypatch.setattr(sys.modules[__name__], "_reference_executions", watched)
     tally = _brute_force_tally(scheme)
     assert calls == [scheme]
     assert most_alive <= 2
