@@ -90,9 +90,12 @@ def tabulate(
 
 @dataclass(frozen=True)
 class GridLP:
-    """The assembled program plus the variable bookkeeping needed to
-    read a solution back: x_index[(receiver, point)] and
-    y_index[(parent, child, spread point, coarse point)]."""
+    """The assembled program plus its variable bookkeeping.  Variables
+    are numbered by point position, which is how a solution is read
+    back: x(i, points[a]) is x_base[i] + a, and on the e-th edge
+    y(points[a], points[c]) is y_base[e] + a * n + c for n points.
+    x_index[(receiver, point)] and y_index[(parent, child, spread point,
+    coarse point)] look the same indices up by value."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
@@ -100,6 +103,8 @@ class GridLP:
     edges: tuple[tuple[int, int], ...]
     x_index: Mapping[tuple[int, Posterior], int]
     y_index: Mapping[tuple[int, int, Posterior, Posterior], int]
+    x_base: tuple[int, ...]
+    y_base: tuple[int, ...]
 
 
 def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]:
@@ -129,59 +134,57 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     k = instance.k
     dim = grid.dim
 
-    x_index: dict[tuple[int, Posterior], int] = {}
-    names: list[str] = []
-    for i in range(k):
-        for w in pts:
-            x_index[(i, w)] = len(names)
-            names.append(f"x{i + 1}@({','.join(str(c) for c in w)})")
-    y_index: dict[tuple[int, int, Posterior, Posterior], int] = {}
+    n = len(pts)
+    x_base = tuple(i * n for i in range(k))
+    y_base = tuple(k * n + e * n * n for e in range(len(edges)))
+    text = [",".join(str(c) for c in w) for w in pts]
+    names = [f"x{i + 1}@({t})" for i in range(k) for t in text]
     for i1, i2 in edges:
-        for l in pts:
-            for r in pts:
-                y_index[(i1, i2, l, r)] = len(names)
-                names.append(
-                    f"y{i1 + 1}>{i2 + 1}@({','.join(str(c) for c in l)}"
-                    f"|{','.join(str(c) for c in r)})"
-                )
+        names.extend(f"y{i1 + 1}>{i2 + 1}@({tl}|{tr})" for tl in text for tr in text)
+    x_index = {(i, w): x_base[i] + a for i in range(k) for a, w in enumerate(pts)}
+    y_index = {
+        (i1, i2, l, r): base + a * n + c
+        for (i1, i2), base in zip(edges, y_base)
+        for a, l in enumerate(pts)
+        for c, r in enumerate(pts)
+    }
 
     tables = [
         tabulate(u, instance.space, pts) for u in instance.utilities.receivers
     ]
     objective = {}
     for i in range(k):
-        for w in pts:
+        for a, w in enumerate(pts):
             v = tables[i][w]
             if v:
-                objective[x_index[(i, w)]] = v
+                objective[x_base[i] + a] = v
 
+    one, zero = Fraction(1), Fraction(0)
     constraints = []
     for i in range(k):
         for b in range(dim):
-            row = {
-                x_index[(i, w)]: w[b] for w in pts if w[b]
-            }
+            row = {x_base[i] + a: w[b] for a, w in enumerate(pts) if w[b]}
             constraints.append((row, lp.EQ, instance.prior[b]))
-    for i1, i2 in edges:
-        for l in pts:
-            row = {y_index[(i1, i2, l, r)]: Fraction(1) for r in pts}
-            row[x_index[(i1, l)]] = Fraction(-1)
-            constraints.append((row, lp.EQ, Fraction(0)))
-        for r in pts:
-            row = {y_index[(i1, i2, l, r)]: Fraction(1) for l in pts}
-            row[x_index[(i2, r)]] = Fraction(-1)
-            constraints.append((row, lp.EQ, Fraction(0)))
-        for r in pts:
+    for (i1, i2), base in zip(edges, y_base):
+        for a in range(n):
+            row = dict.fromkeys(range(base + a * n, base + a * n + n), one)
+            row[x_base[i1] + a] = -one
+            constraints.append((row, lp.EQ, zero))
+        for c in range(n):
+            row = dict.fromkeys(range(base + c, base + n * n, n), one)
+            row[x_base[i2] + c] = -one
+            constraints.append((row, lp.EQ, zero))
+        for c, r in enumerate(pts):
             for b in range(dim - 1):
                 row = {
-                    y_index[(i1, i2, l, r)]: l[b] - r[b]
-                    for l in pts
+                    base + a * n + c: l[b] - r[b]
+                    for a, l in enumerate(pts)
                     if l[b] != r[b]
                 }
-                constraints.append((row, lp.EQ, Fraction(0)))
+                constraints.append((row, lp.EQ, zero))
     for i in range(k):
-        row = {x_index[(i, w)]: Fraction(1) for w in pts}
-        constraints.append((row, lp.EQ, Fraction(1)))
+        row = dict.fromkeys(range(x_base[i], x_base[i] + n), one)
+        constraints.append((row, lp.EQ, one))
 
     program = lp.LinearProgram(len(names), objective, constraints, var_names=names)
     return GridLP(
@@ -191,6 +194,8 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         edges=edges,
         x_index=x_index,
         y_index=y_index,
+        x_base=x_base,
+        y_base=y_base,
     )
 
 
@@ -235,23 +240,20 @@ class GridSolution:
                 )
 
 
-def _read_solution(
-    glp: GridLP, assignment, objective, instance: PersuasionInstance
-) -> GridSolution:
+def _read_solution(glp: GridLP, assignment, objective) -> GridSolution:
+    pts = glp.points
+    n = len(pts)
     marginals = []
-    for i in range(instance.k):
-        pairs = [
-            (w, assignment[glp.x_index[(i, w)]])
-            for w in glp.points
-            if assignment[glp.x_index[(i, w)]]
-        ]
+    for base in glp.x_base:
+        pairs = [(w, assignment[base + a]) for a, w in enumerate(pts) if assignment[base + a]]
         marginals.append(BeliefDistribution.from_pairs(pairs))
     couplings = {}
-    for i1, i2 in glp.edges:
+    for (i1, i2), base in zip(glp.edges, glp.y_base):
         flow = {}
-        for l in glp.points:
-            for r in glp.points:
-                f = assignment[glp.y_index[(i1, i2, l, r)]]
+        for a, l in enumerate(pts):
+            row = base + a * n
+            for c, r in enumerate(pts):
+                f = assignment[row + c]
                 if f:
                     flow[(l, r)] = f
         couplings[(i1, i2)] = Coupling(
@@ -272,7 +274,7 @@ def solve_grid(instance: PersuasionInstance, grid: PosteriorGrid) -> GridSolutio
     sol = lp.solve(glp.program)
     if sol.status != lp.OPTIMAL:
         raise InvariantViolation(f"grid program reported {sol.status}")
-    solution = _read_solution(glp, sol.assignment, sol.objective, instance)
+    solution = _read_solution(glp, sol.assignment, sol.objective)
     solution.validate(instance)
     return solution
 

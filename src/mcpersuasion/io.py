@@ -28,6 +28,7 @@ from .hardness import BUnionInstance
 from .model import (
     CommunicationStructure,
     StateSpace,
+    _array,
     format_posterior,
     format_rational,
     parse_posterior,
@@ -166,12 +167,6 @@ def _require(doc: Mapping, keys, what: str) -> None:
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"{what} must be a JSON object, not {type(value).__name__}")
-    return value
-
-
-def _array(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"{what} must be an array, not {type(value).__name__}")
     return value
 
 

@@ -5,16 +5,18 @@ maximize c.x  subject to  rows with relations =, <=, >=  and  x >= 0.
 The engine is a two-phase revised simplex with an explicit basis
 inverse, run in integer arithmetic: the rows are scaled to integers and
 the inverse is kept as an integer adjugate over the basis determinant,
-so that every division is exact (fraction-free elimination).  Each row
-has one unit artificial column; a row that no real column can serve is
-linearly dependent on the others and keeps its artificial basic at zero
-for the rest of the solve, with dual 0.  No status
-is ever reported on trust: an optimal answer carries a dual vector and
-is re-checked in Fractions against the original program (feasibility,
-dual sign conditions, reduced costs, strong duality), an infeasible
-answer carries a Farkas vector, an unbounded answer carries a feasible
-point and an improving ray, and each certificate is verified exactly
-before the solution is returned.
+so that every division is exact (fraction-free elimination).  A pivot
+rewrites only the rows of the inverse that its direction touches; each
+other row keeps the determinant it was last written at and is brought
+up to date when it is next read.  Each row has one unit artificial
+column; a row that no real column can serve is linearly dependent on
+the others and keeps its artificial basic at zero for the rest of the
+solve, with dual 0.  No status is ever reported on trust: an optimal
+answer carries a dual vector and is re-checked in Fractions against the
+original program (feasibility, dual sign conditions, reduced costs,
+strong duality), an infeasible answer carries a Farkas vector, an
+unbounded answer carries a feasible point and an improving ray, and
+each certificate is verified exactly before the solution is returned.
 
 Pivoting uses the largest-reduced-cost rule and falls back to the
 smallest-index rule after a long run of degenerate pivots, which makes
@@ -81,7 +83,8 @@ class LinearProgram:
             j = int(j)
             if not (0 <= j < self.n_vars):
                 raise ValidationError(f"variable index {j} out of range")
-            v = Fraction(v)
+            if type(v) is not Fraction:
+                v = Fraction(v)
             if v:
                 out[j] = v
         return out
@@ -145,11 +148,16 @@ def dump(lp: LinearProgram) -> str:
 # certificate checks, run against the original program in plain Fractions
 
 
+def _dot(x: Sequence[Fraction], row: Mapping[int, Fraction]) -> Fraction:
+    """row . x, over the entries where x is nonzero."""
+    return sum((x[j] * v for j, v in row.items() if x[j]), Fraction(0))
+
+
 def check_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
     if len(x) != lp.n_vars or any(v < 0 for v in x):
         return False
     for row, rel, rhs in lp.constraints:
-        lhs = sum((x[j] * v for j, v in row.items()), Fraction(0))
+        lhs = _dot(x, row)
         if rel == EQ and lhs != rhs:
             return False
         if rel == LE and not lhs <= rhs:
@@ -183,7 +191,7 @@ def check_optimal(lp, x, y) -> bool:
         return False
     if not _dual_signs_ok(lp, y) or not _reduced_costs_ok(lp, y):
         return False
-    primal = sum((x[j] * v for j, v in lp.objective.items()), Fraction(0))
+    primal = _dot(x, lp.objective)
     dual = sum((yi * rhs for (_, _, rhs), yi in zip(lp.constraints, y)), Fraction(0))
     return primal == dual
 
@@ -241,6 +249,17 @@ class _Engine:
     costs are compared by cross-multiplication; values become Fractions
     only when a result is read out.
 
+    A pivot scales every row its direction misses by new den / old den.
+    That is deferred: row i is stored with a level, the den it was last
+    written at, and the current row is binv[i] * den // level[i], an
+    exact division since the current row is integral.  _pivot rewrites
+    only the pivot row and the rows the direction touches, applying a
+    stale level in the same pass; _direction scales each dot product
+    instead of the row, and _row settles a row where it is read whole.
+    A positive scale keeps every sign and zero, and xb, a scalar per
+    row, is kept current, so the engine compares the integers of an
+    eagerly scaled inverse and takes the same path.
+
     Columns n_std + r are the unit artificials, one per row, made once.
     An artificial still basic after eviction sits in a row that depends
     linearly on the others: its row of binv is orthogonal to every real
@@ -281,6 +300,7 @@ class _Engine:
             self.obj[j] = self.obj_scale * v.numerator // v.denominator
         self.basis: list[int] = []
         self.binv: list[list[int]] = []
+        self.level: list[int] = []
         self.den = 1
         self.xb: list[int] = []
         self.dependent = 0  # rows left with a basic artificial by eviction
@@ -290,7 +310,20 @@ class _Engine:
     def _direction(self, j: int) -> list[int]:
         """den times B^-1 a_j."""
         col = self.cols[j].items()
-        return [sum(row[i] * v for i, v in col) for row in self.binv]
+        den = self.den
+        return [
+            sum(row[i] * v for i, v in col) * den // lv
+            for row, lv in zip(self.binv, self.level)
+        ]
+
+    def _row(self, r: int) -> list[int]:
+        """Row r of binv, brought to the current den."""
+        lv = self.level[r]
+        if lv != self.den:
+            den = self.den
+            self.binv[r] = [a * den // lv for a in self.binv[r]]
+            self.level[r] = den
+        return self.binv[r]
 
     def _duals(self, obj) -> list[int]:
         """den times c_B B^-1."""
@@ -298,7 +331,7 @@ class _Engine:
         for r in range(self.m):
             cb = obj[self.basis[r]]
             if cb:
-                y = [a + cb * v for a, v in zip(y, self.binv[r])]
+                y = [a + cb * v for a, v in zip(y, self._row(r))]
         return y
 
     def _refactor(self) -> bool:
@@ -318,27 +351,38 @@ class _Engine:
         self.binv = [None] * m
         for _, pivot, row in kept:
             self.binv[pivot] = [sign * v for v in row[m:]]
+        self.level = [self.den] * m
         self.xb = [sum(a * v for a, v in zip(row, self.b)) for row in self.binv]
         return True
 
     def _pivot(self, j: int, r: int, d: list[int]):
-        binv, xb, den = self.binv, self.xb, self.den
+        """Bareiss update: the pivot row keeps its current value, a row
+        the direction touches is eliminated against it and divided by
+        the old den, and every other row is scaled by pe / den, which
+        only its level records."""
+        binv, level, xb, den = self.binv, self.level, self.xb, self.den
         pe = d[r]
+        prow = self._row(r)
         if pe < 0:
             pe = -pe
-            binv[r] = [-v for v in binv[r]]
+            prow = binv[r] = [-v for v in prow]
             xb[r] = -xb[r]
-        prow, pxb = binv[r], xb[r]
-        for i in range(self.m):
+        pxb = xb[r]
+        for i, f in enumerate(d):
             if i == r:
                 continue
-            f = d[i]
             if f:
-                binv[i] = [(pe * a - f * c) // den for a, c in zip(binv[i], prow)]
+                lv = level[i]
+                if lv == den:
+                    binv[i] = [(pe * a - f * c) // den for a, c in zip(binv[i], prow)]
+                else:  # stale: its level is applied in the same pass
+                    pd, fl, q = pe * den, f * lv, lv * den
+                    binv[i] = [(pd * a - fl * c) // q for a, c in zip(binv[i], prow)]
+                level[i] = pe
                 xb[i] = (pe * xb[i] - f * pxb) // den
             elif pe != den:
-                binv[i] = [pe * a // den for a in binv[i]]
                 xb[i] = pe * xb[i] // den
+        level[r] = pe
         self.den = pe
         self.basis[r] = j
 
@@ -427,6 +471,7 @@ class _Engine:
             if self.xb[r] != 0:
                 raise InvariantViolation("artificial basic at nonzero level")
             in_basis = set(self.basis)
+            # the stored row is a positive multiple of the current one
             for j in range(self.n_std):
                 if j not in in_basis and sum(
                     self.binv[r][i] * v for i, v in self.cols[j].items()
@@ -505,7 +550,7 @@ class _Engine:
         y = self._map_dual(self._duals(self.obj), self.scale, self.obj_scale * self.den)
         if not check_optimal(self.lp, x, y):
             raise InvariantViolation("optimality certificate failed verification")
-        value = sum((x[j] * v for j, v in self.lp.objective.items()), Fraction(0))
+        value = _dot(x, self.lp.objective)
         return LPSolution(
             status=OPTIMAL, assignment=tuple(x), objective=value, dual=tuple(y)
         )

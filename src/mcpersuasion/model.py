@@ -32,6 +32,13 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 _BITS = frozenset((0, 1))
 
 
+def _array(value, what: str) -> list:
+    """value itself if it is a JSON array; what names it in the error."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be an array, not {type(value).__name__}")
+    return value
+
+
 def parse_rational(text) -> Fraction:
     """Parse a "num/den" (or plain integer) string into a Fraction.
 
@@ -641,9 +648,16 @@ def validate_instance(raw: Mapping) -> PersuasionInstance:
     for key in ("states", "prior", "structure", "utilities"):
         if key not in raw:
             raise ValidationError(f"instance is missing required field {key!r}")
-    space = StateSpace(tuple(str(s) for s in raw["states"]))
-    prior = Prior(space, tuple(parse_rational(p) for p in raw["prior"]))
-    structure = CommunicationStructure(tuple(tuple(row) for row in raw["structure"]))
+    space = StateSpace(tuple(str(s) for s in _array(raw["states"], "instance field 'states'")))
+    prior = Prior(
+        space, tuple(parse_rational(p) for p in _array(raw["prior"], "instance field 'prior'"))
+    )
+    structure = CommunicationStructure(
+        tuple(
+            tuple(_array(row, "a row of instance field 'structure'"))
+            for row in _array(raw["structure"], "instance field 'structure'")
+        )
+    )
     utilities = _parse_utilities(raw["utilities"], space, structure.k)
     epsilon = None
     if raw.get("epsilon") is not None:

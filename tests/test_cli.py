@@ -468,6 +468,17 @@ def test_bad_prior_is_validation(capsys, files):
     assert err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("prior", 5), ("states", 5), ("structure", 5), ("structure", [5, 5, 5])],
+)
+def test_non_array_instance_field_is_validation(capsys, files, field, value):
+    path = files("bad.json", dict(SINGLE, **{field: value}))
+    code, _, err = run(capsys, "solve", path, "--epsilon", "1/4")
+    assert code == 2
+    assert f"instance field '{field}'" in err
+
+
 def test_bad_budget_is_usage(capsys, files):
     path = files("flagship.json", FLAGSHIP)
     code, _, err = run(capsys, "bunion", path, "--budget", "many")

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,7 @@ from mcpersuasion.forest import (
     solve_grid,
     tabulate,
 )
+from mcpersuasion.lp import dump
 from mcpersuasion.model import (
     AdditiveUtility,
     CommunicationStructure,
@@ -34,6 +38,7 @@ from mcpersuasion.model import (
     Prior,
     StateSpace,
     ThresholdUtility,
+    validate_instance,
 )
 
 F = Fraction
@@ -373,3 +378,49 @@ def test_solve_fptas_epsilon_handling():
         solve_fptas(inst, F(2))
     solution, _ = solve_fptas(inst, F(1, 3))
     assert solution.step == F(1, 3)
+
+
+def _three_state_chain(rng):
+    """A criterion-5 style chain over three states: piecewise utilities
+    on seeded states, breakpoints and prior on the 1/8 grid."""
+    utilities = []
+    for _ in range(2):
+        count = rng.randint(1, 3)
+        breaks = sorted(rng.sample([F(i, 8) for i in range(1, 8)], count))
+        utilities.append(
+            PiecewiseUtility(
+                state=rng.choice(("0", "1", "2")),
+                breakpoints=tuple(breaks),
+                values=tuple(F(rng.randint(0, 6)) for _ in range(count + 1)),
+            )
+        )
+    a, b = sorted(rng.sample(range(1, 8), 2))
+    return make_instance(
+        [[1, 1], [0, 1]],
+        utilities,
+        prior=(F(a, 8), F(b - a, 8), F(8 - b, 8)),
+        states=("0", "1", "2"),
+    )
+
+
+def _data_instance(name):
+    path = Path(__file__).parent / "data" / f"{name}.instance.json"
+    return validate_instance(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize(
+    "make, denominator, digest",
+    [
+        (lambda: _data_instance("chain2"), 40, "e50e5e52b30bb50e2632caf3a4adf6ea"),
+        (lambda: _data_instance("star3"), 20, "f11d60417fc55aa5daa11c451a91f480"),
+        (lambda: _three_state_chain(random.Random(8)), 4, "3c3108d1a4d6f5eadbc536963a2f1faa"),
+    ],
+    ids=["chain2@1/40", "star3@1/20", "three-state-chain@1/4"],
+)
+def test_grid_program_listing_is_pinned(make, denominator, digest):
+    """md5 of lp.dump of the grid program: objective, every row in
+    order, and the variable names, as the tuple-keyed builder emitted
+    them."""
+    inst = make()
+    glp = build_grid_lp(inst, PosteriorGrid(dim=inst.space.size, denominator=denominator))
+    assert hashlib.md5(dump(glp.program).encode()).hexdigest() == digest

@@ -344,21 +344,45 @@ def test_pivot_path_matches_the_rational_engine(use_crash, monkeypatch):
         assert digest == PINNED_PURE
 
 
+def _settled(engine):
+    """The current rows of binv: each stored row times den // level."""
+    return [
+        [a * engine.den // lv for a in row] for row, lv in zip(engine.binv, engine.level)
+    ]
+
+
 def _assert_inverse(engine):
-    """B binv == den I with den > 0, and xb == binv b."""
+    """B binv == den I with den > 0, and xb == binv b, on the settled rows."""
     m = engine.m
+    binv = _settled(engine)
     assert engine.den > 0
     for i in range(m):
         for k in range(m):
             entry = sum(
-                engine.cols[j].get(i, 0) * engine.binv[p][k]
+                engine.cols[j].get(i, 0) * binv[p][k]
                 for p, j in enumerate(engine.basis)
             )
             assert entry == (engine.den if i == k else 0), (i, k)
-    assert engine.xb == [sum(a * v for a, v in zip(row, engine.b)) for row in engine.binv]
+    assert engine.xb == [sum(a * v for a, v in zip(row, engine.b)) for row in binv]
+
+
+def _assert_levels(engine):
+    """Every stored entry times den is divisible by its row's level, and
+    _direction(j) is den B^-1 a_j computed from the settled rows."""
+    assert len(engine.level) == engine.m
+    for row, lv in zip(engine.binv, engine.level):
+        assert lv > 0
+        assert all(a * engine.den % lv == 0 for a in row)
+    binv = _settled(engine)
+    for j, col in enumerate(engine.cols):
+        expected = [sum(row[i] * v for i, v in col.items()) for row in binv]
+        assert engine._direction(j) == expected, j
 
 
 def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
+    """The inverse and the row levels are checked after every refactor
+    and pivot, on both routes, of a fractional program and of 40 pinned
+    draws; some pivots must touch rows whose level is stale."""
     checked = []
     real_refactor = lp_module._Engine._refactor
     real_pivot = lp_module._Engine._pivot
@@ -366,14 +390,17 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
     def refactor(engine):
         ok = real_refactor(engine)
         if ok:
+            _assert_levels(engine)
             _assert_inverse(engine)
             checked.append("refactor")
         return ok
 
     def pivot(engine, j, r, d):
+        stale = any(f and engine.level[i] != engine.den for i, f in enumerate(d) if i != r)
         real_pivot(engine, j, r, d)
+        _assert_levels(engine)
         _assert_inverse(engine)
-        checked.append("pivot")
+        checked.append(("pivot", use_crash, stale))
 
     monkeypatch.setattr(lp_module._Engine, "_refactor", refactor)
     monkeypatch.setattr(lp_module._Engine, "_pivot", pivot)
@@ -393,7 +420,13 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
         sol = solve(lp, use_crash=use_crash)
         assert sol.status == OPTIMAL
         assert check_optimal(lp, sol.assignment, sol.dual)
-    assert "refactor" in checked and "pivot" in checked
+        rng = random.Random(3)
+        for _ in range(40):
+            solve(_pinned_program(rng), use_crash=use_crash)
+    assert "refactor" in checked
+    assert ("pivot", False, True) in checked
+    if importlib.util.find_spec("scipy") is not None:
+        assert ("pivot", True, True) in checked
 
 
 def test_bland_fallback_counts_only_rows_not_left_dependent(monkeypatch):
