@@ -3,17 +3,21 @@
 maximize c.x  subject to  rows with relations =, <=, >=  and  x >= 0.
 
 The engine is a two-phase revised simplex with an explicit basis
-inverse, run in integer arithmetic: the rows are scaled to integers and
-the inverse is kept as an integer adjugate over the basis determinant,
-so that every division is exact (fraction-free elimination).  A pivot
+inverse, run in integer arithmetic: each row is scaled to primitive
+integers by its own factor and the inverse is kept as an integer
+adjugate over the basis determinant, so that every division is exact
+(fraction-free elimination).  Scaling a row leaves the simplex path as
+it is: ratios, the signs of reduced costs and zero tests do not see it,
+and phase 1 weighs each artificial so that it minimises the same sum of
+residuals as under one common scale.  A pivot
 rewrites only the rows of the inverse that its direction touches; each
 other row keeps the determinant it was last written at and is brought
 up to date when it is next read.  Each row has one unit artificial
 column; a row that no real column can serve is linearly dependent on
 the others and keeps its artificial basic at zero for the rest of the
 solve, with dual 0.  No status is ever reported on trust: an optimal
-answer carries a dual vector and is re-checked in Fractions against the
-original program (feasibility, dual sign conditions, reduced costs,
+answer carries a dual vector and is re-checked exactly against the
+original program, never the scaled rows (feasibility, dual sign conditions, reduced costs,
 strong duality), an infeasible answer carries a Farkas vector, an
 unbounded answer carries a feasible point and an improving ray, and
 each certificate is verified exactly before the solution is returned.
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, ValidationError
@@ -145,7 +149,7 @@ def dump(lp: LinearProgram) -> str:
 
 
 # ---------------------------------------------------------------------------
-# certificate checks, run against the original program in plain Fractions
+# certificate checks, run exactly against the original program
 
 
 def _dot(x: Sequence[Fraction], row: Mapping[int, Fraction]) -> Fraction:
@@ -176,18 +180,32 @@ def _dual_signs_ok(lp, y):
     return True
 
 
+def _scaled_yA(lp, y) -> tuple[list[int], int]:
+    """y'A in integers: each entry times s = D * L, returned with s, where
+    D is the common denominator of y and L that of the coefficients."""
+    D = lcm(*(yi.denominator for yi in y))
+    L = lcm(*(v.denominator for row, _, _ in lp.constraints for v in row.values()))
+    yA = [0] * lp.n_vars
+    for (row, _, _), yi in zip(lp.constraints, y):
+        if yi:
+            t = yi.numerator * (D // yi.denominator) * L
+            for j, v in row.items():
+                yA[j] += t // v.denominator * v.numerator
+    return yA, D * L
+
+
 def _reduced_costs_ok(lp, y):
     # y'A >= c componentwise
-    yA = [Fraction(0)] * lp.n_vars
-    for (row, rel, rhs), yi in zip(lp.constraints, y):
-        if yi:
-            for j, v in row.items():
-                yA[j] += yi * v
-    return all(yA[j] >= lp.objective.get(j, Fraction(0)) for j in range(lp.n_vars))
+    yA, s = _scaled_yA(lp, y)
+    c = lp.objective
+    return all(
+        a * c[j].denominator >= s * c[j].numerator if j in c else a >= 0
+        for j, a in enumerate(yA)
+    )
 
 
 def check_optimal(lp, x, y) -> bool:
-    if not check_feasible(lp, x):
+    if len(y) != lp.n_constraints or not check_feasible(lp, x):
         return False
     if not _dual_signs_ok(lp, y) or not _reduced_costs_ok(lp, y):
         return False
@@ -197,14 +215,9 @@ def check_optimal(lp, x, y) -> bool:
 
 
 def check_farkas(lp, y) -> bool:
-    if not _dual_signs_ok(lp, y):
+    if len(y) != lp.n_constraints or not _dual_signs_ok(lp, y):
         return False
-    yA = [Fraction(0)] * lp.n_vars
-    for (row, rel, rhs), yi in zip(lp.constraints, y):
-        if yi:
-            for j, v in row.items():
-                yA[j] += yi * v
-    if any(v < 0 for v in yA):
+    if any(v < 0 for v in _scaled_yA(lp, y)[0]):
         return False
     yb = sum((yi * rhs for (_, _, rhs), yi in zip(lp.constraints, y)), Fraction(0))
     return yb < 0
@@ -236,12 +249,21 @@ def check_ray(lp, x0, d) -> bool:
 class _Engine:
     """Two-phase revised simplex over one program instance, in integers.
 
-    Every row of the standard form is scaled by one common integer, the
-    lcm of the denominators of the constraints and right-hand sides, and
-    the objective by its own lcm.  A common row scale changes no ratio in
-    the ratio test and multiplies every reduced cost by one positive
-    number, so the pivot path is that of the rational program; a scale
-    per row would reweight phase 1's artificials and change it.
+    Row i of the standard form is constraint i times d_i / g_i, where
+    d_i is the lcm of the row's denominators and its right-hand side's,
+    and g_i the gcd of the integers that gives (with d_i too for an
+    inequality, so that its slack stays integral): every row is integral
+    and primitive.  The objective is scaled by its own lcm.  A positive
+    row scale changes no direction, primal value or reduced cost of a
+    real column, and an artificial's value and direction entry by one
+    common factor, so the ratio test, the reduced costs' signs and every
+    zero test are those of the rational program.  Only phase 1 would
+    see it, as its unit artificials are in the rows' own units; the
+    artificial of row i weighs L g_i / d_i there, an integer (L is the
+    lcm of all the constraints' denominators), so that phase 1 minimises
+    the sum of the residuals of the L-scaled rows and takes their path.
+    The integers stay small: den = |det B| carries no scale a row does
+    not need.
 
     The basis inverse is held as binv = den * B^-1 with den = |det B| > 0:
     binv is the adjugate of B up to sign, xb = binv . b, and each update
@@ -270,31 +292,32 @@ class _Engine:
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self.n_real = lp.n_vars
-        scale = self.scale = lcm(
-            *(v.denominator for row, _, _ in lp.constraints for v in row.values()),
-            *(rhs.denominator for _, _, rhs in lp.constraints),
-        )
         self.obj_scale = lcm(*(v.denominator for v in lp.objective.values()))
         # standard equality form: real vars, then one slack per inequality;
         # rows with a negative right-hand side are negated
         cols = [dict() for _ in range(self.n_real)]
         b = []
-        row_orig = []  # (original constraint index, sign)
+        row_scale = []  # (sign, d_i, g_i): row i is sign * d_i / g_i times constraint i
         for i, (row, rel, rhs) in enumerate(lp.constraints):
+            d = lcm(rhs.denominator, *(v.denominator for v in row.values()))
+            nums = [(j, v.numerator * (d // v.denominator)) for j, v in row.items()]
+            rhs_num = rhs.numerator * (d // rhs.denominator)
+            g = gcd(rhs_num, *(a for _, a in nums), *((d,) if rel != EQ else ())) or 1
             sign = -1 if rhs < 0 else 1
-            unit = sign * scale
-            for j, v in row.items():
-                cols[j][i] = unit * v.numerator // v.denominator
+            for j, a in nums:
+                cols[j][i] = sign * a // g
             if rel != EQ:
+                unit = sign * d // g
                 cols.append({i: unit if rel == LE else -unit})
-            b.append(unit * rhs.numerator // rhs.denominator)
-            row_orig.append((i, sign))
+            b.append(sign * rhs_num // g)
+            row_scale.append((sign, d, g))
         self.n_std = len(cols)
         self.m = len(b)
         cols.extend({r: 1} for r in range(self.m))
         self.cols = cols
         self.b = b
-        self.row_orig = row_orig
+        self.row_scale = row_scale
+        self.scale = lcm(*(d for _, d, _ in row_scale))  # L
         self.obj = [0] * len(cols)
         for j, v in lp.objective.items():
             self.obj[j] = self.obj_scale * v.numerator // v.denominator
@@ -390,7 +413,8 @@ class _Engine:
 
     def _entering(self, obj, y, limit, bland):
         """The column with the largest reduced cost, den * (c_j - y a_j),
-        or with Bland's rule the first positive one; None at optimality."""
+        or with Bland's rule the first positive one, and that reduced
+        cost; (None, 0) at optimality."""
         best = None
         best_rc = 0
         den = self.den
@@ -401,9 +425,9 @@ class _Engine:
             rc = obj[j] * den - sum(y[i] * v for i, v in self.cols[j].items())
             if rc > best_rc:
                 if bland:
-                    return j
+                    return j, rc
                 best, best_rc = j, rc
-        return best
+        return best, best_rc
 
     def _leaving(self, d):
         best = None  # (row, xb, d, tie key); ratios xb/d compared crosswise
@@ -424,9 +448,9 @@ class _Engine:
         """
         degenerate_streak = 0
         bland = False
+        y = self._duals(obj)
         while True:
-            y = self._duals(obj)
-            j = self._entering(obj, y, limit, bland)
+            j, rc = self._entering(obj, y, limit, bland)
             if j is None:
                 return None
             d = self._direction(j)
@@ -434,7 +458,11 @@ class _Engine:
             if r is None:
                 return j
             degenerate = self.xb[r] == 0
+            den, pe = self.den, d[r]
             self._pivot(j, r, d)
+            # y + (c_j - y a_j) times row r of the new B^-1, at the new
+            # den pe; the new row r is stored current (exact division)
+            y = [(pe * a + rc * c) // den for a, c in zip(y, self.binv[r])]
             if degenerate:
                 degenerate_streak += 1
                 if degenerate_streak > self.m - self.dependent + 10:
@@ -451,14 +479,14 @@ class _Engine:
 
     def _phase1(self):
         """Returns True if a feasible basis was reached."""
-        obj1 = [0] * self.n_std + [-1] * self.m
+        # the artificial of row i in units of the L-scaled row
+        obj1 = [0] * self.n_std + [-(self.scale * g // d) for _, d, g in self.row_scale]
         if self._run(obj1, self.n_std) is not None:
             raise InvariantViolation("phase-1 objective cannot be unbounded")
         value = sum(obj1[self.basis[r]] * self.xb[r] for r in range(self.m))
         if value < 0:
-            # artificials are unit columns in the scaled rows, so this
-            # dual needs no undoing of the row scale
-            self._farkas = self._map_dual(self._duals(obj1), 1, self.den)
+            # a Farkas vector of the L-scaled rows, phase 1's units
+            self._farkas = self._map_dual(self._duals(obj1), self.scale * self.den)
             return False
         return True
 
@@ -490,17 +518,19 @@ class _Engine:
             from scipy.sparse import csc_matrix
         except ImportError:
             return False
+        # the rational (sign-flipped) data, each value correctly rounded
         rows, cols_idx, data = [], [], []
         for j, col in enumerate(self.cols[: self.n_std]):
             for i, v in col.items():
+                _, d, g = self.row_scale[i]
                 rows.append(i)
                 cols_idx.append(j)
-                data.append(v / self.scale)
+                data.append(v * g / d)
         A = csc_matrix(
             (data, (rows, cols_idx)), shape=(self.m, self.n_std), dtype=float
         )
         c = np.array([-(v / self.obj_scale) for v in self.obj[: self.n_std]])
-        b = np.array([v / self.scale for v in self.b])
+        b = np.array([v * g / d for v, (_, d, g) in zip(self.b, self.row_scale)])
         try:
             res = linprog(c, A_eq=A, b_eq=b, method="highs")
         except Exception:
@@ -546,8 +576,8 @@ class _Engine:
                 raise InvariantViolation("unboundedness certificate failed verification")
             return LPSolution(status=UNBOUNDED, assignment=tuple(x0), ray=tuple(d))
         x = self._assignment()
-        # undo the row scale, the objective scale and den
-        y = self._map_dual(self._duals(self.obj), self.scale, self.obj_scale * self.den)
+        # undo the row scales, the objective scale and den
+        y = self._map_dual(self._duals(self.obj), self.obj_scale * self.den)
         if not check_optimal(self.lp, x, y):
             raise InvariantViolation("optimality certificate failed verification")
         value = _dot(x, self.lp.objective)
@@ -572,12 +602,12 @@ class _Engine:
                 ray[self.basis[r]] = Fraction(-d[r], self.den)
         return ray
 
-    def _map_dual(self, y_std, num: int, den: int) -> list[Fraction]:
-        """Original-row duals num/den * y_std, with the row flips undone."""
-        y = [Fraction(0)] * self.lp.n_constraints
-        for i, (orig, sign) in enumerate(self.row_orig):
-            y[orig] = Fraction(sign * num * y_std[i], den)
-        return y
+    def _map_dual(self, y_std, den: int) -> list[Fraction]:
+        """Original-row duals y_std / den, with the row scales and flips
+        undone."""
+        return [
+            Fraction(sign * d * v, g * den) for v, (sign, d, g) in zip(y_std, self.row_scale)
+        ]
 
 
 def _gauss_jordan(vectors, width: int):

@@ -1,12 +1,16 @@
 import hashlib
 import importlib.util
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
 from mcpersuasion import lp as lp_module
+from mcpersuasion.forest import PosteriorGrid, build_grid_lp
 from mcpersuasion.lp import (
     EQ,
     GE,
@@ -22,6 +26,7 @@ from mcpersuasion.lp import (
     dump,
     solve,
 )
+from mcpersuasion.model import validate_instance
 
 F = Fraction
 
@@ -277,6 +282,111 @@ def test_feasibility_checker():
     assert not check_feasible(lp, (F(-1), F(0)))
 
 
+def test_certificate_checkers_reject_a_dual_of_the_wrong_length():
+    lp = LinearProgram(1, [1], [([1], LE, 1), ([1], LE, 2)])
+    assert check_optimal(lp, [1], [1, 0])
+    assert not check_optimal(lp, [1], [1])
+    assert not check_optimal(lp, [1], [1, 0, -7])
+    lp = LinearProgram(1, [F(1)], [([F(1)], GE, F(2)), ([F(1)], LE, F(1))])
+    y = solve(lp).farkas
+    assert check_farkas(lp, y)
+    assert not check_farkas(lp, y[:1])
+    assert not check_farkas(lp, y + (F(-7),))
+
+
+# --- the certificate sums, against the Fraction formula they replaced ---
+
+
+def _fraction_yA(lp, y):
+    yA = [F(0)] * lp.n_vars
+    for (row, _, _), yi in zip(lp.constraints, y):
+        if yi:
+            for j, v in row.items():
+                yA[j] += yi * v
+    return yA
+
+
+def _fraction_reduced_costs_ok(lp, y):
+    yA = _fraction_yA(lp, y)
+    return all(yA[j] >= lp.objective.get(j, F(0)) for j in range(lp.n_vars))
+
+
+def _fraction_check_optimal(lp, x, y):
+    if not check_feasible(lp, x):
+        return False
+    if not lp_module._dual_signs_ok(lp, y) or not _fraction_reduced_costs_ok(lp, y):
+        return False
+    dual = sum((yi * rhs for (_, _, rhs), yi in zip(lp.constraints, y)), F(0))
+    return lp_module._dot(x, lp.objective) == dual
+
+
+def _fraction_check_farkas(lp, y):
+    if not lp_module._dual_signs_ok(lp, y) or any(v < 0 for v in _fraction_yA(lp, y)):
+        return False
+    return sum((yi * rhs for (_, _, rhs), yi in zip(lp.constraints, y)), F(0)) < 0
+
+
+def test_integer_certificate_sums_match_the_fraction_formula():
+    """check_optimal and check_farkas sum y'A in integers.  On seeded
+    programs, their solved certificates and those with one entry nudged
+    by +-1/(D L) (D and L the common denominators of y and of the
+    coefficients), every verdict is that of the Fraction formula.  Two
+    kinds of nudge must be rejected: one that takes a tight column's
+    y'A below its bound, and, for an optimal dual, one at a row with a
+    nonzero right-hand side, which breaks strong duality."""
+    rng = random.Random(17)
+    programs = [_pinned_program(rng) for _ in range(300)]
+    programs += [_grid_program("chain2", 10), _grid_program("star3", 10)]
+    rejected = {OPTIMAL: 0, INFEASIBLE: 0}
+    for lp in programs:
+        sol = solve(lp)
+        if sol.status == UNBOUNDED:
+            continue
+        optimal = sol.status == OPTIMAL
+        y = sol.dual if optimal else sol.farkas
+        L = lcm(*(v.denominator for row, _, _ in lp.constraints for v in row.values()))
+        step = F(1, lcm(*(v.denominator for v in y)) * L)
+        bound = lp.objective if optimal else {}
+        yA = _fraction_yA(lp, y)
+        tight = [
+            (k, j, v)
+            for k, (row, _, _) in enumerate(lp.constraints)
+            for j, v in row.items()
+            if yA[j] == bound.get(j, 0)
+        ]
+        # at the tight entry of smallest coefficient, the smallest deficit
+        nudges = [
+            (k, -step if v > 0 else step, True)
+            for k, _, v in sorted(tight, key=lambda t: abs(t[2]))[:1]
+        ]
+        rows = [k for k, (_, _, rhs) in enumerate(lp.constraints) if rhs]
+        if rows:
+            k = rng.choice(rows)
+            nudges += [(k, step, optimal), (k, -step, optimal)]
+        for k, delta, must_reject in [(0, 0, False)] + nudges:
+            z = list(y)
+            z[k] += delta
+            assert lp_module._reduced_costs_ok(lp, z) == _fraction_reduced_costs_ok(lp, z)
+            if optimal:
+                ok = check_optimal(lp, sol.assignment, z)
+                assert ok == _fraction_check_optimal(lp, sol.assignment, z)
+            else:
+                ok = check_farkas(lp, z)
+                assert ok == _fraction_check_farkas(lp, z)
+            if delta == 0:
+                assert ok
+            elif must_reject:
+                assert not ok
+                rejected[sol.status] += 1
+    assert min(rejected.values()) >= 20, rejected
+    # y'A short of a zero and of a nonzero bound by one unit of D L
+    for c, y in (({}, F(-1, 4)), ([F(1, 3)], F(1, 2))):
+        lp = LinearProgram(1, c, [([F(1, 2)], LE, F(1))])
+        assert not lp_module._reduced_costs_ok(lp, [y])
+        assert not _fraction_reduced_costs_ok(lp, [y])
+        assert lp_module._reduced_costs_ok(lp, [y + F(1, 4)])
+
+
 # --- the pivot path, pinned ---
 
 
@@ -366,6 +476,14 @@ def _assert_inverse(engine):
     assert engine.xb == [sum(a * v for a, v in zip(row, engine.b)) for row in binv]
 
 
+def _expected_duals(engine, obj):
+    """den c_B B^-1 from the settled rows, leaving the engine as it is."""
+    y = [0] * engine.m
+    for j, row in zip(engine.basis, _settled(engine)):
+        y = [a + obj[j] * v for a, v in zip(y, row)]
+    return y
+
+
 def _assert_levels(engine):
     """Every stored entry times den is divisible by its row's level, and
     _direction(j) is den B^-1 a_j computed from the settled rows."""
@@ -382,10 +500,13 @@ def _assert_levels(engine):
 def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
     """The inverse and the row levels are checked after every refactor
     and pivot, on both routes, of a fractional program and of 40 pinned
-    draws; some pivots must touch rows whose level is stale."""
+    draws; some pivots must touch rows whose level is stale.  The duals
+    _run updates at each pivot are checked against den c_B B^-1 where
+    they are priced."""
     checked = []
     real_refactor = lp_module._Engine._refactor
     real_pivot = lp_module._Engine._pivot
+    real_entering = lp_module._Engine._entering
 
     def refactor(engine):
         ok = real_refactor(engine)
@@ -402,8 +523,15 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
         _assert_inverse(engine)
         checked.append(("pivot", use_crash, stale))
 
+    def entering(engine, obj, y, limit, bland):
+        assert y == _expected_duals(engine, obj)
+        if checked and checked[-1][0] == "pivot":
+            checked.append(("duals", use_crash))
+        return real_entering(engine, obj, y, limit, bland)
+
     monkeypatch.setattr(lp_module._Engine, "_refactor", refactor)
     monkeypatch.setattr(lp_module._Engine, "_pivot", pivot)
+    monkeypatch.setattr(lp_module._Engine, "_entering", entering)
     # fractional data, a row twice (one left dependent), a flipped row, a
     # degenerate vertex
     lp = LinearProgram(
@@ -425,8 +553,87 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
             solve(_pinned_program(rng), use_crash=use_crash)
     assert "refactor" in checked
     assert ("pivot", False, True) in checked
+    assert ("duals", False) in checked
     if importlib.util.find_spec("scipy") is not None:
         assert ("pivot", True, True) in checked
+        assert ("duals", True) in checked
+
+
+def _grid_program(name, denominator):
+    path = Path(__file__).parent / "data" / f"{name}.instance.json"
+    instance = validate_instance(json.loads(path.read_text()))
+    return build_grid_lp(instance, PosteriorGrid(instance.space.size, denominator)).program
+
+
+def test_engine_rows_are_primitive_with_phase1_weights(monkeypatch):
+    """Each standard-form row (coefficients, slack, right-hand side) is
+    integral with gcd 1, a positive multiple d_i / g_i of its
+    sign-flipped constraint, and phase 1 weighs its artificial
+    L g_i / d_i: weight times row is the row scaled by the common
+    denominator L."""
+    objectives = []
+    real_run = lp_module._Engine._run
+
+    def run(engine, obj, limit):
+        objectives.append(obj)
+        return real_run(engine, obj, limit)
+
+    monkeypatch.setattr(lp_module._Engine, "_run", run)
+    rng = random.Random(5)
+    programs = [_grid_program("chain2", 10)] + [_pinned_program(rng) for _ in range(100)]
+    for lp in programs:
+        L = lcm(
+            *(v.denominator for row, _, rhs in lp.constraints for v in (*row.values(), rhs))
+        )
+        engine = lp_module._Engine(lp)
+        objectives.clear()
+        engine.solve(use_crash=False)
+        phase1 = objectives[0]
+        slacks = iter(range(lp.n_vars, engine.n_std))
+        for i, (row, rel, rhs) in enumerate(lp.constraints):
+            std = {j: col[i] for j, col in enumerate(engine.cols[: engine.n_std]) if i in col}
+            ints = [*std.values(), engine.b[i]]
+            assert all(type(v) is int for v in ints)
+            assert gcd(*ints) == 1 or not any(ints)
+            sign = -1 if rhs < 0 else 1
+            expected = {j: sign * L * v for j, v in row.items()}
+            if rel != EQ:
+                expected[next(slacks)] = sign * L * (1 if rel == LE else -1)
+            w = phase1[engine.n_std + i]
+            assert {j: -w * v for j, v in std.items()} == expected
+            assert -w * engine.b[i] == sign * L * rhs
+            assert w < 0
+
+
+#: den.bit_length() at the optimal basis of chain2 at step 1/40 on the
+#: all-artificial route, recorded when every row was scaled by L.
+COMMON_SCALE_DEN_BITS = 606
+
+
+def test_optimal_basis_determinant_is_small():
+    engine = lp_module._Engine(_grid_program("chain2", 40))
+    assert engine.solve(use_crash=False).status == OPTIMAL
+    assert engine.den.bit_length() < COMMON_SCALE_DEN_BITS / 3
+
+
+#: md5 of the reprs of solve on the grid programs of chain2 at steps 1/10,
+#: 1/20 and 1/40 and of star3 at 1/10 and 1/20, recorded before rows were
+#: scaled one by one.  The default route crashes from scipy's HiGHS
+#: (recorded with scipy 1.17.1) on all but chain2 at 1/10; without scipy
+#: it is the all-artificial route, whose digest is PURE.
+GRID_SOLVES_DEFAULT = "d136b944fecf147cb279f22008a1e81b"
+GRID_SOLVES_PURE = "ffff10c48c10399c79bc2fca21e5a266"
+
+
+@pytest.mark.parametrize("use_crash", [None, False], ids=["default", "pure"])
+def test_grid_solves_are_pinned(use_crash):
+    cases = [("chain2", 10), ("chain2", 20), ("chain2", 40), ("star3", 10), ("star3", 20)]
+    solutions = [solve(_grid_program(*case), use_crash=use_crash) for case in cases]
+    digest = hashlib.md5("\n".join(map(repr, solutions)).encode()).hexdigest()
+    if use_crash is None and importlib.util.find_spec("scipy") is not None:
+        assert digest == GRID_SOLVES_DEFAULT
+    else:
+        assert digest == GRID_SOLVES_PURE
 
 
 def test_bland_fallback_counts_only_rows_not_left_dependent(monkeypatch):
