@@ -23,6 +23,7 @@ from .errors import (
     BadEpsilon,
     InvariantViolation,
     NotAForest,
+    StateSpaceMismatch,
     ValidationError,
 )
 from .model import (
@@ -33,6 +34,7 @@ from .model import (
     ReceiverUtility,
     StateSpace,
     dot,
+    format_label,
 )
 
 
@@ -93,16 +95,12 @@ class GridLP:
     """The assembled program plus its variable bookkeeping.  Variables
     are numbered by point position, which is how a solution is read
     back: x(i, points[a]) is x_base[i] + a, and on the e-th edge
-    y(points[a], points[c]) is y_base[e] + a * n + c for n points.
-    x_index[(receiver, point)] and y_index[(parent, child, spread point,
-    coarse point)] look the same indices up by value."""
+    y(points[a], points[c]) is y_base[e] + a * n + c for n points."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
     points: tuple[Posterior, ...]
     edges: tuple[tuple[int, int], ...]
-    x_index: Mapping[tuple[int, Posterior], int]
-    y_index: Mapping[tuple[int, int, Posterior, Posterior], int]
     x_base: tuple[int, ...]
     y_base: tuple[int, ...]
 
@@ -141,13 +139,6 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     names = [f"x{i + 1}@({t})" for i in range(k) for t in text]
     for i1, i2 in edges:
         names.extend(f"y{i1 + 1}>{i2 + 1}@({tl}|{tr})" for tl in text for tr in text)
-    x_index = {(i, w): x_base[i] + a for i in range(k) for a, w in enumerate(pts)}
-    y_index = {
-        (i1, i2, l, r): base + a * n + c
-        for (i1, i2), base in zip(edges, y_base)
-        for a, l in enumerate(pts)
-        for c, r in enumerate(pts)
-    }
 
     tables = [
         tabulate(u, instance.space, pts) for u in instance.utilities.receivers
@@ -192,8 +183,6 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         grid=grid,
         points=pts,
         edges=edges,
-        x_index=x_index,
-        y_index=y_index,
         x_base=x_base,
         y_base=y_base,
     )
@@ -334,6 +323,10 @@ class SignalingTable:
             raise ValidationError("table has no profiles")
         if len(set(map(len, self.profiles))) != 1:
             raise ValidationError("profiles of unequal receiver count")
+        size = self.space.size
+        bad = next((w for p in self.profiles for w in p if len(w) != size), None)
+        if bad is not None:
+            raise StateSpaceMismatch(f"label {format_label(bad)} is not over the {size} states")
         if any(map(ge, self.profiles, self.profiles[1:])):
             raise ValidationError("profiles must be sorted and distinct")
         rows = {
@@ -408,7 +401,7 @@ class SignalingTable:
             if found is not None:
                 label, b = found
                 raise InvariantViolation(
-                    f"receiver {i + 1}: posterior given label {label} "
+                    f"receiver {i + 1}: posterior given label {format_label(label)} "
                     f"diverges from the label in state {self.space.states[b]!r}"
                 )
 

@@ -244,15 +244,6 @@ class ReductionReport:
     failures: tuple[str, ...]
     value: Fraction
 
-    def to_doc(self) -> dict:
-        from .model import format_rational
-
-        return {
-            "ok": self.ok,
-            "failures": list(self.failures),
-            "witness_value": format_rational(self.value),
-        }
-
 
 def state_ceilings(instance: PersuasionInstance) -> dict[str, Fraction]:
     """Per-state upper bound on the sender's payoff under any scheme,

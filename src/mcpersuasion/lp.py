@@ -17,16 +17,19 @@ column; a row that no real column can serve is linearly dependent on
 the others and keeps its artificial basic at zero for the rest of the
 solve, with dual 0.  No status is ever reported on trust: an optimal
 answer carries a dual vector and is re-checked exactly against the
-original program, never the scaled rows (feasibility, dual sign conditions, reduced costs,
-strong duality), an infeasible answer carries a Farkas vector, an
-unbounded answer carries a feasible point and an improving ray, and
-each certificate is verified exactly before the solution is returned.
+original program, never the scaled rows (feasibility, dual sign
+conditions, reduced costs, strong duality), an infeasible answer
+carries a Farkas vector, an unbounded answer carries a feasible point
+and an improving ray, and each certificate is verified exactly before
+the solution is returned.
 
-Pivoting uses the largest-reduced-cost rule and falls back to the
-smallest-index rule after a long run of degenerate pivots, which makes
-termination unconditional.  For large programs, when scipy is
-installed, a floating-point solve supplies a starting basis guess that
-is then rebuilt and certified exactly; the guess changes only the path
+Every basis is reached by pivots from the unit basis of the
+artificials, so one elimination routine builds them all.  Pivoting uses
+the largest-reduced-cost rule and falls back to the smallest-index rule
+after a long run of degenerate pivots, which makes termination
+unconditional.  For large programs, when scipy is installed, a
+floating-point solve supplies a starting basis guess whose columns are
+then pivoted in exactly and certified; the guess changes only the path
 taken, never the checked answer.  Output is deterministic for a fixed
 input on a fixed installation.
 """
@@ -282,6 +285,12 @@ class _Engine:
     row, is kept current, so the engine compares the integers of an
     eagerly scaled inverse and takes the same path.
 
+    Every basis starts as the unit basis of the artificials (binv = I,
+    den = 1, xb = b) and changes only by _pivot: phase 1 pivots from
+    there, and so does the crash completion, which enters each column of
+    the floating-point support at the first artificial row its direction
+    touches.
+
     Columns n_std + r are the unit artificials, one per row, made once.
     An artificial still basic after eviction sits in a row that depends
     linearly on the others: its row of binv is orthogonal to every real
@@ -356,27 +365,6 @@ class _Engine:
             if cb:
                 y = [a + cb * v for a, v in zip(y, self._row(r))]
         return y
-
-    def _refactor(self) -> bool:
-        """Rebuild binv, den and xb from self.basis; False if the basis
-        is singular."""
-        m = self.m
-        rows = (
-            [self.cols[j].get(i, 0) for j in self.basis] + [int(q == i) for q in range(m)]
-            for i in range(m)
-        )
-        kept, g = _gauss_jordan(rows, m)
-        if len(kept) < m:
-            return False
-        # the kept rows are g * [P | P B^-1] for a permutation P
-        sign = 1 if g > 0 else -1
-        self.den = sign * g
-        self.binv = [None] * m
-        for _, pivot, row in kept:
-            self.binv[pivot] = [sign * v for v in row[m:]]
-        self.level = [self.den] * m
-        self.xb = [sum(a * v for a, v in zip(row, self.b)) for row in self.binv]
-        return True
 
     def _pivot(self, j: int, r: int, d: list[int]):
         """Bareiss update: the pivot row keeps its current value, a row
@@ -474,8 +462,13 @@ class _Engine:
     # -- phases
 
     def _start_all_artificial(self):
-        self.basis = list(range(self.n_std, self.n_std + self.m))
-        self._refactor()
+        """The unit basis: B = I, so binv = I, den = 1 and xb = b."""
+        m = self.m
+        self.basis = list(range(self.n_std, self.n_std + m))
+        self.binv = [[int(q == i) for q in range(m)] for i in range(m)]
+        self.level = [1] * m
+        self.den = 1
+        self.xb = list(self.b)
 
     def _phase1(self):
         """Returns True if a feasible basis was reached."""
@@ -541,22 +534,18 @@ class _Engine:
             (j for j in range(self.n_std) if res.x[j] > 1e-9),
             key=lambda j: (-res.x[j], j),
         )
-        # exact rank completion: the support's columns in that order, each
-        # kept if independent of those before it
-        kept, _ = _gauss_jordan(
-            ([self.cols[j].get(i, 0) for i in range(self.m)] for j in support), self.m
-        )
-        basis = [-1] * self.m
-        for index, pivot, _ in kept:
-            basis[pivot] = support[index]
-        for r in range(self.m):
-            if basis[r] == -1:  # the row's artificial, to be evicted
-                basis[r] = self.n_std + r
-        self.basis = basis
+        # exact completion from the unit basis: each support column in that
+        # order enters the first row still held by an artificial that its
+        # direction touches; a column touching none depends on those before
+        self._start_all_artificial()
+        n_std = self.n_std
+        for j in support:
+            d = self._direction(j)
+            r = next((r for r, f in enumerate(d) if f and self.basis[r] >= n_std), None)
+            if r is not None:
+                self._pivot(j, r, d)
         # the basis must be feasible, with every artificial at zero
-        return self._refactor() and all(
-            x >= 0 and (x == 0 or j < self.n_std) for x, j in zip(self.xb, basis)
-        )
+        return all(x >= 0 and (x == 0 or j < n_std) for x, j in zip(self.xb, self.basis))
 
     # -- public
 
@@ -608,53 +597,6 @@ class _Engine:
         return [
             Fraction(sign * d * v, g * den) for v, (sign, d, g) in zip(y_std, self.row_scale)
         ]
-
-
-def _gauss_jordan(vectors, width: int):
-    """Fraction-free Gauss-Jordan elimination of integer vectors, in turn.
-
-    Each vector is reduced against those kept before it, and kept if it
-    has a nonzero entry at one of the first width positions that no kept
-    vector pivots on; the first such position becomes its pivot.  Stops
-    once width vectors are kept.  Returns the kept (index, pivot, vector)
-    triples and g: each vector is g times its reduced form, whose entry is
-    1 at its own pivot and 0 at the others, so that g is up to sign the
-    determinant of the kept vectors on their pivots.  Every division is
-    exact, as each entry is a minor (Bareiss).
-    """
-    kept = []  # [index, pivot, vector, level]: the vector times g // level
-    g = 1
-
-    def current(entry):
-        # a step that leaves a vector otherwise unchanged scales it by
-        # new g / old g; that is applied only when the vector is next used
-        if entry[3] != g:
-            entry[2] = [a * g // entry[3] for a in entry[2]]
-            entry[3] = g
-        return entry[2]
-
-    for index, v in enumerate(vectors):
-        if len(kept) == width:
-            break
-        red = [g * a for a in v]
-        for entry in kept:
-            f = v[entry[1]]
-            if f:
-                red = [a - f * c for a, c in zip(red, current(entry))]
-        # red is 0 at every kept pivot
-        pivot = next((i for i in range(width) if red[i]), None)
-        if pivot is None:
-            continue
-        pe = red[pivot]
-        for entry in kept:
-            if entry[2][pivot]:
-                row = current(entry)
-                f = row[pivot]
-                entry[2] = [(pe * a - f * c) // g for a, c in zip(row, red)]
-                entry[3] = pe
-        kept.append([index, pivot, red, pe])
-        g = pe
-    return [(entry[0], entry[1], current(entry)) for entry in kept], g
 
 
 def solve(lp: LinearProgram, use_crash: bool | None = None) -> LPSolution:

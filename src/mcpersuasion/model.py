@@ -70,6 +70,11 @@ def format_posterior(point: Posterior) -> list[str]:
     return [format_rational(x) for x in point]
 
 
+def format_label(point: Posterior) -> str:
+    """A posterior as it is written in messages, "(n/d, ...)"."""
+    return "(" + ", ".join(format_rational(x) for x in point) + ")"
+
+
 def check_posterior(point: Sequence[Fraction]) -> None:
     if any(x < 0 for x in point):
         raise ValidationError(f"negative coordinate in posterior {point}")

@@ -46,13 +46,9 @@ from .errors import (
     ValidationError,
 )
 from .forest import SignalingTable
-from .model import CommunicationStructure, PersuasionInstance, Posterior, format_rational
+from .model import CommunicationStructure, PersuasionInstance, Posterior, format_label
 
 DEFAULT_VERIFY_BUDGET = 10_000_000
-
-
-def _fmt_label(label: Posterior) -> str:
-    return "(" + ", ".join(format_rational(c) for c in label) + ")"
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,7 @@ class LabelAlphabet:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise ValidationError(f"label {_fmt_label(label)} not in alphabet") from None
+            raise ValidationError(f"label {format_label(label)} not in alphabet") from None
 
     def decode(self, symbol: int) -> Posterior:
         if not 0 <= symbol < len(self.labels):
@@ -641,8 +637,8 @@ def verify_scheme(
                 if posterior == label:
                     continue
                 verdict = (
-                    f"yields posterior {_fmt_label(posterior)} "
-                    f"instead of {_fmt_label(label)}"
+                    f"yields posterior {format_label(posterior)} "
+                    f"instead of {format_label(label)}"
                 )
             failures.extend((view, verdict) for view in law.views(offset))
         recovery.extend(
@@ -660,7 +656,7 @@ def verify_scheme(
         for cond, by_event in sorted(groups.items()):
             events = sorted(by_event)
             reference = by_event[events[0]]
-            conditioning = ", ".join(_fmt_label(c) for c in cond) or "nothing"
+            conditioning = ", ".join(format_label(c) for c in cond) or "nothing"
             for event in events[1:]:
                 if by_event[event] != reference:
                     privacy.append(

@@ -366,6 +366,18 @@ def test_share_rejects_malformed_tables(capsys, files, field, value):
     assert err.startswith("error:") and repr(field) in err
 
 
+def test_share_rejects_labels_of_the_wrong_dimension(capsys, files):
+    instance = files("single.json", SINGLE)
+    table = files("short-labels.json", {
+        "states": ["low", "high"],
+        "profiles": [[["1"]]],
+        "rows": {"low": ["1"], "high": ["1"]},
+    })
+    code, out, err = run(capsys, "share", instance, table, "--subset", "1")
+    assert code == 2 and not out
+    assert err.startswith("error:") and "label (1) is not over the 2 states" in err
+
+
 def test_share_dominated_target(capsys, files):
     doc = dict(SPERNER3_INSTANCE)
     doc["structure"] = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]

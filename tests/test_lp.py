@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -245,6 +246,23 @@ def test_crash_and_pure_paths_agree():
     assert fast.objective == slow.objective
     assert check_optimal(lp, fast.assignment, fast.dual)
     assert check_optimal(lp, slow.assignment, slow.dual)
+
+
+@pytest.mark.parametrize(
+    "guess, accepted",
+    [([1.0, 0.0, 2.0], True), ([1.0, 0.0, 0.0], False), ([0.5, 0.5, 0.0], False)],
+    ids=["feasible", "artificial-off-zero", "negative"],
+)
+def test_crash_keeps_only_a_feasible_completed_basis(monkeypatch, guess, accepted):
+    """The float guess's completed basis is kept only if every basic
+    value is nonnegative and every artificial left basic is at zero;
+    otherwise the solve takes the all-artificial route instead."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1), ([1, -1, 1], EQ, 3)])
+    result = SimpleNamespace(success=True, x=guess)
+    monkeypatch.setattr(scipy_optimize, "linprog", lambda *args, **kwargs: result)
+    assert lp_module._Engine(lp)._try_crash() is accepted
+    assert solve(lp, use_crash=True) == solve(lp, use_crash=False)
 
 
 def test_determinism():
@@ -498,29 +516,39 @@ def _assert_levels(engine):
 
 
 def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
-    """The inverse and the row levels are checked after every refactor
-    and pivot, on both routes, of a fractional program and of 40 pinned
-    draws; some pivots must touch rows whose level is stale.  The duals
-    _run updates at each pivot are checked against den c_B B^-1 where
-    they are priced."""
+    """The inverse and the row levels are checked at the unit start and
+    after every pivot, on both routes, of a fractional program and of 40
+    pinned draws; some pivots must touch rows whose level is stale, and
+    the crash route must check pivots of its completion.  The duals _run
+    updates at each pivot are checked against den c_B B^-1 where they
+    are priced."""
     checked = []
-    real_refactor = lp_module._Engine._refactor
+    crashing = []
+    real_start = lp_module._Engine._start_all_artificial
+    real_try_crash = lp_module._Engine._try_crash
     real_pivot = lp_module._Engine._pivot
     real_entering = lp_module._Engine._entering
 
-    def refactor(engine):
-        ok = real_refactor(engine)
-        if ok:
-            _assert_levels(engine)
-            _assert_inverse(engine)
-            checked.append("refactor")
-        return ok
+    def start(engine):
+        real_start(engine)
+        _assert_levels(engine)
+        _assert_inverse(engine)
+        checked.append("start")
+
+    def try_crash(engine):
+        crashing.append(True)
+        try:
+            return real_try_crash(engine)
+        finally:
+            crashing.pop()
 
     def pivot(engine, j, r, d):
         stale = any(f and engine.level[i] != engine.den for i, f in enumerate(d) if i != r)
         real_pivot(engine, j, r, d)
         _assert_levels(engine)
         _assert_inverse(engine)
+        if crashing:
+            checked.append("completion")
         checked.append(("pivot", use_crash, stale))
 
     def entering(engine, obj, y, limit, bland):
@@ -529,7 +557,8 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
             checked.append(("duals", use_crash))
         return real_entering(engine, obj, y, limit, bland)
 
-    monkeypatch.setattr(lp_module._Engine, "_refactor", refactor)
+    monkeypatch.setattr(lp_module._Engine, "_start_all_artificial", start)
+    monkeypatch.setattr(lp_module._Engine, "_try_crash", try_crash)
     monkeypatch.setattr(lp_module._Engine, "_pivot", pivot)
     monkeypatch.setattr(lp_module._Engine, "_entering", entering)
     # fractional data, a row twice (one left dependent), a flipped row, a
@@ -551,10 +580,11 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
         rng = random.Random(3)
         for _ in range(40):
             solve(_pinned_program(rng), use_crash=use_crash)
-    assert "refactor" in checked
+    assert "start" in checked
     assert ("pivot", False, True) in checked
     assert ("duals", False) in checked
     if importlib.util.find_spec("scipy") is not None:
+        assert "completion" in checked
         assert ("pivot", True, True) in checked
         assert ("duals", True) in checked
 
@@ -665,8 +695,10 @@ def test_bland_fallback_counts_only_rows_not_left_dependent(monkeypatch):
         engine._evict_artificials()
         assert engine.dependent == copies - 1
         # the slack basis, z, and the artificials left in the copies
-        engine.basis = [0, 1, 2, 7] + [engine.n_std + 4 + c for c in range(copies - 1)]
-        assert engine._refactor()
+        engine._start_all_artificial()
+        for r, j in enumerate((0, 1, 2, 7)):
+            engine._pivot(j, r, engine._direction(j))
+        assert engine.basis == [0, 1, 2, 7] + [engine.n_std + 4 + c for c in range(copies - 1)]
         steps.clear()
         assert engine._run(engine.obj, engine.n_std) is None
         assert engine.xb[engine.basis.index(5)] == engine.den  # x6 = 1
