@@ -29,6 +29,10 @@ from .model import (
     CommunicationStructure,
     StateSpace,
     _array,
+    _field,
+    _integer,
+    _object,
+    _structure_field,
     format_posterior,
     format_rational,
     parse_posterior,
@@ -60,8 +64,6 @@ def load_document(path) -> dict:
         raise FileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FileError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FileError(f"{path} must hold a JSON object at top level")
     return doc
 
 
@@ -157,26 +159,6 @@ def write_document(path, doc: Mapping) -> None:
         raise FileError(f"cannot write {path}: {exc}") from exc
 
 
-def _require(doc: Mapping, keys, what: str) -> None:
-    _object(doc, what)
-    for key in keys:
-        if key not in doc:
-            raise ValidationError(f"{what} document is missing field {key!r}")
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"{what} must be a JSON object, not {type(value).__name__}")
-    return value
-
-
-def _integer(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # Structures and graphs
 
@@ -192,27 +174,19 @@ def structure_to_doc(structure: CommunicationStructure) -> dict:
 def structure_from_doc(doc: Mapping) -> CommunicationStructure:
     """Accepts any document carrying a "structure" field, so instance
     files double as structure files for the comparison commands."""
-    _require(doc, ["structure"], "structure")
-    try:
-        rows = tuple(tuple(int(v) for v in row) for row in doc["structure"])
-    except (TypeError, ValueError):
-        raise ValidationError("structure rows must be arrays of 0/1") from None
-    return CommunicationStructure(rows)
+    return _structure_field(doc, "structure document")
 
 
 def graph_from_doc(doc: Mapping) -> NetworkGraph:
     """Network file: vertex count k and an array of 1-based edge pairs."""
-    _require(doc, ["k", "edges"], "network")
-    try:
-        k = int(doc["k"])
-        pairs = [(int(a), int(b)) for a, b in doc["edges"]]
-    except (TypeError, ValueError):
-        raise ValidationError("network edges must be pairs of integers") from None
-    for a, b in pairs:
-        if not (1 <= a <= k and 1 <= b <= k):
-            raise ValidationError(f"network edge [{a}, {b}] out of range 1..{k}")
-    edges = frozenset(frozenset((a - 1, b - 1)) for a, b in pairs)
-    return NetworkGraph(k=k, edges=edges)
+    k = _field(doc, "k", "network", _integer)
+    edges = set()
+    for edge in _field(doc, "edges", "network", _array):
+        ends = [_integer(v, "a network edge end") for v in _array(edge, "a network edge")]
+        if len(ends) != 2 or not all(1 <= v <= k for v in ends):
+            raise ValidationError(f"network edge {edge} is not a pair of vertices in 1..{k}")
+        edges.add(frozenset(v - 1 for v in ends))
+    return NetworkGraph(k=k, edges=frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +207,14 @@ def table_to_doc(table: SignalingTable) -> dict:
 
 
 def table_from_doc(doc: Mapping) -> SignalingTable:
-    _require(doc, ["states", "profiles", "rows"], "table")
-    space = StateSpace(tuple(str(s) for s in _array(doc["states"], "table field 'states'")))
+    space = StateSpace(tuple(str(s) for s in _field(doc, "states", "table", _array)))
     profiles = tuple(
         tuple(parse_posterior(label) for label in _array(profile, "table profile"))
-        for profile in _array(doc["profiles"], "table field 'profiles'")
+        for profile in _field(doc, "profiles", "table", _array)
     )
     rows = {
         str(state): tuple(parse_rational(v) for v in _array(vec, f"table row {state!r}"))
-        for state, vec in _object(doc["rows"], "table field 'rows'").items()
+        for state, vec in _field(doc, "rows", "table", _object).items()
     }
     return SignalingTable(space=space, profiles=profiles, rows=rows)
 
@@ -254,11 +227,13 @@ def _marginal_to_doc(dist: BeliefDistribution) -> list:
 
 
 def _marginal_from_doc(entries) -> BeliefDistribution:
-    pairs = []
-    for entry in _array(entries, "marginal"):
-        _require(entry, ["point", "mass"], "marginal")
-        pairs.append((parse_posterior(entry["point"]), parse_rational(entry["mass"])))
-    return BeliefDistribution.from_pairs(pairs)
+    return BeliefDistribution.from_pairs(
+        (
+            parse_posterior(_field(entry, "point", "marginal entry")),
+            parse_rational(_field(entry, "mass", "marginal entry")),
+        )
+        for entry in _array(entries, "marginal")
+    )
 
 
 @dataclass(frozen=True)
@@ -282,16 +257,14 @@ def scheme_to_doc(solution: GridSolution, table: SignalingTable) -> dict:
 
 
 def scheme_from_doc(doc: Mapping) -> SchemeDocument:
-    _require(doc, ["step", "objective", "table"], "scheme")
+    step = parse_rational(_field(doc, "step", "scheme"))
     marginals = None
     if doc.get("marginals") is not None:
-        marginals = tuple(
-            _marginal_from_doc(m) for m in _array(doc["marginals"], "scheme field 'marginals'")
-        )
+        marginals = tuple(map(_marginal_from_doc, _field(doc, "marginals", "scheme", _array)))
     return SchemeDocument(
-        step=parse_rational(doc["step"]),
-        objective=parse_rational(doc["objective"]),
-        table=table_from_doc(doc["table"]),
+        step=step,
+        objective=parse_rational(_field(doc, "objective", "scheme")),
+        table=table_from_doc(_field(doc, "table", "scheme")),
         marginals=marginals,
     )
 
@@ -351,21 +324,11 @@ def channel_scheme_to_doc(scheme: ChannelScheme) -> dict:
 def channel_scheme_from_doc(doc: Mapping) -> ChannelScheme:
     """Rebuild a scheme from its symbolic part; the execution listing is
     advisory output and is rederived, never trusted."""
-    _require(
-        doc,
-        ["q", "structure", "covered", "key_count", "alphabets", "slots", "table"],
-        "channel scheme",
-    )
-    try:
-        q = int(doc["q"])
-        key_count = int(doc["key_count"])
-        covered = frozenset(int(i) - 1 for i in doc["covered"])
-    except (TypeError, ValueError):
-        raise ValidationError("channel scheme counts must be integers") from None
-    structure = structure_from_doc(doc["structure"])
+    what = "channel scheme"
+    q = _field(doc, "q", what, _integer)
+    structure = structure_from_doc(_field(doc, "structure", what))
     alphabets: list[Optional[LabelAlphabet]] = [None] * structure.k
-    alphabet_docs = _object(doc["alphabets"], "channel scheme field 'alphabets'")
-    for key, labels in alphabet_docs.items():
+    for key, labels in _field(doc, "alphabets", what, _object).items():
         i = _integer(key, "alphabet receiver") - 1
         if not 0 <= i < structure.k:
             raise ValidationError(f"alphabet for unknown receiver {key}")
@@ -374,27 +337,27 @@ def channel_scheme_from_doc(doc: Mapping) -> ChannelScheme:
             labels=tuple(parse_posterior(l) for l in _array(labels, f"alphabet {key}")),
         )
     slots = []
-    for entry in _array(doc["slots"], "channel scheme field 'slots'"):
-        _require(entry, ["channel", "owner", "keys"], "slot")
-        owner = entry["owner"]
+    for entry in _field(doc, "slots", what, _array):
+        owner = _field(entry, "owner", "slot")
         slots.append(
             Slot(
-                channel=_integer(entry["channel"], "slot channel") - 1,
-                owner=None if owner is None else _integer(owner, "slot owner") - 1,
+                channel=_field(entry, "channel", "slot", _integer) - 1,
+                owner=None if owner is None else _integer(owner, "slot field 'owner'") - 1,
                 keys=tuple(
-                    _integer(key, "slot key") - 1
-                    for key in _array(entry["keys"], "slot field 'keys'")
+                    _integer(key, "slot key") - 1 for key in _field(entry, "keys", "slot", _array)
                 ),
             )
         )
     return ChannelScheme(
         q=q,
         structure=structure,
-        covered=covered,
+        covered=frozenset(
+            _integer(i, "covered receiver") - 1 for i in _field(doc, "covered", what, _array)
+        ),
         alphabets=tuple(alphabets),
         slots=tuple(slots),
-        key_count=key_count,
-        table=table_from_doc(doc["table"]),
+        key_count=_field(doc, "key_count", what, _integer),
+        table=table_from_doc(_field(doc, "table", what)),
     )
 
 
@@ -411,11 +374,11 @@ def bunion_to_doc(inst: BUnionInstance) -> dict:
 
 
 def bunion_from_doc(doc: Mapping) -> BUnionInstance:
-    _require(doc, ["w", "sets", "b"], "b-union")
-    try:
-        w = int(doc["w"])
-        b = int(doc["b"])
-        sets = tuple(frozenset(int(e) for e in s) for s in doc["sets"])
-    except (TypeError, ValueError):
-        raise ValidationError("b-union fields must be integers and integer arrays") from None
-    return BUnionInstance(w=w, sets=sets, b=b)
+    return BUnionInstance(
+        w=_field(doc, "w", "b-union", _integer),
+        sets=tuple(
+            frozenset(_integer(e, "a b-union set element") for e in _array(s, "a b-union set"))
+            for s in _field(doc, "sets", "b-union", _array)
+        ),
+        b=_field(doc, "b", "b-union", _integer),
+    )

@@ -51,7 +51,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-# Dense float crash bases only pay off once the tableau is sizable.
+# A crash basis (a HiGHS solve of the sparse float program, then its exact
+# completion) only pays off once rows x columns is sizable.
 _CRASH_THRESHOLD = 20_000
 
 

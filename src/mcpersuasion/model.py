@@ -3,7 +3,9 @@
 All probabilities and utility values are exact rationals
 (fractions.Fraction).  External formats serialize rationals as
 "num/den" strings, never as floats, and index receivers, channels and
-states starting from 1; in memory everything is 0-indexed.
+states starting from 1; in memory everything is 0-indexed.  The field
+readers here (_field, _array, _integer, ...) read every input document,
+io's included, so a malformed field is always a ValidationError.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BadEpsilon,
@@ -29,14 +31,57 @@ from .errors import (
 Posterior = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _BITS = frozenset((0, 1))
 
 
+# ---------------------------------------------------------------------------
+# Field readers shared by every input document; what names the value read
+# in the error, and each refusal is a ValidationError
+
+
+def _object(value, what: str) -> dict:
+    """value itself if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def _array(value, what: str) -> list:
-    """value itself if it is a JSON array; what names it in the error."""
+    """value itself if it is a JSON array."""
     if not isinstance(value, list):
         raise ValidationError(f"{what} must be an array, not {type(value).__name__}")
     return value
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer, or one written in decimal digits as a string (object
+    keys are strings); floats and booleans are refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and _INTEGER_RE.fullmatch(value):
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _field(doc, key: str, what: str, read=None):
+    """doc[key] of the JSON object doc, passed through read (_object,
+    _array or _integer) when one is given."""
+    if not isinstance(doc, dict) or key not in doc:
+        _object(doc, what)  # refuses a non-object first
+        raise ValidationError(f"{what} is missing field {key!r}")
+    return doc[key] if read is None else read(doc[key], f"{what} field {key!r}")
+
+
+def _structure_field(doc, what: str) -> CommunicationStructure:
+    """doc's "structure": an array of rows of 0/1 integers, one row per
+    receiver."""
+    rows = _field(doc, "structure", what, _array)
+    row_what = f"a row of {what} field 'structure'"
+    entry_what = f"an entry of {what} field 'structure'"
+    return CommunicationStructure(
+        tuple(tuple(_integer(x, entry_what) for x in _array(row, row_what)) for row in rows)
+    )
 
 
 def parse_rational(text) -> Fraction:
@@ -344,7 +389,7 @@ class PiecewiseUtility(ReceiverUtility):
 
 @dataclass(frozen=True)
 class LinearUtility(ReceiverUtility):
-    """offset + sum_b coeffs[b] * q_b; the one Lipschitz kind."""
+    """offset + sum_b coeffs[b] * q_b."""
 
     coeffs: tuple[Fraction, ...]
     offset: Fraction = Fraction(0)
@@ -355,11 +400,6 @@ class LinearUtility(ReceiverUtility):
         if len(self.coeffs) != len(point):
             raise MatrixShapeMismatch("linear utility dimension mismatch")
         return self.offset + sum(c * q for c, q in zip(self.coeffs, point))
-
-    def lipschitz_constant(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return max(self.coeffs) - min(self.coeffs)
 
     def to_doc(self, space):
         return {
@@ -563,107 +603,94 @@ class PersuasionInstance:
         return self.structure.k
 
 
-def _parse_receiver_utility(doc: Mapping, space: StateSpace) -> ReceiverUtility:
-    if not isinstance(doc, Mapping) or "kind" not in doc:
-        raise ValidationError(f"utility entry must be an object with a 'kind': {doc!r}")
-    kind = doc["kind"]
-    try:
-        if kind == "constant":
-            return ConstantUtility(parse_rational(doc["value"]))
-        if kind == "threshold":
-            space.index(str(doc["state"]))
-            return ThresholdUtility(
-                state=str(doc["state"]),
-                cutoff=parse_rational(doc["cutoff"]),
-                high=parse_rational(doc.get("high", "1")),
-                low=parse_rational(doc.get("low", "0")),
-                strict=bool(doc.get("strict", False)),
-            )
-        if kind == "point":
-            point = parse_posterior(doc["point"])
-            if len(point) != space.size:
-                raise MatrixShapeMismatch("point utility dimension mismatch")
-            return PointUtility(
-                point=point,
-                value=parse_rational(doc["value"]),
-                otherwise=parse_rational(doc.get("otherwise", "0")),
-            )
-        if kind == "piecewise":
-            space.index(str(doc["state"]))
-            return PiecewiseUtility(
-                state=str(doc["state"]),
-                breakpoints=tuple(parse_rational(b) for b in doc["breakpoints"]),
-                values=tuple(parse_rational(v) for v in doc["values"]),
-            )
-        if kind == "linear":
-            coeffs = tuple(parse_rational(c) for c in doc["coeffs"])
-            if len(coeffs) != space.size:
-                raise MatrixShapeMismatch("linear utility dimension mismatch")
-            return LinearUtility(coeffs=coeffs, offset=parse_rational(doc.get("offset", "0")))
-        if kind == "table":
-            points = [parse_posterior(p) for p in doc["points"]]
-            values = [parse_rational(v) for v in doc["values"]]
-            if len(points) != len(values):
-                raise MatrixShapeMismatch("table utility points/values length mismatch")
-            for p in points:
-                if len(p) != space.size:
-                    raise MatrixShapeMismatch("table utility dimension mismatch")
-            return TableUtility(tuple(zip(points, values)))
-    except KeyError as exc:
-        raise ValidationError(f"utility of kind {kind!r} is missing field {exc}") from None
+def _parse_receiver_utility(doc, space: StateSpace) -> ReceiverUtility:
+    kind = _field(doc, "kind", "utility entry")
+    what = f"utility of kind {kind!r}"
+    if kind == "constant":
+        return ConstantUtility(parse_rational(_field(doc, "value", what)))
+    if kind in ("threshold", "piecewise"):
+        state = str(_field(doc, "state", what))
+        space.index(state)
+    if kind == "threshold":
+        strict = doc.get("strict", False)
+        if not isinstance(strict, bool):
+            raise ValidationError(f"{what} field 'strict' must be true or false, got {strict!r}")
+        return ThresholdUtility(
+            state=state,
+            cutoff=parse_rational(_field(doc, "cutoff", what)),
+            high=parse_rational(doc.get("high", "1")),
+            low=parse_rational(doc.get("low", "0")),
+            strict=strict,
+        )
+    if kind == "point":
+        point = parse_posterior(_field(doc, "point", what))
+        if len(point) != space.size:
+            raise MatrixShapeMismatch("point utility dimension mismatch")
+        return PointUtility(
+            point=point,
+            value=parse_rational(_field(doc, "value", what)),
+            otherwise=parse_rational(doc.get("otherwise", "0")),
+        )
+    if kind == "piecewise":
+        return PiecewiseUtility(
+            state=state,
+            breakpoints=tuple(map(parse_rational, _field(doc, "breakpoints", what, _array))),
+            values=tuple(map(parse_rational, _field(doc, "values", what, _array))),
+        )
+    if kind == "linear":
+        coeffs = tuple(map(parse_rational, _field(doc, "coeffs", what, _array)))
+        if len(coeffs) != space.size:
+            raise MatrixShapeMismatch("linear utility dimension mismatch")
+        return LinearUtility(coeffs=coeffs, offset=parse_rational(doc.get("offset", "0")))
+    if kind == "table":
+        points = [parse_posterior(p) for p in _field(doc, "points", what, _array)]
+        values = [parse_rational(v) for v in _field(doc, "values", what, _array)]
+        if len(points) != len(values):
+            raise MatrixShapeMismatch("table utility points/values length mismatch")
+        if any(len(p) != space.size for p in points):
+            raise MatrixShapeMismatch("table utility dimension mismatch")
+        return TableUtility(tuple(zip(points, values)))
     raise ValidationError(f"unknown utility kind {kind!r}")
 
 
 def _parse_utilities(doc, space: StateSpace, k: int):
-    if isinstance(doc, Mapping) and doc.get("kind") == "supermajority":
+    if isinstance(doc, dict) and doc.get("kind") == "supermajority":
         groups = []
-        for g in doc["groups"]:
-            cond = g["condition"]
+        for g in _field(doc, "groups", "supermajority utilities", _array):
+            cond = _field(g, "condition", "group")
             rule = MemberRule(
-                op=str(cond["op"]),
-                state=str(cond["state"]),
-                cutoff=parse_rational(cond["cutoff"]),
+                op=str(_field(cond, "op", "group condition")),
+                state=str(_field(cond, "state", "group condition")),
+                cutoff=parse_rational(_field(cond, "cutoff", "group condition")),
             )
             space.index(rule.state)
-            members = tuple(int(i) - 1 for i in g["members"])
+            members = tuple(
+                _integer(i, "group member") - 1 for i in _field(g, "members", "group", _array)
+            )
             if any(not (0 <= i < k) for i in members):
                 raise ValidationError("group member index out of range")
             groups.append(
                 Group(
                     members=members,
-                    weight=parse_rational(g["weight"]),
-                    threshold=int(g["threshold"]),
+                    weight=parse_rational(_field(g, "weight", "group")),
+                    threshold=_field(g, "threshold", "group", _integer),
                     rule=rule,
                 )
             )
         return SupermajorityUtility(k=k, groups=tuple(groups))
-    if isinstance(doc, Mapping) and doc.get("kind", "additive") == "additive":
-        entries = doc["receivers"]
-    elif isinstance(doc, Sequence) and not isinstance(doc, (str, bytes)):
-        entries = doc
-    else:
+    if isinstance(doc, dict) and doc.get("kind", "additive") == "additive":
+        doc = _field(doc, "receivers", "additive utilities", _array)
+    elif not isinstance(doc, list):
         raise ValidationError("utilities must be a list or an additive/supermajority object")
-    return AdditiveUtility(tuple(_parse_receiver_utility(u, space) for u in entries))
+    return AdditiveUtility(tuple(_parse_receiver_utility(u, space) for u in doc))
 
 
-def validate_instance(raw: Mapping) -> PersuasionInstance:
+def validate_instance(raw) -> PersuasionInstance:
     """Parse and validate a raw instance description (decoded JSON)."""
-    if not isinstance(raw, Mapping):
-        raise ValidationError("instance document must be a JSON object")
-    for key in ("states", "prior", "structure", "utilities"):
-        if key not in raw:
-            raise ValidationError(f"instance is missing required field {key!r}")
-    space = StateSpace(tuple(str(s) for s in _array(raw["states"], "instance field 'states'")))
-    prior = Prior(
-        space, tuple(parse_rational(p) for p in _array(raw["prior"], "instance field 'prior'"))
-    )
-    structure = CommunicationStructure(
-        tuple(
-            tuple(_array(row, "a row of instance field 'structure'"))
-            for row in _array(raw["structure"], "instance field 'structure'")
-        )
-    )
-    utilities = _parse_utilities(raw["utilities"], space, structure.k)
+    space = StateSpace(tuple(str(s) for s in _field(raw, "states", "instance", _array)))
+    prior = Prior(space, tuple(map(parse_rational, _field(raw, "prior", "instance", _array))))
+    structure = _structure_field(raw, "instance")
+    utilities = _parse_utilities(_field(raw, "utilities", "instance"), space, structure.k)
     epsilon = None
     if raw.get("epsilon") is not None:
         epsilon = parse_rational(raw["epsilon"])

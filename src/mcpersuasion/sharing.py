@@ -455,7 +455,9 @@ def emulate_private_subset(
                 f"receiver {i + 1} is dominated by receiver {offender + 1}; "
                 "his label cannot be kept private"
             )
-    builder = _SchemeBuilder(q or _default_modulus(table, targets), M, table)
+    builder = _SchemeBuilder(
+        _default_modulus(table, targets) if q is None else q, M, table
+    )
     everyone = set(range(M.k))
     for i in targets:
         builder.add_bundle(i, audience=everyone)
@@ -518,7 +520,9 @@ def transport_scheme(
         )
         order.append(pick)
         active.remove(pick)
-    builder = _SchemeBuilder(q or _default_modulus(table, range(M2.k)), M2, table)
+    builder = _SchemeBuilder(
+        _default_modulus(table, range(M2.k)) if q is None else q, M2, table
+    )
     for t in range(len(order) - 1, -1, -1):
         builder.shield(order[t])
         builder.add_bundle(order[t], audience=set(order[t:]))

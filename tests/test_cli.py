@@ -491,6 +491,56 @@ def test_non_array_instance_field_is_validation(capsys, files, field, value):
     assert f"instance field '{field}'" in err
 
 
+THRESHOLD = SINGLE["utilities"][0]
+GROUP = {"members": [1], "weight": "1", "threshold": 1}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        pytest.param("solve", dict(SINGLE, utilities={"kind": "additive"}), id="no-receivers"),
+        *(
+            pytest.param(command, dict(SINGLE, structure=[[entry]]), id=f"{command}-{entry!r}")
+            for command in ("solve", "analyze")
+            for entry in ("x", 0.5, True)
+        ),
+        pytest.param(
+            "solve",
+            dict(SINGLE, utilities=[{"kind": "piecewise", "state": "high", "breakpoints": 5}]),
+            id="piecewise-breakpoints",
+        ),
+        pytest.param(
+            "solve",
+            dict(SINGLE, utilities=[{"kind": "table", "points": 5, "values": ["1"]}]),
+            id="table-points",
+        ),
+        pytest.param(
+            "solve", dict(SINGLE, utilities=[{"kind": "linear", "coeffs": 5}]), id="linear-coeffs"
+        ),
+        pytest.param(
+            "solve", dict(SINGLE, utilities={"kind": "supermajority", "groups": 5}), id="groups"
+        ),
+        pytest.param(
+            "solve",
+            dict(SINGLE, utilities={"kind": "supermajority", "groups": [GROUP]}),
+            id="group-condition",
+        ),
+        pytest.param(
+            "solve", dict(SINGLE, utilities=[dict(THRESHOLD, strict="no")]), id="strict-no"
+        ),
+        pytest.param("bunion", dict(FLAGSHIP, b=1.9), id="b-float"),
+        pytest.param("solve", [SINGLE], id="solve-top-level-array"),
+        pytest.param("analyze", "structure", id="analyze-top-level-string"),
+    ],
+)
+def test_malformed_document_exits_2_with_one_error_line(capsys, files, command, doc):
+    path = files("bad.json", doc)
+    options = ("--epsilon", "1/4") if command == "solve" else ()
+    code, out, err = run(capsys, command, path, *options)
+    assert code == 2 and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bad_budget_is_usage(capsys, files):
     path = files("flagship.json", FLAGSHIP)
     code, _, err = run(capsys, "bunion", path, "--budget", "many")

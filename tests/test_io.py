@@ -1,6 +1,7 @@
 """render_document against json.dumps, the renderer it replaced: the same
 text for every document the command line writes and for seeded random
-documents, and the same refusals for values with no JSON form."""
+documents, and the same refusals for values with no JSON form.  Then the
+readers against every single mutation of a valid document."""
 
 import json
 import math
@@ -12,8 +13,21 @@ import pytest
 
 from mcpersuasion import io as mc_io
 from mcpersuasion.cli import build_parser
-from mcpersuasion.io import render_document, table_from_doc, table_to_doc, write_document
+from mcpersuasion.errors import ValidationError
+from mcpersuasion.io import (
+    bunion_from_doc,
+    channel_scheme_from_doc,
+    channel_scheme_to_doc,
+    graph_from_doc,
+    render_document,
+    scheme_from_doc,
+    structure_from_doc,
+    table_from_doc,
+    table_to_doc,
+    write_document,
+)
 from mcpersuasion.model import instance_to_doc, validate_instance
+from mcpersuasion.sharing import emulate_private_subset
 from test_cli import FLAGSHIP, REVEAL3, SINGLE, SPERNER3_INSTANCE, sperner_share_inputs
 
 DATA = Path(__file__).parent / "data"
@@ -243,3 +257,106 @@ def test_keys_that_are_not_str_raise_type_error(key):
 def test_non_finite_floats_raise_value_error(value):
     with pytest.raises(ValueError):
         render_document({"v": [value]})
+
+
+# ---------------------------------------------------------------------------
+# Readers against malformed documents
+
+
+MUTANTS = (5, 1.5, True, "x", None, [], {})
+
+
+def mutations(node):
+    """Every copy of node with one key or array item dropped, or with one
+    node, node itself included, replaced by one of MUTANTS."""
+    yield from MUTANTS
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield {k: v for k, v in node.items() if k != key}
+            for mutant in mutations(child):
+                yield {**node, key: mutant}
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield node[:i] + node[i + 1 :]
+            for mutant in mutations(child):
+                yield node[:i] + [mutant] + node[i + 1 :]
+
+
+EVERY_KIND = dict(
+    SINGLE,
+    structure=[[1, 0], [0, 1], [1, 1], [1, 0], [0, 1], [1, 1]],
+    utilities={
+        "kind": "additive",
+        "receivers": [
+            {"kind": "constant", "value": "1"},
+            {"kind": "threshold", "state": "high", "cutoff": "1/2", "strict": True, "low": "-1"},
+            {"kind": "point", "point": ["1/2", "1/2"], "value": "2", "otherwise": "1"},
+            {"kind": "piecewise", "state": "low", "breakpoints": ["1/3"], "values": ["0", "1"]},
+            {"kind": "linear", "coeffs": ["1", "-1"], "offset": "1/2"},
+            {"kind": "table", "points": [["1", "0"], ["0", "1"]], "values": ["3", "1"]},
+        ],
+    },
+    epsilon="1/10",
+)
+
+SUPERMAJORITY = dict(
+    SINGLE,
+    structure=[[1, 0], [0, 1]],
+    utilities={
+        "kind": "supermajority",
+        "groups": [
+            {
+                "members": [1, 2],
+                "weight": "3/2",
+                "threshold": 1,
+                "condition": {"op": "ge", "state": "high", "cutoff": "1/2"},
+            }
+        ],
+    },
+)
+
+SCHEME = {
+    "step": "1/2",
+    "objective": "1",
+    "table": {
+        "states": ["low", "high"],
+        "profiles": [[["0", "1"]], [["1", "0"]]],
+        "rows": {"low": ["0", "1"], "high": ["1", "0"]},
+    },
+    "marginals": [[{"point": ["0", "1"], "mass": "1/2"}, {"point": ["1", "0"], "mass": "1/2"}]],
+}
+
+
+def channel_scheme_doc():
+    """A share document without its execution listing, which the reader
+    never looks at."""
+    structure = structure_from_doc(SPERNER3_INSTANCE)
+    doc = channel_scheme_to_doc(emulate_private_subset(structure, [0], table_from_doc(REVEAL3), 3))
+    del doc["executions"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "reader, doc",
+    [
+        pytest.param(validate_instance, EVERY_KIND, id="instance-additive"),
+        pytest.param(validate_instance, SUPERMAJORITY, id="instance-supermajority"),
+        pytest.param(structure_from_doc, {"k": 2, "structure": [[1, 1], [0, 1]]}, id="structure"),
+        pytest.param(graph_from_doc, {"k": 3, "edges": [[1, 2], [2, 3]]}, id="network"),
+        pytest.param(table_from_doc, REVEAL3, id="table"),
+        pytest.param(scheme_from_doc, SCHEME, id="scheme"),
+        pytest.param(channel_scheme_from_doc, channel_scheme_doc(), id="channel-scheme"),
+        pytest.param(bunion_from_doc, FLAGSHIP, id="b-union"),
+    ],
+)
+def test_every_single_mutation_reads_or_raises_validation_error(reader, doc):
+    reader(doc)
+    refused = 0
+    for mutant in mutations(doc):
+        try:
+            reader(mutant)
+        except ValidationError:
+            refused += 1
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__}: {exc} on {mutant!r}")
+    assert refused

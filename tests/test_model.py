@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -11,10 +12,12 @@ from mcpersuasion.errors import (
     PriorNotNormalized,
     ValidationError,
 )
+from mcpersuasion.io import render_document
 from mcpersuasion.model import (
     AdditiveUtility,
     CommunicationStructure,
     ConstantUtility,
+    PersuasionInstance,
     LinearUtility,
     PiecewiseUtility,
     PointUtility,
@@ -137,10 +140,9 @@ def test_piecewise_utility_upper_semicontinuous():
         )
 
 
-def test_linear_utility_and_lipschitz_constant():
+def test_linear_utility_value_at():
     u = LinearUtility(coeffs=(Fraction(0), Fraction(2)), offset=Fraction(1, 2))
     assert u.value_at((Fraction(1, 4), Fraction(3, 4)), TWO) == Fraction(2)
-    assert u.lipschitz_constant() == 2
 
 
 def test_table_utility_grid_mismatch():
@@ -182,6 +184,45 @@ def test_validate_instance_round_trip():
     assert inst.prior.values == (Fraction(7, 10), Fraction(3, 10))
     doc = instance_to_doc(inst)
     assert validate_instance(doc) == inst
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize(
+    "utility",
+    [
+        PointUtility(point=(F(1, 4), F(3, 4)), value=F(5), otherwise=F(-1, 2)),
+        PiecewiseUtility(state="1", breakpoints=(F(1, 3), F(2, 3)), values=(F(0), F(2), F(1))),
+        LinearUtility(coeffs=(F(-1), F(3, 2)), offset=F(1, 5)),
+        TableUtility((((F(1), F(0)), F(4)), ((F(0), F(1)), F(-2)))),
+        ThresholdUtility(state="0", cutoff=F(2, 5), high=F(3), low=F(-1), strict=True),
+    ],
+    ids=lambda u: u.kind,
+)
+def test_every_receiver_utility_kind_round_trips_through_a_document(utility):
+    inst = PersuasionInstance(
+        space=TWO,
+        prior=Prior(TWO, (F(7, 10), F(3, 10))),
+        structure=CommunicationStructure(((1, 0), (0, 1))),
+        utilities=AdditiveUtility((utility, ConstantUtility(F(1)))),
+    )
+    doc = json.loads(render_document(instance_to_doc(inst)))
+    assert validate_instance(doc) == inst
+
+
+@pytest.mark.parametrize(
+    "entry, utility",
+    [
+        ({"kind": "threshold", "state": "1", "cutoff": "1/2"}, ThresholdUtility("1", F(1, 2))),
+        ({"kind": "point", "point": ["1", "0"], "value": "2"}, PointUtility((F(1), F(0)), F(2))),
+        ({"kind": "linear", "coeffs": ["1", "0"]}, LinearUtility((F(1), F(0)))),
+    ],
+    ids=["threshold", "point", "linear"],
+)
+def test_omitted_optional_fields_read_as_the_defaults(entry, utility):
+    raw = dict(_raw_instance(), utilities=[entry, {"kind": "constant", "value": "1"}])
+    assert validate_instance(raw).utilities.receivers[0] == utility
 
 
 def test_validate_instance_supermajority():

@@ -224,6 +224,15 @@ def test_emulate_respects_explicit_modulus():
         emulate_private_subset(_identity(1), [0], table, q=2)
 
 
+@pytest.mark.parametrize("q", [0, 1, -3])
+def test_a_modulus_below_two_is_refused_not_replaced_by_the_default(q):
+    table = _reveal_to_first(2)
+    with pytest.raises(AlphabetTooSmall):
+        emulate_private_subset(_identity(2), [0], table, q=q)
+    with pytest.raises(AlphabetTooSmall):
+        transport_scheme(_identity(2), _identity(2), table, q=q)
+
+
 def test_shield_skips_channels_guarded_by_dominated_receivers():
     nested = CommunicationStructure(((1, 1), (0, 1)))
     table = SignalingTable(
