@@ -43,9 +43,9 @@ from .io import (
     channel_scheme_to_doc,
     graph_from_doc,
     load_document,
-    render_document,
     scheme_from_doc,
     scheme_to_doc,
+    stream_document,
     structure_from_doc,
     structure_to_doc,
     table_from_doc,
@@ -449,7 +449,7 @@ def main(argv=None) -> int:
     except PreconditionError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    sys.stdout.write(render_document(doc))
+    stream_document(doc, sys.stdout.write)
     return code
 
 

@@ -5,7 +5,8 @@ string.  Writers are deterministic (sorted keys, fixed indentation) so
 rerunning a command on the same input reproduces the same bytes, and
 all writes go through a temp-file-then-rename so a crash never leaves a
 half-written document behind.  Documents are rendered by io's own
-renderer, byte-equal to sorted-key, indent-2 json.dumps.
+renderer, byte-equal to sorted-key, indent-2 json.dumps, and streamed to
+their file or to stdout in bounded chunks instead of as one string.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .forest import GridSolution, SignalingTable
 from .hardness import BUnionInstance
 from .model import (
     CommunicationStructure,
-    StateSpace,
     _array,
     _field,
     _integer,
     _object,
+    _states_field,
     _structure_field,
     format_posterior,
     format_rational,
@@ -69,61 +70,50 @@ def load_document(path) -> dict:
 
 def render_document(doc: Mapping) -> str:
     """The bytes json.dumps(doc, indent=2, sort_keys=True,
-    ensure_ascii=False) gives, plus a final newline.
+    ensure_ascii=False) gives, plus a final newline: the chunks of
+    stream_document joined once."""
+    chunks: list[str] = []
+    stream_document(doc, chunks.append)
+    return "".join(chunks)
+
+
+#: Pieces the renderer holds before it joins them and hands the chunk to
+#: its sink; a bound on what a write keeps beside the document itself.
+_CHUNK = 1024
+
+_INT_ONLY, _STR_ONLY, _LIST_ONLY = frozenset({int}), frozenset({str}), frozenset({list})
+
+
+def stream_document(doc: Mapping, sink) -> None:
+    """Hand the rendering of doc, in order, to sink (a str -> None
+    callable) as chunks joined from at most about _CHUNK pieces.
 
     json.dumps with an indent runs CPython's pure-Python encoder; this
-    renderer appends pieces to one list and joins them once, and renders
-    a list of plain ints or of strs with a single join.  Values with no
-    JSON form raise TypeError, and so do keys that are not str: no
-    document has them, so they are not stringified after sorting as
-    json.dumps would.  NaN and infinities raise ValueError, as under
-    json.dumps(allow_nan=False), instead of leaving non-JSON tokens.
+    renderer dispatches on the exact type of each value, writes strings
+    with the C encode_basestring, and renders a list of plain ints, of
+    strs or of int-only lists with joins.  Values with no JSON form raise
+    TypeError, and so do keys that are not str: no document has them, so
+    they are not stringified after sorting as json.dumps would.  NaN and
+    infinities raise ValueError, as under json.dumps(allow_nan=False),
+    instead of leaving non-JSON tokens.  A refusal can come after earlier
+    chunks have reached the sink.
     """
-    pieces: list[str] = []
-    _render(doc, "\n", pieces)
-    pieces.append("\n")
-    return "".join(pieces)
+    out: list[str] = []
+    _render(doc, "\n", out, sink)
+    out.append("\n")
+    sink("".join(out))
 
 
-_INT_ONLY, _STR_ONLY = frozenset({int}), frozenset({str})
-
-
-def _render(value, newline: str, out: list[str]) -> None:
-    """Append value's rendering to out; newline is a line break plus the
-    indent of the line value starts on."""
-    if isinstance(value, str):
+def _render(value, newline: str, out: list[str], sink) -> None:
+    """Append value's rendering to out, handing out to sink joined and
+    emptied whenever it passes _CHUNK pieces between two items; newline
+    is a line break plus the indent of the line value starts on."""
+    kind = type(value)
+    if kind is str:
         out.append(encode_basestring(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
+    elif kind is int:
         out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"float {value!r} has no JSON form")
-        out.append(float.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        comma = "," + inner
-        kinds = set(map(type, value))
-        if kinds == _INT_ONLY:
-            out += ("[", inner, comma.join(map(int.__repr__, value)), newline, "]")
-        elif kinds == _STR_ONLY:
-            out += ("[", inner, comma.join(map(encode_basestring, value)), newline, "]")
-        else:
-            out += ("[", inner)
-            for i, item in enumerate(value):
-                if i:
-                    out.append(comma)
-                _render(item, inner, out)
-            out += (newline, "]")
-    elif isinstance(value, dict):
+    elif kind is dict or isinstance(value, dict):
         if not value:
             out.append("{}")
             return
@@ -136,21 +126,74 @@ def _render(value, newline: str, out: list[str]) -> None:
             if i:
                 out.append(comma)
             out += (encode_basestring(key), ": ")
-            _render(value[key], inner, out)
+            item = value[key]
+            item_kind = type(item)
+            if item_kind is str:
+                out.append(encode_basestring(item))
+            elif item_kind is int:
+                out.append(int.__repr__(item))
+            else:
+                _render(item, inner, out, sink)
+            if len(out) > _CHUNK:
+                sink("".join(out))
+                out.clear()
         out += (newline, "}")
+    elif kind is list or isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        kinds = set(map(type, value))
+        if kinds == _INT_ONLY:
+            out += ("[", inner, comma.join(map(int.__repr__, value)), newline, "]")
+        elif kinds == _STR_ONLY:
+            out += ("[", inner, comma.join(map(encode_basestring, value)), newline, "]")
+        elif kinds == _LIST_ONLY and all(set(map(type, row)) <= _INT_ONLY for row in value):
+            indent = inner + "  "
+            join = "," + indent
+            rows = (
+                f"[{indent}{join.join(map(int.__repr__, row))}{inner}]" if row else "[]"
+                for row in value
+            )
+            out += ("[", inner, comma.join(rows), newline, "]")
+        else:
+            out += ("[", inner)
+            for i, item in enumerate(value):
+                if i:
+                    out.append(comma)
+                _render(item, inner, out, sink)
+                if len(out) > _CHUNK:
+                    sink("".join(out))
+                    out.clear()
+            out += (newline, "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"float {value!r} has no JSON form")
+        out.append(float.__repr__(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_document(path, doc: Mapping) -> None:
-    """Atomic write: render to a sibling temp file, then rename over."""
+    """Atomic write: stream the rendering into a sibling temp file, then
+    rename over; a refusal mid-render leaves path as it was."""
     directory = os.path.dirname(os.path.abspath(path))
-    text = render_document(doc)
     try:
         fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                stream_document(doc, handle.write)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -207,13 +250,13 @@ def table_to_doc(table: SignalingTable) -> dict:
 
 
 def table_from_doc(doc: Mapping) -> SignalingTable:
-    space = StateSpace(tuple(str(s) for s in _field(doc, "states", "table", _array)))
+    space = _states_field(doc, "table")
     profiles = tuple(
         tuple(parse_posterior(label) for label in _array(profile, "table profile"))
         for profile in _field(doc, "profiles", "table", _array)
     )
     rows = {
-        str(state): tuple(parse_rational(v) for v in _array(vec, f"table row {state!r}"))
+        state: tuple(parse_rational(v) for v in _array(vec, f"table row {state!r}"))
         for state, vec in _field(doc, "rows", "table", _object).items()
     }
     return SignalingTable(space=space, profiles=profiles, rows=rows)

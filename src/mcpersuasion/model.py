@@ -30,9 +30,10 @@ from .errors import (
 #: A posterior over the state space, ordered like StateSpace.states.
 Posterior = tuple[Fraction, ...]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[1-9][0-9]*)?$")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _BITS = frozenset((0, 1))
+_INT_ONLY = frozenset((int,))
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +55,13 @@ def _array(value, what: str) -> list:
     return value
 
 
+def _string(value, what: str) -> str:
+    """value itself if it is a JSON string."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _integer(value, what: str) -> int:
     """A JSON integer, or one written in decimal digits as a string (object
     keys are strings); floats and booleans are refused."""
@@ -66,11 +74,17 @@ def _integer(value, what: str) -> int:
 
 def _field(doc, key: str, what: str, read=None):
     """doc[key] of the JSON object doc, passed through read (_object,
-    _array or _integer) when one is given."""
+    _array, _string or _integer) when one is given."""
     if not isinstance(doc, dict) or key not in doc:
         _object(doc, what)  # refuses a non-object first
         raise ValidationError(f"{what} is missing field {key!r}")
     return doc[key] if read is None else read(doc[key], f"{what} field {key!r}")
+
+
+def _states_field(doc, what: str) -> StateSpace:
+    """doc's "states": an array of distinct state names."""
+    entry_what = f"an entry of {what} field 'states'"
+    return StateSpace(tuple(_string(s, entry_what) for s in _field(doc, "states", what, _array)))
 
 
 def _structure_field(doc, what: str) -> CommunicationStructure:
@@ -198,7 +212,7 @@ class CommunicationStructure:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.matrix)
+        rows = tuple(map(tuple, self.matrix))
         object.__setattr__(self, "matrix", rows)
         if len(rows) == 0:
             raise MatrixShapeMismatch("structure has no receivers")
@@ -208,9 +222,10 @@ class CommunicationStructure:
         for row in rows:
             if len(row) != n:
                 raise MatrixShapeMismatch("ragged structure matrix")
-            if not _BITS.issuperset(row):
-                x = next(x for x in row if x not in _BITS)
-                raise MatrixShapeMismatch(f"matrix entry {x} is not 0/1")
+            # 0/1 and exactly int: True and 1.0 equal 1 but are refused
+            if not (_BITS.issuperset(row) and _INT_ONLY.issuperset(map(type, row))):
+                x = next(x for x in row if type(x) is not int or x not in _BITS)
+                raise MatrixShapeMismatch(f"matrix entry {x!r} is not an integer 0/1")
 
     @property
     def k(self) -> int:
@@ -609,7 +624,7 @@ def _parse_receiver_utility(doc, space: StateSpace) -> ReceiverUtility:
     if kind == "constant":
         return ConstantUtility(parse_rational(_field(doc, "value", what)))
     if kind in ("threshold", "piecewise"):
-        state = str(_field(doc, "state", what))
+        state = _field(doc, "state", what, _string)
         space.index(state)
     if kind == "threshold":
         strict = doc.get("strict", False)
@@ -659,8 +674,8 @@ def _parse_utilities(doc, space: StateSpace, k: int):
         for g in _field(doc, "groups", "supermajority utilities", _array):
             cond = _field(g, "condition", "group")
             rule = MemberRule(
-                op=str(_field(cond, "op", "group condition")),
-                state=str(_field(cond, "state", "group condition")),
+                op=_field(cond, "op", "group condition", _string),
+                state=_field(cond, "state", "group condition", _string),
                 cutoff=parse_rational(_field(cond, "cutoff", "group condition")),
             )
             space.index(rule.state)
@@ -687,7 +702,7 @@ def _parse_utilities(doc, space: StateSpace, k: int):
 
 def validate_instance(raw) -> PersuasionInstance:
     """Parse and validate a raw instance description (decoded JSON)."""
-    space = StateSpace(tuple(str(s) for s in _field(raw, "states", "instance", _array)))
+    space = _states_field(raw, "instance")
     prior = Prior(space, tuple(map(parse_rational, _field(raw, "prior", "instance", _array))))
     structure = _structure_field(raw, "instance")
     utilities = _parse_utilities(_field(raw, "utilities", "instance"), space, structure.k)

@@ -529,6 +529,16 @@ GROUP = {"members": [1], "weight": "1", "threshold": 1}
             "solve", dict(SINGLE, utilities=[dict(THRESHOLD, strict="no")]), id="strict-no"
         ),
         pytest.param("bunion", dict(FLAGSHIP, b=1.9), id="b-float"),
+        pytest.param(
+            "solve",
+            dict(SINGLE, states=[None, True], utilities=[{"kind": "constant", "value": "1"}]),
+            id="states-null-true",
+        ),
+        pytest.param(
+            "solve",
+            dict(SINGLE, states=["low", "5"], utilities=[dict(THRESHOLD, state=5)]),
+            id="utility-state-int",
+        ),
         pytest.param("solve", [SINGLE], id="solve-top-level-array"),
         pytest.param("analyze", "structure", id="analyze-top-level-string"),
     ],

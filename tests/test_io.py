@@ -1,11 +1,13 @@
 """render_document against json.dumps, the renderer it replaced: the same
 text for every document the command line writes and for seeded random
 documents, and the same refusals for values with no JSON form.  Then the
-readers against every single mutation of a valid document."""
+streamed write, and the readers against every single mutation of a valid
+document."""
 
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from mcpersuasion.io import (
     graph_from_doc,
     render_document,
     scheme_from_doc,
+    stream_document,
     structure_from_doc,
     table_from_doc,
     table_to_doc,
@@ -229,6 +232,77 @@ def test_every_special_value_at_every_depth():
     assert_renders_like_json({"": [True, 1, False, 0], "ints": (1, 2), "tuple": ((),)})
 
 
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+class Row(list):
+    pass
+
+
+class Record(dict):
+    pass
+
+
+def test_subclasses_render_like_their_base_type():
+    doc = {
+        "str": Text("é"),
+        "int": Count(7),
+        "float": Ratio(0.5),
+        "list": Row([1, Count(2), Text("x")]),
+        "ints": Row([1, 2]),
+        "dict": Record(b=Record(a=[Row([1])]), a=1),
+        "rows": [Row([1]), [2]],
+        Text("key"): [Count(1)],
+    }
+    assert_renders_like_json(doc)
+    assert_renders_like_json(Record(doc))
+
+
+def test_lists_of_int_lists_render_like_json():
+    """The inline path for lists of int-only lists, and the near misses
+    that must take the general path: bools, floats, tuples, deeper lists."""
+    cases = [
+        [[]],
+        [[], [0]],
+        [[1, 2], [3], [-(10**40)]],
+        [[True, 1]],
+        [[1], [0.5]],
+        [[1], (2,)],
+        [(1,), (2,)],
+        [[1], "x"],
+        [[[1]], [2]],
+    ]
+    rng = random.Random(7)
+    for _ in range(200):
+        lengths = [rng.randrange(4) for _ in range(rng.randrange(1, 5))]
+        cases.append([[rng.randrange(-3, 4) for _ in range(n)] for n in lengths])
+    for rows in cases:
+        assert_renders_like_json({"rows": rows, "nested": [rows, {"r": rows}, [rows]]})
+
+
+@pytest.mark.parametrize("chunk", [0, 1, 5])
+def test_small_chunks_join_to_the_same_text(monkeypatch, chunk):
+    monkeypatch.setattr(mc_io, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    counts = []
+    for _ in range(200):
+        doc = random_document(rng)
+        chunks = []
+        stream_document(doc, chunks.append)
+        assert "".join(chunks) == reference(doc)
+        counts.append(len(chunks))
+    assert max(counts) > 10
+
+
 # ---------------------------------------------------------------------------
 # Refusals
 
@@ -257,6 +331,56 @@ def test_keys_that_are_not_str_raise_type_error(key):
 def test_non_finite_floats_raise_value_error(value):
     with pytest.raises(ValueError):
         render_document({"v": [value]})
+
+
+# ---------------------------------------------------------------------------
+# The streamed write
+
+
+@pytest.mark.parametrize(
+    "value, refusal", [(Fraction(1, 3), TypeError), (math.nan, ValueError)], ids=["fraction", "nan"]
+)
+def test_refusal_mid_render_leaves_the_target_and_no_temp_file(tmp_path, value, refusal):
+    target = tmp_path / "doc.json"
+    write_document(target, {"old": [1, 2]})
+    before = target.read_bytes()
+    # "a" sorts first: its chunks reach the sink before "z" is refused
+    doc = {"a": [{"i": i} for i in range(5 * mc_io._CHUNK)], "z": [value]}
+    chunks = []
+    with pytest.raises(refusal):
+        stream_document(doc, chunks.append)
+    assert chunks
+    with pytest.raises(refusal):
+        write_document(target, doc)
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_write_holds_a_tenth_of_the_text_beside_the_document(tmp_path):
+    """Writing never holds the whole text, its pieces or its encoding."""
+    listing = [
+        {
+            "branch": i % 3 + 1,
+            "channels": [[i % 3, (i + 1) % 3], [i % 2]] * 3,
+            "keys": [i % 3, i % 5, i % 7],
+            "label": f"{i}/" + "é" * 300,
+        }
+        for i in range(1200)
+    ]
+    doc = {"executions": {"high": listing, "low": listing}}
+    path = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_document(path, doc)
+        extra = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 2_000_000
+    assert extra < size / 10
+    assert path.read_text(encoding="utf-8") == render_document(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +458,30 @@ def channel_scheme_doc():
     doc = channel_scheme_to_doc(emulate_private_subset(structure, [0], table_from_doc(REVEAL3), 3))
     del doc["executions"]
     return doc
+
+
+def names_that_are_not_strings():
+    """An instance or table whose state names, or a state or op a utility
+    names, hold a JSON value that is not a string but whose str() would
+    be a valid name."""
+    states = dict(SINGLE, states=[None, True], utilities=[{"kind": "constant", "value": "1"}])
+    yield validate_instance, states
+    threshold = SINGLE["utilities"][0]
+    yield validate_instance, dict(SINGLE, states=["low", "5"], utilities=[dict(threshold, state=5)])
+    group = SUPERMAJORITY["utilities"]["groups"][0]
+    for condition in (
+        dict(group["condition"], state=1),
+        dict(group["condition"], op=["ge"]),
+    ):
+        utilities = {"kind": "supermajority", "groups": [dict(group, condition=condition)]}
+        yield validate_instance, dict(SUPERMAJORITY, states=["low", "1"], utilities=utilities)
+    yield table_from_doc, dict(REVEAL3, states=[0, 1], rows={"0": ["0", "1"], "1": ["1", "0"]})
+
+
+@pytest.mark.parametrize("reader, doc", names_that_are_not_strings())
+def test_names_that_are_not_strings_raise_validation_error(reader, doc):
+    with pytest.raises(ValidationError, match="must be a string"):
+        reader(doc)
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,14 @@ def test_parse_rational_rejects(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("bad", ["\u0663/4", "3/1\u0664", "\uff11/2", "-\u09e7"], ids=ascii)
+def test_parse_rational_rejects_digits_that_are_not_ascii(bad):
+    # Fraction itself reads any Unicode decimal digit
+    assert Fraction(bad) is not None
+    with pytest.raises(ValidationError):
+        parse_rational(bad)
+
+
 def test_format_rational_is_reduced():
     assert format_rational(Fraction(4, 8)) == "1/2"
     assert format_rational(Fraction(6, 3)) == "2"
@@ -87,6 +95,16 @@ def test_structure_basics():
         CommunicationStructure(((1, 0), (1,)))
     with pytest.raises(MatrixShapeMismatch):
         CommunicationStructure(((2, 0),))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [((0.5, True),), ((True,),), ((1, False),), ((1.0, 0),), (("1",),), ((1, None),)],
+    ids=repr,
+)
+def test_structure_refuses_entries_that_are_not_int(matrix):
+    with pytest.raises(MatrixShapeMismatch):
+        CommunicationStructure(matrix)
 
 
 def test_merge_duplicate_receivers():
