@@ -96,10 +96,10 @@ def is_bayes_plausible(dist: BeliefDistribution, prior: Prior) -> bool:
 
 @dataclass(frozen=True)
 class Coupling:
-    """Witness that source spreads target: a joint flow whose rows have
-    the source masses, whose columns have the target masses, and whose
-    flow-weighted barycenter over each target column equals that target
-    point."""
+    """Witness that source spreads target: a joint flow on their supports
+    whose rows have the source masses, whose columns have the target
+    masses, and whose flow-weighted barycenter over each target column
+    equals that target point."""
 
     source: BeliefDistribution
     target: BeliefDistribution
@@ -108,13 +108,17 @@ class Coupling:
     def __post_init__(self):
         if self.source.dim != self.target.dim:
             raise StateSpaceMismatch("coupling endpoints of mixed dimension")
+        rows, cols = set(self.source.points), set(self.target.points)
         clean = {}
         for (l, r), f in self.flow.items():
             f = Fraction(f)
             if f < 0:
                 raise ValidationError(f"negative flow at ({l}, {r})")
             if f:
-                clean[(tuple(l), tuple(r))] = f
+                l, r = tuple(l), tuple(r)
+                if l not in rows or r not in cols:
+                    raise ValidationError(f"flow at ({l}, {r}) lies off the supports")
+                clean[(l, r)] = f
         object.__setattr__(self, "flow", clean)
         for l, mass in zip(self.source.points, self.source.masses):
             row = sum(

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import ge
-from typing import Callable, Hashable, Iterable, Mapping
+from math import gcd, lcm
+from operator import ge, getitem, itemgetter
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from . import lp
 from .beliefs import BeliefDistribution, Coupling, is_bayes_plausible
@@ -207,15 +207,16 @@ class GridSolution:
         for i, dist in enumerate(self.marginals):
             if not is_bayes_plausible(dist, instance.prior):
                 raise InvariantViolation(f"marginal of receiver {i + 1} is not Bayes-plausible")
+        _, edges = _forest_edges(instance)
+        for i1, i2 in sorted(set(edges).symmetric_difference(self.couplings)):
+            if (i1, i2) in edges:
+                raise InvariantViolation(f"no coupling for covering edge ({i1 + 1},{i2 + 1})")
+            raise InvariantViolation(f"coupling ({i1 + 1},{i2 + 1}) is not on a covering edge")
         for (i1, i2), coupling in self.couplings.items():
-            if coupling.source != self.marginals[i1]:
-                raise InvariantViolation(
-                    f"coupling ({i1 + 1},{i2 + 1}) spread side is not receiver {i1 + 1}'s marginal"
-                )
-            if coupling.target != self.marginals[i2]:
-                raise InvariantViolation(
-                    f"coupling ({i1 + 1},{i2 + 1}) coarse side is not receiver {i2 + 1}'s marginal"
-                )
+            for side, dist, i in (("spread", coupling.source, i1), ("coarse", coupling.target, i2)):
+                if dist != self.marginals[i]:
+                    side = f"coupling ({i1 + 1},{i2 + 1}) {side} side"
+                    raise InvariantViolation(f"{side} is not receiver {i + 1}'s marginal")
         if isinstance(instance.utilities, AdditiveUtility):
             total = Fraction(0)
             for dist, u in zip(self.marginals, instance.utilities.receivers):
@@ -413,53 +414,59 @@ class SignalingTable:
     ) -> "SignalingTable":
         """Canonicalize an arbitrary-signal table: each receiver's signal
         is renamed to the posterior it induces, equal-label profiles are
-        merged."""
-        space = prior.space
+        merged.  Works in integers over the joint law's common
+        denominator; equal posteriors are one label object."""
+        space, size = prior.space, prior.space.size
         if set(per_state) != set(space.states):
             raise ValidationError("signal table does not cover the state space")
-        k = None
-        for state, dist in per_state.items():
-            for prof in dist:
-                if k is None:
-                    k = len(prof)
-                elif len(prof) != k:
-                    raise ValidationError("signal profiles of unequal receiver count")
-        if k is None:
+        lengths = {len(prof) for dist in per_state.values() for prof in dist}
+        if len(lengths) > 1:
+            raise ValidationError("signal profiles of unequal receiver count")
+        if not lengths:
             raise ValidationError("signal table is empty")
-        # joint mass of (state, raw profile), then per-receiver posteriors
-        posteriors: list[dict] = []
-        for i in range(k):
+        # (state index, raw profile, joint mass as numerator and denominator)
+        joint = [
+            (b, prof, q.numerator * p.numerator, q.denominator * p.denominator)
+            for b, (q, state) in enumerate(zip(prior.values, space.states))
+            for prof, p in per_state[state].items()
+            if p
+        ]
+        scale = lcm(*(d for _, _, _, d in joint))
+        joint = [(b, prof, n * (scale // d)) for b, prof, n, d in joint]
+        # each receiver's signals, numbered by the primitive integer
+        # direction, of positive sum, of the posterior they induce
+        number: dict[tuple[int, ...], int] = {}
+        codes = []
+        for i in range(lengths.pop()):
             acc: dict = {}
-            for b, state in enumerate(space.states):
-                for prof, p in per_state[state].items():
-                    if p:
-                        sig = prof[i]
-                        vec = acc.setdefault(sig, [Fraction(0)] * space.size)
-                        vec[b] += prior[b] * p
-            posteriors.append(
-                {
-                    sig: tuple(v / sum(vec) for v in vec)
-                    for sig, vec in acc.items()
-                }
-            )
-        merged: dict[str, dict[tuple, Fraction]] = {s: {} for s in space.states}
-        labels = set()
-        for state in space.states:
-            for prof, p in per_state[state].items():
-                if not p:
-                    continue
-                labeled = tuple(posteriors[i][prof[i]] for i in range(k))
-                labels.add(labeled)
-                merged[state][labeled] = merged[state].get(labeled, Fraction(0)) + p
-        profiles = tuple(sorted(labels))
-        index = {prof: idx for idx, prof in enumerate(profiles)}
-        rows = {}
-        for state in space.states:
-            vec = [Fraction(0)] * len(profiles)
-            for prof, p in merged[state].items():
-                vec[index[prof]] = p
-            rows[state] = tuple(vec)
-        return cls(space=space, profiles=profiles, rows=rows)
+            for b, prof, m in joint:
+                acc.setdefault(prof[i], [0] * size)[b] += m
+            code = {}
+            for sig, vec in acc.items():
+                g = gcd(*vec) if sum(vec) > 0 else -gcd(*vec)
+                code[sig] = number.setdefault(tuple(v // g for v in vec), len(number))
+            codes.append(code)
+        labels = [tuple(Fraction(v, t) for v in key) for key, t in zip(number, map(sum, number))]
+        merged: dict[tuple[int, ...], list[int]] = {}
+        for b, prof, m in joint:
+            merged.setdefault(tuple(map(getitem, codes, prof)), [0] * size)[b] += m
+        # state b sends a joint mass m / scale with probability m / (scale * prior[b])
+        given = [(q.denominator, scale * q.numerator) for q in prior.values]
+        rows = [
+            (tuple(labels[c] for c in key), [Fraction(m * d, n) for m, (d, n) in zip(vec, given)])
+            for key, vec in merged.items()
+        ]
+        return _table(space, rows)
+
+
+def _table(
+    space: StateSpace, mass: Iterable[tuple[tuple[Posterior, ...], Sequence[Fraction]]]
+) -> SignalingTable:
+    """The table that sends profile p in the b-th state with probability
+    vec[b], for each (p, vec) in mass; the profiles, distinct, are sorted."""
+    items = sorted(mass, key=itemgetter(0))
+    rows = dict(zip(space.states, zip(*(vec for _, vec in items))))
+    return SignalingTable(space=space, profiles=tuple(p for p, _ in items), rows=rows)
 
 
 def extract_table(
@@ -467,12 +474,12 @@ def extract_table(
 ) -> SignalingTable:
     """Turn a grid solution into an explicit per-state table.
 
-    Within each tree, labels are drawn top-down: the root from its
-    marginal, each child from its parent's coupling column.  Distinct
-    trees are independent given the state.  Conditioning on the state
-    reweights a profile by prod_roots label_root(state)/prior(state),
-    which is exactly Bayes' rule because only root labels carry direct
-    state information.
+    Labels are drawn top-down in one walk: each root from its marginal,
+    independently of the other roots, and each child from its parent's
+    coupling column, so distinct trees are independent given the state.
+    Conditioning on the state reweights a profile by
+    prod_roots label_root(state)/prior(state), which is exactly Bayes'
+    rule because only root labels carry direct state information.
     """
     solution.validate(instance)
     return _extract_validated(solution, instance)
@@ -481,69 +488,36 @@ def extract_table(
 def _extract_validated(
     solution: GridSolution, instance: PersuasionInstance
 ) -> SignalingTable:
-    graph, edges = _forest_edges(instance)
-    parent = graph.parent
-    order = graph.top_down()
-
-    # profile assignments per tree, as {receiver: label} with joint mass
-    trees: dict[int, list[tuple[dict[int, Posterior], Fraction]]] = {}
-    root_of: dict[int, int] = {}
-    for v in order:
-        if parent[v] is None:
-            root_of[v] = v
-            trees[v] = [
-                ({v: point}, mass)
-                for point, mass in zip(
-                    solution.marginals[v].points, solution.marginals[v].masses
-                )
-            ]
-        else:
-            p = parent[v]
-            root_of[v] = root_of[p]
-            coupling = solution.couplings[(p, v)]
-            parent_mass = {
-                point: mass
-                for point, mass in zip(
-                    solution.marginals[p].points, solution.marginals[p].masses
-                )
-            }
-            extended = []
-            for labels, mass in trees[root_of[v]]:
-                lp_point = labels[p]
-                for (l, r), f in coupling.flow.items():
-                    if l == lp_point:
-                        extended.append(({**labels, v: r}, mass * f / parent_mass[l]))
-            trees[root_of[v]] = extended
-
-    roots = sorted(trees)
-    combined: list[tuple[dict[int, Posterior], Fraction]] = [({}, Fraction(1))]
-    for root in roots:
-        combined = [
-            ({**labels, **tree_labels}, mass * tree_mass)
-            for labels, mass in combined
-            for tree_labels, tree_mass in trees[root]
-        ]
-
-    profile_mass: dict[tuple[Posterior, ...], Fraction] = {}
-    for labels, mass in combined:
-        profile = tuple(labels[i] for i in range(instance.k))
-        profile_mass[profile] = profile_mass.get(profile, Fraction(0)) + mass
-
-    profiles = tuple(sorted(profile_mass))
-    rows = {}
-    for b, state in enumerate(instance.space.states):
-        vec = []
-        for profile in profiles:
-            scale = Fraction(1)
-            for root in roots:
-                scale *= profile[root][b] / instance.prior[b]
-            vec.append(profile_mass[profile] * scale)
-        if sum(vec) != 1:
-            raise InvariantViolation(
-                f"extracted row for state {state!r} sums to {sum(vec)}"
-            )
-        rows[state] = tuple(vec)
-    table = SignalingTable(space=instance.space, profiles=profiles, rows=rows)
+    graph, _ = _forest_edges(instance)
+    parent, roots, marginals = graph.parent, graph.roots(), solution.marginals
+    prior = instance.prior.values
+    # a label is an index into its receiver's marginal; a path holds the labels
+    # drawn so far in walk order, after a label 0 that every root is drawn given
+    at, paths = {None: 0}, [((0,), Fraction(1))]
+    for v in graph.top_down():
+        p, dist = parent[v], marginals[v]
+        law = [list(enumerate(dist.masses))]
+        if p is not None:
+            # the law of v's label given its parent's, from their coupling
+            source = marginals[p]
+            row, col = ({w: a for a, w in enumerate(d.points)} for d in (source, dist))
+            law = [[] for _ in source.points]
+            for (l, r), f in solution.couplings[(p, v)].flow.items():
+                a = row[l]
+                law[a].append((col[r], f / source.masses[a]))
+        n, at[v] = at[p], len(at)
+        paths = [(labels + (c,), mass * m) for labels, mass in paths for c, m in law[labels[n]]]
+    # distinct paths draw distinct profiles, so none need merging
+    rows = []
+    for labels, mass in paths:
+        vec = [mass] * len(prior)
+        for v in roots:
+            vec = [x * w / q for x, w, q in zip(vec, marginals[v].points[labels[at[v]]], prior)]
+        rows.append((tuple(marginals[i].points[labels[at[i]]] for i in range(instance.k)), vec))
+    for state, total in zip(instance.space.states, map(sum, zip(*(vec for _, vec in rows)))):
+        if total != 1:
+            raise InvariantViolation(f"extracted row for state {state!r} sums to {total}")
+    table = _table(instance.space, rows)
     table.validate(instance.prior)
     return table
 

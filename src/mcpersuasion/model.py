@@ -30,7 +30,7 @@ from .errors import (
 #: A posterior over the state space, ordered like StateSpace.states.
 Posterior = tuple[Fraction, ...]
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[1-9][0-9]*)?$")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _BITS = frozenset((0, 1))
 _INT_ONLY = frozenset((int,))
@@ -99,16 +99,19 @@ def _structure_field(doc, what: str) -> CommunicationStructure:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse a "num/den" (or plain integer) string into a Fraction.
+    """Parse a "num/den" (or plain integer) string, with nothing around
+    it, into a Fraction.
 
     Floats and decimal notation are rejected on purpose: every number in
     an input file is meant to be exact.
     """
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    match = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValidationError(f"not a rational literal: {text!r}")
-    return Fraction(text.strip())
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(value: Fraction) -> str:
@@ -161,11 +164,14 @@ class StateSpace:
     states: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.states) == 0:
+        states = tuple(self.states)
+        if len(states) == 0:
             raise ValidationError("state space is empty")
-        if len(set(self.states)) != len(self.states):
+        if not all(isinstance(s, str) for s in states):
+            raise ValidationError(f"state names must be strings, got {states!r}")
+        if len(set(states)) != len(states):
             raise ValidationError("state names are not unique")
-        object.__setattr__(self, "states", tuple(str(s) for s in self.states))
+        object.__setattr__(self, "states", states)
 
     @property
     def size(self) -> int:

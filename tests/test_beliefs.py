@@ -212,3 +212,20 @@ def test_concavify_matches_brute_force_binary():
         num = rng.randint(1, 2 * d - 1)
         prior = Prior(TWO, (F(2 * d - num, 2 * d), F(num, 2 * d)))
         assert concavify_single(table, prior) == _concavify_oracle(table, prior)
+
+
+def test_coupling_refuses_flow_off_the_supports():
+    # rows, columns and barycenters all check out, but half the mass moves
+    # from a point outside the source's support to one outside the target's
+    spread = BeliefDistribution.from_pairs([(pt(1, 0), F(1, 2)), (pt(0, 1), F(1, 2))])
+    mid = pt("1/2", "1/2")
+    coarse = BeliefDistribution.point_mass(mid)
+    flow = {
+        (pt(1, 0), mid): F(1, 4),
+        (pt(1, 0), pt(1, 0)): F(1, 4),
+        (pt(0, 1), mid): F(1, 4),
+        (pt(0, 1), pt(1, 0)): F(1, 4),
+        (mid, mid): F(1, 2),
+    }
+    with pytest.raises(ValidationError, match="off the supports"):
+        Coupling(source=spread, target=coarse, flow=flow)

@@ -551,6 +551,14 @@ def test_malformed_document_exits_2_with_one_error_line(capsys, files, command, 
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("epsilon", [" 1/10", "1/10 ", "1/10\n"], ids=ascii)
+def test_padded_epsilon_exits_2_with_one_error_line(capsys, files, epsilon):
+    path = files("single.json", SINGLE)
+    code, out, err = run(capsys, "solve", path, "--epsilon", epsilon)
+    assert code == 2 and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bad_budget_is_usage(capsys, files):
     path = files("flagship.json", FLAGSHIP)
     code, _, err = run(capsys, "bunion", path, "--budget", "many")

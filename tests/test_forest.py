@@ -424,3 +424,219 @@ def test_grid_program_listing_is_pinned(make, denominator, digest):
     inst = make()
     glp = build_grid_lp(inst, PosteriorGrid(dim=inst.space.size, denominator=denominator))
     assert hashlib.md5(dump(glp.program).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Coupling keys, independent trees, and from_signals against a reference
+
+
+def _worked_chain_solution():
+    inst = make_instance(
+        [[1, 1], [0, 1]],
+        [LinearUtility(coeffs=(F(1), F(0))), LinearUtility(coeffs=(F(1), F(0)))],
+        prior=("1/2", "1/2"),
+    )
+    spread = BeliefDistribution.from_pairs([(pt(1, 0), F(1, 2)), (pt(0, 1), F(1, 2))])
+    coarse = BeliefDistribution.from_pairs(
+        [(pt("3/4", "1/4"), F(1, 2)), (pt("1/4", "3/4"), F(1, 2))]
+    )
+    return inst, spread, coarse, mps_coupling(spread, coarse)
+
+
+def test_solution_validate_needs_a_coupling_on_every_covering_edge():
+    inst, spread, coarse, _ = _worked_chain_solution()
+    bare = GridSolution(step=F(1, 4), marginals=(spread, coarse), couplings={}, objective=F(1))
+    with pytest.raises(InvariantViolation, match=r"no coupling for covering edge \(1,2\)"):
+        bare.validate(inst)
+    with pytest.raises(InvariantViolation, match=r"no coupling for covering edge \(1,2\)"):
+        extract_table(bare, inst)
+
+
+def test_solution_validate_refuses_a_coupling_off_the_covering_edges():
+    inst, spread, coarse, coupling = _worked_chain_solution()
+    # receivers 1 and 2 of a three-receiver chain: (1,3) is dominance but
+    # not a covering edge
+    chain3 = make_instance(
+        [[1, 1, 1], [0, 1, 1], [0, 0, 1]],
+        [LinearUtility(coeffs=(F(1), F(0)))] * 3,
+        prior=("1/2", "1/2"),
+    )
+    same = GridSolution(
+        step=F(1, 4),
+        marginals=(spread, coarse, coarse),
+        couplings={
+            (0, 1): coupling,
+            (1, 2): Coupling(
+                source=coarse,
+                target=coarse,
+                flow={(w, w): m for w, m in zip(coarse.points, coarse.masses)},
+            ),
+            (0, 2): coupling,
+        },
+        objective=F(3, 2),
+    )
+    with pytest.raises(InvariantViolation, match=r"coupling \(1,3\) is not on a covering edge"):
+        same.validate(chain3)
+    with pytest.raises(InvariantViolation, match=r"coupling \(1,3\) is not on a covering edge"):
+        extract_table(same, chain3)
+    stray = GridSolution(
+        step=F(1, 4),
+        marginals=(spread, coarse),
+        couplings={(0, 1): coupling, (1, 0): coupling},
+        objective=F(1),
+    )
+    with pytest.raises(InvariantViolation, match=r"coupling \(2,1\) is not on a covering edge"):
+        extract_table(stray, inst)
+
+
+def test_two_independent_chains_extract_to_a_product_table():
+    # receivers 1 > 2 and 3 > 4: two trees, each with its own coupling
+    inst = make_instance(
+        [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
+        CHAIN_UTILITIES + [ThresholdUtility(state="0", cutoff=F(4, 5)), CHAIN_UTILITIES[1]],
+    )
+    solution, table = solve_fptas(inst, F(1, 10))
+    assert set(solution.couplings) == {(0, 1), (2, 3)}
+    table.validate(inst.prior)
+    assert evaluate_table(table, inst) == solution.objective
+    for b, state in enumerate(inst.space.states):
+        row = dict(zip(table.profiles, table.rows[state]))
+        # each tree's conditional law given the state: the root's label
+        # l with the child's label r has probability flow(l, r) l[b] / prior[b]
+        laws = []
+        for root, child in ((0, 1), (2, 3)):
+            law = {
+                (l, r): f * l[b] / inst.prior[b]
+                for (l, r), f in solution.couplings[(root, child)].flow.items()
+            }
+            assert len(law) >= 2 and sum(law.values()) == 1
+            laws.append(law)
+        product = {
+            (l1, r1, l2, r2): p1 * p2
+            for (l1, r1), p1 in laws[0].items()
+            for (l2, r2), p2 in laws[1].items()
+            if p1 * p2
+        }
+        assert {p: q for p, q in row.items() if q} == product
+
+
+def _reference_from_signals(prior, per_state):
+    """from_signals as first written: each receiver's posterior for a
+    signal worked out per coordinate in Fractions, equal-label profiles
+    merged by value."""
+    space = prior.space
+    if set(per_state) != set(space.states):
+        raise ValidationError("signal table does not cover the state space")
+    lengths = [len(prof) for dist in per_state.values() for prof in dist]
+    if len(set(lengths)) > 1:
+        raise ValidationError("signal profiles of unequal receiver count")
+    if not lengths:
+        raise ValidationError("signal table is empty")
+    posteriors = []
+    for i in range(lengths[0]):
+        acc = {}
+        for b, state in enumerate(space.states):
+            for prof, p in per_state[state].items():
+                if p:
+                    acc.setdefault(prof[i], [F(0)] * space.size)[b] += prior[b] * p
+        posteriors.append({sig: tuple(v / sum(vec) for v in vec) for sig, vec in acc.items()})
+    merged = {}
+    for b, state in enumerate(space.states):
+        for prof, p in per_state[state].items():
+            if p:
+                labeled = tuple(posteriors[i][s] for i, s in enumerate(prof))
+                merged.setdefault(labeled, [F(0)] * space.size)[b] += p
+    profiles = tuple(sorted(merged))
+    rows = {state: tuple(merged[p][b] for p in profiles) for b, state in enumerate(space.states)}
+    return SignalingTable(space=space, profiles=profiles, rows=rows)
+
+
+def _outcome(build, prior, per_state):
+    try:
+        table = build(prior, per_state)
+    except Exception as exc:  # the differential test compares refusals too
+        return type(exc)
+    return table.profiles, table.rows
+
+
+def _random_signals(rng):
+    """A seeded signal table: k receivers with small alphabets, some
+    zero-probability entries, and sometimes a signal split in two in a
+    fixed ratio, so that distinct signals induce one posterior."""
+    k = rng.randint(1, 4)
+    states = ("0", "1", "2")[: rng.randint(2, 3)]
+    space = StateSpace(states)
+    weights = [rng.randint(1, 5) for _ in states]
+    prior = Prior(space, tuple(F(w, sum(weights)) for w in weights))
+    alphabets = [["a", "b", 7][: rng.randint(1, 3)] for _ in range(k)]
+    per_state = {}
+    for state in states:
+        profiles = {tuple(rng.choice(a) for a in alphabets) for _ in range(rng.randint(1, 4))}
+        masses = [rng.randint(0, 3) for _ in profiles]
+        if not any(masses):
+            masses[0] = 1
+        per_state[state] = {
+            prof: F(m, sum(masses)) for prof, m in zip(sorted(profiles, key=repr), masses)
+        }
+    if rng.random() < 0.5:
+        i, ratio = rng.randrange(k), F(rng.randint(1, 3), 4)
+        for state, dist in per_state.items():
+            split = {}
+            for prof, p in dist.items():
+                twin = prof[:i] + ((prof[i], "twin"),) + prof[i + 1 :]
+                split[prof], split[twin] = p * ratio, p * (1 - ratio)
+            per_state[state] = split
+    return prior, per_state
+
+
+def test_from_signals_matches_the_per_coordinate_reference():
+    rng = random.Random(1307)
+    shared = 0
+    for _ in range(300):
+        prior, per_state = _random_signals(rng)
+        expected = _outcome(_reference_from_signals, prior, per_state)
+        assert _outcome(SignalingTable.from_signals, prior, per_state) == expected
+        table = SignalingTable.from_signals(prior, per_state)
+        table.validate(prior)
+        for i in range(table.k):
+            labels = [profile[i] for profile in table.profiles]
+            # equal posteriors are one object
+            assert len(set(map(id, labels))) == len(set(labels))
+            shared += len(labels) - len(set(labels))
+    assert shared > 0
+
+
+HALF = Prior(TWO, (F(1, 2), F(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "per_state",
+    [
+        pytest.param({"0": {("a",): F(1)}}, id="missing-state"),
+        pytest.param({"0": {("a",): F(1)}, "1": {("a",): F(1)}, "2": {}}, id="extra-state"),
+        pytest.param({"0": {("a",): F(1)}, "1": {("a", "b"): F(1)}}, id="unequal-k"),
+        pytest.param(
+            {"0": {("a",): F(1), ("a", "b"): F(0)}, "1": {("a",): F(1)}}, id="unequal-k-at-zero"
+        ),
+        pytest.param({"0": {}, "1": {}}, id="empty"),
+        pytest.param({"0": {("a",): F(0)}, "1": {("b",): F(0)}}, id="all-zero"),
+        pytest.param({"0": {}, "1": {("a",): F(1)}}, id="empty-row"),
+        pytest.param({"0": {("a",): F(1, 2)}, "1": {("a",): F(1)}}, id="row-sum"),
+        pytest.param(
+            {"0": {("a",): F(3, 2), ("b",): F(-1, 2)}, "1": {("a",): F(1)}}, id="negative"
+        ),
+    ],
+)
+def test_from_signals_refuses_what_the_reference_refuses(per_state):
+    assert _outcome(_reference_from_signals, HALF, per_state) is ValidationError
+    with pytest.raises(ValidationError):
+        SignalingTable.from_signals(HALF, per_state)
+
+
+def test_from_signals_merges_signals_whose_masses_cancel():
+    # b and c induce the prior as posterior, c from negative masses; merged
+    # with a, the negative masses cancel and the table is no revelation
+    per_state = {s: {("a",): F(1), ("b",): F(1, 2), ("c",): F(-1, 2)} for s in TWO.states}
+    expected = _outcome(_reference_from_signals, HALF, per_state)
+    assert expected == (((pt("1/2", "1/2"),),), {"0": (F(1),), "1": (F(1),)})
+    assert _outcome(SignalingTable.from_signals, HALF, per_state) == expected

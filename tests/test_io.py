@@ -6,7 +6,9 @@ document."""
 
 import json
 import math
+import os
 import random
+import stat
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -381,6 +383,30 @@ def test_write_holds_a_tenth_of_the_text_beside_the_document(tmp_path):
     assert size >= 2_000_000
     assert extra < size / 10
     assert path.read_text(encoding="utf-8") == render_document(doc)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_written_documents_get_the_mode_open_would_give(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        fresh, opened = tmp_path / "fresh.json", tmp_path / "opened.json"
+        write_document(fresh, {"a": 1})
+        with open(opened, "w"):
+            pass
+        # a replaced document keeps its mode, whatever the umask
+        kept = {mode: tmp_path / f"kept-{mode:o}.json" for mode in (0o644, 0o600, 0o640)}
+        for mode, path in kept.items():
+            path.write_text("{}")
+            os.chmod(path, mode)
+            write_document(path, {"a": 1})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(opened.stat().st_mode) == 0o666 & ~umask
+    for mode, path in kept.items():
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert path.read_text() == render_document({"a": 1})
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
 
 
 # ---------------------------------------------------------------------------

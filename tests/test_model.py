@@ -66,6 +66,21 @@ def test_parse_rational_rejects_digits_that_are_not_ascii(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("bad", [" 1/2", "1/2 ", "1/2\n", "\u20031/2", "\t7"], ids=ascii)
+def test_parse_rational_rejects_surrounding_whitespace(bad):
+    with pytest.raises(ValidationError):
+        parse_rational(bad)
+
+
+def test_state_names_must_be_strings():
+    # names were once coerced with str() after the uniqueness check, so
+    # (1, "1") became two states named "1"
+    for states in ((1, "1"), (None,), ("0", True), (b"0", "1")):
+        with pytest.raises(ValidationError):
+            StateSpace(states)
+    assert StateSpace(["a", "b"]).states == ("a", "b")
+
+
 def test_format_rational_is_reduced():
     assert format_rational(Fraction(4, 8)) == "1/2"
     assert format_rational(Fraction(6, 3)) == "2"
