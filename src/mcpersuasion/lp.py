@@ -13,15 +13,15 @@ residuals as under one common scale.  A pivot
 rewrites only the rows of the inverse that its direction touches; each
 other row keeps the determinant it was last written at and is brought
 up to date when it is next read.  Each row has one unit artificial
-column; a row that no real column can serve is linearly dependent on
-the others and keeps its artificial basic at zero for the rest of the
-solve, with dual 0.  No status is ever reported on trust: an optimal
-answer carries a dual vector and is re-checked exactly against the
-original program, never the scaled rows (feasibility, dual sign
-conditions, reduced costs, strong duality), an infeasible answer
-carries a Farkas vector, an unbounded answer carries a feasible point
-and an improving ray, and each certificate is verified exactly before
-the solution is returned.
+column.  An artificial left basic at zero by phase 1 or the crash
+start leaves only when a phase-2 entering column touches its row; one
+never touched stays basic at zero, with dual 0.  No status is ever
+reported on trust: an optimal answer carries a dual vector and is
+re-checked exactly against the original program, never the scaled rows
+(feasibility, dual sign conditions, reduced costs, strong duality), an
+infeasible answer carries a Farkas vector, an unbounded answer carries
+a feasible point and an improving ray, and each certificate is verified
+exactly before the solution is returned.
 
 Every basis is reached by pivots from the unit basis of the
 artificials, so one elimination routine builds them all.  Pivoting uses
@@ -292,11 +292,15 @@ class _Engine:
     the floating-point support at the first artificial row its direction
     touches.
 
-    Columns n_std + r are the unit artificials, one per row, made once.
-    An artificial still basic after eviction sits in a row that depends
-    linearly on the others: its row of binv is orthogonal to every real
-    column, so it never enters a ratio test, stays at zero and gets dual
-    0.  Such rows do not count towards the Bland fallback's streak limit.
+    Columns n_std + r are the unit artificials, one per row, made once
+    and never priced, so one that leaves the basis leaves for good.
+    Phase 2 starts with every basic artificial at zero and evicts them
+    lazily: a row an artificial holds leaves ahead of the ratio test
+    when the entering direction is nonzero there, of either sign, in a
+    degenerate pivot.  One still basic at the optimum gets dual 0, as
+    y_r = y e_r is its unit column's cost.  Such pivots cannot cycle and
+    do not count towards the Bland fallback's streak, whose limit is
+    real_rows, the number of rows not held by an artificial, plus 10.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -336,7 +340,8 @@ class _Engine:
         self.level: list[int] = []
         self.den = 1
         self.xb: list[int] = []
-        self.dependent = 0  # rows left with a basic artificial by eviction
+        self.is_basic: list[bool] = []
+        self.real_rows = 0  # rows not held by an artificial
 
     # -- basic linear algebra helpers
 
@@ -396,6 +401,8 @@ class _Engine:
                 xb[i] = pe * xb[i] // den
         level[r] = pe
         self.den = pe
+        self.real_rows += self.basis[r] >= self.n_std
+        self.is_basic[self.basis[r]], self.is_basic[j] = False, True
         self.basis[r] = j
 
     # -- simplex core
@@ -407,9 +414,9 @@ class _Engine:
         best = None
         best_rc = 0
         den = self.den
-        in_basis = set(self.basis)
+        is_basic = self.is_basic
         for j in range(limit):
-            if j in in_basis:
+            if is_basic[j]:
                 continue
             rc = obj[j] * den - sum(y[i] * v for i, v in self.cols[j].items())
             if rc > best_rc:
@@ -418,7 +425,12 @@ class _Engine:
                 best, best_rc = j, rc
         return best, best_rc
 
-    def _leaving(self, d):
+    def _leaving(self, d, lazy):
+        if lazy:  # the first artificial row the direction touches
+            n_std = self.n_std
+            for r, dr in enumerate(d):
+                if dr and self.basis[r] >= n_std:
+                    return r
         best = None  # (row, xb, d, tie key); ratios xb/d compared crosswise
         for r, dr in enumerate(d):
             if dr > 0:
@@ -430,35 +442,38 @@ class _Engine:
         return None if best is None else best[0]
 
     def _run(self, obj, limit):
-        """Iterate to optimality of obj over columns < limit.
+        """Iterate to optimality of obj over columns < limit, evicting
+        artificials lazily on the program's own objective (phase 2).
 
         Returns None on optimality, or the entering column index when
         unbounded (its direction had no positive entry).
         """
         degenerate_streak = 0
         bland = False
+        lazy = obj is self.obj
         y = self._duals(obj)
         while True:
             j, rc = self._entering(obj, y, limit, bland)
             if j is None:
                 return None
             d = self._direction(j)
-            r = self._leaving(d)
+            r = self._leaving(d, lazy)
             if r is None:
                 return j
             degenerate = self.xb[r] == 0
-            den, pe = self.den, d[r]
+            evicts = self.basis[r] >= self.n_std
+            den = self.den
             self._pivot(j, r, d)
             # y + (c_j - y a_j) times row r of the new B^-1, at the new
-            # den pe; the new row r is stored current (exact division)
-            y = [(pe * a + rc * c) // den for a, c in zip(y, self.binv[r])]
-            if degenerate:
-                degenerate_streak += 1
-                if degenerate_streak > self.m - self.dependent + 10:
-                    bland = True
-            else:
+            # den |d[r]|; the new row r is stored current (exact division)
+            y = [(self.den * a + rc * c) // den for a, c in zip(y, self.binv[r])]
+            if not degenerate:
                 degenerate_streak = 0
                 bland = False
+            elif not evicts:
+                degenerate_streak += 1
+                if degenerate_streak > self.real_rows + 10:
+                    bland = True
 
     # -- phases
 
@@ -470,6 +485,8 @@ class _Engine:
         self.level = [1] * m
         self.den = 1
         self.xb = list(self.b)
+        self.is_basic = [False] * self.n_std + [True] * m
+        self.real_rows = 0
 
     def _phase1(self):
         """Returns True if a feasible basis was reached."""
@@ -483,25 +500,6 @@ class _Engine:
             self._farkas = self._map_dual(self._duals(obj1), self.scale * self.den)
             return False
         return True
-
-    def _evict_artificials(self):
-        """Drive artificials out of the basis; one that no real column can
-        replace stays basic at zero in its linearly dependent row."""
-        for r in range(self.m):
-            if self.basis[r] < self.n_std:
-                continue
-            if self.xb[r] != 0:
-                raise InvariantViolation("artificial basic at nonzero level")
-            in_basis = set(self.basis)
-            # the stored row is a positive multiple of the current one
-            for j in range(self.n_std):
-                if j not in in_basis and sum(
-                    self.binv[r][i] * v for i, v in self.cols[j].items()
-                ):
-                    self._pivot(j, r, self._direction(j))
-                    break
-            else:
-                self.dependent += 1
 
     # -- crash start from a floating-point solve
 
@@ -557,7 +555,6 @@ class _Engine:
                 if not check_farkas(self.lp, self._farkas):
                     raise InvariantViolation("Farkas certificate failed verification")
                 return LPSolution(status=INFEASIBLE, farkas=tuple(self._farkas))
-        self._evict_artificials()
         entering = self._run(self.obj, self.n_std)
         if entering is not None:
             x0 = self._assignment()

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -442,34 +443,78 @@ def _pinned_program(rng):
 
 
 #: md5 of the repr of every solution of the 400 programs _pinned_program
-#: draws from random.Random(3), recorded with the rational (Fraction)
-#: engine that preceded the integer one.  With use_crash the start comes
-#: from scipy's HiGHS (recorded with scipy 1.17.1); without scipy that
-#: route falls back to the all-artificial start, whose digest is PURE.
-PINNED_PURE = "effba59032129210aad71fd6f8779951"
-PINNED_CRASH = "fd947066f7f8c78558e5fc08e56fe6eb"
+#: draws from random.Random(3).  With use_crash the start comes from
+#: scipy's HiGHS (recorded with scipy 1.17.1); without scipy that route
+#: falls back to the all-artificial start, whose digest is PURE.  First
+#: recorded with the rational (Fraction) engine that preceded the integer
+#: one; re-pinned when phase 2 began to evict artificials lazily, which
+#: moved the duals of 10 (pure) and 23 (crash) degenerate optima and
+#: nothing else: the PRIMAL digests below were recorded before that change.
+PINNED_PURE = "31463627f2da0c7840dd5282dd42ec03"
+PINNED_CRASH = "e0b9b406839e8680dd737b4032a1823a"
+
+#: md5 of the same solutions with the dual left out (_primal_digest).
+PINNED_PURE_PRIMAL = "9f87034e4150f34b87900e9bac495105"
+PINNED_CRASH_PRIMAL = "950d4c5d9f6c6cde14de5342c2fdb760"
+
+
+def _primal_digest(solutions):
+    """md5 of status, assignment, objective, Farkas vector and ray."""
+    fields = (repr((s.status, s.assignment, s.objective, s.farkas, s.ray)) for s in solutions)
+    return hashlib.md5("\n".join(fields).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("use_crash", [False, True])
 def test_pivot_path_matches_the_rational_engine(use_crash, monkeypatch):
-    dependent = []
-    real_evict = lp_module._Engine._evict_artificials
+    left_basic = []
+    real_solve = lp_module._Engine.solve
 
-    def recording_evict(engine):
-        real_evict(engine)
-        if any(j >= engine.n_std for j in engine.basis):
-            dependent.append(engine)
+    def recording_solve(engine, crash):
+        sol = real_solve(engine, crash)
+        if sol.status == OPTIMAL and any(j >= engine.n_std for j in engine.basis):
+            left_basic.append(engine)
+        return sol
 
-    monkeypatch.setattr(lp_module._Engine, "_evict_artificials", recording_evict)
+    monkeypatch.setattr(lp_module._Engine, "solve", recording_solve)
     rng = random.Random(3)
     solutions = [solve(_pinned_program(rng), use_crash=use_crash) for _ in range(400)]
     assert {sol.status for sol in solutions} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
-    assert dependent
+    # some optima keep an artificial basic at zero
+    assert left_basic
     digest = hashlib.md5("\n".join(map(repr, solutions)).encode()).hexdigest()
     if use_crash and importlib.util.find_spec("scipy") is not None:
+        assert _primal_digest(solutions) == PINNED_CRASH_PRIMAL
         assert digest == PINNED_CRASH
     else:
+        assert _primal_digest(solutions) == PINNED_PURE_PRIMAL
         assert digest == PINNED_PURE
+
+
+def test_artificials_left_basic_sit_at_zero_with_dual_zero(monkeypatch):
+    """Phase 2 evicts an artificial only when an entering column touches
+    its row, so optima may keep some basic: each is at zero and its row's
+    certified dual is 0, on both routes, over the pinned grid programs and
+    200 pinned draws."""
+    seen = set()
+    real_solve = lp_module._Engine.solve
+
+    def checking_solve(engine, crash):
+        sol = real_solve(engine, crash)
+        if sol.status == OPTIMAL:
+            for r, j in enumerate(engine.basis):
+                if j >= engine.n_std:
+                    assert engine.xb[r] == 0 and sol.dual[r] == 0, (r, j)
+                    seen.add(crash)
+        return sol
+
+    monkeypatch.setattr(lp_module._Engine, "solve", checking_solve)
+    rng = random.Random(11)
+    programs = [_pinned_program(rng) for _ in range(200)]
+    programs += [_grid_program(*case) for case in GRID_CASES]
+    for use_crash in (False, True):
+        for lp in programs:
+            solve(lp, use_crash=use_crash)
+    assert seen == {False, True}
 
 
 def _settled(engine):
@@ -521,9 +566,11 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
     pinned draws; some pivots must touch rows whose level is stale, and
     the crash route must check pivots of its completion.  The duals _run
     updates at each pivot are checked against den c_B B^-1 where they
-    are priced."""
+    are priced, among them after a phase-2 pivot on a negative direction
+    entry, which evicts an artificial and flips the sign of its row."""
     checked = []
     crashing = []
+    negative = []
     real_start = lp_module._Engine._start_all_artificial
     real_try_crash = lp_module._Engine._try_crash
     real_pivot = lp_module._Engine._pivot
@@ -549,12 +596,18 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
         _assert_inverse(engine)
         if crashing:
             checked.append("completion")
+        # phase 1's ratio test takes positive entries only
+        elif d[r] < 0:
+            negative.append(True)
         checked.append(("pivot", use_crash, stale))
 
     def entering(engine, obj, y, limit, bland):
         assert y == _expected_duals(engine, obj)
         if checked and checked[-1][0] == "pivot":
             checked.append(("duals", use_crash))
+        if negative:
+            negative.clear()
+            checked.append(("duals after a negative pivot", use_crash))
         return real_entering(engine, obj, y, limit, bland)
 
     monkeypatch.setattr(lp_module._Engine, "_start_all_artificial", start)
@@ -583,10 +636,12 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
     assert "start" in checked
     assert ("pivot", False, True) in checked
     assert ("duals", False) in checked
+    assert ("duals after a negative pivot", False) in checked
     if importlib.util.find_spec("scipy") is not None:
         assert "completion" in checked
         assert ("pivot", True, True) in checked
         assert ("duals", True) in checked
+        assert ("duals after a negative pivot", True) in checked
 
 
 def _grid_program(name, denominator):
@@ -646,23 +701,49 @@ def test_optimal_basis_determinant_is_small():
     assert engine.den.bit_length() < COMMON_SCALE_DEN_BITS / 3
 
 
-#: md5 of the reprs of solve on the grid programs of chain2 at steps 1/10,
-#: 1/20 and 1/40 and of star3 at 1/10 and 1/20, recorded before rows were
-#: scaled one by one.  The default route crashes from scipy's HiGHS
-#: (recorded with scipy 1.17.1) on all but chain2 at 1/10; without scipy
-#: it is the all-artificial route, whose digest is PURE.
-GRID_SOLVES_DEFAULT = "d136b944fecf147cb279f22008a1e81b"
-GRID_SOLVES_PURE = "ffff10c48c10399c79bc2fca21e5a266"
+GRID_CASES = [("chain2", 10), ("chain2", 20), ("chain2", 40), ("star3", 10), ("star3", 20)]
+
+#: md5 of the reprs of solve on the grid programs of GRID_CASES.  The
+#: default route crashes from scipy's HiGHS (recorded with scipy 1.17.1)
+#: on all but chain2 at 1/10; without scipy it is the all-artificial
+#: route, whose digest is PURE.  First recorded before rows were scaled
+#: one by one; re-pinned when phase 2 began to evict artificials lazily,
+#: which moved the duals of 4 of the 5 solves on each route and the
+#: assignment of chain2 at 1/40 on the all-artificial route.
+GRID_SOLVES_DEFAULT = "589d7a7ceb9d7de8a42996c8cca85043"
+GRID_SOLVES_PURE = "bfd60a47a298a73511d25d4abb289f0c"
+
+#: _primal_digest of the same solves, recorded before that change, with
+#: the 6 entries of chain2's 1/40 all-artificial assignment that it moved
+#: (index: (before, after)) put back.  The objective is the same.
+GRID_SOLVES_DEFAULT_PRIMAL = "2964330139226bd3692530a4664cd97e"
+GRID_SOLVES_PURE_PRIMAL = "461c0cc37be58223f283454d0ce0bbff"
+CHAIN2_40_PURE_MOVED = {
+    0: (F(1, 2), F(0)),
+    1: (F(0), F(12, 23)),
+    24: (F(1, 2), F(11, 23)),
+    94: (F(1, 2), F(0)),
+    135: (F(0), F(12, 23)),
+    1078: (F(1, 2), F(11, 23)),
+}
 
 
 @pytest.mark.parametrize("use_crash", [None, False], ids=["default", "pure"])
 def test_grid_solves_are_pinned(use_crash):
-    cases = [("chain2", 10), ("chain2", 20), ("chain2", 40), ("star3", 10), ("star3", 20)]
-    solutions = [solve(_grid_program(*case), use_crash=use_crash) for case in cases]
+    solutions = [solve(_grid_program(*case), use_crash=use_crash) for case in GRID_CASES]
     digest = hashlib.md5("\n".join(map(repr, solutions)).encode()).hexdigest()
     if use_crash is None and importlib.util.find_spec("scipy") is not None:
+        assert _primal_digest(solutions) == GRID_SOLVES_DEFAULT_PRIMAL
         assert digest == GRID_SOLVES_DEFAULT
     else:
+        x = list(solutions[2].assignment)
+        assert {i: x[i] for i in CHAIN2_40_PURE_MOVED} == {
+            i: after for i, (_, after) in CHAIN2_40_PURE_MOVED.items()
+        }
+        for i, (before, _) in CHAIN2_40_PURE_MOVED.items():
+            x[i] = before
+        solutions[2] = replace(solutions[2], assignment=tuple(x))
+        assert _primal_digest(solutions) == GRID_SOLVES_PURE_PRIMAL
         assert digest == GRID_SOLVES_PURE
 
 
@@ -690,18 +771,18 @@ def test_bland_fallback_counts_only_rows_not_left_dependent(monkeypatch):
             ([0, 0, 1, 0, 0, 1, 0, 0], EQ, 1),
         ] + [([0] * 7 + [1], EQ, 0)] * copies
         engine = lp_module._Engine(LinearProgram(8, obj, cons))
-        engine._start_all_artificial()
-        assert engine._phase1()
-        engine._evict_artificials()
-        assert engine.dependent == copies - 1
         # the slack basis, z, and the artificials left in the copies
         engine._start_all_artificial()
         for r, j in enumerate((0, 1, 2, 7)):
             engine._pivot(j, r, engine._direction(j))
         assert engine.basis == [0, 1, 2, 7] + [engine.n_std + 4 + c for c in range(copies - 1)]
+        assert engine.real_rows == 4
+        # no real column touches a copy's row, so its artificial never leaves
+        for j in range(engine.n_std):
+            assert not any(engine._direction(j)[4:]), j
         steps.clear()
         assert engine._run(engine.obj, engine.n_std) is None
         assert engine.xb[engine.basis.index(5)] == engine.den  # x6 = 1
         switches.append(steps.index(True))
-    # one largest-reduced-cost step per degenerate pivot: m - dependent + 11
+    # one largest-reduced-cost step per degenerate pivot: real_rows + 11
     assert switches == [4 + 11] * 3
