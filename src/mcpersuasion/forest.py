@@ -95,7 +95,9 @@ class GridLP:
     """The assembled program plus its variable bookkeeping.  Variables
     are numbered by point position, which is how a solution is read
     back: x(i, points[a]) is x_base[i] + a, and on the e-th edge
-    y(points[a], points[c]) is y_base[e] + a * n + c for n points."""
+    y(points[a], points[c]) is y_base[e] + a * n + c for n points.
+    graph is the instance's domination forest, whose sorted covering
+    edges are edges."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
@@ -103,6 +105,7 @@ class GridLP:
     edges: tuple[tuple[int, int], ...]
     x_base: tuple[int, ...]
     y_base: tuple[int, ...]
+    graph: DominationGraph
 
 
 def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]:
@@ -185,6 +188,7 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         edges=edges,
         x_base=x_base,
         y_base=y_base,
+        graph=graph,
     )
 
 
@@ -202,12 +206,15 @@ class GridSolution:
     def validate(self, instance: PersuasionInstance) -> None:
         """Re-check every invariant against the instance; raises
         InvariantViolation on the first failure."""
+        self._validate(instance, _forest_edges(instance)[1])
+
+    def _validate(self, instance: PersuasionInstance, edges) -> None:
+        """validate, given the instance's sorted covering edges."""
         if len(self.marginals) != instance.k:
             raise InvariantViolation("marginal count differs from receiver count")
         for i, dist in enumerate(self.marginals):
             if not is_bayes_plausible(dist, instance.prior):
                 raise InvariantViolation(f"marginal of receiver {i + 1} is not Bayes-plausible")
-        _, edges = _forest_edges(instance)
         for i1, i2 in sorted(set(edges).symmetric_difference(self.couplings)):
             if (i1, i2) in edges:
                 raise InvariantViolation(f"no coupling for covering edge ({i1 + 1},{i2 + 1})")
@@ -260,13 +267,20 @@ def _read_solution(glp: GridLP, assignment, objective) -> GridSolution:
 def solve_grid(instance: PersuasionInstance, grid: PosteriorGrid) -> GridSolution:
     """Assemble and solve at a fixed grid; the LP is always feasible and
     bounded, so anything but an optimal status is a solver defect."""
+    return _solve_grid(instance, grid)[0]
+
+
+def _solve_grid(
+    instance: PersuasionInstance, grid: PosteriorGrid
+) -> tuple[GridSolution, DominationGraph]:
+    """solve_grid, with the domination forest the program was built on."""
     glp = build_grid_lp(instance, grid)
     sol = lp.solve(glp.program)
     if sol.status != lp.OPTIMAL:
         raise InvariantViolation(f"grid program reported {sol.status}")
     solution = _read_solution(glp, sol.assignment, sol.objective)
-    solution.validate(instance)
-    return solution
+    solution._validate(instance, glp.edges)
+    return solution, glp.graph
 
 
 def solve_fptas(
@@ -282,8 +296,8 @@ def solve_fptas(
     if epsilon is None:
         raise BadEpsilon("no epsilon given and the instance carries none")
     grid = PosteriorGrid.for_epsilon(instance.space.size, Fraction(epsilon))
-    solution = solve_grid(instance, grid)  # validates the solution
-    return solution, _extract_validated(solution, instance)
+    solution, graph = _solve_grid(instance, grid)  # validates the solution
+    return solution, _extract_validated(solution, instance, graph)
 
 
 def _divergence(
@@ -481,14 +495,14 @@ def extract_table(
     prod_roots label_root(state)/prior(state), which is exactly Bayes'
     rule because only root labels carry direct state information.
     """
-    solution.validate(instance)
-    return _extract_validated(solution, instance)
+    graph, edges = _forest_edges(instance)
+    solution._validate(instance, edges)
+    return _extract_validated(solution, instance, graph)
 
 
 def _extract_validated(
-    solution: GridSolution, instance: PersuasionInstance
+    solution: GridSolution, instance: PersuasionInstance, graph: DominationGraph
 ) -> SignalingTable:
-    graph, _ = _forest_edges(instance)
     parent, roots, marginals = graph.parent, graph.roots(), solution.marginals
     prior = instance.prior.values
     # a label is an index into its receiver's marginal; a path holds the labels

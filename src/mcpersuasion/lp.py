@@ -27,7 +27,9 @@ Every basis is reached by pivots from the unit basis of the
 artificials, so one elimination routine builds them all.  Pivoting uses
 the largest-reduced-cost rule and falls back to the smallest-index rule
 after a long run of degenerate pivots, which makes termination
-unconditional.  For large programs, when scipy is installed, a
+unconditional.  Reduced costs are kept from pivot to pivot and updated
+only for the columns the new row of the inverse reaches, which leaves
+the path as it is.  For large programs, when scipy is installed, a
 floating-point solve supplies a starting basis guess whose columns are
 then pivoted in exactly and certified; the guess changes only the path
 taken, never the checked answer.  Output is deterministic for a fixed
@@ -36,9 +38,10 @@ input on a fixed installation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, ValidationError
@@ -56,6 +59,16 @@ UNBOUNDED = "unbounded"
 _CRASH_THRESHOLD = 20_000
 
 
+def _index(value, what: str) -> int:
+    """An integer given as any type with __index__, never a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 class LinearProgram:
     """Immutable program data.  Rows may be given sparse (index -> coeff
     mappings) or dense; everything is normalized to sparse Fractions."""
@@ -63,9 +76,9 @@ class LinearProgram:
     __slots__ = ("n_vars", "objective", "constraints", "var_names")
 
     def __init__(self, n_vars, objective, constraints, var_names=None):
-        if n_vars < 0:
+        self.n_vars = _index(n_vars, "variable count")
+        if self.n_vars < 0:
             raise ValidationError("variable count must be nonnegative")
-        self.n_vars = int(n_vars)
         self.objective = self._norm_row(objective)
         norm = []
         for row, rel, rhs in constraints:
@@ -88,7 +101,8 @@ class LinearProgram:
             raise ValidationError("row must be a mapping or a sequence")
         out = {}
         for j, v in items:
-            j = int(j)
+            if type(j) is not int:
+                j = _index(j, "variable index")
             if not (0 <= j < self.n_vars):
                 raise ValidationError(f"variable index {j} out of range")
             if type(v) is not Fraction:
@@ -250,6 +264,14 @@ def check_ray(lp, x0, d) -> bool:
 # the engine
 
 
+def _ratio(num: int, den: int) -> float:
+    """num / den correctly rounded, saturating to an infinity."""
+    try:
+        return num / den
+    except OverflowError:
+        return inf if num > 0 else -inf
+
+
 class _Engine:
     """Two-phase revised simplex over one program instance, in integers.
 
@@ -274,6 +296,17 @@ class _Engine:
     divides exactly by the previous den (Bareiss).  Ratios and reduced
     costs are compared by cross-multiplication; values become Fractions
     only when a result is read out.
+
+    Reduced costs are kept, not recomputed.  _run prices every column
+    once, from den c_B B^-1; a pivot on row r then moves only the
+    columns with a nonzero entry in the new tableau row r, read off
+    rows (the standard form row by row), as alpha_j = binv[r] . a_j.
+    Column j's reduced cost is held as num[j] / lev[j], lev[j] the den
+    it was last written at, so the others need no rescale, beside fl[j],
+    its correctly rounded float.  _entering compares exactly only the
+    columns whose float is the largest, and reads the exact signs where
+    floats cannot tell; the rule and the integers it compares are those
+    of pricing from scratch, and so is the path.
 
     A pivot scales every row its direction misses by new den / old den.
     That is deferred: row i is stored with a level, the den it was last
@@ -310,6 +343,7 @@ class _Engine:
         # standard equality form: real vars, then one slack per inequality;
         # rows with a negative right-hand side are negated
         cols = [dict() for _ in range(self.n_real)]
+        rows = []  # the same entries row by row: (column, value) pairs
         b = []
         row_scale = []  # (sign, d_i, g_i): row i is sign * d_i / g_i times constraint i
         for i, (row, rel, rhs) in enumerate(lp.constraints):
@@ -318,17 +352,21 @@ class _Engine:
             rhs_num = rhs.numerator * (d // rhs.denominator)
             g = gcd(rhs_num, *(a for _, a in nums), *((d,) if rel != EQ else ())) or 1
             sign = -1 if rhs < 0 else 1
-            for j, a in nums:
-                cols[j][i] = sign * a // g
+            entries = [(j, sign * a // g) for j, a in nums]
+            for j, a in entries:
+                cols[j][i] = a
             if rel != EQ:
-                unit = sign * d // g
-                cols.append({i: unit if rel == LE else -unit})
+                unit = sign * d // g if rel == LE else -sign * d // g
+                entries.append((len(cols), unit))
+                cols.append({i: unit})
+            rows.append(entries)
             b.append(sign * rhs_num // g)
             row_scale.append((sign, d, g))
         self.n_std = len(cols)
         self.m = len(b)
         cols.extend({r: 1} for r in range(self.m))
         self.cols = cols
+        self.rows = rows
         self.b = b
         self.row_scale = row_scale
         self.scale = lcm(*(d for _, d, _ in row_scale))  # L
@@ -340,7 +378,6 @@ class _Engine:
         self.level: list[int] = []
         self.den = 1
         self.xb: list[int] = []
-        self.is_basic: list[bool] = []
         self.real_rows = 0  # rows not held by an artificial
 
     # -- basic linear algebra helpers
@@ -402,28 +439,72 @@ class _Engine:
         level[r] = pe
         self.den = pe
         self.real_rows += self.basis[r] >= self.n_std
-        self.is_basic[self.basis[r]], self.is_basic[j] = False, True
         self.basis[r] = j
 
     # -- simplex core
 
-    def _entering(self, obj, y, limit, bland):
-        """The column with the largest reduced cost, den * (c_j - y a_j),
-        or with Bland's rule the first positive one, and that reduced
-        cost; (None, 0) at optimality."""
-        best = None
-        best_rc = 0
+    def _prices(self, obj):
+        """Every column's reduced cost (den c_j - y a_j) / den at the
+        current basis, y = den c_B B^-1, from scratch: numerators, levels
+        (all den) and floats, as _entering reads them."""
         den = self.den
-        is_basic = self.is_basic
-        for j in range(limit):
-            if is_basic[j]:
-                continue
-            rc = obj[j] * den - sum(y[i] * v for i, v in self.cols[j].items())
-            if rc > best_rc:
+        num = [c * den for c in obj[: self.n_std]]
+        for yi, entries in zip(self._duals(obj), self.rows):
+            if yi:
+                for j, a in entries:
+                    num[j] -= yi * a
+        return num, [den] * self.n_std, [_ratio(v, den) for v in num]
+
+    def _entering(self, num, lev, fl, bland):
+        """The column with the largest reduced cost num[j] / lev[j],
+        lowest index on ties, or with Bland's rule the first positive
+        one; None at optimality.  A basic column's is exactly 0.
+
+        fl[j] is num[j] / lev[j] correctly rounded, and rounding is
+        monotone, so the largest lies among the columns whose float is
+        max(fl); only those are compared exactly.  Below float
+        resolution, where a positive price may round to 0.0, and under
+        Bland's rule, the signs of the numerators decide."""
+        top = max(fl, default=0.0)
+        if top > 0 and not bland:
+            best = j = fl.index(top)
+            for _ in range(fl.count(top) - 1):
+                j = fl.index(top, j + 1)
+                if num[j] * lev[best] > num[best] * lev[j]:
+                    best = j
+            return best
+        best = None
+        for j, v in enumerate(num):
+            if v > 0:
                 if bland:
-                    return j, rc
-                best, best_rc = j, rc
-        return best, best_rc
+                    return j
+                if best is None or v * lev[best] > num[best] * lev[j]:
+                    best = j
+        return best
+
+    def _reprice(self, num, lev, fl, q, r, den):
+        """After column q entered at row r, den the determinant before:
+        the price of column j falls by q's times alpha_j / den', where
+        den' is the new den and alpha_j = (new row r of binv) . a_j is
+        den' times j's entry in the tableau's row r.  Only the columns
+        with alpha_j != 0 move, each brought to den' as it is written;
+        q's own falls to 0."""
+        rq = num[q] if lev[q] == den else num[q] * den // lev[q]
+        alpha = {}
+        get = alpha.get
+        rows = self.rows
+        for i, v in enumerate(self.binv[r]):  # stored current by _pivot
+            if v:
+                for j, a in rows[i]:
+                    alpha[j] = get(j, 0) + v * a
+        nd = self.den
+        for j, a in alpha.items():
+            if a:
+                lv = lev[j]
+                rc = num[j] if lv == den else num[j] * den // lv
+                num[j] = v = (nd * rc - rq * a) // den
+                lev[j] = nd
+                fl[j] = _ratio(v, nd)
 
     def _leaving(self, d, lazy):
         if lazy:  # the first artificial row the direction touches
@@ -441,9 +522,10 @@ class _Engine:
                     best = (r, x, dr, key)
         return None if best is None else best[0]
 
-    def _run(self, obj, limit):
-        """Iterate to optimality of obj over columns < limit, evicting
-        artificials lazily on the program's own objective (phase 2).
+    def _run(self, obj):
+        """Iterate to optimality of obj over the columns below n_std,
+        evicting artificials lazily on the program's own objective
+        (phase 2).
 
         Returns None on optimality, or the entering column index when
         unbounded (its direction had no positive entry).
@@ -451,9 +533,9 @@ class _Engine:
         degenerate_streak = 0
         bland = False
         lazy = obj is self.obj
-        y = self._duals(obj)
+        num, lev, fl = self._prices(obj)
         while True:
-            j, rc = self._entering(obj, y, limit, bland)
+            j = self._entering(num, lev, fl, bland)
             if j is None:
                 return None
             d = self._direction(j)
@@ -464,9 +546,7 @@ class _Engine:
             evicts = self.basis[r] >= self.n_std
             den = self.den
             self._pivot(j, r, d)
-            # y + (c_j - y a_j) times row r of the new B^-1, at the new
-            # den |d[r]|; the new row r is stored current (exact division)
-            y = [(self.den * a + rc * c) // den for a, c in zip(y, self.binv[r])]
+            self._reprice(num, lev, fl, j, r, den)
             if not degenerate:
                 degenerate_streak = 0
                 bland = False
@@ -485,14 +565,13 @@ class _Engine:
         self.level = [1] * m
         self.den = 1
         self.xb = list(self.b)
-        self.is_basic = [False] * self.n_std + [True] * m
         self.real_rows = 0
 
     def _phase1(self):
         """Returns True if a feasible basis was reached."""
         # the artificial of row i in units of the L-scaled row
         obj1 = [0] * self.n_std + [-(self.scale * g // d) for _, d, g in self.row_scale]
-        if self._run(obj1, self.n_std) is not None:
+        if self._run(obj1) is not None:
             raise InvariantViolation("phase-1 objective cannot be unbounded")
         value = sum(obj1[self.basis[r]] * self.xb[r] for r in range(self.m))
         if value < 0:
@@ -512,10 +591,9 @@ class _Engine:
             return False
         # the rational (sign-flipped) data, each value correctly rounded
         rows, cols_idx, data = [], [], []
-        for j, col in enumerate(self.cols[: self.n_std]):
-            for i, v in col.items():
-                _, d, g = self.row_scale[i]
-                rows.append(i)
+        for i, (entries, (_, d, g)) in enumerate(zip(self.rows, self.row_scale)):
+            rows += [i] * len(entries)
+            for j, v in entries:
                 cols_idx.append(j)
                 data.append(v * g / d)
         A = csc_matrix(
@@ -555,7 +633,7 @@ class _Engine:
                 if not check_farkas(self.lp, self._farkas):
                     raise InvariantViolation("Farkas certificate failed verification")
                 return LPSolution(status=INFEASIBLE, farkas=tuple(self._farkas))
-        entering = self._run(self.obj, self.n_std)
+        entering = self._run(self.obj)
         if entering is not None:
             x0 = self._assignment()
             d = self._ray(entering)

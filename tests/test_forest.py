@@ -489,6 +489,28 @@ def test_solution_validate_refuses_a_coupling_off_the_covering_edges():
         extract_table(stray, inst)
 
 
+def test_solve_fptas_builds_the_domination_graph_once(monkeypatch):
+    """The graph build_grid_lp checks the forest on also checks the
+    solution's couplings and drives the extraction; the public validate
+    and extract_table still build their own."""
+    import mcpersuasion.forest as forest_module
+
+    calls = []
+    real = forest_module.domination_graph
+
+    def counting(structure):
+        calls.append(structure)
+        return real(structure)
+
+    monkeypatch.setattr(forest_module, "domination_graph", counting)
+    inst = make_instance([[1, 1], [0, 1]], CHAIN_UTILITIES)
+    solution, table = solve_fptas(inst, F(1, 10))
+    assert len(calls) == 1
+    solution.validate(inst)
+    assert extract_table(solution, inst) == table
+    assert len(calls) == 3
+
+
 def test_two_independent_chains_extract_to_a_product_table():
     # receivers 1 > 2 and 3 > 4: two trees, each with its own coupling
     inst = make_instance(

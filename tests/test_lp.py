@@ -5,13 +5,14 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from mcpersuasion import lp as lp_module
+from mcpersuasion.errors import ValidationError
 from mcpersuasion.forest import PosteriorGrid, build_grid_lp
 from mcpersuasion.lp import (
     EQ,
@@ -266,6 +267,45 @@ def test_crash_keeps_only_a_feasible_completed_basis(monkeypatch, guess, accepte
     assert solve(lp, use_crash=True) == solve(lp, use_crash=False)
 
 
+def test_crash_hands_highs_the_column_wise_float_copy(monkeypatch):
+    """_try_crash builds HiGHS's float copy of the standard form row by
+    row; the matrix, c and b it hands linprog are bit for bit those of a
+    column-wise build from the engine's columns, on the pinned grid
+    programs, so HiGHS is given the same program."""
+    np = pytest.importorskip("numpy")
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    from scipy.sparse import csc_matrix
+
+    handed = []
+
+    def linprog(c, A_eq, b_eq, method):
+        handed.append((c, A_eq, b_eq))
+        raise RuntimeError("stop before solving")
+
+    monkeypatch.setattr(scipy_optimize, "linprog", linprog)
+    for case in GRID_CASES:
+        engine = lp_module._Engine(_grid_program(*case))
+        assert engine._try_crash() is False
+        (c, A, b), = handed
+        handed.clear()
+        rows, cols, data = [], [], []
+        for j, col in enumerate(engine.cols[: engine.n_std]):
+            for i, v in col.items():
+                _, d, g = engine.row_scale[i]
+                rows.append(i)
+                cols.append(j)
+                data.append(v * g / d)
+        expected = csc_matrix((data, (rows, cols)), shape=(engine.m, engine.n_std), dtype=float)
+        assert A.shape == expected.shape
+        for got, want in ((A.indptr, expected.indptr), (A.indices, expected.indices)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert A.data.dtype == expected.data.dtype
+        assert A.data.tobytes() == expected.data.tobytes()
+        want_c = np.array([-(v / engine.obj_scale) for v in engine.obj[: engine.n_std]])
+        want_b = np.array([v * g / d for v, (_, d, g) in zip(engine.b, engine.row_scale)])
+        assert c.tobytes() == want_c.tobytes() and b.tobytes() == want_b.tobytes()
+
+
 def test_determinism():
     rng = random.Random(7)
     for _ in range(20):
@@ -292,6 +332,64 @@ def test_dump_listing():
     assert "maximize 3 a + 2 b" in text
     assert "c1: a + b <= 4" in text
     assert "c2: a <= 2" in text
+
+
+class _Index:
+    """An integer-like value that is not an int: it has __index__ only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "n_vars, objective, row",
+    [
+        (2.7, {1.9: 1}, {0.5: 1, True: 1}),
+        (2.0, {}, {0: 1}),
+        (True, {}, {0: 1}),
+        ("2", {}, {0: 1}),
+        (None, {}, {0: 1}),
+        (2, {1.9: 1}, {0: 1}),
+        (2, {}, {True: 1}),
+        (2, {}, {False: 1}),
+        (2, {}, {1.0: 1}),
+        (2, {}, {"1": 1}),
+        (-1, {}, {}),
+        (2, {}, {2: 1}),
+    ],
+    ids=[
+        "float-count-and-indices",
+        "integral-float-count",
+        "bool-count",
+        "str-count",
+        "none-count",
+        "float-objective-index",
+        "true-index",
+        "false-index",
+        "integral-float-index",
+        "str-index",
+        "negative-count",
+        "index-out-of-range",
+    ],
+)
+def test_program_refuses_indices_that_are_not_integers(n_vars, objective, row):
+    """The variable count and every variable index go through
+    operator.index: floats, strings and booleans are refused, never
+    truncated, and so are indices out of range."""
+    with pytest.raises(ValidationError):
+        LinearProgram(n_vars, objective, [(row, LE, 1)])
+
+
+def test_program_takes_integer_like_indices():
+    lp = LinearProgram(_Index(2), {_Index(1): 1}, [({_Index(0): 1, 1: 1}, LE, 1)])
+    assert lp.n_vars == 2 and type(lp.n_vars) is int
+    assert lp.objective == {1: 1}
+    assert lp.constraints == (({0: 1, 1: 1}, LE, 1),)
+    assert all(type(j) is int for row, _, _ in lp.constraints for j in row)
+    assert solve(lp).objective == 1
 
 
 def test_feasibility_checker():
@@ -547,6 +645,60 @@ def _expected_duals(engine, obj):
     return y
 
 
+def _reference_prices(engine, obj):
+    """den (c_j - y a_j) for every column below n_std, from scratch, with
+    y = den c_B B^-1: the engine's pricing before it kept its prices."""
+    y = _expected_duals(engine, obj)
+    return [
+        obj[j] * engine.den - sum(y[i] * v for i, v in engine.cols[j].items())
+        for j in range(engine.n_std)
+    ]
+
+
+def _reference_entering(engine, obj, bland):
+    """The nonbasic column with the largest reduced cost, lowest index on
+    ties, or with Bland's rule the first positive one; None at optimality."""
+    basic = set(engine.basis)
+    best, best_rc = None, 0
+    for j, rc in enumerate(_reference_prices(engine, obj)):
+        if j not in basic and rc > best_rc:
+            if bland:
+                return j
+            best, best_rc = j, rc
+    return best
+
+
+def _check_pricing(monkeypatch, note=lambda engine, num, lev, fl: None):
+    """Hook the engine so that at every pricing each kept price num[j] /
+    lev[j] is the reference's reduced cost, fl[j] its correctly rounded
+    float, and the column that enters is the reference's; note is called
+    with the prices before the choice."""
+    objectives = []
+    real_run = lp_module._Engine._run
+    real_entering = lp_module._Engine._entering
+
+    def run(engine, obj):
+        objectives.append(obj)
+        try:
+            return real_run(engine, obj)
+        finally:
+            objectives.pop()
+
+    def entering(engine, num, lev, fl, bland):
+        obj, den = objectives[-1], engine.den
+        assert len(num) == len(lev) == len(fl) == engine.n_std
+        for j, rc in enumerate(_reference_prices(engine, obj)):
+            assert lev[j] > 0 and num[j] * den == rc * lev[j], j
+            assert fl[j] == rc / den, j
+        note(engine, num, lev, fl)
+        j = real_entering(engine, num, lev, fl, bland)
+        assert j == _reference_entering(engine, obj, bland)
+        return j
+
+    monkeypatch.setattr(lp_module._Engine, "_run", run)
+    monkeypatch.setattr(lp_module._Engine, "_entering", entering)
+
+
 def _assert_levels(engine):
     """Every stored entry times den is divisible by its row's level, and
     _direction(j) is den B^-1 a_j computed from the settled rows."""
@@ -564,17 +716,17 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
     """The inverse and the row levels are checked at the unit start and
     after every pivot, on both routes, of a fractional program and of 40
     pinned draws; some pivots must touch rows whose level is stale, and
-    the crash route must check pivots of its completion.  The duals _run
-    updates at each pivot are checked against den c_B B^-1 where they
-    are priced, among them after a phase-2 pivot on a negative direction
-    entry, which evicts an artificial and flips the sign of its row."""
+    the crash route must check pivots of its completion.  The prices _run
+    keeps from pivot to pivot are checked against the reference pricing
+    from den c_B B^-1 wherever they are read, among them after a phase-2
+    pivot on a negative direction entry, which evicts an artificial and
+    flips the sign of its row."""
     checked = []
     crashing = []
     negative = []
     real_start = lp_module._Engine._start_all_artificial
     real_try_crash = lp_module._Engine._try_crash
     real_pivot = lp_module._Engine._pivot
-    real_entering = lp_module._Engine._entering
 
     def start(engine):
         real_start(engine)
@@ -601,19 +753,17 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
             negative.append(True)
         checked.append(("pivot", use_crash, stale))
 
-    def entering(engine, obj, y, limit, bland):
-        assert y == _expected_duals(engine, obj)
+    def priced(engine, num, lev, fl):
         if checked and checked[-1][0] == "pivot":
-            checked.append(("duals", use_crash))
+            checked.append(("prices", use_crash))
         if negative:
             negative.clear()
-            checked.append(("duals after a negative pivot", use_crash))
-        return real_entering(engine, obj, y, limit, bland)
+            checked.append(("prices after a negative pivot", use_crash))
 
     monkeypatch.setattr(lp_module._Engine, "_start_all_artificial", start)
     monkeypatch.setattr(lp_module._Engine, "_try_crash", try_crash)
     monkeypatch.setattr(lp_module._Engine, "_pivot", pivot)
-    monkeypatch.setattr(lp_module._Engine, "_entering", entering)
+    _check_pricing(monkeypatch, priced)
     # fractional data, a row twice (one left dependent), a flipped row, a
     # degenerate vertex
     lp = LinearProgram(
@@ -635,13 +785,73 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
             solve(_pinned_program(rng), use_crash=use_crash)
     assert "start" in checked
     assert ("pivot", False, True) in checked
-    assert ("duals", False) in checked
-    assert ("duals after a negative pivot", False) in checked
+    assert ("prices", False) in checked
+    assert ("prices after a negative pivot", False) in checked
     if importlib.util.find_spec("scipy") is not None:
         assert "completion" in checked
         assert ("pivot", True, True) in checked
-        assert ("duals", True) in checked
-        assert ("duals after a negative pivot", True) in checked
+        assert ("prices", True) in checked
+        assert ("prices after a negative pivot", True) in checked
+
+
+def test_entering_breaks_float_ties_exactly(monkeypatch):
+    """Where the largest prices round to one float, the exact comparison
+    picks the entering column, as the reference pricing does: prices that
+    differ by 2^-60 of their size, and prices equal as rationals but kept
+    at different levels, on seeded programs and the pinned grid programs
+    at 1/10, on both routes."""
+    ties = set()
+
+    def note(engine, num, lev, fl):
+        top = max(fl, default=0.0)
+        tied = [j for j, f in enumerate(fl) if f == top and top > 0]
+        for a, b in zip(tied, tied[1:]):
+            if num[a] * lev[b] != num[b] * lev[a]:
+                ties.add("below float resolution")
+            elif lev[a] != lev[b]:
+                ties.add("equal at two levels")
+            else:
+                ties.add("equal")
+
+    _check_pricing(monkeypatch, note)
+    # phase 1 prices x2 above x1 by less than a float can show
+    lp = LinearProgram(2, [1, 1], [([2**60, 2**60 + 1], LE, 2**61)])
+    assert solve(lp, use_crash=False).assignment == (2, 0)
+    assert ties == {"below float resolution"}
+    rng = random.Random(23)
+    programs = [_pinned_program(rng) for _ in range(60)]
+    programs += [_grid_program("chain2", 10), _grid_program("star3", 10)]
+    for use_crash in (False, True):
+        for lp in programs:
+            solve(lp, use_crash=use_crash)
+    assert ties == {"below float resolution", "equal at two levels", "equal"}
+
+
+def test_entering_reads_prices_beyond_float_range():
+    """A positive price below float resolution rounds to 0.0 and one past
+    the float range to inf; the numerators' exact signs and cross-products
+    still pick the column the exact rule picks, under both rules."""
+    tiny = huge = 10**400
+    cases = [
+        # underflow: 1/tiny and 2/tiny read 0.0, like the basic column 0
+        ([0, 1, 2, -1], [1, tiny, tiny, 1], [0.0, 0.0, 0.0, -1.0], 2, 1),
+        # overflow: prices huge, huge + 1/2 and huge + 1 all read inf
+        ([huge, 2 * huge + 1, 2 * huge + 2, 5], [1, 2, 2, 1], [inf, inf, inf, 5.0], 2, 0),
+        # an exact tie at two levels behind inf: the lower index
+        ([huge + 1, 2 * huge + 2, -huge, 0], [1, 2, 1, 1], [inf, inf, -inf, 0.0], 0, 0),
+        # no positive price: optimal
+        ([-huge, -1, 0], [1, tiny, 1], [-inf, 0.0, 0.0], None, None),
+    ]
+    engine = lp_module._Engine(LinearProgram(0, {}, []))
+    for num, lev, floats, largest, first in cases:
+        fl = [lp_module._ratio(v, d) for v, d in zip(num, lev)]
+        assert fl == floats
+        prices = [F(v, d) for v, d in zip(num, lev)]
+        positive = [j for j, p in enumerate(prices) if p > 0]
+        assert largest == max(positive, key=lambda j: (prices[j], -j), default=None)
+        assert first == min(positive, default=None)
+        assert engine._entering(num, lev, fl, False) == largest
+        assert engine._entering(num, lev, fl, True) == first
 
 
 def _grid_program(name, denominator):
@@ -659,9 +869,9 @@ def test_engine_rows_are_primitive_with_phase1_weights(monkeypatch):
     objectives = []
     real_run = lp_module._Engine._run
 
-    def run(engine, obj, limit):
+    def run(engine, obj):
         objectives.append(obj)
-        return real_run(engine, obj, limit)
+        return real_run(engine, obj)
 
     monkeypatch.setattr(lp_module._Engine, "_run", run)
     rng = random.Random(5)
@@ -756,9 +966,9 @@ def test_bland_fallback_counts_only_rows_not_left_dependent(monkeypatch):
     steps = []
     real_entering = lp_module._Engine._entering
 
-    def entering(engine, obj, y, limit, bland):
+    def entering(engine, num, lev, fl, bland):
         steps.append(bland)
-        return real_entering(engine, obj, y, limit, bland)
+        return real_entering(engine, num, lev, fl, bland)
 
     monkeypatch.setattr(lp_module._Engine, "_entering", entering)
     switches = []
@@ -781,7 +991,7 @@ def test_bland_fallback_counts_only_rows_not_left_dependent(monkeypatch):
         for j in range(engine.n_std):
             assert not any(engine._direction(j)[4:]), j
         steps.clear()
-        assert engine._run(engine.obj, engine.n_std) is None
+        assert engine._run(engine.obj) is None
         assert engine.xb[engine.basis.index(5)] == engine.den  # x6 = 1
         switches.append(steps.index(True))
     # one largest-reduced-cost step per degenerate pivot: real_rows + 11
