@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from math import lcm
+from typing import Iterable, Mapping, Sequence
 
 from . import lp
 from .errors import PriorOutsideHull, StateSpaceMismatch, ValidationError
@@ -137,47 +138,58 @@ class Coupling:
                     raise ValidationError(f"barycenter violated at target {r}")
 
 
+def coupling_rows(spread: Sequence[Posterior], coarse: Sequence[Posterior], base=0) -> list:
+    """Left-hand sides of the rows that make flows y(l, r) >= 0 witness
+    spread ⊒ coarse, with y(spread[a], coarse[c]) the variable
+    base + a * len(coarse) + c.  In order: a row sum per spread point, a
+    column sum per coarse point, then per coarse point r a barycenter row
+    sum_l y(l, r)(l_b - r_b) for every coordinate b but the last, which
+    the column sum implies.  Each distinct l_b - r_b is one Fraction, made
+    from integers over the coordinates' common denominator D."""
+    nl, nr = len(spread), len(coarse)
+    one = Fraction(1)
+    rows = [dict.fromkeys(range(base + a * nr, base + a * nr + nr), one) for a in range(nl)]
+    rows += [dict.fromkeys(range(base + c, base + nl * nr, nr), one) for c in range(nr)]
+    D = lcm(*(x.denominator for p in (*spread, *coarse) for x in p))
+
+    def scaled(points):
+        """Per posed coordinate b, each point's D * p_b."""
+        return list(zip(*([x.numerator * (D // x.denominator) for x in p[:-1]] for p in points)))
+
+    ls, rs = scaled(spread), scaled(coarse)
+    coef = {d: Fraction(d, D) for lb, rb in zip(ls, rs) for d in {v - w for v in lb for w in rb}}
+    offsets = range(base, base + nl * nr, nr)
+    for c in range(nr):
+        for lb, rb in zip(ls, rs):
+            w = rb[c]
+            rows.append({o + c: coef[v - w] for o, v in zip(offsets, lb) if v != w})
+    return rows
+
+
+def coupling_flows(spread, coarse, assignment: Sequence[Fraction], base=0) -> dict:
+    """The nonzero flows {(l, r): y(l, r)} of an assignment to the variables
+    of coupling_rows(spread, coarse, base), in variable order."""
+    nr = len(coarse)
+    rows = (assignment[base + a * nr : base + a * nr + nr] for a in range(len(spread)))
+    return {(l, r): f for l, row in zip(spread, rows) for r, f in zip(coarse, row) if f}
+
+
 def mps_coupling(
     spread: BeliefDistribution, coarse: BeliefDistribution
 ) -> Coupling | None:
-    """A coupling witnessing spread ⊒ coarse, or None when none exists.
-
-    Decided by an exact feasibility program over the transport polytope
-    with the per-column barycenter equalities.  The final barycenter
-    coordinate is implied by the column sum, so only dim - 1 are posed.
-    """
+    """A coupling witnessing spread ⊒ coarse, or None when none exists,
+    decided by an exact feasibility program: coupling_rows, with the
+    masses on the right of the row and column sums."""
     if spread.dim != coarse.dim:
         raise StateSpaceMismatch("cannot couple distributions of mixed dimension")
     nl, nr = len(spread.points), len(coarse.points)
-    var = {
-        (li, ri): li * nr + ri for li in range(nl) for ri in range(nr)
-    }
-    constraints = []
-    for li, mass in enumerate(spread.masses):
-        constraints.append(
-            ({var[(li, ri)]: Fraction(1) for ri in range(nr)}, lp.EQ, mass)
-        )
-    for ri, mass in enumerate(coarse.masses):
-        constraints.append(
-            ({var[(li, ri)]: Fraction(1) for li in range(nl)}, lp.EQ, mass)
-        )
-    for ri, r in enumerate(coarse.points):
-        for b in range(spread.dim - 1):
-            row = {
-                var[(li, ri)]: l[b] - r[b]
-                for li, l in enumerate(spread.points)
-                if l[b] != r[b]
-            }
-            constraints.append((row, lp.EQ, Fraction(0)))
+    rows = coupling_rows(spread.points, coarse.points)
+    rhs = [*spread.masses, *coarse.masses] + [Fraction(0)] * (len(rows) - nl - nr)
+    constraints = [(row, lp.EQ, v) for row, v in zip(rows, rhs)]
     sol = lp.solve(lp.LinearProgram(nl * nr, {}, constraints))
     if sol.status != lp.OPTIMAL:
         return None
-    flow = {
-        (l, r): sol.assignment[var[(li, ri)]]
-        for li, l in enumerate(spread.points)
-        for ri, r in enumerate(coarse.points)
-        if sol.assignment[var[(li, ri)]]
-    }
+    flow = coupling_flows(spread.points, coarse.points, sol.assignment)
     return Coupling(source=spread, target=coarse, flow=flow)
 
 

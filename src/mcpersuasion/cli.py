@@ -72,24 +72,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _parse_int(text: str, what: str) -> int:
+    """A nonnegative integer in the ASCII digits 0-9 alone, which int()
+    would also take with a sign, spaces, underscores or other digits."""
+    if re.fullmatch(r"[0-9]+", text):
+        return int(text)
+    raise UsageError(f"{what} must be an integer in digits 0-9, got {text!r}")
+
+
 def _parse_budget(text: str) -> int:
     """Plain integer or base^exponent shorthand, e.g. 10^7."""
-    text = text.strip()
-    power = re.fullmatch(r"(\d+)\^(\d+)", text)
+    power = re.fullmatch(r"([0-9]+)\^([0-9]+)", text)
     if power:
         return int(power.group(1)) ** int(power.group(2))
-    if re.fullmatch(r"\d+", text):
+    if re.fullmatch(r"[0-9]+", text):
         return int(text)
     raise UsageError(f"budget must be an integer or base^exp, got {text!r}")
 
 
 def _parse_subset(text: str, k: int) -> frozenset:
-    try:
-        members = [int(piece) for piece in text.split(",") if piece.strip()]
-    except ValueError:
-        raise UsageError(f"subset must be comma-separated integers, got {text!r}") from None
-    if not members:
-        raise UsageError("subset is empty")
+    members = [_parse_int(piece, "subset member") for piece in text.split(",")]
     for i in members:
         if not 1 <= i <= k:
             raise UsageError(f"subset member {i} out of range 1..{k}")
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_flag(p)
 
     p = command("sperner", _cmd_sperner, "dominance-free structure on fewest channels")
-    p.add_argument("k", type=int, help="receiver count")
+    p.add_argument("k", type=lambda text: _parse_int(text, "k"), help="receiver count")
     out_flag(p)
 
     p = command("netstruct", _cmd_netstruct, "structure of a network, condition verdict")
@@ -404,7 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("table")
     p.add_argument("--subset", required=True, help="1-based receivers, e.g. 1,3")
-    p.add_argument("--q", type=int, default=None, help="key modulus (default: fit labels)")
+    p.add_argument(
+        "--q",
+        type=lambda text: _parse_int(text, "q"),
+        default=None,
+        help="key modulus (default: fit labels)",
+    )
     out_flag(p)
 
     p = command("verify-share", _cmd_verify_share, "check a channel scheme for leaks")

@@ -16,7 +16,7 @@ from math import gcd, lcm
 from operator import ge, getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from . import lp
+from . import beliefs, lp
 from .beliefs import BeliefDistribution, Coupling, is_bayes_plausible
 from .dominance import DominationGraph, domination_graph
 from .errors import (
@@ -160,22 +160,11 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
             row = {x_base[i] + a: w[b] for a, w in enumerate(pts) if w[b]}
             constraints.append((row, lp.EQ, instance.prior[b]))
     for (i1, i2), base in zip(edges, y_base):
+        rows = beliefs.coupling_rows(pts, pts, base)
         for a in range(n):
-            row = dict.fromkeys(range(base + a * n, base + a * n + n), one)
-            row[x_base[i1] + a] = -one
-            constraints.append((row, lp.EQ, zero))
-        for c in range(n):
-            row = dict.fromkeys(range(base + c, base + n * n, n), one)
-            row[x_base[i2] + c] = -one
-            constraints.append((row, lp.EQ, zero))
-        for c, r in enumerate(pts):
-            for b in range(dim - 1):
-                row = {
-                    base + a * n + c: l[b] - r[b]
-                    for a, l in enumerate(pts)
-                    if l[b] != r[b]
-                }
-                constraints.append((row, lp.EQ, zero))
+            rows[a][x_base[i1] + a] = -one  # row sum = x_{i1}(pts[a])
+            rows[n + a][x_base[i2] + a] = -one  # column sum = x_{i2}(pts[a])
+        constraints += [(row, lp.EQ, zero) for row in rows]
     for i in range(k):
         row = dict.fromkeys(range(x_base[i], x_base[i] + n), one)
         constraints.append((row, lp.EQ, one))
@@ -239,23 +228,14 @@ class GridSolution:
 
 def _read_solution(glp: GridLP, assignment, objective) -> GridSolution:
     pts = glp.points
-    n = len(pts)
     marginals = []
     for base in glp.x_base:
         pairs = [(w, assignment[base + a]) for a, w in enumerate(pts) if assignment[base + a]]
         marginals.append(BeliefDistribution.from_pairs(pairs))
     couplings = {}
     for (i1, i2), base in zip(glp.edges, glp.y_base):
-        flow = {}
-        for a, l in enumerate(pts):
-            row = base + a * n
-            for c, r in enumerate(pts):
-                f = assignment[row + c]
-                if f:
-                    flow[(l, r)] = f
-        couplings[(i1, i2)] = Coupling(
-            source=marginals[i1], target=marginals[i2], flow=flow
-        )
+        flow = beliefs.coupling_flows(pts, pts, assignment, base)
+        couplings[(i1, i2)] = Coupling(source=marginals[i1], target=marginals[i2], flow=flow)
     return GridSolution(
         step=glp.grid.step,
         marginals=tuple(marginals),
@@ -321,6 +301,15 @@ def _divergence(
     return None
 
 
+def _probability(v) -> Fraction:
+    """v, exactly: a Fraction, or an int that is not a bool."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise ValidationError(f"probability {v!r} is neither an int nor a Fraction")
+
+
 @dataclass(frozen=True)
 class SignalingTable:
     """Per-state conditional distribution over posterior-label profiles.
@@ -344,10 +333,7 @@ class SignalingTable:
             raise StateSpaceMismatch(f"label {format_label(bad)} is not over the {size} states")
         if any(map(ge, self.profiles, self.profiles[1:])):
             raise ValidationError("profiles must be sorted and distinct")
-        rows = {
-            s: tuple(v if type(v) is Fraction else Fraction(v) for v in vec)
-            for s, vec in self.rows.items()
-        }
+        rows = {s: tuple(map(_probability, vec)) for s, vec in self.rows.items()}
         object.__setattr__(self, "rows", rows)
         if set(rows) != set(self.space.states):
             raise ValidationError("table rows do not cover the state space")
@@ -433,6 +419,7 @@ class SignalingTable:
         space, size = prior.space, prior.space.size
         if set(per_state) != set(space.states):
             raise ValidationError("signal table does not cover the state space")
+        per_state = {s: dict(zip(d, map(_probability, d.values()))) for s, d in per_state.items()}
         lengths = {len(prof) for dist in per_state.values() for prof in dist}
         if len(lengths) > 1:
             raise ValidationError("signal profiles of unequal receiver count")

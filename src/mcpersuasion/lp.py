@@ -41,6 +41,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, inf, lcm
 from typing import Mapping, Sequence
 
@@ -57,6 +58,21 @@ UNBOUNDED = "unbounded"
 # A crash basis (a HiGHS solve of the sparse float program, then its exact
 # completion) only pays off once rows x columns is sizable.
 _CRASH_THRESHOLD = 20_000
+
+
+@cache
+def _highs():
+    """numpy, scipy.optimize and scipy.sparse.csc_matrix for the crash
+    start, or None when they do not import.  Tried once, at the first
+    crash, so that code that never solves a large program never imports
+    scipy."""
+    try:
+        import numpy
+        import scipy.optimize
+        from scipy.sparse import csc_matrix
+    except ImportError:
+        return None
+    return numpy, scipy.optimize, csc_matrix
 
 
 def _index(value, what: str) -> int:
@@ -583,12 +599,10 @@ class _Engine:
     # -- crash start from a floating-point solve
 
     def _try_crash(self) -> bool:
-        try:
-            import numpy as np
-            from scipy.optimize import linprog
-            from scipy.sparse import csc_matrix
-        except ImportError:
+        highs = _highs()
+        if highs is None:
             return False
+        np, optimize, csc_matrix = highs
         # the rational (sign-flipped) data, each value correctly rounded
         rows, cols_idx, data = [], [], []
         for i, (entries, (_, d, g)) in enumerate(zip(self.rows, self.row_scale)):
@@ -602,7 +616,7 @@ class _Engine:
         c = np.array([-(v / self.obj_scale) for v in self.obj[: self.n_std]])
         b = np.array([v * g / d for v, (_, d, g) in zip(self.b, self.row_scale)])
         try:
-            res = linprog(c, A_eq=A, b_eq=b, method="highs")
+            res = optimize.linprog(c, A_eq=A, b_eq=b, method="highs")
         except Exception:
             return False
         if not res.success or res.x is None:
@@ -679,7 +693,7 @@ def solve(lp: LinearProgram, use_crash: bool | None = None) -> LPSolution:
     """Solve to a certified status.
 
     use_crash forces the floating-point warm start on or off; by
-    default it is attempted only when scipy is importable and the
+    default it is attempted only when scipy imports (_highs) and the
     program is large enough to repay the detour.
     """
     if use_crash is None:

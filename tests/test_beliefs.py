@@ -8,6 +8,8 @@ from mcpersuasion.beliefs import (
     Coupling,
     concavify_single,
     concavify_support,
+    coupling_flows,
+    coupling_rows,
     is_bayes_plausible,
     mps_coupling,
 )
@@ -229,3 +231,74 @@ def test_coupling_refuses_flow_off_the_supports():
     }
     with pytest.raises(ValidationError, match="off the supports"):
         Coupling(source=spread, target=coarse, flow=flow)
+
+
+# ---------------------------------------------------------------------------
+# The shared coupling program against the row loops and flow comprehension
+# that mps_coupling first wrote for itself, with a variable offset added
+
+
+def _reference_coupling_rows(spread, coarse, base):
+    nl, nr = len(spread), len(coarse)
+    var = {(li, ri): base + li * nr + ri for li in range(nl) for ri in range(nr)}
+    rows = []
+    for li in range(nl):
+        rows.append({var[(li, ri)]: F(1) for ri in range(nr)})
+    for ri in range(nr):
+        rows.append({var[(li, ri)]: F(1) for li in range(nl)})
+    for ri, r in enumerate(coarse):
+        for b in range(len(r) - 1):
+            rows.append(
+                {var[(li, ri)]: l[b] - r[b] for li, l in enumerate(spread) if l[b] != r[b]}
+            )
+    return rows
+
+
+def _reference_coupling_flows(spread, coarse, assignment, base):
+    nr = len(coarse)
+    var = {(li, ri): base + li * nr + ri for li in range(len(spread)) for ri in range(nr)}
+    return {
+        (l, r): assignment[var[(li, ri)]]
+        for li, l in enumerate(spread)
+        for ri, r in enumerate(coarse)
+        if assignment[var[(li, ri)]]
+    }
+
+
+def _random_points(rng, dim, on_grid):
+    """Distinct posteriors in a random order: on one 1/d grid, or with
+    coordinates of unrelated denominators."""
+    points = set()
+    denominator = rng.randint(1, 12)
+    for _ in range(rng.randint(1, 8)):
+        if on_grid:
+            cuts = sorted(rng.randint(0, denominator) for _ in range(dim - 1))
+            parts = [b - a for a, b in zip([0] + cuts, cuts + [denominator])]
+            points.add(tuple(F(x, denominator) for x in parts))
+        else:
+            weights = [rng.randint(0, 9) * rng.randint(1, 7) for _ in range(dim)]
+            weights[-1] += 1
+            points.add(tuple(F(w, sum(weights)) for w in weights))
+    points = sorted(points)
+    rng.shuffle(points)
+    return points
+
+
+def test_coupling_rows_and_flows_match_the_reference():
+    rng = random.Random(1601)
+    for trial in range(300):
+        dim, base = rng.randint(1, 3), rng.choice([0, rng.randint(1, 60)])
+        spread = _random_points(rng, dim, on_grid=trial % 2 == 0)
+        coarse = _random_points(rng, dim, on_grid=trial % 3 != 0)
+        got = coupling_rows(spread, coarse, base)
+        want = _reference_coupling_rows(spread, coarse, base)
+        # the same rows in the same order, keys in the same order, values equal
+        assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+        assert all(type(v) is Fraction for row in got for v in row.values())
+        size = base + len(spread) * len(coarse)
+        assignment = tuple(
+            rng.choice([F(0), F(rng.randint(1, 9), rng.randint(1, 9))]) for _ in range(size + 3)
+        )
+        got = coupling_flows(spread, coarse, assignment, base)
+        want = _reference_coupling_flows(spread, coarse, assignment, base)
+        assert list(got.items()) == list(want.items())

@@ -1,10 +1,10 @@
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
+from mcpersuasion import lp
 from mcpersuasion.cli import main
 from mcpersuasion.dominance import sperner_structure
 from mcpersuasion.forest import evaluate_table
@@ -187,7 +187,8 @@ def test_solve_documents_are_pinned(capsys, name, epsilon, expected):
     rational (Fraction) LP engine that preceded the integer one.  Both
     programs are large enough for the scipy crash start, which picks the
     optimal vertex the document shows."""
-    pytest.importorskip("scipy.optimize")
+    if lp._highs() is None:
+        pytest.skip("scipy does not import")
     data = Path(__file__).parent / "data"
     instance = str(data / f"{name}.instance.json")
     code, out, err = run(capsys, "solve", instance, "--epsilon", epsilon)
@@ -565,6 +566,44 @@ def test_bad_budget_is_usage(capsys, files):
     assert code == 1
 
 
+# command-line integers are read in the ASCII digits 0-9 alone; int()
+# would also take other scripts' digits, underscores, signs and
+# surrounding spaces
+NOT_ASCII_INTEGERS = ["\u0661\u0660", "1_0", "+10", " 10", "10 ", "\uff11\uff10"]
+
+
+def assert_usage_error(code, out, err):
+    assert code == 1 and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", NOT_ASCII_INTEGERS + ["\u0661\u0660^2", "10^\u0662"])
+def test_budget_takes_ascii_digits_only(capsys, files, budget):
+    path = files("flagship.json", FLAGSHIP)
+    assert_usage_error(*run(capsys, "bunion", path, "--budget", budget))
+
+
+@pytest.mark.parametrize(
+    "subset", ["\u0661", "\uff11", "0_1", "+1", " 1", "1 ", "\u0661,2", "1,,2", "1, 2", ""]
+)
+def test_subset_takes_ascii_digits_only(capsys, files, subset):
+    instance = files("sperner3.json", SPERNER3_INSTANCE)
+    table = files("reveal.json", REVEAL3)
+    assert_usage_error(*run(capsys, "share", instance, table, "--subset", subset))
+
+
+@pytest.mark.parametrize("q", NOT_ASCII_INTEGERS)
+def test_q_takes_ascii_digits_only(capsys, files, q):
+    instance = files("sperner3.json", SPERNER3_INSTANCE)
+    table = files("reveal.json", REVEAL3)
+    assert_usage_error(*run(capsys, "share", instance, table, "--subset", "1", "--q", q))
+
+
+@pytest.mark.parametrize("k", NOT_ASCII_INTEGERS)
+def test_sperner_k_takes_ascii_digits_only(capsys, k):
+    assert_usage_error(*run(capsys, "sperner", k))
+
+
 def test_reruns_byte_identical(capsys, files):
     instance = files("single.json", SINGLE)
     code, first, _ = run(capsys, "solve", instance, "--epsilon", "1/100")
@@ -592,9 +631,9 @@ def test_out_files_are_valid_json(capsys, files, tmp_path):
 
 @pytest.fixture
 def no_scipy(monkeypatch):
-    """Make the LP crash start's import fail, so a pinned output cannot
-    depend on whether scipy is installed."""
-    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    """Take the LP crash start away, as if scipy did not import, so a
+    pinned output cannot depend on whether scipy is installed."""
+    monkeypatch.setattr(lp, "_highs", lambda: None)
 
 
 def sha256(data):

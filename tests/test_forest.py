@@ -655,6 +655,20 @@ def test_from_signals_refuses_what_the_reference_refuses(per_state):
         SignalingTable.from_signals(HALF, per_state)
 
 
+@pytest.mark.parametrize("value", [1.0, True, "1", None], ids=["float", "bool", "str", "none"])
+def test_tables_take_only_exact_probabilities(value):
+    """A probability is an int that is not a bool, or a Fraction; nothing
+    else is converted."""
+    with pytest.raises(ValidationError):
+        SignalingTable(space=TWO, profiles=((pt(1, 0),),), rows={"0": (value,), "1": (F(1),)})
+    with pytest.raises(ValidationError):
+        SignalingTable.from_signals(HALF, {"0": {("a",): value}, "1": {("a",): F(1)}})
+    table = SignalingTable(space=TWO, profiles=((pt(1, 0),),), rows={"0": (1,), "1": (F(1),)})
+    assert table.rows["0"] == (F(1),) and type(table.rows["0"][0]) is Fraction
+    table = SignalingTable.from_signals(HALF, {"0": {("a",): 1}, "1": {("a",): F(1)}})
+    assert table.profiles == ((pt("1/2", "1/2"),),)
+
+
 def test_from_signals_merges_signals_whose_masses_cancel():
     # b and c induce the prior as posterior, c from negative masses; merged
     # with a, the negative masses cancel and the table is no revelation

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import random
 from dataclasses import replace
@@ -250,6 +249,15 @@ def test_crash_and_pure_paths_agree():
     assert check_optimal(lp, slow.assignment, slow.dual)
 
 
+def _highs_or_skip():
+    """numpy, scipy.optimize and csc_matrix as the crash start imports
+    them; the test is skipped when they do not import."""
+    highs = lp_module._highs()
+    if highs is None:
+        pytest.skip("scipy does not import")
+    return highs
+
+
 @pytest.mark.parametrize(
     "guess, accepted",
     [([1.0, 0.0, 2.0], True), ([1.0, 0.0, 0.0], False), ([0.5, 0.5, 0.0], False)],
@@ -259,7 +267,7 @@ def test_crash_keeps_only_a_feasible_completed_basis(monkeypatch, guess, accepte
     """The float guess's completed basis is kept only if every basic
     value is nonnegative and every artificial left basic is at zero;
     otherwise the solve takes the all-artificial route instead."""
-    scipy_optimize = pytest.importorskip("scipy.optimize")
+    _, scipy_optimize, _ = _highs_or_skip()
     lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1), ([1, -1, 1], EQ, 3)])
     result = SimpleNamespace(success=True, x=guess)
     monkeypatch.setattr(scipy_optimize, "linprog", lambda *args, **kwargs: result)
@@ -272,9 +280,7 @@ def test_crash_hands_highs_the_column_wise_float_copy(monkeypatch):
     row; the matrix, c and b it hands linprog are bit for bit those of a
     column-wise build from the engine's columns, on the pinned grid
     programs, so HiGHS is given the same program."""
-    np = pytest.importorskip("numpy")
-    scipy_optimize = pytest.importorskip("scipy.optimize")
-    from scipy.sparse import csc_matrix
+    np, scipy_optimize, csc_matrix = _highs_or_skip()
 
     handed = []
 
@@ -580,7 +586,7 @@ def test_pivot_path_matches_the_rational_engine(use_crash, monkeypatch):
     # some optima keep an artificial basic at zero
     assert left_basic
     digest = hashlib.md5("\n".join(map(repr, solutions)).encode()).hexdigest()
-    if use_crash and importlib.util.find_spec("scipy") is not None:
+    if use_crash and lp_module._highs() is not None:
         assert _primal_digest(solutions) == PINNED_CRASH_PRIMAL
         assert digest == PINNED_CRASH
     else:
@@ -787,7 +793,7 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
     assert ("pivot", False, True) in checked
     assert ("prices", False) in checked
     assert ("prices after a negative pivot", False) in checked
-    if importlib.util.find_spec("scipy") is not None:
+    if lp_module._highs() is not None:
         assert "completion" in checked
         assert ("pivot", True, True) in checked
         assert ("prices", True) in checked
@@ -942,7 +948,7 @@ CHAIN2_40_PURE_MOVED = {
 def test_grid_solves_are_pinned(use_crash):
     solutions = [solve(_grid_program(*case), use_crash=use_crash) for case in GRID_CASES]
     digest = hashlib.md5("\n".join(map(repr, solutions)).encode()).hexdigest()
-    if use_crash is None and importlib.util.find_spec("scipy") is not None:
+    if use_crash is None and lp_module._highs() is not None:
         assert _primal_digest(solutions) == GRID_SOLVES_DEFAULT_PRIMAL
         assert digest == GRID_SOLVES_DEFAULT
     else:
