@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import lcm
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from . import lp
@@ -141,15 +142,15 @@ class Coupling:
 def coupling_rows(spread: Sequence[Posterior], coarse: Sequence[Posterior], base=0) -> list:
     """Left-hand sides of the rows that make flows y(l, r) >= 0 witness
     spread ⊒ coarse, with y(spread[a], coarse[c]) the variable
-    base + a * len(coarse) + c.  In order: a row sum per spread point, a
-    column sum per coarse point, then per coarse point r a barycenter row
+    base + a * len(coarse) + c, each as (integer coefficients, den).  In
+    order: a row sum per spread point and a column sum per coarse point,
+    coefficients 1 over den 1; then per coarse point r a barycenter row
     sum_l y(l, r)(l_b - r_b) for every coordinate b but the last, which
-    the column sum implies.  Each distinct l_b - r_b is one Fraction, made
-    from integers over the coordinates' common denominator D."""
+    the column sum implies, as D l_b - D r_b over the coordinates' common
+    denominator D."""
     nl, nr = len(spread), len(coarse)
-    one = Fraction(1)
-    rows = [dict.fromkeys(range(base + a * nr, base + a * nr + nr), one) for a in range(nl)]
-    rows += [dict.fromkeys(range(base + c, base + nl * nr, nr), one) for c in range(nr)]
+    rows = [(dict.fromkeys(range(base + a * nr, base + a * nr + nr), 1), 1) for a in range(nl)]
+    rows += [(dict.fromkeys(range(base + c, base + nl * nr, nr), 1), 1) for c in range(nr)]
     D = lcm(*(x.denominator for p in (*spread, *coarse) for x in p))
 
     def scaled(points):
@@ -157,12 +158,18 @@ def coupling_rows(spread: Sequence[Posterior], coarse: Sequence[Posterior], base
         return list(zip(*([x.numerator * (D // x.denominator) for x in p[:-1]] for p in points)))
 
     ls, rs = scaled(spread), scaled(coarse)
-    coef = {d: Fraction(d, D) for lb, rb in zip(ls, rs) for d in {v - w for v in lb for w in rb}}
-    offsets = range(base, base + nl * nr, nr)
+    at = [{} for _ in ls]  # per coordinate, the spread points at each value
+    for where, lb in zip(at, ls):
+        for a, v in enumerate(lb):
+            where.setdefault(v, []).append(a)
     for c in range(nr):
-        for lb, rb in zip(ls, rs):
+        column = range(base + c, base + nl * nr, nr)  # y(., coarse[c])
+        for lb, rb, where in zip(ls, rs, at):
             w = rb[c]
-            rows.append({o + c: coef[v - w] for o, v in zip(offsets, lb) if v != w})
+            row = dict(zip(column, map(sub, lb, repeat(w))))
+            for a in where.get(w, ()):
+                del row[column[a]]  # l_b = r_b: no coefficient
+            rows.append((row, D))
     return rows
 
 
@@ -182,11 +189,15 @@ def mps_coupling(
     masses on the right of the row and column sums."""
     if spread.dim != coarse.dim:
         raise StateSpaceMismatch("cannot couple distributions of mixed dimension")
-    nl, nr = len(spread.points), len(coarse.points)
     rows = coupling_rows(spread.points, coarse.points)
-    rhs = [*spread.masses, *coarse.masses] + [Fraction(0)] * (len(rows) - nl - nr)
-    constraints = [(row, lp.EQ, v) for row, v in zip(rows, rhs)]
-    sol = lp.solve(lp.LinearProgram(nl * nr, {}, constraints))
+    # a row or column sum over den 1 equals its mass m: scaled by m's denominator
+    constraints = [
+        (dict.fromkeys(row, m.denominator), lp.EQ, m.numerator, m.denominator)
+        for (row, _), m in zip(rows, (*spread.masses, *coarse.masses))
+    ]
+    constraints += [(row, lp.EQ, 0, den) for row, den in rows[len(constraints) :]]
+    n = len(spread.points) * len(coarse.points)
+    sol = lp.solve(lp.LinearProgram.integral(n, ({}, 1), constraints))
     if sol.status != lp.OPTIMAL:
         return None
     flow = coupling_flows(spread.points, coarse.points, sol.assignment)

@@ -133,7 +133,6 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     graph, edges = _forest_edges(instance)
     pts = grid.points()
     k = instance.k
-    dim = grid.dim
 
     n = len(pts)
     x_base = tuple(i * n for i in range(k))
@@ -143,33 +142,29 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     for i1, i2 in edges:
         names.extend(f"y{i1 + 1}>{i2 + 1}@({tl}|{tr})" for tl in text for tr in text)
 
-    tables = [
-        tabulate(u, instance.space, pts) for u in instance.utilities.receivers
-    ]
-    objective = {}
-    for i in range(k):
-        for a, w in enumerate(pts):
-            v = tables[i][w]
-            if v:
-                objective[x_base[i] + a] = v
+    tables = [tabulate(u, instance.space, pts) for u in instance.utilities.receivers]
+    values = {x_base[i] + a: tables[i][w] for i in range(k) for a, w in enumerate(pts)}
+    obj_den = lcm(*(v.denominator for v in values.values()))
+    objective = {j: v.numerator * (obj_den // v.denominator) for j, v in values.items() if v}
 
-    one, zero = Fraction(1), Fraction(0)
+    # integer rows (coeffs, rel, rhs, den); a point's coordinates are its lattice ones over D
+    D = grid.denominator
+    lattice = [[x.numerator * (D // x.denominator) for x in w] for w in pts]
     constraints = []
     for i in range(k):
-        for b in range(dim):
-            row = {x_base[i] + a: w[b] for a, w in enumerate(pts) if w[b]}
-            constraints.append((row, lp.EQ, instance.prior[b]))
+        for b, q in enumerate(instance.prior.values):
+            row = {x_base[i] + a: c[b] * q.denominator for a, c in enumerate(lattice) if c[b]}
+            constraints.append((row, lp.EQ, q.numerator * D, q.denominator * D))
     for (i1, i2), base in zip(edges, y_base):
         rows = beliefs.coupling_rows(pts, pts, base)
         for a in range(n):
-            rows[a][x_base[i1] + a] = -one  # row sum = x_{i1}(pts[a])
-            rows[n + a][x_base[i2] + a] = -one  # column sum = x_{i2}(pts[a])
-        constraints += [(row, lp.EQ, zero) for row in rows]
+            rows[a][0][x_base[i1] + a] = -1  # row sum = x_{i1}(pts[a])
+            rows[n + a][0][x_base[i2] + a] = -1  # column sum = x_{i2}(pts[a])
+        constraints += [(row, lp.EQ, 0, den) for row, den in rows]
     for i in range(k):
-        row = dict.fromkeys(range(x_base[i], x_base[i] + n), one)
-        constraints.append((row, lp.EQ, one))
+        constraints.append((dict.fromkeys(range(x_base[i], x_base[i] + n), 1), lp.EQ, 1, 1))
 
-    program = lp.LinearProgram(len(names), objective, constraints, var_names=names)
+    program = lp.LinearProgram.integral(len(names), (objective, obj_den), constraints, names)
     return GridLP(
         program=program,
         grid=grid,

@@ -2,38 +2,21 @@
 
 maximize c.x  subject to  rows with relations =, <=, >=  and  x >= 0.
 
-The engine is a two-phase revised simplex with an explicit basis
-inverse, run in integer arithmetic: each row is scaled to primitive
-integers by its own factor and the inverse is kept as an integer
-adjugate over the basis determinant, so that every division is exact
-(fraction-free elimination).  Scaling a row leaves the simplex path as
-it is: ratios, the signs of reduced costs and zero tests do not see it,
-and phase 1 weighs each artificial so that it minimises the same sum of
-residuals as under one common scale.  A pivot
-rewrites only the rows of the inverse that its direction touches; each
-other row keeps the determinant it was last written at and is brought
-up to date when it is next read.  Each row has one unit artificial
-column.  An artificial left basic at zero by phase 1 or the crash
-start leaves only when a phase-2 entering column touches its row; one
-never touched stays basic at zero, with dual 0.  No status is ever
-reported on trust: an optimal answer carries a dual vector and is
-re-checked exactly against the original program, never the scaled rows
-(feasibility, dual sign conditions, reduced costs, strong duality), an
-infeasible answer carries a Farkas vector, an unbounded answer carries
-a feasible point and an improving ray, and each certificate is verified
-exactly before the solution is returned.
-
-Every basis is reached by pivots from the unit basis of the
-artificials, so one elimination routine builds them all.  Pivoting uses
-the largest-reduced-cost rule and falls back to the smallest-index rule
+A program is stored in integers, each row over its own denominator.
+The engine is a two-phase revised simplex in integer arithmetic, with
+the basis inverse an integer adjugate over the basis determinant, so
+every division is exact (fraction-free elimination).  Pivoting uses the
+largest-reduced-cost rule and falls back to the smallest-index rule
 after a long run of degenerate pivots, which makes termination
-unconditional.  Reduced costs are kept from pivot to pivot and updated
-only for the columns the new row of the inverse reaches, which leaves
-the path as it is.  For large programs, when scipy is installed, a
+unconditional.  For large programs, when scipy is installed, a
 floating-point solve supplies a starting basis guess whose columns are
-then pivoted in exactly and certified; the guess changes only the path
-taken, never the checked answer.  Output is deterministic for a fixed
-input on a fixed installation.
+then pivoted in exactly; the guess changes only the path taken.
+
+No status is reported on trust: an optimal answer carries a dual
+vector, an infeasible one a Farkas vector, an unbounded one a feasible
+point and an improving ray, each checked exactly against the program as
+stored, never the engine's scaled rows.  Output is deterministic for a
+fixed input on a fixed installation.
 """
 
 from __future__ import annotations
@@ -42,6 +25,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import repeat
 from math import gcd, inf, lcm
 from typing import Mapping, Sequence
 
@@ -63,9 +47,8 @@ _CRASH_THRESHOLD = 20_000
 @cache
 def _highs():
     """numpy, scipy.optimize and scipy.sparse.csc_matrix for the crash
-    start, or None when they do not import.  Tried once, at the first
-    crash, so that code that never solves a large program never imports
-    scipy."""
+    start, or None when they do not import; tried once, at the first
+    crash, so that code that never solves a large program never imports it."""
     try:
         import numpy
         import scipy.optimize
@@ -85,54 +68,96 @@ def _index(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
-class LinearProgram:
-    """Immutable program data.  Rows may be given sparse (index -> coeff
-    mappings) or dense; everything is normalized to sparse Fractions."""
+def _integral(row, rel, rhs) -> tuple[dict, str, int, int]:
+    """The one adapter for rational rows: a row, a mapping (index -> coeff)
+    or a sequence, with its relation and right-hand side, as integers over
+    the lcm of their denominators, (coeffs, rel, rhs, den).  Values must be
+    ints or Fractions; floats, strings and booleans are refused."""
+    if not isinstance(row, (Mapping, Sequence)):
+        raise ValidationError("row must be a mapping or a sequence")
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    values = {j if type(j) is int else _index(j, "variable index"): v for j, v in items}
+    for v in (rhs, *values.values()):
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ValidationError(f"coefficient or right-hand side {v!r} is not exact")
+    den = lcm(rhs.denominator, *(v.denominator for v in values.values()))
+    coeffs = {j: v.numerator * (den // v.denominator) for j, v in values.items()}
+    return coeffs, rel, rhs.numerator * (den // rhs.denominator), den
 
-    __slots__ = ("n_vars", "objective", "constraints", "var_names")
+
+def _lowest(row: tuple, n_vars: int) -> tuple[dict, str, int, int]:
+    """An integer row (coeffs, rel, rhs, den) reduced by one gcd to lowest
+    terms, zero coefficients dropped.  Refused unless rel is a relation,
+    rhs and den are ints, den >= 1, the coefficients integers (gcd takes
+    no float, string or Fraction) and every index in range(n_vars)."""
+    coeffs, rel, rhs, den = row
+    if rel not in (EQ, LE, GE):
+        raise ValidationError(f"unknown relation {rel!r}")
+    if type(rhs) is not int or type(den) is not int or den < 1:
+        raise ValidationError(f"integer row needs int rhs and den >= 1, got {rhs!r}, {den!r}")
+    try:
+        g = gcd(den, rhs, *coeffs.values())
+        if coeffs and not (0 <= min(coeffs) and max(coeffs) < n_vars):
+            raise ValidationError("variable index out of range")
+    except TypeError:
+        raise ValidationError("integer row needs integer coefficients and indices") from None
+    if g > 1 or not all(coeffs.values()):
+        coeffs, rhs, den = {j: a // g for j, a in coeffs.items() if a}, rhs // g, den // g
+    return coeffs, rel, rhs, den
+
+
+class LinearProgram:
+    """Immutable program data, stored in integers.
+
+    Row i is (coeffs, rel, rhs, den), the constraint
+    sum_j coeffs[j] x_j / den  rel  rhs / den, in lowest terms (den is
+    the lcm of the rational row's denominators), without zero
+    coefficients; the objective is obj over obj_den.  The constructor
+    takes rational rows, sparse (index -> coeff mappings) or dense, of
+    ints and Fractions; integral takes integer rows over any den >= 1,
+    keeping each dict already in lowest terms.  constraints and objective
+    give the rows as Fractions."""
+
+    __slots__ = ("n_vars", "obj", "obj_den", "rows", "var_names")
 
     def __init__(self, n_vars, objective, constraints, var_names=None):
-        self.n_vars = _index(n_vars, "variable count")
-        if self.n_vars < 0:
-            raise ValidationError("variable count must be nonnegative")
-        self.objective = self._norm_row(objective)
-        norm = []
-        for row, rel, rhs in constraints:
-            if rel not in (EQ, LE, GE):
-                raise ValidationError(f"unknown relation {rel!r}")
-            norm.append((self._norm_row(row), rel, Fraction(rhs)))
-        self.constraints = tuple(norm)
-        if var_names is not None:
-            var_names = tuple(var_names)
-            if len(var_names) != self.n_vars:
-                raise ValidationError("var_names length mismatch")
-        self.var_names = var_names
+        obj, _, _, den = _integral(objective, EQ, 0)
+        self._store(n_vars, (obj, den), [_integral(*row) for row in constraints], var_names)
 
-    def _norm_row(self, row) -> dict:
-        if isinstance(row, Mapping):
-            items = row.items()
-        elif isinstance(row, Sequence):
-            items = enumerate(row)
-        else:
-            raise ValidationError("row must be a mapping or a sequence")
-        out = {}
-        for j, v in items:
-            if type(j) is not int:
-                j = _index(j, "variable index")
-            if not (0 <= j < self.n_vars):
-                raise ValidationError(f"variable index {j} out of range")
-            if type(v) is not Fraction:
-                v = Fraction(v)
-            if v:
-                out[j] = v
-        return out
+    @classmethod
+    def integral(cls, n_vars, objective, rows, var_names=None) -> "LinearProgram":
+        """The program with objective (coeffs, den) and rows
+        (coeffs, rel, rhs, den) in integers."""
+        program = cls.__new__(cls)
+        program._store(n_vars, objective, rows, var_names)
+        return program
+
+    def _store(self, n_vars, objective, rows, var_names):
+        self.n_vars = n = _index(n_vars, "variable count")
+        if n < 0:
+            raise ValidationError("variable count must be nonnegative")
+        coeffs, den = objective
+        self.obj, _, _, self.obj_den = _lowest((coeffs, EQ, 0, den), n)
+        self.rows = tuple(_lowest(row, n) for row in rows)
+        self.var_names = None if var_names is None else tuple(var_names)
+        if var_names is not None and len(self.var_names) != n:
+            raise ValidationError("var_names length mismatch")
+
+    @property
+    def objective(self) -> dict[int, Fraction]:
+        return {j: Fraction(a, self.obj_den) for j, a in self.obj.items()}
+
+    @property
+    def constraints(self) -> tuple:
+        """(row, rel, rhs) per row, row a dict of Fractions and rhs one."""
+        return tuple(
+            ({j: Fraction(a, den) for j, a in coeffs.items()}, rel, Fraction(rhs, den))
+            for coeffs, rel, rhs, den in self.rows
+        )
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
-
-    def name(self, j: int) -> str:
-        return self.var_names[j] if self.var_names else f"x{j + 1}"
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -158,26 +183,18 @@ def dump(lp: LinearProgram) -> str:
     """Plain-text listing of the program for inspection."""
 
     def term(j, v):
-        v = Fraction(v)
         coeff = "" if v == 1 else ("-" if v == -1 else f"{v} ")
-        return f"{coeff}{lp.name(j)}"
+        return coeff + (lp.var_names[j] if lp.var_names else f"x{j + 1}")
 
     def row_text(row):
-        if not row:
-            return "0"
-        parts = []
-        for idx, (j, v) in enumerate(sorted(row.items())):
-            if idx == 0:
-                parts.append(term(j, v))
-            elif v < 0:
-                parts.append(f"- {term(j, -v)}")
-            else:
-                parts.append(f"+ {term(j, v)}")
+        items = sorted(row.items())
+        parts = [term(*items[0])] if items else ["0"]
+        parts += [f"- {term(j, -v)}" if v < 0 else f"+ {term(j, v)}" for j, v in items[1:]]
         return " ".join(parts)
 
     lines = [f"maximize {row_text(lp.objective)}", "subject to"]
-    for idx, (row, rel, rhs) in enumerate(lp.constraints):
-        lines.append(f"  c{idx + 1}: {row_text(row)} {rel} {rhs}")
+    for i, (row, rel, rhs) in enumerate(lp.constraints, 1):
+        lines.append(f"  c{i}: {row_text(row)} {rel} {rhs}")
     lines.append(f"x >= 0  ({lp.n_vars} variables)")
     return "\n".join(lines)
 
@@ -186,94 +203,93 @@ def dump(lp: LinearProgram) -> str:
 # certificate checks, run exactly against the original program
 
 
-def _dot(x: Sequence[Fraction], row: Mapping[int, Fraction]) -> Fraction:
-    """row . x, over the entries where x is nonzero."""
-    return sum((x[j] * v for j, v in row.items() if x[j]), Fraction(0))
+_HOLDS = {EQ: operator.eq, LE: operator.le, GE: operator.ge}
+_SIGN = {EQ: 0, LE: 1, GE: -1}
 
 
-def check_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
-    if len(x) != lp.n_vars or any(v < 0 for v in x):
-        return False
-    for row, rel, rhs in lp.constraints:
-        lhs = _dot(x, row)
-        if rel == EQ and lhs != rhs:
-            return False
-        if rel == LE and not lhs <= rhs:
-            return False
-        if rel == GE and not lhs >= rhs:
-            return False
-    return True
+def _point(lp: LinearProgram, x: Sequence[Fraction]) -> tuple[list[int], int] | None:
+    """x as integers over their common denominator X, with X, when x is
+    a nonnegative vector of lp's length; None otherwise."""
+    support = [(j, v) for j, v in enumerate(x) if v]
+    if len(x) != lp.n_vars or any(v < 0 for _, v in support):
+        return None
+    X = lcm(*(v.denominator for _, v in support))
+    ints = [0] * lp.n_vars
+    for j, v in support:
+        ints[j] = v.numerator * (X // v.denominator)
+    return ints, X
 
 
-def _dual_signs_ok(lp, y):
-    for (row, rel, rhs), yi in zip(lp.constraints, y):
-        if rel == LE and yi < 0:
-            return False
-        if rel == GE and yi > 0:
-            return False
-    return True
-
-
-def _scaled_yA(lp, y) -> tuple[list[int], int]:
-    """y'A in integers: each entry times s = D * L, returned with s, where
-    D is the common denominator of y and L that of the coefficients."""
-    D = lcm(*(yi.denominator for yi in y))
-    L = lcm(*(v.denominator for row, _, _ in lp.constraints for v in row.values()))
-    yA = [0] * lp.n_vars
-    for (row, _, _), yi in zip(lp.constraints, y):
-        if yi:
-            t = yi.numerator * (D // yi.denominator) * L
-            for j, v in row.items():
-                yA[j] += t // v.denominator * v.numerator
-    return yA, D * L
-
-
-def _reduced_costs_ok(lp, y):
-    # y'A >= c componentwise
-    yA, s = _scaled_yA(lp, y)
-    c = lp.objective
+def _rows_hold(lp: LinearProgram, ints: list[int], scale: int) -> bool:
+    """Whether every row holds at the integer point ints against its
+    right-hand side times scale: lhs and rhs are both in the row's den."""
+    at = ints.__getitem__
     return all(
-        a * c[j].denominator >= s * c[j].numerator if j in c else a >= 0
-        for j, a in enumerate(yA)
+        _HOLDS[rel](sum(map(operator.mul, map(at, coeffs), coeffs.values())), rhs * scale)
+        for coeffs, rel, rhs, _ in lp.rows
     )
 
 
+def _value(lp: LinearProgram, ints: list[int], X: int) -> Fraction:
+    """c.x at x = ints / X."""
+    return Fraction(sum(a * ints[j] for j, a in lp.obj.items()), lp.obj_den * X)
+
+
+def check_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
+    point = _point(lp, x)
+    return point is not None and _rows_hold(lp, *point)
+
+
+def _dual_signs_ok(lp, y):
+    """y_i >= 0 on each <= row and y_i <= 0 on each >= row."""
+    return all(yi.numerator * _SIGN[rel] >= 0 for (_, rel, _, _), yi in zip(lp.rows, y))
+
+
+def _scaled_yA(lp, y) -> tuple[list[int], int, int]:
+    """y'A and y'b in integers, each times s = Y * L, returned with s,
+    where Y is the common denominator of y and L that of the rows."""
+    Y = lcm(*(yi.denominator for yi in y))
+    L = lcm(*(den for _, _, _, den in lp.rows))
+    yA, yb = [0] * lp.n_vars, 0
+    for (coeffs, _, rhs, den), yi in zip(lp.rows, y):
+        if yi:
+            t = yi.numerator * (Y // yi.denominator) * (L // den)
+            yb += t * rhs
+            for j, a in coeffs.items():
+                yA[j] += t * a
+    return yA, yb, Y * L
+
+
+def _reduced_costs_ok(lp, yA, s) -> bool:
+    """y'A >= c componentwise, given y'A times s: yA / s >= obj / obj_den."""
+    bound = [0] * lp.n_vars
+    for j, a in lp.obj.items():
+        bound[j] = a * s
+    return all(map(operator.ge, map(operator.mul, yA, repeat(lp.obj_den)), bound))
+
+
 def check_optimal(lp, x, y) -> bool:
-    if len(y) != lp.n_constraints or not check_feasible(lp, x):
+    point = _point(lp, x)
+    if len(y) != lp.n_constraints or point is None or not _rows_hold(lp, *point):
         return False
-    if not _dual_signs_ok(lp, y) or not _reduced_costs_ok(lp, y):
+    yA, yb, s = _scaled_yA(lp, y)
+    if not _dual_signs_ok(lp, y) or not _reduced_costs_ok(lp, yA, s):
         return False
-    primal = _dot(x, lp.objective)
-    dual = sum((yi * rhs for (_, _, rhs), yi in zip(lp.constraints, y)), Fraction(0))
-    return primal == dual
+    return _value(lp, *point) == Fraction(yb, s)
 
 
 def check_farkas(lp, y) -> bool:
     if len(y) != lp.n_constraints or not _dual_signs_ok(lp, y):
         return False
-    if any(v < 0 for v in _scaled_yA(lp, y)[0]):
-        return False
-    yb = sum((yi * rhs for (_, _, rhs), yi in zip(lp.constraints, y)), Fraction(0))
-    return yb < 0
+    yA, yb, _ = _scaled_yA(lp, y)
+    return min(yA, default=0) >= 0 and yb < 0
 
 
 def check_ray(lp, x0, d) -> bool:
     if not check_feasible(lp, x0):
         return False
-    if len(d) != lp.n_vars or any(v < 0 for v in d):
-        return False
-    gain = sum((d[j] * v for j, v in lp.objective.items()), Fraction(0))
-    if gain <= 0:
-        return False
-    for row, rel, rhs in lp.constraints:
-        along = sum((d[j] * v for j, v in row.items()), Fraction(0))
-        if rel == EQ and along != 0:
-            return False
-        if rel == LE and along > 0:
-            return False
-        if rel == GE and along < 0:
-            return False
-    return True
+    ray = _point(lp, d)
+    return ray is not None and _value(lp, *ray) > 0 and _rows_hold(lp, ray[0], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +307,17 @@ def _ratio(num: int, den: int) -> float:
 class _Engine:
     """Two-phase revised simplex over one program instance, in integers.
 
-    Row i of the standard form is constraint i times d_i / g_i, where
-    d_i is the lcm of the row's denominators and its right-hand side's,
-    and g_i the gcd of the integers that gives (with d_i too for an
-    inequality, so that its slack stays integral): every row is integral
-    and primitive.  The objective is scaled by its own lcm.  A positive
-    row scale changes no direction, primal value or reduced cost of a
-    real column, and an artificial's value and direction entry by one
-    common factor, so the ratio test, the reduced costs' signs and every
-    zero test are those of the rational program.  Only phase 1 would
-    see it, as its unit artificials are in the rows' own units; the
-    artificial of row i weighs L g_i / d_i there, an integer (L is the
-    lcm of all the constraints' denominators), so that phase 1 minimises
-    the sum of the residuals of the L-scaled rows and takes their path.
-    The integers stay small: den = |det B| carries no scale a row does
-    not need.
+    Row i of the standard form is stored row i (integers over d_i)
+    divided by g_i, the gcd of its integers (with d_i for an inequality,
+    so that its slack stays integral), and negated if its right-hand side
+    is negative: constraint i times +-d_i / g_i, integral and primitive.
+    The objective is obj over obj_den.  A positive row scale changes no
+    direction, primal value or reduced cost of a real column, and an
+    artificial's value and direction entry by one common factor, so the
+    ratio test, the reduced costs' signs and every zero test are those of
+    the rational program.  Only phase 1 would see it, so it weighs the
+    artificial of row i by L g_i / d_i (L the lcm of the d_i) and
+    minimises the sum of the residuals of the L-scaled rows.
 
     The basis inverse is held as binv = den * B^-1 with den = |det B| > 0:
     binv is the adjugate of B up to sign, xb = binv . b, and each update
@@ -317,66 +329,53 @@ class _Engine:
     once, from den c_B B^-1; a pivot on row r then moves only the
     columns with a nonzero entry in the new tableau row r, read off
     rows (the standard form row by row), as alpha_j = binv[r] . a_j.
-    Column j's reduced cost is held as num[j] / lev[j], lev[j] the den
-    it was last written at, so the others need no rescale, beside fl[j],
-    its correctly rounded float.  _entering compares exactly only the
-    columns whose float is the largest, and reads the exact signs where
-    floats cannot tell; the rule and the integers it compares are those
-    of pricing from scratch, and so is the path.
+    Column j's reduced cost is num[j] / lev[j], lev[j] the den it was
+    last written at, beside fl[j], its correctly rounded float; _entering
+    compares exactly only the columns whose float is the largest.
 
     A pivot scales every row its direction misses by new den / old den.
     That is deferred: row i is stored with a level, the den it was last
-    written at, and the current row is binv[i] * den // level[i], an
-    exact division since the current row is integral.  _pivot rewrites
-    only the pivot row and the rows the direction touches, applying a
-    stale level in the same pass; _direction scales each dot product
-    instead of the row, and _row settles a row where it is read whole.
-    A positive scale keeps every sign and zero, and xb, a scalar per
-    row, is kept current, so the engine compares the integers of an
-    eagerly scaled inverse and takes the same path.
+    written at, and the current row is binv[i] * den // level[i].  _pivot
+    rewrites only the pivot row and the rows the direction touches;
+    _direction scales each dot product instead of the row, and _row
+    settles a row where it is read whole.  Signs, zeros and so the path
+    are those of an eagerly scaled inverse.
 
     Every basis starts as the unit basis of the artificials (binv = I,
-    den = 1, xb = b) and changes only by _pivot: phase 1 pivots from
-    there, and so does the crash completion, which enters each column of
-    the floating-point support at the first artificial row its direction
-    touches.
-
-    Columns n_std + r are the unit artificials, one per row, made once
-    and never priced, so one that leaves the basis leaves for good.
-    Phase 2 starts with every basic artificial at zero and evicts them
-    lazily: a row an artificial holds leaves ahead of the ratio test
-    when the entering direction is nonzero there, of either sign, in a
-    degenerate pivot.  One still basic at the optimum gets dual 0, as
-    y_r = y e_r is its unit column's cost.  Such pivots cannot cycle and
-    do not count towards the Bland fallback's streak, whose limit is
-    real_rows, the number of rows not held by an artificial, plus 10.
+    den = 1, xb = b) and changes only by _pivot; the crash completion
+    enters each column of the floating-point support at the first
+    artificial row its direction touches.  Columns n_std + r are the
+    artificials, never priced, so one that leaves stays out.  Phase 2
+    evicts a basic artificial, at zero, only when an entering direction
+    is nonzero in its row, ahead of the ratio test; one still basic at
+    the optimum gets dual 0.  Such pivots do not count towards the Bland
+    fallback's streak, whose limit is real_rows, the number of rows not
+    held by an artificial, plus 10.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self.n_real = lp.n_vars
-        self.obj_scale = lcm(*(v.denominator for v in lp.objective.values()))
+        self.obj_scale = lp.obj_den
         # standard equality form: real vars, then one slack per inequality;
         # rows with a negative right-hand side are negated
-        cols = [dict() for _ in range(self.n_real)]
+        cols = [{} for _ in range(self.n_real)]
         rows = []  # the same entries row by row: (column, value) pairs
         b = []
         row_scale = []  # (sign, d_i, g_i): row i is sign * d_i / g_i times constraint i
-        for i, (row, rel, rhs) in enumerate(lp.constraints):
-            d = lcm(rhs.denominator, *(v.denominator for v in row.values()))
-            nums = [(j, v.numerator * (d // v.denominator)) for j, v in row.items()]
-            rhs_num = rhs.numerator * (d // rhs.denominator)
-            g = gcd(rhs_num, *(a for _, a in nums), *((d,) if rel != EQ else ())) or 1
+        for i, (coeffs, rel, rhs, d) in enumerate(lp.rows):
+            g = gcd(rhs, *coeffs.values(), *((d,) if rel != EQ else ())) or 1
             sign = -1 if rhs < 0 else 1
-            entries = [(j, sign * a // g) for j, a in nums]
+            unit = sign * g  # exact: g divides every entry
+            entries = coeffs.items() if unit == 1 else [(j, a // unit) for j, a in coeffs.items()]
             for j, a in entries:
                 cols[j][i] = a
             if rel != EQ:
-                unit = sign * d // g if rel == LE else -sign * d // g
-                entries.append((len(cols), unit))
-                cols.append({i: unit})
+                slack = d // unit if rel == LE else -d // unit
+                entries = [*entries, (len(cols), slack)]
+                cols.append({i: slack})
             rows.append(entries)
-            b.append(sign * rhs_num // g)
+            b.append(rhs // unit)
             row_scale.append((sign, d, g))
         self.n_std = len(cols)
         self.m = len(b)
@@ -387,8 +386,8 @@ class _Engine:
         self.row_scale = row_scale
         self.scale = lcm(*(d for _, d, _ in row_scale))  # L
         self.obj = [0] * len(cols)
-        for j, v in lp.objective.items():
-            self.obj[j] = self.obj_scale * v.numerator // v.denominator
+        for j, a in lp.obj.items():
+            self.obj[j] = a
         self.basis: list[int] = []
         self.binv: list[list[int]] = []
         self.level: list[int] = []
@@ -577,7 +576,9 @@ class _Engine:
         """The unit basis: B = I, so binv = I, den = 1 and xb = b."""
         m = self.m
         self.basis = list(range(self.n_std, self.n_std + m))
-        self.binv = [[int(q == i) for q in range(m)] for i in range(m)]
+        self.binv = [[0] * m for _ in range(m)]
+        for i, row in enumerate(self.binv):
+            row[i] = 1
         self.level = [1] * m
         self.den = 1
         self.xb = list(self.b)
@@ -659,7 +660,8 @@ class _Engine:
         y = self._map_dual(self._duals(self.obj), self.obj_scale * self.den)
         if not check_optimal(self.lp, x, y):
             raise InvariantViolation("optimality certificate failed verification")
-        value = _dot(x, self.lp.objective)
+        value = sum(self.obj[j] * v for j, v in zip(self.basis, self.xb))
+        value = Fraction(value, self.obj_scale * self.den)
         return LPSolution(
             status=OPTIMAL, assignment=tuple(x), objective=value, dual=tuple(y)
         )

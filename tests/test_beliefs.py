@@ -292,9 +292,11 @@ def test_coupling_rows_and_flows_match_the_reference():
         coarse = _random_points(rng, dim, on_grid=trial % 3 != 0)
         got = coupling_rows(spread, coarse, base)
         want = _reference_coupling_rows(spread, coarse, base)
-        # the same rows in the same order, keys in the same order, values equal
-        assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
-        assert all(type(v) is Fraction for row in got for v in row.values())
+        # the same rows in the same order, keys in the same order, values
+        # equal: integer coefficients over each row's den
+        assert all(type(v) is int for row, den in got for v in (*row.values(), den))
+        rational = [[(j, F(a, den)) for j, a in row.items()] for row, den in got]
+        assert rational == [list(row.items()) for row in want]
         size = base + len(spread) * len(coarse)
         assignment = tuple(
             rng.choice([F(0), F(rng.randint(1, 9), rng.randint(1, 9))]) for _ in range(size + 3)

@@ -365,6 +365,7 @@ class _Index:
         (2, {}, {"1": 1}),
         (-1, {}, {}),
         (2, {}, {2: 1}),
+        (1, {}, [1, 0]),
     ],
     ids=[
         "float-count-and-indices",
@@ -379,6 +380,7 @@ class _Index:
         "str-index",
         "negative-count",
         "index-out-of-range",
+        "zero-out-of-range",
     ],
 )
 def test_program_refuses_indices_that_are_not_integers(n_vars, objective, row):
@@ -396,6 +398,46 @@ def test_program_takes_integer_like_indices():
     assert lp.constraints == (({0: 1, 1: 1}, LE, 1),)
     assert all(type(j) is int for row, _, _ in lp.constraints for j in row)
     assert solve(lp).objective == 1
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1/2"], ids=["float", "bool", "str"])
+def test_program_refuses_inexact_values(bad):
+    """Coefficients, objective entries and right-hand sides of rational
+    rows must be ints or Fractions: floats, booleans and strings are
+    refused, never converted.  Integer rows refuse them as right-hand
+    sides and denominators, and floats and strings as coefficients."""
+    rational = [([bad], [1], 1), ([1], [bad], 1), ([1], [1], bad), ({0: bad}, {0: 1}, 1)]
+    for objective, row, rhs in rational:
+        with pytest.raises(ValidationError):
+            LinearProgram(1, objective, [(row, LE, rhs)])
+    integral = [
+        (({}, 1), ({0: 1}, LE, bad, 1)),
+        (({}, 1), ({0: 1}, LE, 1, bad)),
+        (({}, bad), ({}, LE, 1, 1)),
+    ]
+    if not isinstance(bad, int):  # a bool coefficient is the int it equals
+        integral += [(({0: bad}, 1), ({0: 1}, LE, 1, 1)), (({}, 1), ({0: bad}, LE, 1, 1))]
+    for objective, row in integral:
+        with pytest.raises(ValidationError):
+            LinearProgram.integral(1, objective, [row])
+
+
+def test_integer_rows_are_stored_in_lowest_terms():
+    """Rational and integer rows alike are stored as integers over the
+    lcm of the row's denominators, with zero coefficients dropped, and
+    constraints and objective give them back as Fractions."""
+    lp = LinearProgram(3, [F(1, 2), 0, F(-1, 3)], [([F(2, 3), 0, 4], GE, F(1, 2))])
+    assert (lp.obj, lp.obj_den) == ({0: 3, 2: -2}, 6)
+    assert lp.rows == (({0: 4, 2: 24}, GE, 3, 6),)
+    same = LinearProgram.integral(3, ({0: 6, 1: 0, 2: -4}, 12), [({0: 8, 2: 48}, GE, 6, 12)])
+    assert (same.obj, same.obj_den, same.rows) == (lp.obj, lp.obj_den, lp.rows)
+    assert same.objective == {0: F(1, 2), 2: F(-1, 3)}
+    assert same.constraints == (({0: F(2, 3), 2: F(4)}, GE, F(1, 2)),)
+    for bad in ({3: 1}, {-1: 1}, {"0": 1}):
+        with pytest.raises(ValidationError):
+            LinearProgram.integral(3, ({}, 1), [(bad, EQ, 0, 1)])
+    with pytest.raises(ValidationError):
+        LinearProgram.integral(3, ({}, 1), [({0: 1}, EQ, 0, 0)])
 
 
 def test_feasibility_checker():
@@ -417,7 +459,34 @@ def test_certificate_checkers_reject_a_dual_of_the_wrong_length():
     assert not check_farkas(lp, y + (F(-7),))
 
 
-# --- the certificate sums, against the Fraction formula they replaced ---
+# --- the certificate checks, against the Fraction versions they replaced ---
+
+
+def _fraction_dot(x, row):
+    return sum((x[j] * v for j, v in row.items() if x[j]), F(0))
+
+
+def _fraction_check_feasible(lp, x):
+    if len(x) != lp.n_vars or any(v < 0 for v in x):
+        return False
+    for row, rel, rhs in lp.constraints:
+        lhs = _fraction_dot(x, row)
+        if rel == EQ and lhs != rhs:
+            return False
+        if rel == LE and not lhs <= rhs:
+            return False
+        if rel == GE and not lhs >= rhs:
+            return False
+    return True
+
+
+def _fraction_dual_signs_ok(lp, y):
+    for (row, rel, rhs), yi in zip(lp.constraints, y):
+        if rel == LE and yi < 0:
+            return False
+        if rel == GE and yi > 0:
+            return False
+    return True
 
 
 def _fraction_yA(lp, y):
@@ -431,22 +500,50 @@ def _fraction_yA(lp, y):
 
 def _fraction_reduced_costs_ok(lp, y):
     yA = _fraction_yA(lp, y)
-    return all(yA[j] >= lp.objective.get(j, F(0)) for j in range(lp.n_vars))
+    objective = lp.objective
+    return all(yA[j] >= objective.get(j, F(0)) for j in range(lp.n_vars))
 
 
 def _fraction_check_optimal(lp, x, y):
-    if not check_feasible(lp, x):
+    if len(y) != lp.n_constraints or not _fraction_check_feasible(lp, x):
         return False
-    if not lp_module._dual_signs_ok(lp, y) or not _fraction_reduced_costs_ok(lp, y):
+    if not _fraction_dual_signs_ok(lp, y) or not _fraction_reduced_costs_ok(lp, y):
         return False
     dual = sum((yi * rhs for (_, _, rhs), yi in zip(lp.constraints, y)), F(0))
-    return lp_module._dot(x, lp.objective) == dual
+    return _fraction_dot(x, lp.objective) == dual
 
 
 def _fraction_check_farkas(lp, y):
-    if not lp_module._dual_signs_ok(lp, y) or any(v < 0 for v in _fraction_yA(lp, y)):
+    if len(y) != lp.n_constraints or not _fraction_dual_signs_ok(lp, y):
+        return False
+    if any(v < 0 for v in _fraction_yA(lp, y)):
         return False
     return sum((yi * rhs for (_, _, rhs), yi in zip(lp.constraints, y)), F(0)) < 0
+
+
+def _fraction_check_ray(lp, x0, d):
+    if not _fraction_check_feasible(lp, x0):
+        return False
+    if len(d) != lp.n_vars or any(v < 0 for v in d):
+        return False
+    gain = sum((d[j] * v for j, v in lp.objective.items()), F(0))
+    if gain <= 0:
+        return False
+    for row, rel, rhs in lp.constraints:
+        along = sum((d[j] * v for j, v in row.items()), F(0))
+        if rel == EQ and along != 0:
+            return False
+        if rel == LE and along > 0:
+            return False
+        if rel == GE and along < 0:
+            return False
+    return True
+
+
+def _reduced_costs_ok(lp, y):
+    """lp's integer reduced-cost check of y."""
+    yA, _, s = lp_module._scaled_yA(lp, y)
+    return lp_module._reduced_costs_ok(lp, yA, s)
 
 
 def test_integer_certificate_sums_match_the_fraction_formula():
@@ -489,7 +586,7 @@ def test_integer_certificate_sums_match_the_fraction_formula():
         for k, delta, must_reject in [(0, 0, False)] + nudges:
             z = list(y)
             z[k] += delta
-            assert lp_module._reduced_costs_ok(lp, z) == _fraction_reduced_costs_ok(lp, z)
+            assert _reduced_costs_ok(lp, z) == _fraction_reduced_costs_ok(lp, z)
             if optimal:
                 ok = check_optimal(lp, sol.assignment, z)
                 assert ok == _fraction_check_optimal(lp, sol.assignment, z)
@@ -505,9 +602,9 @@ def test_integer_certificate_sums_match_the_fraction_formula():
     # y'A short of a zero and of a nonzero bound by one unit of D L
     for c, y in (({}, F(-1, 4)), ([F(1, 3)], F(1, 2))):
         lp = LinearProgram(1, c, [([F(1, 2)], LE, F(1))])
-        assert not lp_module._reduced_costs_ok(lp, [y])
+        assert not _reduced_costs_ok(lp, [y])
         assert not _fraction_reduced_costs_ok(lp, [y])
-        assert lp_module._reduced_costs_ok(lp, [y + F(1, 4)])
+        assert _reduced_costs_ok(lp, [y + F(1, 4)])
 
 
 # --- the pivot path, pinned ---
@@ -1002,3 +1099,147 @@ def test_bland_fallback_counts_only_rows_not_left_dependent(monkeypatch):
         switches.append(steps.index(True))
     # one largest-reduced-cost step per degenerate pivot: real_rows + 11
     assert switches == [4 + 11] * 3
+
+
+# --- the stored integer rows, against the Fraction rows they replaced ---
+
+
+def _reference_standard_form(lp):
+    """The engine's standard form as it was made from the Fraction rows
+    (lp.constraints and lp.objective): per row the lcm d of its
+    denominators, the gcd g of the integers that gives (with d for an
+    inequality), the sign flip, then the column-wise copy."""
+    obj_scale = lcm(*(v.denominator for v in lp.objective.values()))
+    cols = [dict() for _ in range(lp.n_vars)]
+    rows, b, row_scale = [], [], []
+    for i, (row, rel, rhs) in enumerate(lp.constraints):
+        d = lcm(rhs.denominator, *(v.denominator for v in row.values()))
+        nums = [(j, v.numerator * (d // v.denominator)) for j, v in row.items()]
+        rhs_num = rhs.numerator * (d // rhs.denominator)
+        g = gcd(rhs_num, *(a for _, a in nums), *((d,) if rel != EQ else ())) or 1
+        sign = -1 if rhs < 0 else 1
+        entries = [(j, sign * a // g) for j, a in nums]
+        for j, a in entries:
+            cols[j][i] = a
+        if rel != EQ:
+            unit = sign * d // g if rel == LE else -sign * d // g
+            entries.append((len(cols), unit))
+            cols.append({i: unit})
+        rows.append(entries)
+        b.append(sign * rhs_num // g)
+        row_scale.append((sign, d, g))
+    cols.extend({r: 1} for r in range(len(b)))
+    obj = [0] * len(cols)
+    for j, v in lp.objective.items():
+        obj[j] = obj_scale * v.numerator // v.denominator
+    return rows, cols, b, row_scale, obj, obj_scale
+
+
+def _coupling_programs(monkeypatch):
+    """The programs mps_coupling solves in the coupling tests of
+    tests/test_beliefs.py, recorded by running those tests."""
+    import test_beliefs
+
+    programs = []
+    real_solve = lp_module.solve
+
+    def recording_solve(lp, *args, **kwargs):
+        programs.append(lp)
+        return real_solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "solve", recording_solve)
+    test_beliefs.test_identity_coupling_always_feasible()
+    test_beliefs.test_spread_to_point_mass()
+    test_beliefs.test_worked_two_by_two_flows()
+    test_beliefs.test_mps_transitivity_and_mean_preservation()
+    monkeypatch.undo()
+    return programs
+
+
+@pytest.mark.parametrize("family", ["grid", "pinned", "coupling"])
+def test_engine_standard_form_is_the_fraction_one(family, monkeypatch):
+    """_Engine reads the stored integer rows; its rows (entries in order),
+    columns, right-hand sides, row scales, objective and objective scale
+    are those the Fraction-row loop made, on the pinned grid programs,
+    the 400 pinned draws and the programs mps_coupling builds."""
+    if family == "grid":
+        programs = [_grid_program(*case) for case in GRID_CASES]
+    elif family == "pinned":
+        rng = random.Random(3)
+        programs = [_pinned_program(rng) for _ in range(400)]
+    else:
+        programs = _coupling_programs(monkeypatch)
+        assert len(programs) > 100
+    for lp in programs:
+        engine = lp_module._Engine(lp)
+        rows, cols, b, row_scale, obj, obj_scale = _reference_standard_form(lp)
+        assert [list(entries) for entries in engine.rows] == rows
+        assert [list(col.items()) for col in engine.cols] == [list(col.items()) for col in cols]
+        assert (engine.b, engine.row_scale, engine.obj) == (b, row_scale, obj)
+        assert engine.obj_scale == obj_scale
+        assert all(type(v) is int for v in (*b, *obj, obj_scale))
+
+
+def _nudged(rng, v):
+    """v with one entry, drawn from rng, moved by +-1/den, den the common
+    denominator of v's entries."""
+    v = list(v)
+    k = rng.randrange(len(v))
+    v[k] += F(rng.choice((-1, 1)), lcm(*(e.denominator for e in v)))
+    return v
+
+
+def test_integer_certificates_match_the_fraction_checks():
+    """check_feasible, check_optimal, check_farkas and check_ray run in
+    integers on the stored rows.  On every certificate that the pinned
+    programs return (the 400 pinned draws and the pinned grid programs)
+    and on seeded perturbations of it, each gives the verdict of its
+    Fraction version: one entry of x, y, the Farkas vector, the feasible
+    point or the ray moved by +-1/den; the sign of an inequality's
+    nonzero dual flipped; a nonzero ray entry zeroed."""
+    rng = random.Random(3)
+    programs = [_pinned_program(rng) for _ in range(400)]
+    programs += [_grid_program(*case) for case in GRID_CASES]
+    rng = random.Random(1701)
+    verdicts = {True: 0, False: 0}
+
+    def same(check, oracle, *args):
+        verdict = check(lp, *args)
+        assert verdict == oracle(lp, *args), (check.__name__, args)
+        verdicts[verdict] += 1
+        return verdict
+
+    for lp in programs:
+        sol = solve(lp)
+        inequalities = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel != EQ]
+        if sol.status == UNBOUNDED:
+            x, d = sol.assignment, sol.ray
+            assert same(check_ray, _fraction_check_ray, x, d)
+            same(check_feasible, _fraction_check_feasible, _nudged(rng, x))
+            for _ in range(2):
+                same(check_ray, _fraction_check_ray, _nudged(rng, x), d)
+                same(check_ray, _fraction_check_ray, x, _nudged(rng, d))
+            zeroed = list(d)
+            zeroed[rng.choice([j for j, v in enumerate(d) if v])] = F(0)
+            same(check_ray, _fraction_check_ray, x, zeroed)
+            continue
+        y = sol.dual if sol.status == OPTIMAL else sol.farkas
+        flips = []
+        for i in [i for i in inequalities if y[i]][:2]:
+            flipped = list(y)
+            flipped[i] = -y[i]
+            flips.append(flipped)
+        if sol.status == INFEASIBLE:
+            assert same(check_farkas, _fraction_check_farkas, y)
+            for z in [_nudged(rng, y), _nudged(rng, y), *flips]:
+                same(check_farkas, _fraction_check_farkas, z)
+            continue
+        x = sol.assignment
+        assert same(check_optimal, _fraction_check_optimal, x, y)
+        for _ in range(2):
+            same(check_feasible, _fraction_check_feasible, _nudged(rng, x))
+            same(check_optimal, _fraction_check_optimal, _nudged(rng, x), y)
+            same(check_optimal, _fraction_check_optimal, x, _nudged(rng, y))
+        for z in flips:
+            same(check_optimal, _fraction_check_optimal, x, z)
+    assert min(verdicts.values()) > 200, verdicts
