@@ -107,6 +107,15 @@ class GridLP:
     y_base: tuple[int, ...]
     graph: DominationGraph
 
+    def var_names(self) -> list[str]:
+        """lp.dump's names, formatted when asked: x{i}@(w) per receiver
+        and point, then y{i1}>{i2}@(w|w') per covering edge and point pair."""
+        text = [",".join(map(str, w)) for w in self.points]
+        names = [f"x{i + 1}@({t})" for i in range(len(self.x_base)) for t in text]
+        for i1, i2 in self.edges:
+            names.extend(f"y{i1 + 1}>{i2 + 1}@({tl}|{tr})" for tl in text for tr in text)
+        return names
+
 
 def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]:
     graph = domination_graph(instance.structure)
@@ -137,10 +146,6 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     n = len(pts)
     x_base = tuple(i * n for i in range(k))
     y_base = tuple(k * n + e * n * n for e in range(len(edges)))
-    text = [",".join(str(c) for c in w) for w in pts]
-    names = [f"x{i + 1}@({t})" for i in range(k) for t in text]
-    for i1, i2 in edges:
-        names.extend(f"y{i1 + 1}>{i2 + 1}@({tl}|{tr})" for tl in text for tr in text)
 
     tables = [tabulate(u, instance.space, pts) for u in instance.utilities.receivers]
     values = {x_base[i] + a: tables[i][w] for i in range(k) for a, w in enumerate(pts)}
@@ -164,7 +169,8 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     for i in range(k):
         constraints.append((dict.fromkeys(range(x_base[i], x_base[i] + n), 1), lp.EQ, 1, 1))
 
-    program = lp.LinearProgram.integral(len(names), (objective, obj_den), constraints, names)
+    n_vars = k * n + len(edges) * n * n
+    program = lp.LinearProgram.integral(n_vars, (objective, obj_den), constraints)
     return GridLP(
         program=program,
         grid=grid,

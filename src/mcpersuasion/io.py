@@ -15,7 +15,6 @@ import json
 import math
 import os
 import stat
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -189,20 +188,20 @@ def _render(value, newline: str, out: list[str], sink) -> None:
 def write_document(path, doc: Mapping) -> None:
     """Atomic write: stream the rendering into a sibling temp file, then
     rename over; a refusal mid-render leaves path as it was.  A replaced
-    document keeps its mode, and a new one gets 0o666 less the umask, as
-    open() would give it."""
+    document keeps its mode, and a new one gets 0o666 less the umask,
+    applied by the kernel as for open(), never by changing the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         try:
             mode = stat.S_IMODE(os.stat(path).st_mode)
         except FileNotFoundError:
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+            mode = None
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                os.chmod(tmp, mode)
+                if mode is not None:
+                    os.chmod(tmp, mode)
                 stream_document(doc, handle.write)
             os.replace(tmp, path)
         except BaseException:

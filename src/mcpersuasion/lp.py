@@ -2,15 +2,15 @@
 
 maximize c.x  subject to  rows with relations =, <=, >=  and  x >= 0.
 
-A program is stored in integers, each row over its own denominator.
-The engine is a two-phase revised simplex in integer arithmetic, with
-the basis inverse an integer adjugate over the basis determinant, so
-every division is exact (fraction-free elimination).  Pivoting uses the
+A program is stored once, in integers, each row over its own
+denominator, and the engine only reads it: a two-phase revised simplex
+in integers, the basis inverse an integer adjugate over the basis
+determinant, so every division is exact.  Pivoting uses the
 largest-reduced-cost rule and falls back to the smallest-index rule
-after a long run of degenerate pivots, which makes termination
-unconditional.  For large programs, when scipy is installed, a
-floating-point solve supplies a starting basis guess whose columns are
-then pivoted in exactly; the guess changes only the path taken.
+after a long run of degenerate pivots, so it always terminates.  A
+program of at least _CRASH_THRESHOLD rows x columns, when scipy
+imports, starts from a floating-point solve's basis guess, pivoted in
+exactly; the guess changes only the path taken.
 
 No status is reported on trust: an optimal answer carries a dual
 vector, an infeasible one a Farkas vector, an unbounded one a feasible
@@ -118,30 +118,27 @@ class LinearProgram:
     keeping each dict already in lowest terms.  constraints and objective
     give the rows as Fractions."""
 
-    __slots__ = ("n_vars", "obj", "obj_den", "rows", "var_names")
+    __slots__ = ("n_vars", "obj", "obj_den", "rows")
 
-    def __init__(self, n_vars, objective, constraints, var_names=None):
+    def __init__(self, n_vars, objective, constraints):
         obj, _, _, den = _integral(objective, EQ, 0)
-        self._store(n_vars, (obj, den), [_integral(*row) for row in constraints], var_names)
+        self._store(n_vars, (obj, den), [_integral(*row) for row in constraints])
 
     @classmethod
-    def integral(cls, n_vars, objective, rows, var_names=None) -> "LinearProgram":
+    def integral(cls, n_vars, objective, rows) -> "LinearProgram":
         """The program with objective (coeffs, den) and rows
         (coeffs, rel, rhs, den) in integers."""
         program = cls.__new__(cls)
-        program._store(n_vars, objective, rows, var_names)
+        program._store(n_vars, objective, rows)
         return program
 
-    def _store(self, n_vars, objective, rows, var_names):
+    def _store(self, n_vars, objective, rows):
         self.n_vars = n = _index(n_vars, "variable count")
         if n < 0:
             raise ValidationError("variable count must be nonnegative")
         coeffs, den = objective
         self.obj, _, _, self.obj_den = _lowest((coeffs, EQ, 0, den), n)
         self.rows = tuple(_lowest(row, n) for row in rows)
-        self.var_names = None if var_names is None else tuple(var_names)
-        if var_names is not None and len(self.var_names) != n:
-            raise ValidationError("var_names length mismatch")
 
     @property
     def objective(self) -> dict[int, Fraction]:
@@ -179,12 +176,15 @@ class LPSolution:
     ray: tuple[Fraction, ...] | None = None
 
 
-def dump(lp: LinearProgram) -> str:
-    """Plain-text listing of the program for inspection."""
+def dump(lp: LinearProgram, names: Sequence[str] | None = None) -> str:
+    """Plain-text listing of the program for inspection, variable j
+    written names[j], or x{j + 1} without names."""
+    if names is not None and len(names) != lp.n_vars:
+        raise ValidationError(f"{len(names)} names for {lp.n_vars} variables")
 
     def term(j, v):
         coeff = "" if v == 1 else ("-" if v == -1 else f"{v} ")
-        return coeff + (lp.var_names[j] if lp.var_names else f"x{j + 1}")
+        return coeff + (names[j] if names else f"x{j + 1}")
 
     def row_text(row):
         items = sorted(row.items())
@@ -311,6 +311,10 @@ class _Engine:
     divided by g_i, the gcd of its integers (with d_i for an inequality,
     so that its slack stays integral), and negated if its right-hand side
     is negative: constraint i times +-d_i / g_i, integral and primitive.
+    rows[i] is one {column: value} dict, the program's own for an
+    equality that needs no scaling, else a new one, with an inequality's
+    slack at the next column from n_real up.  _direction gathers a
+    column from the rows; the artificials' unit columns are implicit.
     The objective is obj over obj_den.  A positive row scale changes no
     direction, primal value or reduced cost of a real column, and an
     artificial's value and direction entry by one common factor, so the
@@ -342,50 +346,40 @@ class _Engine:
     are those of an eagerly scaled inverse.
 
     Every basis starts as the unit basis of the artificials (binv = I,
-    den = 1, xb = b) and changes only by _pivot; the crash completion
-    enters each column of the floating-point support at the first
-    artificial row its direction touches.  Columns n_std + r are the
-    artificials, never priced, so one that leaves stays out.  Phase 2
-    evicts a basic artificial, at zero, only when an entering direction
-    is nonzero in its row, ahead of the ratio test; one still basic at
-    the optimum gets dual 0.  Such pivots do not count towards the Bland
-    fallback's streak, whose limit is real_rows, the number of rows not
-    held by an artificial, plus 10.
+    den = 1, xb = b) and changes only by _pivot.  Columns n_std + r are
+    the artificials, never priced, so one that leaves stays out.  The
+    crash completion enters each column of the floating-point support,
+    and phase 2 evicts a basic artificial, at zero, ahead of the ratio
+    test, at the first artificial's row where the direction is nonzero
+    (_artificial_row); one still basic at the optimum gets dual 0.
+    Evictions do not count towards the Bland fallback's streak, whose
+    limit is real_rows, the number of rows not held by an artificial,
+    plus 10.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.n_real = lp.n_vars
+        self.n_real = n_std = lp.n_vars
         self.obj_scale = lp.obj_den
         # standard equality form: real vars, then one slack per inequality;
         # rows with a negative right-hand side are negated
-        cols = [{} for _ in range(self.n_real)]
-        rows = []  # the same entries row by row: (column, value) pairs
-        b = []
-        row_scale = []  # (sign, d_i, g_i): row i is sign * d_i / g_i times constraint i
-        for i, (coeffs, rel, rhs, d) in enumerate(lp.rows):
+        # row_scale[i] = (sign, d_i, g_i): row i is sign * d_i / g_i times constraint i
+        rows, b, row_scale = [], [], []
+        for coeffs, rel, rhs, d in lp.rows:
             g = gcd(rhs, *coeffs.values(), *((d,) if rel != EQ else ())) or 1
             sign = -1 if rhs < 0 else 1
             unit = sign * g  # exact: g divides every entry
-            entries = coeffs.items() if unit == 1 else [(j, a // unit) for j, a in coeffs.items()]
-            for j, a in entries:
-                cols[j][i] = a
+            row = coeffs if unit == 1 else {j: a // unit for j, a in coeffs.items()}
             if rel != EQ:
-                slack = d // unit if rel == LE else -d // unit
-                entries = [*entries, (len(cols), slack)]
-                cols.append({i: slack})
-            rows.append(entries)
+                row = {**row, n_std: (d if rel == LE else -d) // unit}
+                n_std += 1
+            rows.append(row)
             b.append(rhs // unit)
             row_scale.append((sign, d, g))
-        self.n_std = len(cols)
-        self.m = len(b)
-        cols.extend({r: 1} for r in range(self.m))
-        self.cols = cols
-        self.rows = rows
-        self.b = b
-        self.row_scale = row_scale
+        self.n_std, self.m = n_std, len(b)
+        self.rows, self.b, self.row_scale = rows, b, row_scale
         self.scale = lcm(*(d for _, d, _ in row_scale))  # L
-        self.obj = [0] * len(cols)
+        self.obj = [0] * (n_std + self.m)
         for j, a in lp.obj.items():
             self.obj[j] = a
         self.basis: list[int] = []
@@ -398,8 +392,8 @@ class _Engine:
     # -- basic linear algebra helpers
 
     def _direction(self, j: int) -> list[int]:
-        """den times B^-1 a_j."""
-        col = self.cols[j].items()
+        """den times B^-1 a_j, for a column j below n_std."""
+        col = [(i, row[j]) for i, row in enumerate(self.rows) if j in row]
         den = self.den
         return [
             sum(row[i] * v for i, v in col) * den // lv
@@ -464,9 +458,9 @@ class _Engine:
         (all den) and floats, as _entering reads them."""
         den = self.den
         num = [c * den for c in obj[: self.n_std]]
-        for yi, entries in zip(self._duals(obj), self.rows):
+        for yi, row in zip(self._duals(obj), self.rows):
             if yi:
-                for j, a in entries:
+                for j, a in row.items():
                     num[j] -= yi * a
         return num, [den] * self.n_std, [_ratio(v, den) for v in num]
 
@@ -510,7 +504,7 @@ class _Engine:
         rows = self.rows
         for i, v in enumerate(self.binv[r]):  # stored current by _pivot
             if v:
-                for j, a in rows[i]:
+                for j, a in rows[i].items():
                     alpha[j] = get(j, 0) + v * a
         nd = self.den
         for j, a in alpha.items():
@@ -521,12 +515,14 @@ class _Engine:
                 lev[j] = nd
                 fl[j] = _ratio(v, nd)
 
+    def _artificial_row(self, d) -> int | None:
+        """The first row held by an artificial where d is nonzero."""
+        n_std = self.n_std
+        return next((r for r, f in enumerate(d) if f and self.basis[r] >= n_std), None)
+
     def _leaving(self, d, lazy):
-        if lazy:  # the first artificial row the direction touches
-            n_std = self.n_std
-            for r, dr in enumerate(d):
-                if dr and self.basis[r] >= n_std:
-                    return r
+        if lazy and (r := self._artificial_row(d)) is not None:
+            return r
         best = None  # (row, xb, d, tie key); ratios xb/d compared crosswise
         for r, dr in enumerate(d):
             if dr > 0:
@@ -584,8 +580,8 @@ class _Engine:
         self.xb = list(self.b)
         self.real_rows = 0
 
-    def _phase1(self):
-        """Returns True if a feasible basis was reached."""
+    def _phase1(self) -> list[Fraction] | None:
+        """None once a feasible basis is reached, else a Farkas vector."""
         # the artificial of row i in units of the L-scaled row
         obj1 = [0] * self.n_std + [-(self.scale * g // d) for _, d, g in self.row_scale]
         if self._run(obj1) is not None:
@@ -593,9 +589,8 @@ class _Engine:
         value = sum(obj1[self.basis[r]] * self.xb[r] for r in range(self.m))
         if value < 0:
             # a Farkas vector of the L-scaled rows, phase 1's units
-            self._farkas = self._map_dual(self._duals(obj1), self.scale * self.den)
-            return False
-        return True
+            return self._map_dual(self._duals(obj1), self.scale * self.den)
+        return None
 
     # -- crash start from a floating-point solve
 
@@ -606,9 +601,9 @@ class _Engine:
         np, optimize, csc_matrix = highs
         # the rational (sign-flipped) data, each value correctly rounded
         rows, cols_idx, data = [], [], []
-        for i, (entries, (_, d, g)) in enumerate(zip(self.rows, self.row_scale)):
-            rows += [i] * len(entries)
-            for j, v in entries:
+        for i, (row, (_, d, g)) in enumerate(zip(self.rows, self.row_scale)):
+            rows += [i] * len(row)
+            for j, v in row.items():
                 cols_idx.append(j)
                 data.append(v * g / d)
         A = csc_matrix(
@@ -630,24 +625,27 @@ class _Engine:
         # order enters the first row still held by an artificial that its
         # direction touches; a column touching none depends on those before
         self._start_all_artificial()
-        n_std = self.n_std
         for j in support:
             d = self._direction(j)
-            r = next((r for r, f in enumerate(d) if f and self.basis[r] >= n_std), None)
+            r = self._artificial_row(d)
             if r is not None:
                 self._pivot(j, r, d)
         # the basis must be feasible, with every artificial at zero
-        return all(x >= 0 and (x == 0 or j < n_std) for x, j in zip(self.xb, self.basis))
+        return all(x >= 0 and (x == 0 or j < self.n_std) for x, j in zip(self.xb, self.basis))
 
     # -- public
 
-    def solve(self, use_crash) -> LPSolution:
-        if not (use_crash and self.m > 0 and self._try_crash()):
+    def solve(self) -> LPSolution:
+        """The crash start where lp.solve says it is tried, else (or if its
+        basis is refused) the all-artificial start and phase 1."""
+        big = self.m * max(self.n_real, 1) >= _CRASH_THRESHOLD
+        if not (self.m > 0 and big and self._try_crash()):
             self._start_all_artificial()
-            if self.m > 0 and not self._phase1():
-                if not check_farkas(self.lp, self._farkas):
+            farkas = self._phase1() if self.m > 0 else None
+            if farkas is not None:
+                if not check_farkas(self.lp, farkas):
                     raise InvariantViolation("Farkas certificate failed verification")
-                return LPSolution(status=INFEASIBLE, farkas=tuple(self._farkas))
+                return LPSolution(status=INFEASIBLE, farkas=tuple(farkas))
         entering = self._run(self.obj)
         if entering is not None:
             x0 = self._assignment()
@@ -691,13 +689,9 @@ class _Engine:
         ]
 
 
-def solve(lp: LinearProgram, use_crash: bool | None = None) -> LPSolution:
-    """Solve to a certified status.
-
-    use_crash forces the floating-point warm start on or off; by
-    default it is attempted only when scipy imports (_highs) and the
-    program is large enough to repay the detour.
-    """
-    if use_crash is None:
-        use_crash = lp.n_constraints * max(lp.n_vars, 1) >= _CRASH_THRESHOLD
-    return _Engine(lp).solve(use_crash)
+def solve(lp: LinearProgram) -> LPSolution:
+    """Solve to a certified status.  lp is read, never changed.  The
+    floating-point warm start is tried exactly when lp has a row, is at
+    least _CRASH_THRESHOLD rows x columns and scipy imports (_highs); it
+    changes only the path, and the certificate is checked either way."""
+    return _Engine(lp).solve()

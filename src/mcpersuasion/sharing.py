@@ -159,7 +159,7 @@ class ChannelScheme:
                 )
             if any(not 0 <= e < self.key_count for e in slot.keys):
                 raise ValidationError("slot references an unknown key")
-        if sorted(bare) != list(range(self.key_count)):
+        if len(bare) != self.key_count or sorted(bare) != list(range(self.key_count)):
             raise ValidationError("each key must ride exactly one bare slot")
 
 

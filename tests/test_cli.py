@@ -355,6 +355,21 @@ def test_verify_share_rejects_malformed_schemes(capsys, files, tmp_path, corrupt
     assert err.startswith("error:")
 
 
+def test_verify_share_refuses_a_huge_key_count(capsys, files, tmp_path):
+    """A key_count of 10**18 is refused as malformed at the cost of its
+    bare slots' count, not of a list of that many keys."""
+    instance = files("sperner3.json", SPERNER3_INSTANCE)
+    table = files("reveal.json", REVEAL3)
+    out = str(tmp_path / "cs.json")
+    run_doc(capsys, "share", instance, table, "--subset", "1", "--q", "3", "--out", out)
+    doc = load_document(out)
+    doc["key_count"] = 10**18
+    write_document(out, doc)
+    code, printed, err = run(capsys, "verify-share", out, instance, table)
+    assert code == 2 and not printed
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("rows", [["0", "1"], ["1", "0"]]), ("profiles", 5)],

@@ -409,6 +409,28 @@ def test_written_documents_get_the_mode_open_would_give(tmp_path, umask):
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
 
 
+def test_write_document_never_changes_the_umask(tmp_path, monkeypatch):
+    """A new document and a replaced one are written without a call to
+    os.umask, which would leave the umask 0 for a moment for every other
+    thread of the process."""
+
+    def umask(mask):
+        raise AssertionError("write_document changed the umask")
+
+    old = os.umask(0o022)
+    os.umask(old)
+    monkeypatch.setattr(os, "umask", umask)
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("{}")
+    os.chmod(kept, 0o640)
+    write_document(fresh, {"a": 1})
+    write_document(kept, {"a": 2})
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~old
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert kept.read_text() == render_document({"a": 2})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "kept.json"]
+
+
 # ---------------------------------------------------------------------------
 # Readers against malformed documents
 

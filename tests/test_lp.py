@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -232,7 +233,23 @@ def test_degenerate_transportation_ties():
     assert sol.objective == 2
 
 
-def test_crash_and_pure_paths_agree():
+@pytest.fixture
+def take_route(monkeypatch):
+    """take_route(route) sends every later solve down one route through
+    lp's own gates: "pure" makes lp._highs give None, as if scipy did not
+    import; "crash" lowers lp._CRASH_THRESHOLD to 0, so that a program
+    with a row tries the crash start whenever scipy imports; "default"
+    puts both back."""
+    highs, threshold = lp_module._highs, lp_module._CRASH_THRESHOLD
+
+    def take(route):
+        monkeypatch.setattr(lp_module, "_highs", (lambda: None) if route == "pure" else highs)
+        monkeypatch.setattr(lp_module, "_CRASH_THRESHOLD", 0 if route == "crash" else threshold)
+
+    return take
+
+
+def test_crash_and_pure_paths_agree(take_route):
     rng = random.Random(99)
     n, m = 30, 12
     obj = [F(rng.randint(0, 5)) for _ in range(n)]
@@ -241,8 +258,10 @@ def test_crash_and_pure_paths_agree():
         row = [F(rng.randint(0, 3)) for _ in range(n)]
         constraints.append((row, LE, F(rng.randint(5, 20))))
     lp = LinearProgram(n, obj, constraints)
-    fast = solve(lp, use_crash=True)
-    slow = solve(lp, use_crash=False)
+    take_route("crash")
+    fast = solve(lp)
+    take_route("pure")
+    slow = solve(lp)
     assert fast.status == slow.status == OPTIMAL
     assert fast.objective == slow.objective
     assert check_optimal(lp, fast.assignment, fast.dual)
@@ -263,7 +282,7 @@ def _highs_or_skip():
     [([1.0, 0.0, 2.0], True), ([1.0, 0.0, 0.0], False), ([0.5, 0.5, 0.0], False)],
     ids=["feasible", "artificial-off-zero", "negative"],
 )
-def test_crash_keeps_only_a_feasible_completed_basis(monkeypatch, guess, accepted):
+def test_crash_keeps_only_a_feasible_completed_basis(monkeypatch, take_route, guess, accepted):
     """The float guess's completed basis is kept only if every basic
     value is nonnegative and every artificial left basic is at zero;
     otherwise the solve takes the all-artificial route instead."""
@@ -272,14 +291,17 @@ def test_crash_keeps_only_a_feasible_completed_basis(monkeypatch, guess, accepte
     result = SimpleNamespace(success=True, x=guess)
     monkeypatch.setattr(scipy_optimize, "linprog", lambda *args, **kwargs: result)
     assert lp_module._Engine(lp)._try_crash() is accepted
-    assert solve(lp, use_crash=True) == solve(lp, use_crash=False)
+    take_route("crash")
+    crashed = solve(lp)
+    take_route("pure")
+    assert crashed == solve(lp)
 
 
 def test_crash_hands_highs_the_column_wise_float_copy(monkeypatch):
     """_try_crash builds HiGHS's float copy of the standard form row by
     row; the matrix, c and b it hands linprog are bit for bit those of a
-    column-wise build from the engine's columns, on the pinned grid
-    programs, so HiGHS is given the same program."""
+    column-wise build from the engine's columns (_columns), on the pinned
+    grid programs, so HiGHS is given the same program."""
     np, scipy_optimize, csc_matrix = _highs_or_skip()
 
     handed = []
@@ -295,7 +317,7 @@ def test_crash_hands_highs_the_column_wise_float_copy(monkeypatch):
         (c, A, b), = handed
         handed.clear()
         rows, cols, data = [], [], []
-        for j, col in enumerate(engine.cols[: engine.n_std]):
+        for j, col in enumerate(_columns(engine)[: engine.n_std]):
             for i, v in col.items():
                 _, d, g = engine.row_scale[i]
                 rows.append(i)
@@ -332,12 +354,15 @@ def test_dump_listing():
         2,
         [F(3), F(2)],
         [([F(1), F(1)], LE, F(4)), ({0: F(1)}, LE, F(2))],
-        var_names=("a", "b"),
     )
-    text = dump(lp)
+    text = dump(lp, ("a", "b"))
     assert "maximize 3 a + 2 b" in text
     assert "c1: a + b <= 4" in text
     assert "c2: a <= 2" in text
+    assert "c1: x1 + x2 <= 4" in dump(lp)
+    for names in (("a",), ("a", "b", "c")):
+        with pytest.raises(ValidationError):
+            dump(lp, names)
 
 
 class _Index:
@@ -644,7 +669,7 @@ def _pinned_program(rng):
 
 
 #: md5 of the repr of every solution of the 400 programs _pinned_program
-#: draws from random.Random(3).  With use_crash the start comes from
+#: draws from random.Random(3).  On the crash route the start comes from
 #: scipy's HiGHS (recorded with scipy 1.17.1); without scipy that route
 #: falls back to the all-artificial start, whose digest is PURE.  First
 #: recorded with the rational (Fraction) engine that preceded the integer
@@ -665,25 +690,27 @@ def _primal_digest(solutions):
     return hashlib.md5("\n".join(fields).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("use_crash", [False, True])
-def test_pivot_path_matches_the_rational_engine(use_crash, monkeypatch):
+@pytest.mark.parametrize("crash", [False, True])
+def test_pivot_path_matches_the_rational_engine(crash, take_route, monkeypatch):
+    scipy = lp_module._highs() is not None
     left_basic = []
     real_solve = lp_module._Engine.solve
 
-    def recording_solve(engine, crash):
-        sol = real_solve(engine, crash)
+    def recording_solve(engine):
+        sol = real_solve(engine)
         if sol.status == OPTIMAL and any(j >= engine.n_std for j in engine.basis):
             left_basic.append(engine)
         return sol
 
     monkeypatch.setattr(lp_module._Engine, "solve", recording_solve)
+    take_route("crash" if crash else "pure")
     rng = random.Random(3)
-    solutions = [solve(_pinned_program(rng), use_crash=use_crash) for _ in range(400)]
+    solutions = [solve(_pinned_program(rng)) for _ in range(400)]
     assert {sol.status for sol in solutions} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     # some optima keep an artificial basic at zero
     assert left_basic
     digest = hashlib.md5("\n".join(map(repr, solutions)).encode()).hexdigest()
-    if use_crash and lp_module._highs() is not None:
+    if crash and scipy:
         assert _primal_digest(solutions) == PINNED_CRASH_PRIMAL
         assert digest == PINNED_CRASH
     else:
@@ -691,7 +718,7 @@ def test_pivot_path_matches_the_rational_engine(use_crash, monkeypatch):
         assert digest == PINNED_PURE
 
 
-def test_artificials_left_basic_sit_at_zero_with_dual_zero(monkeypatch):
+def test_artificials_left_basic_sit_at_zero_with_dual_zero(monkeypatch, take_route):
     """Phase 2 evicts an artificial only when an entering column touches
     its row, so optima may keep some basic: each is at zero and its row's
     certified dual is 0, on both routes, over the pinned grid programs and
@@ -699,23 +726,24 @@ def test_artificials_left_basic_sit_at_zero_with_dual_zero(monkeypatch):
     seen = set()
     real_solve = lp_module._Engine.solve
 
-    def checking_solve(engine, crash):
-        sol = real_solve(engine, crash)
+    def checking_solve(engine):
+        sol = real_solve(engine)
         if sol.status == OPTIMAL:
             for r, j in enumerate(engine.basis):
                 if j >= engine.n_std:
                     assert engine.xb[r] == 0 and sol.dual[r] == 0, (r, j)
-                    seen.add(crash)
+                    seen.add(route)
         return sol
 
     monkeypatch.setattr(lp_module._Engine, "solve", checking_solve)
     rng = random.Random(11)
     programs = [_pinned_program(rng) for _ in range(200)]
     programs += [_grid_program(*case) for case in GRID_CASES]
-    for use_crash in (False, True):
+    for route in ("pure", "crash"):
+        take_route(route)
         for lp in programs:
-            solve(lp, use_crash=use_crash)
-    assert seen == {False, True}
+            solve(lp)
+    assert seen == {"pure", "crash"}
 
 
 def _settled(engine):
@@ -725,15 +753,27 @@ def _settled(engine):
     ]
 
 
+def _columns(engine):
+    """The engine's standard form column by column, one {row: value} dict
+    per column, rows ascending, from engine.rows; the m unit artificials
+    last."""
+    cols = [{} for _ in range(engine.n_std)]
+    for i, row in enumerate(engine.rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols + [{r: 1} for r in range(engine.m)]
+
+
 def _assert_inverse(engine):
     """B binv == den I with den > 0, and xb == binv b, on the settled rows."""
     m = engine.m
     binv = _settled(engine)
+    cols = _columns(engine)
     assert engine.den > 0
     for i in range(m):
         for k in range(m):
             entry = sum(
-                engine.cols[j].get(i, 0) * binv[p][k]
+                cols[j].get(i, 0) * binv[p][k]
                 for p, j in enumerate(engine.basis)
             )
             assert entry == (engine.den if i == k else 0), (i, k)
@@ -753,8 +793,8 @@ def _reference_prices(engine, obj):
     y = den c_B B^-1: the engine's pricing before it kept its prices."""
     y = _expected_duals(engine, obj)
     return [
-        obj[j] * engine.den - sum(y[i] * v for i, v in engine.cols[j].items())
-        for j in range(engine.n_std)
+        obj[j] * engine.den - sum(y[i] * v for i, v in col.items())
+        for j, col in enumerate(_columns(engine)[: engine.n_std])
     ]
 
 
@@ -804,18 +844,19 @@ def _check_pricing(monkeypatch, note=lambda engine, num, lev, fl: None):
 
 def _assert_levels(engine):
     """Every stored entry times den is divisible by its row's level, and
-    _direction(j) is den B^-1 a_j computed from the settled rows."""
+    _direction(j) is den B^-1 a_j computed from the settled rows, for
+    every column below n_std (an artificial never enters)."""
     assert len(engine.level) == engine.m
     for row, lv in zip(engine.binv, engine.level):
         assert lv > 0
         assert all(a * engine.den % lv == 0 for a in row)
     binv = _settled(engine)
-    for j, col in enumerate(engine.cols):
+    for j, col in enumerate(_columns(engine)[: engine.n_std]):
         expected = [sum(row[i] * v for i, v in col.items()) for row in binv]
         assert engine._direction(j) == expected, j
 
 
-def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
+def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch, take_route):
     """The inverse and the row levels are checked at the unit start and
     after every pivot, on both routes, of a fractional program and of 40
     pinned draws; some pivots must touch rows whose level is stale, and
@@ -824,6 +865,7 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
     from den c_B B^-1 wherever they are read, among them after a phase-2
     pivot on a negative direction entry, which evicts an artificial and
     flips the sign of its row."""
+    scipy = lp_module._highs() is not None
     checked = []
     crashing = []
     negative = []
@@ -854,14 +896,14 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
         # phase 1's ratio test takes positive entries only
         elif d[r] < 0:
             negative.append(True)
-        checked.append(("pivot", use_crash, stale))
+        checked.append(("pivot", crash, stale))
 
     def priced(engine, num, lev, fl):
         if checked and checked[-1][0] == "pivot":
-            checked.append(("prices", use_crash))
+            checked.append(("prices", crash))
         if negative:
             negative.clear()
-            checked.append(("prices after a negative pivot", use_crash))
+            checked.append(("prices after a negative pivot", crash))
 
     monkeypatch.setattr(lp_module._Engine, "_start_all_artificial", start)
     monkeypatch.setattr(lp_module._Engine, "_try_crash", try_crash)
@@ -879,25 +921,26 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch):
             ([F(1), F(-1, 3), F(0)], LE, F(1)),
         ],
     )
-    for use_crash in (False, True):
-        sol = solve(lp, use_crash=use_crash)
+    for crash in (False, True):
+        take_route("crash" if crash else "pure")
+        sol = solve(lp)
         assert sol.status == OPTIMAL
         assert check_optimal(lp, sol.assignment, sol.dual)
         rng = random.Random(3)
         for _ in range(40):
-            solve(_pinned_program(rng), use_crash=use_crash)
+            solve(_pinned_program(rng))
     assert "start" in checked
     assert ("pivot", False, True) in checked
     assert ("prices", False) in checked
     assert ("prices after a negative pivot", False) in checked
-    if lp_module._highs() is not None:
+    if scipy:
         assert "completion" in checked
         assert ("pivot", True, True) in checked
         assert ("prices", True) in checked
         assert ("prices after a negative pivot", True) in checked
 
 
-def test_entering_breaks_float_ties_exactly(monkeypatch):
+def test_entering_breaks_float_ties_exactly(monkeypatch, take_route):
     """Where the largest prices round to one float, the exact comparison
     picks the entering column, as the reference pricing does: prices that
     differ by 2^-60 of their size, and prices equal as rationals but kept
@@ -919,14 +962,16 @@ def test_entering_breaks_float_ties_exactly(monkeypatch):
     _check_pricing(monkeypatch, note)
     # phase 1 prices x2 above x1 by less than a float can show
     lp = LinearProgram(2, [1, 1], [([2**60, 2**60 + 1], LE, 2**61)])
-    assert solve(lp, use_crash=False).assignment == (2, 0)
+    take_route("pure")
+    assert solve(lp).assignment == (2, 0)
     assert ties == {"below float resolution"}
     rng = random.Random(23)
     programs = [_pinned_program(rng) for _ in range(60)]
     programs += [_grid_program("chain2", 10), _grid_program("star3", 10)]
-    for use_crash in (False, True):
+    for route in ("pure", "crash"):
+        take_route(route)
         for lp in programs:
-            solve(lp, use_crash=use_crash)
+            solve(lp)
     assert ties == {"below float resolution", "equal at two levels", "equal"}
 
 
@@ -963,7 +1008,7 @@ def _grid_program(name, denominator):
     return build_grid_lp(instance, PosteriorGrid(instance.space.size, denominator)).program
 
 
-def test_engine_rows_are_primitive_with_phase1_weights(monkeypatch):
+def test_engine_rows_are_primitive_with_phase1_weights(monkeypatch, take_route):
     """Each standard-form row (coefficients, slack, right-hand side) is
     integral with gcd 1, a positive multiple d_i / g_i of its
     sign-flipped constraint, and phase 1 weighs its artificial
@@ -977,6 +1022,7 @@ def test_engine_rows_are_primitive_with_phase1_weights(monkeypatch):
         return real_run(engine, obj)
 
     monkeypatch.setattr(lp_module._Engine, "_run", run)
+    take_route("pure")
     rng = random.Random(5)
     programs = [_grid_program("chain2", 10)] + [_pinned_program(rng) for _ in range(100)]
     for lp in programs:
@@ -985,11 +1031,11 @@ def test_engine_rows_are_primitive_with_phase1_weights(monkeypatch):
         )
         engine = lp_module._Engine(lp)
         objectives.clear()
-        engine.solve(use_crash=False)
+        engine.solve()
         phase1 = objectives[0]
         slacks = iter(range(lp.n_vars, engine.n_std))
         for i, (row, rel, rhs) in enumerate(lp.constraints):
-            std = {j: col[i] for j, col in enumerate(engine.cols[: engine.n_std]) if i in col}
+            std = engine.rows[i]
             ints = [*std.values(), engine.b[i]]
             assert all(type(v) is int for v in ints)
             assert gcd(*ints) == 1 or not any(ints)
@@ -1008,9 +1054,10 @@ def test_engine_rows_are_primitive_with_phase1_weights(monkeypatch):
 COMMON_SCALE_DEN_BITS = 606
 
 
-def test_optimal_basis_determinant_is_small():
+def test_optimal_basis_determinant_is_small(take_route):
+    take_route("pure")
     engine = lp_module._Engine(_grid_program("chain2", 40))
-    assert engine.solve(use_crash=False).status == OPTIMAL
+    assert engine.solve().status == OPTIMAL
     assert engine.den.bit_length() < COMMON_SCALE_DEN_BITS / 3
 
 
@@ -1041,11 +1088,13 @@ CHAIN2_40_PURE_MOVED = {
 }
 
 
-@pytest.mark.parametrize("use_crash", [None, False], ids=["default", "pure"])
-def test_grid_solves_are_pinned(use_crash):
-    solutions = [solve(_grid_program(*case), use_crash=use_crash) for case in GRID_CASES]
+@pytest.mark.parametrize("route", ["default", "pure"])
+def test_grid_solves_are_pinned(route, take_route):
+    scipy = lp_module._highs() is not None
+    take_route(route)
+    solutions = [solve(_grid_program(*case)) for case in GRID_CASES]
     digest = hashlib.md5("\n".join(map(repr, solutions)).encode()).hexdigest()
-    if use_crash is None and lp_module._highs() is not None:
+    if route == "default" and scipy:
         assert _primal_digest(solutions) == GRID_SOLVES_DEFAULT_PRIMAL
         assert digest == GRID_SOLVES_DEFAULT
     else:
@@ -1156,28 +1205,58 @@ def _coupling_programs(monkeypatch):
     return programs
 
 
+def _family(family, monkeypatch):
+    """The pinned grid programs, the 400 pinned draws or the programs
+    mps_coupling builds."""
+    if family == "grid":
+        return [_grid_program(*case) for case in GRID_CASES]
+    if family == "pinned":
+        rng = random.Random(3)
+        return [_pinned_program(rng) for _ in range(400)]
+    programs = _coupling_programs(monkeypatch)
+    assert len(programs) > 100
+    return programs
+
+
 @pytest.mark.parametrize("family", ["grid", "pinned", "coupling"])
 def test_engine_standard_form_is_the_fraction_one(family, monkeypatch):
     """_Engine reads the stored integer rows; its rows (entries in order),
-    columns, right-hand sides, row scales, objective and objective scale
-    are those the Fraction-row loop made, on the pinned grid programs,
-    the 400 pinned draws and the programs mps_coupling builds."""
-    if family == "grid":
-        programs = [_grid_program(*case) for case in GRID_CASES]
-    elif family == "pinned":
-        rng = random.Random(3)
-        programs = [_pinned_program(rng) for _ in range(400)]
-    else:
-        programs = _coupling_programs(monkeypatch)
-        assert len(programs) > 100
-    for lp in programs:
+    columns (gathered from its rows), right-hand sides, row scales,
+    objective and objective scale are those the Fraction-row loop made,
+    on the pinned grid programs, the 400 pinned draws and the programs
+    mps_coupling builds.  A row is the program's own dict exactly when
+    it is an equality that needs no scaling."""
+    shared = set()
+    for lp in _family(family, monkeypatch):
         engine = lp_module._Engine(lp)
         rows, cols, b, row_scale, obj, obj_scale = _reference_standard_form(lp)
-        assert [list(entries) for entries in engine.rows] == rows
-        assert [list(col.items()) for col in engine.cols] == [list(col.items()) for col in cols]
+        assert [list(row.items()) for row in engine.rows] == rows
+        assert [list(col.items()) for col in _columns(engine)] == [
+            list(col.items()) for col in cols
+        ]
         assert (engine.b, engine.row_scale, engine.obj) == (b, row_scale, obj)
         assert engine.obj_scale == obj_scale
         assert all(type(v) is int for v in (*b, *obj, obj_scale))
+        for row, (coeffs, rel, _, _), (sign, _, g) in zip(engine.rows, lp.rows, row_scale):
+            is_shared = row is coeffs
+            assert is_shared == (rel == EQ and sign * g == 1)
+            shared.add(is_shared)
+    assert True in shared
+
+
+@pytest.mark.parametrize("family", ["grid", "pinned", "coupling"])
+def test_solve_leaves_its_program_as_it_was(family, take_route, monkeypatch):
+    """The engine shares the program's row dicts; solve, on both routes,
+    leaves the program's rows, objective and objective denominator equal
+    to deep copies taken before, on the pinned grid programs, the 400
+    pinned draws and the programs mps_coupling builds."""
+    programs = _family(family, monkeypatch)
+    for route in ("pure", "crash"):
+        take_route(route)
+        for lp in programs:
+            before = copy.deepcopy((lp.rows, lp.obj, lp.obj_den))
+            solve(lp)
+            assert (lp.rows, lp.obj, lp.obj_den) == before
 
 
 def _nudged(rng, v):
