@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from operator import ge, getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -97,7 +97,8 @@ class GridLP:
     back: x(i, points[a]) is x_base[i] + a, and on the e-th edge
     y(points[a], points[c]) is y_base[e] + a * n + c for n points.
     graph is the instance's domination forest, whose sorted covering
-    edges are edges."""
+    edges are edges.  rungs are the column sets lp.solve climbs before
+    the full program (_rungs); empty past two states."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
@@ -106,6 +107,7 @@ class GridLP:
     x_base: tuple[int, ...]
     y_base: tuple[int, ...]
     graph: DominationGraph
+    rungs: tuple[tuple[int, ...], ...]
 
     def var_names(self) -> list[str]:
         """lp.dump's names, formatted when asked: x{i}@(w) per receiver
@@ -171,6 +173,10 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
 
     n_vars = k * n + len(edges) * n * n
     program = lp.LinearProgram.integral(n_vars, (objective, obj_den), constraints)
+    rungs = ()
+    if grid.dim == 2:
+        columns = [[table[w] for w in pts] for table in tables]
+        rungs = _rungs(instance.prior.values[0] * D, columns, x_base, y_base)
     return GridLP(
         program=program,
         grid=grid,
@@ -179,7 +185,36 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         x_base=x_base,
         y_base=y_base,
         graph=graph,
+        rungs=rungs,
     )
+
+
+def _rungs(prior, columns, x_base, y_base) -> tuple[tuple[int, ...], ...]:
+    """The ladder of a two-state grid program, whose point a is
+    (a/D, 1 - a/D): rung 1 holds the point at prior (the first state's
+    prior times D) or, off the grid, the two points next to it; rung 2
+    adds 0, D and every point where some receiver's tabulated utility
+    (columns[i][a]) bends down, u(a-1) - 2u(a) + u(a+1) < 0.  Between
+    two neighbouring points of rung 2 every utility is convex, so
+    pushing each mass onto them keeps the mean and the convex order and
+    lowers no utility: the program on rung 2 already holds an optimum of
+    the full one.  A rung's columns are every x at its points and every
+    y between two of its points; a rung with every point is left out."""
+    n = len(columns[0])
+    first = {floor(prior), ceil(prior)}
+    bends = {
+        a
+        for u in columns
+        for a in range(1, n - 1)
+        if u[a - 1] - 2 * u[a] + u[a + 1] < 0
+    }
+    ladder = []
+    for points in (sorted(first), sorted(first | bends | {0, n - 1})):
+        if len(points) < n:
+            xs = [base + a for base in x_base for a in points]
+            ys = [base + a * n + c for base in y_base for a in points for c in points]
+            ladder.append(tuple(xs + ys))
+    return tuple(ladder)
 
 
 @dataclass(frozen=True)
@@ -256,7 +291,7 @@ def _solve_grid(
 ) -> tuple[GridSolution, DominationGraph]:
     """solve_grid, with the domination forest the program was built on."""
     glp = build_grid_lp(instance, grid)
-    sol = lp.solve(glp.program)
+    sol = lp.solve(glp.program, rungs=glp.rungs)
     if sol.status != lp.OPTIMAL:
         raise InvariantViolation(f"grid program reported {sol.status}")
     solution = _read_solution(glp, sol.assignment, sol.objective)

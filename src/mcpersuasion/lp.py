@@ -7,16 +7,25 @@ denominator, and the engine only reads it: a two-phase revised simplex
 in integers, the basis inverse an integer adjugate over the basis
 determinant, so every division is exact.  Pivoting uses the
 largest-reduced-cost rule and falls back to the smallest-index rule
-after a long run of degenerate pivots, so it always terminates.  A
-program of at least _CRASH_THRESHOLD rows x columns, when scipy
-imports, starts from a floating-point solve's basis guess, pivoted in
-exactly; the guess changes only the path taken.
+after a long run of degenerate pivots, so it always terminates.
+
+A basis is reached by one of three routes.  Given rungs (nested column
+sets), solve climbs a ladder: each rung's restricted program is solved
+exactly, from the previous rung's optimal support, and the full
+program then starts from the last rung's support, completed exactly;
+no floating-point solve is tried.  Without rungs, a program of at least
+_CRASH_THRESHOLD rows x columns, when scipy imports, starts from a
+floating-point solve's support, completed the same way; any other
+program, and any start whose completed basis is refused, starts from
+the all-artificial basis with phase 1.  The start changes only the
+path taken.
 
 No status is reported on trust: an optimal answer carries a dual
 vector, an infeasible one a Farkas vector, an unbounded one a feasible
 point and an improving ray, each checked exactly against the program as
-stored, never the engine's scaled rows.  Output is deterministic for a
-fixed input on a fixed installation.
+stored, never the engine's scaled rows or a rung's restriction.  Output
+is deterministic for a fixed input; only a solve without rungs that
+takes the floating-point start can depend on the installation.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import repeat
 from math import gcd, inf, lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvariantViolation, ValidationError
 
@@ -347,9 +356,13 @@ class _Engine:
 
     Every basis starts as the unit basis of the artificials (binv = I,
     den = 1, xb = b) and changes only by _pivot.  Columns n_std + r are
-    the artificials, never priced, so one that leaves stays out.  The
-    crash completion enters each column of the floating-point support,
-    and phase 2 evicts a basic artificial, at zero, ahead of the ratio
+    the artificials, never priced, so one that leaves stays out.  A
+    start is a support, standard-form columns below n_std: the one
+    handed to the constructor (a ladder rung's), else, for a large
+    program, the floating-point solve's (_try_crash).  _complete enters
+    its columns from the unit basis and keeps the basis only if it is
+    feasible with every artificial at zero; phase 1 is then skipped.
+    Phase 2 evicts a basic artificial, at zero, ahead of the ratio
     test, at the first artificial's row where the direction is nonzero
     (_artificial_row); one still basic at the optimum gets dual 0.
     Evictions do not count towards the Bland fallback's streak, whose
@@ -357,8 +370,9 @@ class _Engine:
     plus 10.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, start: Sequence[int] | None = None):
         self.lp = lp
+        self.start = start
         self.n_real = n_std = lp.n_vars
         self.obj_scale = lp.obj_den
         # standard equality form: real vars, then one slack per inequality;
@@ -592,9 +606,25 @@ class _Engine:
             return self._map_dual(self._duals(obj1), self.scale * self.den)
         return None
 
-    # -- crash start from a floating-point solve
+    # -- starts from a support
+
+    def _complete(self, support) -> bool:
+        """The exact completion of support from the unit basis: each
+        column in order enters the first row still held by an artificial
+        that its direction touches (a column touching none depends on
+        those before).  Whether the basis reached is feasible, with
+        every artificial at zero."""
+        self._start_all_artificial()
+        for j in support:
+            d = self._direction(j)
+            r = self._artificial_row(d)
+            if r is not None:
+                self._pivot(j, r, d)
+        return all(x >= 0 and (x == 0 or j < self.n_std) for x, j in zip(self.xb, self.basis))
 
     def _try_crash(self) -> bool:
+        """The completion of a HiGHS solve's support, largest values
+        first; False when scipy does not import or HiGHS fails."""
         highs = _highs()
         if highs is None:
             return False
@@ -621,25 +651,21 @@ class _Engine:
             (j for j in range(self.n_std) if res.x[j] > 1e-9),
             key=lambda j: (-res.x[j], j),
         )
-        # exact completion from the unit basis: each support column in that
-        # order enters the first row still held by an artificial that its
-        # direction touches; a column touching none depends on those before
-        self._start_all_artificial()
-        for j in support:
-            d = self._direction(j)
-            r = self._artificial_row(d)
-            if r is not None:
-                self._pivot(j, r, d)
-        # the basis must be feasible, with every artificial at zero
-        return all(x >= 0 and (x == 0 or j < self.n_std) for x, j in zip(self.xb, self.basis))
+        return self._complete(support)
 
     # -- public
 
     def solve(self) -> LPSolution:
-        """The crash start where lp.solve says it is tried, else (or if its
-        basis is refused) the all-artificial start and phase 1."""
-        big = self.m * max(self.n_real, 1) >= _CRASH_THRESHOLD
-        if not (self.m > 0 and big and self._try_crash()):
+        """From the completion of start when one was given; without one,
+        from the crash start where lp.solve says it is tried.  Else, or
+        if the completed basis is refused, the all-artificial start and
+        phase 1."""
+        if self.start is not None:
+            started = self._complete(self.start)
+        else:
+            big = self.m * max(self.n_real, 1) >= _CRASH_THRESHOLD
+            started = self.m > 0 and big and self._try_crash()
+        if not started:
             self._start_all_artificial()
             farkas = self._phase1() if self.m > 0 else None
             if farkas is not None:
@@ -689,9 +715,88 @@ class _Engine:
         ]
 
 
-def solve(lp: LinearProgram) -> LPSolution:
-    """Solve to a certified status.  lp is read, never changed.  The
-    floating-point warm start is tried exactly when lp has a row, is at
-    least _CRASH_THRESHOLD rows x columns and scipy imports (_highs); it
-    changes only the path, and the certificate is checked either way."""
-    return _Engine(lp).solve()
+def _restricted(lp: LinearProgram, cols: list[int]) -> tuple[LinearProgram, list[int]]:
+    """lp on the columns cols, ascending, renumbered in that order, less
+    the rows that are left empty with a zero right-hand side; returned
+    with the indices in lp of the rows it keeps."""
+    at = {j: t for t, j in enumerate(cols)}
+    rows, kept = [], []
+    for i, (coeffs, rel, rhs, den) in enumerate(lp.rows):
+        row = {at[j]: a for j, a in coeffs.items() if j in at}
+        if row or rhs:
+            rows.append((row, rel, rhs, den))
+            kept.append(i)
+    obj = {at[j]: a for j, a in lp.obj.items() if j in at}
+    return LinearProgram.integral(len(cols), (obj, lp.obj_den), rows), kept
+
+
+def _support(program, cols, kept, x) -> tuple[list[int], list[int]]:
+    """The support of program's point x in the terms of the program it
+    restricts (cols and kept as _restricted returns them): the columns
+    where x is nonzero, largest values first, and the inequality rows x
+    leaves slack."""
+    reals = sorted((j for j, v in enumerate(x) if v), key=lambda j: (-x[j], j))
+    slack = [
+        i
+        for i, (coeffs, rel, rhs, _) in zip(kept, program.rows)
+        if rel != EQ and sum(a * x[j] for j, a in coeffs.items()) != rhs
+    ]
+    return [cols[j] for j in reals], slack
+
+
+def _start(program, cols, kept, support) -> list[int] | None:
+    """support (as _support gives it) as standard-form columns of
+    program, a slack numbered as _Engine numbers it; None when one of
+    its columns or rows is not in program."""
+    at = {j: t for t, j in enumerate(cols)}
+    slack = {}
+    for i, (_, rel, _, _) in zip(kept, program.rows):
+        if rel != EQ:
+            slack[i] = program.n_vars + len(slack)
+    reals, rows = support
+    try:
+        return [at[j] for j in reals] + [slack[i] for i in rows]
+    except KeyError:
+        return None
+
+
+def _climb(lp: LinearProgram, rungs) -> list[int] | None:
+    """The support that lp starts from after the ladder of rungs, or None
+    when the ladder is dropped: a rung is not optimal, or it does not
+    hold the support of the rung before."""
+    support = ([], [])  # the first rung completes the empty support
+    for rung in rungs:
+        cols = sorted({_index(j, "rung column") for j in rung})
+        if cols and not (0 <= cols[0] and cols[-1] < lp.n_vars):
+            raise ValidationError("rung column out of range")
+        program, kept = _restricted(lp, cols)
+        start = _start(program, cols, kept, support)
+        if start is None:
+            return None
+        sol = _Engine(program, start).solve()
+        if sol.status != OPTIMAL:
+            return None
+        support = _support(program, cols, kept, sol.assignment)
+    return _start(lp, range(lp.n_vars), range(lp.n_constraints), support)
+
+
+def solve(lp: LinearProgram, *, rungs: Sequence[Iterable[int]] = ()) -> LPSolution:
+    """Solve to a certified status.  lp is read, never changed.
+
+    rungs are nested sets of column indices.  Given some, the program
+    restricted to each in turn is solved exactly, the first from the
+    all-artificial start and each later one from the optimal support of
+    the one before; lp then starts from the last rung's support.  No
+    floating-point solve is tried.  If a rung is not optimal or does not
+    hold the support before it, the ladder is dropped.  A support that
+    does not complete to a feasible basis, which the optimal support of
+    a rung nested in the next cannot fail to do, falls back to the
+    all-artificial start.
+
+    Without rungs, or with the ladder dropped, the floating-point warm
+    start is tried exactly when lp has a row, is at least
+    _CRASH_THRESHOLD rows x columns and scipy imports (_highs).  A start
+    changes only the path; the certificate is checked against lp either
+    way."""
+    start = _climb(lp, rungs) if rungs else None
+    return _Engine(lp, start).solve()

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,17 +186,41 @@ def test_solve_single_receiver(capsys, files, tmp_path):
 )
 def test_solve_documents_are_pinned(capsys, name, epsilon, expected):
     """The solve document of a criterion-5 chain at 1/40 and of a
-    three-receiver star at 1/20, byte for byte as recorded with the
-    rational (Fraction) LP engine that preceded the integer one.  Both
-    programs are large enough for the scipy crash start, which picks the
-    optimal vertex the document shows."""
-    if lp._highs() is None:
-        pytest.skip("scipy does not import")
+    three-receiver star at 1/20, byte for byte.  Both are two-state grid
+    programs, which lp solves up their breakpoint ladder without a
+    floating-point solve, so the bytes do not depend on scipy.  Recorded
+    when the ladder replaced the scipy crash start, which moved the
+    optimal vertex (same objective) in 6 and 11 entries."""
     data = Path(__file__).parent / "data"
     instance = str(data / f"{name}.instance.json")
     code, out, err = run(capsys, "solve", instance, "--epsilon", epsilon)
     assert code == 0, err
     assert out.encode() == (data / expected).read_bytes()
+
+
+def test_solve_imports_neither_scipy_nor_numpy():
+    """solve on a two-state chain at 1/40, in a fresh process, writes the
+    pinned document and leaves scipy and numpy unimported: the ladder
+    never tries the floating-point start."""
+    data = Path(__file__).parent / "data"
+    script = (
+        "import sys\n"
+        "from mcpersuasion.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(sorted({'scipy', 'numpy'} & set(sys.modules)), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "solve", str(data / "chain2.instance.json"), "--epsilon", "1/40"],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.decode().strip() == "[]"
+    assert done.stdout == (data / "chain2.solve-1-40.json").read_bytes()
 
 
 def test_solve_decimal_flag(capsys, files):
@@ -707,13 +734,15 @@ def test_reduce_documents_are_pinned(capsys, files, tmp_path, no_scipy):
 
 
 def test_decimal_solve_output_is_pinned(capsys, no_scipy):
-    """A chain small enough for the all-artificial LP route, so the
-    bytes are the same with and without scipy; --decimal adds a float."""
+    """A two-state chain, solved up its breakpoint ladder, so the bytes
+    are the same with and without scipy; --decimal adds a float.
+    Re-pinned when the ladder replaced the all-artificial start, which
+    moved the vertex (same objective) in 6 entries."""
     instance = str(Path(__file__).parent / "data" / "chain2.instance.json")
     code, out, err = run(capsys, "solve", instance, "--epsilon", "1/10", "--decimal")
     assert code == 0, err
     assert sha256(out.encode()) == (
-        "81929560dde59d1eda1391cac7f5262a9651ba35832544062569b1d8eb958b3f"
+        "edeced200fdda9bbcf81c8a756ae646e26d459f9bda802ba78279f632c289138"
     )
 
 

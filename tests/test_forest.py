@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mcpersuasion import lp
 from mcpersuasion.beliefs import BeliefDistribution, Coupling, concavify_single, mps_coupling
 from mcpersuasion.dominance import dominance_set
 from mcpersuasion.errors import (
@@ -424,6 +425,154 @@ def test_grid_program_listing_is_pinned(make, denominator, digest):
     inst = make()
     glp = build_grid_lp(inst, PosteriorGrid(dim=inst.space.size, denominator=denominator))
     assert hashlib.md5(dump(glp.program, glp.var_names()).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Two-state grid programs solved up their breakpoint ladder
+
+CHAIN2 = [[1, 1], [0, 1]]
+CHAIN3 = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+STAR3 = [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
+
+
+def _two_state_forest(rng, structure):
+    """The criterion-5 and grid2 generator: piecewise utilities in state
+    1 with 1 to 3 breakpoints on 1/10 and values 0..6, prior on 1/10."""
+    high = F(rng.randint(1, 9), 10)
+    utilities = []
+    for _ in structure:
+        count = rng.randint(1, 3)
+        breaks = sorted(rng.sample([F(i, 10) for i in range(1, 10)], count))
+        values = tuple(F(rng.randint(0, 6)) for _ in range(count + 1))
+        utilities.append(PiecewiseUtility(state="1", breakpoints=tuple(breaks), values=values))
+    return make_instance(structure, utilities, prior=(1 - high, high))
+
+
+def _climb_and_compare(inst, denominator):
+    """The ladder's answer against plain lp.solve on the grid program: the
+    same objective, certified against the full program, and solve_grid
+    takes the ladder without dropping it.  Returns the GridLP."""
+    grid = PosteriorGrid(dim=2, denominator=denominator)
+    glp = build_grid_lp(inst, grid)
+    assert glp.rungs and lp._climb(glp.program, glp.rungs) is not None
+    climbed = lp.solve(glp.program, rungs=glp.rungs)
+    plain = lp.solve(glp.program)
+    assert climbed.status == plain.status == lp.OPTIMAL
+    assert climbed.objective == plain.objective
+    assert lp.check_optimal(glp.program, climbed.assignment, climbed.dual)
+    assert solve_grid(inst, grid).objective == plain.objective
+    return glp
+
+
+def test_ladder_matches_the_plain_solve_on_the_generators():
+    """Seeded criterion-5 chains at 1/10, 1/20 and 1/40, and grid2's mix
+    of chains and three-receiver forests."""
+    rng = random.Random(2026)
+    for _ in range(3):
+        inst = _two_state_forest(rng, CHAIN2)
+        for denominator in (10, 20, 40):
+            _climb_and_compare(inst, denominator)
+    rng = random.Random(7)
+    for structure, steps in [(CHAIN2, (10, 20, 40)), (CHAIN3, (10, 20)), (STAR3, (10, 20))]:
+        inst = _two_state_forest(rng, structure)
+        for denominator in steps:
+            _climb_and_compare(inst, denominator)
+
+
+@pytest.mark.parametrize(
+    "utilities, prior, off_grid",
+    [
+        (
+            [
+                ThresholdUtility(state="1", cutoff=F(1, 2), strict=True),
+                ThresholdUtility(state="1", cutoff=F(3, 10), high=F(2), strict=True),
+            ],
+            ("7/10", "3/10"),
+            False,
+        ),
+        (
+            [
+                PointUtility(point=pt("1/2", "1/2"), value=F(0), otherwise=F(1)),
+                ThresholdUtility(state="1", cutoff=F(7, 10)),
+            ],
+            ("1/2", "1/2"),
+            False,
+        ),
+        (
+            [
+                ThresholdUtility(state="1", cutoff=F(1, 2)),
+                ThresholdUtility(state="1", cutoff=F(4, 5), high=F(3)),
+            ],
+            ("2/3", "1/3"),
+            True,
+        ),
+    ],
+    ids=["strict-thresholds", "point-below-otherwise", "prior-off-the-grid"],
+)
+def test_ladder_matches_the_plain_solve_on_jumps_and_off_grid_priors(
+    utilities, prior, off_grid, monkeypatch
+):
+    """Utilities that are not upper-semicontinuous, and a prior of 1/3
+    between grid points (rung 1 then holds two points).  Rung 2 bends on
+    the tabulated values, so it needs no semicontinuity; the prior off
+    the grid leaves the lifted basis short of optimal, and phase 2 must
+    pivot on the full program."""
+    watched, phase2 = [], []
+    real_reprice = lp._Engine._reprice
+
+    def reprice(engine, *args):
+        # once per pivot of _run; a ladder's full program skips phase 1
+        if engine.lp in watched:
+            phase2.append(engine)
+        return real_reprice(engine, *args)
+
+    monkeypatch.setattr(lp._Engine, "_reprice", reprice)
+    inst = make_instance(CHAIN2, utilities, prior=prior)
+    for denominator in (10, 20, 40):
+        glp = _climb_and_compare(inst, denominator)
+        first = [glp.points[j] for j in glp.rungs[0] if j < len(glp.points)]
+        assert len(first) == (2 if off_grid else 1)
+        watched.append(glp.program)
+        lp.solve(glp.program, rungs=glp.rungs)
+        watched.clear()
+        assert bool(phase2) == off_grid
+        phase2.clear()
+
+
+@pytest.mark.parametrize(
+    "name, denominator, first, second",
+    [
+        (
+            "chain2",
+            40,
+            ["3/10,7/10"],
+            ["0,1", "3/10,7/10", "3/5,2/5", "9/10,1/10", "1,0"],
+        ),
+        (
+            "star3",
+            20,
+            ["3/5,2/5"],
+            ["0,1", "1/5,4/5", "3/10,7/10", "2/5,3/5", "1/2,1/2", "3/5,2/5", "9/10,1/10", "1,0"],
+        ),
+    ],
+)
+def test_rung_points_are_pinned(name, denominator, first, second):
+    """Rung 1 holds the prior's grid point, rung 2 adds (0,1), (1,0) and
+    every point where a receiver's utility bends down; a rung's columns
+    are every x at its points and every y between two of them."""
+    glp = build_grid_lp(_data_instance(name), PosteriorGrid(dim=2, denominator=denominator))
+    n = len(glp.points)
+    index = {",".join(map(str, w)): a for a, w in enumerate(glp.points)}
+    for rung, labels in zip(glp.rungs, (first, second), strict=True):
+        points = [index[label] for label in labels]
+        xs = [base + a for base in glp.x_base for a in points]
+        ys = [base + a * n + c for base in glp.y_base for a in points for c in points]
+        assert rung == tuple(xs + ys)
+
+
+def test_three_state_grids_have_no_rungs():
+    inst = _three_state_chain(random.Random(8))
+    assert build_grid_lp(inst, PosteriorGrid(dim=3, denominator=4)).rungs == ()
 
 
 # ---------------------------------------------------------------------------

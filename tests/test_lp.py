@@ -1109,6 +1109,166 @@ def test_grid_solves_are_pinned(route, take_route):
         assert digest == GRID_SOLVES_PURE
 
 
+# --- the ladder: solve(lp, rungs=...) ---
+
+
+def _restriction(lp, cols):
+    """lp on the columns cols, ascending, renumbered in that order,
+    without the rows left empty with a zero right-hand side; built from
+    the Fraction rows."""
+    at = {j: t for t, j in enumerate(cols)}
+    constraints = []
+    for row, rel, rhs in lp.constraints:
+        kept = {at[j]: v for j, v in row.items() if j in at}
+        if kept or rhs:
+            constraints.append((kept, rel, rhs))
+    objective = {at[j]: v for j, v in lp.objective.items() if j in at}
+    return LinearProgram(len(cols), objective, constraints)
+
+
+def _certified(lp, sol):
+    if sol.status == OPTIMAL:
+        return check_optimal(lp, sol.assignment, sol.dual)
+    if sol.status == INFEASIBLE:
+        return check_farkas(lp, sol.farkas)
+    return check_ray(lp, sol.assignment, sol.ray)
+
+
+def _drawn_rungs(rng, n, always=()):
+    """One to three nested column sets of range(n), each holding always,
+    or, one time in four, two sets drawn apart."""
+    rest = rng.sample(sorted(set(range(n)) - set(always)), n - len(always))
+    if rng.random() < 0.25:
+        first = [*always, *rest[: rng.randint(0, len(rest))]]
+        return [first, rng.sample(range(n), rng.randint(0, n))]
+    sizes = sorted(rng.choices(range(len(rest) + 1), k=rng.randint(1, 3)))
+    return [[*always, *rest[:size]] for size in sizes]
+
+
+def _ladder_cases():
+    """The 400 pinned draws with seeded rungs, half of them holding the
+    support of an optimum, and the pinned grid programs with rungs that
+    hold every x column and the diagonal y columns (a feasible
+    restriction) or, one time in three, not."""
+    rng = random.Random(3)
+    draw = random.Random(19)
+    cases = []
+    for _ in range(400):
+        lp = _pinned_program(rng)
+        sol = solve(lp)
+        always = ()
+        if sol.status == OPTIMAL and draw.random() < 0.5:
+            always = [j for j, v in enumerate(sol.assignment) if v]
+        cases.append((lp, _drawn_rungs(draw, lp.n_vars, always)))
+    for name, denominator in GRID_CASES[:2] + GRID_CASES[3:4]:
+        path = Path(__file__).parent / "data" / f"{name}.instance.json"
+        instance = validate_instance(json.loads(path.read_text()))
+        glp = build_grid_lp(instance, PosteriorGrid(2, denominator))
+        n = len(glp.points)
+        diagonal = [base + a * n + a for base in glp.y_base for a in range(n)]
+        xs = list(range(glp.y_base[0]))
+        for _ in range(3):
+            always = xs + diagonal if draw.random() < 2 / 3 else xs[::2]
+            cases.append((glp.program, _drawn_rungs(draw, glp.program.n_vars, always)))
+    return cases
+
+
+def test_ladder_gives_the_plain_answer_certified(monkeypatch):
+    """solve(lp, rungs=...) on the 400 pinned draws and the pinned grid
+    programs, with seeded rungs: the status and objective of solve(lp),
+    and a certificate checked against lp.  The ladder stops at its first
+    rung that is not optimal (decided by solving an independently built
+    restriction) and at the first rung, or lp, that does not hold the
+    support of the optimum before it; then lp takes the plain route and
+    the answer is the plain one.  Otherwise every rung after the first,
+    and lp, complete the support before them, and no floating-point
+    solve is tried."""
+    engines, completions, crashes = [], [], []
+    real_solve = lp_module._Engine.solve
+    real_complete = lp_module._Engine._complete
+    real_try_crash = lp_module._Engine._try_crash
+
+    def recording_solve(engine):
+        sol = real_solve(engine)
+        engines.append((engine, sol))
+        return sol
+
+    def complete(engine, support):
+        completed = real_complete(engine, support)
+        completions.append((engine, completed))
+        return completed
+
+    def try_crash(engine):
+        crashes.append(engine)
+        return real_try_crash(engine)
+
+    monkeypatch.setattr(lp_module._Engine, "solve", recording_solve)
+    monkeypatch.setattr(lp_module._Engine, "_complete", complete)
+    monkeypatch.setattr(lp_module._Engine, "_try_crash", try_crash)
+    outcomes = {}
+    for lp, rungs in _ladder_cases():
+        plain = solve(lp)
+        statuses = [solve(_restriction(lp, sorted(set(rung)))).status for rung in rungs]
+        engines.clear()
+        completions.clear()
+        crashes.clear()
+        sol = solve(lp, rungs=rungs)
+        assert (sol.status, sol.objective) == (plain.status, plain.objective)
+        assert _certified(lp, sol)
+        *climbed, (final, _) = engines
+        assert final.lp is lp
+        # rung by rung: is the support before it held, is it optimal
+        outcome, solved = "climbed", len(rungs)
+        for t, rung in enumerate(rungs):
+            if t and not support <= set(rung):
+                outcome, solved = "a support not held", t
+                break
+            if statuses[t] != OPTIMAL:
+                outcome, solved = "a rung not optimal", t + 1
+                break
+            cols = sorted(set(rung))
+            support = {cols[j] for j, v in enumerate(climbed[t][1].assignment) if v}
+        # the pinned draws have at most 7 columns, the grid programs 143 and more
+        outcome += " (grid)" if lp.n_vars > 7 else ""
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        assert [s.status for _, s in climbed] == statuses[:solved]
+        if outcome.startswith("climbed"):
+            assert final.start is not None and not crashes
+            # every start but the first rung's empty one completes
+            assert all(ok for engine, ok in completions if engine.start)
+            assert completions[-1] == (final, True)
+        else:
+            assert final.start is None and sol == plain
+    assert min(outcomes[kind] for kind in ("climbed", "a rung not optimal", "a support not held")) > 20
+    assert outcomes["climbed (grid)"] and outcomes["a rung not optimal (grid)"], outcomes
+
+
+def test_a_start_that_does_not_complete_falls_back_to_the_all_artificial_start(take_route):
+    """An engine given a start enters its columns from the unit basis and
+    keeps the basis only if it is feasible with every artificial at zero;
+    otherwise it takes the all-artificial start, never the crash start,
+    and gives the all-artificial route's answer."""
+    lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1), ([1, -1, 1], EQ, 3)])
+    take_route("pure")
+    pure = solve(lp)
+    take_route("crash")
+    cases = [([0, 2], True), ([2, 0], True), ([0], False), ([0, 1], False), ([], False)]
+    for support, completes in cases:
+        assert lp_module._Engine(lp, support)._complete(support) is completes
+        sol = lp_module._Engine(lp, support).solve()
+        assert sol.objective == pure.objective
+        assert check_optimal(lp, sol.assignment, sol.dual)
+        if not completes:
+            assert sol == pure
+
+
+@pytest.mark.parametrize("rung", [[3], [-1], [0.0], [True], ["1"]])
+def test_rungs_take_only_column_indices(rung):
+    lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1)])
+    with pytest.raises(ValidationError):
+        solve(lp, rungs=[[0], rung])
+
+
 def test_bland_fallback_counts_only_rows_not_left_dependent(monkeypatch):
     """Beale's cycling example, its slacks written as columns s1..s3 and
     joined by a variable z fixed at 0 by copies of one row.  From the
