@@ -31,7 +31,6 @@ from .model import (
     PersuasionInstance,
     Posterior,
     Prior,
-    ReceiverUtility,
     StateSpace,
     dot,
     format_label,
@@ -83,13 +82,6 @@ class PosteriorGrid:
         )
 
 
-def tabulate(
-    utility: ReceiverUtility, space: StateSpace, grid_points: Iterable[Posterior]
-) -> dict[Posterior, Fraction]:
-    """Exact values of one receiver's utility on the given points."""
-    return {p: utility.value_at(p, space) for p in grid_points}
-
-
 @dataclass(frozen=True)
 class GridLP:
     """The assembled program plus its variable bookkeeping.  Variables
@@ -97,8 +89,10 @@ class GridLP:
     back: x(i, points[a]) is x_base[i] + a, and on the e-th edge
     y(points[a], points[c]) is y_base[e] + a * n + c for n points.
     graph is the instance's domination forest, whose sorted covering
-    edges are edges.  rungs are the column sets lp.solve climbs before
-    the full program (_rungs); empty past two states."""
+    edges are edges.  rungs are the (program, columns) pairs lp.solve
+    climbs first: the program over a rung's points (_rungs), and the
+    full program's column of each of its variables; empty past two
+    states."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
@@ -107,7 +101,7 @@ class GridLP:
     x_base: tuple[int, ...]
     y_base: tuple[int, ...]
     graph: DominationGraph
-    rungs: tuple[tuple[int, ...], ...]
+    rungs: tuple[tuple[lp.LinearProgram, tuple[int, ...]], ...]
 
     def var_names(self) -> list[str]:
         """lp.dump's names, formatted when asked: x{i}@(w) per receiver
@@ -129,7 +123,8 @@ def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]
 
 
 def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
-    """Assemble the exact grid program for a forest instance.
+    """Assemble the exact grid program for a forest instance and, on two
+    states, its ladder's programs: _grid_program over each rung's points.
 
     Families, in row order: Bayes-plausibility per receiver per state;
     per covering edge the spread-side row sums, coarse-side column
@@ -144,77 +139,86 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     graph, edges = _forest_edges(instance)
     pts = grid.points()
     k = instance.k
-
     n = len(pts)
     x_base = tuple(i * n for i in range(k))
     y_base = tuple(k * n + e * n * n for e in range(len(edges)))
-
-    tables = [tabulate(u, instance.space, pts) for u in instance.utilities.receivers]
-    values = {x_base[i] + a: tables[i][w] for i in range(k) for a, w in enumerate(pts)}
-    obj_den = lcm(*(v.denominator for v in values.values()))
-    objective = {j: v.numerator * (obj_den // v.denominator) for j, v in values.items() if v}
-
-    # integer rows (coeffs, rel, rhs, den); a point's coordinates are its lattice ones over D
+    # each receiver's utility at each point, aligned with pts
+    values = [[u.value_at(w, instance.space) for w in pts] for u in instance.utilities.receivers]
     D = grid.denominator
-    lattice = [[x.numerator * (D // x.denominator) for x in w] for w in pts]
-    constraints = []
-    for i in range(k):
-        for b, q in enumerate(instance.prior.values):
-            row = {x_base[i] + a: c[b] * q.denominator for a, c in enumerate(lattice) if c[b]}
-            constraints.append((row, lp.EQ, q.numerator * D, q.denominator * D))
-    for (i1, i2), base in zip(edges, y_base):
-        rows = beliefs.coupling_rows(pts, pts, base)
-        for a in range(n):
-            rows[a][0][x_base[i1] + a] = -1  # row sum = x_{i1}(pts[a])
-            rows[n + a][0][x_base[i2] + a] = -1  # column sum = x_{i2}(pts[a])
-        constraints += [(row, lp.EQ, 0, den) for row, den in rows]
-    for i in range(k):
-        constraints.append((dict.fromkeys(range(x_base[i], x_base[i] + n), 1), lp.EQ, 1, 1))
 
-    n_vars = k * n + len(edges) * n * n
-    program = lp.LinearProgram.integral(n_vars, (objective, obj_den), constraints)
-    rungs = ()
-    if grid.dim == 2:
-        columns = [[table[w] for w in pts] for table in tables]
-        rungs = _rungs(instance.prior.values[0] * D, columns, x_base, y_base)
+    def program(points):
+        """The program over pts[a] for a in points."""
+        sub = [[u[a] for a in points] for u in values]
+        return _grid_program(instance.prior, edges, D, [pts[a] for a in points], sub)
+
+    ladder = _rungs(instance.prior.values[0] * D, values) if grid.dim == 2 else []
+    rungs = []
+    for points in ladder:
+        xs = [base + a for base in x_base for a in points]
+        ys = [base + a * n + c for base in y_base for a in points for c in points]
+        rungs.append((program(points), tuple(xs + ys)))
     return GridLP(
-        program=program,
+        program=program(range(n)),
         grid=grid,
         points=pts,
         edges=edges,
         x_base=x_base,
         y_base=y_base,
         graph=graph,
-        rungs=rungs,
+        rungs=tuple(rungs),
     )
 
 
-def _rungs(prior, columns, x_base, y_base) -> tuple[tuple[int, ...], ...]:
-    """The ladder of a two-state grid program, whose point a is
-    (a/D, 1 - a/D): rung 1 holds the point at prior (the first state's
-    prior times D) or, off the grid, the two points next to it; rung 2
-    adds 0, D and every point where some receiver's tabulated utility
-    (columns[i][a]) bends down, u(a-1) - 2u(a) + u(a+1) < 0.  Between
-    two neighbouring points of rung 2 every utility is convex, so
-    pushing each mass onto them keeps the mean and the convex order and
-    lowers no utility: the program on rung 2 already holds an optimum of
-    the full one.  A rung's columns are every x at its points and every
-    y between two of its points; a rung with every point is left out."""
-    n = len(columns[0])
+def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
+    """The grid program over the points pts, sorted and on the 1/D
+    lattice, values[i][a] receiver i's utility at pts[a]; variables
+    numbered as GridLP numbers them over pts.  A row left without a
+    coefficient and with a zero right-hand side, such as a barycenter
+    row at a lone point, is left out."""
+    k, n = len(values), len(pts)
+    x_base = [i * n for i in range(k)]
+    flat = [v for u in values for v in u]  # x(i, pts[a]) is variable i * n + a
+    obj_den = lcm(*(v.denominator for v in flat))
+    objective = {j: v.numerator * (obj_den // v.denominator) for j, v in enumerate(flat) if v}
+    # integer rows (coeffs, rel, rhs, den); a point's coordinates are its lattice ones over D
+    lattice = [[x.numerator * (D // x.denominator) for x in w] for w in pts]
+    constraints = []
+    for base in x_base:
+        for b, q in enumerate(prior.values):
+            row = {base + a: c[b] * q.denominator for a, c in enumerate(lattice) if c[b]}
+            constraints.append((row, lp.EQ, q.numerator * D, q.denominator * D))
+    for e, (i1, i2) in enumerate(edges):
+        rows = beliefs.coupling_rows(pts, pts, k * n + e * n * n)
+        for a in range(n):
+            rows[a][0][x_base[i1] + a] = -1  # row sum = x_{i1}(pts[a])
+            rows[n + a][0][x_base[i2] + a] = -1  # column sum = x_{i2}(pts[a])
+        constraints += [(row, lp.EQ, 0, den) for row, den in rows if row]
+    for base in x_base:
+        constraints.append((dict.fromkeys(range(base, base + n), 1), lp.EQ, 1, 1))
+    n_vars = k * n + len(edges) * n * n
+    return lp.LinearProgram.integral(n_vars, (objective, obj_den), constraints)
+
+
+def _rungs(prior, values) -> list[list[int]]:
+    """The points of the ladder of a two-state grid program, whose point
+    a is (a/D, 1 - a/D): rung 1 holds the point at prior (the first
+    state's prior times D) or, off the grid, the two points next to it;
+    rung 2 adds 0, D and every point where some receiver's utility
+    (values[i][a]) bends down, u(a-1) - 2u(a) + u(a+1) < 0.  Between two
+    neighbouring points of rung 2 every utility is convex, so pushing
+    each mass onto them keeps the mean and the convex order and lowers
+    no utility: the program on rung 2 already holds an optimum of the
+    full one.  A rung with every point is left out."""
+    n = len(values[0])
     first = {floor(prior), ceil(prior)}
     bends = {
         a
-        for u in columns
+        for u in values
         for a in range(1, n - 1)
         if u[a - 1] - 2 * u[a] + u[a + 1] < 0
     }
-    ladder = []
-    for points in (sorted(first), sorted(first | bends | {0, n - 1})):
-        if len(points) < n:
-            xs = [base + a for base in x_base for a in points]
-            ys = [base + a * n + c for base in y_base for a in points for c in points]
-            ladder.append(tuple(xs + ys))
-    return tuple(ladder)
+    ladder = [sorted(first), sorted(first | bends | {0, n - 1})]
+    return [points for points in ladder if len(points) < n]
 
 
 @dataclass(frozen=True)

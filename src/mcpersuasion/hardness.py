@@ -42,8 +42,7 @@ from .model import (
 DEFAULT_UNION_BUDGET = 1_000_000
 
 _SPACE = StateSpace(("0", "1"))
-_UNIFORM = (Fraction(1, 2), Fraction(1, 2))
-_PRIOR = Prior(_SPACE, _UNIFORM)
+_PRIOR = Prior(_SPACE, (Fraction(1, 2), Fraction(1, 2)))
 _CUTOFF = Fraction(9, 10)
 _CERTAIN_OF_ONE = MemberRule(op="ge", state="1", cutoff=Fraction(1))
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -111,14 +110,13 @@ def reduction_structure(inst: BUnionInstance) -> CommunicationStructure:
 
 
 def reduction_utilities(inst: BUnionInstance) -> SupermajorityUtility:
-    certain_of_one = MemberRule(op="ge", state="1", cutoff=Fraction(1))
     staying_calm = MemberRule(op="le", state="1", cutoff=_CUTOFF)
     groups = [
         Group(
             members=tuple(range(inst.t)),
             weight=Fraction(4 * inst.w),
             threshold=inst.b,
-            rule=certain_of_one,
+            rule=_CERTAIN_OF_ONE,
         )
     ]
     for i in range(inst.w):
@@ -175,8 +173,7 @@ def witness_table(
             for i in range(structure.k)
         )
         per_state[state] = {profile: Fraction(1)}
-    prior = Prior(_SPACE, _UNIFORM)
-    return SignalingTable.from_signals(prior, per_state)
+    return SignalingTable.from_signals(_PRIOR, per_state)
 
 
 def revealing_table(

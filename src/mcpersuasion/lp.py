@@ -9,11 +9,12 @@ determinant, so every division is exact.  Pivoting uses the
 largest-reduced-cost rule and falls back to the smallest-index rule
 after a long run of degenerate pivots, so it always terminates.
 
-A basis is reached by one of three routes.  Given rungs (nested column
-sets), solve climbs a ladder: each rung's restricted program is solved
-exactly, from the previous rung's optimal support, and the full
-program then starts from the last rung's support, completed exactly;
-no floating-point solve is tried.  Without rungs, a program of at least
+A basis is reached by one of three routes.  Given rungs, smaller
+programs each paired with the columns of the full one that its
+variables stand for, solve climbs a ladder: each rung is solved
+exactly, from the previous rung's optimal point, and the full program
+then starts from the last rung's point, completed exactly; no
+floating-point solve is tried.  Without rungs, a program of at least
 _CRASH_THRESHOLD rows x columns, when scipy imports, starts from a
 floating-point solve's support, completed the same way; any other
 program, and any start whose completed basis is refused, starts from
@@ -23,9 +24,9 @@ path taken.
 No status is reported on trust: an optimal answer carries a dual
 vector, an infeasible one a Farkas vector, an unbounded one a feasible
 point and an improving ray, each checked exactly against the program as
-stored, never the engine's scaled rows or a rung's restriction.  Output
-is deterministic for a fixed input; only a solve without rungs that
-takes the floating-point start can depend on the installation.
+stored, never the engine's scaled rows or a rung.  Output is
+deterministic for a fixed input; only a solve without rungs that takes
+the floating-point start can depend on the installation.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import repeat
 from math import gcd, inf, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvariantViolation, ValidationError
 
@@ -715,88 +716,79 @@ class _Engine:
         ]
 
 
-def _restricted(lp: LinearProgram, cols: list[int]) -> tuple[LinearProgram, list[int]]:
-    """lp on the columns cols, ascending, renumbered in that order, less
-    the rows that are left empty with a zero right-hand side; returned
-    with the indices in lp of the rows it keeps."""
-    at = {j: t for t, j in enumerate(cols)}
-    rows, kept = [], []
-    for i, (coeffs, rel, rhs, den) in enumerate(lp.rows):
-        row = {at[j]: a for j, a in coeffs.items() if j in at}
-        if row or rhs:
-            rows.append((row, rel, rhs, den))
-            kept.append(i)
-    obj = {at[j]: a for j, a in lp.obj.items() if j in at}
-    return LinearProgram.integral(len(cols), (obj, lp.obj_den), rows), kept
-
-
-def _support(program, cols, kept, x) -> tuple[list[int], list[int]]:
-    """The support of program's point x in the terms of the program it
-    restricts (cols and kept as _restricted returns them): the columns
-    where x is nonzero, largest values first, and the inequality rows x
-    leaves slack."""
-    reals = sorted((j for j, v in enumerate(x) if v), key=lambda j: (-x[j], j))
-    slack = [
-        i
-        for i, (coeffs, rel, rhs, _) in zip(kept, program.rows)
-        if rel != EQ and sum(a * x[j] for j, a in coeffs.items()) != rhs
-    ]
-    return [cols[j] for j in reals], slack
-
-
-def _start(program, cols, kept, support) -> list[int] | None:
-    """support (as _support gives it) as standard-form columns of
-    program, a slack numbered as _Engine numbers it; None when one of
-    its columns or rows is not in program."""
-    at = {j: t for t, j in enumerate(cols)}
-    slack = {}
-    for i, (_, rel, _, _) in zip(kept, program.rows):
-        if rel != EQ:
-            slack[i] = program.n_vars + len(slack)
-    reals, rows = support
+def _rung(lp: LinearProgram, rung) -> tuple[LinearProgram, list[int]]:
+    """A rung as (program, columns), refused unless program is a
+    LinearProgram and columns are program.n_vars distinct column indices
+    of lp."""
     try:
-        return [at[j] for j in reals] + [slack[i] for i in rows]
-    except KeyError:
+        program, columns = rung
+        columns = [_index(j, "rung column") for j in columns]
+    except (TypeError, ValueError):
+        program = None
+    if not isinstance(program, LinearProgram):
+        raise ValidationError("a rung must be a (LinearProgram, columns) pair")
+    if len(set(columns)) != len(columns) or len(columns) != program.n_vars:
+        raise ValidationError("a rung needs one distinct column per variable")
+    if columns and not (0 <= min(columns) and max(columns) < lp.n_vars):
+        raise ValidationError("rung column out of range")
+    return program, columns
+
+
+def _start(program: LinearProgram, columns, point: dict) -> list[int] | None:
+    """point, {column of the full program: nonzero value}, as a start of
+    program, whose variable t is column columns[t]: its columns, largest
+    values first, then the slack of each inequality row it leaves slack,
+    numbered as _Engine numbers it.  None when a column is not in program."""
+    at = {j: t for t, j in enumerate(columns)}
+    if not point.keys() <= at.keys():
         return None
+    x = {at[j]: v for j, v in point.items()}
+    start = sorted(x, key=lambda t: (-x[t], t))
+    slack = program.n_vars
+    for coeffs, rel, rhs, _ in program.rows:
+        if rel != EQ:
+            if sum(a * x[t] for t, a in coeffs.items() if t in x) != rhs:
+                start.append(slack)
+            slack += 1
+    return start
 
 
 def _climb(lp: LinearProgram, rungs) -> list[int] | None:
-    """The support that lp starts from after the ladder of rungs, or None
-    when the ladder is dropped: a rung is not optimal, or it does not
-    hold the support of the rung before."""
-    support = ([], [])  # the first rung completes the empty support
-    for rung in rungs:
-        cols = sorted({_index(j, "rung column") for j in rung})
-        if cols and not (0 <= cols[0] and cols[-1] < lp.n_vars):
-            raise ValidationError("rung column out of range")
-        program, kept = _restricted(lp, cols)
-        start = _start(program, cols, kept, support)
+    """The start of lp after the ladder of rungs, or None when the
+    ladder is dropped: a rung is not optimal, or it does not hold the
+    support of the rung before."""
+    point = None
+    for program, columns in rungs:
+        # the first rung completes the empty support
+        start = [] if point is None else _start(program, columns, point)
         if start is None:
             return None
         sol = _Engine(program, start).solve()
         if sol.status != OPTIMAL:
             return None
-        support = _support(program, cols, kept, sol.assignment)
-    return _start(lp, range(lp.n_vars), range(lp.n_constraints), support)
+        point = {j: v for j, v in zip(columns, sol.assignment) if v}
+    return _start(lp, range(lp.n_vars), point)
 
 
-def solve(lp: LinearProgram, *, rungs: Sequence[Iterable[int]] = ()) -> LPSolution:
+def solve(lp: LinearProgram, *, rungs: Sequence[tuple] = ()) -> LPSolution:
     """Solve to a certified status.  lp is read, never changed.
 
-    rungs are nested sets of column indices.  Given some, the program
-    restricted to each in turn is solved exactly, the first from the
-    all-artificial start and each later one from the optimal support of
-    the one before; lp then starts from the last rung's support.  No
-    floating-point solve is tried.  If a rung is not optimal or does not
-    hold the support before it, the ladder is dropped.  A support that
-    does not complete to a feasible basis, which the optimal support of
-    a rung nested in the next cannot fail to do, falls back to the
-    all-artificial start.
+    rungs are (program, columns) pairs, variable t of program standing
+    for column columns[t] of lp.  Given some, each program is solved
+    exactly in turn, the first from the all-artificial start and each
+    later one from the optimal point before it (_start); lp then starts
+    from the last rung's point.  No floating-point solve is tried.  If a
+    rung is not optimal or does not hold the point before it, the ladder
+    is dropped.  A rung only proposes a start, so it is never checked to
+    restrict lp.  A start that does not complete to a feasible basis
+    falls back to the all-artificial start; one from restrictions to
+    nested column sets always completes.
 
     Without rungs, or with the ladder dropped, the floating-point warm
     start is tried exactly when lp has a row, is at least
     _CRASH_THRESHOLD rows x columns and scipy imports (_highs).  A start
     changes only the path; the certificate is checked against lp either
     way."""
+    rungs = [_rung(lp, rung) for rung in rungs]
     start = _climb(lp, rungs) if rungs else None
     return _Engine(lp, start).solve()

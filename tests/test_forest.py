@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mcpersuasion import lp
+from mcpersuasion import forest, lp
 from mcpersuasion.beliefs import BeliefDistribution, Coupling, concavify_single, mps_coupling
 from mcpersuasion.dominance import dominance_set
 from mcpersuasion.errors import (
@@ -25,7 +25,6 @@ from mcpersuasion.forest import (
     extract_table,
     solve_fptas,
     solve_grid,
-    tabulate,
 )
 from mcpersuasion.lp import dump
 from mcpersuasion.model import (
@@ -41,6 +40,7 @@ from mcpersuasion.model import (
     ThresholdUtility,
     validate_instance,
 )
+from test_lp import GRID_CASES, _restriction
 
 F = Fraction
 TWO = StateSpace(("0", "1"))
@@ -116,7 +116,8 @@ def test_single_receiver_threshold_matches_concavification():
     assert solution.objective == F(3, 5)
     assert evaluate_table(table, inst) == F(3, 5)
     grid = PosteriorGrid(dim=2, denominator=10)
-    oracle_table = tabulate(inst.utilities.receivers[0], inst.space, grid.points())
+    u = inst.utilities.receivers[0]
+    oracle_table = {w: u.value_at(w, inst.space) for w in grid.points()}
     assert concavify_single(oracle_table, inst.prior) == F(3, 5)
 
 
@@ -133,7 +134,7 @@ def test_single_receiver_random_utilities_match_concavification():
         inst = make_instance([[1]], [u], prior=(F(2 * d - num, 2 * d), F(num, 2 * d)))
         grid = PosteriorGrid(dim=2, denominator=2 * d)
         solution = solve_grid(inst, grid)
-        oracle_table = tabulate(u, inst.space, grid.points())
+        oracle_table = {w: u.value_at(w, inst.space) for w in grid.points()}
         assert solution.objective == concavify_single(oracle_table, inst.prior)
 
 
@@ -149,7 +150,7 @@ def test_three_state_single_receiver_against_concavification():
     )
     grid = PosteriorGrid(dim=3, denominator=4)
     solution = solve_grid(inst, grid)
-    table = tabulate(u, space, grid.points())
+    table = {w: u.value_at(w, space) for w in grid.points()}
     assert solution.objective == concavify_single(table, prior)
     # linear utility: revelation cannot help
     assert solution.objective == u.value_at(prior.point(), space)
@@ -479,36 +480,37 @@ def test_ladder_matches_the_plain_solve_on_the_generators():
             _climb_and_compare(inst, denominator)
 
 
-@pytest.mark.parametrize(
-    "utilities, prior, off_grid",
-    [
-        (
-            [
-                ThresholdUtility(state="1", cutoff=F(1, 2), strict=True),
-                ThresholdUtility(state="1", cutoff=F(3, 10), high=F(2), strict=True),
-            ],
-            ("7/10", "3/10"),
-            False,
-        ),
-        (
-            [
-                PointUtility(point=pt("1/2", "1/2"), value=F(0), otherwise=F(1)),
-                ThresholdUtility(state="1", cutoff=F(7, 10)),
-            ],
-            ("1/2", "1/2"),
-            False,
-        ),
-        (
-            [
-                ThresholdUtility(state="1", cutoff=F(1, 2)),
-                ThresholdUtility(state="1", cutoff=F(4, 5), high=F(3)),
-            ],
-            ("2/3", "1/3"),
-            True,
-        ),
-    ],
-    ids=["strict-thresholds", "point-below-otherwise", "prior-off-the-grid"],
-)
+#: utilities that are not upper-semicontinuous, and a prior off the grid:
+#: (utilities, prior, whether the prior lies between grid points)
+JUMPS = {
+    "strict-thresholds": (
+        [
+            ThresholdUtility(state="1", cutoff=F(1, 2), strict=True),
+            ThresholdUtility(state="1", cutoff=F(3, 10), high=F(2), strict=True),
+        ],
+        ("7/10", "3/10"),
+        False,
+    ),
+    "point-below-otherwise": (
+        [
+            PointUtility(point=pt("1/2", "1/2"), value=F(0), otherwise=F(1)),
+            ThresholdUtility(state="1", cutoff=F(7, 10)),
+        ],
+        ("1/2", "1/2"),
+        False,
+    ),
+    "prior-off-the-grid": (
+        [
+            ThresholdUtility(state="1", cutoff=F(1, 2)),
+            ThresholdUtility(state="1", cutoff=F(4, 5), high=F(3)),
+        ],
+        ("2/3", "1/3"),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("utilities, prior, off_grid", list(JUMPS.values()), ids=list(JUMPS))
 def test_ladder_matches_the_plain_solve_on_jumps_and_off_grid_priors(
     utilities, prior, off_grid, monkeypatch
 ):
@@ -530,7 +532,7 @@ def test_ladder_matches_the_plain_solve_on_jumps_and_off_grid_priors(
     inst = make_instance(CHAIN2, utilities, prior=prior)
     for denominator in (10, 20, 40):
         glp = _climb_and_compare(inst, denominator)
-        first = [glp.points[j] for j in glp.rungs[0] if j < len(glp.points)]
+        first = [glp.points[j] for j in glp.rungs[0][1] if j < len(glp.points)]
         assert len(first) == (2 if off_grid else 1)
         watched.append(glp.program)
         lp.solve(glp.program, rungs=glp.rungs)
@@ -563,16 +565,78 @@ def test_rung_points_are_pinned(name, denominator, first, second):
     glp = build_grid_lp(_data_instance(name), PosteriorGrid(dim=2, denominator=denominator))
     n = len(glp.points)
     index = {",".join(map(str, w)): a for a, w in enumerate(glp.points)}
-    for rung, labels in zip(glp.rungs, (first, second), strict=True):
+    for (_, columns), labels in zip(glp.rungs, (first, second), strict=True):
         points = [index[label] for label in labels]
         xs = [base + a for base in glp.x_base for a in points]
         ys = [base + a * n + c for base in glp.y_base for a in points for c in points]
-        assert rung == tuple(xs + ys)
+        assert columns == tuple(xs + ys)
 
 
 def test_three_state_grids_have_no_rungs():
     inst = _three_state_chain(random.Random(8))
     assert build_grid_lp(inst, PosteriorGrid(dim=3, denominator=4)).rungs == ()
+
+
+def _rung_programs():
+    """(instance, denominator) of two-state grids with rungs: the five
+    GRID_CASES, seeded grid2-generator chains and three-receiver
+    forests, and the JUMPS instances."""
+    cases = [(_data_instance(name), denominator) for name, denominator in GRID_CASES]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for structure, steps in [(CHAIN2, (10, 20, 40)), (CHAIN3, (10, 20)), (STAR3, (10, 20))]:
+            inst = _two_state_forest(rng, structure)
+            cases += [(inst, denominator) for denominator in steps]
+    for utilities, prior, _ in JUMPS.values():
+        inst = make_instance(CHAIN2, utilities, prior=prior)
+        cases += [(inst, denominator) for denominator in (10, 20, 40)]
+    return cases
+
+
+def test_rung_programs_are_restrictions_of_the_full_program():
+    """Each rung program build_grid_lp makes over a subset of the points
+    is the full program restricted to the rung's columns, as an
+    independent builder from the Fraction rows makes it: the same
+    variables, objective and rows, in the same order."""
+    for inst, denominator in _rung_programs():
+        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+        assert glp.rungs
+        for program, columns in glp.rungs:
+            oracle = _restriction(glp.program, columns)
+            assert program.n_vars == oracle.n_vars == len(columns)
+            assert (program.obj, program.obj_den) == (oracle.obj, oracle.obj_den)
+            assert program.rows == oracle.rows
+
+
+def test_a_grid_solve_builds_once_and_solves_once(monkeypatch):
+    """solve_grid and solve_fptas build through one forest.build_grid_lp
+    call and solve, rungs and all, through one forest.lp.solve call:
+    the call pattern that the benchmark's read-back replay swaps out."""
+    calls = []
+    real_build, real_solve = forest.build_grid_lp, forest.lp.solve
+
+    def build(*args, **kwargs):
+        calls.append("build")
+        return real_build(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        calls.append("solve")
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(forest, "build_grid_lp", build)
+    monkeypatch.setattr(forest.lp, "solve", solve)
+    two_state = _data_instance("chain2")
+    three_state = _three_state_chain(random.Random(8))
+    runs = [
+        lambda: solve_grid(two_state, PosteriorGrid(dim=2, denominator=20)),
+        lambda: solve_grid(three_state, PosteriorGrid(dim=3, denominator=4)),
+        lambda: solve_fptas(two_state, F(1, 10)),
+        lambda: solve_fptas(three_state, F(1, 4)),
+    ]
+    for run in runs:
+        calls.clear()
+        run()
+        assert calls == ["build", "solve"]
 
 
 # ---------------------------------------------------------------------------

@@ -1175,14 +1175,15 @@ def _ladder_cases():
 
 def test_ladder_gives_the_plain_answer_certified(monkeypatch):
     """solve(lp, rungs=...) on the 400 pinned draws and the pinned grid
-    programs, with seeded rungs: the status and objective of solve(lp),
-    and a certificate checked against lp.  The ladder stops at its first
-    rung that is not optimal (decided by solving an independently built
-    restriction) and at the first rung, or lp, that does not hold the
-    support of the optimum before it; then lp takes the plain route and
-    the answer is the plain one.  Otherwise every rung after the first,
-    and lp, complete the support before them, and no floating-point
-    solve is tried."""
+    programs, with seeded rungs, each lp restricted to a drawn column set
+    by _restriction, built independently from the Fraction rows: the
+    status and objective of solve(lp), and a certificate checked against
+    lp.  The ladder stops at its first rung that is not optimal (decided
+    by solving the rung on its own) and at the first rung, or lp, that
+    does not hold the support of the optimum before it; then lp takes
+    the plain route and the answer is the plain one.  Otherwise every
+    rung after the first, and lp, complete the support before them, and
+    no floating-point solve is tried."""
     engines, completions, crashes = [], [], []
     real_solve = lp_module._Engine.solve
     real_complete = lp_module._Engine._complete
@@ -1208,7 +1209,8 @@ def test_ladder_gives_the_plain_answer_certified(monkeypatch):
     outcomes = {}
     for lp, rungs in _ladder_cases():
         plain = solve(lp)
-        statuses = [solve(_restriction(lp, sorted(set(rung)))).status for rung in rungs]
+        rungs = [(_restriction(lp, cols), cols) for cols in (sorted(set(rung)) for rung in rungs)]
+        statuses = [solve(program).status for program, _ in rungs]
         engines.clear()
         completions.clear()
         crashes.clear()
@@ -1219,14 +1221,13 @@ def test_ladder_gives_the_plain_answer_certified(monkeypatch):
         assert final.lp is lp
         # rung by rung: is the support before it held, is it optimal
         outcome, solved = "climbed", len(rungs)
-        for t, rung in enumerate(rungs):
-            if t and not support <= set(rung):
+        for t, (_, cols) in enumerate(rungs):
+            if t and not support <= set(cols):
                 outcome, solved = "a support not held", t
                 break
             if statuses[t] != OPTIMAL:
                 outcome, solved = "a rung not optimal", t + 1
                 break
-            cols = sorted(set(rung))
             support = {cols[j] for j, v in enumerate(climbed[t][1].assignment) if v}
         # the pinned draws have at most 7 columns, the grid programs 143 and more
         outcome += " (grid)" if lp.n_vars > 7 else ""
@@ -1262,11 +1263,42 @@ def test_a_start_that_does_not_complete_falls_back_to_the_all_artificial_start(t
             assert sol == pure
 
 
-@pytest.mark.parametrize("rung", [[3], [-1], [0.0], [True], ["1"]])
+_ONE_COLUMN = LinearProgram(1, [1], [([1], EQ, 1)])
+_TWO_COLUMNS = LinearProgram(2, [1, 0], [([1, 1], EQ, 1)])
+
+
+@pytest.mark.parametrize(
+    "rung",
+    [
+        # columns that are not indices in range(lp.n_vars)
+        (_ONE_COLUMN, [3]),
+        (_ONE_COLUMN, [-1]),
+        (_ONE_COLUMN, [0.0]),
+        (_ONE_COLUMN, [True]),
+        (_ONE_COLUMN, ["1"]),
+        # columns that are not distinct
+        (_TWO_COLUMNS, [0, 0]),
+        # a column count that differs from the rung's n_vars
+        (_ONE_COLUMN, [0, 1]),
+        (_TWO_COLUMNS, [0]),
+        # not a (LinearProgram, columns) pair
+        [0],
+        _ONE_COLUMN,
+        (_ONE_COLUMN,),
+        ([0], _ONE_COLUMN),
+        (_ONE_COLUMN, [0], [0]),
+        (_ONE_COLUMN, 0),
+        (_ONE_COLUMN.rows, [0]),
+    ],
+)
 def test_rungs_take_only_column_indices(rung):
+    """A rung is a (LinearProgram, columns) pair whose columns are
+    distinct integer indices of lp, one per variable of the rung;
+    anything else is refused, also after a rung that is valid."""
     lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1)])
+    assert solve(lp, rungs=[(_ONE_COLUMN, [0])]) == solve(lp)
     with pytest.raises(ValidationError):
-        solve(lp, rungs=[[0], rung])
+        solve(lp, rungs=[(_ONE_COLUMN, [0]), rung])
 
 
 def test_bland_fallback_counts_only_rows_not_left_dependent(monkeypatch):
