@@ -32,6 +32,7 @@ from .model import (
     Posterior,
     Prior,
     StateSpace,
+    check_epsilon,
     dot,
     format_label,
 )
@@ -45,6 +46,8 @@ class PosteriorGrid:
     denominator: int
 
     def __post_init__(self):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.dim, self.denominator)):
+            raise ValidationError(f"grid needs int dim and denominator, got {self!r}")
         if self.dim < 1 or self.denominator < 1:
             raise ValidationError("grid needs dim >= 1 and denominator >= 1")
 
@@ -54,9 +57,7 @@ class PosteriorGrid:
 
     @classmethod
     def for_epsilon(cls, dim: int, epsilon: Fraction) -> "PosteriorGrid":
-        epsilon = Fraction(epsilon)
-        if not 0 < epsilon < 1:
-            raise BadEpsilon(f"epsilon must lie in (0, 1), got {epsilon}")
+        check_epsilon(epsilon)
         d = -((-epsilon.denominator) // epsilon.numerator)
         return cls(dim=dim, denominator=d)
 
@@ -315,7 +316,7 @@ def solve_fptas(
         epsilon = instance.epsilon
     if epsilon is None:
         raise BadEpsilon("no epsilon given and the instance carries none")
-    grid = PosteriorGrid.for_epsilon(instance.space.size, Fraction(epsilon))
+    grid = PosteriorGrid.for_epsilon(instance.space.size, epsilon)
     solution, graph = _solve_grid(instance, grid)  # validates the solution
     return solution, _extract_validated(solution, instance, graph)
 

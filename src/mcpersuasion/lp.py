@@ -9,17 +9,17 @@ determinant, so every division is exact.  Pivoting uses the
 largest-reduced-cost rule and falls back to the smallest-index rule
 after a long run of degenerate pivots, so it always terminates.
 
-A basis is reached by one of three routes.  Given rungs, smaller
-programs each paired with the columns of the full one that its
-variables stand for, solve climbs a ladder: each rung is solved
-exactly, from the previous rung's optimal point, and the full program
-then starts from the last rung's point, completed exactly; no
-floating-point solve is tried.  Without rungs, a program of at least
-_CRASH_THRESHOLD rows x columns, when scipy imports, starts from a
-floating-point solve's support, completed the same way; any other
-program, and any start whose completed basis is refused, starts from
-the all-artificial basis with phase 1.  The start changes only the
-path taken.
+solve alone picks the start, and a start changes only the path taken.
+Given rungs, smaller programs each paired with the columns of the full
+one that its variables stand for, it climbs a ladder: each rung, then
+the full program, starts from the previous rung's optimal point kept to
+the columns it holds, completed exactly; the first rung, and one after
+a rung that is not optimal, starts from the empty support.  No
+floating-point solve is tried.  Without rungs, a program with a row and
+at least _CRASH_THRESHOLD rows x columns, when scipy imports, starts
+from a floating-point solve's support, completed the same way; any
+other program, and any start whose completed basis is refused, starts
+from the all-artificial basis with phase 1.
 
 No status is reported on trust: an optimal answer carries a dual
 vector, an infeasible one a Farkas vector, an unbounded one a feasible
@@ -358,11 +358,10 @@ class _Engine:
     Every basis starts as the unit basis of the artificials (binv = I,
     den = 1, xb = b) and changes only by _pivot.  Columns n_std + r are
     the artificials, never priced, so one that leaves stays out.  A
-    start is a support, standard-form columns below n_std: the one
-    handed to the constructor (a ladder rung's), else, for a large
-    program, the floating-point solve's (_try_crash).  _complete enters
-    its columns from the unit basis and keeps the basis only if it is
-    feasible with every artificial at zero; phase 1 is then skipped.
+    start is a support, standard-form columns below n_std, handed to
+    solve by lp.solve.  _complete enters its columns from the unit basis
+    and keeps the basis only if it is feasible with every artificial at
+    zero; phase 1 is then skipped.
     Phase 2 evicts a basic artificial, at zero, ahead of the ratio
     test, at the first artificial's row where the direction is nonzero
     (_artificial_row); one still basic at the optimum gets dual 0.
@@ -371,9 +370,8 @@ class _Engine:
     plus 10.
     """
 
-    def __init__(self, lp: LinearProgram, start: Sequence[int] | None = None):
+    def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.start = start
         self.n_real = n_std = lp.n_vars
         self.obj_scale = lp.obj_den
         # standard equality form: real vars, then one slack per inequality;
@@ -623,12 +621,12 @@ class _Engine:
                 self._pivot(j, r, d)
         return all(x >= 0 and (x == 0 or j < self.n_std) for x, j in zip(self.xb, self.basis))
 
-    def _try_crash(self) -> bool:
-        """The completion of a HiGHS solve's support, largest values
-        first; False when scipy does not import or HiGHS fails."""
+    def _try_crash(self) -> list[int] | None:
+        """A HiGHS solve's support, largest values first; None when scipy
+        does not import or HiGHS fails."""
         highs = _highs()
         if highs is None:
-            return False
+            return None
         np, optimize, csc_matrix = highs
         # the rational (sign-flipped) data, each value correctly rounded
         rows, cols_idx, data = [], [], []
@@ -645,28 +643,21 @@ class _Engine:
         try:
             res = optimize.linprog(c, A_eq=A, b_eq=b, method="highs")
         except Exception:
-            return False
+            return None
         if not res.success or res.x is None:
-            return False
-        support = sorted(
+            return None
+        return sorted(
             (j for j in range(self.n_std) if res.x[j] > 1e-9),
             key=lambda j: (-res.x[j], j),
         )
-        return self._complete(support)
 
     # -- public
 
-    def solve(self) -> LPSolution:
-        """From the completion of start when one was given; without one,
-        from the crash start where lp.solve says it is tried.  Else, or
-        if the completed basis is refused, the all-artificial start and
-        phase 1."""
-        if self.start is not None:
-            started = self._complete(self.start)
-        else:
-            big = self.m * max(self.n_real, 1) >= _CRASH_THRESHOLD
-            started = self.m > 0 and big and self._try_crash()
-        if not started:
+    def solve(self, start: Sequence[int] | None = None) -> LPSolution:
+        """From the completion of start, a support, when one is given and
+        its completed basis is kept; else from the all-artificial start
+        and phase 1."""
+        if start is None or not self._complete(start):
             self._start_all_artificial()
             farkas = self._phase1() if self.m > 0 else None
             if farkas is not None:
@@ -734,15 +725,14 @@ def _rung(lp: LinearProgram, rung) -> tuple[LinearProgram, list[int]]:
     return program, columns
 
 
-def _start(program: LinearProgram, columns, point: dict) -> list[int] | None:
-    """point, {column of the full program: nonzero value}, as a start of
-    program, whose variable t is column columns[t]: its columns, largest
-    values first, then the slack of each inequality row it leaves slack,
-    numbered as _Engine numbers it.  None when a column is not in program."""
+def _start(program: LinearProgram, columns, point: dict) -> list[int]:
+    """point, {column of the full program: nonzero value}, kept to the
+    columns program holds, as a start of program, whose variable t is
+    column columns[t]: its columns, largest values first, then the slack
+    of each inequality row it leaves slack, numbered as _Engine numbers
+    it."""
     at = {j: t for t, j in enumerate(columns)}
-    if not point.keys() <= at.keys():
-        return None
-    x = {at[j]: v for j, v in point.items()}
+    x = {at[j]: v for j, v in point.items() if j in at}
     start = sorted(x, key=lambda t: (-x[t], t))
     slack = program.n_vars
     for coeffs, rel, rhs, _ in program.rows:
@@ -753,42 +743,38 @@ def _start(program: LinearProgram, columns, point: dict) -> list[int] | None:
     return start
 
 
-def _climb(lp: LinearProgram, rungs) -> list[int] | None:
-    """The start of lp after the ladder of rungs, or None when the
-    ladder is dropped: a rung is not optimal, or it does not hold the
-    support of the rung before."""
+def _climb(lp: LinearProgram, rungs) -> list[int]:
+    """The start of lp at the top of the ladder of rungs.  Each rung
+    starts from the optimal point of the rung before (_start); the
+    first, and one after a rung that is not optimal, from the empty
+    support."""
     point = None
     for program, columns in rungs:
-        # the first rung completes the empty support
         start = [] if point is None else _start(program, columns, point)
-        if start is None:
-            return None
-        sol = _Engine(program, start).solve()
-        if sol.status != OPTIMAL:
-            return None
-        point = {j: v for j, v in zip(columns, sol.assignment) if v}
-    return _start(lp, range(lp.n_vars), point)
+        sol = _Engine(program).solve(start)
+        point = None
+        if sol.status == OPTIMAL:
+            point = {j: v for j, v in zip(columns, sol.assignment) if v}
+    return [] if point is None else _start(lp, range(lp.n_vars), point)
 
 
 def solve(lp: LinearProgram, *, rungs: Sequence[tuple] = ()) -> LPSolution:
-    """Solve to a certified status.  lp is read, never changed.
+    """Solve to a certified status, from the start picked here; lp is
+    read, never changed.
 
     rungs are (program, columns) pairs, variable t of program standing
-    for column columns[t] of lp.  Given some, each program is solved
-    exactly in turn, the first from the all-artificial start and each
-    later one from the optimal point before it (_start); lp then starts
-    from the last rung's point.  No floating-point solve is tried.  If a
-    rung is not optimal or does not hold the point before it, the ladder
-    is dropped.  A rung only proposes a start, so it is never checked to
-    restrict lp.  A start that does not complete to a feasible basis
-    falls back to the all-artificial start; one from restrictions to
-    nested column sets always completes.
-
-    Without rungs, or with the ladder dropped, the floating-point warm
-    start is tried exactly when lp has a row, is at least
-    _CRASH_THRESHOLD rows x columns and scipy imports (_highs).  A start
-    changes only the path; the certificate is checked against lp either
-    way."""
+    for column columns[t] of lp.  Given some, lp starts from the top of
+    their ladder (_climb), never from a floating-point solve.  A rung
+    only proposes a start, so it is never checked to restrict lp; a
+    start from nested restrictions, each optimal, always completes.
+    Without rungs, the floating-point start is tried exactly when lp has
+    a row, is at least _CRASH_THRESHOLD rows x columns and scipy imports
+    (_highs)."""
     rungs = [_rung(lp, rung) for rung in rungs]
-    start = _climb(lp, rungs) if rungs else None
-    return _Engine(lp, start).solve()
+    if rungs:
+        # climbed before lp's engine is built, which keeps peak memory down
+        start = _climb(lp, rungs)
+        return _Engine(lp).solve(start)
+    engine = _Engine(lp)
+    big = len(lp.rows) * max(lp.n_vars, 1) >= _CRASH_THRESHOLD
+    return engine.solve(engine._try_crash() if lp.rows and big else None)

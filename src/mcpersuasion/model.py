@@ -144,6 +144,15 @@ def check_posterior(point: Sequence[Fraction]) -> None:
         raise ValidationError(f"posterior does not sum to 1: {point}")
 
 
+def check_epsilon(epsilon) -> None:
+    """Refuse an accuracy that is not a Fraction in (0, 1): a float is
+    never read as the rational it only approximates."""
+    if not isinstance(epsilon, Fraction):
+        raise BadEpsilon(f"epsilon must be a Fraction, got {epsilon!r}")
+    if not 0 < epsilon < 1:
+        raise BadEpsilon(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
 def dot(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
     """Exact sum of the products x * y, kept as an integer numerator over
     the least common denominator so far rather than Fraction by Fraction."""
@@ -616,8 +625,8 @@ class PersuasionInstance:
                 raise MatrixShapeMismatch("supermajority utility covers wrong receiver count")
         else:
             raise ValidationError("unknown utility container")
-        if self.epsilon is not None and not (0 < self.epsilon < 1):
-            raise BadEpsilon(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if self.epsilon is not None:
+            check_epsilon(self.epsilon)
 
     @property
     def k(self) -> int:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,6 +79,21 @@ def test_grid_for_epsilon():
         PosteriorGrid.for_epsilon(2, F(1))
     with pytest.raises(BadEpsilon):
         PosteriorGrid.for_epsilon(2, F(0))
+    # an epsilon that is not a Fraction: 1/3 as a float lies below 1/3,
+    # and Fraction(1/3) would give the grid 1/4
+    inst = make_instance([[1]], [ConstantUtility(F(1))])
+    for epsilon in (1 / 3, 0.1, "1/3", Decimal("0.1")):
+        with pytest.raises(BadEpsilon):
+            PosteriorGrid.for_epsilon(2, epsilon)
+        with pytest.raises(BadEpsilon):
+            solve_fptas(inst, epsilon)
+        with pytest.raises(BadEpsilon):
+            replace(inst, epsilon=epsilon)
+    assert replace(inst, epsilon=F(1, 3)).epsilon == F(1, 3)
+    # a dim or denominator that is not an int, bools and floats included
+    for dim, denominator in ((True, 4), (2, True), (2.0, 4), (2, 4.0), (2, F(4)), ("2", 4)):
+        with pytest.raises(ValidationError):
+            PosteriorGrid(dim, denominator)
 
 
 def test_build_sizes_single_receiver():
@@ -451,11 +468,12 @@ def _two_state_forest(rng, structure):
 
 def _climb_and_compare(inst, denominator):
     """The ladder's answer against plain lp.solve on the grid program: the
-    same objective, certified against the full program, and solve_grid
-    takes the ladder without dropping it.  Returns the GridLP."""
+    same objective, certified against the full program, and the start
+    at the top of the ladder completes to a feasible basis of the full
+    program, so phase 1 is skipped.  Returns the GridLP."""
     grid = PosteriorGrid(dim=2, denominator=denominator)
     glp = build_grid_lp(inst, grid)
-    assert glp.rungs and lp._climb(glp.program, glp.rungs) is not None
+    assert glp.rungs and lp._Engine(glp.program)._complete(lp._climb(glp.program, glp.rungs))
     climbed = lp.solve(glp.program, rungs=glp.rungs)
     plain = lp.solve(glp.program)
     assert climbed.status == plain.status == lp.OPTIMAL

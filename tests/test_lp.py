@@ -290,7 +290,8 @@ def test_crash_keeps_only_a_feasible_completed_basis(monkeypatch, take_route, gu
     lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1), ([1, -1, 1], EQ, 3)])
     result = SimpleNamespace(success=True, x=guess)
     monkeypatch.setattr(scipy_optimize, "linprog", lambda *args, **kwargs: result)
-    assert lp_module._Engine(lp)._try_crash() is accepted
+    engine = lp_module._Engine(lp)
+    assert engine._complete(engine._try_crash()) is accepted
     take_route("crash")
     crashed = solve(lp)
     take_route("pure")
@@ -313,7 +314,7 @@ def test_crash_hands_highs_the_column_wise_float_copy(monkeypatch):
     monkeypatch.setattr(scipy_optimize, "linprog", linprog)
     for case in GRID_CASES:
         engine = lp_module._Engine(_grid_program(*case))
-        assert engine._try_crash() is False
+        assert engine._try_crash() is None
         (c, A, b), = handed
         handed.clear()
         rows, cols, data = [], [], []
@@ -696,8 +697,8 @@ def test_pivot_path_matches_the_rational_engine(crash, take_route, monkeypatch):
     left_basic = []
     real_solve = lp_module._Engine.solve
 
-    def recording_solve(engine):
-        sol = real_solve(engine)
+    def recording_solve(engine, start=None):
+        sol = real_solve(engine, start)
         if sol.status == OPTIMAL and any(j >= engine.n_std for j in engine.basis):
             left_basic.append(engine)
         return sol
@@ -726,8 +727,8 @@ def test_artificials_left_basic_sit_at_zero_with_dual_zero(monkeypatch, take_rou
     seen = set()
     real_solve = lp_module._Engine.solve
 
-    def checking_solve(engine):
-        sol = real_solve(engine)
+    def checking_solve(engine, start=None):
+        sol = real_solve(engine, start)
         if sol.status == OPTIMAL:
             for r, j in enumerate(engine.basis):
                 if j >= engine.n_std:
@@ -867,10 +868,10 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch, take_route):
     flips the sign of its row."""
     scipy = lp_module._highs() is not None
     checked = []
-    crashing = []
+    completing = []
     negative = []
     real_start = lp_module._Engine._start_all_artificial
-    real_try_crash = lp_module._Engine._try_crash
+    real_complete = lp_module._Engine._complete
     real_pivot = lp_module._Engine._pivot
 
     def start(engine):
@@ -879,19 +880,19 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch, take_route):
         _assert_inverse(engine)
         checked.append("start")
 
-    def try_crash(engine):
-        crashing.append(True)
+    def complete(engine, support):
+        completing.append(True)
         try:
-            return real_try_crash(engine)
+            return real_complete(engine, support)
         finally:
-            crashing.pop()
+            completing.pop()
 
     def pivot(engine, j, r, d):
         stale = any(f and engine.level[i] != engine.den for i, f in enumerate(d) if i != r)
         real_pivot(engine, j, r, d)
         _assert_levels(engine)
         _assert_inverse(engine)
-        if crashing:
+        if completing:
             checked.append("completion")
         # phase 1's ratio test takes positive entries only
         elif d[r] < 0:
@@ -906,7 +907,7 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch, take_route):
             checked.append(("prices after a negative pivot", crash))
 
     monkeypatch.setattr(lp_module._Engine, "_start_all_artificial", start)
-    monkeypatch.setattr(lp_module._Engine, "_try_crash", try_crash)
+    monkeypatch.setattr(lp_module._Engine, "_complete", complete)
     monkeypatch.setattr(lp_module._Engine, "_pivot", pivot)
     _check_pricing(monkeypatch, priced)
     # fractional data, a row twice (one left dependent), a flipped row, a
@@ -1173,30 +1174,30 @@ def _ladder_cases():
     return cases
 
 
-def test_ladder_gives_the_plain_answer_certified(monkeypatch):
+def test_ladder_gives_the_plain_answer_certified(monkeypatch, take_route):
     """solve(lp, rungs=...) on the 400 pinned draws and the pinned grid
     programs, with seeded rungs, each lp restricted to a drawn column set
-    by _restriction, built independently from the Fraction rows: the
-    status and objective of solve(lp), and a certificate checked against
-    lp.  The ladder stops at its first rung that is not optimal (decided
-    by solving the rung on its own) and at the first rung, or lp, that
-    does not hold the support of the optimum before it; then lp takes
-    the plain route and the answer is the plain one.  Otherwise every
-    rung after the first, and lp, complete the support before them, and
-    no floating-point solve is tried."""
-    engines, completions, crashes = [], [], []
+    by _restriction, built independently from the Fraction rows, and
+    with _CRASH_THRESHOLD at 0: the status and objective of solve(lp), a
+    certificate checked against lp, and no floating-point solve tried.
+    The ladder is never dropped: every rung, then lp, is solved once, the
+    first rung and one after a rung that is not optimal from the empty
+    support, any other from the support of the optimum before it kept to
+    the columns it holds.  On nested rungs that are all optimal, every
+    start but the first rung's empty one completes."""
+    solves, completions, crashes = [], [], []
     real_solve = lp_module._Engine.solve
     real_complete = lp_module._Engine._complete
     real_try_crash = lp_module._Engine._try_crash
 
-    def recording_solve(engine):
-        sol = real_solve(engine)
-        engines.append((engine, sol))
+    def recording_solve(engine, start=None):
+        sol = real_solve(engine, start)
+        solves.append((engine, start, sol))
         return sol
 
     def complete(engine, support):
         completed = real_complete(engine, support)
-        completions.append((engine, completed))
+        completions.append((support, completed))
         return completed
 
     def try_crash(engine):
@@ -1206,40 +1207,42 @@ def test_ladder_gives_the_plain_answer_certified(monkeypatch):
     monkeypatch.setattr(lp_module._Engine, "solve", recording_solve)
     monkeypatch.setattr(lp_module._Engine, "_complete", complete)
     monkeypatch.setattr(lp_module._Engine, "_try_crash", try_crash)
+    take_route("crash")
     outcomes = {}
     for lp, rungs in _ladder_cases():
         plain = solve(lp)
         rungs = [(_restriction(lp, cols), cols) for cols in (sorted(set(rung)) for rung in rungs)]
         statuses = [solve(program).status for program, _ in rungs]
-        engines.clear()
+        solves.clear()
         completions.clear()
         crashes.clear()
         sol = solve(lp, rungs=rungs)
+        assert not crashes
         assert (sol.status, sol.objective) == (plain.status, plain.objective)
         assert _certified(lp, sol)
-        *climbed, (final, _) = engines
-        assert final.lp is lp
-        # rung by rung: is the support before it held, is it optimal
-        outcome, solved = "climbed", len(rungs)
-        for t, (_, cols) in enumerate(rungs):
-            if t and not support <= set(cols):
-                outcome, solved = "a support not held", t
-                break
-            if statuses[t] != OPTIMAL:
-                outcome, solved = "a rung not optimal", t + 1
-                break
-            support = {cols[j] for j, v in enumerate(climbed[t][1].assignment) if v}
+        assert [engine.lp for engine, _, _ in solves] == [program for program, _ in rungs] + [lp]
+        assert [s.status for _, _, s in solves[:-1]] == statuses
+        # rung by rung, then lp: the start it is given, and whether it
+        # holds the support before it
+        outcome, support = "climbed", None
+        for (program, cols), (_, start, s) in zip([*rungs, (lp, range(lp.n_vars))], solves):
+            if support is None:
+                assert start == []
+            else:
+                assert {cols[t] for t in start if t < program.n_vars} == support & set(cols)
+                if not support <= set(cols) and outcome == "climbed":
+                    outcome = "a support not held"
+            support = None
+            if s.status == OPTIMAL:
+                support = {cols[j] for j, v in enumerate(s.assignment) if v}
+            elif outcome == "climbed":
+                outcome = "a rung not optimal"
         # the pinned draws have at most 7 columns, the grid programs 143 and more
         outcome += " (grid)" if lp.n_vars > 7 else ""
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        assert [s.status for _, s in climbed] == statuses[:solved]
         if outcome.startswith("climbed"):
-            assert final.start is not None and not crashes
-            # every start but the first rung's empty one completes
-            assert all(ok for engine, ok in completions if engine.start)
-            assert completions[-1] == (final, True)
-        else:
-            assert final.start is None and sol == plain
+            assert all(ok for start, ok in completions if start)
+            assert completions[-1] == (solves[-1][1], True)
     assert min(outcomes[kind] for kind in ("climbed", "a rung not optimal", "a support not held")) > 20
     assert outcomes["climbed (grid)"] and outcomes["a rung not optimal (grid)"], outcomes
 
@@ -1247,16 +1250,15 @@ def test_ladder_gives_the_plain_answer_certified(monkeypatch):
 def test_a_start_that_does_not_complete_falls_back_to_the_all_artificial_start(take_route):
     """An engine given a start enters its columns from the unit basis and
     keeps the basis only if it is feasible with every artificial at zero;
-    otherwise it takes the all-artificial start, never the crash start,
-    and gives the all-artificial route's answer."""
+    otherwise it takes the all-artificial start and gives the
+    all-artificial route's answer."""
     lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1), ([1, -1, 1], EQ, 3)])
     take_route("pure")
     pure = solve(lp)
-    take_route("crash")
     cases = [([0, 2], True), ([2, 0], True), ([0], False), ([0, 1], False), ([], False)]
     for support, completes in cases:
-        assert lp_module._Engine(lp, support)._complete(support) is completes
-        sol = lp_module._Engine(lp, support).solve()
+        assert lp_module._Engine(lp)._complete(support) is completes
+        sol = lp_module._Engine(lp).solve(support)
         assert sol.objective == pure.objective
         assert check_optimal(lp, sol.assignment, sol.dual)
         if not completes:
