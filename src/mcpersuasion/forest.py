@@ -11,6 +11,7 @@ conditionally independent given the state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from operator import ge, getitem, itemgetter
@@ -93,7 +94,10 @@ class GridLP:
     edges are edges.  rungs are the (program, columns) pairs lp.solve
     climbs first: the program over a rung's points (_rungs), and the
     full program's column of each of its variables; empty past two
-    states."""
+    states.  lift is what lp.solve hands rung 2's optimal point and dual
+    (_lift): its answer certifies the full program with no engine built
+    on it.  It is None past two states, and where rung 2 would hold
+    every point, so that there is no rung 2."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
@@ -103,6 +107,7 @@ class GridLP:
     y_base: tuple[int, ...]
     graph: DominationGraph
     rungs: tuple[tuple[lp.LinearProgram, tuple[int, ...]], ...]
+    lift: Callable[[dict, tuple], tuple[list, list]] | None
 
     def var_names(self) -> list[str]:
         """lp.dump's names, formatted when asked: x{i}@(w) per receiver
@@ -125,7 +130,8 @@ def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]
 
 def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     """Assemble the exact grid program for a forest instance and, on two
-    states, its ladder's programs: _grid_program over each rung's points.
+    states, its ladder's programs, _grid_program over each rung's points
+    that are not every point, and the lift of rung 2's answer (_lift).
 
     Families, in row order: Bayes-plausibility per receiver per state;
     per covering edge the spread-side row sums, coarse-side column
@@ -152,12 +158,16 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         sub = [[u[a] for a in points] for u in values]
         return _grid_program(instance.prior, edges, D, [pts[a] for a in points], sub)
 
-    ladder = _rungs(instance.prior.values[0] * D, values) if grid.dim == 2 else []
-    rungs = []
-    for points in ladder:
-        xs = [base + a for base in x_base for a in points]
-        ys = [base + a * n + c for base in y_base for a in points for c in points]
-        rungs.append((program(points), tuple(xs + ys)))
+    rungs, lift = [], None
+    if grid.dim == 2:
+        ladder = _rungs(instance.prior.values[0] * D, values)
+        ladder = [points for points in ladder if len(points) < n]
+        for points in ladder:
+            xs = [base + a for base in x_base for a in points]
+            ys = [base + a * n + c for base in y_base for a in points for c in points]
+            rungs.append((program(points), tuple(xs + ys)))
+        if len(ladder) == 2:  # rung 2, which holds rung 1, is short of every point
+            lift = partial(_lift, ladder[1], k, len(edges), k * n + len(edges) * n * n)
     return GridLP(
         program=program(range(n)),
         grid=grid,
@@ -167,6 +177,7 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         y_base=y_base,
         graph=graph,
         rungs=tuple(rungs),
+        lift=lift,
     )
 
 
@@ -201,15 +212,15 @@ def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
 
 
 def _rungs(prior, values) -> list[list[int]]:
-    """The points of the ladder of a two-state grid program, whose point
-    a is (a/D, 1 - a/D): rung 1 holds the point at prior (the first
+    """The points of the two rungs of a two-state grid program, whose
+    point a is (a/D, 1 - a/D): rung 1 holds the point at prior (the first
     state's prior times D) or, off the grid, the two points next to it;
     rung 2 adds 0, D and every point where some receiver's utility
     (values[i][a]) bends down, u(a-1) - 2u(a) + u(a+1) < 0.  Between two
     neighbouring points of rung 2 every utility is convex, so pushing
     each mass onto them keeps the mean and the convex order and lowers
     no utility: the program on rung 2 already holds an optimum of the
-    full one.  A rung with every point is left out."""
+    full one, and _lift certifies it."""
     n = len(values[0])
     first = {floor(prior), ceil(prior)}
     bends = {
@@ -218,8 +229,85 @@ def _rungs(prior, values) -> list[list[int]]:
         for a in range(1, n - 1)
         if u[a - 1] - 2 * u[a] + u[a + 1] < 0
     }
-    ladder = [sorted(first), sorted(first | bends | {0, n - 1})]
-    return [points for points in ladder if len(points) < n]
+    return [sorted(first), sorted(first | bends | {0, n - 1})]
+
+
+def _lift(points, k, n_edges, n_vars, point, dual) -> tuple[list, list]:
+    """rung 2's optimal point and dual, over the sorted points of a
+    two-state grid that hold 0, D and every bend (_rungs), as (x, y) for
+    the full program over 0..D with k receivers, n_edges covering edges
+    and n_vars variables.  x is the point on the full program's columns,
+    zero elsewhere.  y follows _grid_program's row order: the
+    Bayes-plausibility and normalization duals are rung 2's, and each
+    edge's row-sum, column-sum and barycenter duals are _edge_lift's.
+
+    This certifies x whenever the dual is optimal for rung 2.  Between
+    two neighbouring points of rung 2, every utility is convex (_rungs),
+    every interpolated dual is linear, and so is the envelope, whose
+    kinks lie on rung 2; at rung 2's points the envelope is at most
+    rung 2's column-sum dual, whose barycenter row gives a line above
+    the row-sum duals.  So every x column stays priced out, every y
+    column is priced by a line above the envelope, and the new rows'
+    right-hand sides are 0, which leaves y'b as it was."""
+    x = [Fraction(0)] * n_vars
+    for j, v in point.items():
+        x[j] = v
+    m = len(points)
+    y = list(dual[: 2 * k])
+    for base in range(2 * k, 2 * k + 3 * m * n_edges, 3 * m):
+        y += _edge_lift(points, *(dual[at : at + m] for at in range(base, base + 3 * m, m)))
+    y += dual[len(dual) - k :]
+    return x, y
+
+
+def _edge_lift(points, alpha, gamma, beta) -> list[Fraction]:
+    """One covering edge's row-sum, column-sum and barycenter duals at
+    every point 0..D, from rung 2's (alpha, gamma and beta, at the sorted
+    points, D = points[-1] among them).  At a point of rung 2 each keeps
+    rung 2's value.  At a point p between two of them, the row-sum dual
+    is alpha interpolated linearly, the column-sum dual is conc(-alpha)
+    at p, the least concave majorant of -alpha over rung 2's points, and
+    the barycenter dual is its slope at p, per unit of the first
+    coordinate p/D.  A y(l, p) column then prices at the tangent line
+    of the envelope at p, which lies above -alpha at every l."""
+    D = points[-1]
+    envelope = _concave_majorant(points, [-a for a in alpha])
+    rows, columns, centres = [], [], []
+    for t, (r, s) in enumerate(zip(points, points[1:])):
+        rows.append(alpha[t])
+        columns.append(gamma[t])
+        centres.append(beta[t])
+        step = (alpha[t + 1] - alpha[t]) / (s - r)
+        slope = (envelope[t + 1] - envelope[t]) / (s - r)
+        for p in range(1, s - r):
+            rows.append(alpha[t] + step * p)
+            columns.append(envelope[t] + slope * p)
+            centres.append(slope * D)
+    rows.append(alpha[-1])
+    columns.append(gamma[-1])
+    centres.append(beta[-1])
+    return rows + columns + centres
+
+
+def _concave_majorant(xs, values) -> list[Fraction]:
+    """The least concave majorant of the points (xs[t], values[t]), xs
+    increasing, at each xs[t]: the upper hull, one vertex at a time,
+    read off at the points it passes over."""
+    hull: list[int] = []
+    for t, (x, v) in enumerate(zip(xs, values)):
+        # drop the last vertex while it lies on or below the chord to t
+        while len(hull) > 1 and (
+            (values[hull[-1]] - values[hull[-2]]) * (x - xs[hull[-2]])
+            <= (v - values[hull[-2]]) * (xs[hull[-1]] - xs[hull[-2]])
+        ):
+            hull.pop()
+        hull.append(t)
+    majorant = list(values)
+    for a, b in zip(hull, hull[1:]):
+        slope = (values[b] - values[a]) / (xs[b] - xs[a])
+        for t in range(a + 1, b):
+            majorant[t] = values[a] + slope * (xs[t] - xs[a])
+    return majorant
 
 
 @dataclass(frozen=True)
@@ -296,7 +384,7 @@ def _solve_grid(
 ) -> tuple[GridSolution, DominationGraph]:
     """solve_grid, with the domination forest the program was built on."""
     glp = build_grid_lp(instance, grid)
-    sol = lp.solve(glp.program, rungs=glp.rungs)
+    sol = lp.solve(glp.program, rungs=glp.rungs, lift=glp.lift)
     if sol.status != lp.OPTIMAL:
         raise InvariantViolation(f"grid program reported {sol.status}")
     solution = _read_solution(glp, sol.assignment, sol.objective)

@@ -14,7 +14,10 @@ Given rungs, smaller programs each paired with the columns of the full
 one that its variables stand for, it climbs a ladder: each rung, then
 the full program, starts from the previous rung's optimal point kept to
 the columns it holds, completed exactly; the first rung, and one after
-a rung that is not optimal, starts from the empty support.  No
+a rung that is not optimal, starts from the empty support.  Given also
+a lift, which maps the last rung's optimal point and dual to a point
+and dual of the full program, solve returns them when they certify
+optimality, and no engine is built on the full program.  No
 floating-point solve is tried.  Without rungs, a program with a row and
 at least _CRASH_THRESHOLD rows x columns, when scipy imports, starts
 from a floating-point solve's support, completed the same way; any
@@ -24,7 +27,8 @@ from the all-artificial basis with phase 1.
 No status is reported on trust: an optimal answer carries a dual
 vector, an infeasible one a Farkas vector, an unbounded one a feasible
 point and an improving ray, each checked exactly against the program as
-stored, never the engine's scaled rows or a rung.  Output is
+stored, never the engine's scaled rows or a rung; a failed optimality
+check is named with its row or column (_optimality_failure).  Output is
 deterministic for a fixed input; only a solve without rungs that takes
 the floating-point start can depend on the installation.
 """
@@ -35,9 +39,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
+from itertools import compress, count, repeat
 from math import gcd, inf, lcm
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import InvariantViolation, ValidationError
 
@@ -230,11 +234,17 @@ def _point(lp: LinearProgram, x: Sequence[Fraction]) -> tuple[list[int], int] | 
     return ints, X
 
 
-def _rows_hold(lp: LinearProgram, ints: list[int], scale: int) -> bool:
-    """Whether every row holds at the integer point ints against its
-    right-hand side times scale: lhs and rhs are both in the row's den."""
+def _first_false(flags) -> int | None:
+    """The index of the first false one of flags; None when all are true."""
+    return next(compress(count(), map(operator.not_, flags)), None)
+
+
+def _failing_row(lp: LinearProgram, ints: list[int], scale: int) -> int | None:
+    """The first row that does not hold at the integer point ints against
+    its right-hand side times scale (lhs and rhs are both in the row's
+    den); None when every row holds."""
     at = ints.__getitem__
-    return all(
+    return _first_false(
         _HOLDS[rel](sum(map(operator.mul, map(at, coeffs), coeffs.values())), rhs * scale)
         for coeffs, rel, rhs, _ in lp.rows
     )
@@ -247,12 +257,13 @@ def _value(lp: LinearProgram, ints: list[int], X: int) -> Fraction:
 
 def check_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
     point = _point(lp, x)
-    return point is not None and _rows_hold(lp, *point)
+    return point is not None and _failing_row(lp, *point) is None
 
 
-def _dual_signs_ok(lp, y):
-    """y_i >= 0 on each <= row and y_i <= 0 on each >= row."""
-    return all(yi.numerator * _SIGN[rel] >= 0 for (_, rel, _, _), yi in zip(lp.rows, y))
+def _wrong_sign(lp, y) -> int | None:
+    """The first row whose dual has the wrong sign: y_i >= 0 on each <=
+    row and y_i <= 0 on each >= row; None when every sign is right."""
+    return _first_false(yi.numerator * _SIGN[rel] >= 0 for (_, rel, _, _), yi in zip(lp.rows, y))
 
 
 def _scaled_yA(lp, y) -> tuple[list[int], int, int]:
@@ -270,26 +281,49 @@ def _scaled_yA(lp, y) -> tuple[list[int], int, int]:
     return yA, yb, Y * L
 
 
-def _reduced_costs_ok(lp, yA, s) -> bool:
-    """y'A >= c componentwise, given y'A times s: yA / s >= obj / obj_den."""
+def _priced_column(lp, yA, s) -> int | None:
+    """The first column whose reduced cost c_j - (y'A)_j is positive,
+    given y'A times s: yA / s < obj / obj_den; None when there is none."""
     bound = [0] * lp.n_vars
     for j, a in lp.obj.items():
         bound[j] = a * s
-    return all(map(operator.ge, map(operator.mul, yA, repeat(lp.obj_den)), bound))
+    return _first_false(map(operator.ge, map(operator.mul, yA, repeat(lp.obj_den)), bound))
+
+
+def _optimality_failure(lp, x, y) -> str | None:
+    """The first part of the optimality certificate (x, y) that fails,
+    named with its index, in the order checked: the dual's length, the
+    point's length and signs, a row of lp at x, a dual of the wrong sign,
+    a column's reduced cost, and the gap between c.x and y'b.  None when
+    (x, y) certifies that x is optimal."""
+    if len(y) != lp.n_constraints:
+        return f"dual has {len(y)} entries for {lp.n_constraints} rows"
+    point = _point(lp, x)
+    if point is None:
+        if len(x) != lp.n_vars:
+            return f"point has {len(x)} entries for {lp.n_vars} columns"
+        j = next(j for j, v in enumerate(x) if v < 0)
+        return f"x[{j}] = {x[j]} is negative"
+    if (i := _failing_row(lp, *point)) is not None:
+        return f"row {i} does not hold at x"
+    if (i := _wrong_sign(lp, y)) is not None:
+        return f"y[{i}] = {y[i]} has the wrong sign for a {lp.rows[i][1]} row"
+    yA, yb, s = _scaled_yA(lp, y)
+    if (j := _priced_column(lp, yA, s)) is not None:
+        cost = Fraction(lp.obj.get(j, 0), lp.obj_den) - Fraction(yA[j], s)
+        return f"column {j} has reduced cost {cost} > 0"
+    value, bound = _value(lp, *point), Fraction(yb, s)
+    if value != bound:
+        return f"c.x = {value} differs from y'b = {bound}"
+    return None
 
 
 def check_optimal(lp, x, y) -> bool:
-    point = _point(lp, x)
-    if len(y) != lp.n_constraints or point is None or not _rows_hold(lp, *point):
-        return False
-    yA, yb, s = _scaled_yA(lp, y)
-    if not _dual_signs_ok(lp, y) or not _reduced_costs_ok(lp, yA, s):
-        return False
-    return _value(lp, *point) == Fraction(yb, s)
+    return _optimality_failure(lp, x, y) is None
 
 
 def check_farkas(lp, y) -> bool:
-    if len(y) != lp.n_constraints or not _dual_signs_ok(lp, y):
+    if len(y) != lp.n_constraints or _wrong_sign(lp, y) is not None:
         return False
     yA, yb, _ = _scaled_yA(lp, y)
     return min(yA, default=0) >= 0 and yb < 0
@@ -299,7 +333,7 @@ def check_ray(lp, x0, d) -> bool:
     if not check_feasible(lp, x0):
         return False
     ray = _point(lp, d)
-    return ray is not None and _value(lp, *ray) > 0 and _rows_hold(lp, ray[0], 0)
+    return ray is not None and _value(lp, *ray) > 0 and _failing_row(lp, ray[0], 0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +708,9 @@ class _Engine:
         x = self._assignment()
         # undo the row scales, the objective scale and den
         y = self._map_dual(self._duals(self.obj), self.obj_scale * self.den)
-        if not check_optimal(self.lp, x, y):
-            raise InvariantViolation("optimality certificate failed verification")
+        failure = _optimality_failure(self.lp, x, y)
+        if failure is not None:
+            raise InvariantViolation(f"optimality certificate failed verification: {failure}")
         value = sum(self.obj[j] * v for j, v in zip(self.basis, self.xb))
         value = Fraction(value, self.obj_scale * self.den)
         return LPSolution(
@@ -743,38 +778,56 @@ def _start(program: LinearProgram, columns, point: dict) -> list[int]:
     return start
 
 
-def _climb(lp: LinearProgram, rungs) -> list[int]:
-    """The start of lp at the top of the ladder of rungs.  Each rung
-    starts from the optimal point of the rung before (_start); the
-    first, and one after a rung that is not optimal, from the empty
-    support."""
-    point = None
+def _climb(rungs) -> tuple[dict | None, tuple | None]:
+    """The last rung's optimal point, {column of the full program:
+    nonzero value}, with its dual, one entry per row of that rung's
+    program; (None, None) when it is not optimal.  Each rung starts from
+    the optimal point of the rung before (_start); the first, and one
+    after a rung that is not optimal, from the empty support."""
+    point = dual = None
     for program, columns in rungs:
         start = [] if point is None else _start(program, columns, point)
         sol = _Engine(program).solve(start)
-        point = None
+        point = dual = None
         if sol.status == OPTIMAL:
             point = {j: v for j, v in zip(columns, sol.assignment) if v}
-    return [] if point is None else _start(lp, range(lp.n_vars), point)
+            dual = sol.dual
+    return point, dual
 
 
-def solve(lp: LinearProgram, *, rungs: Sequence[tuple] = ()) -> LPSolution:
+def solve(
+    lp: LinearProgram,
+    *,
+    rungs: Sequence[tuple] = (),
+    lift: Callable[[dict, tuple], tuple] | None = None,
+) -> LPSolution:
     """Solve to a certified status, from the start picked here; lp is
     read, never changed.
 
     rungs are (program, columns) pairs, variable t of program standing
-    for column columns[t] of lp.  Given some, lp starts from the top of
-    their ladder (_climb), never from a floating-point solve.  A rung
-    only proposes a start, so it is never checked to restrict lp; a
-    start from nested restrictions, each optimal, always completes.
-    Without rungs, the floating-point start is tried exactly when lp has
-    a row, is at least _CRASH_THRESHOLD rows x columns and scipy imports
-    (_highs)."""
+    for column columns[t] of lp.  Given some, they are climbed (_climb),
+    never from a floating-point solve.  When the last rung is optimal
+    and a lift is given, lift(point, dual) on its point and dual gives
+    (x, y) for lp; if check_optimal accepts them, they are the answer,
+    as given, and no engine is built on lp.  Otherwise lp starts from
+    the last rung's point, completed exactly.  A rung only proposes a
+    start, and a lift only a certificate, so neither is checked to
+    restrict lp; a start from nested restrictions, each optimal, always
+    completes.  Without rungs, the floating-point start is tried exactly
+    when lp has a row, is at least _CRASH_THRESHOLD rows x columns and
+    scipy imports (_highs)."""
     rungs = [_rung(lp, rung) for rung in rungs]
     if rungs:
         # climbed before lp's engine is built, which keeps peak memory down
-        start = _climb(lp, rungs)
-        return _Engine(lp).solve(start)
+        point, dual = _climb(rungs)
+        if point is None:
+            return _Engine(lp).solve([])
+        if lift is not None:
+            x, y = lift(point, dual)
+            if check_optimal(lp, x, y):
+                objective = _value(lp, *_point(lp, x))
+                return LPSolution(OPTIMAL, assignment=tuple(x), objective=objective, dual=tuple(y))
+        return _Engine(lp).solve(_start(lp, range(lp.n_vars), point))
     engine = _Engine(lp)
     big = len(lp.rows) * max(lp.n_vars, 1) >= _CRASH_THRESHOLD
     return engine.solve(engine._try_crash() if lp.rows and big else None)

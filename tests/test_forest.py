@@ -42,7 +42,7 @@ from mcpersuasion.model import (
     ThresholdUtility,
     validate_instance,
 )
-from test_lp import GRID_CASES, _restriction
+from test_lp import GRID_CASES, _engines_built, _restriction
 
 F = Fraction
 TWO = StateSpace(("0", "1"))
@@ -473,7 +473,9 @@ def _climb_and_compare(inst, denominator):
     program, so phase 1 is skipped.  Returns the GridLP."""
     grid = PosteriorGrid(dim=2, denominator=denominator)
     glp = build_grid_lp(inst, grid)
-    assert glp.rungs and lp._Engine(glp.program)._complete(lp._climb(glp.program, glp.rungs))
+    point, _ = lp._climb(glp.rungs)
+    start = lp._start(glp.program, range(glp.program.n_vars), point)
+    assert glp.rungs and lp._Engine(glp.program)._complete(start)
     climbed = lp.solve(glp.program, rungs=glp.rungs)
     plain = lp.solve(glp.program)
     assert climbed.status == plain.status == lp.OPTIMAL
@@ -534,29 +536,107 @@ def test_ladder_matches_the_plain_solve_on_jumps_and_off_grid_priors(
 ):
     """Utilities that are not upper-semicontinuous, and a prior of 1/3
     between grid points (rung 1 then holds two points).  Rung 2 bends on
-    the tabulated values, so it needs no semicontinuity; the prior off
-    the grid leaves the lifted basis short of optimal, and phase 2 must
-    pivot on the full program."""
-    watched, phase2 = [], []
-    real_reprice = lp._Engine._reprice
-
-    def reprice(engine, *args):
-        # once per pivot of _run; a ladder's full program skips phase 1
-        if engine.lp in watched:
-            phase2.append(engine)
-        return real_reprice(engine, *args)
-
-    monkeypatch.setattr(lp._Engine, "_reprice", reprice)
+    the tabulated values, so it needs no semicontinuity.  The prior off
+    the grid leaves the completed start short of optimal on the full
+    program, but the lift certifies rung 2's answer as it is, so on the
+    grid or off it an engine is built on each rung and on nothing else."""
+    built = _engines_built(monkeypatch)
     inst = make_instance(CHAIN2, utilities, prior=prior)
     for denominator in (10, 20, 40):
         glp = _climb_and_compare(inst, denominator)
         first = [glp.points[j] for j in glp.rungs[0][1] if j < len(glp.points)]
         assert len(first) == (2 if off_grid else 1)
-        watched.append(glp.program)
-        lp.solve(glp.program, rungs=glp.rungs)
-        watched.clear()
-        assert bool(phase2) == off_grid
-        phase2.clear()
+        built.clear()
+        lp.solve(glp.program, rungs=glp.rungs, lift=glp.lift)
+        assert built == [program for program, _ in glp.rungs]
+
+
+def test_the_lift_certifies_every_two_state_grid(monkeypatch):
+    """The theorem behind forest._lift: on a two-state grid, the lift of
+    rung 2's optimal point and dual is an optimality certificate of the
+    full program.  Over GRID_CASES, the JUMPS instances (the prior off
+    the grid among them) and seeds 1-3 of the grid2 generator (chains
+    and three-receiver forests), the lift is never refused, solve
+    returns it as given, and no engine is built on the full program; at
+    steps up to 1/20, where a plain solve is cheap, the objective is the
+    plain solve's."""
+    built = _engines_built(monkeypatch)
+    for inst, denominator in _rung_programs():
+        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+        assert glp.lift is not None
+        point, dual = lp._climb(glp.rungs)
+        x, y = glp.lift(point, dual)
+        refused = lp._optimality_failure(glp.program, x, y)
+        assert refused is None, f"lift refused at 1/{denominator}: {refused}"
+        built.clear()
+        sol = lp.solve(glp.program, rungs=glp.rungs, lift=glp.lift)
+        assert built == [program for program, _ in glp.rungs]
+        assert (sol.status, sol.assignment, sol.dual) == (lp.OPTIMAL, tuple(x), tuple(y))
+        assert lp.check_optimal(glp.program, sol.assignment, sol.dual)
+        if denominator <= 20:
+            assert sol.objective == lp.solve(glp.program).objective
+
+
+@pytest.mark.parametrize("name, denominator", [("chain2", 400), ("star3", 80)])
+def test_fine_two_state_grids_need_no_engine_on_the_full_program(name, denominator, monkeypatch):
+    """chain2 at 1/400 (161,603 columns) and star3 at 1/80 through
+    solve_fptas: the lifted answer is certified against the full
+    program, no engine is built on it, and the objective is the 1/40
+    one, since every breakpoint and the prior lie on 1/10."""
+    inst = _data_instance(name)
+    reference = solve_fptas(inst, F(1, 40))[0].objective
+    built, solved = _engines_built(monkeypatch), []
+    real_solve = forest.lp.solve
+
+    def solve(program, **kwargs):
+        solved.append((program, real_solve(program, **kwargs)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(forest.lp, "solve", solve)
+    solution, table = solve_fptas(inst, F(1, denominator))
+    [(program, sol)] = solved
+    assert built and program not in built
+    assert lp.check_optimal(program, sol.assignment, sol.dual)
+    assert solution.objective == sol.objective == reference
+    assert evaluate_table(table, inst) == reference
+
+
+def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
+    """A real lift with one column-sum dual moved down by 1/den, at a
+    point rung 2 does not hold, prices a y column positive, so
+    check_optimal refuses it.  solve then completes the ladder's start
+    on the full program, skips phase 1 and runs phase 2 there, to the
+    plain solve's objective, certified."""
+    glp = build_grid_lp(_data_instance("chain2"), PosteriorGrid(dim=2, denominator=20))
+    n, k = len(glp.points), len(glp.x_base)
+    held = {j - glp.x_base[0] for j in glp.rungs[-1][1] if j < n}
+    row = 2 * k + n + min(set(range(n)) - held)  # the first edge's column sum there
+
+    def bent(point, dual):
+        x, y = glp.lift(point, dual)
+        y[row] -= F(1, y[row].denominator)
+        return x, y
+
+    refused = lp._optimality_failure(glp.program, *bent(*lp._climb(glp.rungs)))
+    assert refused is not None and refused.startswith("column "), refused
+    completed, phases = [], []
+    real_complete, real_run, real_phase1 = lp._Engine._complete, lp._Engine._run, lp._Engine._phase1
+
+    def complete(engine, support):
+        completed.append((engine.lp, real_complete(engine, support)))
+        return completed[-1][1]
+
+    def run(engine, obj):
+        phases.append((engine.lp, 2 if obj is engine.obj else 1))
+        return real_run(engine, obj)
+
+    monkeypatch.setattr(lp._Engine, "_complete", complete)
+    monkeypatch.setattr(lp._Engine, "_run", run)
+    sol = lp.solve(glp.program, rungs=glp.rungs, lift=bent)
+    assert completed[-1] == (glp.program, True)
+    assert [phase for program, phase in phases if program is glp.program] == [2]
+    assert lp.check_optimal(glp.program, sol.assignment, sol.dual)
+    assert sol.objective == lp.solve(glp.program).objective
 
 
 @pytest.mark.parametrize(

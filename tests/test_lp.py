@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from mcpersuasion import lp as lp_module
-from mcpersuasion.errors import ValidationError
+from mcpersuasion.errors import InvariantViolation, ValidationError
 from mcpersuasion.forest import PosteriorGrid, build_grid_lp
 from mcpersuasion.lp import (
     EQ,
@@ -569,7 +569,7 @@ def _fraction_check_ray(lp, x0, d):
 def _reduced_costs_ok(lp, y):
     """lp's integer reduced-cost check of y."""
     yA, _, s = lp_module._scaled_yA(lp, y)
-    return lp_module._reduced_costs_ok(lp, yA, s)
+    return lp_module._priced_column(lp, yA, s) is None
 
 
 def test_integer_certificate_sums_match_the_fraction_formula():
@@ -1245,6 +1245,107 @@ def test_ladder_gives_the_plain_answer_certified(monkeypatch, take_route):
             assert completions[-1] == (solves[-1][1], True)
     assert min(outcomes[kind] for kind in ("climbed", "a rung not optimal", "a support not held")) > 20
     assert outcomes["climbed (grid)"] and outcomes["a rung not optimal (grid)"], outcomes
+
+
+def _moved(values, rng):
+    """values with one seeded entry moved by 1/den, den the common
+    denominator of values, up or down."""
+    moved = list(values)
+    step = F(1, lcm(*(v.denominator for v in values)))
+    moved[rng.randrange(len(moved))] += rng.choice((step, -step))
+    return moved
+
+
+def _engines_built(monkeypatch) -> list:
+    """The programs that _Engine is built on from here on, in order."""
+    built = []
+    real_init = lp_module._Engine.__init__
+
+    def init(engine, program):
+        built.append(program)
+        real_init(engine, program)
+
+    monkeypatch.setattr(lp_module._Engine, "__init__", init)
+    return built
+
+
+def test_a_lift_is_returned_only_when_it_certifies(monkeypatch):
+    """solve(lp, rungs=..., lift=f) on the 400 pinned draws with seeded
+    rungs, f giving solve(lp)'s optimum with one entry of the dual or of
+    the point moved by 1/den, or as it is: the status, objective and
+    certificate check of solve(lp, rungs=...) without a lift, whether f's
+    answer is refused or accepted.  An accepted answer is returned as f
+    gave it, with no engine built on lp.  f is called once when the last
+    rung is optimal, on that rung's point (columns of lp it holds) and
+    its dual (one entry per row of its program), and never otherwise."""
+    built = _engines_built(monkeypatch)
+    rng = random.Random(23)
+    verdicts = {}
+    for lp, rungs in _ladder_cases():
+        if lp.n_vars > 7:  # the grid programs
+            continue
+        rungs = [(_restriction(lp, cols), cols) for cols in (sorted(set(rung)) for rung in rungs)]
+        last, columns = rungs[-1]
+        last_optimal = solve(last).status == OPTIMAL
+        plain = solve(lp, rungs=rungs)
+        optimum = solve(lp)
+        x, y = optimum.assignment, optimum.dual
+        if optimum.status != OPTIMAL:
+            x, y = (F(0),) * lp.n_vars, (F(0),) * lp.n_constraints
+        for kind, answer in [("as it is", (x, y)), ("dual moved", (x, _moved(y, rng)))] + [
+            ("point moved", (_moved(x, rng), y))
+        ]:
+            calls = []
+
+            def lift(point, dual):
+                calls.append((point, dual))
+                return answer
+
+            built.clear()
+            sol = solve(lp, rungs=rungs, lift=lift)
+            assert (sol.status, sol.objective) == (plain.status, plain.objective)
+            assert _certified(lp, sol)
+            assert len(calls) == last_optimal
+            for point, dual in calls:
+                assert set(point) <= set(columns) and len(dual) == last.n_constraints
+            accepted = bool(calls) and check_optimal(lp, *answer)
+            if accepted:
+                assert (sol.assignment, sol.dual) == tuple(map(tuple, answer))
+            assert (lp in built) is not accepted
+            verdicts[kind, accepted] = verdicts.get((kind, accepted), 0) + 1
+    assert verdicts["as it is", True] > 100, verdicts
+    assert min(verdicts["dual moved", False], verdicts["point moved", False]) > 300, verdicts
+
+
+def test_a_failed_certificate_is_named_with_its_index(monkeypatch):
+    """_optimality_failure names the first part of (x, y) that fails,
+    with its index, and check_optimal is its verdict; an engine whose own
+    certificate fails raises InvariantViolation with that name."""
+    lp = LinearProgram(2, [1, 0], [([1, 1], LE, 1), ([1, -1], EQ, 0)])
+    half = F(1, 2)
+    cases = [
+        ((half, half), (half, half), None),
+        ((half, half), (half,), "dual has 1 entries for 2 rows"),
+        ((half,), (half, half), "point has 1 entries for 2 columns"),
+        ((-half, half), (half, half), "x[0] = -1/2 is negative"),
+        ((1, 0), (half, half), "row 1 does not hold at x"),
+        ((half, half), (-half, F(3, 2)), "y[0] = -1/2 has the wrong sign for a <= row"),
+        ((half, half), (half, F(1, 4)), "column 0 has reduced cost 1/4 > 0"),
+        ((0, 0), (half, half), "c.x = 0 differs from y'b = 1/2"),
+    ]
+    for x, y, failure in cases:
+        x, y = tuple(map(F, x)), tuple(map(F, y))
+        assert lp_module._optimality_failure(lp, x, y) == failure
+        assert check_optimal(lp, x, y) is (failure is None)
+    real_map_dual = lp_module._Engine._map_dual
+
+    def map_dual(engine, *args):
+        return [v + 1 for v in real_map_dual(engine, *args)]
+
+    monkeypatch.setattr(lp_module._Engine, "_map_dual", map_dual)
+    failure = r"failed verification: c\.x = 1/2 differs from y'b = 3/2"
+    with pytest.raises(InvariantViolation, match=failure):
+        solve(lp)
 
 
 def test_a_start_that_does_not_complete_falls_back_to_the_all_artificial_start(take_route):
