@@ -33,6 +33,7 @@ from .model import (
     Posterior,
     Prior,
     StateSpace,
+    _probability,
     check_epsilon,
     dot,
     format_label,
@@ -94,10 +95,9 @@ class GridLP:
     edges are edges.  rungs are the (program, columns) pairs lp.solve
     climbs first: the program over a rung's points (_rungs), and the
     full program's column of each of its variables; empty past two
-    states.  lift is what lp.solve hands rung 2's optimal point and dual
-    (_lift): its answer certifies the full program with no engine built
-    on it.  It is None past two states, and where rung 2 would hold
-    every point, so that there is no rung 2."""
+    states.  lift, None exactly past two states, is what lp.solve hands
+    rung 2's optimal point and dual (_lift): its answer certifies the
+    full program, so every two-state answer is rung 2's optimum."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
@@ -130,8 +130,9 @@ def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]
 
 def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     """Assemble the exact grid program for a forest instance and, on two
-    states, its ladder's programs, _grid_program over each rung's points
-    that are not every point, and the lift of rung 2's answer (_lift).
+    states, both rungs' programs (_grid_program over _rungs' points) and
+    the lift of rung 2's answer (_lift).  Where rung 2 holds every point,
+    its program is a copy of the full one, and the lift the identity.
 
     Families, in row order: Bayes-plausibility per receiver per state;
     per covering edge the spread-side row sums, coarse-side column
@@ -158,18 +159,17 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         sub = [[u[a] for a in points] for u in values]
         return _grid_program(instance.prior, edges, D, [pts[a] for a in points], sub)
 
+    full = program(range(n))
     rungs, lift = [], None
     if grid.dim == 2:
         ladder = _rungs(instance.prior.values[0] * D, values)
-        ladder = [points for points in ladder if len(points) < n]
         for points in ladder:
             xs = [base + a for base in x_base for a in points]
             ys = [base + a * n + c for base in y_base for a in points for c in points]
             rungs.append((program(points), tuple(xs + ys)))
-        if len(ladder) == 2:  # rung 2, which holds rung 1, is short of every point
-            lift = partial(_lift, ladder[1], k, len(edges), k * n + len(edges) * n * n)
+        lift = partial(_lift, ladder[1], k, len(edges), full.n_vars)
     return GridLP(
-        program=program(range(n)),
+        program=full,
         grid=grid,
         points=pts,
         edges=edges,
@@ -428,15 +428,6 @@ def _divergence(
             if weighted[b] * label[b].denominator != label[b].numerator * total:
                 return label, b
     return None
-
-
-def _probability(v) -> Fraction:
-    """v, exactly: a Fraction, or an int that is not a bool."""
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
-    raise ValidationError(f"probability {v!r} is neither an int nor a Fraction")
 
 
 @dataclass(frozen=True)

@@ -809,14 +809,17 @@ def solve(
     never from a floating-point solve.  When the last rung is optimal
     and a lift is given, lift(point, dual) on its point and dual gives
     (x, y) for lp; if check_optimal accepts them, they are the answer,
-    as given, and no engine is built on lp.  Otherwise lp starts from
-    the last rung's point, completed exactly.  A rung only proposes a
-    start, and a lift only a certificate, so neither is checked to
-    restrict lp; a start from nested restrictions, each optimal, always
-    completes.  Without rungs, the floating-point start is tried exactly
-    when lp has a row, is at least _CRASH_THRESHOLD rows x columns and
-    scipy imports (_highs)."""
+    as given, and no engine is built on lp; a lift without rungs is
+    refused.  Otherwise lp starts from the last rung's point, completed
+    exactly.  A rung only proposes a start, and a lift only a
+    certificate, so neither is checked to restrict lp, and a rung may be
+    a copy of lp, whose pivots its engine then does; a start from nested
+    restrictions, each optimal, always completes.  Without rungs, the
+    floating-point start is tried exactly when lp has a row, is at least
+    _CRASH_THRESHOLD rows x columns and scipy imports (_highs)."""
     rungs = [_rung(lp, rung) for rung in rungs]
+    if lift is not None and not rungs:
+        raise ValidationError("a lift needs rungs, whose last answer it lifts")
     if rungs:
         # climbed before lp's engine is built, which keeps peak memory down
         point, dual = _climb(rungs)

@@ -153,6 +153,15 @@ def check_epsilon(epsilon) -> None:
         raise BadEpsilon(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
+def _probability(v) -> Fraction:
+    """v, exactly: a Fraction, or an int that is not a bool."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise ValidationError(f"probability {v!r} is neither an int nor a Fraction")
+
+
 def dot(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
     """Exact sum of the products x * y, kept as an integer numerator over
     the least common denominator so far rather than Fraction by Fraction."""
@@ -195,13 +204,14 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class Prior:
-    """Full-support prior over a state space."""
+    """Full-support prior over a state space; each entry an int or a
+    Fraction, never a float or a string."""
 
     space: StateSpace
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(_probability, self.values)))
         if len(self.values) != self.space.size:
             raise MatrixShapeMismatch(
                 f"prior has {len(self.values)} entries for {self.space.size} states"
@@ -299,8 +309,6 @@ class ReceiverUtility:
     Subclasses implement value_at.
     """
 
-    kind = "abstract"
-
     def value_at(self, point: Posterior, space: StateSpace) -> Fraction:
         raise NotImplementedError
 
@@ -311,8 +319,6 @@ class ReceiverUtility:
 @dataclass(frozen=True)
 class ConstantUtility(ReceiverUtility):
     value: Fraction
-
-    kind = "constant"
 
     def value_at(self, point, space):
         return self.value
@@ -334,8 +340,6 @@ class ThresholdUtility(ReceiverUtility):
     high: Fraction = Fraction(1)
     low: Fraction = Fraction(0)
     strict: bool = False
-
-    kind = "threshold"
 
     def value_at(self, point, space):
         q = point[space.index(self.state)]
@@ -360,8 +364,6 @@ class PointUtility(ReceiverUtility):
     point: Posterior
     value: Fraction
     otherwise: Fraction = Fraction(0)
-
-    kind = "point"
 
     def value_at(self, point, space):
         if len(self.point) != space.size:
@@ -390,8 +392,6 @@ class PiecewiseUtility(ReceiverUtility):
     state: str
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
-
-    kind = "piecewise"
 
     def __post_init__(self):
         if len(self.values) != len(self.breakpoints) + 1:
@@ -424,8 +424,6 @@ class LinearUtility(ReceiverUtility):
     coeffs: tuple[Fraction, ...]
     offset: Fraction = Fraction(0)
 
-    kind = "linear"
-
     def value_at(self, point, space):
         if len(self.coeffs) != len(point):
             raise MatrixShapeMismatch("linear utility dimension mismatch")
@@ -445,8 +443,6 @@ class TableUtility(ReceiverUtility):
     that contains points outside the table raises GridMismatch."""
 
     table: tuple[tuple[Posterior, Fraction], ...]
-
-    kind = "table"
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple((tuple(p), Fraction(v)) for p, v in self.table))
@@ -472,8 +468,6 @@ class AdditiveUtility:
     """Sender utility sum_i u^i(p^i), one ReceiverUtility per receiver."""
 
     receivers: tuple[ReceiverUtility, ...]
-
-    kind = "additive"
 
     def evaluate(self, profile: Sequence[Posterior], space: StateSpace) -> Fraction:
         if len(profile) != len(self.receivers):
@@ -544,8 +538,6 @@ class SupermajorityUtility:
     _plan: tuple[int, tuple[tuple[str, tuple[tuple, ...]], ...]] = field(
         init=False, repr=False, compare=False
     )
-
-    kind = "supermajority"
 
     def __post_init__(self):
         covered: list[int] = []

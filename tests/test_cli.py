@@ -291,6 +291,108 @@ def test_verify_scheme_rejects_a_non_object_marginal_entry(capsys, files, tmp_pa
     assert err.startswith("error:")
 
 
+#: a two-receiver chain whose solved scheme at 1/10 has two profiles and
+#: a receiver-1 marginal of two points
+CHAIN = {
+    "states": ["low", "high"],
+    "prior": ["7/10", "3/10"],
+    "structure": [[1, 1], [0, 1]],
+    "utilities": [
+        {"kind": "threshold", "state": "high", "cutoff": "1/2"},
+        {"kind": "threshold", "state": "high", "cutoff": "1/4"},
+    ],
+}
+
+
+def _swap_one_profiles_labels(doc):
+    profile = doc["table"]["profiles"][0]
+    profile[0], profile[1] = profile[1], profile[0]
+
+
+def _swap_two_marginal_masses(doc):
+    first, second = doc["marginals"][0]
+    first["mass"], second["mass"] = second["mass"], first["mass"]
+
+
+@pytest.mark.parametrize(
+    "tamper, failures",
+    [
+        (
+            _swap_one_profiles_labels,
+            [
+                "table_valid: receiver 1: posterior given label (7/10, 3/10) diverges "
+                "from the label in state 'low'",
+                "bayes_plausible: receiver 1 marginal does not average to the prior",
+                "objective_matches: recorded 8/5, recomputed 1",
+                "marginals_match: recorded marginal of receiver 1 differs from the table's",
+            ],
+        ),
+        (
+            lambda doc: doc.update(step="2/7"),
+            ["grid_aligned: step 2/7 is not a unit fraction"],
+        ),
+        (
+            _swap_two_marginal_masses,
+            ["marginals_match: recorded marginal of receiver 1 differs from the table's"],
+        ),
+        (
+            lambda doc: doc["marginals"].pop(),
+            ["marginals_match: wrong number of recorded marginals"],
+        ),
+    ],
+    ids=["swapped-labels", "step-2/7", "swapped-masses", "dropped-marginal"],
+)
+def test_verify_scheme_names_each_check_a_tampered_scheme_fails(
+    capsys, files, tmp_path, tamper, failures
+):
+    """A solved scheme passes every check; tampered, it fails exactly the
+    checks its failures lines name, in order, and exits 3.  Swapped
+    labels make the table's own validation raise, which the report
+    records as a failed check rather than an error."""
+    instance = files("chain.json", CHAIN)
+    out = str(tmp_path / "scheme.json")
+    run_doc(capsys, "solve", instance, "--epsilon", "1/10", "--out", out)
+    assert run_doc(capsys, "verify-scheme", instance, out)["ok"] is True
+    doc = load_document(out)
+    tamper(doc)
+    write_document(out, doc)
+    code, printed, _ = run(capsys, "verify-scheme", instance, out)
+    assert code == 3
+    report = json.loads(printed)
+    assert report["ok"] is False and report["failures"] == failures
+    failed = {line.split(":")[0] for line in failures}
+    names = ["table_valid", "grid_aligned", "bayes_plausible", "objective_matches", "marginals_match"]
+    assert report["checks"] == {name: name not in failed for name in names}
+
+
+@pytest.mark.parametrize(
+    "instance_doc, message",
+    [
+        (
+            dict(CHAIN, structure=[[1]], utilities=CHAIN["utilities"][:1]),
+            "scheme speaks of 2 receivers, instance of 1",
+        ),
+        (
+            dict(
+                CHAIN,
+                states=["0", "1"],
+                utilities=[dict(u, state="1") for u in CHAIN["utilities"]],
+            ),
+            "scheme and instance disagree on the states",
+        ),
+    ],
+    ids=["receivers", "states"],
+)
+def test_verify_scheme_refuses_an_instance_it_does_not_speak_of(
+    capsys, files, tmp_path, instance_doc, message
+):
+    out = str(tmp_path / "scheme.json")
+    run_doc(capsys, "solve", files("chain.json", CHAIN), "--epsilon", "1/10", "--out", out)
+    code, printed, err = run(capsys, "verify-scheme", files("other.json", instance_doc), out)
+    assert code == 2 and not printed
+    assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # Share and verify-share
 
@@ -419,6 +521,14 @@ def test_share_rejects_labels_of_the_wrong_dimension(capsys, files):
     code, out, err = run(capsys, "share", instance, table, "--subset", "1")
     assert code == 2 and not out
     assert err.startswith("error:") and "label (1) is not over the 2 states" in err
+
+
+def test_share_refuses_a_table_of_another_receiver_count(capsys, files):
+    instance = files("single.json", SINGLE)
+    table = files("reveal.json", REVEAL3)
+    code, out, err = run(capsys, "share", instance, table, "--subset", "1")
+    assert code == 2 and not out
+    assert err == "error: table speaks of 3 receivers, instance of 1\n"
 
 
 def test_share_dominated_target(capsys, files):

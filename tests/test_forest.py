@@ -559,11 +559,15 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
     and three-receiver forests), the lift is never refused, solve
     returns it as given, and no engine is built on the full program; at
     steps up to 1/20, where a plain solve is cheap, the objective is the
-    plain solve's."""
+    plain solve's.  The steps 1/2 to 1/6 include grids whose rung 2
+    holds every point: its program is then a copy of the full one, and
+    the lift is the identity."""
     built = _engines_built(monkeypatch)
+    whole = 0
     for inst, denominator in _rung_programs():
         glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-        assert glp.lift is not None
+        assert len(glp.rungs) == 2 and glp.lift is not None
+        whole += len(glp.rungs[1][1]) == glp.program.n_vars
         point, dual = lp._climb(glp.rungs)
         x, y = glp.lift(point, dual)
         refused = lp._optimality_failure(glp.program, x, y)
@@ -575,6 +579,7 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
         assert lp.check_optimal(glp.program, sol.assignment, sol.dual)
         if denominator <= 20:
             assert sol.objective == lp.solve(glp.program).objective
+    assert whole
 
 
 @pytest.mark.parametrize("name, denominator", [("chain2", 400), ("star3", 80)])
@@ -672,19 +677,22 @@ def test_rung_points_are_pinned(name, denominator, first, second):
 
 def test_three_state_grids_have_no_rungs():
     inst = _three_state_chain(random.Random(8))
-    assert build_grid_lp(inst, PosteriorGrid(dim=3, denominator=4)).rungs == ()
+    glp = build_grid_lp(inst, PosteriorGrid(dim=3, denominator=4))
+    assert (glp.rungs, glp.lift) == ((), None)
 
 
 def _rung_programs():
     """(instance, denominator) of two-state grids with rungs: the five
     GRID_CASES, seeded grid2-generator chains and three-receiver
-    forests, and the JUMPS instances."""
+    forests, also at the coarse steps 1/2 to 1/6, and the JUMPS
+    instances."""
     cases = [(_data_instance(name), denominator) for name, denominator in GRID_CASES]
+    coarse = (2, 3, 4, 5, 6)
     for seed in (1, 2, 3):
         rng = random.Random(seed)
         for structure, steps in [(CHAIN2, (10, 20, 40)), (CHAIN3, (10, 20)), (STAR3, (10, 20))]:
             inst = _two_state_forest(rng, structure)
-            cases += [(inst, denominator) for denominator in steps]
+            cases += [(inst, denominator) for denominator in coarse + steps]
     for utilities, prior, _ in JUMPS.values():
         inst = make_instance(CHAIN2, utilities, prior=prior)
         cases += [(inst, denominator) for denominator in (10, 20, 40)]

@@ -1404,6 +1404,16 @@ def test_rungs_take_only_column_indices(rung):
         solve(lp, rungs=[(_ONE_COLUMN, [0]), rung])
 
 
+def test_a_lift_needs_rungs():
+    """A lift maps the last rung's answer, so one given without rungs is
+    refused before anything is solved, and never called."""
+    lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1)])
+    called = []
+    with pytest.raises(ValidationError, match="lift needs rungs"):
+        solve(lp, lift=lambda point, dual: called.append(point))
+    assert called == []
+
+
 def test_bland_fallback_counts_only_rows_not_left_dependent(monkeypatch):
     """Beale's cycling example, its slacks written as columns s1..s3 and
     joined by a variable z fixed at 0 by copies of one row.  From the

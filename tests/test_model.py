@@ -99,6 +99,20 @@ def test_prior_validation():
         Prior(TWO, (Fraction(1),))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [(0.25, 0.75), (0.1, 0.9), ("1/3", "2/3"), (Fraction(1, 2), 0.5), (True, 0), (Fraction(1), None)],
+)
+def test_prior_takes_only_ints_and_fractions(values):
+    """A float is never read as the rational it only approximates, nor a
+    string parsed, nor a bool taken as 0 or 1: each is refused by type,
+    before its sum is looked at.  An int is exact, and kept as a Fraction."""
+    with pytest.raises(ValidationError, match="neither an int nor a Fraction"):
+        Prior(TWO, values)
+    [value] = Prior(StateSpace(("only",)), (1,)).values
+    assert type(value) is Fraction and value == 1
+
+
 def test_structure_basics():
     M = CommunicationStructure(((1, 1, 0), (0, 1, 1)))
     assert M.k == 2 and M.n == 3
@@ -219,6 +233,14 @@ def test_validate_instance_round_trip():
     assert validate_instance(doc) == inst
 
 
+def test_an_instance_carrying_an_epsilon_round_trips_through_a_document():
+    inst = validate_instance(dict(_raw_instance(), epsilon="1/12"))
+    assert inst.epsilon == Fraction(1, 12)
+    doc = json.loads(render_document(instance_to_doc(inst)))
+    assert doc["epsilon"] == "1/12"
+    assert validate_instance(doc) == inst
+
+
 F = Fraction
 
 
@@ -231,7 +253,7 @@ F = Fraction
         TableUtility((((F(1), F(0)), F(4)), ((F(0), F(1)), F(-2)))),
         ThresholdUtility(state="0", cutoff=F(2, 5), high=F(3), low=F(-1), strict=True),
     ],
-    ids=lambda u: u.kind,
+    ids=lambda u: u.to_doc(TWO)["kind"],
 )
 def test_every_receiver_utility_kind_round_trips_through_a_document(utility):
     inst = PersuasionInstance(
