@@ -6,6 +6,14 @@ dominance forest, solve exactly, then unwind the solution into a
 per-state table of posterior-label profiles.  Dominating receivers sit
 on the spread side of every coupling; trees of the forest are kept
 conditionally independent given the state.
+
+On two states the solve needs no simplex pivots on the full program.
+A forest of paths has its optimum in closed form, a nested
+concavification along each path (_path_certificate); any other forest
+climbs the breakpoint ladder, whose top rung's answer is lifted to the
+full program (_ladder, _lift).  Either way lp.solve returns the answer
+only once it has checked it as an optimality certificate of the full
+program.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ from .model import (
     dot,
     format_label,
 )
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -92,12 +102,16 @@ class GridLP:
     back: x(i, points[a]) is x_base[i] + a, and on the e-th edge
     y(points[a], points[c]) is y_base[e] + a * n + c for n points.
     graph is the instance's domination forest, whose sorted covering
-    edges are edges.  rungs are the (program, columns) pairs lp.solve
-    climbs first: the program over a rung's points (_rungs), and the
-    full program's column of each of its variables; empty past two
-    states.  lift, None exactly past two states, is what lp.solve hands
-    rung 2's optimal point and dual (_lift): its answer certifies the
-    full program, so every two-state answer is rung 2's optimum."""
+    edges are edges.  On two states the last three fields say how
+    lp.solve reaches the optimum.  propose, given exactly when the
+    forest is made of paths, gives the program's optimal point and dual
+    in closed form (_path_certificate).  Otherwise rungs are the
+    (program, columns) pairs lp.solve climbs: the program over a rung's
+    points (_rungs), and the full program's column of each of its
+    variables; lift is what lp.solve hands rung 2's optimal point and
+    dual (_lift), and its answer certifies the full program.  rungs and
+    lift are empty for path forests and past two states, and propose is
+    None but for path forests on two states."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
@@ -108,6 +122,7 @@ class GridLP:
     graph: DominationGraph
     rungs: tuple[tuple[lp.LinearProgram, tuple[int, ...]], ...]
     lift: Callable[[dict, tuple], tuple[list, list]] | None
+    propose: Callable[[], tuple[list, list]] | None
 
     def var_names(self) -> list[str]:
         """lp.dump's names, formatted when asked: x{i}@(w) per receiver
@@ -130,9 +145,10 @@ def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]
 
 def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     """Assemble the exact grid program for a forest instance and, on two
-    states, both rungs' programs (_grid_program over _rungs' points) and
-    the lift of rung 2's answer (_lift).  Where rung 2 holds every point,
-    its program is a copy of the full one, and the lift the identity.
+    states, how lp.solve is to reach its optimum: for a forest of paths
+    the certificate in closed form (_path_certificate), and for any
+    other forest both rungs' programs and the lift of rung 2's answer
+    (_ladder).
 
     Families, in row order: Bayes-plausibility per receiver per state;
     per covering edge the spread-side row sums, coarse-side column
@@ -148,36 +164,26 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     pts = grid.points()
     k = instance.k
     n = len(pts)
-    x_base = tuple(i * n for i in range(k))
-    y_base = tuple(k * n + e * n * n for e in range(len(edges)))
     # each receiver's utility at each point, aligned with pts
     values = [[u.value_at(w, instance.space) for w in pts] for u in instance.utilities.receivers]
-    D = grid.denominator
-
-    def program(points):
-        """The program over pts[a] for a in points."""
-        sub = [[u[a] for a in points] for u in values]
-        return _grid_program(instance.prior, edges, D, [pts[a] for a in points], sub)
-
-    full = program(range(n))
-    rungs, lift = [], None
-    if grid.dim == 2:
-        ladder = _rungs(instance.prior.values[0] * D, values)
-        for points in ladder:
-            xs = [base + a for base in x_base for a in points]
-            ys = [base + a * n + c for base in y_base for a in points for c in points]
-            rungs.append((program(points), tuple(xs + ys)))
-        lift = partial(_lift, ladder[1], k, len(edges), full.n_vars)
+    full = _grid_program(instance.prior, edges, grid.denominator, pts, values)
+    rungs, lift, propose = (), None, None
+    if grid.dim == 2 and len({i1 for i1, _ in edges}) == len(edges):
+        # no receiver spreads onto two: every tree is a path
+        propose = partial(_path_certificate, instance.prior.values[0], edges, values)
+    elif grid.dim == 2:
+        rungs, lift = _ladder(instance.prior, edges, pts, values)
     return GridLP(
         program=full,
         grid=grid,
         points=pts,
         edges=edges,
-        x_base=x_base,
-        y_base=y_base,
+        x_base=tuple(i * n for i in range(k)),
+        y_base=tuple(k * n + e * n * n for e in range(len(edges))),
         graph=graph,
-        rungs=tuple(rungs),
+        rungs=rungs,
         lift=lift,
+        propose=propose,
     )
 
 
@@ -209,6 +215,32 @@ def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
         constraints.append((dict.fromkeys(range(base, base + n), 1), lp.EQ, 1, 1))
     n_vars = k * n + len(edges) * n * n
     return lp.LinearProgram.integral(n_vars, (objective, obj_den), constraints)
+
+
+def _ladder(prior, edges, pts, values) -> tuple[tuple, Callable]:
+    """The rungs and the lift of the two-state grid program over the
+    sorted points pts of the 1/D lattice, values[i][a] receiver i's
+    utility at pts[a]: each rung as (_grid_program over _rungs' points,
+    the full program's column of each of its variables), and _lift over
+    rung 2's points.  Where rung 2 holds every point, its program is a
+    copy of the full one, and the lift the identity."""
+    k, n = len(values), len(pts)
+    D = n - 1
+    ladder, rungs = _rungs(prior.values[0] * D, values), []
+    for points in ladder:
+        program = _grid_program(
+            prior, edges, D, [pts[a] for a in points], [[u[a] for a in points] for u in values]
+        )
+        xs = [i * n + a for i in range(k) for a in points]
+        ys = [
+            k * n + e * n * n + a * n + c
+            for e in range(len(edges))
+            for a in points
+            for c in points
+        ]
+        rungs.append((program, tuple(xs + ys)))
+    n_vars = k * n + len(edges) * n * n
+    return tuple(rungs), partial(_lift, ladder[1], k, len(edges), n_vars)
 
 
 def _rungs(prior, values) -> list[list[int]]:
@@ -271,17 +303,17 @@ def _edge_lift(points, alpha, gamma, beta) -> list[Fraction]:
     coordinate p/D.  A y(l, p) column then prices at the tangent line
     of the envelope at p, which lies above -alpha at every l."""
     D = points[-1]
-    envelope = _concave_majorant(points, [-a for a in alpha])
+    envelope, M, _ = _concave_majorant(points, [-a for a in alpha])
     rows, columns, centres = [], [], []
     for t, (r, s) in enumerate(zip(points, points[1:])):
         rows.append(alpha[t])
         columns.append(gamma[t])
         centres.append(beta[t])
         step = (alpha[t + 1] - alpha[t]) / (s - r)
-        slope = (envelope[t + 1] - envelope[t]) / (s - r)
+        slope = (envelope[t + 1] - envelope[t]) / ((s - r) * M)
         for p in range(1, s - r):
             rows.append(alpha[t] + step * p)
-            columns.append(envelope[t] + slope * p)
+            columns.append(envelope[t] / M + slope * p)
             centres.append(slope * D)
     rows.append(alpha[-1])
     columns.append(gamma[-1])
@@ -289,10 +321,13 @@ def _edge_lift(points, alpha, gamma, beta) -> list[Fraction]:
     return rows + columns + centres
 
 
-def _concave_majorant(xs, values) -> list[Fraction]:
+def _concave_majorant(xs, values) -> tuple[list, int, list[tuple[int, int]]]:
     """The least concave majorant of the points (xs[t], values[t]), xs
-    increasing, at each xs[t]: the upper hull, one vertex at a time,
-    read off at the points it passes over."""
+    increasing integers, at each xs[t]: (M times it at each t, M, the
+    piece of each t).  The pieces are the segments between neighbouring
+    vertices of the upper hull, M the lcm of their lengths, so that
+    integer values give an integer majorant; the piece of t is the one,
+    (l, r) as indices, with l <= t < r, and the last one for the last t."""
     hull: list[int] = []
     for t, (x, v) in enumerate(zip(xs, values)):
         # drop the last vertex while it lies on or below the chord to t
@@ -302,12 +337,99 @@ def _concave_majorant(xs, values) -> list[Fraction]:
         ):
             hull.pop()
         hull.append(t)
-    majorant = list(values)
-    for a, b in zip(hull, hull[1:]):
-        slope = (values[b] - values[a]) / (xs[b] - xs[a])
-        for t in range(a + 1, b):
-            majorant[t] = values[a] + slope * (xs[t] - xs[a])
-    return majorant
+    M = lcm(*(xs[r] - xs[l] for l, r in zip(hull, hull[1:])))
+    majorant, pieces = [v * M for v in values], [(hull[-2], hull[-1])] * len(xs)
+    for l, r in zip(hull, hull[1:]):
+        step = (values[r] - values[l]) * (M // (xs[r] - xs[l]))
+        for t in range(l, r):
+            majorant[t] = majorant[l] + step * (xs[t] - xs[l])
+            pieces[t] = (l, r)
+    return majorant, M, pieces
+
+
+def _path_certificate(prior, edges, values) -> tuple[list, list]:
+    """The optimal point and dual of the two-state grid program over
+    0..D, in _grid_program's numbering, when no receiver spreads onto
+    two (edges, sorted, make a forest of paths); prior is the first
+    state's prior, values[i][a] receiver i's utility at point a, whose
+    first coordinate is a/D.
+
+    Walking each path from its root, the most informed receiver, set
+    f(root) = u(root) and f(child) = u(child) + cav f(parent), each cav
+    the least concave majorant over the lattice; the optimum is the sum
+    over paths of cav f(leaf) at the prior (Kamenica and Gentzkow's
+    cav u, nested).  The dual: on each covering edge, with f = f(parent),
+    each row-sum dual is -f, each column-sum dual cav f and each
+    barycenter dual a slope of cav f per unit of the first coordinate,
+    so that the x columns of every receiver but a leaf price at 0 and
+    each y(l, c) column prices at cav f's supporting line at c less f(l).
+    A leaf's Bayes-plausibility duals are the supporting line of
+    cav f(leaf) at the prior; every other one, and every normalization
+    dual, is 0.  The point: a leaf puts its mass on the prior, or on the
+    two hull vertices around it; up the path, each atom c stays where
+    f(parent) is cav f(parent), and otherwise splits onto the ends of
+    its piece of the hull, keeping its mean.  Every column with mass
+    prices at 0, so c.x = y'b.
+
+    Values are integers over one denominator per receiver, which grows
+    by each majorant's M (_concave_majorant) down the path."""
+    k, n = len(values), len(values[0])
+    D = n - 1
+    below, number = dict(edges), {edge: e for e, edge in enumerate(edges)}
+    V = lcm(*(v.denominator for u in values for v in u))
+    x: list[Fraction] = [_ZERO] * (k * n + len(edges) * n * n)
+    y: list[Fraction] = [_ZERO] * (3 * k + 3 * n * len(edges))
+    for root in sorted(set(range(k)) - set(below.values())):
+        path = [root]
+        while path[-1] in below:
+            path.append(below[path[-1]])
+        # down the path: f(i) in integers over S, each parent's majorant
+        S, f, parents = V, [v.numerator * (V // v.denominator) for v in values[root]], []
+        for i, child in zip(path, path[1:]):
+            cav, M, pieces = _concave_majorant(range(n), f)
+            parents.append((f, cav, M, pieces))
+            S *= M
+            steps = [r - l for l, r in zip(cav, cav[1:])]
+            at = 2 * k + 3 * n * number[i, child]
+            y[at : at + 3 * n] = [
+                *(Fraction(-v * M, S) for v in f),
+                *(Fraction(v, S) for v in cav),
+                *(Fraction(D * step, S) for step in steps + steps[-1:]),
+            ]
+            f = [v.numerator * (S // v.denominator) + c for v, c in zip(values[child], cav)]
+        # the leaf's Bayes-plausibility duals: cav f's line over the piece
+        # that holds the prior, at (1, 0) and at (0, 1)
+        cav, M, pieces = _concave_majorant(range(n), f)
+        p = prior * D
+        q = floor(p)
+        step, leaf = cav[q + 1] - cav[q], 2 * path[-1]
+        line = (cav[q] + step * (D - q), cav[q] - step * q)
+        y[leaf : leaf + 2] = (Fraction(v, S * M) for v in line)
+        if p == q and f[q] * M == cav[q]:
+            mass = {q: Fraction(1)}
+        else:
+            mass = _split(p, pieces[q], Fraction(1))
+        # up the path: each receiver's marginal, and its parent's by the split
+        for t in range(len(path) - 1, 0, -1):
+            f, cav, M, pieces = parents[t - 1]
+            base = k * n + number[path[t - 1], path[t]] * n * n
+            spread: dict[int, Fraction] = {}
+            for c, m in mass.items():
+                x[path[t] * n + c] = m
+                for a, v in ({c: m} if f[c] * M == cav[c] else _split(c, pieces[c], m)).items():
+                    x[base + a * n + c] = v
+                    spread[a] = spread.get(a, _ZERO) + v
+            mass = spread
+        for a, m in mass.items():
+            x[root * n + a] = m
+    return x, y
+
+
+def _split(c, piece: tuple[int, int], m: Fraction) -> dict[int, Fraction]:
+    """Mass m at c, strictly inside piece (l, r), spread onto l and r
+    with its mean kept."""
+    l, r = piece
+    return {l: m * (r - c) / (r - l), r: m * (c - l) / (r - l)}
 
 
 @dataclass(frozen=True)
@@ -384,7 +506,7 @@ def _solve_grid(
 ) -> tuple[GridSolution, DominationGraph]:
     """solve_grid, with the domination forest the program was built on."""
     glp = build_grid_lp(instance, grid)
-    sol = lp.solve(glp.program, rungs=glp.rungs, lift=glp.lift)
+    sol = lp.solve(glp.program, rungs=glp.rungs, lift=glp.lift, propose=glp.propose)
     if sol.status != lp.OPTIMAL:
         raise InvariantViolation(f"grid program reported {sol.status}")
     solution = _read_solution(glp, sol.assignment, sol.objective)

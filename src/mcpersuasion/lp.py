@@ -10,27 +10,30 @@ largest-reduced-cost rule and falls back to the smallest-index rule
 after a long run of degenerate pivots, so it always terminates.
 
 solve alone picks the start, and a start changes only the path taken.
-Given rungs, smaller programs each paired with the columns of the full
-one that its variables stand for, it climbs a ladder: each rung, then
-the full program, starts from the previous rung's optimal point kept to
-the columns it holds, completed exactly; the first rung, and one after
-a rung that is not optimal, starts from the empty support.  Given also
-a lift, which maps the last rung's optimal point and dual to a point
-and dual of the full program, solve returns them when they certify
-optimality, and no engine is built on the full program.  No
-floating-point solve is tried.  Without rungs, a program with a row and
-at least _CRASH_THRESHOLD rows x columns, when scipy imports, starts
-from a floating-point solve's support, completed the same way; any
-other program, and any start whose completed basis is refused, starts
-from the all-artificial basis with phase 1.
+A caller may propose a certificate, a point and dual of the full
+program: directly (propose), or as the lift of the last rung's answer.
+solve returns a proposal, as given, exactly when it certifies
+optimality, and then no engine is built on the full program; a refused
+one is never returned, and the full program starts from the point the
+proposal came with, completed exactly.  Given rungs, smaller programs
+each paired with the columns of the full one that its variables stand
+for, solve climbs a ladder: each rung starts from the previous rung's
+optimal point kept to the columns it holds, completed exactly; the
+first rung, and one after a rung that is not optimal, starts from the
+empty support.  No floating-point solve is tried then.  With neither
+rungs nor a proposal, a program with a row and at least
+_CRASH_THRESHOLD rows x columns, when scipy imports, starts from a
+floating-point solve's support, completed the same way; any other
+program, and any start whose completed basis is refused, starts from
+the all-artificial basis with phase 1.
 
 No status is reported on trust: an optimal answer carries a dual
 vector, an infeasible one a Farkas vector, an unbounded one a feasible
 point and an improving ray, each checked exactly against the program as
-stored, never the engine's scaled rows or a rung; a failed optimality
-check is named with its row or column (_optimality_failure).  Output is
-deterministic for a fixed input; only a solve without rungs that takes
-the floating-point start can depend on the installation.
+stored, never the engine's scaled rows or a rung; a failed check is
+named with its row or column (_optimality_failure, _farkas_failure,
+_ray_failure).  Output is deterministic for a fixed input; only a solve
+that takes the floating-point start can depend on the installation.
 """
 
 from __future__ import annotations
@@ -255,9 +258,27 @@ def _value(lp: LinearProgram, ints: list[int], X: int) -> Fraction:
     return Fraction(sum(a * ints[j] for j, a in lp.obj.items()), lp.obj_den * X)
 
 
+def _located(lp, v, what, name, scale) -> tuple[tuple[list[int], int] | None, str | None]:
+    """(_point(lp, v), None) when v is a nonnegative vector of lp's length
+    at which every row holds against its right-hand side times scale:
+    1 for a point, at which A v rel b, and 0 for a ray, along which
+    A v rel 0.  Otherwise (None, the first part that fails, named with
+    its index): what is v's name in the length's message, name its
+    entries' and the rows'."""
+    point = _point(lp, v)
+    if point is None:
+        if len(v) != lp.n_vars:
+            return None, f"{what} has {len(v)} entries for {lp.n_vars} columns"
+        j = next(j for j, e in enumerate(v) if e < 0)
+        return None, f"{name}[{j}] = {v[j]} is negative"
+    ints, X = point
+    if (i := _failing_row(lp, ints, X * scale)) is not None:
+        return None, f"row {i} does not hold {'at' if scale else 'along'} {name}"
+    return point, None
+
+
 def check_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
-    point = _point(lp, x)
-    return point is not None and _failing_row(lp, *point) is None
+    return _located(lp, x, "point", "x", 1)[1] is None
 
 
 def _wrong_sign(lp, y) -> int | None:
@@ -290,50 +311,78 @@ def _priced_column(lp, yA, s) -> int | None:
     return _first_false(map(operator.ge, map(operator.mul, yA, repeat(lp.obj_den)), bound))
 
 
-def _optimality_failure(lp, x, y) -> str | None:
-    """The first part of the optimality certificate (x, y) that fails,
-    named with its index, in the order checked: the dual's length, the
-    point's length and signs, a row of lp at x, a dual of the wrong sign,
-    a column's reduced cost, and the gap between c.x and y'b.  None when
-    (x, y) certifies that x is optimal."""
+def _optimality(lp, x, y) -> tuple[str | None, Fraction | None]:
+    """(failure, value).  failure names the first part of the optimality
+    certificate (x, y) that fails, with its index, in the order checked:
+    the dual's length, the point's length and signs, a row of lp at x, a
+    dual of the wrong sign, a column's reduced cost, and the gap between
+    c.x and y'b; value is then None.  When (x, y) certifies that x is
+    optimal, failure is None and value is c.x, read off the check's one
+    scan of x."""
     if len(y) != lp.n_constraints:
-        return f"dual has {len(y)} entries for {lp.n_constraints} rows"
-    point = _point(lp, x)
-    if point is None:
-        if len(x) != lp.n_vars:
-            return f"point has {len(x)} entries for {lp.n_vars} columns"
-        j = next(j for j, v in enumerate(x) if v < 0)
-        return f"x[{j}] = {x[j]} is negative"
-    if (i := _failing_row(lp, *point)) is not None:
-        return f"row {i} does not hold at x"
+        return f"dual has {len(y)} entries for {lp.n_constraints} rows", None
+    point, failure = _located(lp, x, "point", "x", 1)
+    if failure is not None:
+        return failure, None
     if (i := _wrong_sign(lp, y)) is not None:
-        return f"y[{i}] = {y[i]} has the wrong sign for a {lp.rows[i][1]} row"
+        return f"y[{i}] = {y[i]} has the wrong sign for a {lp.rows[i][1]} row", None
     yA, yb, s = _scaled_yA(lp, y)
     if (j := _priced_column(lp, yA, s)) is not None:
         cost = Fraction(lp.obj.get(j, 0), lp.obj_den) - Fraction(yA[j], s)
-        return f"column {j} has reduced cost {cost} > 0"
+        return f"column {j} has reduced cost {cost} > 0", None
     value, bound = _value(lp, *point), Fraction(yb, s)
     if value != bound:
-        return f"c.x = {value} differs from y'b = {bound}"
-    return None
+        return f"c.x = {value} differs from y'b = {bound}", None
+    return None, value
+
+
+def _optimality_failure(lp, x, y) -> str | None:
+    """_optimality's failure: None exactly when (x, y) certifies that x
+    is optimal."""
+    return _optimality(lp, x, y)[0]
 
 
 def check_optimal(lp, x, y) -> bool:
     return _optimality_failure(lp, x, y) is None
 
 
+def _farkas_failure(lp, y) -> str | None:
+    """The first part of the infeasibility certificate y that fails,
+    named with its index, in the order checked: its length, an entry of
+    the wrong sign, a column where y'A is negative, and y'b, which must
+    be negative.  None when y proves that lp has no feasible point."""
+    if len(y) != lp.n_constraints:
+        return f"Farkas vector has {len(y)} entries for {lp.n_constraints} rows"
+    if (i := _wrong_sign(lp, y)) is not None:
+        return f"y[{i}] = {y[i]} has the wrong sign for a {lp.rows[i][1]} row"
+    yA, yb, s = _scaled_yA(lp, y)
+    if (j := _first_false(v >= 0 for v in yA)) is not None:
+        return f"column {j} has y'A = {Fraction(yA[j], s)} < 0"
+    if yb >= 0:
+        return f"y'b = {Fraction(yb, s)} is not negative"
+    return None
+
+
 def check_farkas(lp, y) -> bool:
-    if len(y) != lp.n_constraints or _wrong_sign(lp, y) is not None:
-        return False
-    yA, yb, _ = _scaled_yA(lp, y)
-    return min(yA, default=0) >= 0 and yb < 0
+    return _farkas_failure(lp, y) is None
+
+
+def _ray_failure(lp, x0, d) -> str | None:
+    """The first part of the unboundedness certificate (x0, d) that
+    fails, named with its index, in the order checked: the point x0's
+    length, signs and rows (A x0 rel b), the ray d's length, signs and
+    rows (A d rel 0), and its gain c.d, which must be positive.  None
+    when x0 is feasible and d an improving ray."""
+    failure = _located(lp, x0, "point", "x", 1)[1]
+    if failure is None:
+        ray, failure = _located(lp, d, "ray", "d", 0)
+    if failure is None and (gain := _value(lp, *ray)) <= 0:
+        failure = f"c.d = {gain} is not positive"
+    return failure
 
 
 def check_ray(lp, x0, d) -> bool:
-    if not check_feasible(lp, x0):
-        return False
-    ray = _point(lp, d)
-    return ray is not None and _value(lp, *ray) > 0 and _failing_row(lp, ray[0], 0) is None
+    return _ray_failure(lp, x0, d) is None
 
 
 # ---------------------------------------------------------------------------
@@ -695,27 +744,27 @@ class _Engine:
             self._start_all_artificial()
             farkas = self._phase1() if self.m > 0 else None
             if farkas is not None:
-                if not check_farkas(self.lp, farkas):
-                    raise InvariantViolation("Farkas certificate failed verification")
+                failure = _farkas_failure(self.lp, farkas)
+                if failure is not None:
+                    raise InvariantViolation(f"Farkas certificate failed verification: {failure}")
                 return LPSolution(status=INFEASIBLE, farkas=tuple(farkas))
         entering = self._run(self.obj)
         if entering is not None:
             x0 = self._assignment()
             d = self._ray(entering)
-            if not check_ray(self.lp, x0, d):
-                raise InvariantViolation("unboundedness certificate failed verification")
+            failure = _ray_failure(self.lp, x0, d)
+            if failure is not None:
+                raise InvariantViolation(
+                    f"unboundedness certificate failed verification: {failure}"
+                )
             return LPSolution(status=UNBOUNDED, assignment=tuple(x0), ray=tuple(d))
         x = self._assignment()
         # undo the row scales, the objective scale and den
         y = self._map_dual(self._duals(self.obj), self.obj_scale * self.den)
-        failure = _optimality_failure(self.lp, x, y)
+        failure, value = _optimality(self.lp, x, y)
         if failure is not None:
             raise InvariantViolation(f"optimality certificate failed verification: {failure}")
-        value = sum(self.obj[j] * v for j, v in zip(self.basis, self.xb))
-        value = Fraction(value, self.obj_scale * self.den)
-        return LPSolution(
-            status=OPTIMAL, assignment=tuple(x), objective=value, dual=tuple(y)
-        )
+        return LPSolution(status=OPTIMAL, assignment=tuple(x), objective=value, dual=tuple(y))
 
     def _assignment(self) -> list[Fraction]:
         x = [Fraction(0)] * self.n_real
@@ -800,37 +849,53 @@ def solve(
     *,
     rungs: Sequence[tuple] = (),
     lift: Callable[[dict, tuple], tuple] | None = None,
+    propose: Callable[[], tuple] | None = None,
 ) -> LPSolution:
     """Solve to a certified status, from the start picked here; lp is
     read, never changed.
 
+    A proposed certificate (x, y) for lp comes from propose(), or from
+    lift(point, dual) on the last rung's optimal point and dual.  If
+    check_optimal accepts it, it is the answer, as given, with c.x from
+    the check, and no engine is built on lp.  A refused one is never
+    returned: lp then starts from the point the proposal came with (the
+    last rung's, or the proposed x), completed exactly.  A proposal is
+    never trusted, so none is checked to come from lp.
+
     rungs are (program, columns) pairs, variable t of program standing
     for column columns[t] of lp.  Given some, they are climbed (_climb),
-    never from a floating-point solve.  When the last rung is optimal
-    and a lift is given, lift(point, dual) on its point and dual gives
-    (x, y) for lp; if check_optimal accepts them, they are the answer,
-    as given, and no engine is built on lp; a lift without rungs is
-    refused.  Otherwise lp starts from the last rung's point, completed
-    exactly.  A rung only proposes a start, and a lift only a
-    certificate, so neither is checked to restrict lp, and a rung may be
-    a copy of lp, whose pivots its engine then does; a start from nested
-    restrictions, each optimal, always completes.  Without rungs, the
-    floating-point start is tried exactly when lp has a row, is at least
-    _CRASH_THRESHOLD rows x columns and scipy imports (_highs)."""
+    never from a floating-point solve; when the last rung is not
+    optimal, lp starts from the empty support.  A rung only proposes a
+    start, so none is checked to restrict lp, and a rung may be a copy
+    of lp, whose pivots its engine then does; a start from nested
+    restrictions, each optimal, always completes.  A lift without rungs,
+    and propose with rungs, are refused.  With neither rungs nor
+    propose, the floating-point start is tried exactly when lp has a
+    row, is at least _CRASH_THRESHOLD rows x columns and scipy imports
+    (_highs)."""
     rungs = [_rung(lp, rung) for rung in rungs]
     if lift is not None and not rungs:
         raise ValidationError("a lift needs rungs, whose last answer it lifts")
-    if rungs:
+    if propose is not None and rungs:
+        raise ValidationError("a proposal stands in for rungs: give one or the other")
+    point = None
+    if propose is not None:
+        x, y = propose()
+    elif rungs:
         # climbed before lp's engine is built, which keeps peak memory down
         point, dual = _climb(rungs)
         if point is None:
             return _Engine(lp).solve([])
-        if lift is not None:
-            x, y = lift(point, dual)
-            if check_optimal(lp, x, y):
-                objective = _value(lp, *_point(lp, x))
-                return LPSolution(OPTIMAL, assignment=tuple(x), objective=objective, dual=tuple(y))
-        return _Engine(lp).solve(_start(lp, range(lp.n_vars), point))
-    engine = _Engine(lp)
-    big = len(lp.rows) * max(lp.n_vars, 1) >= _CRASH_THRESHOLD
-    return engine.solve(engine._try_crash() if lp.rows and big else None)
+        if lift is None:
+            return _Engine(lp).solve(_start(lp, range(lp.n_vars), point))
+        x, y = lift(point, dual)
+    else:
+        engine = _Engine(lp)
+        big = len(lp.rows) * max(lp.n_vars, 1) >= _CRASH_THRESHOLD
+        return engine.solve(engine._try_crash() if lp.rows and big else None)
+    failure, value = _optimality(lp, x, y)
+    if failure is None:
+        return LPSolution(OPTIMAL, assignment=tuple(x), objective=value, dual=tuple(y))
+    if point is None:
+        point = {j: v for j, v in enumerate(x) if v}
+    return _Engine(lp).solve(_start(lp, range(lp.n_vars), point))

@@ -153,13 +153,18 @@ def check_epsilon(epsilon) -> None:
         raise BadEpsilon(f"epsilon must lie in (0, 1), got {epsilon}")
 
 
-def _probability(v) -> Fraction:
-    """v, exactly: a Fraction, or an int that is not a bool."""
-    if isinstance(v, Fraction):
+def _exact(v, what: str):
+    """v as it is when it is exact: a Fraction, or an int that is not a
+    bool.  A float, a string, a bool or anything else is refused by
+    type, never converted; what names v in the message."""
+    if isinstance(v, Fraction) or (isinstance(v, int) and not isinstance(v, bool)):
         return v
-    if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
-    raise ValidationError(f"probability {v!r} is neither an int nor a Fraction")
+    raise ValidationError(f"{what} {v!r} is neither an int nor a Fraction")
+
+
+def _probability(v) -> Fraction:
+    """v, exactly (_exact), as a Fraction."""
+    return v if isinstance(v, Fraction) else Fraction(_exact(v, "probability"))
 
 
 def dot(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
@@ -320,6 +325,9 @@ class ReceiverUtility:
 class ConstantUtility(ReceiverUtility):
     value: Fraction
 
+    def __post_init__(self):
+        _exact(self.value, "constant utility value")
+
     def value_at(self, point, space):
         return self.value
 
@@ -340,6 +348,10 @@ class ThresholdUtility(ReceiverUtility):
     high: Fraction = Fraction(1)
     low: Fraction = Fraction(0)
     strict: bool = False
+
+    def __post_init__(self):
+        for name in ("cutoff", "high", "low"):
+            _exact(getattr(self, name), f"threshold utility {name}")
 
     def value_at(self, point, space):
         q = point[space.index(self.state)]
@@ -364,6 +376,12 @@ class PointUtility(ReceiverUtility):
     point: Posterior
     value: Fraction
     otherwise: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        for x in self.point:
+            _exact(x, "point utility coordinate")
+        _exact(self.value, "point utility value")
+        _exact(self.otherwise, "point utility otherwise")
 
     def value_at(self, point, space):
         if len(self.point) != space.size:
@@ -394,6 +412,9 @@ class PiecewiseUtility(ReceiverUtility):
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
+        for name in ("breakpoints", "values"):
+            for v in getattr(self, name):
+                _exact(v, f"piecewise utility {name[:-1]}")
         if len(self.values) != len(self.breakpoints) + 1:
             raise MatrixShapeMismatch("piecewise utility needs len(values) == len(breakpoints) + 1")
         bps = self.breakpoints
@@ -424,6 +445,11 @@ class LinearUtility(ReceiverUtility):
     coeffs: tuple[Fraction, ...]
     offset: Fraction = Fraction(0)
 
+    def __post_init__(self):
+        for c in self.coeffs:
+            _exact(c, "linear utility coefficient")
+        _exact(self.offset, "linear utility offset")
+
     def value_at(self, point, space):
         if len(self.coeffs) != len(point):
             raise MatrixShapeMismatch("linear utility dimension mismatch")
@@ -445,7 +471,12 @@ class TableUtility(ReceiverUtility):
     table: tuple[tuple[Posterior, Fraction], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple((tuple(p), Fraction(v)) for p, v in self.table))
+        table = tuple((tuple(p), v) for p, v in self.table)
+        for p, v in table:
+            for x in p:
+                _exact(x, "table utility coordinate")
+            _exact(v, "table utility value")
+        object.__setattr__(self, "table", table)
         if len({p for p, _ in self.table}) != len(self.table):
             raise ValidationError("table utility has duplicate points")
 
@@ -503,6 +534,7 @@ class MemberRule:
     }
 
     def __post_init__(self):
+        _exact(self.cutoff, "member rule cutoff")
         if self.op not in self._OPS:
             raise ValidationError(f"unknown member rule op {self.op!r}")
 
@@ -518,7 +550,7 @@ class Group:
     rule: MemberRule
 
     def __post_init__(self):
-        if self.weight.numerator < 0:
+        if _exact(self.weight, "group weight") < 0:
             raise ValidationError("group weight must be nonnegative")
         if not (0 <= self.threshold <= len(self.members)):
             raise ValidationError("group threshold must lie in [0, group size]")

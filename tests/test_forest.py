@@ -466,23 +466,35 @@ def _two_state_forest(rng, structure):
     return make_instance(structure, utilities, prior=(1 - high, high))
 
 
+def _ladder_of(inst, glp):
+    """glp's rungs and lift; for a path forest, which build_grid_lp gives
+    none, the ones forest._ladder builds from _rungs' points and _lift."""
+    if glp.propose is None:
+        return glp.rungs, glp.lift
+    values = [[u.value_at(w, inst.space) for w in glp.points] for u in inst.utilities.receivers]
+    return forest._ladder(inst.prior, glp.edges, glp.points, values)
+
+
 def _climb_and_compare(inst, denominator):
     """The ladder's answer against plain lp.solve on the grid program: the
     same objective, certified against the full program, and the start
     at the top of the ladder completes to a feasible basis of the full
-    program, so phase 1 is skipped.  Returns the GridLP."""
+    program, so phase 1 is skipped.  solve_grid, which takes the closed
+    form on path forests, reaches the same objective.  Returns the
+    GridLP, its rungs and its lift."""
     grid = PosteriorGrid(dim=2, denominator=denominator)
     glp = build_grid_lp(inst, grid)
-    point, _ = lp._climb(glp.rungs)
+    rungs, lift = _ladder_of(inst, glp)
+    point, _ = lp._climb(rungs)
     start = lp._start(glp.program, range(glp.program.n_vars), point)
-    assert glp.rungs and lp._Engine(glp.program)._complete(start)
-    climbed = lp.solve(glp.program, rungs=glp.rungs)
+    assert rungs and lp._Engine(glp.program)._complete(start)
+    climbed = lp.solve(glp.program, rungs=rungs)
     plain = lp.solve(glp.program)
     assert climbed.status == plain.status == lp.OPTIMAL
     assert climbed.objective == plain.objective
     assert lp.check_optimal(glp.program, climbed.assignment, climbed.dual)
     assert solve_grid(inst, grid).objective == plain.objective
-    return glp
+    return glp, rungs, lift
 
 
 def test_ladder_matches_the_plain_solve_on_the_generators():
@@ -539,16 +551,20 @@ def test_ladder_matches_the_plain_solve_on_jumps_and_off_grid_priors(
     the tabulated values, so it needs no semicontinuity.  The prior off
     the grid leaves the completed start short of optimal on the full
     program, but the lift certifies rung 2's answer as it is, so on the
-    grid or off it an engine is built on each rung and on nothing else."""
+    grid or off it an engine is built on each rung and on nothing else;
+    the closed form of these chains needs no engine at all."""
     built = _engines_built(monkeypatch)
     inst = make_instance(CHAIN2, utilities, prior=prior)
     for denominator in (10, 20, 40):
-        glp = _climb_and_compare(inst, denominator)
-        first = [glp.points[j] for j in glp.rungs[0][1] if j < len(glp.points)]
+        glp, rungs, lift = _climb_and_compare(inst, denominator)
+        first = [glp.points[j] for j in rungs[0][1] if j < len(glp.points)]
         assert len(first) == (2 if off_grid else 1)
         built.clear()
-        lp.solve(glp.program, rungs=glp.rungs, lift=glp.lift)
-        assert built == [program for program, _ in glp.rungs]
+        lp.solve(glp.program, rungs=rungs, lift=lift)
+        assert built == [program for program, _ in rungs]
+        built.clear()
+        lp.solve(glp.program, propose=glp.propose)
+        assert built == []
 
 
 def test_the_lift_certifies_every_two_state_grid(monkeypatch):
@@ -561,20 +577,23 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
     steps up to 1/20, where a plain solve is cheap, the objective is the
     plain solve's.  The steps 1/2 to 1/6 include grids whose rung 2
     holds every point: its program is then a copy of the full one, and
-    the lift is the identity."""
+    the lift is the identity.  The chains, which build_grid_lp certifies
+    in closed form, take the ladder forest._ladder builds (_ladder_of),
+    so the theorem stays covered on them."""
     built = _engines_built(monkeypatch)
     whole = 0
     for inst, denominator in _rung_programs():
         glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-        assert len(glp.rungs) == 2 and glp.lift is not None
-        whole += len(glp.rungs[1][1]) == glp.program.n_vars
-        point, dual = lp._climb(glp.rungs)
-        x, y = glp.lift(point, dual)
+        rungs, lift = _ladder_of(inst, glp)
+        assert len(rungs) == 2 and lift is not None
+        whole += len(rungs[1][1]) == glp.program.n_vars
+        point, dual = lp._climb(rungs)
+        x, y = lift(point, dual)
         refused = lp._optimality_failure(glp.program, x, y)
         assert refused is None, f"lift refused at 1/{denominator}: {refused}"
         built.clear()
-        sol = lp.solve(glp.program, rungs=glp.rungs, lift=glp.lift)
-        assert built == [program for program, _ in glp.rungs]
+        sol = lp.solve(glp.program, rungs=rungs, lift=lift)
+        assert built == [program for program, _ in rungs]
         assert (sol.status, sol.assignment, sol.dual) == (lp.OPTIMAL, tuple(x), tuple(y))
         assert lp.check_optimal(glp.program, sol.assignment, sol.dual)
         if denominator <= 20:
@@ -585,9 +604,10 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
 @pytest.mark.parametrize("name, denominator", [("chain2", 400), ("star3", 80)])
 def test_fine_two_state_grids_need_no_engine_on_the_full_program(name, denominator, monkeypatch):
     """chain2 at 1/400 (161,603 columns) and star3 at 1/80 through
-    solve_fptas: the lifted answer is certified against the full
-    program, no engine is built on it, and the objective is the 1/40
-    one, since every breakpoint and the prior lie on 1/10."""
+    solve_fptas: the answer, chain2's in closed form and star3's lifted,
+    is certified against the full program, no engine is built on it
+    (nor on anything, for chain2), and the objective is the 1/40 one,
+    since every breakpoint and the prior lie on 1/10."""
     inst = _data_instance(name)
     reference = solve_fptas(inst, F(1, 40))[0].objective
     built, solved = _engines_built(monkeypatch), []
@@ -600,7 +620,7 @@ def test_fine_two_state_grids_need_no_engine_on_the_full_program(name, denominat
     monkeypatch.setattr(forest.lp, "solve", solve)
     solution, table = solve_fptas(inst, F(1, denominator))
     [(program, sol)] = solved
-    assert built and program not in built
+    assert program not in built and bool(built) is (name == "star3")
     assert lp.check_optimal(program, sol.assignment, sol.dual)
     assert solution.objective == sol.objective == reference
     assert evaluate_table(table, inst) == reference
@@ -612,17 +632,19 @@ def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
     check_optimal refuses it.  solve then completes the ladder's start
     on the full program, skips phase 1 and runs phase 2 there, to the
     plain solve's objective, certified."""
-    glp = build_grid_lp(_data_instance("chain2"), PosteriorGrid(dim=2, denominator=20))
+    inst = _data_instance("chain2")
+    glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
+    rungs, lift = _ladder_of(inst, glp)
     n, k = len(glp.points), len(glp.x_base)
-    held = {j - glp.x_base[0] for j in glp.rungs[-1][1] if j < n}
+    held = {j - glp.x_base[0] for j in rungs[-1][1] if j < n}
     row = 2 * k + n + min(set(range(n)) - held)  # the first edge's column sum there
 
     def bent(point, dual):
-        x, y = glp.lift(point, dual)
+        x, y = lift(point, dual)
         y[row] -= F(1, y[row].denominator)
         return x, y
 
-    refused = lp._optimality_failure(glp.program, *bent(*lp._climb(glp.rungs)))
+    refused = lp._optimality_failure(glp.program, *bent(*lp._climb(rungs)))
     assert refused is not None and refused.startswith("column "), refused
     completed, phases = [], []
     real_complete, real_run, real_phase1 = lp._Engine._complete, lp._Engine._run, lp._Engine._phase1
@@ -637,11 +659,218 @@ def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
 
     monkeypatch.setattr(lp._Engine, "_complete", complete)
     monkeypatch.setattr(lp._Engine, "_run", run)
-    sol = lp.solve(glp.program, rungs=glp.rungs, lift=bent)
+    sol = lp.solve(glp.program, rungs=rungs, lift=bent)
     assert completed[-1] == (glp.program, True)
     assert [phase for program, phase in phases if program is glp.program] == [2]
     assert lp.check_optimal(glp.program, sol.assignment, sol.dual)
     assert sol.objective == lp.solve(glp.program).objective
+
+
+# ---------------------------------------------------------------------------
+# Path forests: the grid optimum in closed form, by nested concavification
+
+IDENTITY2 = [[1, 0], [0, 1]]
+IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+CHAIN_AND_ONE = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+PATH_FORESTS = [[[1]], CHAIN2, CHAIN3, IDENTITY2, IDENTITY3, CHAIN_AND_ONE]
+
+
+def _path_forest(rng, structures=PATH_FORESTS):
+    """A seeded path forest and a step 1/D: one of structures (a single
+    receiver, CHAIN2, CHAIN3, identity(2) or (3), or a chain beside a
+    singleton); piecewise utilities in either state, with 1 to 3
+    breakpoints on 1/7, 1/10 or 1/12 and values in halves and thirds,
+    negative ones among them; a prior in twelfths; D in
+    {2, 3, 5, 7, 10, 20}, so that breakpoints and prior often lie off
+    the grid."""
+    structure = rng.choice(structures)
+    utilities = []
+    for _ in structure:
+        d = rng.choice((7, 10, 12))
+        count = rng.randint(1, 3)
+        breaks = sorted(rng.sample([F(i, d) for i in range(1, d)], count))
+        values = tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(count + 1))
+        state = rng.choice(("0", "1"))
+        utilities.append(PiecewiseUtility(state=state, breakpoints=tuple(breaks), values=values))
+    q = F(rng.randint(1, 11), 12)
+    return make_instance(structure, utilities, prior=(q, 1 - q)), rng.choice((2, 3, 5, 7, 10, 20))
+
+
+def _grid2_jobs(seed):
+    """The (instance, denominator) jobs of a 30 s run of the benchmark's
+    grid2 workload with the given seed: nine instances, the fourth a
+    three-receiver forest (CHAIN3 or STAR3) at 1/10 and 1/20, the others
+    chains at 1/10, 1/20 and 1/40."""
+    rng = random.Random(f"grid2:{seed}")
+    jobs = []
+    for index in range(9):
+        if index % 7 == 3:
+            inst = _two_state_forest(rng, rng.choice((CHAIN3, STAR3)))
+            jobs += [(inst, denominator) for denominator in (10, 20)]
+        else:
+            inst = _two_state_forest(rng, CHAIN2)
+            jobs += [(inst, denominator) for denominator in (10, 20, 40)]
+    return jobs
+
+
+def _assert_closed_form(inst, denominator, built):
+    """The closed form of inst's grid program at 1/denominator: given
+    with no rungs and no lift, accepted by check_optimal on the full
+    program, returned by solve as given with no engine built, and of the
+    ladder's objective."""
+    glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+    assert glp.propose is not None and (glp.rungs, glp.lift) == ((), None)
+    x, y = glp.propose()
+    refused = lp._optimality_failure(glp.program, x, y)
+    assert refused is None, f"closed form refused at 1/{denominator}: {refused}"
+    built.clear()
+    sol = lp.solve(glp.program, propose=glp.propose)
+    assert built == [] and (sol.assignment, sol.dual) == (tuple(x), tuple(y))
+    rungs, lift = _ladder_of(inst, glp)
+    assert sol.objective == lp.solve(glp.program, rungs=rungs, lift=lift).objective
+
+
+def test_path_forests_are_certified_in_closed_form(monkeypatch):
+    """The nested concavification certifies the grid program of every
+    path forest met here, with the ladder's objective: GRID_CASES'
+    chain2 grids, the JUMPS instances (the prior off the grid among
+    them) and all 202 path-forest jobs of the grid2 workload's seeds 1-8;
+    its 6 STAR3 jobs keep the ladder and the lift."""
+    built = _engines_built(monkeypatch)
+    cases = [(_data_instance(name), d) for name, d in GRID_CASES if name == "chain2"]
+    for utilities, prior, _ in JUMPS.values():
+        cases += [(make_instance(CHAIN2, utilities, prior=prior), d) for d in (10, 20, 40)]
+    stars = 0
+    for seed in range(1, 9):
+        for inst, denominator in _grid2_jobs(seed):
+            if inst.structure.matrix == tuple(map(tuple, STAR3)):
+                glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+                assert glp.propose is None and len(glp.rungs) == 2 and glp.lift is not None
+                stars += 1
+            else:
+                cases.append((inst, denominator))
+    assert (len(cases) - 3 - 9, stars) == (202, 6)
+    for inst, denominator in cases:
+        _assert_closed_form(inst, denominator, built)
+
+
+def test_seeded_path_forests_are_certified_in_closed_form(monkeypatch):
+    """400 seeded path forests (_path_forest): single receivers, chains
+    of two and three, identity(2) and (3), a chain beside a singleton,
+    on coarse and off-grid steps."""
+    built = _engines_built(monkeypatch)
+    rng = random.Random(2027)
+    for _ in range(400):
+        _assert_closed_form(*_path_forest(rng), built)
+
+
+def test_a_path_forest_builds_one_program_and_no_engine(monkeypatch):
+    """solve_grid on a path forest builds the full program and nothing
+    else, and no engine; on STAR3, a root with two children, it builds
+    both rungs' programs too and an engine on each rung."""
+    built = _engines_built(monkeypatch)
+    programs = []
+    real_program = forest._grid_program
+
+    def program(*args):
+        programs.append(args)
+        return real_program(*args)
+
+    monkeypatch.setattr(forest, "_grid_program", program)
+    for name, denominator, expected in [("chain2", 40, (1, 0)), ("star3", 20, (3, 2))]:
+        programs.clear()
+        built.clear()
+        solve_grid(_data_instance(name), PosteriorGrid(dim=2, denominator=denominator))
+        assert (len(programs), len(built)) == expected
+
+
+def test_a_refused_proposal_falls_back_to_exact_solving(monkeypatch):
+    """chain2's closed form at 1/20 with one dual entry moved by 1/den:
+    a row-sum dual up (its parent's x column then prices positive), a
+    column-sum dual down (the y column at (0, 0)), the leaf's first
+    Bayes-plausibility dual or a normalization dual (y'b then moves).
+    check_optimal refuses each, so solve never returns it: one engine,
+    on the full program, completes the proposed point, skips phase 1,
+    and reaches the ladder's objective, certified."""
+    inst = _data_instance("chain2")
+    glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
+    n, k = len(glp.points), len(glp.x_base)
+    rungs, lift = _ladder_of(inst, glp)
+    reference = lp.solve(glp.program, rungs=rungs, lift=lift).objective
+    built = _engines_built(monkeypatch)
+    completed = []
+    real_complete = lp._Engine._complete
+
+    def complete(engine, support):
+        completed.append(real_complete(engine, support))
+        return completed[-1]
+
+    monkeypatch.setattr(lp._Engine, "_complete", complete)
+    for row, move in [(2 * k, 1), (2 * k + n, -1), (2, 1), (2 * k + 3 * n, 1)]:
+        x, y = glp.propose()
+        y[row] += F(move, y[row].denominator)
+        refused = lp._optimality_failure(glp.program, x, y)
+        assert refused is not None
+        built.clear()
+        completed.clear()
+        sol = lp.solve(glp.program, propose=lambda: (x, y))
+        assert built == [glp.program] and completed == [True]
+        assert sol.dual != tuple(y) and sol.objective == reference
+        assert lp.check_optimal(glp.program, sol.assignment, sol.dual)
+
+
+def _grid_table(u, inst, denominator):
+    return {w: u.value_at(w, inst.space) for w in PosteriorGrid(2, denominator).points()}
+
+
+def test_private_grid_values_are_sums_of_concavifications():
+    """identity(2) and (3): no receiver dominates another, so the grid
+    value is the sum of each receiver's concavification over the grid
+    points, from beliefs.concavify_single, which knows no hull."""
+    rng = random.Random(61)
+    for _ in range(30):
+        inst, denominator = _path_forest(rng, [IDENTITY2, IDENTITY3])
+        oracle = sum(
+            concavify_single(_grid_table(u, inst, denominator), inst.prior)
+            for u in inst.utilities.receivers
+        )
+        assert solve_grid(inst, PosteriorGrid(2, denominator)).objective == oracle
+
+
+def _cav_table(table):
+    """The least concave majorant of a two-state table at each of its
+    points: concavify_single with the point as the prior, and the value
+    itself at (1, 0) and (0, 1), where nothing else is Bayes-plausible."""
+    return {
+        w: table[w] if 0 in w else concavify_single(table, Prior(TWO, w)) for w in table
+    }
+
+
+def test_chain_grid_values_are_nested_concavifications():
+    """CHAIN2, receiver 1 dominating: the grid value is
+    concavify_single(u2 + cav u1), each cav from beliefs.concavify_single."""
+    rng = random.Random(67)
+    for _ in range(30):
+        inst, denominator = _path_forest(rng, [CHAIN2])
+        u1, u2 = (_grid_table(u, inst, denominator) for u in inst.utilities.receivers)
+        cav1 = _cav_table(u1)
+        oracle = concavify_single({w: u2[w] + cav1[w] for w in u2}, inst.prior)
+        assert solve_grid(inst, PosteriorGrid(2, denominator)).objective == oracle
+
+
+def test_a_chain_is_worth_at_most_private_channels():
+    """On the grid2 workload's chains (seeds 1-3), the chain's grid value
+    is at most that of the same utilities on private channels, which
+    equals the sum of the concavifications (public <= chain <= private)."""
+    for seed in (1, 2, 3):
+        for inst, denominator in _grid2_jobs(seed):
+            if inst.k != 2:
+                continue
+            private = replace(inst, structure=CommunicationStructure(((1, 0), (0, 1))))
+            grid = PosteriorGrid(2, denominator)
+            chain, apart = (solve_grid(i, grid).objective for i in (inst, private))
+            tables = (_grid_table(u, inst, denominator) for u in inst.utilities.receivers)
+            assert chain <= apart == sum(concavify_single(t, inst.prior) for t in tables)
 
 
 @pytest.mark.parametrize(
@@ -665,10 +894,11 @@ def test_rung_points_are_pinned(name, denominator, first, second):
     """Rung 1 holds the prior's grid point, rung 2 adds (0,1), (1,0) and
     every point where a receiver's utility bends down; a rung's columns
     are every x at its points and every y between two of them."""
-    glp = build_grid_lp(_data_instance(name), PosteriorGrid(dim=2, denominator=denominator))
+    inst = _data_instance(name)
+    glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
     n = len(glp.points)
     index = {",".join(map(str, w)): a for a, w in enumerate(glp.points)}
-    for (_, columns), labels in zip(glp.rungs, (first, second), strict=True):
+    for (_, columns), labels in zip(_ladder_of(inst, glp)[0], (first, second), strict=True):
         points = [index[label] for label in labels]
         xs = [base + a for base in glp.x_base for a in points]
         ys = [base + a * n + c for base in glp.y_base for a in points for c in points]
@@ -678,11 +908,12 @@ def test_rung_points_are_pinned(name, denominator, first, second):
 def test_three_state_grids_have_no_rungs():
     inst = _three_state_chain(random.Random(8))
     glp = build_grid_lp(inst, PosteriorGrid(dim=3, denominator=4))
-    assert (glp.rungs, glp.lift) == ((), None)
+    assert (glp.rungs, glp.lift, glp.propose) == ((), None, None)
 
 
 def _rung_programs():
-    """(instance, denominator) of two-state grids with rungs: the five
+    """(instance, denominator) of two-state grids with rungs, built by
+    build_grid_lp or, for path forests, by forest._ladder: the five
     GRID_CASES, seeded grid2-generator chains and three-receiver
     forests, also at the coarse steps 1/2 to 1/6, and the JUMPS
     instances."""
@@ -700,14 +931,16 @@ def _rung_programs():
 
 
 def test_rung_programs_are_restrictions_of_the_full_program():
-    """Each rung program build_grid_lp makes over a subset of the points
-    is the full program restricted to the rung's columns, as an
+    """Each rung program that build_grid_lp or forest._ladder makes over a
+    subset of the points is the full program restricted to the rung's
+    columns, as an
     independent builder from the Fraction rows makes it: the same
     variables, objective and rows, in the same order."""
     for inst, denominator in _rung_programs():
         glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-        assert glp.rungs
-        for program, columns in glp.rungs:
+        rungs, _ = _ladder_of(inst, glp)
+        assert rungs
+        for program, columns in rungs:
             oracle = _restriction(glp.program, columns)
             assert program.n_vars == oracle.n_vars == len(columns)
             assert (program.obj, program.obj_den) == (oracle.obj, oracle.obj_den)

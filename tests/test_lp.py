@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -1346,6 +1347,147 @@ def test_a_failed_certificate_is_named_with_its_index(monkeypatch):
     failure = r"failed verification: c\.x = 1/2 differs from y'b = 3/2"
     with pytest.raises(InvariantViolation, match=failure):
         solve(lp)
+
+
+def test_a_proposal_is_returned_only_when_it_certifies(monkeypatch):
+    """solve(lp, propose=f) on the 400 pinned draws, f giving solve(lp)'s
+    optimum as it is or with one entry of the dual or of the point moved
+    by 1/den: the status, objective and certificate check of solve(lp).
+    f is called once.  An accepted proposal is returned as f gave it,
+    with c.x as its objective and no engine built; a refused one never
+    is, and one engine, on lp, solves from the proposed point."""
+    built = _engines_built(monkeypatch)
+    rng = random.Random(29)
+    verdicts = {}
+    draws = random.Random(3)
+    for _ in range(400):
+        lp = _pinned_program(draws)
+        optimum = solve(lp)
+        x, y = optimum.assignment, optimum.dual
+        if optimum.status != OPTIMAL:
+            x, y = (F(0),) * lp.n_vars, (F(0),) * lp.n_constraints
+        for kind, answer in [
+            ("as it is", (x, y)),
+            ("dual moved", (x, _moved(y, rng))),
+            ("point moved", (_moved(x, rng), y)),
+        ]:
+            calls = []
+
+            def propose():
+                calls.append(answer)
+                return answer
+
+            built.clear()
+            sol = solve(lp, propose=propose)
+            assert (sol.status, sol.objective) == (optimum.status, optimum.objective)
+            assert _certified(lp, sol) and len(calls) == 1
+            accepted = check_optimal(lp, *answer)
+            if accepted:
+                assert (sol.assignment, sol.dual) == tuple(map(tuple, answer))
+            assert built == ([] if accepted else [lp])
+            verdicts[kind, accepted] = verdicts.get((kind, accepted), 0) + 1
+    assert verdicts["as it is", True] > 100, verdicts
+    assert min(verdicts["dual moved", False], verdicts["point moved", False]) > 300, verdicts
+
+
+def test_a_proposal_takes_no_rungs():
+    """A proposal stands in for the ladder, so one given with rungs is
+    refused before anything is solved, and never called."""
+    lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1)])
+    called = []
+    with pytest.raises(ValidationError, match="give one or the other"):
+        solve(lp, rungs=[(_ONE_COLUMN, [0])], propose=lambda: called.append(lp))
+    assert called == []
+
+
+def _fraction_farkas_failure(lp, y):
+    """_farkas_failure from the Fraction rows."""
+    if len(y) != lp.n_constraints:
+        return f"Farkas vector has {len(y)} entries for {lp.n_constraints} rows"
+    for i, ((_, rel, _), yi) in enumerate(zip(lp.constraints, y)):
+        if (rel == LE and yi < 0) or (rel == GE and yi > 0):
+            return f"y[{i}] = {yi} has the wrong sign for a {rel} row"
+    for j, v in enumerate(_fraction_yA(lp, y)):
+        if v < 0:
+            return f"column {j} has y'A = {v} < 0"
+    yb = sum((yi * rhs for (_, _, rhs), yi in zip(lp.constraints, y)), F(0))
+    return None if yb < 0 else f"y'b = {yb} is not negative"
+
+
+def _fraction_ray_failure(lp, x0, d):
+    """_ray_failure from the Fraction rows."""
+    for v, what, name, at in ((x0, "point", "x", "at"), (d, "ray", "d", "along")):
+        if len(v) != lp.n_vars:
+            return f"{what} has {len(v)} entries for {lp.n_vars} columns"
+        for j, e in enumerate(v):
+            if e < 0:
+                return f"{name}[{j}] = {e} is negative"
+        for i, (row, rel, rhs) in enumerate(lp.constraints):
+            lhs, rhs = _fraction_dot(v, row), (rhs if v is x0 else F(0))
+            if not {EQ: lhs == rhs, LE: lhs <= rhs, GE: lhs >= rhs}[rel]:
+                return f"row {i} does not hold {at} {name}"
+    gain = sum((d[j] * c for j, c in lp.objective.items()), F(0))
+    return None if gain > 0 else f"c.d = {gain} is not positive"
+
+
+def test_farkas_and_ray_failures_are_named(monkeypatch):
+    """_farkas_failure and _ray_failure name the first part of a Farkas
+    vector, or of an unbounded solution's point and ray, that fails,
+    with its index, and check_farkas and check_ray are their verdicts.
+    On every such certificate that the 400 pinned draws return, and on
+    seeded perturbations of it (an entry moved by 1/den, the signs
+    flipped, a ray entry zeroed, an entry dropped or added), each gives
+    the name that the same checks on the Fraction rows give.  An engine
+    whose own certificate fails raises InvariantViolation with it."""
+    rng = random.Random(31)
+    draws = random.Random(3)
+    named = set()
+    for _ in range(400):
+        lp = _pinned_program(draws)
+        sol = solve(lp)
+        if sol.status == INFEASIBLE:
+            y = list(sol.farkas)
+            for z in (y, _nudged(rng, y), _nudged(rng, y), [-v for v in y], y[:-1], y + [F(1)]):
+                failure = lp_module._farkas_failure(lp, z)
+                assert failure == _fraction_farkas_failure(lp, z)
+                assert check_farkas(lp, z) is (failure is None)
+                named.add(failure and re.sub(r"-?\d+(/\d+)?", "#", failure))
+        elif sol.status == UNBOUNDED:
+            x, d = list(sol.assignment), list(sol.ray)
+            zeroed = list(d)
+            zeroed[rng.choice([j for j, v in enumerate(d) if v])] = F(0)
+            for x0, ray in [(x, d), (_nudged(rng, x), d), (x, _nudged(rng, d)), (x, zeroed)] + [
+                (x, [-v for v in d]), (x[:-1], d), (x, d[:-1])
+            ]:
+                failure = lp_module._ray_failure(lp, x0, ray)
+                assert failure == _fraction_ray_failure(lp, x0, ray)
+                assert check_ray(lp, x0, ray) is (failure is None)
+                named.add(failure and re.sub(r"-?\d+(/\d+)?", "#", failure))
+    assert named == {
+        None,
+        "Farkas vector has # entries for # rows",
+        "y[#] = # has the wrong sign for a <= row",
+        "y[#] = # has the wrong sign for a >= row",
+        "column # has y'A = # < #",
+        "y'b = # is not negative",
+        "point has # entries for # columns",
+        "x[#] = # is negative",
+        "row # does not hold at x",
+        "ray has # entries for # columns",
+        "d[#] = # is negative",
+        "row # does not hold along d",
+        "c.d = # is not positive",
+    }, named
+    lp = LinearProgram(1, [F(1)], [([F(1)], GE, F(2)), ([F(1)], LE, F(1))])
+    real_map_dual = lp_module._Engine._map_dual
+    monkeypatch.setattr(
+        lp_module._Engine, "_map_dual", lambda engine, *args: [-v for v in real_map_dual(engine, *args)]
+    )
+    with pytest.raises(InvariantViolation, match=r"Farkas certificate failed verification: y\[0\] = "):
+        solve(lp)
+    monkeypatch.setattr(lp_module._Engine, "_ray", lambda engine, j: [F(0)] * engine.n_real)
+    with pytest.raises(InvariantViolation, match="unboundedness certificate failed verification: c.d = 0"):
+        solve(LinearProgram(1, [1], [([1], GE, 1)]))
 
 
 def test_a_start_that_does_not_complete_falls_back_to_the_all_artificial_start(take_route):

@@ -17,6 +17,8 @@ from mcpersuasion.model import (
     AdditiveUtility,
     CommunicationStructure,
     ConstantUtility,
+    Group,
+    MemberRule,
     PersuasionInstance,
     LinearUtility,
     PiecewiseUtility,
@@ -264,6 +266,67 @@ def test_every_receiver_utility_kind_round_trips_through_a_document(utility):
     )
     doc = json.loads(render_document(instance_to_doc(inst)))
     assert validate_instance(doc) == inst
+
+
+#: per utility kind, a builder of the utility with one numeric field,
+#: named, set to a given value, for every numeric field of the kind
+UTILITY_FIELDS = {
+    "constant": {"value": lambda v: ConstantUtility(v)},
+    "threshold": {
+        "cutoff": lambda v: ThresholdUtility(state="1", cutoff=v),
+        "high": lambda v: ThresholdUtility(state="1", cutoff=F(1, 2), high=v),
+        "low": lambda v: ThresholdUtility(state="1", cutoff=F(1, 2), low=v),
+    },
+    "point": {
+        "point": lambda v: PointUtility(point=(v, F(1, 2)), value=F(1)),
+        "value": lambda v: PointUtility(point=(F(1, 2), F(1, 2)), value=v),
+        "otherwise": lambda v: PointUtility(point=(F(1, 2), F(1, 2)), value=F(1), otherwise=v),
+    },
+    "piecewise": {
+        "breakpoints": lambda v: PiecewiseUtility(state="1", breakpoints=(v,), values=(F(0), F(1))),
+        "values": lambda v: PiecewiseUtility(state="1", breakpoints=(F(1, 2),), values=(F(0), v)),
+    },
+    "linear": {
+        "coeffs": lambda v: LinearUtility(coeffs=(F(1), v)),
+        "offset": lambda v: LinearUtility(coeffs=(F(1), F(0)), offset=v),
+    },
+    "table": {
+        "points": lambda v: TableUtility((((v, F(1, 2)), F(1)),)),
+        "values": lambda v: TableUtility((((F(1, 2), F(1, 2)), v),)),
+    },
+    "supermajority": {
+        "cutoff": lambda v: MemberRule(op="ge", state="1", cutoff=v),
+        "weight": lambda v: Group(
+            members=(0,), weight=v, threshold=1, rule=MemberRule("ge", "1", F(1, 2))
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("bad", [0.1, True, "1/2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("kind", list(UTILITY_FIELDS))
+def test_utilities_take_only_ints_and_fractions(kind, bad):
+    """Every numeric field of every utility kind is refused by type when
+    it is a float, a bool or a string, never converted, as a prior's
+    entries are; a Fraction there, or an int where it can stand, is
+    taken."""
+    for name, build in UTILITY_FIELDS[kind].items():
+        with pytest.raises(ValidationError, match="neither an int nor a Fraction"):
+            build(bad)
+        build(F(1, 2))
+        if name not in ("breakpoints", "point", "points"):  # 2 is no coordinate
+            build(2)
+
+
+def test_an_inexact_utility_is_refused_before_any_solve():
+    """ConstantUtility(0.1) used to reach the grid builder, which then
+    failed with AttributeError; TableUtility read 0.1 as a binary fraction."""
+    with pytest.raises(ValidationError):
+        ConstantUtility(0.1)
+    with pytest.raises(ValidationError):
+        TableUtility((((F(1), F(0)), 0.1),))
+    [(_, value)] = TableUtility((((F(1), F(0)), 3),)).table
+    assert value == 3 and type(value) is int
 
 
 @pytest.mark.parametrize(
