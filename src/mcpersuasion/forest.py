@@ -18,9 +18,11 @@ program.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
+from itertools import compress
 from math import ceil, floor, gcd, lcm
 from operator import ge, getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -478,18 +480,30 @@ class GridSolution:
 
 
 def _read_solution(glp: GridLP, assignment, objective) -> GridSolution:
+    """The marginals and couplings of an assignment to glp's variables:
+    its nonzero entries, found in one pass and binned by block in
+    variable order, so that each coupling's flow is coupling_flows' on
+    its edge."""
     pts = glp.points
-    marginals = []
-    for base in glp.x_base:
-        pairs = [(w, assignment[base + a]) for a, w in enumerate(pts) if assignment[base + a]]
-        marginals.append(BeliefDistribution.from_pairs(pairs))
-    couplings = {}
-    for (i1, i2), base in zip(glp.edges, glp.y_base):
-        flow = beliefs.coupling_flows(pts, pts, assignment, base)
-        couplings[(i1, i2)] = Coupling(source=marginals[i1], target=marginals[i2], flow=flow)
+    n = len(pts)
+    pairs = [[] for _ in glp.x_base]
+    flows = [{} for _ in glp.y_base]
+    for j in compress(range(len(assignment)), assignment):
+        e = bisect_right(glp.y_base, j) - 1
+        if e >= 0 and j - glp.y_base[e] < n * n:
+            a, c = divmod(j - glp.y_base[e], n)
+            flows[e][(pts[a], pts[c])] = assignment[j]
+        else:
+            i = bisect_right(glp.x_base, j) - 1
+            pairs[i].append((pts[j - glp.x_base[i]], assignment[j]))
+    marginals = tuple(map(BeliefDistribution.from_pairs, pairs))
+    couplings = {
+        (i1, i2): Coupling(source=marginals[i1], target=marginals[i2], flow=flow)
+        for (i1, i2), flow in zip(glp.edges, flows)
+    }
     return GridSolution(
         step=glp.grid.step,
-        marginals=tuple(marginals),
+        marginals=marginals,
         couplings=couplings,
         objective=objective,
     )

@@ -6,7 +6,9 @@ rerunning a command on the same input reproduces the same bytes, and
 all writes go through a temp-file-then-rename so a crash never leaves a
 half-written document behind.  Documents are rendered by io's own
 renderer, byte-equal to sorted-key, indent-2 json.dumps, and streamed to
-their file or to stdout in bounded chunks instead of as one string.
+their file or to stdout in bounded chunks instead of as one string: about
+a thousand pieces, or about 16,000 characters of records that a list
+renders from one %-template per record shape (stream_document).
 """
 
 from __future__ import annotations
@@ -79,24 +81,29 @@ def render_document(doc: Mapping) -> str:
 
 #: Pieces the renderer holds before it joins them and hands the chunk to
 #: its sink; a bound on what a write keeps beside the document itself.
+#: Records rendered whole from a template are handed on by size instead,
+#: once they hold 16 characters per piece.
 _CHUNK = 1024
 
 _INT_ONLY, _STR_ONLY, _LIST_ONLY = frozenset({int}), frozenset({str}), frozenset({list})
+_DICT_ONLY = frozenset({dict})
 
 
 def stream_document(doc: Mapping, sink) -> None:
     """Hand the rendering of doc, in order, to sink (a str -> None
-    callable) as chunks joined from at most about _CHUNK pieces.
+    callable) as chunks of bounded size.
 
     json.dumps with an indent runs CPython's pure-Python encoder; this
     renderer dispatches on the exact type of each value, writes strings
     with the C encode_basestring, and renders a list of plain ints, of
-    strs or of int-only lists with joins.  Values with no JSON form raise
-    TypeError, and so do keys that are not str: no document has them, so
-    they are not stringified after sorting as json.dumps would.  NaN and
-    infinities raise ValueError, as under json.dumps(allow_nan=False),
-    instead of leaving non-JSON tokens.  A refusal can come after earlier
-    chunks have reached the sink.
+    strs or of int-only lists with joins.  A list of dicts renders each
+    flat one (str keys; values ints, strs, or such lists) as one string,
+    template % leaves, with one %-template per shape made once per list.
+    Values with no JSON form raise TypeError, and so do keys that are not
+    str: no document has them, so they are not stringified after sorting
+    as json.dumps would.  NaN and infinities raise ValueError, as under
+    json.dumps(allow_nan=False), instead of leaving non-JSON tokens.  A
+    refusal can come after earlier chunks have reached the sink.
     """
     out: list[str] = []
     _render(doc, "\n", out, sink)
@@ -104,10 +111,79 @@ def stream_document(doc: Mapping, sink) -> None:
     sink("".join(out))
 
 
+def _shape(value, leaves: list):
+    """The shape of a flat value, its leaves (ints, and strs encoded)
+    appended to leaves: int or str for an int or a str, (int, n) or
+    (str, n) for a list of n ints or strs, (list, lengths) for a list of
+    int lists.  None, with leaves in any state, for any other value."""
+    kind = type(value)
+    if kind is int or kind is str:
+        leaves.append(value if kind is int else encode_basestring(value))
+        return kind
+    if kind is not list:
+        return None
+    kinds = set(map(type, value))
+    if kinds <= _INT_ONLY:
+        leaves += value
+        return int, len(value)
+    if kinds == _STR_ONLY:
+        leaves += map(encode_basestring, value)
+        return str, len(value)
+    if kinds == _LIST_ONLY:
+        start = len(leaves)
+        for row in value:
+            leaves += row
+        if set(map(type, leaves[start:])) <= _INT_ONLY:
+            # sized from a list: tuple() of an iterator over-allocates and
+            # shrinks, and the shrunk tuples pile up on the free list
+            return list, tuple([len(row) for row in value])
+    return None
+
+
+def _record_shape(record, leaves: list):
+    """The shape (dict, (key, shape) pairs in key order) of a record, a
+    non-empty dict with str keys and flat values, its leaves appended as
+    by _shape; None for any other value."""
+    if type(record) is not dict or not record:
+        return None
+    pairs = []
+    for key in sorted(record):
+        if type(key) is not str:
+            return None
+        item = _shape(record[key], leaves)
+        if item is None:
+            return None
+        pairs.append((key, item))
+    return dict, tuple(pairs)
+
+
+def _template(shape, newline: str) -> str:
+    """The %-template that renders a value of this shape on a line that
+    newline breaks to and indents; keys are text in it, their % doubled."""
+    if shape is int or shape is str:
+        return "%d" if shape is int else "%s"
+    kind, size = shape
+    if not size:
+        return "[]"
+    inner = newline + "  "
+    if kind is dict:
+        items = (
+            encode_basestring(key).replace("%", "%%") + ": " + _template(item, inner)
+            for key, item in size
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list:
+        cells = [_template((int, n), inner) for n in size]
+    else:
+        cells = [_template(kind, inner)] * size
+    return "[" + inner + ("," + inner).join(cells) + newline + "]"
+
+
 def _render(value, newline: str, out: list[str], sink) -> None:
     """Append value's rendering to out, handing out to sink joined and
-    emptied whenever it passes _CHUNK pieces between two items; newline
-    is a line break plus the indent of the line value starts on."""
+    emptied whenever it passes _CHUNK pieces (or its templated records
+    16 * _CHUNK characters) between two items; newline is a line break
+    plus the indent of the line value starts on."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring(value))
@@ -159,13 +235,30 @@ def _render(value, newline: str, out: list[str], sink) -> None:
             out += ("[", inner, comma.join(rows), newline, "]")
         else:
             out += ("[", inner)
+            # by record shape; None unless every item is a dict, and once one is not flat
+            templates: Optional[dict] = {} if kinds == _DICT_ONLY else None
+            held = 0
             for i, item in enumerate(value):
                 if i:
                     out.append(comma)
-                _render(item, inner, out, sink)
-                if len(out) > _CHUNK:
+                if templates is not None:
+                    leaves: list = []
+                    shape = _record_shape(item, leaves)
+                    if shape is not None:
+                        template = templates.get(shape)
+                        if template is None:
+                            template = templates[shape] = _template(shape, inner)
+                        text = template % tuple(leaves)
+                        out.append(text)
+                        held += len(text)
+                    else:
+                        templates = None
+                if templates is None:
+                    _render(item, inner, out, sink)
+                if len(out) > _CHUNK or held > 16 * _CHUNK:
                     sink("".join(out))
                     out.clear()
+                    held = 0
             out += (newline, "]")
     elif value is None:
         out.append("null")

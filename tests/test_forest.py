@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 from mcpersuasion import forest, lp
-from mcpersuasion.beliefs import BeliefDistribution, Coupling, concavify_single, mps_coupling
+from mcpersuasion.beliefs import (
+    BeliefDistribution,
+    Coupling,
+    concavify_single,
+    coupling_flows,
+    mps_coupling,
+)
 from mcpersuasion.dominance import dominance_set
 from mcpersuasion.errors import (
     BadEpsilon,
@@ -728,6 +734,27 @@ def _assert_closed_form(inst, denominator, built):
     assert built == [] and (sol.assignment, sol.dual) == (tuple(x), tuple(y))
     rungs, lift = _ladder_of(inst, glp)
     assert sol.objective == lp.solve(glp.program, rungs=rungs, lift=lift).objective
+
+
+def test_read_back_takes_each_flow_from_coupling_flows():
+    """_read_solution bins the assignment's nonzero entries by block in
+    one pass.  On GRID_CASES and the grid2 generator's jobs of seeds
+    1-3, each coupling's flow is coupling_flows' on its edge, in the
+    same order, and each marginal holds its x block's nonzero entries."""
+    cases = [(_data_instance(name), denominator) for name, denominator in GRID_CASES]
+    cases += [job for seed in (1, 2, 3) for job in _grid2_jobs(seed)]
+    for inst, denominator in cases:
+        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+        sol = lp.solve(glp.program, rungs=glp.rungs, lift=glp.lift, propose=glp.propose)
+        solution = forest._read_solution(glp, sol.assignment, sol.objective)
+        pts, x = glp.points, sol.assignment
+        assert list(solution.couplings) == list(glp.edges)
+        for edge, base in zip(glp.edges, glp.y_base):
+            want = coupling_flows(pts, pts, x, base)
+            assert list(solution.couplings[edge].flow.items()) == list(want.items())
+        for dist, base in zip(solution.marginals, glp.x_base):
+            want = {w: v for w, v in zip(pts, x[base : base + len(pts)]) if v}
+            assert dict(zip(dist.points, dist.masses)) == want
 
 
 def test_path_forests_are_certified_in_closed_form(monkeypatch):

@@ -4,12 +4,14 @@ documents, and the same refusals for values with no JSON form.  Then the
 streamed write, and the readers against every single mutation of a valid
 document."""
 
+import hashlib
 import json
 import math
 import os
 import random
 import stat
 import tracemalloc
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,9 +33,11 @@ from mcpersuasion.io import (
     table_to_doc,
     write_document,
 )
+from mcpersuasion.dominance import sperner_structure
 from mcpersuasion.model import instance_to_doc, validate_instance
-from mcpersuasion.sharing import emulate_private_subset
+from mcpersuasion.sharing import emulate_private_subset, transport_scheme
 from test_cli import FLAGSHIP, REVEAL3, SINGLE, SPERNER3_INSTANCE, sperner_share_inputs
+from test_sharing import _identity, _independent_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -138,6 +142,23 @@ def test_channel_scheme_documents(inputs, monkeypatch):
     )
     assert capped["executions_omitted"] == 1
     assert_renders_like_json(capped)
+
+
+def test_transport_document_is_pinned(tmp_path):
+    """The written transport of a seeded table from private channels to
+    sperner_structure(4) at q = 2, whose channels carry 3, 4 and 5
+    slots: sha256 recorded before listed records were rendered from
+    templates."""
+    table = _independent_table(random.Random(25), 4)
+    doc = channel_scheme_to_doc(transport_scheme(_identity(4), sperner_structure(4), table, q=2))
+    listing = doc["executions"]["0"] + doc["executions"]["1"]
+    assert len(listing) == 3072 and "executions_omitted" not in doc
+    assert {len(channel) for record in listing for channel in record["channels"]} == {3, 4, 5}
+    path = tmp_path / "transport.json"
+    write_document(path, doc)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "5186f50b140c1100b8d121b3587578ee9ce5bc19f8e3530514c1f48a8ca4f149"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +327,139 @@ def test_small_chunks_join_to_the_same_text(monkeypatch, chunk):
 
 
 # ---------------------------------------------------------------------------
+# Listings: lists of records, each flat one rendered from its shape's template
+
+
+class Level(IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+#: Keys and str leaves with the characters a %-template or the encoder
+#: must not take as its own: % signs, quotes, escapes, non-ASCII.
+LISTING_TEXT = (
+    "branch",
+    "channels",
+    "keys",
+    "probability",
+    "",
+    "%",
+    "%d",
+    "%s",
+    "100%",
+    "%(x)s",
+    'a "quoted" word',
+    "back\\slash\n",
+    "héllo",
+    "日本語",
+    "\U0001f600",
+)
+
+
+def _ints(rng, n):
+    return [rng.choice((0, 1, -1, 10**40, rng.randrange(-99, 99))) for _ in range(n)]
+
+
+#: Per flat kind, a maker of values of one shape: (rng, n) -> value.
+FLAT = (
+    lambda rng, n: rng.randrange(-(10**20), 10**20),
+    lambda rng, n: rng.choice(LISTING_TEXT),
+    _ints,
+    lambda rng, n: [rng.choice(LISTING_TEXT) for _ in range(n)],
+    lambda rng, n: [_ints(rng, (n + i) % 4) for i in range(n)],
+)
+
+#: Values that make a record not flat: bools and IntEnum values, inside
+#: int lists too, int and str subclasses, floats, nested and empty dicts,
+#: None, tuples and deeper lists.
+NOT_FLAT = (
+    True,
+    Level.HIGH,
+    [1, True],
+    [Level.LOW, 2],
+    [[1], [False]],
+    [[Level.HIGH]],
+    Count(3),
+    Text("x"),
+    [Text("x")],
+    0.5,
+    [0.5],
+    {"a": 1},
+    {},
+    None,
+    (1, 2),
+    [[[1]]],
+    [[1], "x"],
+)
+
+
+def random_listing(rng):
+    """Runs of records of one shape (key set, value kinds, list lengths),
+    the shape changing from run to run and now and then within one, with
+    records that are not flat, and items that are not dicts, mixed in."""
+    listing = []
+    for _ in range(rng.randrange(1, 5)):
+        keys = rng.sample(LISTING_TEXT, rng.randrange(1, 5))
+        kinds = [(rng.choice(FLAT), rng.randrange(4)) for _ in keys]
+        for _ in range(rng.randrange(1, 40)):
+            if rng.random() < 0.1:
+                kinds[rng.randrange(len(kinds))] = (rng.choice(FLAT), rng.randrange(4))
+            record = {key: make(rng, n) for key, (make, n) in zip(keys, kinds)}
+            roll = rng.random()
+            if roll < 0.05:
+                record[rng.choice(keys)] = rng.choice(NOT_FLAT)
+            elif roll < 0.07:
+                record = rng.choice(({}, Record(record), [record], 7))
+            listing.append(record)
+    return listing
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_listings_render_like_json(monkeypatch, chunk):
+    """Seeded listings against json.dumps, whole and streamed, with the
+    chunk bound as it is and at 1 and 7 pieces."""
+    if chunk is not None:
+        monkeypatch.setattr(mc_io, "_CHUNK", chunk)
+    rng = random.Random(20261019)
+    templated = untemplated = 0
+    for _ in range(150):
+        doc = {"executions": {"high": random_listing(rng), "low": random_listing(rng)}}
+        doc["nested"] = [random_listing(rng), {"at": random_listing(rng)}]
+        chunks = []
+        stream_document(doc, chunks.append)
+        assert "".join(chunks) == reference(doc)
+        assert render_document(doc) == reference(doc)
+        for record in doc["executions"]["high"]:
+            if mc_io._record_shape(record, []) is None:
+                untemplated += 1
+            else:
+                templated += 1
+    assert templated > 10 * untemplated > 0
+
+
+@pytest.mark.parametrize(
+    "record, refusal",
+    [
+        ({"branch": 1, "probability": math.nan}, ValueError),
+        ({"branch": 1, "channels": [[0, 1], [math.inf]]}, ValueError),
+        ({"branch": 1, 2: [0, 1]}, TypeError),
+        ({1: 0, 2: [0, 1]}, TypeError),
+        ({"branch": 1, "keys": [0, Fraction(1, 2)]}, TypeError),
+    ],
+    ids=["nan", "inf-in-a-row", "mixed-keys", "int-keys", "fraction"],
+)
+def test_refusals_inside_listed_records(record, refusal):
+    """A record that cannot be rendered, between flat records of one
+    shape, is refused as it would be on its own."""
+    flat = [{"branch": i, "keys": [i, 0], "probability": "1/3"} for i in range(50)]
+    for listing in (flat[:20] + [record] + flat[20:], [record] + flat):
+        with pytest.raises(refusal):
+            render_document({"executions": {"low": listing}})
+    with pytest.raises(refusal):
+        render_document(record)
+
+
+# ---------------------------------------------------------------------------
 # Refusals
 
 
@@ -383,6 +537,27 @@ def test_write_holds_a_tenth_of_the_text_beside_the_document(tmp_path):
     assert size >= 2_000_000
     assert extra < size / 10
     assert path.read_text(encoding="utf-8") == render_document(doc)
+
+
+def test_writing_the_largest_share_document_holds_a_tenth_beside_it(inputs):
+    """The pinned 11.6 MB share document (sperner_structure(5), q = 3,
+    its listing cut at EXECUTION_DUMP_LIMIT), under the bound the test
+    above puts on synthetic records."""
+    instance, table = sperner_share_inputs(inputs["put"], 5)
+    doc = handler_doc("share", instance, table, "--subset", "1,2,3,4,5", "--q", "3")
+    assert doc["executions_omitted"] == 98_098
+    path = inputs["dir"] / "cs.json"
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_document(path, doc)
+        extra = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 11_000_000
+    assert extra < size / 10
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
