@@ -7,13 +7,14 @@ per-state table of posterior-label profiles.  Dominating receivers sit
 on the spread side of every coupling; trees of the forest are kept
 conditionally independent given the state.
 
-On two states the solve needs no simplex pivots on the full program.
-A forest of paths has its optimum in closed form, a nested
-concavification along each path (_path_certificate); any other forest
-climbs the breakpoint ladder, whose top rung's answer is lifted to the
-full program (_ladder, _lift).  Either way lp.solve returns the answer
-only once it has checked it as an optimality certificate of the full
-program.
+On two states the solve needs no simplex pivots on the full program:
+the grid program comes with a proposal (GridLP.propose).  A forest of
+paths has its optimum in closed form, a nested concavification along
+each path (_path_certificate); any other forest climbs the breakpoint
+ladder, two smaller grid programs each solved through lp.solve, and
+lifts the top rung's answer to the full program (_ladder, _climb,
+_lift).  Either way lp.solve returns the answer only once it has
+checked it as an optimality certificate of the full program.
 """
 
 from __future__ import annotations
@@ -104,16 +105,12 @@ class GridLP:
     back: x(i, points[a]) is x_base[i] + a, and on the e-th edge
     y(points[a], points[c]) is y_base[e] + a * n + c for n points.
     graph is the instance's domination forest, whose sorted covering
-    edges are edges.  On two states the last three fields say how
-    lp.solve reaches the optimum.  propose, given exactly when the
-    forest is made of paths, gives the program's optimal point and dual
-    in closed form (_path_certificate).  Otherwise rungs are the
-    (program, columns) pairs lp.solve climbs: the program over a rung's
-    points (_rungs), and the full program's column of each of its
-    variables; lift is what lp.solve hands rung 2's optimal point and
-    dual (_lift), and its answer certifies the full program.  rungs and
-    lift are empty for path forests and past two states, and propose is
-    None but for path forests on two states."""
+    edges are edges.  propose, given exactly on two states, is what
+    lp.solve is handed to reach the optimum: it gives the program's
+    optimal point and dual, in closed form when the forest is made of
+    paths (_path_certificate), and otherwise by climbing the breakpoint
+    ladder and lifting rung 2's answer (_ladder, _climb, _lift).  It is
+    None past two states."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
@@ -122,8 +119,6 @@ class GridLP:
     x_base: tuple[int, ...]
     y_base: tuple[int, ...]
     graph: DominationGraph
-    rungs: tuple[tuple[lp.LinearProgram, tuple[int, ...]], ...]
-    lift: Callable[[dict, tuple], tuple[list, list]] | None
     propose: Callable[[], tuple[list, list]] | None
 
     def var_names(self) -> list[str]:
@@ -147,10 +142,10 @@ def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]
 
 def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     """Assemble the exact grid program for a forest instance and, on two
-    states, how lp.solve is to reach its optimum: for a forest of paths
-    the certificate in closed form (_path_certificate), and for any
-    other forest both rungs' programs and the lift of rung 2's answer
-    (_ladder).
+    states, the proposal lp.solve is to reach its optimum by: for a
+    forest of paths the certificate in closed form (_path_certificate),
+    and for any other forest the climb of both rungs' programs, built
+    here, with the lift of rung 2's answer (_ladder, _climb).
 
     Families, in row order: Bayes-plausibility per receiver per state;
     per covering edge the spread-side row sums, coarse-side column
@@ -169,12 +164,12 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     # each receiver's utility at each point, aligned with pts
     values = [[u.value_at(w, instance.space) for w in pts] for u in instance.utilities.receivers]
     full = _grid_program(instance.prior, edges, grid.denominator, pts, values)
-    rungs, lift, propose = (), None, None
+    propose = None
     if grid.dim == 2 and len({i1 for i1, _ in edges}) == len(edges):
         # no receiver spreads onto two: every tree is a path
         propose = partial(_path_certificate, instance.prior.values[0], edges, values)
     elif grid.dim == 2:
-        rungs, lift = _ladder(instance.prior, edges, pts, values)
+        propose = partial(_climb, *_ladder(instance.prior, edges, pts, values))
     return GridLP(
         program=full,
         grid=grid,
@@ -183,8 +178,6 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         x_base=tuple(i * n for i in range(k)),
         y_base=tuple(k * n + e * n * n for e in range(len(edges))),
         graph=graph,
-        rungs=rungs,
-        lift=lift,
         propose=propose,
     )
 
@@ -222,10 +215,11 @@ def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
 def _ladder(prior, edges, pts, values) -> tuple[tuple, Callable]:
     """The rungs and the lift of the two-state grid program over the
     sorted points pts of the 1/D lattice, values[i][a] receiver i's
-    utility at pts[a]: each rung as (_grid_program over _rungs' points,
-    the full program's column of each of its variables), and _lift over
-    rung 2's points.  Where rung 2 holds every point, its program is a
-    copy of the full one, and the lift the identity."""
+    utility at pts[a], as _climb takes them: each rung as (_grid_program
+    over _rungs' points, the full program's column of each of its
+    variables), and _lift over rung 2's points.  Where rung 2 holds
+    every point, its program is a copy of the full one, and the lift the
+    identity."""
     k, n = len(values), len(pts)
     D = n - 1
     ladder, rungs = _rungs(prior.values[0] * D, values), []
@@ -243,6 +237,27 @@ def _ladder(prior, edges, pts, values) -> tuple[tuple, Callable]:
         rungs.append((program, tuple(xs + ys)))
     n_vars = k * n + len(edges) * n * n
     return tuple(rungs), partial(_lift, ladder[1], k, len(edges), n_vars)
+
+
+def _climb(rungs, lift) -> tuple[list, list]:
+    """lift(point, dual) of the last rung's optimal point, {column of the
+    full program: nonzero value}, and dual.  Each rung is solved through
+    lp.solve from the optimal point of the rung before, kept to the
+    columns it holds, completed exactly; the first from the empty
+    support.  No floating-point solve is tried.  Rung 1 pays for itself:
+    rung 2 solves faster from its point than afresh, and the point fixes
+    which of rung 2's optima, and so which table, is reached.  A rung is
+    a grid program, always feasible and bounded, so anything but an
+    optimal status is a solver defect."""
+    point, dual = {}, None
+    for program, columns in rungs:
+        x = [point.get(j, _ZERO) for j in columns]
+        sol = lp.solve(program, propose=lambda: (x, None))
+        if sol.status != lp.OPTIMAL:
+            raise InvariantViolation(f"rung program reported {sol.status}")
+        point = {j: v for j, v in zip(columns, sol.assignment) if v}
+        dual = sol.dual
+    return lift(point, dual)
 
 
 def _rungs(prior, values) -> list[list[int]]:
@@ -520,7 +535,7 @@ def _solve_grid(
 ) -> tuple[GridSolution, DominationGraph]:
     """solve_grid, with the domination forest the program was built on."""
     glp = build_grid_lp(instance, grid)
-    sol = lp.solve(glp.program, rungs=glp.rungs, lift=glp.lift, propose=glp.propose)
+    sol = lp.solve(glp.program, propose=glp.propose)
     if sol.status != lp.OPTIMAL:
         raise InvariantViolation(f"grid program reported {sol.status}")
     solution = _read_solution(glp, sol.assignment, sol.objective)

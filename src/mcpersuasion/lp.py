@@ -10,28 +10,22 @@ largest-reduced-cost rule and falls back to the smallest-index rule
 after a long run of degenerate pivots, so it always terminates.
 
 solve alone picks the start, and a start changes only the path taken.
-A caller may propose a certificate, a point and dual of the full
-program: directly (propose), or as the lift of the last rung's answer.
-solve returns a proposal, as given, exactly when it certifies
-optimality, and then no engine is built on the full program; a refused
-one is never returned, and the full program starts from the point the
-proposal came with, completed exactly.  Given rungs, smaller programs
-each paired with the columns of the full one that its variables stand
-for, solve climbs a ladder: each rung starts from the previous rung's
-optimal point kept to the columns it holds, completed exactly; the
-first rung, and one after a rung that is not optimal, starts from the
-empty support.  No floating-point solve is tried then.  With neither
-rungs nor a proposal, a program with a row and at least
-_CRASH_THRESHOLD rows x columns, when scipy imports, starts from a
-floating-point solve's support, completed the same way; any other
-program, and any start whose completed basis is refused, starts from
-the all-artificial basis with phase 1.
+A caller may propose a point of the program, with its dual or without
+one (propose).  solve returns a proposal with a dual, as given, exactly
+when it certifies optimality, and then no engine is built; a refused
+one is never returned.  After a refused proposal, and after one without
+a dual, the program starts from the proposed point, completed exactly,
+and no floating-point solve is tried.  Without a proposal, a program
+with a row and at least _CRASH_THRESHOLD rows x columns, when scipy
+imports, starts from a floating-point solve's support, completed the
+same way; any other program, and any start whose completed basis is
+refused, starts from the all-artificial basis with phase 1.
 
 No status is reported on trust: an optimal answer carries a dual
 vector, an infeasible one a Farkas vector, an unbounded one a feasible
 point and an improving ray, each checked exactly against the program as
-stored, never the engine's scaled rows or a rung; a failed check is
-named with its row or column (_optimality_failure, _farkas_failure,
+stored, never the engine's scaled rows; a failed check is named with
+its row or column (_optimality_failure, _farkas_failure,
 _ray_failure).  Output is deterministic for a fixed input; only a solve
 that takes the floating-point start can depend on the installation.
 """
@@ -791,111 +785,46 @@ class _Engine:
         ]
 
 
-def _rung(lp: LinearProgram, rung) -> tuple[LinearProgram, list[int]]:
-    """A rung as (program, columns), refused unless program is a
-    LinearProgram and columns are program.n_vars distinct column indices
-    of lp."""
-    try:
-        program, columns = rung
-        columns = [_index(j, "rung column") for j in columns]
-    except (TypeError, ValueError):
-        program = None
-    if not isinstance(program, LinearProgram):
-        raise ValidationError("a rung must be a (LinearProgram, columns) pair")
-    if len(set(columns)) != len(columns) or len(columns) != program.n_vars:
-        raise ValidationError("a rung needs one distinct column per variable")
-    if columns and not (0 <= min(columns) and max(columns) < lp.n_vars):
-        raise ValidationError("rung column out of range")
-    return program, columns
-
-
-def _start(program: LinearProgram, columns, point: dict) -> list[int]:
-    """point, {column of the full program: nonzero value}, kept to the
-    columns program holds, as a start of program, whose variable t is
-    column columns[t]: its columns, largest values first, then the slack
-    of each inequality row it leaves slack, numbered as _Engine numbers
-    it."""
-    at = {j: t for t, j in enumerate(columns)}
-    x = {at[j]: v for j, v in point.items() if j in at}
-    start = sorted(x, key=lambda t: (-x[t], t))
+def _start(program: LinearProgram, x) -> list[int]:
+    """x, a proposed point of program, as a start: its support, largest
+    values first, then the slack of each inequality row it leaves slack,
+    numbered as _Engine numbers it.  Entries past program's columns are
+    dropped, as a proposal is never trusted."""
+    point = {t: v for t, v in zip(range(program.n_vars), x) if v}
+    start = sorted(point, key=lambda t: (-point[t], t))
     slack = program.n_vars
     for coeffs, rel, rhs, _ in program.rows:
         if rel != EQ:
-            if sum(a * x[t] for t, a in coeffs.items() if t in x) != rhs:
+            if sum(a * point[t] for t, a in coeffs.items() if t in point) != rhs:
                 start.append(slack)
             slack += 1
     return start
 
 
-def _climb(rungs) -> tuple[dict | None, tuple | None]:
-    """The last rung's optimal point, {column of the full program:
-    nonzero value}, with its dual, one entry per row of that rung's
-    program; (None, None) when it is not optimal.  Each rung starts from
-    the optimal point of the rung before (_start); the first, and one
-    after a rung that is not optimal, from the empty support."""
-    point = dual = None
-    for program, columns in rungs:
-        start = [] if point is None else _start(program, columns, point)
-        sol = _Engine(program).solve(start)
-        point = dual = None
-        if sol.status == OPTIMAL:
-            point = {j: v for j, v in zip(columns, sol.assignment) if v}
-            dual = sol.dual
-    return point, dual
-
-
-def solve(
-    lp: LinearProgram,
-    *,
-    rungs: Sequence[tuple] = (),
-    lift: Callable[[dict, tuple], tuple] | None = None,
-    propose: Callable[[], tuple] | None = None,
-) -> LPSolution:
+def solve(lp: LinearProgram, *, propose: Callable[[], tuple] | None = None) -> LPSolution:
     """Solve to a certified status, from the start picked here; lp is
     read, never changed.
 
-    A proposed certificate (x, y) for lp comes from propose(), or from
-    lift(point, dual) on the last rung's optimal point and dual.  If
-    check_optimal accepts it, it is the answer, as given, with c.x from
-    the check, and no engine is built on lp.  A refused one is never
-    returned: lp then starts from the point the proposal came with (the
-    last rung's, or the proposed x), completed exactly.  A proposal is
-    never trusted, so none is checked to come from lp.
-
-    rungs are (program, columns) pairs, variable t of program standing
-    for column columns[t] of lp.  Given some, they are climbed (_climb),
-    never from a floating-point solve; when the last rung is not
-    optimal, lp starts from the empty support.  A rung only proposes a
-    start, so none is checked to restrict lp, and a rung may be a copy
-    of lp, whose pivots its engine then does; a start from nested
-    restrictions, each optimal, always completes.  A lift without rungs,
-    and propose with rungs, are refused.  With neither rungs nor
-    propose, the floating-point start is tried exactly when lp has a
-    row, is at least _CRASH_THRESHOLD rows x columns and scipy imports
-    (_highs)."""
-    rungs = [_rung(lp, rung) for rung in rungs]
-    if lift is not None and not rungs:
-        raise ValidationError("a lift needs rungs, whose last answer it lifts")
-    if propose is not None and rungs:
-        raise ValidationError("a proposal stands in for rungs: give one or the other")
-    point = None
-    if propose is not None:
-        x, y = propose()
-    elif rungs:
-        # climbed before lp's engine is built, which keeps peak memory down
-        point, dual = _climb(rungs)
-        if point is None:
-            return _Engine(lp).solve([])
-        if lift is None:
-            return _Engine(lp).solve(_start(lp, range(lp.n_vars), point))
-        x, y = lift(point, dual)
-    else:
+    propose() gives (x, y): a point of lp, and a dual, one entry per row
+    of lp, or None.  If y is given and check_optimal accepts (x, y), that
+    is the answer, as given, with c.x from the check, and no engine is
+    built.  A refused proposal is never returned.  lp then starts from
+    x, as it does whenever y is None: from x's support, completed
+    exactly (_start), never from a floating-point solve.  A basic
+    feasible point of lp restricted to some of its columns, padded with
+    zeros, always completes.  A proposal is never trusted, so none is
+    checked to come from lp.  Without propose,
+    the floating-point start is tried exactly when lp has a row, is at
+    least _CRASH_THRESHOLD rows x columns and scipy imports (_highs)."""
+    if propose is None:
         engine = _Engine(lp)
         big = len(lp.rows) * max(lp.n_vars, 1) >= _CRASH_THRESHOLD
         return engine.solve(engine._try_crash() if lp.rows and big else None)
-    failure, value = _optimality(lp, x, y)
-    if failure is None:
-        return LPSolution(OPTIMAL, assignment=tuple(x), objective=value, dual=tuple(y))
-    if point is None:
-        point = {j: v for j, v in enumerate(x) if v}
-    return _Engine(lp).solve(_start(lp, range(lp.n_vars), point))
+    # proposed before lp's engine is built, so that the proposal's own
+    # solves, a ladder's rungs, are done and freed first: a lower peak
+    x, y = propose()
+    if y is not None:
+        failure, value = _optimality(lp, x, y)
+        if failure is None:
+            return LPSolution(OPTIMAL, assignment=tuple(x), objective=value, dual=tuple(y))
+    return _Engine(lp).solve(_start(lp, x))

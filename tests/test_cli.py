@@ -186,8 +186,9 @@ def test_solve_single_receiver(capsys, files, tmp_path):
 def test_solve_documents_are_pinned(capsys, name, epsilon, expected):
     """The solve document of a criterion-5 chain at 1/40 and of a
     three-receiver star at 1/20, byte for byte.  Both are two-state grid
-    programs, which lp solves up their breakpoint ladder without a
-    floating-point solve, so the bytes do not depend on scipy.  Recorded
+    programs, which come with a proposal that tries no floating-point
+    solve (the chain's closed form, the star's climb of its breakpoint
+    ladder), so the bytes do not depend on scipy.  Recorded
     when the ladder replaced the scipy crash start, which moved the
     optimal vertex (same objective) in 6 and 11 entries."""
     data = Path(__file__).parent / "data"
@@ -197,11 +198,20 @@ def test_solve_documents_are_pinned(capsys, name, epsilon, expected):
     assert out.encode() == (data / expected).read_bytes()
 
 
-def test_solve_imports_neither_scipy_nor_numpy():
-    """solve on a two-state chain at 1/40, in a fresh process, writes the
-    pinned document and leaves scipy and numpy unimported: the ladder
-    never tries the floating-point start.  A sys.modules entry of None
-    is a blocked import, not an import, so it is not counted."""
+@pytest.mark.parametrize(
+    "name, epsilon, expected",
+    [
+        ("chain2", "1/40", "chain2.solve-1-40.json"),
+        ("star3", "1/20", "star3.solve-1-20.json"),
+    ],
+)
+def test_solve_imports_neither_scipy_nor_numpy(name, epsilon, expected):
+    """solve on a two-state chain at 1/40 and a three-receiver star at
+    1/20, each in a fresh process, writes the pinned document and leaves
+    scipy and numpy unimported: the chain's closed form and the star's
+    climb of its breakpoint ladder never try the floating-point start.
+    A sys.modules entry of None is a blocked import, not an import, so
+    it is not counted."""
     data = Path(__file__).parent / "data"
     script = (
         "import sys\n"
@@ -213,14 +223,14 @@ def test_solve_imports_neither_scipy_nor_numpy():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run(
-        [sys.executable, "-c", script, "solve", str(data / "chain2.instance.json"), "--epsilon", "1/40"],
+        [sys.executable, "-c", script, "solve", str(data / f"{name}.instance.json"), "--epsilon", epsilon],
         capture_output=True,
         env=env,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr.decode().strip() == "[]"
-    assert done.stdout == (data / "chain2.solve-1-40.json").read_bytes()
+    assert done.stdout == (data / expected).read_bytes()
 
 
 def test_solve_decimal_flag(capsys, files):
@@ -837,8 +847,8 @@ def test_reduce_documents_are_pinned(capsys, files, tmp_path):
 
 
 def test_decimal_solve_output_is_pinned(capsys):
-    """A two-state chain, solved up its breakpoint ladder, so the bytes
-    are the same with and without scipy; --decimal adds a float.
+    """A two-state chain, certified in closed form, so the bytes are the
+    same with and without scipy; --decimal adds a float.
     Re-pinned when the ladder replaced the all-artificial start, which
     moved the vertex (same objective) in 6 entries."""
     instance = str(Path(__file__).parent / "data" / "chain2.instance.json")

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -473,28 +474,27 @@ def _two_state_forest(rng, structure):
 
 
 def _ladder_of(inst, glp):
-    """glp's rungs and lift; for a path forest, which build_grid_lp gives
-    none, the ones forest._ladder builds from _rungs' points and _lift."""
-    if glp.propose is None:
-        return glp.rungs, glp.lift
+    """The rungs and the lift that forest._ladder builds for glp's
+    program from _rungs' points and _lift, for a path forest too, whose
+    GridLP proposes its closed form instead."""
     values = [[u.value_at(w, inst.space) for w in glp.points] for u in inst.utilities.receivers]
     return forest._ladder(inst.prior, glp.edges, glp.points, values)
 
 
 def _climb_and_compare(inst, denominator):
-    """The ladder's answer against plain lp.solve on the grid program: the
-    same objective, certified against the full program, and the start
-    at the top of the ladder completes to a feasible basis of the full
+    """The ladder's answer, rung 2's optimal point on the full program's
+    columns, proposed as a start without a dual, against plain lp.solve
+    on the grid program: the same objective, certified against the full
+    program, and the start completes to a feasible basis of the full
     program, so phase 1 is skipped.  solve_grid, which takes the closed
     form on path forests, reaches the same objective.  Returns the
     GridLP, its rungs and its lift."""
     grid = PosteriorGrid(dim=2, denominator=denominator)
     glp = build_grid_lp(inst, grid)
     rungs, lift = _ladder_of(inst, glp)
-    point, _ = lp._climb(rungs)
-    start = lp._start(glp.program, range(glp.program.n_vars), point)
-    assert rungs and lp._Engine(glp.program)._complete(start)
-    climbed = lp.solve(glp.program, rungs=rungs)
+    x, _ = forest._climb(rungs, lift)
+    assert rungs and lp._Engine(glp.program)._complete(lp._start(glp.program, x))
+    climbed = lp.solve(glp.program, propose=lambda: (x, None))
     plain = lp.solve(glp.program)
     assert climbed.status == plain.status == lp.OPTIMAL
     assert climbed.objective == plain.objective
@@ -566,7 +566,7 @@ def test_ladder_matches_the_plain_solve_on_jumps_and_off_grid_priors(
         first = [glp.points[j] for j in rungs[0][1] if j < len(glp.points)]
         assert len(first) == (2 if off_grid else 1)
         built.clear()
-        lp.solve(glp.program, rungs=rungs, lift=lift)
+        lp.solve(glp.program, propose=partial(forest._climb, rungs, lift))
         assert built == [program for program, _ in rungs]
         built.clear()
         lp.solve(glp.program, propose=glp.propose)
@@ -585,21 +585,34 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
     holds every point: its program is then a copy of the full one, and
     the lift is the identity.  The chains, which build_grid_lp certifies
     in closed form, take the ladder forest._ladder builds (_ladder_of),
-    so the theorem stays covered on them."""
-    built = _engines_built(monkeypatch)
+    so the theorem stays covered on them.  The climb starts rung 1 from
+    the empty support and rung 2 from rung 1's optimal point kept to the
+    columns rung 2 holds, largest values first."""
+    built, starts = _engines_built(monkeypatch), []
+    real_solve = lp._Engine.solve
+
+    def solve(engine, start=None):
+        starts.append((start, real_solve(engine, start)))
+        return starts[-1][1]
+
+    monkeypatch.setattr(lp._Engine, "solve", solve)
     whole = 0
     for inst, denominator in _rung_programs():
         glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
         rungs, lift = _ladder_of(inst, glp)
-        assert len(rungs) == 2 and lift is not None
+        assert len(rungs) == 2
         whole += len(rungs[1][1]) == glp.program.n_vars
-        point, dual = lp._climb(rungs)
-        x, y = lift(point, dual)
+        x, y = forest._climb(rungs, lift)
         refused = lp._optimality_failure(glp.program, x, y)
         assert refused is None, f"lift refused at 1/{denominator}: {refused}"
         built.clear()
-        sol = lp.solve(glp.program, rungs=rungs, lift=lift)
+        starts.clear()
+        sol = lp.solve(glp.program, propose=partial(forest._climb, rungs, lift))
         assert built == [program for program, _ in rungs]
+        [(first, one), (second, _)] = starts
+        (_, columns1), (_, columns2) = rungs
+        kept = {columns2.index(j): v for j, v in zip(columns1, one.assignment) if v}
+        assert first == [] and second == sorted(kept, key=lambda t: (-kept[t], t))
         assert (sol.status, sol.assignment, sol.dual) == (lp.OPTIMAL, tuple(x), tuple(y))
         assert lp.check_optimal(glp.program, sol.assignment, sol.dual)
         if denominator <= 20:
@@ -611,9 +624,11 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
 def test_fine_two_state_grids_need_no_engine_on_the_full_program(name, denominator, monkeypatch):
     """chain2 at 1/400 (161,603 columns) and star3 at 1/80 through
     solve_fptas: the answer, chain2's in closed form and star3's lifted,
-    is certified against the full program, no engine is built on it
-    (nor on anything, for chain2), and the objective is the 1/40 one,
-    since every breakpoint and the prior lie on 1/10."""
+    is certified against the full program, which the last lp.solve call
+    is on, no engine is built on it, and the objective is the 1/40 one,
+    since every breakpoint and the prior lie on 1/10.  chain2 makes no
+    other call and builds no engine at all; star3's proposal solves its
+    two rungs through lp.solve first, an engine on each."""
     inst = _data_instance(name)
     reference = solve_fptas(inst, F(1, 40))[0].objective
     built, solved = _engines_built(monkeypatch), []
@@ -625,8 +640,9 @@ def test_fine_two_state_grids_need_no_engine_on_the_full_program(name, denominat
 
     monkeypatch.setattr(forest.lp, "solve", solve)
     solution, table = solve_fptas(inst, F(1, denominator))
-    [(program, sol)] = solved
-    assert program not in built and bool(built) is (name == "star3")
+    program, sol = solved[-1]
+    assert len(solved) == (3 if name == "star3" else 1)
+    assert built == [rung for rung, _ in solved[:-1]] and program not in built
     assert lp.check_optimal(program, sol.assignment, sol.dual)
     assert solution.objective == sol.objective == reference
     assert evaluate_table(table, inst) == reference
@@ -635,9 +651,9 @@ def test_fine_two_state_grids_need_no_engine_on_the_full_program(name, denominat
 def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
     """A real lift with one column-sum dual moved down by 1/den, at a
     point rung 2 does not hold, prices a y column positive, so
-    check_optimal refuses it.  solve then completes the ladder's start
-    on the full program, skips phase 1 and runs phase 2 there, to the
-    plain solve's objective, certified."""
+    check_optimal refuses it.  solve, handed the climb as its proposal,
+    then completes rung 2's point on the full program, skips phase 1 and
+    runs phase 2 there, to the plain solve's objective, certified."""
     inst = _data_instance("chain2")
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
     rungs, lift = _ladder_of(inst, glp)
@@ -650,7 +666,7 @@ def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
         y[row] -= F(1, y[row].denominator)
         return x, y
 
-    refused = lp._optimality_failure(glp.program, *bent(*lp._climb(rungs)))
+    refused = lp._optimality_failure(glp.program, *forest._climb(rungs, bent))
     assert refused is not None and refused.startswith("column "), refused
     completed, phases = [], []
     real_complete, real_run, real_phase1 = lp._Engine._complete, lp._Engine._run, lp._Engine._phase1
@@ -665,7 +681,7 @@ def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
 
     monkeypatch.setattr(lp._Engine, "_complete", complete)
     monkeypatch.setattr(lp._Engine, "_run", run)
-    sol = lp.solve(glp.program, rungs=rungs, lift=bent)
+    sol = lp.solve(glp.program, propose=partial(forest._climb, rungs, bent))
     assert completed[-1] == (glp.program, True)
     assert [phase for program, phase in phases if program is glp.program] == [2]
     assert lp.check_optimal(glp.program, sol.assignment, sol.dual)
@@ -720,20 +736,20 @@ def _grid2_jobs(seed):
 
 
 def _assert_closed_form(inst, denominator, built):
-    """The closed form of inst's grid program at 1/denominator: given
-    with no rungs and no lift, accepted by check_optimal on the full
-    program, returned by solve as given with no engine built, and of the
-    ladder's objective."""
+    """The closed form of inst's grid program at 1/denominator: what
+    GridLP proposes, accepted by check_optimal on the full program,
+    returned by solve as given with no engine built, and of the ladder's
+    objective."""
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-    assert glp.propose is not None and (glp.rungs, glp.lift) == ((), None)
+    assert glp.propose.func is forest._path_certificate
     x, y = glp.propose()
     refused = lp._optimality_failure(glp.program, x, y)
     assert refused is None, f"closed form refused at 1/{denominator}: {refused}"
     built.clear()
     sol = lp.solve(glp.program, propose=glp.propose)
     assert built == [] and (sol.assignment, sol.dual) == (tuple(x), tuple(y))
-    rungs, lift = _ladder_of(inst, glp)
-    assert sol.objective == lp.solve(glp.program, rungs=rungs, lift=lift).objective
+    climb = partial(forest._climb, *_ladder_of(inst, glp))
+    assert sol.objective == lp.solve(glp.program, propose=climb).objective
 
 
 def test_read_back_takes_each_flow_from_coupling_flows():
@@ -745,7 +761,7 @@ def test_read_back_takes_each_flow_from_coupling_flows():
     cases += [job for seed in (1, 2, 3) for job in _grid2_jobs(seed)]
     for inst, denominator in cases:
         glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-        sol = lp.solve(glp.program, rungs=glp.rungs, lift=glp.lift, propose=glp.propose)
+        sol = lp.solve(glp.program, propose=glp.propose)
         solution = forest._read_solution(glp, sol.assignment, sol.objective)
         pts, x = glp.points, sol.assignment
         assert list(solution.couplings) == list(glp.edges)
@@ -772,7 +788,7 @@ def test_path_forests_are_certified_in_closed_form(monkeypatch):
         for inst, denominator in _grid2_jobs(seed):
             if inst.structure.matrix == tuple(map(tuple, STAR3)):
                 glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-                assert glp.propose is None and len(glp.rungs) == 2 and glp.lift is not None
+                assert glp.propose.func is forest._climb and len(glp.propose.args[0]) == 2
                 stars += 1
             else:
                 cases.append((inst, denominator))
@@ -822,8 +838,8 @@ def test_a_refused_proposal_falls_back_to_exact_solving(monkeypatch):
     inst = _data_instance("chain2")
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
     n, k = len(glp.points), len(glp.x_base)
-    rungs, lift = _ladder_of(inst, glp)
-    reference = lp.solve(glp.program, rungs=rungs, lift=lift).objective
+    climb = partial(forest._climb, *_ladder_of(inst, glp))
+    reference = lp.solve(glp.program, propose=climb).objective
     built = _engines_built(monkeypatch)
     completed = []
     real_complete = lp._Engine._complete
@@ -933,14 +949,16 @@ def test_rung_points_are_pinned(name, denominator, first, second):
 
 
 def test_three_state_grids_have_no_rungs():
+    """Past two states there is no proposal, so lp.solve picks the start
+    itself: the HiGHS support behind its gate, or the all-artificial one."""
     inst = _three_state_chain(random.Random(8))
     glp = build_grid_lp(inst, PosteriorGrid(dim=3, denominator=4))
-    assert (glp.rungs, glp.lift, glp.propose) == ((), None, None)
+    assert glp.propose is None
 
 
 def _rung_programs():
-    """(instance, denominator) of two-state grids with rungs, built by
-    build_grid_lp or, for path forests, by forest._ladder: the five
+    """(instance, denominator) of two-state grids whose rungs
+    forest._ladder builds, path forests among them: the five
     GRID_CASES, seeded grid2-generator chains and three-receiver
     forests, also at the coarse steps 1/2 to 1/6, and the JUMPS
     instances."""
@@ -958,9 +976,8 @@ def _rung_programs():
 
 
 def test_rung_programs_are_restrictions_of_the_full_program():
-    """Each rung program that build_grid_lp or forest._ladder makes over a
-    subset of the points is the full program restricted to the rung's
-    columns, as an
+    """Each rung program that forest._ladder makes over a subset of the
+    points is the full program restricted to the rung's columns, as an
     independent builder from the Fraction rows makes it: the same
     variables, objective and rows, in the same order."""
     for inst, denominator in _rung_programs():
@@ -976,8 +993,10 @@ def test_rung_programs_are_restrictions_of_the_full_program():
 
 def test_a_grid_solve_builds_once_and_solves_once(monkeypatch):
     """solve_grid and solve_fptas build through one forest.build_grid_lp
-    call and solve, rungs and all, through one forest.lp.solve call:
-    the call pattern that the benchmark's read-back replay swaps out."""
+    call and solve through one forest.lp.solve call: the call pattern
+    that the benchmark's read-back replay swaps out.  A branching
+    forest's rungs are solved inside its proposal, which a replay never
+    calls (test_a_replayed_solve_never_calls_the_proposal)."""
     calls = []
     real_build, real_solve = forest.build_grid_lp, forest.lp.solve
 
@@ -1003,6 +1022,65 @@ def test_a_grid_solve_builds_once_and_solves_once(monkeypatch):
         calls.clear()
         run()
         assert calls == ["build", "solve"]
+
+
+@pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED])
+@pytest.mark.parametrize("rung", [1, 2])
+def test_a_rung_that_is_not_optimal_raises(rung, status, monkeypatch):
+    """A rung is a grid program, always feasible and bounded, so a rung
+    that lp.solve reports as anything but optimal is a solver defect:
+    star3's climb raises InvariantViolation naming the status, and no
+    engine is built on the full program, nor on any rung after it."""
+    built, calls = _engines_built(monkeypatch), []
+    real_solve = forest.lp.solve
+
+    def solve(program, **kwargs):
+        calls.append(program)
+        if len(calls) == rung + 1:  # the full program's call comes first
+            return lp.LPSolution(status)
+        return real_solve(program, **kwargs)
+
+    monkeypatch.setattr(forest.lp, "solve", solve)
+    with pytest.raises(InvariantViolation, match=f"rung program reported {status}"):
+        solve_grid(_data_instance("star3"), PosteriorGrid(dim=2, denominator=20))
+    assert len(calls) == rung + 1 and built == calls[1:rung]
+
+
+@pytest.mark.parametrize("name, denominator", [("chain2", 40), ("star3", 20)])
+def test_a_replayed_solve_never_calls_the_proposal(name, denominator, monkeypatch):
+    """The benchmark's read-back replay, rebuilt here: forest.build_grid_lp
+    gives a GridLP built beforehand, and forest.lp is a stand-in with
+    solve and OPTIMAL only, whose solve returns a solution made
+    beforehand.  solve_grid on a path forest and on star3 calls each
+    stand-in once, never calls the proposal, where star3's rungs are
+    solved, and reads back the solution a real solve_grid gives."""
+    inst = _data_instance(name)
+    grid = PosteriorGrid(dim=2, denominator=denominator)
+    glp = build_grid_lp(inst, grid)
+    solution = lp.solve(glp.program, propose=glp.propose)
+    calls = []
+
+    def propose():
+        calls.append("propose")
+        return glp.propose()
+
+    class ReplayLP:
+        OPTIMAL = lp.OPTIMAL
+
+        @staticmethod
+        def solve(program, *args, **kwargs):
+            calls.append("solve")
+            return solution
+
+    def build(instance, grid):
+        calls.append("build")
+        return replace(glp, propose=propose)
+
+    expected = solve_grid(inst, grid)
+    monkeypatch.setattr(forest, "build_grid_lp", build)
+    monkeypatch.setattr(forest, "lp", ReplayLP)
+    assert solve_grid(inst, grid) == expected
+    assert calls == ["build", "solve"]
 
 
 # ---------------------------------------------------------------------------

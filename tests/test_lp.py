@@ -1111,7 +1111,7 @@ def test_grid_solves_are_pinned(route, take_route):
         assert digest == GRID_SOLVES_PURE
 
 
-# --- the ladder: solve(lp, rungs=...) ---
+# --- starts: solve(lp, propose=lambda: (x, None)) ---
 
 
 def _restriction(lp, cols):
@@ -1136,22 +1136,20 @@ def _certified(lp, sol):
     return check_ray(lp, sol.assignment, sol.ray)
 
 
-def _drawn_rungs(rng, n, always=()):
-    """One to three nested column sets of range(n), each holding always,
-    or, one time in four, two sets drawn apart."""
-    rest = rng.sample(sorted(set(range(n)) - set(always)), n - len(always))
+def _drawn_columns(rng, n, always=()):
+    """A sorted column set of range(n) that holds always, or, one time in
+    four, one drawn without it."""
     if rng.random() < 0.25:
-        first = [*always, *rest[: rng.randint(0, len(rest))]]
-        return [first, rng.sample(range(n), rng.randint(0, n))]
-    sizes = sorted(rng.choices(range(len(rest) + 1), k=rng.randint(1, 3)))
-    return [[*always, *rest[:size]] for size in sizes]
+        return sorted(rng.sample(range(n), rng.randint(0, n)))
+    rest = rng.sample(sorted(set(range(n)) - set(always)), n - len(always))
+    return sorted({*always, *rest[: rng.randint(0, len(rest))]})
 
 
-def _ladder_cases():
-    """The 400 pinned draws with seeded rungs, half of them holding the
-    support of an optimum, and the pinned grid programs with rungs that
-    hold every x column and the diagonal y columns (a feasible
-    restriction) or, one time in three, not."""
+def _start_cases():
+    """(lp, cols): the 400 pinned draws, cols holding the support of an
+    optimum half of the time, and the pinned grid programs, cols holding
+    every x column and the diagonal y columns (a feasible restriction),
+    the support of an optimum, or every other x column."""
     rng = random.Random(3)
     draw = random.Random(19)
     cases = []
@@ -1161,7 +1159,7 @@ def _ladder_cases():
         always = ()
         if sol.status == OPTIMAL and draw.random() < 0.5:
             always = [j for j, v in enumerate(sol.assignment) if v]
-        cases.append((lp, _drawn_rungs(draw, lp.n_vars, always)))
+        cases.append((lp, _drawn_columns(draw, lp.n_vars, always)))
     for name, denominator in GRID_CASES[:2] + GRID_CASES[3:4]:
         path = Path(__file__).parent / "data" / f"{name}.instance.json"
         instance = validate_instance(json.loads(path.read_text()))
@@ -1169,23 +1167,43 @@ def _ladder_cases():
         n = len(glp.points)
         diagonal = [base + a * n + a for base in glp.y_base for a in range(n)]
         xs = list(range(glp.y_base[0]))
-        for _ in range(3):
-            always = xs + diagonal if draw.random() < 2 / 3 else xs[::2]
-            cases.append((glp.program, _drawn_rungs(draw, glp.program.n_vars, always)))
+        optimum = [j for j, v in enumerate(solve(glp.program).assignment) if v]
+        for always in (xs + diagonal, optimum, xs[::2]):
+            cases.append((glp.program, _drawn_columns(draw, glp.program.n_vars, always)))
     return cases
 
 
-def test_ladder_gives_the_plain_answer_certified(monkeypatch, take_route):
-    """solve(lp, rungs=...) on the 400 pinned draws and the pinned grid
-    programs, with seeded rungs, each lp restricted to a drawn column set
-    by _restriction, built independently from the Fraction rows, and
-    with _CRASH_THRESHOLD at 0: the status and objective of solve(lp), a
-    certificate checked against lp, and no floating-point solve tried.
-    The ladder is never dropped: every rung, then lp, is solved once, the
-    first rung and one after a rung that is not optimal from the empty
-    support, any other from the support of the optimum before it kept to
-    the columns it holds.  On nested rungs that are all optimal, every
-    start but the first rung's empty one completes."""
+def test_a_start_is_the_support_then_the_slack_rows():
+    """_start(program, x): x's support, largest values first and lowest
+    index on ties, then the slack column of each inequality row that x
+    leaves slack, numbered from n_vars in row order as _Engine numbers
+    them.  Entries past program's columns are dropped."""
+    lp = LinearProgram(
+        3,
+        [1, 0, 0],
+        [([1, 1, 0], LE, 2), ([1, 1, 1], EQ, 1), ([0, 1, 1], GE, 1), ([1, 0, 1], LE, 1)],
+    )
+    cases = [
+        ((0, F(1, 2), F(1, 2), 7), [1, 2, 3, 5]),
+        ((F(1, 4), F(3, 4), 0), [1, 0, 3, 4, 5]),
+        ((0, 0, 0), [3, 4, 5]),
+    ]
+    for x, start in cases:
+        assert lp_module._start(lp, [F(v) for v in x]) == start
+
+
+def test_a_start_gives_the_plain_answer_certified(monkeypatch, take_route):
+    """solve(lp, propose=lambda: (x, None)) on the 400 pinned draws and
+    the pinned grid programs, x the optimum of lp restricted to a drawn
+    column set by _restriction, built independently from the Fraction
+    rows, padded with zeros to lp's columns (all zero where the
+    restriction has no optimum), and with _CRASH_THRESHOLD at 0: the
+    status and objective of solve(lp), a certificate checked against lp,
+    and no floating-point solve tried.  One engine, on lp, is given x's
+    support, largest values first, then slack columns.  Its completion is
+    kept whenever the restriction has an optimum: a basic feasible point
+    of the restriction, padded, is one of lp.  Where the column set holds
+    the support of solve(lp)'s optimum, x is of solve(lp)'s objective."""
     solves, completions, crashes = [], [], []
     real_solve = lp_module._Engine.solve
     real_complete = lp_module._Engine._complete
@@ -1210,42 +1228,40 @@ def test_ladder_gives_the_plain_answer_certified(monkeypatch, take_route):
     monkeypatch.setattr(lp_module._Engine, "_try_crash", try_crash)
     take_route("crash")
     outcomes = {}
-    for lp, rungs in _ladder_cases():
+    for lp, cols in _start_cases():
         plain = solve(lp)
-        rungs = [(_restriction(lp, cols), cols) for cols in (sorted(set(rung)) for rung in rungs)]
-        statuses = [solve(program).status for program, _ in rungs]
+        restricted = solve(_restriction(lp, cols))
+        x = [F(0)] * lp.n_vars
+        if restricted.status == OPTIMAL:
+            for j, v in zip(cols, restricted.assignment):
+                x[j] = v
         solves.clear()
         completions.clear()
         crashes.clear()
-        sol = solve(lp, rungs=rungs)
+        sol = solve(lp, propose=lambda: (x, None))
         assert not crashes
         assert (sol.status, sol.objective) == (plain.status, plain.objective)
         assert _certified(lp, sol)
-        assert [engine.lp for engine, _, _ in solves] == [program for program, _ in rungs] + [lp]
-        assert [s.status for _, _, s in solves[:-1]] == statuses
-        # rung by rung, then lp: the start it is given, and whether it
-        # holds the support before it
-        outcome, support = "climbed", None
-        for (program, cols), (_, start, s) in zip([*rungs, (lp, range(lp.n_vars))], solves):
-            if support is None:
-                assert start == []
-            else:
-                assert {cols[t] for t in start if t < program.n_vars} == support & set(cols)
-                if not support <= set(cols) and outcome == "climbed":
-                    outcome = "a support not held"
-            support = None
-            if s.status == OPTIMAL:
-                support = {cols[j] for j, v in enumerate(s.assignment) if v}
-            elif outcome == "climbed":
-                outcome = "a rung not optimal"
+        [(engine, start, _)] = solves
+        support = [j for j, v in enumerate(x) if v]
+        assert engine.lp is lp
+        assert start[: len(support)] == sorted(support, key=lambda j: (-x[j], j))
+        assert all(j >= lp.n_vars for j in start[len(support) :])
+        if restricted.status == OPTIMAL:
+            assert completions == [(start, True)]
+        optimum = {j for j, v in enumerate(plain.assignment or ()) if v}
+        holds = plain.status == OPTIMAL and optimum <= set(cols)
+        if holds:
+            assert restricted.objective == plain.objective
+        outcome = "holds an optimum" if holds else "restricted optimum"
+        if restricted.status != OPTIMAL:
+            outcome = "no restricted optimum"
         # the pinned draws have at most 7 columns, the grid programs 143 and more
         outcome += " (grid)" if lp.n_vars > 7 else ""
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
-        if outcome.startswith("climbed"):
-            assert all(ok for start, ok in completions if start)
-            assert completions[-1] == (solves[-1][1], True)
-    assert min(outcomes[kind] for kind in ("climbed", "a rung not optimal", "a support not held")) > 20
-    assert outcomes["climbed (grid)"] and outcomes["a rung not optimal (grid)"], outcomes
+    kinds = ("holds an optimum", "restricted optimum", "no restricted optimum")
+    assert min(outcomes[kind] for kind in kinds) > 20, outcomes
+    assert outcomes["holds an optimum (grid)"] and outcomes["no restricted optimum (grid)"], outcomes
 
 
 def _moved(values, rng):
@@ -1268,54 +1284,6 @@ def _engines_built(monkeypatch) -> list:
 
     monkeypatch.setattr(lp_module._Engine, "__init__", init)
     return built
-
-
-def test_a_lift_is_returned_only_when_it_certifies(monkeypatch):
-    """solve(lp, rungs=..., lift=f) on the 400 pinned draws with seeded
-    rungs, f giving solve(lp)'s optimum with one entry of the dual or of
-    the point moved by 1/den, or as it is: the status, objective and
-    certificate check of solve(lp, rungs=...) without a lift, whether f's
-    answer is refused or accepted.  An accepted answer is returned as f
-    gave it, with no engine built on lp.  f is called once when the last
-    rung is optimal, on that rung's point (columns of lp it holds) and
-    its dual (one entry per row of its program), and never otherwise."""
-    built = _engines_built(monkeypatch)
-    rng = random.Random(23)
-    verdicts = {}
-    for lp, rungs in _ladder_cases():
-        if lp.n_vars > 7:  # the grid programs
-            continue
-        rungs = [(_restriction(lp, cols), cols) for cols in (sorted(set(rung)) for rung in rungs)]
-        last, columns = rungs[-1]
-        last_optimal = solve(last).status == OPTIMAL
-        plain = solve(lp, rungs=rungs)
-        optimum = solve(lp)
-        x, y = optimum.assignment, optimum.dual
-        if optimum.status != OPTIMAL:
-            x, y = (F(0),) * lp.n_vars, (F(0),) * lp.n_constraints
-        for kind, answer in [("as it is", (x, y)), ("dual moved", (x, _moved(y, rng)))] + [
-            ("point moved", (_moved(x, rng), y))
-        ]:
-            calls = []
-
-            def lift(point, dual):
-                calls.append((point, dual))
-                return answer
-
-            built.clear()
-            sol = solve(lp, rungs=rungs, lift=lift)
-            assert (sol.status, sol.objective) == (plain.status, plain.objective)
-            assert _certified(lp, sol)
-            assert len(calls) == last_optimal
-            for point, dual in calls:
-                assert set(point) <= set(columns) and len(dual) == last.n_constraints
-            accepted = bool(calls) and check_optimal(lp, *answer)
-            if accepted:
-                assert (sol.assignment, sol.dual) == tuple(map(tuple, answer))
-            assert (lp in built) is not accepted
-            verdicts[kind, accepted] = verdicts.get((kind, accepted), 0) + 1
-    assert verdicts["as it is", True] > 100, verdicts
-    assert min(verdicts["dual moved", False], verdicts["point moved", False]) > 300, verdicts
 
 
 def test_a_failed_certificate_is_named_with_its_index(monkeypatch):
@@ -1351,11 +1319,14 @@ def test_a_failed_certificate_is_named_with_its_index(monkeypatch):
 
 def test_a_proposal_is_returned_only_when_it_certifies(monkeypatch):
     """solve(lp, propose=f) on the 400 pinned draws, f giving solve(lp)'s
-    optimum as it is or with one entry of the dual or of the point moved
-    by 1/den: the status, objective and certificate check of solve(lp).
-    f is called once.  An accepted proposal is returned as f gave it,
-    with c.x as its objective and no engine built; a refused one never
-    is, and one engine, on lp, solves from the proposed point."""
+    optimum as it is, with one entry of the dual or of the point moved
+    by 1/den, or with no dual: the status, objective and certificate
+    check of solve(lp).  f is called once.  An accepted proposal is
+    returned as f gave it, with c.x as its objective and no engine
+    built; a refused one never is, and one engine, on lp, solves from
+    the proposed point.  A point without a dual is never accepted, even
+    an optimal one: it only proposes a start, so an engine is always
+    built."""
     built = _engines_built(monkeypatch)
     rng = random.Random(29)
     verdicts = {}
@@ -1370,6 +1341,7 @@ def test_a_proposal_is_returned_only_when_it_certifies(monkeypatch):
             ("as it is", (x, y)),
             ("dual moved", (x, _moved(y, rng))),
             ("point moved", (_moved(x, rng), y)),
+            ("no dual", (x, None)),
         ]:
             calls = []
 
@@ -1381,23 +1353,14 @@ def test_a_proposal_is_returned_only_when_it_certifies(monkeypatch):
             sol = solve(lp, propose=propose)
             assert (sol.status, sol.objective) == (optimum.status, optimum.objective)
             assert _certified(lp, sol) and len(calls) == 1
-            accepted = check_optimal(lp, *answer)
+            accepted = answer[1] is not None and check_optimal(lp, *answer)
             if accepted:
                 assert (sol.assignment, sol.dual) == tuple(map(tuple, answer))
             assert built == ([] if accepted else [lp])
             verdicts[kind, accepted] = verdicts.get((kind, accepted), 0) + 1
     assert verdicts["as it is", True] > 100, verdicts
     assert min(verdicts["dual moved", False], verdicts["point moved", False]) > 300, verdicts
-
-
-def test_a_proposal_takes_no_rungs():
-    """A proposal stands in for the ladder, so one given with rungs is
-    refused before anything is solved, and never called."""
-    lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1)])
-    called = []
-    with pytest.raises(ValidationError, match="give one or the other"):
-        solve(lp, rungs=[(_ONE_COLUMN, [0])], propose=lambda: called.append(lp))
-    assert called == []
+    assert verdicts["no dual", False] == 400, verdicts
 
 
 def _fraction_farkas_failure(lp, y):
@@ -1506,54 +1469,6 @@ def test_a_start_that_does_not_complete_falls_back_to_the_all_artificial_start(t
         assert check_optimal(lp, sol.assignment, sol.dual)
         if not completes:
             assert sol == pure
-
-
-_ONE_COLUMN = LinearProgram(1, [1], [([1], EQ, 1)])
-_TWO_COLUMNS = LinearProgram(2, [1, 0], [([1, 1], EQ, 1)])
-
-
-@pytest.mark.parametrize(
-    "rung",
-    [
-        # columns that are not indices in range(lp.n_vars)
-        (_ONE_COLUMN, [3]),
-        (_ONE_COLUMN, [-1]),
-        (_ONE_COLUMN, [0.0]),
-        (_ONE_COLUMN, [True]),
-        (_ONE_COLUMN, ["1"]),
-        # columns that are not distinct
-        (_TWO_COLUMNS, [0, 0]),
-        # a column count that differs from the rung's n_vars
-        (_ONE_COLUMN, [0, 1]),
-        (_TWO_COLUMNS, [0]),
-        # not a (LinearProgram, columns) pair
-        [0],
-        _ONE_COLUMN,
-        (_ONE_COLUMN,),
-        ([0], _ONE_COLUMN),
-        (_ONE_COLUMN, [0], [0]),
-        (_ONE_COLUMN, 0),
-        (_ONE_COLUMN.rows, [0]),
-    ],
-)
-def test_rungs_take_only_column_indices(rung):
-    """A rung is a (LinearProgram, columns) pair whose columns are
-    distinct integer indices of lp, one per variable of the rung;
-    anything else is refused, also after a rung that is valid."""
-    lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1)])
-    assert solve(lp, rungs=[(_ONE_COLUMN, [0])]) == solve(lp)
-    with pytest.raises(ValidationError):
-        solve(lp, rungs=[(_ONE_COLUMN, [0]), rung])
-
-
-def test_a_lift_needs_rungs():
-    """A lift maps the last rung's answer, so one given without rungs is
-    refused before anything is solved, and never called."""
-    lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1)])
-    called = []
-    with pytest.raises(ValidationError, match="lift needs rungs"):
-        solve(lp, lift=lambda point, dual: called.append(point))
-    assert called == []
 
 
 def test_bland_fallback_counts_only_rows_not_left_dependent(monkeypatch):
