@@ -1363,6 +1363,43 @@ def test_a_proposal_is_returned_only_when_it_certifies(monkeypatch):
     assert verdicts["no dual", False] == 400, verdicts
 
 
+def test_a_lift_is_returned_only_when_it_certifies(monkeypatch):
+    """solve(lp, propose=f) on the start cases, f lifting the optimum of
+    lp restricted to a drawn column set by _restriction: its point padded
+    with zeros to lp's columns, its dual put on the rows of lp that the
+    restriction keeps, zero on the rows it drops.  The status, objective
+    and certificate check of solve(lp), whether the lift is refused or
+    accepted.  An accepted lift is returned as f gave it, with no engine
+    built on lp; a refused one is solved by one engine, on lp.  The lift
+    certifies only where the column set prices out every other column,
+    so both verdicts are seen."""
+    built = _engines_built(monkeypatch)
+    verdicts = {}
+    for lp, cols in _start_cases():
+        plain = solve(lp)
+        restriction = _restriction(lp, cols)
+        restricted = solve(restriction)
+        if restricted.status != OPTIMAL:
+            continue
+        x, y = [F(0)] * lp.n_vars, [F(0)] * lp.n_constraints
+        for j, v in zip(cols, restricted.assignment):
+            x[j] = v
+        kept = [i for i, (row, _, rhs) in enumerate(lp.constraints) if rhs or set(row) & set(cols)]
+        assert len(kept) == restriction.n_constraints
+        for i, v in zip(kept, restricted.dual):
+            y[i] = v
+        built.clear()
+        sol = solve(lp, propose=lambda: (x, y))
+        assert (sol.status, sol.objective) == (plain.status, plain.objective)
+        assert _certified(lp, sol)
+        accepted = check_optimal(lp, x, y)
+        if accepted:
+            assert (sol.assignment, sol.dual) == (tuple(x), tuple(y))
+        assert built == ([] if accepted else [lp])
+        verdicts[accepted] = verdicts.get(accepted, 0) + 1
+    assert min(verdicts[True], verdicts[False]) > 20, verdicts
+
+
 def _fraction_farkas_failure(lp, y):
     """_farkas_failure from the Fraction rows."""
     if len(y) != lp.n_constraints:
