@@ -473,6 +473,34 @@ def _two_state_forest(rng, structure):
     return make_instance(structure, utilities, prior=(1 - high, high))
 
 
+#: md5 of repr((objective, assignment)) of the grid program's solution,
+#: one line per solve, that solve_grid reaches on
+#: _two_state_forest(random.Random(seed), STAR3) for seeds 1-40, each at
+#: 1/10, 1/20 and 1/40: branching vertices, which no CLI document pins
+#: beyond star3's.
+STAR3_SOLVES = "f453961b644e9fe211667cbd79cc168c"
+
+
+def test_branching_grid_solves_are_pinned(monkeypatch):
+    solved = []
+    real_solve = forest.lp.solve
+
+    def solve(program, **kwargs):
+        solved.append(real_solve(program, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(forest.lp, "solve", solve)
+    lines = []
+    for seed in range(1, 41):
+        inst = _two_state_forest(random.Random(seed), STAR3)
+        for denominator in (10, 20, 40):
+            solution = solve_grid(inst, PosteriorGrid(dim=2, denominator=denominator))
+            sol = solved[-1]  # the full program's, which solve_grid reads back
+            assert sol.objective == solution.objective
+            lines.append(repr((sol.objective, sol.assignment)))
+    assert hashlib.md5("\n".join(lines).encode()).hexdigest() == STAR3_SOLVES
+
+
 def _ladder_of(inst, glp):
     """The rungs and the lift that forest._ladder builds for glp's
     program from _rungs' points and _lift, for a path forest too, whose
