@@ -10,10 +10,10 @@ conditionally independent given the state.
 On two states the solve needs no simplex pivots on the full program:
 the grid program comes with a proposal (GridLP.propose).  A forest of
 paths has its optimum in closed form, a nested concavification along
-each path (_path_certificate); any other forest climbs the breakpoint
-ladder, two smaller grid programs each solved through lp.solve, and
-lifts the top rung's answer to the full program (_ladder, _climb,
-_lift).  Either way lp.solve returns the answer only once it has
+each path (_path_certificate); any other forest solves the smaller
+grid program over its breakpoints through lp.solve and reads the
+answer off it (_breakpoint_answer).  Both build each edge's duals the
+same way (_edge_dual), and lp.solve returns the answer only once it has
 checked it as an optimality certificate of the full program.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import compress
-from math import ceil, floor, gcd, lcm
+from math import floor, gcd, lcm
 from operator import ge, getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -108,9 +108,8 @@ class GridLP:
     edges are edges.  propose, given exactly on two states, is what
     lp.solve is handed to reach the optimum: it gives the program's
     optimal point and dual, in closed form when the forest is made of
-    paths (_path_certificate), and otherwise by climbing the breakpoint
-    ladder and lifting rung 2's answer (_ladder, _climb, _lift).  It is
-    None past two states."""
+    paths (_path_certificate), and otherwise read off the breakpoint
+    program (_breakpoint_answer).  It is None past two states."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
@@ -144,8 +143,8 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     """Assemble the exact grid program for a forest instance and, on two
     states, the proposal lp.solve is to reach its optimum by: for a
     forest of paths the certificate in closed form (_path_certificate),
-    and for any other forest the climb of both rungs' programs, built
-    here, with the lift of rung 2's answer (_ladder, _climb).
+    and for any other forest the breakpoint program's answer
+    (_breakpoint_answer), which builds nothing until it is called.
 
     Families, in row order: Bayes-plausibility per receiver per state;
     per covering edge the spread-side row sums, coarse-side column
@@ -169,7 +168,7 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         # no receiver spreads onto two: every tree is a path
         propose = partial(_path_certificate, instance.prior.values[0], edges, values)
     elif grid.dim == 2:
-        propose = partial(_climb, *_ladder(instance.prior, edges, pts, values))
+        propose = partial(_breakpoint_answer, instance.prior, edges, pts, values)
     return GridLP(
         program=full,
         grid=grid,
@@ -212,130 +211,92 @@ def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
     return lp.LinearProgram.integral(n_vars, (objective, obj_den), constraints)
 
 
-def _ladder(prior, edges, pts, values) -> tuple[tuple, Callable]:
-    """The rungs and the lift of the two-state grid program over the
-    sorted points pts of the 1/D lattice, values[i][a] receiver i's
-    utility at pts[a], as _climb takes them: each rung as (_grid_program
-    over _rungs' points, the full program's column of each of its
-    variables), and _lift over rung 2's points.  Where rung 2 holds
-    every point, its program is a copy of the full one, and the lift the
-    identity."""
-    k, n = len(values), len(pts)
+def _breakpoint_answer(prior, edges, pts, values) -> tuple[list, list]:
+    """The optimal point and dual of the two-state grid program over the
+    sorted points pts of the 1/D lattice (values[i][a] receiver i's
+    utility at pts[a], whose first coordinate is a/D), in _grid_program's
+    numbering, read off the breakpoint program: the grid program over 0,
+    D, the prior's grid point p = prior * D, or the two next to it, and
+    every point where some utility bends down, u(a-1) - 2u(a) + u(a+1) < 0.
+    Between neighbouring breakpoints every utility is convex, so pushing
+    each mass onto them keeps the mean and the convex order and lowers no
+    utility: the breakpoint program holds an optimum of the full one.
+
+    lp.solve starts it from the one feasible point of the grid program
+    over the prior's neighbours alone, written down: every marginal the
+    prior split onto them (_split), every coupling the identity.  It
+    solves faster from there than afresh, and the start fixes which
+    optimum, and so which table, is reached.  A grid program is feasible
+    and bounded, so anything but an optimal status is a solver defect.
+
+    x is the breakpoint program's point on the full program's columns.
+    y keeps its Bayes-plausibility and normalization duals, and gives
+    each edge _edge_dual's duals for -alpha, alpha its row-sum duals
+    interpolated linearly between breakpoints.  At a breakpoint c, dual
+    feasibility of the y(l, c) columns puts a line above -alpha, so the
+    column-sum dual was at least cav(-alpha)(c): lowering it only lowers
+    the reduced cost of the coarse x column at c.  Between breakpoints
+    every utility is convex and every dual linear, so every x column
+    stays priced out; each y column prices at a supporting line of
+    cav(-alpha); and the edge rows' right-hand sides are 0, so y'b is
+    unchanged."""
+    k, n, n_edges = len(values), len(pts), len(edges)
     D = n - 1
-    ladder, rungs = _rungs(prior.values[0] * D, values), []
-    for points in ladder:
-        program = _grid_program(
-            prior, edges, D, [pts[a] for a in points], [[u[a] for a in points] for u in values]
-        )
-        xs = [i * n + a for i in range(k) for a in points]
-        ys = [
-            k * n + e * n * n + a * n + c
-            for e in range(len(edges))
-            for a in points
-            for c in points
-        ]
-        rungs.append((program, tuple(xs + ys)))
-    n_vars = k * n + len(edges) * n * n
-    return tuple(rungs), partial(_lift, ladder[1], k, len(edges), n_vars)
-
-
-def _climb(rungs, lift) -> tuple[list, list]:
-    """lift(point, dual) of the last rung's optimal point, {column of the
-    full program: nonzero value}, and dual.  Each rung is solved through
-    lp.solve from the optimal point of the rung before, kept to the
-    columns it holds, completed exactly; the first from the empty
-    support.  No floating-point solve is tried.  Rung 1 pays for itself:
-    rung 2 solves faster from its point than afresh, and the point fixes
-    which of rung 2's optima, and so which table, is reached.  A rung is
-    a grid program, always feasible and bounded, so anything but an
-    optimal status is a solver defect."""
-    point, dual = {}, None
-    for program, columns in rungs:
-        x = [point.get(j, _ZERO) for j in columns]
-        sol = lp.solve(program, propose=lambda: (x, None))
-        if sol.status != lp.OPTIMAL:
-            raise InvariantViolation(f"rung program reported {sol.status}")
-        point = {j: v for j, v in zip(columns, sol.assignment) if v}
-        dual = sol.dual
-    return lift(point, dual)
-
-
-def _rungs(prior, values) -> list[list[int]]:
-    """The points of the two rungs of a two-state grid program, whose
-    point a is (a/D, 1 - a/D): rung 1 holds the point at prior (the first
-    state's prior times D) or, off the grid, the two points next to it;
-    rung 2 adds 0, D and every point where some receiver's utility
-    (values[i][a]) bends down, u(a-1) - 2u(a) + u(a+1) < 0.  Between two
-    neighbouring points of rung 2 every utility is convex, so pushing
-    each mass onto them keeps the mean and the convex order and lowers
-    no utility: the program on rung 2 already holds an optimum of the
-    full one, and _lift certifies it."""
-    n = len(values[0])
-    first = {floor(prior), ceil(prior)}
-    bends = {
-        a
-        for u in values
-        for a in range(1, n - 1)
-        if u[a - 1] - 2 * u[a] + u[a + 1] < 0
-    }
-    return [sorted(first), sorted(first | bends | {0, n - 1})]
-
-
-def _lift(points, k, n_edges, n_vars, point, dual) -> tuple[list, list]:
-    """rung 2's optimal point and dual, over the sorted points of a
-    two-state grid that hold 0, D and every bend (_rungs), as (x, y) for
-    the full program over 0..D with k receivers, n_edges covering edges
-    and n_vars variables.  x is the point on the full program's columns,
-    zero elsewhere.  y follows _grid_program's row order: the
-    Bayes-plausibility and normalization duals are rung 2's, and each
-    edge's row-sum, column-sum and barycenter duals are _edge_lift's.
-
-    This certifies x whenever the dual is optimal for rung 2.  Between
-    two neighbouring points of rung 2, every utility is convex (_rungs),
-    every interpolated dual is linear, and so is the envelope, whose
-    kinks lie on rung 2; at rung 2's points the envelope is at most
-    rung 2's column-sum dual, whose barycenter row gives a line above
-    the row-sum duals.  So every x column stays priced out, every y
-    column is priced by a line above the envelope, and the new rows'
-    right-hand sides are 0, which leaves y'b as it was."""
-    x = [Fraction(0)] * n_vars
-    for j, v in point.items():
-        x[j] = v
+    p = prior.values[0] * D
+    q = floor(p)
+    first = {q: Fraction(1)} if p == q else _split(p, (q, q + 1), Fraction(1))
+    bends = {a for u in values for a in range(1, D) if u[a - 1] - 2 * u[a] + u[a + 1] < 0}
+    points = sorted(first.keys() | bends | {0, D})
     m = len(points)
+    program = _grid_program(
+        prior, edges, D, [pts[a] for a in points], [[u[a] for a in points] for u in values]
+    )
+    start = [_ZERO] * program.n_vars
+    for a, v in first.items():
+        t = points.index(a)
+        start[t : k * m : m] = [v] * k  # x(i, a) for every receiver i
+        start[k * m + t * (m + 1) :: m * m] = [v] * n_edges  # y(a, a) on every edge
+    sol = lp.solve(program, propose=lambda: (start, None))
+    if sol.status != lp.OPTIMAL:
+        raise InvariantViolation(f"breakpoint program reported {sol.status}")
+    columns = [i * n + a for i in range(k) for a in points]
+    columns += [
+        k * n + e * n * n + a * n + c for e in range(n_edges) for a in points for c in points
+    ]
+    x = [_ZERO] * (k * n + n_edges * n * n)
+    for j, v in zip(columns, sol.assignment):
+        x[j] = v
+    # -alpha between breakpoints r < s, in integers over lcm(alpha's
+    # denominators) * L, L the lcm of the gaps s - r
+    gaps = [s - r for r, s in zip(points, points[1:])]
+    L, dual = lcm(*gaps), sol.dual
     y = list(dual[: 2 * k])
-    for base in range(2 * k, 2 * k + 3 * m * n_edges, 3 * m):
-        y += _edge_lift(points, *(dual[at : at + m] for at in range(base, base + 3 * m, m)))
+    for at in range(2 * k, 2 * k + 3 * m * n_edges, 3 * m):
+        S = lcm(*(v.denominator for v in dual[at : at + m]))
+        ends = [-v.numerator * (S // v.denominator) * L for v in dual[at : at + m]]
+        f = [
+            fr + (fs - fr) // gap * j
+            for gap, fr, fs in zip(gaps, ends, ends[1:])
+            for j in range(gap)
+        ]
+        y += _edge_dual(f + ends[-1:], S * L)[0]
     y += dual[len(dual) - k :]
     return x, y
 
 
-def _edge_lift(points, alpha, gamma, beta) -> list[Fraction]:
+def _edge_dual(f, S) -> tuple[list[Fraction], tuple[list, int, list]]:
     """One covering edge's row-sum, column-sum and barycenter duals at
-    every point 0..D, from rung 2's (alpha, gamma and beta, at the sorted
-    points, D = points[-1] among them).  At a point of rung 2 each keeps
-    rung 2's value.  At a point p between two of them, the row-sum dual
-    is alpha interpolated linearly, the column-sum dual is conc(-alpha)
-    at p, the least concave majorant of -alpha over rung 2's points, and
-    the barycenter dual is its slope at p, per unit of the first
-    coordinate p/D.  A y(l, p) column then prices at the tangent line
-    of the envelope at p, which lies above -alpha at every l."""
-    D = points[-1]
-    envelope, M, _ = _concave_majorant(points, [-a for a in alpha])
-    rows, columns, centres = [], [], []
-    for t, (r, s) in enumerate(zip(points, points[1:])):
-        rows.append(alpha[t])
-        columns.append(gamma[t])
-        centres.append(beta[t])
-        step = (alpha[t + 1] - alpha[t]) / (s - r)
-        slope = (envelope[t + 1] - envelope[t]) / ((s - r) * M)
-        for p in range(1, s - r):
-            rows.append(alpha[t] + step * p)
-            columns.append(envelope[t] / M + slope * p)
-            centres.append(slope * D)
-    rows.append(alpha[-1])
-    columns.append(gamma[-1])
-    centres.append(beta[-1])
-    return rows + columns + centres
+    every point 0..D for the values f / S, f integers at each point:
+    -f / S, cav f / S and D times cav f's slope to the right (to the left
+    at D), per unit of the first coordinate.  A y(l, c) column then prices
+    at cav f's supporting line at c, less f(l).  Also the majorant
+    (_concave_majorant over 0..D of f), which the closed form splits
+    masses by."""
+    D = len(f) - 1
+    cav, M, pieces = _concave_majorant(range(D + 1), f)
+    slopes = [D * (r - l) for l, r in zip(cav, cav[1:])]
+    rows = [Fraction(-v, S) for v in f]
+    return rows + [Fraction(v, S * M) for v in cav + slopes + slopes[-1:]], (cav, M, pieces)
 
 
 def _concave_majorant(xs, values) -> tuple[list, int, list[tuple[int, int]]]:
@@ -375,11 +336,9 @@ def _path_certificate(prior, edges, values) -> tuple[list, list]:
     f(root) = u(root) and f(child) = u(child) + cav f(parent), each cav
     the least concave majorant over the lattice; the optimum is the sum
     over paths of cav f(leaf) at the prior (Kamenica and Gentzkow's
-    cav u, nested).  The dual: on each covering edge, with f = f(parent),
-    each row-sum dual is -f, each column-sum dual cav f and each
-    barycenter dual a slope of cav f per unit of the first coordinate,
-    so that the x columns of every receiver but a leaf price at 0 and
-    each y(l, c) column prices at cav f's supporting line at c less f(l).
+    cav u, nested).  The dual: on each covering edge, _edge_dual of
+    f(parent), so that the x columns of every receiver but a leaf price
+    at 0.
     A leaf's Bayes-plausibility duals are the supporting line of
     cav f(leaf) at the prior; every other one, and every normalization
     dual, is 0.  The point: a leaf puts its mass on the prior, or on the
@@ -403,16 +362,10 @@ def _path_certificate(prior, edges, values) -> tuple[list, list]:
         # down the path: f(i) in integers over S, each parent's majorant
         S, f, parents = V, [v.numerator * (V // v.denominator) for v in values[root]], []
         for i, child in zip(path, path[1:]):
-            cav, M, pieces = _concave_majorant(range(n), f)
+            at = 2 * k + 3 * n * number[i, child]
+            y[at : at + 3 * n], (cav, M, pieces) = _edge_dual(f, S)
             parents.append((f, cav, M, pieces))
             S *= M
-            steps = [r - l for l, r in zip(cav, cav[1:])]
-            at = 2 * k + 3 * n * number[i, child]
-            y[at : at + 3 * n] = [
-                *(Fraction(-v * M, S) for v in f),
-                *(Fraction(v, S) for v in cav),
-                *(Fraction(D * step, S) for step in steps + steps[-1:]),
-            ]
             f = [v.numerator * (S // v.denominator) + c for v, c in zip(values[child], cav)]
         # the leaf's Bayes-plausibility duals: cav f's line over the piece
         # that holds the prior, at (1, 0) and at (0, 1)

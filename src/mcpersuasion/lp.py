@@ -821,7 +821,7 @@ def solve(lp: LinearProgram, *, propose: Callable[[], tuple] | None = None) -> L
         big = len(lp.rows) * max(lp.n_vars, 1) >= _CRASH_THRESHOLD
         return engine.solve(engine._try_crash() if lp.rows and big else None)
     # proposed before lp's engine is built, so that the proposal's own
-    # solves, a ladder's rungs, are done and freed first: a lower peak
+    # solve, a breakpoint program's, is done and freed first: a lower peak
     x, y = propose()
     if y is not None:
         failure, value = _optimality(lp, x, y)

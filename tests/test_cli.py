@@ -187,8 +187,8 @@ def test_solve_documents_are_pinned(capsys, name, epsilon, expected):
     """The solve document of a criterion-5 chain at 1/40 and of a
     three-receiver star at 1/20, byte for byte.  Both are two-state grid
     programs, which come with a proposal that tries no floating-point
-    solve (the chain's closed form, the star's climb of its breakpoint
-    ladder), so the bytes do not depend on scipy.  Recorded
+    solve (the chain's closed form, the star's breakpoint program's
+    answer), so the bytes do not depend on scipy.  Recorded
     when the ladder replaced the scipy crash start, which moved the
     optimal vertex (same objective) in 6 and 11 entries."""
     data = Path(__file__).parent / "data"
@@ -209,7 +209,7 @@ def test_solve_imports_neither_scipy_nor_numpy(name, epsilon, expected):
     """solve on a two-state chain at 1/40 and a three-receiver star at
     1/20, each in a fresh process, writes the pinned document and leaves
     scipy and numpy unimported: the chain's closed form and the star's
-    climb of its breakpoint ladder never try the floating-point start.
+    breakpoint program never try the floating-point start.
     A sys.modules entry of None is a blocked import, not an import, so
     it is not counted."""
     data = Path(__file__).parent / "data"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from dataclasses import replace
 from decimal import Decimal
@@ -453,7 +454,7 @@ def test_grid_program_listing_is_pinned(make, denominator, digest):
 
 
 # ---------------------------------------------------------------------------
-# Two-state grid programs solved up their breakpoint ladder
+# Two-state grid programs answered by their breakpoint program
 
 CHAIN2 = [[1, 1], [0, 1]]
 CHAIN3 = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
@@ -501,34 +502,57 @@ def test_branching_grid_solves_are_pinned(monkeypatch):
     assert hashlib.md5("\n".join(lines).encode()).hexdigest() == STAR3_SOLVES
 
 
-def _ladder_of(inst, glp):
-    """The rungs and the lift that forest._ladder builds for glp's
-    program from _rungs' points and _lift, for a path forest too, whose
-    GridLP proposes its closed form instead."""
+def _breakpoint_proposal(inst, glp):
+    """forest._breakpoint_answer for glp's program as a proposal, for a
+    path forest too, whose GridLP proposes its closed form instead."""
     values = [[u.value_at(w, inst.space) for w in glp.points] for u in inst.utilities.receivers]
-    return forest._ladder(inst.prior, glp.edges, glp.points, values)
+    return partial(forest._breakpoint_answer, inst.prior, glp.edges, glp.points, values)
+
+
+def _breakpoint_run(inst, glp):
+    """(x, y, points, program, start): the breakpoint answer for glp's
+    program (_breakpoint_proposal), the breakpoints as positions in
+    glp.points, the program forest._grid_program built over them, and the
+    point, proposed without a dual, that lp.solve was handed for it."""
+    built, proposed = [], []
+    real_program, real_solve = forest._grid_program, lp.solve
+
+    def program(*args):
+        built.append((args[3], real_program(*args)))
+        return built[-1][1]
+
+    def solve(program, *, propose):
+        proposed.append(propose())
+        return real_solve(program, propose=lambda: proposed[-1])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest, "_grid_program", program)
+        patch.setattr(lp, "solve", solve)
+        x, y = _breakpoint_proposal(inst, glp)()
+    [(pts, program)], [(start, dual)] = built, proposed
+    assert dual is None
+    index = {w: a for a, w in enumerate(glp.points)}
+    return x, y, [index[w] for w in pts], program, start
 
 
 def _climb_and_compare(inst, denominator):
-    """The ladder's answer, rung 2's optimal point on the full program's
-    columns, proposed as a start without a dual, against plain lp.solve
-    on the grid program: the same objective, certified against the full
-    program, and the start completes to a feasible basis of the full
-    program, so phase 1 is skipped.  solve_grid, which takes the closed
-    form on path forests, reaches the same objective.  Returns the
-    GridLP, its rungs and its lift."""
+    """The breakpoint answer's point, proposed as a start without a dual,
+    against plain lp.solve on the grid program: the same objective,
+    certified against the full program, and the start completes to a
+    feasible basis of the full program, so phase 1 is skipped.
+    solve_grid, which takes the closed form on path forests, reaches the
+    same objective.  Returns the GridLP."""
     grid = PosteriorGrid(dim=2, denominator=denominator)
     glp = build_grid_lp(inst, grid)
-    rungs, lift = _ladder_of(inst, glp)
-    x, _ = forest._climb(rungs, lift)
-    assert rungs and lp._Engine(glp.program)._complete(lp._start(glp.program, x))
+    x, _ = _breakpoint_proposal(inst, glp)()
+    assert lp._Engine(glp.program)._complete(lp._start(glp.program, x))
     climbed = lp.solve(glp.program, propose=lambda: (x, None))
     plain = lp.solve(glp.program)
     assert climbed.status == plain.status == lp.OPTIMAL
     assert climbed.objective == plain.objective
     assert lp.check_optimal(glp.program, climbed.assignment, climbed.dual)
     assert solve_grid(inst, grid).objective == plain.objective
-    return glp, rungs, lift
+    return glp
 
 
 def test_ladder_matches_the_plain_solve_on_the_generators():
@@ -581,66 +605,65 @@ def test_ladder_matches_the_plain_solve_on_jumps_and_off_grid_priors(
     utilities, prior, off_grid, monkeypatch
 ):
     """Utilities that are not upper-semicontinuous, and a prior of 1/3
-    between grid points (rung 1 then holds two points).  Rung 2 bends on
-    the tabulated values, so it needs no semicontinuity.  The prior off
-    the grid leaves the completed start short of optimal on the full
-    program, but the lift certifies rung 2's answer as it is, so on the
-    grid or off it an engine is built on each rung and on nothing else;
-    the closed form of these chains needs no engine at all."""
+    between grid points (the breakpoint program's start then holds two
+    points).  The breakpoints bend on the tabulated values, so they need
+    no semicontinuity.  The prior off the grid leaves the completed start
+    short of optimal on the full program, but the breakpoint answer is
+    certified as it is, so on the grid or off it one engine is built, on
+    the breakpoint program, and none on the full one; the closed form of
+    these chains needs no engine at all."""
     built = _engines_built(monkeypatch)
     inst = make_instance(CHAIN2, utilities, prior=prior)
     for denominator in (10, 20, 40):
-        glp, rungs, lift = _climb_and_compare(inst, denominator)
-        first = [glp.points[j] for j in rungs[0][1] if j < len(glp.points)]
+        glp = _climb_and_compare(inst, denominator)
+        _, _, points, program, start = _breakpoint_run(inst, glp)
+        first = [a for a, v in zip(points, start) if v]  # receiver 1's x block comes first
         assert len(first) == (2 if off_grid else 1)
         built.clear()
-        lp.solve(glp.program, propose=partial(forest._climb, rungs, lift))
-        assert built == [program for program, _ in rungs]
+        lp.solve(glp.program, propose=_breakpoint_proposal(inst, glp))
+        assert len(built) == 1 and built[0].rows == program.rows
         built.clear()
         lp.solve(glp.program, propose=glp.propose)
         assert built == []
 
 
 def test_the_lift_certifies_every_two_state_grid(monkeypatch):
-    """The theorem behind forest._lift: on a two-state grid, the lift of
-    rung 2's optimal point and dual is an optimality certificate of the
-    full program.  Over GRID_CASES, the JUMPS instances (the prior off
-    the grid among them) and seeds 1-3 of the grid2 generator (chains
-    and three-receiver forests), the lift is never refused, solve
-    returns it as given, and no engine is built on the full program; at
-    steps up to 1/20, where a plain solve is cheap, the objective is the
-    plain solve's.  The steps 1/2 to 1/6 include grids whose rung 2
-    holds every point: its program is then a copy of the full one, and
-    the lift is the identity.  The chains, which build_grid_lp certifies
-    in closed form, take the ladder forest._ladder builds (_ladder_of),
-    so the theorem stays covered on them.  The climb starts rung 1 from
-    the empty support and rung 2 from rung 1's optimal point kept to the
-    columns rung 2 holds, largest values first."""
+    """The theorem behind forest._breakpoint_answer: on a two-state grid,
+    the breakpoint program's optimal point and dual, with each edge's
+    duals rebuilt by _edge_dual from its row-sum duals interpolated
+    between breakpoints, are an optimality certificate of the full
+    program.  Over GRID_CASES, the JUMPS instances (the prior off the
+    grid among them) and seeds 1-3 of the grid2 generator (chains and
+    three-receiver forests), the answer is never refused, solve returns
+    it as given, and the one engine built is on the breakpoint program;
+    at steps up to 1/20, where a plain solve is cheap, the objective is
+    the plain solve's.  The steps 1/2 to 1/6 include grids whose
+    breakpoints are every point: the program is then a copy of the full
+    one.  The chains, which build_grid_lp certifies in closed form, take
+    the breakpoint answer directly (_breakpoint_proposal), so the theorem
+    stays covered on them.  The breakpoint program starts from the
+    point written down for the prior's neighbours, largest values first."""
     built, starts = _engines_built(monkeypatch), []
     real_solve = lp._Engine.solve
 
     def solve(engine, start=None):
-        starts.append((start, real_solve(engine, start)))
-        return starts[-1][1]
+        starts.append(start)
+        return real_solve(engine, start)
 
     monkeypatch.setattr(lp._Engine, "solve", solve)
     whole = 0
     for inst, denominator in _rung_programs():
         glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-        rungs, lift = _ladder_of(inst, glp)
-        assert len(rungs) == 2
-        whole += len(rungs[1][1]) == glp.program.n_vars
-        x, y = forest._climb(rungs, lift)
+        x, y, points, program, start = _breakpoint_run(inst, glp)
+        whole += program.n_vars == glp.program.n_vars
         refused = lp._optimality_failure(glp.program, x, y)
-        assert refused is None, f"lift refused at 1/{denominator}: {refused}"
+        assert refused is None, f"breakpoint answer refused at 1/{denominator}: {refused}"
         built.clear()
         starts.clear()
-        sol = lp.solve(glp.program, propose=partial(forest._climb, rungs, lift))
-        assert built == [program for program, _ in rungs]
-        [(first, one), (second, _)] = starts
-        (_, columns1), (_, columns2) = rungs
-        kept = {columns2.index(j): v for j, v in zip(columns1, one.assignment) if v}
-        assert first == [] and second == sorted(kept, key=lambda t: (-kept[t], t))
+        sol = lp.solve(glp.program, propose=_breakpoint_proposal(inst, glp))
+        assert len(built) == 1 and built[0].rows == program.rows
+        support = {t: v for t, v in enumerate(start) if v}
+        assert starts == [sorted(support, key=lambda t: (-support[t], t))]
         assert (sol.status, sol.assignment, sol.dual) == (lp.OPTIMAL, tuple(x), tuple(y))
         assert lp.check_optimal(glp.program, sol.assignment, sol.dual)
         if denominator <= 20:
@@ -648,15 +671,43 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
     assert whole
 
 
+def test_the_prior_split_is_the_one_point_over_its_neighbours():
+    """The program over the prior's grid point, or the two next to it,
+    has one feasible point, so lp.solve on it returns exactly the start
+    that forest._breakpoint_answer writes down: over _rung_programs(),
+    its solution, carried onto the breakpoint program's columns, is that
+    start."""
+    for inst, denominator in _rung_programs():
+        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+        _, _, points, program, start = _breakpoint_run(inst, glp)
+        p = inst.prior.values[0] * denominator
+        near = sorted({math.floor(p), math.ceil(p)})
+        near_pts = [glp.points[a] for a in near]
+        values = [[u.value_at(w, inst.space) for w in near_pts] for u in inst.utilities.receivers]
+        rung = forest._grid_program(inst.prior, glp.edges, denominator, near_pts, values)
+        sol = lp.solve(rung)
+        assert sol.status == lp.OPTIMAL
+        k, m, t = inst.k, len(points), [points.index(a) for a in near]
+        columns = [i * m + a for i in range(k) for a in t]
+        columns += [
+            k * m + e * m * m + a * m + c for e, _ in enumerate(glp.edges) for a in t for c in t
+        ]
+        carried = [F(0)] * program.n_vars
+        for j, v in zip(columns, sol.assignment, strict=True):
+            carried[j] = v
+        assert carried == start
+
+
 @pytest.mark.parametrize("name, denominator", [("chain2", 400), ("star3", 80)])
 def test_fine_two_state_grids_need_no_engine_on_the_full_program(name, denominator, monkeypatch):
     """chain2 at 1/400 (161,603 columns) and star3 at 1/80 through
-    solve_fptas: the answer, chain2's in closed form and star3's lifted,
+    solve_fptas: the answer, chain2's in closed form and star3's read off
+    its breakpoint program,
     is certified against the full program, which the last lp.solve call
     is on, no engine is built on it, and the objective is the 1/40 one,
     since every breakpoint and the prior lie on 1/10.  chain2 makes no
     other call and builds no engine at all; star3's proposal solves its
-    two rungs through lp.solve first, an engine on each."""
+    breakpoint program through lp.solve first, one engine on it."""
     inst = _data_instance(name)
     reference = solve_fptas(inst, F(1, 40))[0].objective
     built, solved = _engines_built(monkeypatch), []
@@ -669,7 +720,7 @@ def test_fine_two_state_grids_need_no_engine_on_the_full_program(name, denominat
     monkeypatch.setattr(forest.lp, "solve", solve)
     solution, table = solve_fptas(inst, F(1, denominator))
     program, sol = solved[-1]
-    assert len(solved) == (3 if name == "star3" else 1)
+    assert len(solved) == (2 if name == "star3" else 1)
     assert built == [rung for rung, _ in solved[:-1]] and program not in built
     assert lp.check_optimal(program, sol.assignment, sol.dual)
     assert solution.objective == sol.objective == reference
@@ -677,27 +728,27 @@ def test_fine_two_state_grids_need_no_engine_on_the_full_program(name, denominat
 
 
 def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
-    """A real lift with one column-sum dual moved down by 1/den, at a
-    point rung 2 does not hold, prices a y column positive, so
-    check_optimal refuses it.  solve, handed the climb as its proposal,
-    then completes rung 2's point on the full program, skips phase 1 and
-    runs phase 2 there, to the plain solve's objective, certified."""
+    """A real breakpoint answer with one column-sum dual moved down by
+    1/den, at a point that is no breakpoint, prices a y column positive,
+    so check_optimal refuses it.  solve, handed it as its proposal, then
+    completes the breakpoint program's point on the full program, skips
+    phase 1 and runs phase 2 there, to the plain solve's objective,
+    certified."""
     inst = _data_instance("chain2")
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
-    rungs, lift = _ladder_of(inst, glp)
+    _, _, points, _, _ = _breakpoint_run(inst, glp)
     n, k = len(glp.points), len(glp.x_base)
-    held = {j - glp.x_base[0] for j in rungs[-1][1] if j < n}
-    row = 2 * k + n + min(set(range(n)) - held)  # the first edge's column sum there
+    row = 2 * k + n + min(set(range(n)) - set(points))  # the first edge's column sum there
 
-    def bent(point, dual):
-        x, y = lift(point, dual)
+    def bent():
+        x, y = _breakpoint_proposal(inst, glp)()
         y[row] -= F(1, y[row].denominator)
         return x, y
 
-    refused = lp._optimality_failure(glp.program, *forest._climb(rungs, bent))
+    refused = lp._optimality_failure(glp.program, *bent())
     assert refused is not None and refused.startswith("column "), refused
     completed, phases = [], []
-    real_complete, real_run, real_phase1 = lp._Engine._complete, lp._Engine._run, lp._Engine._phase1
+    real_complete, real_run = lp._Engine._complete, lp._Engine._run
 
     def complete(engine, support):
         completed.append((engine.lp, real_complete(engine, support)))
@@ -709,7 +760,7 @@ def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
 
     monkeypatch.setattr(lp._Engine, "_complete", complete)
     monkeypatch.setattr(lp._Engine, "_run", run)
-    sol = lp.solve(glp.program, propose=partial(forest._climb, rungs, bent))
+    sol = lp.solve(glp.program, propose=bent)
     assert completed[-1] == (glp.program, True)
     assert [phase for program, phase in phases if program is glp.program] == [2]
     assert lp.check_optimal(glp.program, sol.assignment, sol.dual)
@@ -766,8 +817,8 @@ def _grid2_jobs(seed):
 def _assert_closed_form(inst, denominator, built):
     """The closed form of inst's grid program at 1/denominator: what
     GridLP proposes, accepted by check_optimal on the full program,
-    returned by solve as given with no engine built, and of the ladder's
-    objective."""
+    returned by solve as given with no engine built, and of the
+    objective of the breakpoint answer, which check_optimal accepts too."""
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
     assert glp.propose.func is forest._path_certificate
     x, y = glp.propose()
@@ -776,8 +827,10 @@ def _assert_closed_form(inst, denominator, built):
     built.clear()
     sol = lp.solve(glp.program, propose=glp.propose)
     assert built == [] and (sol.assignment, sol.dual) == (tuple(x), tuple(y))
-    climb = partial(forest._climb, *_ladder_of(inst, glp))
-    assert sol.objective == lp.solve(glp.program, propose=climb).objective
+    x, y = _breakpoint_proposal(inst, glp)()
+    refused = lp._optimality_failure(glp.program, x, y)
+    assert refused is None, f"breakpoint answer refused at 1/{denominator}: {refused}"
+    assert sol.objective == lp.solve(glp.program, propose=lambda: (x, y)).objective
 
 
 def test_read_back_takes_each_flow_from_coupling_flows():
@@ -803,10 +856,10 @@ def test_read_back_takes_each_flow_from_coupling_flows():
 
 def test_path_forests_are_certified_in_closed_form(monkeypatch):
     """The nested concavification certifies the grid program of every
-    path forest met here, with the ladder's objective: GRID_CASES'
-    chain2 grids, the JUMPS instances (the prior off the grid among
-    them) and all 202 path-forest jobs of the grid2 workload's seeds 1-8;
-    its 6 STAR3 jobs keep the ladder and the lift."""
+    path forest met here, with the breakpoint answer's objective:
+    GRID_CASES' chain2 grids, the JUMPS instances (the prior off the grid
+    among them) and all 202 path-forest jobs of the grid2 workload's
+    seeds 1-8; its 6 STAR3 jobs propose the breakpoint answer."""
     built = _engines_built(monkeypatch)
     cases = [(_data_instance(name), d) for name, d in GRID_CASES if name == "chain2"]
     for utilities, prior, _ in JUMPS.values():
@@ -816,7 +869,7 @@ def test_path_forests_are_certified_in_closed_form(monkeypatch):
         for inst, denominator in _grid2_jobs(seed):
             if inst.structure.matrix == tuple(map(tuple, STAR3)):
                 glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-                assert glp.propose.func is forest._climb and len(glp.propose.args[0]) == 2
+                assert glp.propose.func is forest._breakpoint_answer
                 stars += 1
             else:
                 cases.append((inst, denominator))
@@ -838,7 +891,7 @@ def test_seeded_path_forests_are_certified_in_closed_form(monkeypatch):
 def test_a_path_forest_builds_one_program_and_no_engine(monkeypatch):
     """solve_grid on a path forest builds the full program and nothing
     else, and no engine; on STAR3, a root with two children, it builds
-    both rungs' programs too and an engine on each rung."""
+    the breakpoint program too and one engine, on it."""
     built = _engines_built(monkeypatch)
     programs = []
     real_program = forest._grid_program
@@ -848,7 +901,7 @@ def test_a_path_forest_builds_one_program_and_no_engine(monkeypatch):
         return real_program(*args)
 
     monkeypatch.setattr(forest, "_grid_program", program)
-    for name, denominator, expected in [("chain2", 40, (1, 0)), ("star3", 20, (3, 2))]:
+    for name, denominator, expected in [("chain2", 40, (1, 0)), ("star3", 20, (2, 1))]:
         programs.clear()
         built.clear()
         solve_grid(_data_instance(name), PosteriorGrid(dim=2, denominator=denominator))
@@ -862,12 +915,11 @@ def test_a_refused_proposal_falls_back_to_exact_solving(monkeypatch):
     Bayes-plausibility dual or a normalization dual (y'b then moves).
     check_optimal refuses each, so solve never returns it: one engine,
     on the full program, completes the proposed point, skips phase 1,
-    and reaches the ladder's objective, certified."""
+    and reaches the breakpoint answer's objective, certified."""
     inst = _data_instance("chain2")
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
     n, k = len(glp.points), len(glp.x_base)
-    climb = partial(forest._climb, *_ladder_of(inst, glp))
-    reference = lp.solve(glp.program, propose=climb).objective
+    reference = lp.solve(glp.program, propose=_breakpoint_proposal(inst, glp)).objective
     built = _engines_built(monkeypatch)
     completed = []
     real_complete = lp._Engine._complete
@@ -929,6 +981,43 @@ def test_chain_grid_values_are_nested_concavifications():
         assert solve_grid(inst, PosteriorGrid(2, denominator)).objective == oracle
 
 
+def test_edge_dual_columns_are_the_concavification():
+    """forest._edge_dual's column-sum duals for f / S are cav(f / S) at
+    every point, as _cav_table finds it with beliefs.concavify_single,
+    which knows no hull, and its barycenter duals D times cav's slope to
+    the right (to the left at D); its row-sum duals are -f / S."""
+    rng = random.Random(71)
+    for _ in range(60):
+        D, S = rng.randint(1, 12), rng.randint(1, 6)
+        f = [rng.randint(-20, 20) for _ in range(D + 1)]
+        duals, _ = forest._edge_dual(f, S)
+        table = {pt(F(a, D), 1 - F(a, D)): F(v, S) for a, v in enumerate(f)}
+        cav = list(_cav_table(table).values())  # in the order of a
+        slopes = [D * (r - l) for l, r in zip(cav, cav[1:])]
+        assert duals == [F(-v, S) for v in f] + cav + slopes + slopes[-1:]
+
+
+def test_path_certificate_duals_are_edge_duals_of_its_row_sums():
+    """On every covering edge of 200 seeded path forests (_path_forest),
+    _path_certificate's duals are forest._edge_dual's for its own
+    row-sum duals, negated and taken in integers over their common
+    denominator."""
+    rng = random.Random(73)
+    edges_seen = 0
+    for _ in range(200):
+        inst, denominator = _path_forest(rng)
+        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+        _, y = glp.propose()
+        n, k = len(glp.points), inst.k
+        for at in range(2 * k, 2 * k + 3 * n * len(glp.edges), 3 * n):
+            rows = y[at : at + n]
+            S = math.lcm(*(v.denominator for v in rows))
+            f = [-v.numerator * (S // v.denominator) for v in rows]
+            assert forest._edge_dual(f, S)[0] == y[at : at + 3 * n]
+            edges_seen += 1
+    assert edges_seen
+
+
 def test_a_chain_is_worth_at_most_private_channels():
     """On the grid2 workload's chains (seeds 1-3), the chain's grid value
     is at most that of the same utilities on private channels, which
@@ -962,18 +1051,17 @@ def test_a_chain_is_worth_at_most_private_channels():
     ],
 )
 def test_rung_points_are_pinned(name, denominator, first, second):
-    """Rung 1 holds the prior's grid point, rung 2 adds (0,1), (1,0) and
-    every point where a receiver's utility bends down; a rung's columns
-    are every x at its points and every y between two of them."""
+    """The breakpoint program's start holds the prior's grid point, and
+    its points add (0,1), (1,0) and every point where a receiver's
+    utility bends down; its columns are every x at its points and every
+    y between two of them (test_rung_programs_are_restrictions_of_the_full_program)."""
     inst = _data_instance(name)
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-    n = len(glp.points)
-    index = {",".join(map(str, w)): a for a, w in enumerate(glp.points)}
-    for (_, columns), labels in zip(_ladder_of(inst, glp)[0], (first, second), strict=True):
-        points = [index[label] for label in labels]
-        xs = [base + a for base in glp.x_base for a in points]
-        ys = [base + a * n + c for base in glp.y_base for a in points for c in points]
-        assert columns == tuple(xs + ys)
+    _, _, points, program, start = _breakpoint_run(inst, glp)
+    labels = [",".join(map(str, glp.points[a])) for a in points]
+    assert labels == second
+    assert [label for label, v in zip(labels, start) if v] == first
+    assert program.n_vars == inst.k * len(points) + len(glp.edges) * len(points) ** 2
 
 
 def test_three_state_grids_have_no_rungs():
@@ -985,8 +1073,8 @@ def test_three_state_grids_have_no_rungs():
 
 
 def _rung_programs():
-    """(instance, denominator) of two-state grids whose rungs
-    forest._ladder builds, path forests among them: the five
+    """(instance, denominator) of two-state grids to answer by their
+    breakpoint program, path forests among them: the five
     GRID_CASES, seeded grid2-generator chains and three-receiver
     forests, also at the coarse steps 1/2 to 1/6, and the JUMPS
     instances."""
@@ -1004,27 +1092,29 @@ def _rung_programs():
 
 
 def test_rung_programs_are_restrictions_of_the_full_program():
-    """Each rung program that forest._ladder makes over a subset of the
-    points is the full program restricted to the rung's columns, as an
+    """The breakpoint program that forest._breakpoint_answer makes over a
+    subset of the points is the full program restricted to the columns
+    of every x at those points and every y between two of them, as an
     independent builder from the Fraction rows makes it: the same
     variables, objective and rows, in the same order."""
     for inst, denominator in _rung_programs():
         glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-        rungs, _ = _ladder_of(inst, glp)
-        assert rungs
-        for program, columns in rungs:
-            oracle = _restriction(glp.program, columns)
-            assert program.n_vars == oracle.n_vars == len(columns)
-            assert (program.obj, program.obj_den) == (oracle.obj, oracle.obj_den)
-            assert program.rows == oracle.rows
+        _, _, points, program, _ = _breakpoint_run(inst, glp)
+        n = len(glp.points)
+        columns = [base + a for base in glp.x_base for a in points]
+        columns += [base + a * n + c for base in glp.y_base for a in points for c in points]
+        oracle = _restriction(glp.program, columns)
+        assert program.n_vars == oracle.n_vars == len(columns)
+        assert (program.obj, program.obj_den) == (oracle.obj, oracle.obj_den)
+        assert program.rows == oracle.rows
 
 
 def test_a_grid_solve_builds_once_and_solves_once(monkeypatch):
     """solve_grid and solve_fptas build through one forest.build_grid_lp
     call and solve through one forest.lp.solve call: the call pattern
     that the benchmark's read-back replay swaps out.  A branching
-    forest's rungs are solved inside its proposal, which a replay never
-    calls (test_a_replayed_solve_never_calls_the_proposal)."""
+    forest's breakpoint program is solved inside its proposal, which a
+    replay never calls (test_a_replayed_solve_never_calls_the_proposal)."""
     calls = []
     real_build, real_solve = forest.build_grid_lp, forest.lp.solve
 
@@ -1053,25 +1143,28 @@ def test_a_grid_solve_builds_once_and_solves_once(monkeypatch):
 
 
 @pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED])
-@pytest.mark.parametrize("rung", [1, 2])
-def test_a_rung_that_is_not_optimal_raises(rung, status, monkeypatch):
-    """A rung is a grid program, always feasible and bounded, so a rung
-    that lp.solve reports as anything but optimal is a solver defect:
-    star3's climb raises InvariantViolation naming the status, and no
-    engine is built on the full program, nor on any rung after it."""
+@pytest.mark.parametrize("call", [1, 2])
+def test_a_rung_that_is_not_optimal_raises(call, status, monkeypatch):
+    """star3's grid program and its breakpoint program are grid programs,
+    always feasible and bounded, so either that lp.solve reports as
+    anything but optimal is a solver defect.  solve_grid calls lp.solve
+    on the full program first (call 1), whose proposal solves the
+    breakpoint program (call 2): each raises InvariantViolation naming
+    the program and the status, and no engine is built."""
     built, calls = _engines_built(monkeypatch), []
     real_solve = forest.lp.solve
 
     def solve(program, **kwargs):
         calls.append(program)
-        if len(calls) == rung + 1:  # the full program's call comes first
+        if len(calls) == call:
             return lp.LPSolution(status)
         return real_solve(program, **kwargs)
 
     monkeypatch.setattr(forest.lp, "solve", solve)
-    with pytest.raises(InvariantViolation, match=f"rung program reported {status}"):
+    which = "grid" if call == 1 else "breakpoint"
+    with pytest.raises(InvariantViolation, match=f"{which} program reported {status}"):
         solve_grid(_data_instance("star3"), PosteriorGrid(dim=2, denominator=20))
-    assert len(calls) == rung + 1 and built == calls[1:rung]
+    assert len(calls) == call and built == []
 
 
 @pytest.mark.parametrize("name, denominator", [("chain2", 40), ("star3", 20)])
@@ -1080,8 +1173,9 @@ def test_a_replayed_solve_never_calls_the_proposal(name, denominator, monkeypatc
     gives a GridLP built beforehand, and forest.lp is a stand-in with
     solve and OPTIMAL only, whose solve returns a solution made
     beforehand.  solve_grid on a path forest and on star3 calls each
-    stand-in once, never calls the proposal, where star3's rungs are
-    solved, and reads back the solution a real solve_grid gives."""
+    stand-in once, never calls the proposal, where star3's breakpoint
+    program is solved, and reads back the solution a real solve_grid
+    gives."""
     inst = _data_instance(name)
     grid = PosteriorGrid(dim=2, denominator=denominator)
     glp = build_grid_lp(inst, grid)
