@@ -20,6 +20,8 @@ from . import lp
 from .errors import PriorOutsideHull, StateSpaceMismatch, ValidationError
 from .model import Posterior, Prior, check_posterior
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class BeliefDistribution:
@@ -108,9 +110,15 @@ class Coupling:
     flow: Mapping[tuple[Posterior, Posterior], Fraction]
 
     def __post_init__(self):
-        if self.source.dim != self.target.dim:
+        source, target = self.source, self.target
+        if source.dim != target.dim:
             raise StateSpaceMismatch("coupling endpoints of mixed dimension")
-        rows, cols = set(self.source.points), set(self.target.points)
+        row_of = {l: a for a, l in enumerate(source.points)}
+        col_of = {r: c for c, r in enumerate(target.points)}
+        # per source point its row sum; per target point its column sum,
+        # then its flow-weighted moment in each coordinate
+        row_sums = [_ZERO] * len(row_of)
+        col_sums = [[_ZERO] * (1 + target.dim) for _ in col_of]
         clean = {}
         for (l, r), f in self.flow.items():
             f = Fraction(f)
@@ -118,25 +126,24 @@ class Coupling:
                 raise ValidationError(f"negative flow at ({l}, {r})")
             if f:
                 l, r = tuple(l), tuple(r)
-                if l not in rows or r not in cols:
+                a, c = row_of.get(l), col_of.get(r)
+                if a is None or c is None:
                     raise ValidationError(f"flow at ({l}, {r}) lies off the supports")
                 clean[(l, r)] = f
+                row_sums[a] += f
+                col = col_sums[c]
+                col[0] += f
+                for b, x in enumerate(l, 1):
+                    col[b] += f * x
         object.__setattr__(self, "flow", clean)
-        for l, mass in zip(self.source.points, self.source.masses):
-            row = sum(
-                (f for (a, _), f in clean.items() if a == l), Fraction(0)
-            )
+        for l, row, mass in zip(source.points, row_sums, source.masses):
             if row != mass:
                 raise ValidationError(f"row sum {row} != source mass {mass} at {l}")
-        for r, mass in zip(self.target.points, self.target.masses):
-            col = [(a, f) for (a, b), f in clean.items() if b == r]
-            total = sum((f for _, f in col), Fraction(0))
+        for r, (total, *moments), mass in zip(target.points, col_sums, target.masses):
             if total != mass:
                 raise ValidationError(f"column sum {total} != target mass {mass} at {r}")
-            for b_idx in range(self.source.dim):
-                moment = sum((f * a[b_idx] for a, f in col), Fraction(0))
-                if moment != mass * r[b_idx]:
-                    raise ValidationError(f"barycenter violated at target {r}")
+            if any(m != mass * x for m, x in zip(moments, r)):
+                raise ValidationError(f"barycenter violated at target {r}")
 
 
 def coupling_rows(spread: Sequence[Posterior], coarse: Sequence[Posterior], base=0) -> list:

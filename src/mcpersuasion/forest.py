@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import compress
-from math import floor, gcd, lcm
+from math import floor, lcm
 from operator import ge, getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -637,9 +637,9 @@ class SignalingTable:
         per_state: Mapping[str, Mapping[tuple, Fraction]],
     ) -> "SignalingTable":
         """Canonicalize an arbitrary-signal table: each receiver's signal
-        is renamed to the posterior it induces, equal-label profiles are
-        merged.  Works in integers over the joint law's common
-        denominator; equal posteriors are one label object."""
+        is renamed to the posterior it induces, by Bayes' rule, and
+        equal-label profiles are merged.  Equal posteriors, of one receiver
+        or of several, are one label object."""
         space, size = prior.space, prior.space.size
         if set(per_state) != set(space.states):
             raise ValidationError("signal table does not cover the state space")
@@ -649,39 +649,24 @@ class SignalingTable:
             raise ValidationError("signal profiles of unequal receiver count")
         if not lengths:
             raise ValidationError("signal table is empty")
-        # (state index, raw profile, joint mass as numerator and denominator)
-        joint = [
-            (b, prof, q.numerator * p.numerator, q.denominator * p.denominator)
-            for b, (q, state) in enumerate(zip(prior.values, space.states))
+        sent = [
+            (b, prof, p)
+            for b, state in enumerate(space.states)
             for prof, p in per_state[state].items()
             if p
         ]
-        scale = lcm(*(d for _, _, _, d in joint))
-        joint = [(b, prof, n * (scale // d)) for b, prof, n, d in joint]
-        # each receiver's signals, numbered by the primitive integer
-        # direction, of positive sum, of the posterior they induce
-        number: dict[tuple[int, ...], int] = {}
-        codes = []
+        labels: dict[Posterior, Posterior] = {}
+        names = []
         for i in range(lengths.pop()):
             acc: dict = {}
-            for b, prof, m in joint:
-                acc.setdefault(prof[i], [0] * size)[b] += m
-            code = {}
-            for sig, vec in acc.items():
-                g = gcd(*vec) if sum(vec) > 0 else -gcd(*vec)
-                code[sig] = number.setdefault(tuple(v // g for v in vec), len(number))
-            codes.append(code)
-        labels = [tuple(Fraction(v, t) for v in key) for key, t in zip(number, map(sum, number))]
-        merged: dict[tuple[int, ...], list[int]] = {}
-        for b, prof, m in joint:
-            merged.setdefault(tuple(map(getitem, codes, prof)), [0] * size)[b] += m
-        # state b sends a joint mass m / scale with probability m / (scale * prior[b])
-        given = [(q.denominator, scale * q.numerator) for q in prior.values]
-        rows = [
-            (tuple(labels[c] for c in key), [Fraction(m * d, n) for m, (d, n) in zip(vec, given)])
-            for key, vec in merged.items()
-        ]
-        return _table(space, rows)
+            for b, prof, p in sent:
+                acc.setdefault(prof[i], [_ZERO] * size)[b] += prior.values[b] * p
+            posteriors = (tuple(v / sum(vec) for v in vec) for vec in acc.values())
+            names.append({sig: labels.setdefault(w, w) for sig, w in zip(acc, posteriors)})
+        merged: dict[tuple[Posterior, ...], list[Fraction]] = {}
+        for b, prof, p in sent:
+            merged.setdefault(tuple(map(getitem, names, prof)), [_ZERO] * size)[b] += p
+        return _table(space, merged.items())
 
 
 def _table(

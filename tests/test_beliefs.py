@@ -304,3 +304,105 @@ def test_coupling_rows_and_flows_match_the_reference():
         got = coupling_flows(spread, coarse, assignment, base)
         want = _reference_coupling_flows(spread, coarse, assignment, base)
         assert list(got.items()) == list(want.items())
+
+
+# ---------------------------------------------------------------------------
+# Coupling's one-pass check against the per-point sums it first made
+
+
+def _reference_coupling(source, target, flow):
+    """Coupling's checks as first written: each source point's row sum,
+    then each target point's column sum and moments, each summed over
+    every flow.  Returns the cleaned flow."""
+    if source.dim != target.dim:
+        raise StateSpaceMismatch("coupling endpoints of mixed dimension")
+    rows, cols = set(source.points), set(target.points)
+    clean = {}
+    for (l, r), f in flow.items():
+        f = Fraction(f)
+        if f < 0:
+            raise ValidationError(f"negative flow at ({l}, {r})")
+        if f:
+            l, r = tuple(l), tuple(r)
+            if l not in rows or r not in cols:
+                raise ValidationError(f"flow at ({l}, {r}) lies off the supports")
+            clean[(l, r)] = f
+    for l, mass in zip(source.points, source.masses):
+        row = sum((f for (a, _), f in clean.items() if a == l), Fraction(0))
+        if row != mass:
+            raise ValidationError(f"row sum {row} != source mass {mass} at {l}")
+    for r, mass in zip(target.points, target.masses):
+        col = [(a, f) for (a, b), f in clean.items() if b == r]
+        total = sum((f for _, f in col), Fraction(0))
+        if total != mass:
+            raise ValidationError(f"column sum {total} != target mass {mass} at {r}")
+        for b_idx in range(source.dim):
+            moment = sum((f * a[b_idx] for a, f in col), Fraction(0))
+            if moment != mass * r[b_idx]:
+                raise ValidationError(f"barycenter violated at target {r}")
+    return clean
+
+
+def _coupling_outcome(build, source, target, flow):
+    try:
+        built = build(source=source, target=target, flow=flow)
+    except Exception as exc:  # the differential test compares refusals too
+        return type(exc), str(exc)
+    return built.flow if isinstance(built, Coupling) else built
+
+
+def _flow_mutations(coupling):
+    """The flow itself, and each single-entry mutation of it: an entry
+    nudged up, or down past zero, moved to another source or target point
+    (or off either support), or dropped; and, since no single entry can
+    break a barycenter alone, a little mass swapped around each rectangle
+    of two entries."""
+    flow, sources, targets = coupling.flow, coupling.source.points, coupling.target.points
+    off = tuple(F(1, 7) for _ in sources[0])
+    yield dict(flow)
+    for (l, r), f in flow.items():
+        for g in (f + F(1, 97), -f):
+            yield {**flow, (l, r): g}
+        rest = {key: v for key, v in flow.items() if key != (l, r)}
+        yield rest
+        for to in [(a, r) for a in sources if a != l] + [(l, c) for c in targets if c != r]:
+            yield {**rest, to: rest.get(to, 0) + f}
+        yield {**rest, (off, r): f}
+        yield {**rest, (l, off): f}
+    entries = list(flow.items())
+    for ((l1, r1), f1), ((l2, r2), f2) in zip(entries, entries[1:]):
+        if l1 != l2 and r1 != r2:
+            d = min(f1, f2) / 2
+            yield {
+                **flow,
+                (l1, r1): f1 - d,
+                (l2, r2): f2 - d,
+                (l1, r2): flow.get((l1, r2), 0) + d,
+                (l2, r1): flow.get((l2, r1), 0) + d,
+            }
+
+
+def assert_coupling_check_matches_the_reference(coupling):
+    """Coupling accepts each of _flow_mutations(coupling) exactly when the
+    reference does, and otherwise raises its first message; returns the
+    first word of each message seen."""
+    seen = set()
+    source, target = coupling.source, coupling.target
+    for flow in _flow_mutations(coupling):
+        expected = _coupling_outcome(_reference_coupling, source, target, flow)
+        assert _coupling_outcome(Coupling, source, target, flow) == expected
+        if isinstance(expected, tuple):
+            seen.add(expected[1].split()[0])
+    return seen
+
+
+def test_coupling_checks_each_flow_once_and_agrees_with_the_reference():
+    rng = random.Random(29)
+    seen = set()
+    third = [pt(F(a, 3), F(b, 3), F(3 - a - b, 3)) for a in range(4) for b in range(4 - a)]
+    for pts in (binary_grid(6), third):
+        for _ in range(20):
+            spread = _random_grid_distribution(rng, pts, 4)
+            coupling = mps_coupling(spread, _coarsen(rng, spread))
+            seen |= assert_coupling_check_matches_the_reference(coupling)
+    assert seen >= {"negative", "row", "column", "barycenter", "flow"}

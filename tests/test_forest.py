@@ -50,6 +50,7 @@ from mcpersuasion.model import (
     ThresholdUtility,
     validate_instance,
 )
+from test_beliefs import assert_coupling_check_matches_the_reference
 from test_lp import GRID_CASES, _engines_built, _restriction
 
 F = Fraction
@@ -854,6 +855,23 @@ def test_read_back_takes_each_flow_from_coupling_flows():
             assert dict(zip(dist.points, dist.masses)) == want
 
 
+def test_read_back_couplings_are_checked_as_the_reference_checks_them():
+    """Coupling checks its flows in one pass.  On the couplings solve_grid
+    reads back on GRID_CASES and the JUMPS instances at 1/10, 1/20 and
+    1/40, and on single-entry mutations of them, it accepts and refuses
+    as the per-point reference does, with the same first message."""
+    cases = [(_data_instance(name), denominator) for name, denominator in GRID_CASES]
+    for utilities, prior, _ in JUMPS.values():
+        inst = make_instance(CHAIN2, utilities, prior=prior)
+        cases += [(inst, denominator) for denominator in (10, 20, 40)]
+    seen = set()
+    for inst, denominator in cases:
+        solution = solve_grid(inst, PosteriorGrid(dim=2, denominator=denominator))
+        for coupling in solution.couplings.values():
+            seen |= assert_coupling_check_matches_the_reference(coupling)
+    assert seen >= {"negative", "row", "column", "barycenter", "flow"}
+
+
 def test_path_forests_are_certified_in_closed_form(monkeypatch):
     """The nested concavification certifies the grid program of every
     path forest met here, with the breakpoint answer's objective:
@@ -1405,6 +1423,28 @@ def test_from_signals_matches_the_per_coordinate_reference():
             assert len(set(map(id, labels))) == len(set(labels))
             shared += len(labels) - len(set(labels))
     assert shared > 0
+
+
+def test_from_signals_gives_equal_posteriors_of_different_receivers_one_label():
+    """Receivers 1 and 2 read one signal, and receiver 3 another signal
+    that induces the same posteriors; receiver 4 learns nothing.  Every
+    receiver's label is then the same object as any equal label of
+    another receiver, so validate checks their one split once."""
+    prior = Prior(TWO, (F(1, 3), F(2, 3)))
+    per_state = {
+        "0": {("a", "a", "y", "n"): F(1)},
+        "1": {("a", "a", "y", "n"): F(1, 4), ("b", "b", "z", "n"): F(3, 4)},
+    }
+    table = SignalingTable.from_signals(prior, per_state)
+    assert table.profiles == (
+        (pt(0, 1),) * 3 + (pt("1/3", "2/3"),),
+        (pt("2/3", "1/3"),) * 3 + (pt("1/3", "2/3"),),
+    )
+    for profile in table.profiles:
+        assert profile[0] is profile[1] is profile[2]
+    labels = [w for profile in table.profiles for w in profile]
+    assert len(set(map(id, labels))) == len(set(labels)) == 3
+    table.validate(prior)
 
 
 HALF = Prior(TWO, (F(1, 2), F(1, 2)))
