@@ -198,6 +198,19 @@ def test_solve_documents_are_pinned(capsys, name, epsilon, expected):
     assert out.encode() == (data / expected).read_bytes()
 
 
+@pytest.mark.parametrize("name", ["chain2", "star3"])
+def test_fine_step_solve_documents_are_pinned(capsys, name):
+    """The solve documents of the criterion-5 chain and the
+    three-receiver star at 1/400, byte for byte: a step whose full grid
+    program has 161,603 (chain) and 322,805 (star) columns, recorded
+    while every two-state solve still built that program."""
+    data = Path(__file__).parent / "data"
+    instance = str(data / f"{name}.instance.json")
+    code, out, err = run(capsys, "solve", instance, "--epsilon", "1/400")
+    assert code == 0, err
+    assert out.encode() == (data / f"{name}.solve-1-400.json").read_bytes()
+
+
 @pytest.mark.parametrize(
     "name, epsilon, expected",
     [
