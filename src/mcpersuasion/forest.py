@@ -7,14 +7,13 @@ per-state table of posterior-label profiles.  Dominating receivers sit
 on the spread side of every coupling; trees of the forest are kept
 conditionally independent given the state.
 
-On two states the solve needs no simplex pivots on the full program:
-the grid program comes with a proposal (GridLP.propose).  A forest of
-paths has its optimum in closed form, a nested concavification along
-each path (_path_certificate); any other forest solves the smaller
-grid program over its breakpoints through lp.solve and reads the
-answer off it (_breakpoint_answer).  Both build each edge's duals the
-same way (_edge_dual), and lp.solve returns the answer only once it has
-checked it as an optimality certificate of the full program.
+On two states only the grid program over the breakpoints is built
+(_breakpoints); it holds an optimum of the full one.  lp.solve answers
+it from a proposal: a forest of paths in closed form, a nested
+concavification along each path (_path_certificate), any other forest
+from the prior split (_breakpoint_answer).  Its dual then certifies the
+answer on the whole 1/D lattice in O((k + E) n) integer work, with no
+coupling program (_lattice_dual, _lattice_failure).
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from itertools import compress
-from math import floor, lcm
-from operator import ge, getitem, itemgetter
+from itertools import compress, count, repeat
+from math import ceil, floor, lcm
+from operator import add, ge, getitem, itemgetter, mul
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from . import beliefs, lp
@@ -100,16 +99,17 @@ class PosteriorGrid:
 
 @dataclass(frozen=True)
 class GridLP:
-    """The assembled program plus its variable bookkeeping.  Variables
-    are numbered by point position, which is how a solution is read
-    back: x(i, points[a]) is x_base[i] + a, and on the e-th edge
-    y(points[a], points[c]) is y_base[e] + a * n + c for n points.
-    graph is the instance's domination forest, whose sorted covering
-    edges are edges.  propose, given exactly on two states, is what
-    lp.solve is handed to reach the optimum: it gives the program's
-    optimal point and dual, in closed form when the forest is made of
-    paths (_path_certificate), and otherwise read off the breakpoint
-    program (_breakpoint_answer).  It is None past two states."""
+    """The program lp.solve is handed for a grid, plus its variable
+    bookkeeping.  Variables are numbered by point position, which is how
+    a solution is read back: x(i, points[a]) is x_base[i] + a, and on the
+    e-th edge y(points[a], points[c]) is y_base[e] + a * n + c for n
+    points.  graph is the instance's domination forest, whose sorted
+    covering edges are edges.  values[i][a] is receiver i's utility at
+    grid.points()[a].  Past two states the program is over every grid
+    point and propose is None.  On two states it is over the breakpoints
+    alone, and propose is what lp.solve is handed to reach its optimum:
+    the closed form for a forest of paths (_path_certificate), else the
+    prior split as a start (_breakpoint_answer)."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
@@ -118,7 +118,8 @@ class GridLP:
     x_base: tuple[int, ...]
     y_base: tuple[int, ...]
     graph: DominationGraph
-    propose: Callable[[], tuple[list, list]] | None
+    propose: Callable[[], tuple[list, list | None]] | None
+    values: tuple[tuple[Fraction, ...], ...]
 
     def var_names(self) -> list[str]:
         """lp.dump's names, formatted when asked: x{i}@(w) per receiver
@@ -140,11 +141,9 @@ def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]
 
 
 def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
-    """Assemble the exact grid program for a forest instance and, on two
-    states, the proposal lp.solve is to reach its optimum by: for a
-    forest of paths the certificate in closed form (_path_certificate),
-    and for any other forest the breakpoint program's answer
-    (_breakpoint_answer), which builds nothing until it is called.
+    """The GridLP of a forest instance on the grid, every receiver's
+    utility tabulated at every grid point; on two states, the breakpoint
+    program and its proposal, computed only when called.
 
     Families, in row order: Bayes-plausibility per receiver per state;
     per covering edge the spread-side row sums, coarse-side column
@@ -157,20 +156,27 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     if grid.dim != instance.space.size:
         raise ValidationError("grid dimension differs from the state space")
     graph, edges = _forest_edges(instance)
-    pts = grid.points()
-    k = instance.k
+    D, k = grid.denominator, instance.k
+    if grid.dim == 2:
+        # grid.points(), without the recursion and the sort: point a is (a/D, 1 - a/D)
+        lattice = [(Fraction(a, D), Fraction(D - a, D)) for a in range(D + 1)]
+    else:
+        lattice = grid.points()
+    space, receivers = instance.space, instance.utilities.receivers
+    values = tuple(tuple(u.value_at(w, space) for w in lattice) for u in receivers)
+    at, propose = range(len(lattice)), None
+    if grid.dim == 2:
+        p = instance.prior.values[0]
+        at = _breakpoints(p * D, values)
+        if len({i1 for i1, _ in edges}) == len(edges):
+            # no receiver spreads onto two: every tree is a path
+            propose = partial(_path_certificate, p, edges, values, at)
+        else:
+            propose = partial(_breakpoint_answer, p * D, k, len(edges), at)
+    pts = tuple(lattice[a] for a in at)
     n = len(pts)
-    # each receiver's utility at each point, aligned with pts
-    values = [[u.value_at(w, instance.space) for w in pts] for u in instance.utilities.receivers]
-    full = _grid_program(instance.prior, edges, grid.denominator, pts, values)
-    propose = None
-    if grid.dim == 2 and len({i1 for i1, _ in edges}) == len(edges):
-        # no receiver spreads onto two: every tree is a path
-        propose = partial(_path_certificate, instance.prior.values[0], edges, values)
-    elif grid.dim == 2:
-        propose = partial(_breakpoint_answer, instance.prior, edges, pts, values)
     return GridLP(
-        program=full,
+        program=_grid_program(instance.prior, edges, D, pts, [[u[a] for a in at] for u in values]),
         grid=grid,
         points=pts,
         edges=edges,
@@ -178,6 +184,7 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         y_base=tuple(k * n + e * n * n for e in range(len(edges))),
         graph=graph,
         propose=propose,
+        values=values,
     )
 
 
@@ -211,101 +218,76 @@ def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
     return lp.LinearProgram.integral(n_vars, (objective, obj_den), constraints)
 
 
-def _breakpoint_answer(prior, edges, pts, values) -> tuple[list, list]:
-    """The optimal point and dual of the two-state grid program over the
-    sorted points pts of the 1/D lattice (values[i][a] receiver i's
-    utility at pts[a], whose first coordinate is a/D), in _grid_program's
-    numbering, read off the breakpoint program: the grid program over 0,
-    D, the prior's grid point p = prior * D, or the two next to it, and
-    every point where some utility bends down, u(a-1) - 2u(a) + u(a+1) < 0.
-    Between neighbouring breakpoints every utility is convex, so pushing
-    each mass onto them keeps the mean and the convex order and lowers no
-    utility: the breakpoint program holds an optimum of the full one.
+def _breakpoints(p, values) -> list[int]:
+    """The breakpoints of a two-state grid as lattice positions: 0, D,
+    p (prior times D) or the two next to it, and every a where some
+    utility bends down, u(a-1) - 2u(a) + u(a+1) < 0, values[i][a] being
+    receiver i's utility at a/D.  Every utility is convex between
+    neighbouring breakpoints, so pushing each mass onto them keeps the
+    mean and the convex order and lowers no utility: the grid program
+    over them holds an optimum of the full one."""
+    D = len(values[0]) - 1
+    bends = {0, D, floor(p), ceil(p)}
+    for u in values:
+        V = lcm(*(v.denominator for v in u))
+        u = [v.numerator * (V // v.denominator) for v in u]
+        bends.update(a for a, l, c, r in zip(count(1), u, u[1:], u[2:]) if l + r < 2 * c)
+    return sorted(bends)
 
-    lp.solve starts it from the one feasible point of the grid program
-    over the prior's neighbours alone, written down: every marginal the
-    prior split onto them (_split), every coupling the identity.  It
-    solves faster from there than afresh, and the start fixes which
-    optimum, and so which table, is reached.  A grid program is feasible
-    and bounded, so anything but an optimal status is a solver defect.
 
-    x is the breakpoint program's point on the full program's columns.
-    y keeps its Bayes-plausibility and normalization duals, and gives
-    each edge _edge_dual's duals for -alpha, alpha its row-sum duals
-    interpolated linearly between breakpoints.  At a breakpoint c, dual
-    feasibility of the y(l, c) columns puts a line above -alpha, so the
-    column-sum dual was at least cav(-alpha)(c): lowering it only lowers
-    the reduced cost of the coarse x column at c.  Between breakpoints
-    every utility is convex and every dual linear, so every x column
-    stays priced out; each y column prices at a supporting line of
-    cav(-alpha); and the edge rows' right-hand sides are 0, so y'b is
-    unchanged."""
-    k, n, n_edges = len(values), len(pts), len(edges)
-    D = n - 1
-    p = prior.values[0] * D
+def _breakpoint_answer(p, k, n_edges, points) -> tuple[list[Fraction], None]:
+    """The start of the breakpoint program (k receivers, n_edges covering
+    edges, over the lattice positions points; p is prior times D),
+    proposed without a dual: the one feasible point of the grid program
+    over the prior's neighbours alone, every marginal the prior split
+    onto them, every coupling the identity.  lp.solve solves from there
+    faster than afresh, and the start fixes which optimum, and so which
+    table, is reached.
+
+    Any optimal dual of the breakpoint program certifies its answer on
+    the whole lattice (_lattice_dual; ROADMAP item 14).  Let alpha be an
+    edge's row-sum duals interpolated between breakpoints and g =
+    cav(-alpha).  Dual feasibility of the y(l, c) columns puts each
+    column-sum dual at or above g, so lowering it to g, and raising the
+    row-sum duals to -g, only lowers the x columns' reduced costs.
+    Between breakpoints every utility is convex and every dual linear,
+    so every x column stays priced out; each y column prices at a
+    supporting line of the concave g; y'b is unchanged."""
     q = floor(p)
     first = {q: Fraction(1)} if p == q else _split(p, (q, q + 1), Fraction(1))
-    bends = {a for u in values for a in range(1, D) if u[a - 1] - 2 * u[a] + u[a + 1] < 0}
-    points = sorted(first.keys() | bends | {0, D})
     m = len(points)
-    program = _grid_program(
-        prior, edges, D, [pts[a] for a in points], [[u[a] for a in points] for u in values]
-    )
-    start = [_ZERO] * program.n_vars
+    start = [_ZERO] * (k * m + n_edges * m * m)
     for a, v in first.items():
         t = points.index(a)
         start[t : k * m : m] = [v] * k  # x(i, a) for every receiver i
         start[k * m + t * (m + 1) :: m * m] = [v] * n_edges  # y(a, a) on every edge
-    sol = lp.solve(program, propose=lambda: (start, None))
-    if sol.status != lp.OPTIMAL:
-        raise InvariantViolation(f"breakpoint program reported {sol.status}")
-    columns = [i * n + a for i in range(k) for a in points]
-    columns += [
-        k * n + e * n * n + a * n + c for e in range(n_edges) for a in points for c in points
-    ]
-    x = [_ZERO] * (k * n + n_edges * n * n)
-    for j, v in zip(columns, sol.assignment):
-        x[j] = v
-    # -alpha between breakpoints r < s, in integers over lcm(alpha's
-    # denominators) * L, L the lcm of the gaps s - r
-    gaps = [s - r for r, s in zip(points, points[1:])]
-    L, dual = lcm(*gaps), sol.dual
-    y = list(dual[: 2 * k])
-    for at in range(2 * k, 2 * k + 3 * m * n_edges, 3 * m):
-        S = lcm(*(v.denominator for v in dual[at : at + m]))
-        ends = [-v.numerator * (S // v.denominator) * L for v in dual[at : at + m]]
-        f = [
-            fr + (fs - fr) // gap * j
-            for gap, fr, fs in zip(gaps, ends, ends[1:])
-            for j in range(gap)
-        ]
-        y += _edge_dual(f + ends[-1:], S * L)[0]
-    y += dual[len(dual) - k :]
-    return x, y
+    return start, None
 
 
-def _edge_dual(f, S) -> tuple[list[Fraction], tuple[list, int, list]]:
-    """One covering edge's row-sum, column-sum and barycenter duals at
-    every point 0..D for the values f / S, f integers at each point:
-    -f / S, cav f / S and D times cav f's slope to the right (to the left
-    at D), per unit of the first coordinate.  A y(l, c) column then prices
-    at cav f's supporting line at c, less f(l).  Also the majorant
-    (_concave_majorant over 0..D of f), which the closed form splits
-    masses by."""
+def _edge_dual(f, S, points) -> tuple[list[Fraction], tuple[list, int, list]]:
+    """One covering edge's row-sum, column-sum and barycenter duals at the
+    lattice positions points for the values
+    f / S, f integers at each point 0..D: -f / S, cav f / S and D times
+    cav f's slope to the right (to the left at D), per unit of the first
+    coordinate.  A y(l, c) column then prices at cav f's supporting line
+    at c, less f(l).  Also the majorant (_concave_majorant over 0..D of
+    f), which the closed form splits masses by."""
     D = len(f) - 1
     cav, M, pieces = _concave_majorant(range(D + 1), f)
-    slopes = [D * (r - l) for l, r in zip(cav, cav[1:])]
-    rows = [Fraction(-v, S) for v in f]
-    return rows + [Fraction(v, S * M) for v in cav + slopes + slopes[-1:]], (cav, M, pieces)
+    slopes = [D * (cav[c + 1] - cav[c]) for c in (min(a, D - 1) for a in points)]
+    duals = [Fraction(-f[a], S) for a in points] + [Fraction(cav[a], S * M) for a in points]
+    return duals + [Fraction(v, S * M) for v in slopes], (cav, M, pieces)
 
 
 def _concave_majorant(xs, values) -> tuple[list, int, list[tuple[int, int]]]:
     """The least concave majorant of the points (xs[t], values[t]), xs
-    increasing integers, at each xs[t]: (M times it at each t, M, the
-    piece of each t).  The pieces are the segments between neighbouring
-    vertices of the upper hull, M the lcm of their lengths, so that
-    integer values give an integer majorant; the piece of t is the one,
-    (l, r) as indices, with l <= t < r, and the last one for the last t."""
+    increasing integers, at every integer from xs[0] to xs[-1] (the
+    majorant of the function linear between the points): (M times it at
+    each, M, the piece of each t).  The pieces are the segments between
+    neighbouring vertices of the upper hull, M the lcm of their lengths,
+    so that integer values give an integer majorant; the piece of t is
+    the one, (l, r) as indices, with l <= t < r, and the last one for the
+    last t."""
     hull: list[int] = []
     for t, (x, v) in enumerate(zip(xs, values)):
         # drop the last vertex while it lies on or below the chord to t
@@ -316,45 +298,49 @@ def _concave_majorant(xs, values) -> tuple[list, int, list[tuple[int, int]]]:
             hull.pop()
         hull.append(t)
     M = lcm(*(xs[r] - xs[l] for l, r in zip(hull, hull[1:])))
-    majorant, pieces = [v * M for v in values], [(hull[-2], hull[-1])] * len(xs)
+    majorant: list[int] = []
+    pieces = [(hull[-2], hull[-1])] * len(xs)
     for l, r in zip(hull, hull[1:]):
-        step = (values[r] - values[l]) * (M // (xs[r] - xs[l]))
-        for t in range(l, r):
-            majorant[t] = majorant[l] + step * (xs[t] - xs[l])
-            pieces[t] = (l, r)
+        start, width = values[l] * M, xs[r] - xs[l]
+        step = (values[r] - values[l]) * (M // width)
+        majorant += range(start, values[r] * M, step) if step else [start] * width
+        pieces[l:r] = [(l, r)] * (r - l)
+    majorant.append(values[-1] * M)
     return majorant, M, pieces
 
 
-def _path_certificate(prior, edges, values) -> tuple[list, list]:
-    """The optimal point and dual of the two-state grid program over
-    0..D, in _grid_program's numbering, when no receiver spreads onto
-    two (edges, sorted, make a forest of paths); prior is the first
-    state's prior, values[i][a] receiver i's utility at point a, whose
-    first coordinate is a/D.
+def _path_certificate(prior, edges, values, points) -> tuple[list, list]:
+    """The optimal point and dual of the two-state breakpoint program over
+    the lattice positions points, in _grid_program's numbering, when no
+    receiver spreads onto two (edges, sorted, make a forest of paths);
+    prior is the first state's prior, values[i][a] receiver i's utility
+    at a/D.  It is the full grid program's certificate restricted to the
+    breakpoints: the programs share their columns there.
 
     Walking each path from its root, the most informed receiver, set
     f(root) = u(root) and f(child) = u(child) + cav f(parent), each cav
-    the least concave majorant over the lattice; the optimum is the sum
-    over paths of cav f(leaf) at the prior (Kamenica and Gentzkow's
-    cav u, nested).  The dual: on each covering edge, _edge_dual of
-    f(parent), so that the x columns of every receiver but a leaf price
-    at 0.
-    A leaf's Bayes-plausibility duals are the supporting line of
-    cav f(leaf) at the prior; every other one, and every normalization
-    dual, is 0.  The point: a leaf puts its mass on the prior, or on the
-    two hull vertices around it; up the path, each atom c stays where
-    f(parent) is cav f(parent), and otherwise splits onto the ends of
-    its piece of the hull, keeping its mean.  Every column with mass
-    prices at 0, so c.x = y'b.
+    the least concave majorant over 0..D; the optimum is the sum over
+    paths of cav f(leaf) at the prior (Kamenica and Gentzkow's cav u,
+    nested).  The dual: on each covering edge, _edge_dual of f(parent),
+    so that the x columns of every receiver but a leaf price at 0.  A
+    leaf's Bayes-plausibility duals are the supporting line of cav
+    f(leaf) at the prior; every other dual is 0.  The point: a leaf puts
+    its mass on the prior, or on the two hull vertices around it; up the
+    path, each atom c stays where f(parent) is cav f(parent), and
+    otherwise splits onto the ends of its piece of the hull, keeping its
+    mean.  Every column with mass prices at 0, so c.x = y'b.  Every atom
+    is a breakpoint, as a hull vertex inside 0..D is a point where f,
+    and so a utility on the path, bends down.
 
     Values are integers over one denominator per receiver, which grows
     by each majorant's M (_concave_majorant) down the path."""
-    k, n = len(values), len(values[0])
+    k, n, m = len(values), len(values[0]), len(points)
     D = n - 1
     below, number = dict(edges), {edge: e for e, edge in enumerate(edges)}
+    place = {a: t for t, a in enumerate(points)}
     V = lcm(*(v.denominator for u in values for v in u))
-    x: list[Fraction] = [_ZERO] * (k * n + len(edges) * n * n)
-    y: list[Fraction] = [_ZERO] * (3 * k + 3 * n * len(edges))
+    x: list[Fraction] = [_ZERO] * (k * m + len(edges) * m * m)
+    y: list[Fraction] = [_ZERO] * (3 * k + 3 * m * len(edges))
     for root in sorted(set(range(k)) - set(below.values())):
         path = [root]
         while path[-1] in below:
@@ -362,8 +348,8 @@ def _path_certificate(prior, edges, values) -> tuple[list, list]:
         # down the path: f(i) in integers over S, each parent's majorant
         S, f, parents = V, [v.numerator * (V // v.denominator) for v in values[root]], []
         for i, child in zip(path, path[1:]):
-            at = 2 * k + 3 * n * number[i, child]
-            y[at : at + 3 * n], (cav, M, pieces) = _edge_dual(f, S)
+            at = 2 * k + 3 * m * number[i, child]
+            y[at : at + 3 * m], (cav, M, pieces) = _edge_dual(f, S, points)
             parents.append((f, cav, M, pieces))
             S *= M
             f = [v.numerator * (S // v.denominator) + c for v, c in zip(values[child], cav)]
@@ -382,16 +368,16 @@ def _path_certificate(prior, edges, values) -> tuple[list, list]:
         # up the path: each receiver's marginal, and its parent's by the split
         for t in range(len(path) - 1, 0, -1):
             f, cav, M, pieces = parents[t - 1]
-            base = k * n + number[path[t - 1], path[t]] * n * n
+            base = k * m + number[path[t - 1], path[t]] * m * m
             spread: dict[int, Fraction] = {}
-            for c, m in mass.items():
-                x[path[t] * n + c] = m
-                for a, v in ({c: m} if f[c] * M == cav[c] else _split(c, pieces[c], m)).items():
-                    x[base + a * n + c] = v
+            for c, w in mass.items():
+                x[path[t] * m + place[c]] = w
+                for a, v in ({c: w} if f[c] * M == cav[c] else _split(c, pieces[c], w)).items():
+                    x[base + place[a] * m + place[c]] = v
                     spread[a] = spread.get(a, _ZERO) + v
             mass = spread
-        for a, m in mass.items():
-            x[root * n + a] = m
+        for a, w in mass.items():
+            x[root * m + place[a]] = w
     return x, y
 
 
@@ -400,6 +386,74 @@ def _split(c, piece: tuple[int, int], m: Fraction) -> dict[int, Fraction]:
     with its mean kept."""
     l, r = piece
     return {l: m * (r - c) / (r - l), r: m * (c - l) / (r - l)}
+
+
+def _lattice_dual(glp: GridLP, dual) -> tuple[list[tuple[Fraction, Fraction]], list]:
+    """The lattice certificate (lines, g) of a dual of glp's breakpoint
+    program: per receiver i, lines[i] = (l_i(1, 0), l_i(0, 1)), its
+    Bayes-plausibility duals each raised by its normalization dual; per
+    covering edge, g[e] = (h, S), the integers h over S at each point
+    0..D of cav(-alpha), alpha the edge's row-sum duals interpolated
+    between breakpoints.  It stands for the full program's dual with
+    row-sum duals -g, column-sum duals g and barycenter duals D times g's
+    slope to the right (to the left at D)."""
+    k, D = len(glp.x_base), glp.grid.denominator
+    at = [w[0].numerator * (D // w[0].denominator) for w in glp.points]
+    m = len(at)
+    lines = [
+        (dual[2 * i] + nu, dual[2 * i + 1] + nu) for i, nu in enumerate(dual[len(dual) - k :])
+    ]
+    g = []
+    for start in range(2 * k, 2 * k + 3 * m * len(glp.edges), 3 * m):
+        alpha = dual[start : start + m]
+        S = lcm(*(v.denominator for v in alpha))
+        h, M, _ = _concave_majorant(at, [-v.numerator * (S // v.denominator) for v in alpha])
+        g.append((h, S * M))
+    return lines, g
+
+
+def _lattice_failure(values, edges, prior, lines, g, objective) -> str | None:
+    """The first part of the lattice certificate (lines, g), as
+    _lattice_dual gives them, that fails, in the order checked: an edge
+    whose g is not concave at a point, a receiver priced above its line
+    at a point, and the gap between the lines' value at the prior (the
+    first state's) and objective; None when every check holds.
+    values[i][a] is receiver i's utility at a/D.  The receiver i's price
+    at a is u_i(a), less g_e(a) on each edge e that spreads from i, plus
+    g_e(a) on the edge that spreads onto i; it is checked in integers
+    over one denominator per receiver.
+
+    Expanded (_lattice_dual), these are lp.check_optimal's checks on the
+    full program: its y columns are priced out exactly when each g is
+    concave, its x columns by the prices, and y'b is the lines' value.
+    So with a validated, lattice-supported GridSolution of value
+    objective, weak duality proves it optimal on the grid; on two
+    states, Jensen's inequality stands in for the couplings."""
+    D = len(values[0]) - 1
+    for (i1, i2), (h, _) in zip(edges, g):
+        bent = next((a for a, l, c, r in zip(count(1), h, h[1:], h[2:]) if l + r > 2 * c), None)
+        if bent is not None:
+            return f"g of edge ({i1 + 1},{i2 + 1}) is not concave at {_lattice_label(bent, D)}"
+    for i, (u, (top, bottom)) in enumerate(zip(values, lines)):
+        terms = [(-1 if i1 == i else 1, g[e]) for e, (i1, i2) in enumerate(edges) if i in (i1, i2)]
+        T = lcm(*(v.denominator for v in (*u, top, bottom)), *(S for _, (_, S) in terms))
+        # D T times receiver i's price at each a, against T times its line, D l_i(a)
+        price = [v.numerator * (T // v.denominator) * D for v in u]
+        for sign, (h, S) in terms:
+            price = list(map(add, price, map(mul, h, repeat(sign * (T // S) * D))))
+        low = bottom.numerator * (T // bottom.denominator)
+        rise = top.numerator * (T // top.denominator) - low
+        above = next((a for a, v in enumerate(price) if v > low * D + rise * a), None)
+        if above is not None:
+            return f"receiver {i + 1} is priced above its line at {_lattice_label(above, D)}"
+    value = sum((top * prior + bottom * (1 - prior) for top, bottom in lines), _ZERO)
+    if value != objective:
+        return f"the lines' value {value} at the prior differs from c.x = {objective}"
+    return None
+
+
+def _lattice_label(a: int, D: int) -> str:
+    return format_label((Fraction(a, D), Fraction(D - a, D)))
 
 
 @dataclass(frozen=True)
@@ -423,6 +477,9 @@ class GridSolution:
         if len(self.marginals) != instance.k:
             raise InvariantViolation("marginal count differs from receiver count")
         for i, dist in enumerate(self.marginals):
+            if (w := self._off_lattice(dist)) is not None:
+                raise InvariantViolation(f"marginal of receiver {i + 1} has {w}")
+        for i, dist in enumerate(self.marginals):
             if not is_bayes_plausible(dist, instance.prior):
                 raise InvariantViolation(f"marginal of receiver {i + 1} is not Bayes-plausible")
         for i1, i2 in sorted(set(edges).symmetric_difference(self.couplings)):
@@ -430,6 +487,9 @@ class GridSolution:
                 raise InvariantViolation(f"no coupling for covering edge ({i1 + 1},{i2 + 1})")
             raise InvariantViolation(f"coupling ({i1 + 1},{i2 + 1}) is not on a covering edge")
         for (i1, i2), coupling in self.couplings.items():
+            for dist in (coupling.source, coupling.target):
+                if (w := self._off_lattice(dist)) is not None:
+                    raise InvariantViolation(f"coupling ({i1 + 1},{i2 + 1}) has {w}")
             for side, dist, i in (("spread", coupling.source, i1), ("coarse", coupling.target, i2)):
                 if dist != self.marginals[i]:
                     side = f"coupling ({i1 + 1},{i2 + 1}) {side} side"
@@ -445,6 +505,17 @@ class GridSolution:
                 raise InvariantViolation(
                     f"stored objective {self.objective} != recomputed {total}"
                 )
+
+
+    def _off_lattice(self, dist: BeliefDistribution) -> str | None:
+        """The first support point of dist off the lattice of the step,
+        named with the lattice; None when every point lies on it.  A
+        coupling's flows lie on its sides' supports."""
+        step = self.step
+        for w in dist.points:
+            if any((x / step).denominator != 1 for x in w):
+                return f"the point {format_label(w)} off the {step} lattice"
+        return None
 
 
 def _read_solution(glp: GridLP, assignment, objective) -> GridSolution:
@@ -486,13 +557,22 @@ def solve_grid(instance: PersuasionInstance, grid: PosteriorGrid) -> GridSolutio
 def _solve_grid(
     instance: PersuasionInstance, grid: PosteriorGrid
 ) -> tuple[GridSolution, DominationGraph]:
-    """solve_grid, with the domination forest the program was built on."""
+    """solve_grid, with the domination forest the program was built on.
+    On two states the program is the breakpoint program, and its dual
+    certifies the solution on the whole lattice (_lattice_failure); a
+    certificate that fails is named in an InvariantViolation."""
     glp = build_grid_lp(instance, grid)
     sol = lp.solve(glp.program, propose=glp.propose)
     if sol.status != lp.OPTIMAL:
         raise InvariantViolation(f"grid program reported {sol.status}")
     solution = _read_solution(glp, sol.assignment, sol.objective)
     solution._validate(instance, glp.edges)
+    if grid.dim == 2:
+        lines, g = _lattice_dual(glp, sol.dual)
+        prior = instance.prior.values[0]
+        failure = _lattice_failure(glp.values, glp.edges, prior, lines, g, solution.objective)
+        if failure is not None:
+            raise InvariantViolation(f"lattice certificate failed: {failure}")
     return solution, glp.graph
 
 
@@ -661,7 +741,9 @@ class SignalingTable:
             acc: dict = {}
             for b, prof, p in sent:
                 acc.setdefault(prof[i], [_ZERO] * size)[b] += prior.values[b] * p
-            posteriors = (tuple(v / sum(vec) for v in vec) for vec in acc.values())
+            # each signal's mass summed once, not once per coordinate
+            totals = map(sum, acc.values())
+            posteriors = (tuple(v / t for v in vec) for vec, t in zip(acc.values(), totals))
             names.append({sig: labels.setdefault(w, w) for sig, w in zip(acc, posteriors)})
         merged: dict[tuple[Posterior, ...], list[Fraction]] = {}
         for b, prof, p in sent:

@@ -48,10 +48,11 @@ from mcpersuasion.model import (
     Prior,
     StateSpace,
     ThresholdUtility,
+    format_label,
     validate_instance,
 )
 from test_beliefs import assert_coupling_check_matches_the_reference
-from test_lp import GRID_CASES, _engines_built, _restriction
+from test_lp import GRID_CASES, _engines_built, _restriction, full_grid_lp
 
 F = Fraction
 TWO = StateSpace(("0", "1"))
@@ -446,11 +447,12 @@ def _data_instance(name):
     ids=["chain2@1/40", "star3@1/20", "three-state-chain@1/4"],
 )
 def test_grid_program_listing_is_pinned(make, denominator, digest):
-    """md5 of lp.dump of the grid program: objective, every row in
-    order, and the variable names GridLP.var_names formats, as the
-    tuple-keyed builder emitted them."""
+    """md5 of lp.dump of the grid program over every grid point:
+    objective, every row in order, and the variable names
+    GridLP.var_names formats, as the tuple-keyed builder emitted them.
+    On two states that program is only built here (full_grid_lp)."""
     inst = make()
-    glp = build_grid_lp(inst, PosteriorGrid(dim=inst.space.size, denominator=denominator))
+    glp = full_grid_lp(inst, PosteriorGrid(dim=inst.space.size, denominator=denominator))
     assert hashlib.md5(dump(glp.program, glp.var_names()).encode()).hexdigest() == digest
 
 
@@ -479,7 +481,8 @@ def _two_state_forest(rng, structure):
 #: one line per solve, that solve_grid reaches on
 #: _two_state_forest(random.Random(seed), STAR3) for seeds 1-40, each at
 #: 1/10, 1/20 and 1/40: branching vertices, which no CLI document pins
-#: beyond star3's.
+#: beyond star3's.  Recorded when the full program was solved; its
+#: assignment is now rebuilt from the GridSolution (_full_assignment).
 STAR3_SOLVES = "f453961b644e9fe211667cbd79cc168c"
 
 
@@ -497,43 +500,79 @@ def test_branching_grid_solves_are_pinned(monkeypatch):
         inst = _two_state_forest(random.Random(seed), STAR3)
         for denominator in (10, 20, 40):
             solution = solve_grid(inst, PosteriorGrid(dim=2, denominator=denominator))
-            sol = solved[-1]  # the full program's, which solve_grid reads back
+            sol = solved[-1]  # the breakpoint program's, which solve_grid reads back
             assert sol.objective == solution.objective
-            lines.append(repr((sol.objective, sol.assignment)))
+            edges = tuple(solution.couplings)
+            assignment = tuple(_full_assignment(solution, edges, denominator))
+            lines.append(repr((sol.objective, assignment)))
     assert hashlib.md5("\n".join(lines).encode()).hexdigest() == STAR3_SOLVES
 
 
+def _full_assignment(solution, edges, D):
+    """A two-state GridSolution on the 1/D lattice as a point of the full
+    grid program, numbered as full_grid_lp numbers it, edges its sorted
+    covering edges."""
+    n, k = D + 1, len(solution.marginals)
+    x = [F(0)] * (k * n + len(edges) * n * n)
+
+    def at(w):
+        return w[0].numerator * (D // w[0].denominator)
+
+    for i, dist in enumerate(solution.marginals):
+        for w, m in zip(dist.points, dist.masses):
+            x[i * n + at(w)] = m
+    for e, edge in enumerate(edges):
+        for (l, r), flow in solution.couplings[edge].flow.items():
+            x[k * n + e * n * n + at(l) * n + at(r)] = flow
+    return x
+
+
+def _expanded(lines, g, D):
+    """The full two-state grid program's dual that a lattice certificate
+    (lines, g) stands for: per receiver its line's values at (1, 0) and
+    (0, 1) as Bayes-plausibility duals; per covering edge, with g's
+    values h over den S, row-sum duals -h / S, column-sum duals h / S
+    and barycenter duals D times h's slope to the right (to the left at
+    D) over S; every normalization dual 0."""
+    y = [v for line in lines for v in line]
+    for h, S in g:
+        right = [min(c, D - 1) for c in range(D + 1)]
+        y += [F(-v, S) for v in h] + [F(v, S) for v in h]
+        y += [F(D * (h[c + 1] - h[c]), S) for c in right]
+    return y + [F(0)] * len(lines)
+
+
+def _lifted(glp, solution, dual):
+    """The breakpoint program's answer on the full program: the point of
+    solution (read off glp's breakpoint program) in the full numbering,
+    and the dual expanded from the lattice certificate of dual."""
+    D = glp.grid.denominator
+    return _full_assignment(solution, glp.edges, D), _expanded(*forest._lattice_dual(glp, dual), D)
+
+
 def _breakpoint_proposal(inst, glp):
-    """forest._breakpoint_answer for glp's program as a proposal, for a
-    path forest too, whose GridLP proposes its closed form instead."""
-    values = [[u.value_at(w, inst.space) for w in glp.points] for u in inst.utilities.receivers]
-    return partial(forest._breakpoint_answer, inst.prior, glp.edges, glp.points, values)
+    """The breakpoint answer for glp's full program (full_grid_lp) as a
+    proposal (_breakpoint_run), for a path forest too, whose GridLP
+    proposes its closed form instead."""
+    return lambda: _breakpoint_run(inst, glp)[:2]
 
 
 def _breakpoint_run(inst, glp):
-    """(x, y, points, program, start): the breakpoint answer for glp's
-    program (_breakpoint_proposal), the breakpoints as positions in
-    glp.points, the program forest._grid_program built over them, and the
-    point, proposed without a dual, that lp.solve was handed for it."""
-    built, proposed = [], []
-    real_program, real_solve = forest._grid_program, lp.solve
-
-    def program(*args):
-        built.append((args[3], real_program(*args)))
-        return built[-1][1]
-
-    def solve(program, *, propose):
-        proposed.append(propose())
-        return real_solve(program, propose=lambda: proposed[-1])
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(forest, "_grid_program", program)
-        patch.setattr(lp, "solve", solve)
-        x, y = _breakpoint_proposal(inst, glp)()
-    [(pts, program)], [(start, dual)] = built, proposed
+    """(x, y, points, program, start) for the full program of glp
+    (full_grid_lp): the breakpoint program build_grid_lp builds, solved
+    through lp.solve from start, the prior split that
+    forest._breakpoint_answer proposes without a dual, for a path forest
+    too; its answer on the full program (_lifted); and the breakpoints
+    as positions in glp.points."""
+    bp = build_grid_lp(inst, glp.grid)
+    D = glp.grid.denominator
+    points = [w[0].numerator * (D // w[0].denominator) for w in bp.points]
+    start, dual = forest._breakpoint_answer(inst.prior.values[0] * D, inst.k, len(bp.edges), points)
     assert dual is None
-    index = {w: a for a, w in enumerate(glp.points)}
-    return x, y, [index[w] for w in pts], program, start
+    sol = lp.solve(bp.program, propose=lambda: (start, None))
+    solution = forest._read_solution(bp, sol.assignment, sol.objective)
+    x, y = _lifted(bp, solution, sol.dual)
+    return x, y, points, bp.program, start
 
 
 def _climb_and_compare(inst, denominator):
@@ -542,9 +581,9 @@ def _climb_and_compare(inst, denominator):
     certified against the full program, and the start completes to a
     feasible basis of the full program, so phase 1 is skipped.
     solve_grid, which takes the closed form on path forests, reaches the
-    same objective.  Returns the GridLP."""
+    same objective.  Returns the GridLP of the full program."""
     grid = PosteriorGrid(dim=2, denominator=denominator)
-    glp = build_grid_lp(inst, grid)
+    glp = full_grid_lp(inst, grid)
     x, _ = _breakpoint_proposal(inst, glp)()
     assert lp._Engine(glp.program)._complete(lp._start(glp.program, x))
     climbed = lp.solve(glp.program, propose=lambda: (x, None))
@@ -611,8 +650,8 @@ def test_ladder_matches_the_plain_solve_on_jumps_and_off_grid_priors(
     no semicontinuity.  The prior off the grid leaves the completed start
     short of optimal on the full program, but the breakpoint answer is
     certified as it is, so on the grid or off it one engine is built, on
-    the breakpoint program, and none on the full one; the closed form of
-    these chains needs no engine at all."""
+    the breakpoint program, and none on the full one; solve_grid, which
+    takes the closed form of these chains, builds no engine at all."""
     built = _engines_built(monkeypatch)
     inst = make_instance(CHAIN2, utilities, prior=prior)
     for denominator in (10, 20, 40):
@@ -624,16 +663,16 @@ def test_ladder_matches_the_plain_solve_on_jumps_and_off_grid_priors(
         lp.solve(glp.program, propose=_breakpoint_proposal(inst, glp))
         assert len(built) == 1 and built[0].rows == program.rows
         built.clear()
-        lp.solve(glp.program, propose=glp.propose)
+        solve_grid(inst, glp.grid)
         assert built == []
 
 
 def test_the_lift_certifies_every_two_state_grid(monkeypatch):
     """The theorem behind forest._breakpoint_answer: on a two-state grid,
     the breakpoint program's optimal point and dual, with each edge's
-    duals rebuilt by _edge_dual from its row-sum duals interpolated
-    between breakpoints, are an optimality certificate of the full
-    program.  Over GRID_CASES, the JUMPS instances (the prior off the
+    duals rebuilt from the least concave majorant of its negated row-sum
+    duals interpolated between breakpoints, are an optimality
+    certificate of the full program.  Over GRID_CASES, the JUMPS instances (the prior off the
     grid among them) and seeds 1-3 of the grid2 generator (chains and
     three-receiver forests), the answer is never refused, solve returns
     it as given, and the one engine built is on the breakpoint program;
@@ -643,7 +682,9 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
     one.  The chains, which build_grid_lp certifies in closed form, take
     the breakpoint answer directly (_breakpoint_proposal), so the theorem
     stays covered on them.  The breakpoint program starts from the
-    point written down for the prior's neighbours, largest values first."""
+    point written down for the prior's neighbours, largest values first.
+    The answer on the full program is the breakpoint program's point with
+    the dual expanded from its lattice certificate (_lifted)."""
     built, starts = _engines_built(monkeypatch), []
     real_solve = lp._Engine.solve
 
@@ -654,7 +695,7 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
     monkeypatch.setattr(lp._Engine, "solve", solve)
     whole = 0
     for inst, denominator in _rung_programs():
-        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+        glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
         x, y, points, program, start = _breakpoint_run(inst, glp)
         whole += program.n_vars == glp.program.n_vars
         refused = lp._optimality_failure(glp.program, x, y)
@@ -679,7 +720,7 @@ def test_the_prior_split_is_the_one_point_over_its_neighbours():
     its solution, carried onto the breakpoint program's columns, is that
     start."""
     for inst, denominator in _rung_programs():
-        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+        glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
         _, _, points, program, start = _breakpoint_run(inst, glp)
         p = inst.prior.values[0] * denominator
         near = sorted({math.floor(p), math.ceil(p)})
@@ -702,13 +743,12 @@ def test_the_prior_split_is_the_one_point_over_its_neighbours():
 @pytest.mark.parametrize("name, denominator", [("chain2", 400), ("star3", 80)])
 def test_fine_two_state_grids_need_no_engine_on_the_full_program(name, denominator, monkeypatch):
     """chain2 at 1/400 (161,603 columns) and star3 at 1/80 through
-    solve_fptas: the answer, chain2's in closed form and star3's read off
-    its breakpoint program,
-    is certified against the full program, which the last lp.solve call
-    is on, no engine is built on it, and the objective is the 1/40 one,
-    since every breakpoint and the prior lie on 1/10.  chain2 makes no
-    other call and builds no engine at all; star3's proposal solves its
-    breakpoint program through lp.solve first, one engine on it."""
+    solve_fptas: its one lp.solve call is on the breakpoint program, and
+    its answer, chain2's in closed form and star3's solved from the prior
+    split, lifted to the full program (_lifted), is certified there by
+    check_optimal; the objective is the 1/40 one, since every breakpoint
+    and the prior lie on 1/10.  chain2 builds no engine at all; star3
+    builds one, on its breakpoint program."""
     inst = _data_instance(name)
     reference = solve_fptas(inst, F(1, 40))[0].objective
     built, solved = _engines_built(monkeypatch), []
@@ -720,10 +760,12 @@ def test_fine_two_state_grids_need_no_engine_on_the_full_program(name, denominat
 
     monkeypatch.setattr(forest.lp, "solve", solve)
     solution, table = solve_fptas(inst, F(1, denominator))
-    program, sol = solved[-1]
-    assert len(solved) == (2 if name == "star3" else 1)
-    assert built == [rung for rung, _ in solved[:-1]] and program not in built
-    assert lp.check_optimal(program, sol.assignment, sol.dual)
+    [(program, sol)] = solved
+    assert built == ([program] if name == "star3" else [])
+    glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+    assert program.rows == glp.program.rows
+    full = full_grid_lp(inst, glp.grid).program
+    assert lp.check_optimal(full, *_lifted(glp, solution, sol.dual))
     assert solution.objective == sol.objective == reference
     assert evaluate_table(table, inst) == reference
 
@@ -736,7 +778,7 @@ def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
     phase 1 and runs phase 2 there, to the plain solve's objective,
     certified."""
     inst = _data_instance("chain2")
-    glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
+    glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
     _, _, points, _, _ = _breakpoint_run(inst, glp)
     n, k = len(glp.points), len(glp.x_base)
     row = 2 * k + n + min(set(range(n)) - set(points))  # the first edge's column sum there
@@ -815,11 +857,23 @@ def _grid2_jobs(seed):
     return jobs
 
 
+def _closed_form(inst, denominator):
+    """(glp, x, y): inst's breakpoint program at 1/denominator and the
+    closed form its GridLP proposes for it, lifted to the full program
+    (_lifted)."""
+    glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+    x, y = glp.propose()
+    solution = forest._read_solution(glp, x, None)
+    return glp, *_lifted(glp, solution, y)
+
+
 def _assert_closed_form(inst, denominator, built):
     """The closed form of inst's grid program at 1/denominator: what
-    GridLP proposes, accepted by check_optimal on the full program,
-    returned by solve as given with no engine built, and of the
-    objective of the breakpoint answer, which check_optimal accepts too."""
+    GridLP proposes, accepted by check_optimal on the breakpoint program,
+    returned by solve as given with no engine built, and by the lattice
+    check; lifted to the full program, accepted by check_optimal there;
+    and of the objective of the breakpoint answer, which check_optimal
+    accepts too."""
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
     assert glp.propose.func is forest._path_certificate
     x, y = glp.propose()
@@ -828,10 +882,17 @@ def _assert_closed_form(inst, denominator, built):
     built.clear()
     sol = lp.solve(glp.program, propose=glp.propose)
     assert built == [] and (sol.assignment, sol.dual) == (tuple(x), tuple(y))
-    x, y = _breakpoint_proposal(inst, glp)()
-    refused = lp._optimality_failure(glp.program, x, y)
+    lines, g = forest._lattice_dual(glp, y)
+    p = inst.prior.values[0]
+    assert forest._lattice_failure(glp.values, glp.edges, p, lines, g, sol.objective) is None
+    full = full_grid_lp(inst, glp.grid)
+    X, Y = _closed_form(inst, denominator)[1:]
+    refused = lp._optimality_failure(full.program, X, Y)
+    assert refused is None, f"lifted closed form refused at 1/{denominator}: {refused}"
+    X, Y = _breakpoint_proposal(inst, full)()
+    refused = lp._optimality_failure(full.program, X, Y)
     assert refused is None, f"breakpoint answer refused at 1/{denominator}: {refused}"
-    assert sol.objective == lp.solve(glp.program, propose=lambda: (x, y)).objective
+    assert sol.objective == lp.solve(full.program, propose=lambda: (X, Y)).objective
 
 
 def test_read_back_takes_each_flow_from_coupling_flows():
@@ -907,9 +968,9 @@ def test_seeded_path_forests_are_certified_in_closed_form(monkeypatch):
 
 
 def test_a_path_forest_builds_one_program_and_no_engine(monkeypatch):
-    """solve_grid on a path forest builds the full program and nothing
-    else, and no engine; on STAR3, a root with two children, it builds
-    the breakpoint program too and one engine, on it."""
+    """solve_grid on a path forest builds the breakpoint program and
+    nothing else, and no engine; on STAR3, a root with two children, it
+    builds the breakpoint program and one engine, on it."""
     built = _engines_built(monkeypatch)
     programs = []
     real_program = forest._grid_program
@@ -919,7 +980,7 @@ def test_a_path_forest_builds_one_program_and_no_engine(monkeypatch):
         return real_program(*args)
 
     monkeypatch.setattr(forest, "_grid_program", program)
-    for name, denominator, expected in [("chain2", 40, (1, 0)), ("star3", 20, (2, 1))]:
+    for name, denominator, expected in [("chain2", 40, (1, 0)), ("star3", 20, (1, 1))]:
         programs.clear()
         built.clear()
         solve_grid(_data_instance(name), PosteriorGrid(dim=2, denominator=denominator))
@@ -933,9 +994,10 @@ def test_a_refused_proposal_falls_back_to_exact_solving(monkeypatch):
     Bayes-plausibility dual or a normalization dual (y'b then moves).
     check_optimal refuses each, so solve never returns it: one engine,
     on the full program, completes the proposed point, skips phase 1,
-    and reaches the breakpoint answer's objective, certified."""
+    and reaches the breakpoint answer's objective, certified.  The
+    closed form is lifted to the full program (_closed_form)."""
     inst = _data_instance("chain2")
-    glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
+    glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
     n, k = len(glp.points), len(glp.x_base)
     reference = lp.solve(glp.program, propose=_breakpoint_proposal(inst, glp)).objective
     built = _engines_built(monkeypatch)
@@ -948,7 +1010,7 @@ def test_a_refused_proposal_falls_back_to_exact_solving(monkeypatch):
 
     monkeypatch.setattr(lp._Engine, "_complete", complete)
     for row, move in [(2 * k, 1), (2 * k + n, -1), (2, 1), (2 * k + 3 * n, 1)]:
-        x, y = glp.propose()
+        _, x, y = _closed_form(inst, 20)
         y[row] += F(move, y[row].denominator)
         refused = lp._optimality_failure(glp.program, x, y)
         assert refused is not None
@@ -1008,7 +1070,7 @@ def test_edge_dual_columns_are_the_concavification():
     for _ in range(60):
         D, S = rng.randint(1, 12), rng.randint(1, 6)
         f = [rng.randint(-20, 20) for _ in range(D + 1)]
-        duals, _ = forest._edge_dual(f, S)
+        duals, _ = forest._edge_dual(f, S, range(D + 1))
         table = {pt(F(a, D), 1 - F(a, D)): F(v, S) for a, v in enumerate(f)}
         cav = list(_cav_table(table).values())  # in the order of a
         slopes = [D * (r - l) for l, r in zip(cav, cav[1:])]
@@ -1017,21 +1079,30 @@ def test_edge_dual_columns_are_the_concavification():
 
 def test_path_certificate_duals_are_edge_duals_of_its_row_sums():
     """On every covering edge of 200 seeded path forests (_path_forest),
-    _path_certificate's duals are forest._edge_dual's for its own
-    row-sum duals, negated and taken in integers over their common
-    denominator."""
+    _path_certificate's duals at the breakpoints are _edge_dual's for
+    its own row-sum duals, negated, taken in integers over their common
+    denominator and interpolated between breakpoints: the column-sum
+    duals are the least concave majorant of that interpolation
+    (forest._concave_majorant), the barycenter duals D times its slope to
+    the right (to the left at D), so the lattice certificate's g is the
+    closed form's cav f(parent)."""
     rng = random.Random(73)
     edges_seen = 0
     for _ in range(200):
-        inst, denominator = _path_forest(rng)
-        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+        inst, D = _path_forest(rng)
+        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=D))
         _, y = glp.propose()
-        n, k = len(glp.points), inst.k
-        for at in range(2 * k, 2 * k + 3 * n * len(glp.edges), 3 * n):
-            rows = y[at : at + n]
+        m, k = len(glp.points), inst.k
+        points = [w[0].numerator * (D // w[0].denominator) for w in glp.points]
+        for at in range(2 * k, 2 * k + 3 * m * len(glp.edges), 3 * m):
+            rows = y[at : at + m]
             S = math.lcm(*(v.denominator for v in rows))
             f = [-v.numerator * (S // v.denominator) for v in rows]
-            assert forest._edge_dual(f, S)[0] == y[at : at + 3 * n]
+            h, M, _ = forest._concave_majorant(points, f)
+            right = [min(a, D - 1) for a in points]
+            cav = [F(h[a], S * M) for a in points]
+            slopes = [F(D * (h[c + 1] - h[c]), S * M) for c in right]
+            assert rows + cav + slopes == y[at : at + 3 * m]
             edges_seen += 1
     assert edges_seen
 
@@ -1074,7 +1145,7 @@ def test_rung_points_are_pinned(name, denominator, first, second):
     utility bends down; its columns are every x at its points and every
     y between two of them (test_rung_programs_are_restrictions_of_the_full_program)."""
     inst = _data_instance(name)
-    glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+    glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
     _, _, points, program, start = _breakpoint_run(inst, glp)
     labels = [",".join(map(str, glp.points[a])) for a in points]
     assert labels == second
@@ -1116,7 +1187,7 @@ def test_rung_programs_are_restrictions_of_the_full_program():
     independent builder from the Fraction rows makes it: the same
     variables, objective and rows, in the same order."""
     for inst, denominator in _rung_programs():
-        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+        glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
         _, _, points, program, _ = _breakpoint_run(inst, glp)
         n = len(glp.points)
         columns = [base + a for base in glp.x_base for a in points]
@@ -1130,9 +1201,9 @@ def test_rung_programs_are_restrictions_of_the_full_program():
 def test_a_grid_solve_builds_once_and_solves_once(monkeypatch):
     """solve_grid and solve_fptas build through one forest.build_grid_lp
     call and solve through one forest.lp.solve call: the call pattern
-    that the benchmark's read-back replay swaps out.  A branching
-    forest's breakpoint program is solved inside its proposal, which a
-    replay never calls (test_a_replayed_solve_never_calls_the_proposal)."""
+    that the benchmark's read-back replay swaps out.  On two states that
+    call solves the breakpoint program, and the lattice certificate
+    needs no other (test_a_replayed_solve_never_calls_the_proposal)."""
     calls = []
     real_build, real_solve = forest.build_grid_lp, forest.lp.solve
 
@@ -1163,12 +1234,12 @@ def test_a_grid_solve_builds_once_and_solves_once(monkeypatch):
 @pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED])
 @pytest.mark.parametrize("call", [1, 2])
 def test_a_rung_that_is_not_optimal_raises(call, status, monkeypatch):
-    """star3's grid program and its breakpoint program are grid programs,
-    always feasible and bounded, so either that lp.solve reports as
-    anything but optimal is a solver defect.  solve_grid calls lp.solve
-    on the full program first (call 1), whose proposal solves the
-    breakpoint program (call 2): each raises InvariantViolation naming
-    the program and the status, and no engine is built."""
+    """A breakpoint program is a grid program, always feasible and
+    bounded, so one that lp.solve reports as anything but optimal is a
+    solver defect.  solve_grid on chain2 and then on star3 at 1/20 calls
+    lp.solve once each, on the breakpoint program: when the call-th
+    reports status, solve_grid raises InvariantViolation naming the
+    program and the status, and no engine is built."""
     built, calls = _engines_built(monkeypatch), []
     real_solve = forest.lp.solve
 
@@ -1179,9 +1250,9 @@ def test_a_rung_that_is_not_optimal_raises(call, status, monkeypatch):
         return real_solve(program, **kwargs)
 
     monkeypatch.setattr(forest.lp, "solve", solve)
-    which = "grid" if call == 1 else "breakpoint"
-    with pytest.raises(InvariantViolation, match=f"{which} program reported {status}"):
-        solve_grid(_data_instance("star3"), PosteriorGrid(dim=2, denominator=20))
+    with pytest.raises(InvariantViolation, match=f"grid program reported {status}"):
+        for name in ("chain2", "star3"):
+            solve_grid(_data_instance(name), PosteriorGrid(dim=2, denominator=20))
     assert len(calls) == call and built == []
 
 
@@ -1191,9 +1262,8 @@ def test_a_replayed_solve_never_calls_the_proposal(name, denominator, monkeypatc
     gives a GridLP built beforehand, and forest.lp is a stand-in with
     solve and OPTIMAL only, whose solve returns a solution made
     beforehand.  solve_grid on a path forest and on star3 calls each
-    stand-in once, never calls the proposal, where star3's breakpoint
-    program is solved, and reads back the solution a real solve_grid
-    gives."""
+    stand-in once, never calls the proposal, and reads back, and
+    certifies on the lattice, the solution a real solve_grid gives."""
     inst = _data_instance(name)
     grid = PosteriorGrid(dim=2, denominator=denominator)
     glp = build_grid_lp(inst, grid)
@@ -1221,6 +1291,183 @@ def test_a_replayed_solve_never_calls_the_proposal(name, denominator, monkeypatc
     monkeypatch.setattr(forest, "lp", ReplayLP)
     assert solve_grid(inst, grid) == expected
     assert calls == ["build", "solve"]
+
+
+# ---------------------------------------------------------------------------
+# Two-state lattice certificates: no coupling program on the full grid
+
+
+def _lattice_accepts(inst, full, lines, g, x):
+    """Whether the lattice certificate (lines, g) proves x, a point of
+    full's program (full_grid_lp), optimal: x read back into a
+    GridSolution of value c.x and validated, then
+    forest._lattice_failure."""
+    program = full.program
+    objective = sum((F(a, program.obj_den) * x[j] for j, a in program.obj.items()), F(0))
+    try:
+        solution = forest._read_solution(full, x, objective)
+        solution._validate(inst, full.edges)
+    except (InvariantViolation, ValidationError):
+        return False
+    p = inst.prior.values[0]
+    return forest._lattice_failure(full.values, full.edges, p, lines, g, objective) is None
+
+
+def _lattice_certificate(inst, denominator):
+    """(glp, solution, lines, g): solve_grid's breakpoint program, the
+    solution it reads back and the lattice certificate of its dual."""
+    glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+    sol = lp.solve(glp.program, propose=glp.propose)
+    solution = forest._read_solution(glp, sol.assignment, sol.objective)
+    return glp, solution, *forest._lattice_dual(glp, sol.dual)
+
+
+def _mutations(rng, lines, g, x):
+    """Single-entry mutations of the certificate (lines, g) and the point
+    x: a line's value at (1, 0) or (0, 1) moved up and one moved down by
+    1/its denominator; four values of g moved by one unit of its
+    denominator; a nonzero entry of x moved by 1/its denominator, and a
+    zero entry given that mass."""
+    out = []
+    for move in (1, -1):
+        i, side = rng.randrange(len(lines)), rng.randrange(2)
+        bent = [list(line) for line in lines]
+        bent[i][side] += F(move, bent[i][side].denominator)
+        out.append(([tuple(line) for line in bent], g, x))
+    for _ in range(4 if g else 0):
+        e = rng.randrange(len(g))
+        h, S = g[e]
+        a = rng.randrange(len(h))
+        bent = h[:a] + [h[a] + rng.choice((1, -1))] + h[a + 1 :]
+        out.append((lines, g[:e] + [(bent, S)] + g[e + 1 :], x))
+    support = [j for j, v in enumerate(x) if v]
+    j = rng.choice(support)
+    moved = F(rng.choice((1, -1)), x[j].denominator)
+    for at in (j, rng.choice([t for t, v in enumerate(x) if not v])):
+        out.append((lines, g, x[:at] + [x[at] + moved if at == j else abs(moved)] + x[at + 1 :]))
+    return out
+
+
+def test_the_lattice_check_agrees_with_check_optimal_on_the_full_program():
+    """The lattice check (validation of the point read back, then
+    forest._lattice_failure) accepts exactly when lp.check_optimal
+    accepts on the full program with the dual expanded from the
+    certificate (_expanded).  Over GRID_CASES, the JUMPS instances at
+    1/10, 1/20 and 1/40, and every job of the grid2 workload's seeds 1-8,
+    on solve_grid's own certificate, which both accept, and on seeded
+    single-entry mutations of it (_mutations), which both sometimes
+    accept."""
+    rng = random.Random(79)
+    cases = [(_data_instance(name), denominator) for name, denominator in GRID_CASES]
+    for utilities, prior, _ in JUMPS.values():
+        inst = make_instance(CHAIN2, utilities, prior=prior)
+        cases += [(inst, denominator) for denominator in (10, 20, 40)]
+    cases += [job for seed in range(1, 9) for job in _grid2_jobs(seed)]
+    verdicts = []
+    for inst, D in cases:
+        glp, solution, lines, g = _lattice_certificate(inst, D)
+        full = full_grid_lp(inst, glp.grid)
+        x = _full_assignment(solution, glp.edges, D)
+        assert lp.check_optimal(full.program, x, _expanded(lines, g, D))
+        assert _lattice_accepts(inst, full, lines, g, x)
+        for bent_lines, bent_g, bent_x in _mutations(rng, lines, g, x):
+            accepted = lp.check_optimal(full.program, bent_x, _expanded(bent_lines, bent_g, D))
+            assert _lattice_accepts(inst, full, bent_lines, bent_g, bent_x) == accepted
+            verdicts.append(accepted)
+    assert len(cases) == 222 and set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("name", ["chain2", "star3"])
+def test_a_refused_lattice_certificate_names_its_failing_part(name, monkeypatch):
+    """forest._lattice_failure names each kind of failure, each made by a
+    single-entry mutation of solve_grid's certificate at 1/20: a value of
+    g lowered by one unit where g is linear, so that it is not concave
+    there; a line's value at (0, 1) moved down (the receiver is then
+    priced above its line where its price met it, found here in
+    Fractions) or up (the lines' value at the prior then exceeds c.x).
+    solve_grid handed a dual that makes such a certificate raises
+    InvariantViolation with the name."""
+    inst = _data_instance(name)
+    glp, solution, lines, g = _lattice_certificate(inst, 20)
+    p, c = inst.prior.values[0], solution.objective
+    check = partial(forest._lattice_failure, glp.values, glp.edges, p)
+    assert check(lines, g, c) is None
+    (h, S), (i1, i2) = g[0], glp.edges[0]
+    a = next(a for a in range(1, 20) if h[a - 1] + h[a + 1] == 2 * h[a])
+    bent = [(h[:a] + [h[a] - 1] + h[a + 1 :], S)] + g[1:]
+    label = format_label((F(a, 20), F(20 - a, 20)))
+    assert check(lines, bent, c) == f"g of edge ({i1 + 1},{i2 + 1}) is not concave at {label}"
+    for i, (top, bottom) in enumerate(lines):
+        low = bottom - F(1, bottom.denominator)
+        moved = lines[:i] + [(top, low)] + lines[i + 1 :]
+        prices = [
+            u - sum(F(h[a], S) for (h, S), (j, _) in zip(g, glp.edges) if j == i)
+            + sum(F(h[a], S) for (h, S), (_, j) in zip(g, glp.edges) if j == i)
+            for a, u in enumerate(glp.values[i])
+        ]
+        above = next(a for a, v in enumerate(prices) if v > (top * a + low * (20 - a)) / 20)
+        label = format_label((F(above, 20), F(20 - above, 20)))
+        assert check(moved, g, c) == f"receiver {i + 1} is priced above its line at {label}"
+        high = bottom + F(1, bottom.denominator)
+        value = sum(t * p + b * (1 - p) for t, b in lines[:i] + [(top, high)] + lines[i + 1 :])
+        failure = f"the lines' value {value} at the prior differs from c.x = {c}"
+        assert check(lines[:i] + [(top, high)] + lines[i + 1 :], g, c) == failure
+    # the same, raised by solve_grid: receiver 1's second Bayes-plausibility dual moved
+    real_solve = lp.solve
+    for move, part in [(-1, "receiver 1 is priced above its line"), (1, "the lines' value")]:
+
+        def solve(program, **kwargs):
+            sol = real_solve(program, **kwargs)
+            dual = list(sol.dual)
+            dual[1] += F(move, dual[1].denominator)
+            return replace(sol, dual=tuple(dual))
+
+        monkeypatch.setattr(forest.lp, "solve", solve)
+        with pytest.raises(InvariantViolation, match=f"lattice certificate failed: {part}"):
+            solve_grid(inst, PosteriorGrid(dim=2, denominator=20))
+
+
+def test_solution_validate_refuses_points_off_the_lattice():
+    """A marginal or coupling point off the lattice of the solution's
+    step is refused, naming the receiver or the covering edge: the
+    lattice certificate proves optimality among lattice-supported points
+    only.  The worked chain at step 1/4 passes; one point of the coarse
+    marginal moved to 1/3 fails, and so does a coupling whose coarse side
+    is a Bayes-plausible distribution on 1/3."""
+    inst, spread, coarse, coupling = _worked_chain_solution()
+    GridSolution(F(1, 4), (spread, coarse), {(0, 1): coupling}, F(1)).validate(inst)
+    half = F(1, 2)
+    moved = BeliefDistribution.from_pairs([(pt("3/4", "1/4"), half), (pt("1/3", "2/3"), half)])
+    off = GridSolution(F(1, 4), (spread, moved), {(0, 1): coupling}, F(1))
+    off_lattice = r"has the point \(1/3, 2/3\) off the 1/4 lattice"
+    with pytest.raises(InvariantViolation, match="receiver 2 " + off_lattice):
+        off.validate(inst)
+    thirds = BeliefDistribution.from_pairs([(pt("2/3", "1/3"), half), (pt("1/3", "2/3"), half)])
+    stray = GridSolution(F(1, 4), (spread, coarse), {(0, 1): mps_coupling(spread, thirds)}, F(1))
+    with pytest.raises(InvariantViolation, match=r"coupling \(1,2\) " + off_lattice):
+        stray.validate(inst)
+
+
+@pytest.mark.parametrize("name", ["chain2", "star3"])
+def test_fine_steps_build_no_large_program(name, monkeypatch):
+    """solve_fptas at 1/10,000, whose full grid program would have about
+    10^8 columns per covering edge, builds no LinearProgram above 10^4
+    columns: only the breakpoint program; the objective is the 1/40 one,
+    since every breakpoint and the prior lie on 1/10."""
+    inst = _data_instance(name)
+    reference = solve_fptas(inst, F(1, 40))[0].objective
+    sizes = []
+    real = lp.LinearProgram.integral.__func__
+
+    def integral(cls, n_vars, objective, rows):
+        sizes.append(n_vars)
+        return real(cls, n_vars, objective, rows)
+
+    monkeypatch.setattr(lp.LinearProgram, "integral", classmethod(integral))
+    solution, table = solve_fptas(inst, F(1, 10_000))
+    assert sizes and max(sizes) <= 10_000
+    assert solution.step == F(1, 10_000)
+    assert solution.objective == evaluate_table(table, inst) == reference
 
 
 # ---------------------------------------------------------------------------

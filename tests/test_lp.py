@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from mcpersuasion import forest
 from mcpersuasion import lp as lp_module
 from mcpersuasion.errors import InvariantViolation, ValidationError
 from mcpersuasion.forest import PosteriorGrid, build_grid_lp
@@ -1004,10 +1005,30 @@ def test_entering_reads_prices_beyond_float_range():
         assert engine._entering(num, lev, fl, True) == first
 
 
+def full_grid_lp(instance, grid):
+    """build_grid_lp's GridLP with the grid program over every point of
+    the grid: on two states, where build_grid_lp builds the breakpoint
+    program only, the full one from forest._grid_program over
+    grid.points(), with its points and numbering."""
+    glp = build_grid_lp(instance, grid)
+    if grid.dim != 2:
+        return glp
+    pts, k = grid.points(), instance.k
+    n = len(pts)
+    program = forest._grid_program(instance.prior, glp.edges, grid.denominator, pts, glp.values)
+    return replace(
+        glp,
+        program=program,
+        points=pts,
+        x_base=tuple(i * n for i in range(k)),
+        y_base=tuple(k * n + e * n * n for e in range(len(glp.edges))),
+    )
+
+
 def _grid_program(name, denominator):
     path = Path(__file__).parent / "data" / f"{name}.instance.json"
     instance = validate_instance(json.loads(path.read_text()))
-    return build_grid_lp(instance, PosteriorGrid(instance.space.size, denominator)).program
+    return full_grid_lp(instance, PosteriorGrid(instance.space.size, denominator)).program
 
 
 def test_engine_rows_are_primitive_with_phase1_weights(monkeypatch, take_route):
@@ -1163,7 +1184,7 @@ def _start_cases():
     for name, denominator in GRID_CASES[:2] + GRID_CASES[3:4]:
         path = Path(__file__).parent / "data" / f"{name}.instance.json"
         instance = validate_instance(json.loads(path.read_text()))
-        glp = build_grid_lp(instance, PosteriorGrid(2, denominator))
+        glp = full_grid_lp(instance, PosteriorGrid(2, denominator))
         n = len(glp.points)
         diagonal = [base + a * n + a for base in glp.y_base for a in range(n)]
         xs = list(range(glp.y_base[0]))
