@@ -76,6 +76,9 @@ class PosteriorGrid:
         return cls(dim=dim, denominator=d)
 
     def points(self) -> tuple[Posterior, ...]:
+        """The grid points in increasing lexicographic order, which is the
+        order the recursion makes them in: each coordinate counts up with
+        the ones before it fixed."""
         d = self.denominator
         out: list[Posterior] = []
 
@@ -87,7 +90,7 @@ class PosteriorGrid:
                 rec(prefix + [Fraction(l, d)], remaining - l, slots - 1)
 
         rec([], d, self.dim)
-        return tuple(sorted(out))
+        return tuple(out)
 
     def contains(self, point: Posterior) -> bool:
         return (
@@ -157,11 +160,7 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         raise ValidationError("grid dimension differs from the state space")
     graph, edges = _forest_edges(instance)
     D, k = grid.denominator, instance.k
-    if grid.dim == 2:
-        # grid.points(), without the recursion and the sort: point a is (a/D, 1 - a/D)
-        lattice = [(Fraction(a, D), Fraction(D - a, D)) for a in range(D + 1)]
-    else:
-        lattice = grid.points()
+    lattice = grid.points()
     space, receivers = instance.space, instance.utilities.receivers
     values = tuple(tuple(u.value_at(w, space) for w in lattice) for u in receivers)
     at, propose = range(len(lattice)), None
@@ -281,12 +280,15 @@ def _edge_dual(f, S, points) -> tuple[list[Fraction], tuple[list, int, list]]:
 
 def _concave_majorant(xs, values) -> tuple[list, int, list[tuple[int, int]]]:
     """The least concave majorant of the points (xs[t], values[t]), xs
-    increasing integers, at every integer from xs[0] to xs[-1] (the
-    majorant of the function linear between the points): (M times it at
-    each, M, the piece of each t).  The pieces are the segments between
-    neighbouring vertices of the upper hull, M the lcm of their lengths,
-    so that integer values give an integer majorant; the piece of t is
-    the one, (l, r) as indices, with l <= t < r, and the last one for the
+    increasing integers (the majorant of the function linear between the
+    points): (M times it, M, the piece of each t).  The majorant is
+    listed at every integer from xs[0] to xs[-1], so its j-th entry is at
+    xs[0] + j; the pieces are listed by position t in xs.  The two
+    indexings agree only when xs is range(n), as for every caller that
+    reads the pieces.  The pieces are the segments between neighbouring
+    vertices of the upper hull, M the lcm of their lengths, so that
+    integer values give an integer majorant; the piece of t is the one,
+    (l, r) as positions in xs, with l <= t < r, and the last one for the
     last t."""
     hull: list[int] = []
     for t, (x, v) in enumerate(zip(xs, values)):

@@ -77,6 +77,9 @@ def test_grid_points_and_membership():
     assert g.points() == (pt(0, 1), pt("1/2", "1/2"), pt(1, 0))
     g3 = PosteriorGrid(dim=3, denominator=2)
     assert len(g3.points()) == 6
+    for dim, d in ((2, 7), (3, 5), (4, 3)):
+        points = PosteriorGrid(dim=dim, denominator=d).points()
+        assert list(points) == sorted(set(points))
     assert g.contains(pt("1/2", "1/2"))
     assert not g.contains(pt("1/3", "2/3"))
     assert not g.contains(pt("1/2", "1/4"))
