@@ -45,7 +45,7 @@ from .sharing import (
     ChannelScheme,
     LabelAlphabet,
     Slot,
-    enumerate_executions,
+    _branch_runs,
     execution_count,
 )
 
@@ -435,21 +435,21 @@ def channel_scheme_to_doc(scheme: ChannelScheme) -> dict:
     ]
     executions: dict[str, list] = {state: [] for state in scheme.table.space.states}
     listed = 0
-    event = probability = None
-    for record in islice(enumerate_executions(scheme), EXECUTION_DUMP_LIMIT):
-        if (record.state, record.branch) != event:
-            # one probability per branch: format it once
-            event = (record.state, record.branch)
-            probability = format_rational(record.probability)
-        executions[record.state].append(
+    for state, branch, probability, run in _branch_runs(scheme):
+        if listed == EXECUTION_DUMP_LIMIT:
+            break
+        text = format_rational(probability)
+        records = [
             {
-                "branch": record.branch + 1,
-                "keys": list(record.keys),
-                "probability": probability,
-                "channels": [list(symbols) for symbols in record.channels],
+                "branch": branch + 1,
+                "keys": list(keys),
+                "probability": text,
+                "channels": [list(symbols) for symbols in channels],
             }
-        )
-        listed += 1
+            for keys, channels in islice(run, EXECUTION_DUMP_LIMIT - listed)
+        ]
+        executions[state] += records
+        listed += len(records)
     omitted = execution_count(scheme) - listed
     doc = {
         "q": scheme.q,

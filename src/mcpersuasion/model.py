@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -423,8 +424,9 @@ class PiecewiseUtility(ReceiverUtility):
 
     def value_at(self, point, space):
         q = point[space.index(self.state)]
-        idx = sum(1 for b in self.breakpoints if b < q)
-        if q in self.breakpoints:
+        bps = self.breakpoints
+        idx = bisect_left(bps, q)
+        if idx < len(bps) and bps[idx] == q:
             # on a breakpoint both neighbouring pieces compete
             return max(self.values[idx], self.values[idx + 1])
         return self.values[idx]

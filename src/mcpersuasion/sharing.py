@@ -19,12 +19,13 @@ Every slot is affine in the keys, so for a fixed state and table branch
 a receiver's view is uniform on a coset of the image of one matrix over
 Z_q, fixed by the slots.  The verifier reads that coset law off the
 wire layout, coset by coset, instead of enumerating the q^keys key
-vectors; enumerate_executions still lists concrete executions for
-scheme documents.
+vectors.  Scheme documents and enumerate_executions list executions a
+block of key vectors at a time, from slot sums made once per scheme.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,26 +177,69 @@ class ExecutionRecord:
     channels: tuple[tuple[int, ...], ...]
 
 
-def _slot_codes(scheme: ChannelScheme, profile: tuple[Posterior, ...]) -> list[int]:
-    """Each slot's value under the all-zero key vector: the owner's label
-    code for a payload, 0 for a bare key.  Fixed per branch."""
-    return [
-        0 if slot.owner is None else scheme.alphabets[slot.owner].code(profile[slot.owner])
-        for slot in scheme.slots
-    ]
+def _branch_codes(scheme: ChannelScheme) -> Iterator[tuple[str, int, Fraction, list[int]]]:
+    """Every positive-mass branch, state by state, as (state, branch,
+    mass, codes): codes holds each slot's value under the all-zero key
+    vector, the owner's label code for a payload and 0 for a bare key."""
+    for state in scheme.table.space.states:
+        for branch, mass in enumerate(scheme.table.rows[state]):
+            if mass != 0:
+                profile = scheme.table.profiles[branch]
+                yield state, branch, mass, [
+                    0 if s.owner is None else scheme.alphabets[s.owner].code(profile[s.owner])
+                    for s in scheme.slots
+                ]
 
 
-def _fill_channels(
-    scheme: ChannelScheme, codes: list[int], keys: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """The channel tuples of one execution: each slot's code plus its
-    keys, mod q."""
-    wires: list[list[int]] = [[] for _ in range(scheme.structure.n)]
-    for slot, value in zip(scheme.slots, codes):
+def _wire_layout(scheme: ChannelScheme) -> list[list[int]]:
+    """Slot positions per channel, in slot order."""
+    layout: list[list[int]] = [[] for _ in range(scheme.structure.n)]
+    for p, slot in enumerate(scheme.slots):
+        layout[slot.channel].append(p)
+    return layout
+
+
+#: Most trailing key vectors per precomputed block; 1,024 was slower.
+_INNER_BLOCK = 64
+
+
+def _branch_runs(scheme: ChannelScheme) -> Iterator[tuple[str, int, Fraction, Iterator]]:
+    """Every positive-mass branch, state by state, as (state, branch,
+    probability, run); run yields (keys, channels) with keys in
+    lexicographic order.  Each slot's sums over the inner key block are
+    made once per scheme, shifted by each base value mod q, so a record's
+    channel tuples are zipped together in C."""
+    q, count = scheme.q, scheme.key_count
+    layout = _wire_layout(scheme)
+    inner = 0
+    while inner < count and q ** (inner + 1) <= _INNER_BLOCK:
+        inner += 1
+    outer = count - inner
+    suffixes = list(product(range(q), repeat=inner))
+    columns = [[keys[e] for keys in suffixes] for e in range(inner)]
+    shifted, leading = [], []
+    for slot in scheme.slots:
+        sums = [0] * len(suffixes)
         for e in slot.keys:
-            value += keys[e]
-        wires[slot.channel].append(value % scheme.q)
-    return tuple(tuple(w) for w in wires)
+            if e >= outer:
+                sums = list(map(operator.add, sums, columns[e - outer]))
+        shifted.append([[(b + s) % q for s in sums] for b in range(q)])
+        leading.append([e for e in slot.keys if e < outer])
+    # a channel with no slots would stop the outer zip at once
+    blank = [()] * len(suffixes)
+
+    def run(codes):
+        for prefix in product(range(q), repeat=outer):
+            base = [(c + sum(map(prefix.__getitem__, ks))) % q for c, ks in zip(codes, leading)]
+            wires = [
+                zip(*[shifted[p][base[p]] for p in wire]) if wire else blank
+                for wire in layout
+            ]
+            yield from zip(map(prefix.__add__, suffixes), zip(*wires))
+
+    key_mass = Fraction(1, q**count)
+    for state, branch, mass, codes in _branch_codes(scheme):
+        yield state, branch, mass * key_mass, run(codes)
 
 
 def execution_count(scheme: ChannelScheme) -> int:
@@ -209,22 +253,9 @@ def enumerate_executions(scheme: ChannelScheme) -> Iterator[ExecutionRecord]:
     """All positive-probability executions, state by state, branch by
     branch, keys in lexicographic order.  The records of one branch
     share its probability object."""
-    key_mass = Fraction(1, scheme.q**scheme.key_count)
-    for state in scheme.table.space.states:
-        row = scheme.table.rows[state]
-        for branch, mass in enumerate(row):
-            if mass == 0:
-                continue
-            codes = _slot_codes(scheme, scheme.table.profiles[branch])
-            probability = mass * key_mass
-            for keys in product(range(scheme.q), repeat=scheme.key_count):
-                yield ExecutionRecord(
-                    state=state,
-                    branch=branch,
-                    keys=keys,
-                    probability=probability,
-                    channels=_fill_channels(scheme, codes, keys),
-                )
+    for state, branch, probability, run in _branch_runs(scheme):
+        for keys, channels in run:
+            yield ExecutionRecord(state, branch, keys, probability, channels)
 
 
 def receiver_view(
@@ -288,19 +319,15 @@ def view_laws(scheme: ChannelScheme) -> list[ViewLaw]:
     enumerating executions.  An event's offset is its view under the
     all-zero key vector."""
     q = scheme.q
-    zero = (0,) * scheme.key_count
+    layout = _wire_layout(scheme)
     events = {
-        (state, branch): _fill_channels(
-            scheme, _slot_codes(scheme, scheme.table.profiles[branch]), zero
-        )
-        for state in scheme.table.space.states
-        for branch, mass in enumerate(scheme.table.rows[state])
-        if mass != 0
+        (state, branch): tuple(tuple(codes[p] for p in wire) for wire in layout)
+        for state, branch, _, codes in _branch_codes(scheme)
     }
     laws = []
     for r in range(scheme.structure.k):
         chans = scheme.structure.channels_of(r)
-        wire = [slot for j in chans for slot in scheme.slots if slot.channel == j]
+        wire = [scheme.slots[p] for j in chans for p in layout[j]]
         image = _span(wire, scheme.key_count, q)
         cosets: list[tuple[int, ...]] = []
         offsets = {}

@@ -189,6 +189,34 @@ def test_piecewise_utility_upper_semicontinuous():
         )
 
 
+def _piecewise_reference(u, q):
+    """value_at by a count and a scan of the breakpoints."""
+    idx = sum(1 for b in u.breakpoints if b < q)
+    if q in u.breakpoints:
+        return max(u.values[idx], u.values[idx + 1])
+    return u.values[idx]
+
+
+def test_piecewise_value_at_matches_the_scan_on_every_lattice_point():
+    rng = random.Random(74)
+    on_breakpoint = 0
+    for _ in range(50):
+        candidates = {Fraction(rng.randint(1, d - 1), d) for d in (10, 12, 30, 40, 7, 13)}
+        bps = tuple(sorted(rng.sample(sorted(candidates), rng.randint(0, 5))))
+        u = PiecewiseUtility(
+            state=rng.choice(("0", "1")),
+            breakpoints=bps,
+            values=tuple(Fraction(rng.randint(-3, 3)) for _ in range(len(bps) + 1)),
+        )
+        for step in range(10, 41):
+            for j in range(step + 1):
+                point = (Fraction(step - j, step), Fraction(j, step))
+                q = point[TWO.index(u.state)]
+                on_breakpoint += q in bps
+                assert u.value_at(point, TWO) == _piecewise_reference(u, q), (u, point)
+    assert on_breakpoint > 500
+
+
 def test_linear_utility_value_at():
     u = LinearUtility(coeffs=(Fraction(0), Fraction(2)), offset=Fraction(1, 2))
     assert u.value_at((Fraction(1, 4), Fraction(3, 4)), TWO) == Fraction(2)

@@ -5,7 +5,7 @@ import weakref
 from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, permutations, product, zip_longest
+from itertools import combinations, islice, permutations, product, zip_longest
 
 import pytest
 
@@ -708,6 +708,63 @@ def test_executions_match_the_reference_enumeration():
             assert got == want
         checked += 1
     assert checked == 98
+
+
+@pytest.mark.parametrize("cut", ["nothing listed", "inside a branch", "everything listed"])
+def test_scheme_documents_list_the_reference_executions(cut, monkeypatch):
+    """channel_scheme_to_doc's listing, record by record and state by
+    state, against the reference enumeration over the small family."""
+    family = list(_small_family_schemes())
+    inside = 0
+    for scheme in family:
+        count = execution_count(scheme)
+        block = scheme.q**scheme.key_count
+        limit = {
+            "nothing listed": 0,
+            # into the middle branch, half way through its key vectors
+            "inside a branch": block * (count // block // 2) + (block + 1) // 2,
+            "everything listed": count,
+        }[cut]
+        inside += limit % block != 0
+        monkeypatch.setattr(mc_io, "EXECUTION_DUMP_LIMIT", limit)
+        doc = mc_io.channel_scheme_to_doc(scheme)
+        assert list(doc["executions"]) == list(scheme.table.space.states)
+        listed = ((state, entry) for state, entries in doc["executions"].items() for entry in entries)
+        for got, record in zip_longest(listed, islice(_reference_executions(scheme), limit)):
+            assert got == (
+                record.state,
+                {
+                    "branch": record.branch + 1,
+                    "keys": list(record.keys),
+                    "probability": mc_io.format_rational(record.probability),
+                    "channels": [list(symbols) for symbols in record.channels],
+                },
+            )
+        assert doc.get("executions_omitted", 0) == count - min(limit, count)
+        assert ("executions_omitted" in doc) == (limit < count)
+    assert inside == (64 if cut == "inside a branch" else 0)
+    # runs with a key prefix, channels that carry nothing, schemes with
+    # no keys, and moduli that are not prime
+    assert any(s.q**s.key_count > sharing._INNER_BLOCK for s in family)
+    assert any(
+        all(slot.channel != j for slot in s.slots) for s in family for j in range(s.structure.n)
+    )
+    assert any(s.key_count == 0 for s in family)
+    assert any(s.q in (4, 6) for s in family)
+
+
+def test_scheme_documents_build_no_execution_records(monkeypatch):
+    table = _independent_table(random.Random(0), 3)
+    scheme = emulate_private_subset(SPERNER3, [0, 1, 2], table)
+
+    def refused(*args):
+        raise AssertionError("an ExecutionRecord was built")
+
+    monkeypatch.setattr(sharing, "ExecutionRecord", refused)
+    doc = mc_io.channel_scheme_to_doc(scheme)
+    assert sum(map(len, doc["executions"].values())) == 72
+    with pytest.raises(AssertionError, match="ExecutionRecord"):
+        next(enumerate_executions(scheme))
 
 
 def _brute_force_tally(scheme):
