@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .forest import PosteriorGrid, evaluate_table, solve_fptas
-from .hardness import DEFAULT_UNION_BUDGET, build_reduction, min_b_union
+from .hardness import DEFAULT_UNION_BUDGET, build_reduction, min_b_union, verify_reduction
 from .io import (
     bunion_from_doc,
     channel_scheme_from_doc,
@@ -313,6 +313,9 @@ def _cmd_bunion(args):
 def _cmd_reduce(args):
     inst = bunion_from_doc(load_document(args.path))
     out = build_reduction(inst, budget=args.budget)
+    audit = verify_reduction(out)
+    if not audit.ok:
+        return {"ok": False, "failures": list(audit.failures)}, 3
     value = format_rational(out.value)
     doc = {
         "w": inst.w,

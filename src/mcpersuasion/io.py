@@ -7,8 +7,8 @@ all writes go through a temp-file-then-rename so a crash never leaves a
 half-written document behind.  Documents are rendered by io's own
 renderer, byte-equal to sorted-key, indent-2 json.dumps, and streamed to
 their file or to stdout in bounded chunks instead of as one string: about
-a thousand pieces, or about 16,000 characters of records that a list
-renders from one %-template per record shape (stream_document).
+a thousand pieces, or one block of up to 64 records of a list rendered
+column by column by one %-format (stream_document).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import os
 import stat
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring
 from typing import Mapping, Optional
 
@@ -65,7 +65,7 @@ def load_document(path) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise FileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise FileError(f"{path} is not valid JSON: {exc}") from exc
     return doc
 
@@ -81,9 +81,11 @@ def render_document(doc: Mapping) -> str:
 
 #: Pieces the renderer holds before it joins them and hands the chunk to
 #: its sink; a bound on what a write keeps beside the document itself.
-#: Records rendered whole from a template are handed on by size instead,
-#: once they hold 16 characters per piece.
 _CHUNK = 1024
+
+#: Records of a list rendered by one %-format and handed on as one chunk:
+#: 32 renders slower, and 128 holds more than a tenth of a large write.
+_BLOCK = 64
 
 _INT_ONLY, _STR_ONLY, _LIST_ONLY = frozenset({int}), frozenset({str}), frozenset({list})
 _DICT_ONLY = frozenset({dict})
@@ -96,9 +98,13 @@ def stream_document(doc: Mapping, sink) -> None:
     json.dumps with an indent runs CPython's pure-Python encoder; this
     renderer dispatches on the exact type of each value, writes strings
     with the C encode_basestring, and renders a list of plain ints, of
-    strs or of int-only lists with joins.  A list of dicts renders each
-    flat one (str keys; values ints, strs, or such lists) as one string,
-    template % leaves, with one %-template per shape made once per list.
+    strs or of int-only lists with joins.  Any other list is cut into
+    blocks of _BLOCK items; a block of flat records (dicts with the same
+    str keys, each key's values all ints, all strs, or all lists of one
+    length of such) is gathered column by column, one type check per
+    column, and rendered as one string, one %-format of its records'
+    template filled with their leaves, a template made once per shape
+    per list.  Any other block renders item by item.
     Values with no JSON form raise TypeError, and so do keys that are not
     str: no document has them, so they are not stringified after sorting
     as json.dumps would.  NaN and infinities raise ValueError, as under
@@ -111,50 +117,59 @@ def stream_document(doc: Mapping, sink) -> None:
     sink("".join(out))
 
 
-def _shape(value, leaves: list):
-    """The shape of a flat value, its leaves (ints, and strs encoded)
-    appended to leaves: int or str for an int or a str, (int, n) or
-    (str, n) for a list of n ints or strs, (list, lengths) for a list of
-    int lists.  None, with leaves in any state, for any other value."""
-    kind = type(value)
-    if kind is int or kind is str:
-        leaves.append(value if kind is int else encode_basestring(value))
-        return kind
-    if kind is not list:
+def _columns(block):
+    """The shape and leaves of a block of records that one %-template
+    renders, gathered column by column: exact dicts with the same exact
+    str keys, each column all ints, all strs, or all lists of one length
+    whose items are all ints, all strs, or int rows of the same lengths
+    in every record.  The shape is (dict, (key, shape) pairs in key
+    order), a pair's shape int or str, (int, n) or (str, n) for a list of
+    n ints or strs, or (list, lengths) for a list of int rows; the leaves
+    (ints, and strs encoded) come record by record.  None for any other
+    block."""
+    if set(map(type, block)) != _DICT_ONLY or set(map(type, chain(*block))) != _STR_ONLY:
         return None
-    kinds = set(map(type, value))
-    if kinds <= _INT_ONLY:
-        leaves += value
-        return int, len(value)
-    if kinds == _STR_ONLY:
-        leaves += map(encode_basestring, value)
-        return str, len(value)
-    if kinds == _LIST_ONLY:
-        start = len(leaves)
-        for row in value:
-            leaves += row
-        if set(map(type, leaves[start:])) <= _INT_ONLY:
-            # sized from a list: tuple() of an iterator over-allocates and
-            # shrinks, and the shrunk tuples pile up on the free list
-            return list, tuple([len(row) for row in value])
-    return None
-
-
-def _record_shape(record, leaves: list):
-    """The shape (dict, (key, shape) pairs in key order) of a record, a
-    non-empty dict with str keys and flat values, its leaves appended as
-    by _shape; None for any other value."""
-    if type(record) is not dict or not record:
+    keys = sorted(block[0])
+    count = len(block)
+    if set(map(len, block)) != {len(keys)}:
         return None
-    pairs = []
-    for key in sorted(record):
-        if type(key) is not str:
+    pairs, columns, stride = [], [], 0
+    for key in keys:
+        try:
+            leaves = [record[key] for record in block]
+        except KeyError:
             return None
-        item = _shape(record[key], leaves)
-        if item is None:
+        kinds = set(map(type, leaves))
+        if kinds == _INT_ONLY or kinds == _STR_ONLY:
+            shape, width = (str if kinds == _STR_ONLY else int), 1
+        elif kinds == _LIST_ONLY and len(set(map(len, leaves))) == 1:
+            width = len(leaves[0])
+            leaves = list(chain.from_iterable(leaves))
+            kinds = set(map(type, leaves))
+            if kinds == _LIST_ONLY:
+                rows = list(map(len, leaves))
+                leaves = list(chain.from_iterable(leaves))
+                if rows != rows[:width] * count or not set(map(type, leaves)) <= _INT_ONLY:
+                    return None
+                shape, width = (list, tuple(rows[:width])), len(leaves) // count
+            elif kinds <= _INT_ONLY or kinds == _STR_ONLY:
+                shape = (str if kinds == _STR_ONLY else int), width
+            else:
+                return None
+        else:
             return None
-        pairs.append((key, item))
-    return dict, tuple(pairs)
+        if kinds == _STR_ONLY:
+            leaves = list(map(encode_basestring, leaves))
+        pairs.append((key, shape))
+        columns.append((leaves, width))
+        stride += width
+    out = [None] * (stride * count)
+    offset = 0
+    for leaves, width in columns:
+        for j in range(width):
+            out[offset + j :: stride] = leaves[j::width]
+        offset += width
+    return (dict, tuple(pairs)), out
 
 
 def _template(shape, newline: str) -> str:
@@ -181,9 +196,9 @@ def _template(shape, newline: str) -> str:
 
 def _render(value, newline: str, out: list[str], sink) -> None:
     """Append value's rendering to out, handing out to sink joined and
-    emptied whenever it passes _CHUNK pieces (or its templated records
-    16 * _CHUNK characters) between two items; newline is a line break
-    plus the indent of the line value starts on."""
+    emptied whenever it passes _CHUNK pieces between two items, and
+    after each block of records rendered by one %-format; newline is a
+    line break plus the indent of the line value starts on."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring(value))
@@ -235,30 +250,28 @@ def _render(value, newline: str, out: list[str], sink) -> None:
             out += ("[", inner, comma.join(rows), newline, "]")
         else:
             out += ("[", inner)
-            # by record shape; None unless every item is a dict, and once one is not flat
-            templates: Optional[dict] = {} if kinds == _DICT_ONLY else None
-            held = 0
-            for i, item in enumerate(value):
-                if i:
-                    out.append(comma)
-                if templates is not None:
-                    leaves: list = []
-                    shape = _record_shape(item, leaves)
-                    if shape is not None:
-                        template = templates.get(shape)
-                        if template is None:
-                            template = templates[shape] = _template(shape, inner)
-                        text = template % tuple(leaves)
-                        out.append(text)
-                        held += len(text)
-                    else:
-                        templates = None
-                if templates is None:
-                    _render(item, inner, out, sink)
-                if len(out) > _CHUNK or held > 16 * _CHUNK:
+            templates: dict = {}  # by record shape
+            for start in range(0, len(value), _BLOCK):
+                block = value[start : start + _BLOCK]
+                columns = _columns(block)
+                if columns is not None:
+                    shape, leaves = columns
+                    template = templates.get(shape)
+                    if template is None:
+                        template = templates[shape] = _template(shape, inner)
+                    if start:
+                        out.append(comma)
+                    out.append(comma.join([template] * len(block)) % tuple(leaves))
                     sink("".join(out))
                     out.clear()
-                    held = 0
+                    continue
+                for i, item in enumerate(block, start):
+                    if i:
+                        out.append(comma)
+                    _render(item, inner, out, sink)
+                    if len(out) > _CHUNK:
+                        sink("".join(out))
+                        out.clear()
             out += (newline, "]")
     elif value is None:
         out.append("null")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mcpersuasion import hardness
 from mcpersuasion.cli import main
 from mcpersuasion.dominance import sperner_structure
 from mcpersuasion.forest import evaluate_table
@@ -606,6 +607,31 @@ def test_reduce_inline_and_decimal(capsys, files):
     assert doc["value_decimal"] == float(json_rational(doc["value"]))
 
 
+@pytest.mark.parametrize(
+    "wrong, failure",
+    [("value", "differs from the recorded optimum"), ("witness", "witness table differs")],
+    ids=["value", "witness"],
+)
+def test_reduce_exits_3_when_its_audit_fails(capsys, files, tmp_path, monkeypatch, wrong, failure):
+    """reduce audits its answer with verify_reduction before it delivers:
+    a wrong optimum or a wrong witness exits 3 with the failures named,
+    inline and under --out, and writes nothing."""
+    if wrong == "value":
+        value = hardness.optimal_value
+        monkeypatch.setattr(hardness, "optimal_value", lambda w, h, b: value(w, h, b) + 1)
+    else:
+        table = hardness.revealing_table
+        monkeypatch.setattr(hardness, "revealing_table", lambda instance, picks: table(instance, ()))
+    path = files("flagship.json", FLAGSHIP)
+    inst_path, wit_path = tmp_path / "inst.json", tmp_path / "wit.json"
+    for extra in ((), ("--out", f"{inst_path},{wit_path}")):
+        code, out, err = run(capsys, "reduce", path, *extra)
+        assert code == 3 and not err
+        doc = json.loads(out)
+        assert doc["ok"] is False and any(failure in line for line in doc["failures"])
+    assert not inst_path.exists() and not wit_path.exists()
+
+
 def test_reduce_out_needs_two_paths(capsys, files):
     path = files("flagship.json", FLAGSHIP)
     code, _, err = run(capsys, "reduce", path, "--out", "only-one.json")
@@ -640,12 +666,18 @@ def test_missing_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
-def test_malformed_json(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [b"{not json", b"\xff", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-json", "not-utf8", "nested-too-deep"],
+)
+def test_malformed_json(capsys, tmp_path, content):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_bytes(content)
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 1
     assert "not valid JSON" in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_bad_prior_is_validation(capsys, files):

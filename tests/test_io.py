@@ -327,7 +327,8 @@ def test_small_chunks_join_to_the_same_text(monkeypatch, chunk):
 
 
 # ---------------------------------------------------------------------------
-# Listings: lists of records, each flat one rendered from its shape's template
+# Listings: lists of records, rendered in blocks of _BLOCK records, each
+# block of flat records of one shape by one %-format
 
 
 class Level(IntEnum):
@@ -421,7 +422,7 @@ def test_listings_render_like_json(monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(mc_io, "_CHUNK", chunk)
     rng = random.Random(20261019)
-    templated = untemplated = 0
+    accepted = refused = 0
     for _ in range(150):
         doc = {"executions": {"high": random_listing(rng), "low": random_listing(rng)}}
         doc["nested"] = [random_listing(rng), {"at": random_listing(rng)}]
@@ -429,12 +430,103 @@ def test_listings_render_like_json(monkeypatch, chunk):
         stream_document(doc, chunks.append)
         assert "".join(chunks) == reference(doc)
         assert render_document(doc) == reference(doc)
-        for record in doc["executions"]["high"]:
-            if mc_io._record_shape(record, []) is None:
-                untemplated += 1
+        listing = doc["executions"]["high"]
+        for start in range(0, len(listing), mc_io._BLOCK):
+            if mc_io._columns(listing[start : start + mc_io._BLOCK]) is None:
+                refused += 1
             else:
-                templated += 1
-    assert templated > 10 * untemplated > 0
+                accepted += 1
+    assert accepted and refused
+
+
+def grown(value):
+    """A list value with one more 0 at its end, in its last row if it has
+    rows; any other value as it is."""
+    if type(value) is not list:
+        return value
+    if value and type(value[-1]) is list:
+        return value[:-1] + [value[-1] + [0]]
+    return value + [0]
+
+
+def planted_records(record, key):
+    """Records to plant among copies of a flat record: (record, None) for
+    one of another shape, which renders like json.dumps, and (record,
+    error) for one with no JSON form and the error json.dumps raises."""
+    others = [
+        *({**record, key: value} for value in NOT_FLAT),
+        {k: v for k, v in record.items() if k != key},
+        {**record, "%extra": 1},
+        {**record, key: [record[key]]},
+        Record(record),
+        [record],
+        7,
+        {},
+    ]
+    refused = [
+        ({**record, key: math.nan}, ValueError),
+        ({**record, key: [0, Fraction(1, 2)]}, TypeError),
+        ({**record, 1: 0}, TypeError),
+    ]
+    return [(other, None) for other in others] + refused
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_uniform_listings_with_one_odd_record(monkeypatch, chunk):
+    """Seeded listings of 1-300 records of one shape, every block of them
+    rendered by one %-format, against json.dumps as they are and with one
+    odd record planted at 0, 63, 64, 127 or last, the edges of the first
+    two blocks, or with one record's lists grown at 64: whole and
+    streamed, with the chunk bound as it is and at 1 and 7 pieces."""
+    if chunk is not None:
+        monkeypatch.setattr(mc_io, "_CHUNK", chunk)
+    rng = random.Random(20261020)
+    sizes = [1, 63, 64, 65, 127, 128, 129, 300] + [rng.randint(1, 300) for _ in range(8)]
+    for size in sizes:
+        keys = rng.sample(LISTING_TEXT, rng.randrange(1, 5))
+        kinds = [(rng.choice(FLAT), rng.randrange(4)) for _ in keys]
+        listing = [{key: make(rng, n) for key, (make, n) in zip(keys, kinds)} for _ in range(size)]
+        blocks = range(0, size, mc_io._BLOCK)
+        assert all(mc_io._columns(listing[i : i + mc_io._BLOCK]) is not None for i in blocks)
+        cases = [(listing, None)]
+        for at in sorted({0, 63, 64, 127, size - 1} & set(range(size))):
+            odd, refusal = rng.choice(planted_records(listing[at], rng.choice(keys)))
+            cases.append((listing[:at] + [odd] + listing[at + 1 :], refusal))
+        # every list one int longer, a row of int rows among them
+        at = min(64, size - 1)
+        longer = {key: grown(value) for key, value in listing[at].items()}
+        cases.append((listing[:at] + [longer] + listing[at + 1 :], None))
+        for records, refusal in cases:
+            doc = {"executions": {"low": records}, "z": [1]}
+            chunks = []
+            if refusal is None:
+                stream_document(doc, chunks.append)
+                assert "".join(chunks) == reference(doc)
+                assert render_document(doc) == reference(doc)
+            else:
+                with pytest.raises(refusal):
+                    json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+                with pytest.raises(refusal):
+                    stream_document(doc, chunks.append)
+
+
+def test_share_listings_render_block_by_block(inputs):
+    """Every block of the transport listing (k = 4, q = 2) and of the
+    sperner 5 share listing at q = 3 is rendered by one %-format."""
+    table = _independent_table(random.Random(25), 4)
+    transport = channel_scheme_to_doc(
+        transport_scheme(_identity(4), sperner_structure(4), table, q=2)
+    )
+    instance, table = sperner_share_inputs(inputs["put"], 5)
+    share = handler_doc("share", instance, table, "--subset", "1,2,3,4,5", "--q", "3")
+    for doc, records in ((transport, 3072), (share, 20_000)):
+        blocks = [
+            listing[i : i + mc_io._BLOCK]
+            for listing in doc["executions"].values()
+            for i in range(0, len(listing), mc_io._BLOCK)
+        ]
+        assert sum(map(len, blocks)) == records
+        assert all(mc_io._columns(block) is not None for block in blocks)
 
 
 @pytest.mark.parametrize(
@@ -450,9 +542,15 @@ def test_listings_render_like_json(monkeypatch, chunk):
 )
 def test_refusals_inside_listed_records(record, refusal):
     """A record that cannot be rendered, between flat records of one
-    shape, is refused as it would be on its own."""
-    flat = [{"branch": i, "keys": [i, 0], "probability": "1/3"} for i in range(50)]
-    for listing in (flat[:20] + [record] + flat[20:], [record] + flat):
+    shape, is refused as it would be on its own: first, inside the first
+    block, and at the start of the second block and inside the third."""
+    flat = [{"branch": i, "keys": [i, 0], "probability": "1/3"} for i in range(200)]
+    for listing in (
+        flat[:20] + [record] + flat[20:50],
+        [record] + flat[:50],
+        flat[:64] + [record] + flat[64:],
+        flat[:130] + [record] + flat[130:],
+    ):
         with pytest.raises(refusal):
             render_document({"executions": {"low": listing}})
     with pytest.raises(refusal):
