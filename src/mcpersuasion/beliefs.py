@@ -67,10 +67,6 @@ class BeliefDistribution:
         items = sorted(acc.items())
         return cls(tuple(p for p, _ in items), tuple(m for _, m in items))
 
-    @classmethod
-    def point_mass(cls, point: Posterior) -> "BeliefDistribution":
-        return cls.from_pairs([(point, Fraction(1))])
-
     @property
     def dim(self) -> int:
         return len(self.points[0])
@@ -81,12 +77,6 @@ class BeliefDistribution:
             for b, x in enumerate(point):
                 out[b] += mass * x
         return tuple(out)
-
-    def mass_at(self, point: Posterior) -> Fraction:
-        for p, m in zip(self.points, self.masses):
-            if p == point:
-                return m
-        return Fraction(0)
 
 
 def is_bayes_plausible(dist: BeliefDistribution, prior: Prior) -> bool:

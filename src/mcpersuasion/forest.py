@@ -18,7 +18,6 @@ coupling program (_lattice_dual, _lattice_failure).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
@@ -104,34 +103,24 @@ class PosteriorGrid:
 class GridLP:
     """The program lp.solve is handed for a grid, plus its variable
     bookkeeping.  Variables are numbered by point position, which is how
-    a solution is read back: x(i, points[a]) is x_base[i] + a, and on the
-    e-th edge y(points[a], points[c]) is y_base[e] + a * n + c for n
-    points.  graph is the instance's domination forest, whose sorted
-    covering edges are edges.  values[i][a] is receiver i's utility at
-    grid.points()[a].  Past two states the program is over every grid
-    point and propose is None.  On two states it is over the breakpoints
-    alone, and propose is what lp.solve is handed to reach its optimum:
-    the closed form for a forest of paths (_path_certificate), else the
-    prior split as a start (_breakpoint_answer)."""
+    a solution is read back: for k receivers and n points, x(i, points[a])
+    is i * n + a, and on the e-th edge y(points[a], points[c]) is
+    k * n + e * n * n + a * n + c.  graph is the instance's domination
+    forest, whose sorted covering edges are edges.  values[i][a] is
+    receiver i's utility at grid.points()[a], so k is len(values).  Past
+    two states the program is over every grid point and propose is None.
+    On two states it is over the breakpoints alone, and propose is what
+    lp.solve is handed to reach its optimum: the closed form for a forest
+    of paths (_path_certificate), else the prior split as a start
+    (_breakpoint_answer)."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
     points: tuple[Posterior, ...]
     edges: tuple[tuple[int, int], ...]
-    x_base: tuple[int, ...]
-    y_base: tuple[int, ...]
     graph: DominationGraph
     propose: Callable[[], tuple[list, list | None]] | None
     values: tuple[tuple[Fraction, ...], ...]
-
-    def var_names(self) -> list[str]:
-        """lp.dump's names, formatted when asked: x{i}@(w) per receiver
-        and point, then y{i1}>{i2}@(w|w') per covering edge and point pair."""
-        text = [",".join(map(str, w)) for w in self.points]
-        names = [f"x{i + 1}@({t})" for i in range(len(self.x_base)) for t in text]
-        for i1, i2 in self.edges:
-            names.extend(f"y{i1 + 1}>{i2 + 1}@({tl}|{tr})" for tl in text for tr in text)
-        return names
 
 
 def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]:
@@ -173,14 +162,11 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         else:
             propose = partial(_breakpoint_answer, p * D, k, len(edges), at)
     pts = tuple(lattice[a] for a in at)
-    n = len(pts)
     return GridLP(
         program=_grid_program(instance.prior, edges, D, pts, [[u[a] for a in at] for u in values]),
         grid=grid,
         points=pts,
         edges=edges,
-        x_base=tuple(i * n for i in range(k)),
-        y_base=tuple(k * n + e * n * n for e in range(len(edges))),
         graph=graph,
         propose=propose,
         values=values,
@@ -194,24 +180,23 @@ def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
     coefficient and with a zero right-hand side, such as a barycenter
     row at a lone point, is left out."""
     k, n = len(values), len(pts)
-    x_base = [i * n for i in range(k)]
     flat = [v for u in values for v in u]  # x(i, pts[a]) is variable i * n + a
     obj_den = lcm(*(v.denominator for v in flat))
     objective = {j: v.numerator * (obj_den // v.denominator) for j, v in enumerate(flat) if v}
     # integer rows (coeffs, rel, rhs, den); a point's coordinates are its lattice ones over D
     lattice = [[x.numerator * (D // x.denominator) for x in w] for w in pts]
     constraints = []
-    for base in x_base:
+    for base in range(0, k * n, n):
         for b, q in enumerate(prior.values):
             row = {base + a: c[b] * q.denominator for a, c in enumerate(lattice) if c[b]}
             constraints.append((row, lp.EQ, q.numerator * D, q.denominator * D))
     for e, (i1, i2) in enumerate(edges):
         rows = beliefs.coupling_rows(pts, pts, k * n + e * n * n)
         for a in range(n):
-            rows[a][0][x_base[i1] + a] = -1  # row sum = x_{i1}(pts[a])
-            rows[n + a][0][x_base[i2] + a] = -1  # column sum = x_{i2}(pts[a])
+            rows[a][0][i1 * n + a] = -1  # row sum = x_{i1}(pts[a])
+            rows[n + a][0][i2 * n + a] = -1  # column sum = x_{i2}(pts[a])
         constraints += [(row, lp.EQ, 0, den) for row, den in rows if row]
-    for base in x_base:
+    for base in range(0, k * n, n):
         constraints.append((dict.fromkeys(range(base, base + n), 1), lp.EQ, 1, 1))
     n_vars = k * n + len(edges) * n * n
     return lp.LinearProgram.integral(n_vars, (objective, obj_den), constraints)
@@ -399,7 +384,7 @@ def _lattice_dual(glp: GridLP, dual) -> tuple[list[tuple[Fraction, Fraction]], l
     between breakpoints.  It stands for the full program's dual with
     row-sum duals -g, column-sum duals g and barycenter duals D times g's
     slope to the right (to the left at D)."""
-    k, D = len(glp.x_base), glp.grid.denominator
+    k, D = len(glp.values), glp.grid.denominator
     at = [w[0].numerator * (D // w[0].denominator) for w in glp.points]
     m = len(at)
     lines = [
@@ -522,21 +507,22 @@ class GridSolution:
 
 def _read_solution(glp: GridLP, assignment, objective) -> GridSolution:
     """The marginals and couplings of an assignment to glp's variables:
-    its nonzero entries, found in one pass and binned by block in
-    variable order, so that each coupling's flow is coupling_flows' on
-    its edge."""
+    its nonzero entries, found in one pass and binned by block by their
+    index, in variable order, so that each coupling's flow is
+    coupling_flows' on its edge."""
     pts = glp.points
     n = len(pts)
-    pairs = [[] for _ in glp.x_base]
-    flows = [{} for _ in glp.y_base]
+    pairs = [[] for _ in glp.values]
+    flows = [{} for _ in glp.edges]
+    first_y = len(pairs) * n
     for j in compress(range(len(assignment)), assignment):
-        e = bisect_right(glp.y_base, j) - 1
-        if e >= 0 and j - glp.y_base[e] < n * n:
-            a, c = divmod(j - glp.y_base[e], n)
-            flows[e][(pts[a], pts[c])] = assignment[j]
+        if j < first_y:
+            i, a = divmod(j, n)
+            pairs[i].append((pts[a], assignment[j]))
         else:
-            i = bisect_right(glp.x_base, j) - 1
-            pairs[i].append((pts[j - glp.x_base[i]], assignment[j]))
+            e, ac = divmod(j - first_y, n * n)
+            a, c = divmod(ac, n)
+            flows[e][(pts[a], pts[c])] = assignment[j]
     marginals = tuple(map(BeliefDistribution.from_pairs, pairs))
     couplings = {
         (i1, i2): Coupling(source=marginals[i1], target=marginals[i2], flow=flow)

@@ -92,9 +92,12 @@ def min_b_union(
         raise BudgetExceeded(
             f"{comb(inst.t, inst.b)} selections exceed the budget of {budget}"
         )
-    sizes = [len(frozenset().union(*sets)) for sets in combinations(inst.sets, inst.b)]
-    best_h = min(sizes)
-    return best_h, list(combinations(range(inst.t), inst.b))[sizes.index(best_h)]
+    best = inst.w + 1, ()  # above every union: the first selection replaces it
+    for picks, sets in zip(combinations(range(inst.t), inst.b), combinations(inst.sets, inst.b)):
+        h = len(frozenset().union(*sets))
+        if h < best[0]:
+            best = h, picks
+    return best
 
 
 def reduction_structure(inst: BUnionInstance) -> CommunicationStructure:
@@ -131,19 +134,6 @@ def reduction_utilities(inst: BUnionInstance) -> SupermajorityUtility:
     return SupermajorityUtility(k=inst.t + inst.w, groups=tuple(groups))
 
 
-def claimed_dominance_pairs(inst: BUnionInstance) -> frozenset[tuple[int, int]]:
-    """The textbook description of the reduction's dominance set: each
-    universe receiver dominates the set receivers of the sets containing
-    him.  Degenerate instances (an element in no set, or one universe row
-    containing another) have additional pairs on top of these."""
-    pairs = set()
-    for i in range(inst.w):
-        for j in range(inst.t):
-            if (i + 1) in inst.sets[j]:
-                pairs.add((inst.t + i, j))
-    return frozenset(pairs)
-
-
 def optimal_value(w: int, h: int, b: int) -> Fraction:
     """Expected sender optimum: state 0 pays w, state 1 pays 4w + (w - h)
     once the bonus fires on a minimum union, so (6w - h)/2.  With b = 0
@@ -154,36 +144,14 @@ def optimal_value(w: int, h: int, b: int) -> Fraction:
     return Fraction(6 * w - h, 2)
 
 
-def witness_table(
-    inst: BUnionInstance,
-    structure: CommunicationStructure,
-    picks: tuple[int, ...],
-) -> SignalingTable:
-    """The revealing scheme: channel j announces the state when j is
-    picked and stays silent otherwise; labels follow from each receiver's
-    channel bundle."""
-    chosen = set(picks)
-    per_state = {}
-    for state in _SPACE.states:
-        signals = tuple(
-            state if j in chosen else "quiet" for j in range(structure.n)
-        )
-        profile = tuple(
-            tuple(signals[j] for j in structure.channels_of(i))
-            for i in range(structure.k)
-        )
-        per_state[state] = {profile: Fraction(1)}
-    return SignalingTable.from_signals(_PRIOR, per_state)
-
-
 def revealing_table(
     instance: PersuasionInstance, picks: tuple[int, ...]
 ) -> SignalingTable:
     """The table of the scheme that reveals the state on the picked
     channels, in closed form: in each state every receiver who hears a
     picked channel is certain of the state, and every other receiver
-    keeps the prior.  It equals witness_table, which works the labels
-    out by Bayes' rule, at a fraction of the cost."""
+    keeps the prior.  Its oracle, the same scheme's labels worked out by
+    Bayes' rule, lives in tests/test_hardness.py."""
     profiles, rows = _revealing(instance, picks)
     return SignalingTable(space=_SPACE, profiles=profiles, rows=rows)
 

@@ -7,8 +7,9 @@ all writes go through a temp-file-then-rename so a crash never leaves a
 half-written document behind.  Documents are rendered by io's own
 renderer, byte-equal to sorted-key, indent-2 json.dumps, and streamed to
 their file or to stdout in bounded chunks instead of as one string: about
-a thousand pieces, or one block of up to 64 records of a list rendered
-column by column by one %-format (stream_document).
+a thousand pieces, or one block of up to 64 records of a list of dicts
+rendered column by column by one %-format (stream_document).  Any other
+list renders item by item, a list of ints or of strs by one join.
 """
 
 from __future__ import annotations
@@ -97,14 +98,15 @@ def stream_document(doc: Mapping, sink) -> None:
 
     json.dumps with an indent runs CPython's pure-Python encoder; this
     renderer dispatches on the exact type of each value, writes strings
-    with the C encode_basestring, and renders a list of plain ints, of
-    strs or of int-only lists with joins.  Any other list is cut into
-    blocks of _BLOCK items; a block of flat records (dicts with the same
-    str keys, each key's values all ints, all strs, or all lists of one
-    length of such) is gathered column by column, one type check per
-    column, and rendered as one string, one %-format of its records'
-    template filled with their leaves, a template made once per shape
-    per list.  Any other block renders item by item.
+    with the C encode_basestring, and renders a list of plain ints or of
+    strs with one join.  A list of exact dicts is cut into blocks of
+    _BLOCK items; a block of flat records (dicts with the same str keys,
+    each key's values all ints, all strs, or all lists of one length of
+    such) is gathered column by column, one type check per column, and
+    rendered as one string, one %-format of its records' template filled
+    with their leaves, a template made once per shape per list.  Any
+    other block, and any other list, renders item by item, so a list of
+    int rows renders row by row, each row by one join.
     Values with no JSON form raise TypeError, and so do keys that are not
     str: no document has them, so they are not stringified after sorting
     as json.dumps would.  NaN and infinities raise ValueError, as under
@@ -118,16 +120,16 @@ def stream_document(doc: Mapping, sink) -> None:
 
 
 def _columns(block):
-    """The shape and leaves of a block of records that one %-template
-    renders, gathered column by column: exact dicts with the same exact
-    str keys, each column all ints, all strs, or all lists of one length
+    """The shape and leaves of a block of exact dicts that one %-template
+    renders, gathered column by column: records with the same exact str
+    keys, each column all ints, all strs, or all lists of one length
     whose items are all ints, all strs, or int rows of the same lengths
     in every record.  The shape is (dict, (key, shape) pairs in key
     order), a pair's shape int or str, (int, n) or (str, n) for a list of
     n ints or strs, or (list, lengths) for a list of int rows; the leaves
     (ints, and strs encoded) come record by record.  None for any other
     block."""
-    if set(map(type, block)) != _DICT_ONLY or set(map(type, chain(*block))) != _STR_ONLY:
+    if set(map(type, chain(*block))) != _STR_ONLY:
         return None
     keys = sorted(block[0])
     count = len(block)
@@ -240,21 +242,14 @@ def _render(value, newline: str, out: list[str], sink) -> None:
             out += ("[", inner, comma.join(map(int.__repr__, value)), newline, "]")
         elif kinds == _STR_ONLY:
             out += ("[", inner, comma.join(map(encode_basestring, value)), newline, "]")
-        elif kinds == _LIST_ONLY and all(set(map(type, row)) <= _INT_ONLY for row in value):
-            indent = inner + "  "
-            join = "," + indent
-            rows = (
-                f"[{indent}{join.join(map(int.__repr__, row))}{inner}]" if row else "[]"
-                for row in value
-            )
-            out += ("[", inner, comma.join(rows), newline, "]")
         else:
             out += ("[", inner)
             templates: dict = {}  # by record shape
-            for start in range(0, len(value), _BLOCK):
-                block = value[start : start + _BLOCK]
-                columns = _columns(block)
-                if columns is not None:
+            records = kinds == _DICT_ONLY  # only these are cut into blocks and tried
+            for start in range(0, len(value), _BLOCK if records else len(value)):
+                block = value[start : start + _BLOCK] if records else value
+                columns = records and _columns(block)
+                if columns:
                     shape, leaves = columns
                     template = templates.get(shape)
                     if template is None:
@@ -490,6 +485,8 @@ def channel_scheme_from_doc(doc: Mapping) -> ChannelScheme:
         i = _integer(key, "alphabet receiver") - 1
         if not 0 <= i < structure.k:
             raise ValidationError(f"alphabet for unknown receiver {key}")
+        if alphabets[i] is not None:
+            raise ValidationError(f"alphabet for receiver {i + 1} given twice")
         alphabets[i] = LabelAlphabet(
             modulus=q,
             labels=tuple(parse_posterior(l) for l in _array(labels, f"alphabet {key}")),

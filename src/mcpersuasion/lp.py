@@ -187,29 +187,6 @@ class LPSolution:
     ray: tuple[Fraction, ...] | None = None
 
 
-def dump(lp: LinearProgram, names: Sequence[str] | None = None) -> str:
-    """Plain-text listing of the program for inspection, variable j
-    written names[j], or x{j + 1} without names."""
-    if names is not None and len(names) != lp.n_vars:
-        raise ValidationError(f"{len(names)} names for {lp.n_vars} variables")
-
-    def term(j, v):
-        coeff = "" if v == 1 else ("-" if v == -1 else f"{v} ")
-        return coeff + (names[j] if names else f"x{j + 1}")
-
-    def row_text(row):
-        items = sorted(row.items())
-        parts = [term(*items[0])] if items else ["0"]
-        parts += [f"- {term(j, -v)}" if v < 0 else f"+ {term(j, v)}" for j, v in items[1:]]
-        return " ".join(parts)
-
-    lines = [f"maximize {row_text(lp.objective)}", "subject to"]
-    for i, (row, rel, rhs) in enumerate(lp.constraints, 1):
-        lines.append(f"  c{i}: {row_text(row)} {rel} {rhs}")
-    lines.append(f"x >= 0  ({lp.n_vars} variables)")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # certificate checks, run exactly against the original program
 
@@ -269,10 +246,6 @@ def _located(lp, v, what, name, scale) -> tuple[tuple[list[int], int] | None, st
     if (i := _failing_row(lp, ints, X * scale)) is not None:
         return None, f"row {i} does not hold {'at' if scale else 'along'} {name}"
     return point, None
-
-
-def check_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
-    return _located(lp, x, "point", "x", 1)[1] is None
 
 
 def _wrong_sign(lp, y) -> int | None:

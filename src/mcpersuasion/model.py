@@ -471,6 +471,8 @@ class TableUtility(ReceiverUtility):
     that contains points outside the table raises GridMismatch."""
 
     table: tuple[tuple[Posterior, Fraction], ...]
+    # the table as a dict by point, derived from it in __post_init__
+    _values: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table = tuple((tuple(p), v) for p, v in self.table)
@@ -479,14 +481,15 @@ class TableUtility(ReceiverUtility):
                 _exact(x, "table utility coordinate")
             _exact(v, "table utility value")
         object.__setattr__(self, "table", table)
-        if len({p for p, _ in self.table}) != len(self.table):
+        object.__setattr__(self, "_values", dict(table))
+        if len(self._values) != len(table):
             raise ValidationError("table utility has duplicate points")
 
     def value_at(self, point, space):
-        for p, v in self.table:
-            if p == point:
-                return v
-        raise GridMismatch(f"utility table has no value at {point}")
+        try:
+            return self._values[point]
+        except KeyError:
+            raise GridMismatch(f"utility table has no value at {point}") from None
 
     def to_doc(self, space):
         return {

@@ -81,11 +81,6 @@ class LabelAlphabet:
         except ValueError:
             raise ValidationError(f"label {format_label(label)} not in alphabet") from None
 
-    def decode(self, symbol: int) -> Posterior:
-        if not 0 <= symbol < len(self.labels):
-            raise ValidationError(f"symbol {symbol} does not decode to a label")
-        return self.labels[symbol]
-
 
 @dataclass(frozen=True)
 class Slot:
@@ -256,13 +251,6 @@ def enumerate_executions(scheme: ChannelScheme) -> Iterator[ExecutionRecord]:
     for state, branch, probability, run in _branch_runs(scheme):
         for keys, channels in run:
             yield ExecutionRecord(state, branch, keys, probability, channels)
-
-
-def receiver_view(
-    scheme: ChannelScheme, execution: ExecutionRecord, receiver: int
-) -> tuple[int, ...]:
-    chans = scheme.structure.channels_of(receiver)
-    return tuple(s for j in chans for s in execution.channels[j])
 
 
 def _shift(view: tuple[int, ...], by: tuple[int, ...], q: int) -> tuple[int, ...]:

@@ -47,13 +47,13 @@ def test_from_pairs_canonicalizes():
 
 def test_bayes_plausibility():
     prior = Prior(TWO, (F(1, 2), F(1, 2)))
-    assert is_bayes_plausible(BeliefDistribution.point_mass(prior.point()), prior)
+    assert is_bayes_plausible(BeliefDistribution.from_pairs([(prior.point(), 1)]), prior)
     full = BeliefDistribution.from_pairs([(pt(1, 0), F(1, 2)), (pt(0, 1), F(1, 2))])
     assert is_bayes_plausible(full, prior)
-    assert not is_bayes_plausible(BeliefDistribution.point_mass(pt(1, 0)), prior)
+    assert not is_bayes_plausible(BeliefDistribution.from_pairs([(pt(1, 0), 1)]), prior)
     with pytest.raises(StateSpaceMismatch):
         is_bayes_plausible(
-            BeliefDistribution.point_mass(pt(1, 0, 0)), prior
+            BeliefDistribution.from_pairs([(pt(1, 0, 0), 1)]), prior
         )
 
 
@@ -80,10 +80,10 @@ def test_identity_coupling_always_feasible():
 def test_spread_to_point_mass():
     prior = Prior(TWO, (F(1, 2), F(1, 2)))
     full = BeliefDistribution.from_pairs([(pt(1, 0), F(1, 2)), (pt(0, 1), F(1, 2))])
-    c = mps_coupling(full, BeliefDistribution.point_mass(prior.point()))
+    c = mps_coupling(full, BeliefDistribution.from_pairs([(prior.point(), 1)]))
     assert c is not None
     # the other direction collapses information and must fail
-    assert mps_coupling(BeliefDistribution.point_mass(prior.point()), full) is None
+    assert mps_coupling(BeliefDistribution.from_pairs([(prior.point(), 1)]), full) is None
 
 
 def test_worked_two_by_two_flows():
@@ -102,7 +102,7 @@ def test_worked_two_by_two_flows():
 
 def test_coupling_validation_rejects_bad_flows():
     spread = BeliefDistribution.from_pairs([(pt(1, 0), F(1, 2)), (pt(0, 1), F(1, 2))])
-    coarse = BeliefDistribution.point_mass(pt("1/2", "1/2"))
+    coarse = BeliefDistribution.from_pairs([(pt("1/2", "1/2"), 1)])
     with pytest.raises(ValidationError):
         Coupling(
             source=spread,
@@ -150,7 +150,7 @@ def test_mps_transitivity_and_mean_preservation():
         assert mps_coupling(A, C) is not None
         # unequal means can never couple
         if A.mean() != pts[0]:
-            assert mps_coupling(A, BeliefDistribution.point_mass(pts[0])) is None
+            assert mps_coupling(A, BeliefDistribution.from_pairs([(pts[0], 1)])) is None
 
 
 def test_concavify_constant():
@@ -167,8 +167,9 @@ def test_concavify_threshold_worked_example():
     table = {p: (F(1) if p[1] >= F(1, 2) else F(0)) for p in grid}
     value, dist = concavify_support(table, prior)
     assert value == F(3, 5)
-    assert dist.mass_at(pt("1/2", "1/2")) == F(3, 5)
-    assert dist.mass_at(pt(1, 0)) == F(2, 5)
+    masses = dict(zip(dist.points, dist.masses))
+    assert masses[pt("1/2", "1/2")] == F(3, 5)
+    assert masses[pt(1, 0)] == F(2, 5)
     assert is_bayes_plausible(dist, prior)
 
 
@@ -221,7 +222,7 @@ def test_coupling_refuses_flow_off_the_supports():
     # from a point outside the source's support to one outside the target's
     spread = BeliefDistribution.from_pairs([(pt(1, 0), F(1, 2)), (pt(0, 1), F(1, 2))])
     mid = pt("1/2", "1/2")
-    coarse = BeliefDistribution.point_mass(mid)
+    coarse = BeliefDistribution.from_pairs([(mid, 1)])
     flow = {
         (pt(1, 0), mid): F(1, 4),
         (pt(1, 0), pt(1, 0)): F(1, 4),

@@ -508,6 +508,22 @@ def test_verify_share_rejects_malformed_schemes(capsys, files, tmp_path, corrupt
     assert err.startswith("error:")
 
 
+def test_verify_share_refuses_an_alphabet_given_twice(capsys, files, tmp_path):
+    """"1" and "01" both name receiver 1.  The later alphabet would
+    replace the earlier one unseen, so the scheme is refused as
+    malformed, even when the two agree."""
+    instance = files("sperner3.json", SPERNER3_INSTANCE)
+    table = files("reveal.json", REVEAL3)
+    out = str(tmp_path / "cs.json")
+    run_doc(capsys, "share", instance, table, "--subset", "1", "--q", "3", "--out", out)
+    doc = load_document(out)
+    doc["alphabets"]["01"] = doc["alphabets"]["1"]
+    write_document(out, doc)
+    code, printed, err = run(capsys, "verify-share", out, instance, table)
+    assert code == 2 and not printed
+    assert err == "error: alphabet for receiver 1 given twice\n"
+
+
 def test_verify_share_refuses_a_huge_key_count(capsys, files, tmp_path):
     """A key_count of 10**18 is refused as malformed at the cost of its
     bare slots' count, not of a list of that many keys."""

@@ -36,7 +36,6 @@ from mcpersuasion.forest import (
     solve_fptas,
     solve_grid,
 )
-from mcpersuasion.lp import dump
 from mcpersuasion.model import (
     AdditiveUtility,
     CommunicationStructure,
@@ -52,7 +51,7 @@ from mcpersuasion.model import (
     validate_instance,
 )
 from test_beliefs import assert_coupling_check_matches_the_reference
-from test_lp import GRID_CASES, _engines_built, _restriction, full_grid_lp
+from test_lp import GRID_CASES, _engines_built, _restriction, dump, full_grid_lp, var_names
 
 F = Fraction
 TWO = StateSpace(("0", "1"))
@@ -218,7 +217,7 @@ def test_constant_utilities_objective_is_k():
 
     # a hand-built no-revelation solution extracts to the trivial table
     prior_point = pt("1/2", "1/2")
-    no_rev = BeliefDistribution.point_mass(prior_point)
+    no_rev = BeliefDistribution.from_pairs([(prior_point, 1)])
     manual = GridSolution(
         step=F(1, 2),
         marginals=(no_rev, no_rev),
@@ -311,7 +310,7 @@ def test_solution_validate_catches_corruption():
         broken.validate(inst)
     off_prior = GridSolution(
         step=solution.step,
-        marginals=(BeliefDistribution.point_mass(pt(1, 0)),),
+        marginals=(BeliefDistribution.from_pairs([(pt(1, 0), 1)]),),
         couplings={},
         objective=F(3),
     )
@@ -450,13 +449,13 @@ def _data_instance(name):
     ids=["chain2@1/40", "star3@1/20", "three-state-chain@1/4"],
 )
 def test_grid_program_listing_is_pinned(make, denominator, digest):
-    """md5 of lp.dump of the grid program over every grid point:
+    """md5 of dump of the grid program over every grid point:
     objective, every row in order, and the variable names
-    GridLP.var_names formats, as the tuple-keyed builder emitted them.
+    var_names formats, as the tuple-keyed builder emitted them.
     On two states that program is only built here (full_grid_lp)."""
     inst = make()
     glp = full_grid_lp(inst, PosteriorGrid(dim=inst.space.size, denominator=denominator))
-    assert hashlib.md5(dump(glp.program, glp.var_names()).encode()).hexdigest() == digest
+    assert hashlib.md5(dump(glp.program, var_names(glp)).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +782,7 @@ def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
     inst = _data_instance("chain2")
     glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
     _, _, points, _, _ = _breakpoint_run(inst, glp)
-    n, k = len(glp.points), len(glp.x_base)
+    n, k = len(glp.points), len(glp.values)
     row = 2 * k + n + min(set(range(n)) - set(points))  # the first edge's column sum there
 
     def bent():
@@ -911,11 +910,12 @@ def test_read_back_takes_each_flow_from_coupling_flows():
         solution = forest._read_solution(glp, sol.assignment, sol.objective)
         pts, x = glp.points, sol.assignment
         assert list(solution.couplings) == list(glp.edges)
-        for edge, base in zip(glp.edges, glp.y_base):
-            want = coupling_flows(pts, pts, x, base)
+        n, k = len(pts), inst.k
+        for e, edge in enumerate(glp.edges):
+            want = coupling_flows(pts, pts, x, k * n + e * n * n)
             assert list(solution.couplings[edge].flow.items()) == list(want.items())
-        for dist, base in zip(solution.marginals, glp.x_base):
-            want = {w: v for w, v in zip(pts, x[base : base + len(pts)]) if v}
+        for i, dist in enumerate(solution.marginals):
+            want = {w: v for w, v in zip(pts, x[i * n : (i + 1) * n]) if v}
             assert dict(zip(dist.points, dist.masses)) == want
 
 
@@ -1001,7 +1001,7 @@ def test_a_refused_proposal_falls_back_to_exact_solving(monkeypatch):
     closed form is lifted to the full program (_closed_form)."""
     inst = _data_instance("chain2")
     glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
-    n, k = len(glp.points), len(glp.x_base)
+    n, k = len(glp.points), len(glp.values)
     reference = lp.solve(glp.program, propose=_breakpoint_proposal(inst, glp)).objective
     built = _engines_built(monkeypatch)
     completed = []
@@ -1192,9 +1192,14 @@ def test_rung_programs_are_restrictions_of_the_full_program():
     for inst, denominator in _rung_programs():
         glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
         _, _, points, program, _ = _breakpoint_run(inst, glp)
-        n = len(glp.points)
-        columns = [base + a for base in glp.x_base for a in points]
-        columns += [base + a * n + c for base in glp.y_base for a in points for c in points]
+        n, k = len(glp.points), inst.k
+        columns = [i * n + a for i in range(k) for a in points]
+        columns += [
+            k * n + e * n * n + a * n + c
+            for e in range(len(glp.edges))
+            for a in points
+            for c in points
+        ]
         oracle = _restriction(glp.program, columns)
         assert program.n_vars == oracle.n_vars == len(columns)
         assert (program.obj, program.obj_den) == (oracle.obj, oracle.obj_den)

@@ -7,18 +7,17 @@ import pytest
 
 from mcpersuasion.dominance import dominance_set
 from mcpersuasion.errors import BudgetExceeded, ValidationError
-from mcpersuasion.forest import evaluate_table, payoff_by_state
+from mcpersuasion.forest import SignalingTable, evaluate_table, payoff_by_state
 from mcpersuasion.hardness import (
+    _PRIOR,
     BUnionInstance,
     verify_reduction,
     build_reduction,
-    claimed_dominance_pairs,
     min_b_union,
     optimal_value,
     reduction_structure,
     revealing_table,
     state_ceilings,
-    witness_table,
 )
 from mcpersuasion.lp import EQ, LE, OPTIMAL, LinearProgram, solve
 
@@ -30,6 +29,32 @@ def _inst(w, sets, b):
 
 
 FLAGSHIP = _inst(3, [{1}, {2}, {1, 2}], 2)
+
+
+def witness_table(structure, picks):
+    """The revealing scheme's table by Bayes' rule, the oracle for
+    revealing_table: channel j announces the state when j is picked and
+    stays silent otherwise; labels follow from each receiver's channel
+    bundle."""
+    chosen = set(picks)
+    per_state = {}
+    for state in _PRIOR.space.states:
+        signals = tuple(state if j in chosen else "quiet" for j in range(structure.n))
+        profile = tuple(
+            tuple(signals[j] for j in structure.channels_of(i)) for i in range(structure.k)
+        )
+        per_state[state] = {profile: Fraction(1)}
+    return SignalingTable.from_signals(_PRIOR, per_state)
+
+
+def claimed_dominance_pairs(inst):
+    """The textbook description of the reduction's dominance set: each
+    universe receiver dominates the set receivers of the sets containing
+    it.  Degenerate instances (an element in no set, or one universe row
+    containing another) have additional pairs on top of these."""
+    return frozenset(
+        (inst.t + i, j) for i in range(inst.w) for j in range(inst.t) if i + 1 in inst.sets[j]
+    )
 
 
 def test_instance_validation():
@@ -53,6 +78,25 @@ def test_min_union_enumerates_exactly():
     # duplicated sets keep the first witness
     assert min_b_union(_inst(3, [{1}, {1}, {2, 3}], 2)) == (1, (0, 1))
     assert min_b_union(_inst(3, [{1}, {2}], 0)) == (0, ())
+
+
+def test_min_union_matches_a_brute_force_on_ties():
+    """On seeded instances over small universes, where many selections
+    tie, min_b_union returns the least union size and the first selection
+    in lexicographic order that reaches it, b = 0 included, as a listing
+    of every selection finds them."""
+    rng = random.Random(32)
+    budgets = set()
+    for _ in range(300):
+        w, t = rng.randint(1, 4), rng.randint(1, 7)
+        sets = [rng.sample(range(1, w + 1), rng.randint(1, w)) for _ in range(t)]
+        inst = _inst(w, sets, rng.randint(0, t))
+        picks = list(combinations(range(t), inst.b))
+        sizes = [len(set().union(*(inst.sets[j] for j in pick))) for pick in picks]
+        h = min(sizes)
+        assert min_b_union(inst) == (h, picks[sizes.index(h)])
+        budgets.add(inst.b if sizes.count(h) == 1 else "tie")
+    assert {0, "tie"} <= budgets
 
 
 def test_min_union_budget():
@@ -106,7 +150,7 @@ def test_degenerate_budget_pays_the_bonus_everywhere():
 
 def test_silence_earns_only_the_universe():
     out = build_reduction(FLAGSHIP)
-    silent = witness_table(FLAGSHIP, out.instance.structure, ())
+    silent = witness_table(out.instance.structure, ())
     assert evaluate_table(silent, out.instance) == Fraction(3)
 
 
@@ -115,7 +159,7 @@ def test_nonminimal_witness_is_reported():
     out = build_reduction(inst)
     assert out.h == 1 and out.witness_sets == (0,)
     assert out.value == Fraction(17, 2)
-    wasteful = witness_table(inst, out.instance.structure, (2,))
+    wasteful = witness_table(out.instance.structure, (2,))
     assert evaluate_table(wasteful, out.instance) == Fraction(16, 2)
     report = verify_reduction(replace(out, witness=wasteful))
     assert not report.ok
@@ -156,7 +200,7 @@ def test_consistent_but_nonminimal_output_fails_the_upper_bound():
         out,
         h=2,
         witness_sets=picks,
-        witness=witness_table(inst, out.instance.structure, picks),
+        witness=witness_table(out.instance.structure, picks),
         value=Fraction(6 * 3 - 2, 2),
     )
     report = verify_reduction(padded)
@@ -315,9 +359,9 @@ def test_random_instances_round_out_the_claims():
         # the closed-form witness against the Bayes-rule construction, on
         # the minimum pick and on an arbitrary one
         structure = out.instance.structure
-        assert out.witness == witness_table(inst, structure, out.witness_sets)
+        assert out.witness == witness_table(structure, out.witness_sets)
         pick = tuple(sorted(picker.sample(range(t), picker.randint(0, t))))
-        assert revealing_table(out.instance, pick) == witness_table(inst, structure, pick)
+        assert revealing_table(out.instance, pick) == witness_table(structure, pick)
         claimed = claimed_dominance_pairs(inst)
         actual = dominance_set(out.instance.structure)
         assert claimed <= actual

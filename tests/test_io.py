@@ -291,8 +291,8 @@ def test_subclasses_render_like_their_base_type():
 
 
 def test_lists_of_int_lists_render_like_json():
-    """The inline path for lists of int-only lists, and the near misses
-    that must take the general path: bools, floats, tuples, deeper lists."""
+    """Lists of int-only lists, rendered row by row, and the near misses
+    beside them: bools, floats, tuples, deeper lists."""
     cases = [
         [[]],
         [[], [0]],
@@ -310,6 +310,85 @@ def test_lists_of_int_lists_render_like_json():
         cases.append([[rng.randrange(-3, 4) for _ in range(n)] for n in lengths])
     for rows in cases:
         assert_renders_like_json({"rows": rows, "nested": [rows, {"r": rows}, [rows]]})
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_int_row_lists_render_like_json(monkeypatch, chunk):
+    """Seeded lists of int rows: of one length, ragged, and empty, each
+    also with a bool in one row, up to more than _BLOCK rows, standalone
+    and as a column of listed records, against json.dumps, whole and
+    streamed, with the chunk bound as it is and at 1 and 7 pieces."""
+    if chunk is not None:
+        monkeypatch.setattr(mc_io, "_CHUNK", chunk)
+    rng = random.Random(20261032)
+    for _ in range(20):
+        count = rng.choice((1, 2, 63, 64, 65, 130))
+        width = rng.randrange(1, 4)
+        for lengths in ([width] * count, [rng.randrange(4) for _ in range(count)], [0] * count):
+            rows = [_ints(rng, n) for n in lengths]
+            cases = [rows]
+            if any(lengths):
+                at = rng.choice([i for i, n in enumerate(lengths) if n])
+                flagged = [list(row) for row in rows]
+                flagged[at][rng.randrange(lengths[at])] = rng.choice((True, False))
+                cases.append(flagged)
+            for case in cases:
+                records = [{"branch": i, "channels": case} for i in range(rng.randint(1, 3))]
+                doc = {"rows": case, "executions": {"low": records}, "nested": [case, {"r": case}]}
+                chunks = []
+                stream_document(doc, chunks.append)
+                assert "".join(chunks) == reference(doc)
+                assert render_document(doc) == reference(doc)
+
+
+def _lists(value):
+    """Every list and tuple in value, value itself included."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _lists(item)
+    elif isinstance(value, (list, tuple)):
+        yield value
+        for item in value:
+            yield from _lists(item)
+
+
+def test_columns_is_tried_only_on_lists_of_dicts(monkeypatch, inputs):
+    """_render hands _columns blocks of lists whose items are all exact
+    dicts only: no item of a list that holds anything else (int rows,
+    label lists, a dict subclass, a non-dict past the first block of
+    dicts) reaches it, in a built document and in the reduce, bunion and
+    share documents."""
+    tried = []
+    real = mc_io._columns
+
+    def spy(block):
+        tried.extend(map(id, block))
+        return real(block)
+
+    monkeypatch.setattr(mc_io, "_columns", spy)
+    built = {
+        "rows": [[1, 2], [3], []],
+        "labels": [["1/2", "1/2"], ["0", "1"]],
+        "tail": [{"branch": i} for i in range(70)] + [7],
+        "subclass": [Record(branch=0), {"branch": 1}],
+        "records": [{"branch": i} for i in range(70)],
+    }
+    instance, table = sperner_share_inputs(inputs["put"], 4)
+    docs = [
+        built,
+        handler_doc("reduce", inputs["flagship"]),
+        handler_doc("bunion", inputs["flagship"]),
+        handler_doc("share", instance, table, "--subset", "1,2,3,4", "--q", "2"),
+    ]
+    for doc in docs:
+        tried.clear()
+        assert render_document(doc) == reference(doc)
+        seen = set(tried)
+        for listing in _lists(doc):
+            if set(map(type, listing)) != {dict}:
+                assert seen.isdisjoint(map(id, listing))
+        if doc is built:
+            assert set(map(id, built["records"])) <= seen
 
 
 @pytest.mark.parametrize("chunk", [0, 1, 5])
@@ -431,6 +510,8 @@ def test_listings_render_like_json(monkeypatch, chunk):
         assert "".join(chunks) == reference(doc)
         assert render_document(doc) == reference(doc)
         listing = doc["executions"]["high"]
+        if set(map(type, listing)) != {dict}:
+            continue  # _render tries blocks of lists of exact dicts only
         for start in range(0, len(listing), mc_io._BLOCK):
             if mc_io._columns(listing[start : start + mc_io._BLOCK]) is None:
                 refused += 1

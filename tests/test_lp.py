@@ -25,15 +25,54 @@ from mcpersuasion.lp import (
     UNBOUNDED,
     LinearProgram,
     check_farkas,
-    check_feasible,
     check_optimal,
     check_ray,
-    dump,
     solve,
 )
 from mcpersuasion.model import validate_instance
 
 F = Fraction
+
+
+# --- listings and a feasibility check that tests read programs through ---
+
+
+def dump(lp: LinearProgram, names=None) -> str:
+    """Plain-text listing of the program for inspection, variable j
+    written names[j], or x{j + 1} without names."""
+    if names is not None and len(names) != lp.n_vars:
+        raise ValidationError(f"{len(names)} names for {lp.n_vars} variables")
+
+    def term(j, v):
+        coeff = "" if v == 1 else ("-" if v == -1 else f"{v} ")
+        return coeff + (names[j] if names else f"x{j + 1}")
+
+    def row_text(row):
+        items = sorted(row.items())
+        parts = [term(*items[0])] if items else ["0"]
+        parts += [f"- {term(j, -v)}" if v < 0 else f"+ {term(j, v)}" for j, v in items[1:]]
+        return " ".join(parts)
+
+    lines = [f"maximize {row_text(lp.objective)}", "subject to"]
+    for i, (row, rel, rhs) in enumerate(lp.constraints, 1):
+        lines.append(f"  c{i}: {row_text(row)} {rel} {rhs}")
+    lines.append(f"x >= 0  ({lp.n_vars} variables)")
+    return "\n".join(lines)
+
+
+def var_names(glp) -> list[str]:
+    """dump's names for a GridLP's program: x{i}@(w) per receiver and
+    point, then y{i1}>{i2}@(w|w') per covering edge and point pair."""
+    text = [",".join(map(str, w)) for w in glp.points]
+    names = [f"x{i + 1}@({t})" for i in range(len(glp.values)) for t in text]
+    for i1, i2 in glp.edges:
+        names.extend(f"y{i1 + 1}>{i2 + 1}@({tl}|{tr})" for tl in text for tr in text)
+    return names
+
+
+def check_feasible(lp: LinearProgram, x) -> bool:
+    """x is a point of lp, by the check check_optimal runs first."""
+    return lp_module._located(lp, x, "point", "x", 1)[1] is None
 
 
 # --- an independent brute-force oracle: enumerate candidate active sets ---
@@ -1013,16 +1052,9 @@ def full_grid_lp(instance, grid):
     glp = build_grid_lp(instance, grid)
     if grid.dim != 2:
         return glp
-    pts, k = grid.points(), instance.k
-    n = len(pts)
+    pts = grid.points()
     program = forest._grid_program(instance.prior, glp.edges, grid.denominator, pts, glp.values)
-    return replace(
-        glp,
-        program=program,
-        points=pts,
-        x_base=tuple(i * n for i in range(k)),
-        y_base=tuple(k * n + e * n * n for e in range(len(glp.edges))),
-    )
+    return replace(glp, program=program, points=pts)
 
 
 def _grid_program(name, denominator):
@@ -1185,9 +1217,9 @@ def _start_cases():
         path = Path(__file__).parent / "data" / f"{name}.instance.json"
         instance = validate_instance(json.loads(path.read_text()))
         glp = full_grid_lp(instance, PosteriorGrid(2, denominator))
-        n = len(glp.points)
-        diagonal = [base + a * n + a for base in glp.y_base for a in range(n)]
-        xs = list(range(glp.y_base[0]))
+        n, k = len(glp.points), len(glp.values)
+        diagonal = [k * n + e * n * n + a * n + a for e in range(len(glp.edges)) for a in range(n)]
+        xs = list(range(k * n))
         optimum = [j for j, v in enumerate(solve(glp.program).assignment) if v]
         for always in (xs + diagonal, optimum, xs[::2]):
             cases.append((glp.program, _drawn_columns(draw, glp.program.n_vars, always)))

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -227,6 +229,47 @@ def test_table_utility_grid_mismatch():
     assert u.value_at((Fraction(1), Fraction(0)), TWO) == 4
     with pytest.raises(GridMismatch):
         u.value_at((Fraction(1, 2), Fraction(1, 2)), TWO)
+
+
+def _table_scan(u, point):
+    """TableUtility.value_at as a scan of the table: the value of the
+    entry at point, GridMismatch when no entry is there."""
+    for p, v in u.table:
+        if p == point:
+            return v
+    raise GridMismatch(f"utility table has no value at {point}")
+
+
+def test_table_value_at_matches_the_scan_with_missing_points():
+    """Seeded tables over part of the 1/D lattice of two or three states,
+    some points written with int coordinates, queried at every lattice
+    point: the scan's value where the table has an entry, and
+    GridMismatch with the scan's message where it has none."""
+    rng = random.Random(32)
+    found = missing = 0
+    for _ in range(100):
+        dim, D = rng.choice((2, 3)), rng.randint(1, 12)
+        lattice = [
+            (*(F(a, D) for a in head), F(D - sum(head), D))
+            for head in itertools.product(range(D + 1), repeat=dim - 1)
+            if sum(head) <= D
+        ]
+        table = []
+        for w in rng.sample(lattice, rng.randint(1, len(lattice))):
+            w = tuple(int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in w)
+            table.append((w, F(rng.randint(-9, 9), rng.randint(1, 9))))
+        u = TableUtility(tuple(table))
+        for w in lattice:
+            try:
+                want = _table_scan(u, w)
+            except GridMismatch as exc:
+                with pytest.raises(GridMismatch, match=re.escape(str(exc))):
+                    u.value_at(w, TWO)
+                missing += 1
+            else:
+                assert u.value_at(w, TWO) == want
+                found += 1
+    assert found and missing
 
 
 def test_additive_sums_over_receivers():

@@ -38,7 +38,6 @@ from mcpersuasion.sharing import (
     emulate_private_subset,
     enumerate_executions,
     execution_count,
-    receiver_view,
     shield_receiver,
     transport_scheme,
     verify_scheme,
@@ -107,7 +106,7 @@ def test_alphabet_codes_by_sorted_order():
     alpha = LabelAlphabet(3, (LO, MID, HI))
     assert alpha.code(LO) == 0
     assert alpha.code(MID) == 1
-    assert alpha.decode(2) == HI
+    assert alpha.labels[2] == HI
     with pytest.raises(ValidationError):
         alpha.code((Fraction(1, 3), Fraction(2, 3)))
 
@@ -687,6 +686,13 @@ def _reference_executions(scheme):
                     probability=mass / q**key_count,
                     channels=tuple(tuple(w) for w in wires),
                 )
+
+
+def receiver_view(scheme, execution, receiver):
+    """What receiver reads in execution: the symbols on its channels, in
+    channel order."""
+    chans = scheme.structure.channels_of(receiver)
+    return tuple(s for j in chans for s in execution.channels[j])
 
 
 #: The two composite schemes above this limit (559,872 and 6,718,464
