@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, compress, product, repeat
 from math import lcm
 from operator import sub
 from typing import Iterable, Mapping, Sequence
@@ -173,9 +173,8 @@ def coupling_rows(spread: Sequence[Posterior], coarse: Sequence[Posterior], base
 def coupling_flows(spread, coarse, assignment: Sequence[Fraction], base=0) -> dict:
     """The nonzero flows {(l, r): y(l, r)} of an assignment to the variables
     of coupling_rows(spread, coarse, base), in variable order."""
-    nr = len(coarse)
-    rows = (assignment[base + a * nr : base + a * nr + nr] for a in range(len(spread)))
-    return {(l, r): f for l, row in zip(spread, rows) for r, f in zip(coarse, row) if f}
+    block = assignment[base : base + len(spread) * len(coarse)]
+    return dict(compress(zip(product(spread, coarse), block), block))
 
 
 def mps_coupling(

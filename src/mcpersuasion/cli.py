@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from math import log10
 from pathlib import Path
 
 from .beliefs import is_bayes_plausible
@@ -32,7 +33,6 @@ from .errors import (
     ReceiverCountMismatch,
     StateSpaceMismatch,
     UsageError,
-    UnknownCommand,
     ValidationError,
 )
 from .forest import PosteriorGrid, evaluate_table, solve_fptas
@@ -59,7 +59,7 @@ from .model import (
     parse_rational,
     validate_instance,
 )
-from .sharing import DEFAULT_VERIFY_BUDGET, emulate_private_subset, verify_scheme
+from .sharing import DEFAULT_VERIFY_BUDGET, emulate_private_subset, execution_count, verify_scheme
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,8 +67,6 @@ class _Parser(argparse.ArgumentParser):
     codes."""
 
     def error(self, message):
-        if "invalid choice" in message:
-            raise UnknownCommand(message)
         raise UsageError(message)
 
 
@@ -81,10 +79,15 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def _parse_budget(text: str) -> int:
-    """Plain integer or base^exponent shorthand, e.g. 10^7."""
+    """Plain integer or base^exponent shorthand, e.g. 10^7, of at most
+    4,300 digits, Python's cap on int-string conversion; a longer power
+    is refused before it is made."""
     power = re.fullmatch(r"([0-9]+)\^([0-9]+)", text)
     if power:
-        return int(power.group(1)) ** int(power.group(2))
+        base, exponent = int(power.group(1)), int(power.group(2))
+        if base > 1 and exponent * log10(base) >= 4300:
+            raise UsageError(f"budget {text} has more than 4300 digits")
+        return base**exponent
     if re.fullmatch(r"[0-9]+", text):
         return int(text)
     raise UsageError(f"budget must be an integer or base^exp, got {text!r}")
@@ -242,6 +245,8 @@ def _cmd_verify_scheme(args):
         return None
 
     def marginals_match():
+        if len(saved.marginals) != table.k:
+            return "wrong number of recorded marginals"
         for i, dist in enumerate(saved.marginals):
             if dist != table.receiver_marginal(i, inst.prior):
                 return f"recorded marginal of receiver {i + 1} differs from the table's"
@@ -252,11 +257,7 @@ def _cmd_verify_scheme(args):
     run("bayes_plausible", bayes_plausible)
     run("objective_matches", objective_matches)
     if saved.marginals is not None:
-        if len(saved.marginals) != table.k:
-            checks["marginals_match"] = False
-            failures.append("marginals_match: wrong number of recorded marginals")
-        else:
-            run("marginals_match", marginals_match)
+        run("marginals_match", marginals_match)
     ok = all(checks.values())
     doc = {
         "ok": ok,
@@ -278,6 +279,11 @@ def _cmd_share(args):
         )
     subset = _parse_subset(args.subset, inst.k)
     scheme = emulate_private_subset(inst.structure, subset, table, q=args.q)
+    # a listed probability's denominator divides a mass's times q^keys, and the
+    # omitted count is below branches · q^keys: each must print in 4,300 digits
+    widest = max(m.denominator for row in table.rows.values() for m in row)
+    if scheme.key_count * log10(scheme.q) >= 4300 or widest * execution_count(scheme) >= 10**4300:
+        raise UsageError("--q is too large: the document's numbers would pass 4300 digits")
     doc = channel_scheme_to_doc(scheme)
     summary = (
         f"{len(scheme.slots)} slots, {scheme.key_count} keys over Z_{scheme.q} "
@@ -437,28 +443,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The exit code of each error family; every PersuasionError is in one
+_EXIT_CODES = {
+    UsageError: 1, FileError: 1, ValidationError: 2, PreconditionError: 3, BudgetExceeded: 4
+}
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        doc, code = args.handler(args)
     except SystemExit as stop:
         return int(stop.code) if stop.code else 0
-    except UsageError as err:
+    except PersuasionError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    try:
-        doc, code = args.handler(args)
-    except (UsageError, FileError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except BudgetExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except PreconditionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        return next(code for family, code in _EXIT_CODES.items() if isinstance(err, family))
     stream_document(doc, sys.stdout.write)
     return code
 

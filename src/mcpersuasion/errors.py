@@ -18,10 +18,6 @@ class UsageError(PersuasionError):
     """Command line invoked incorrectly."""
 
 
-class UnknownCommand(UsageError):
-    """Subcommand name not recognized."""
-
-
 class ValidationError(PersuasionError):
     """Malformed or inconsistent input data."""
 

@@ -507,26 +507,19 @@ class GridSolution:
 
 def _read_solution(glp: GridLP, assignment, objective) -> GridSolution:
     """The marginals and couplings of an assignment to glp's variables:
-    its nonzero entries, found in one pass and binned by block by their
-    index, in variable order, so that each coupling's flow is
-    coupling_flows' on its edge."""
+    receiver i's marginal from its block of n, and each coupling's flow
+    coupling_flows' on its edge's block of n²."""
     pts = glp.points
-    n = len(pts)
-    pairs = [[] for _ in glp.values]
-    flows = [{} for _ in glp.edges]
-    first_y = len(pairs) * n
-    for j in compress(range(len(assignment)), assignment):
-        if j < first_y:
-            i, a = divmod(j, n)
-            pairs[i].append((pts[a], assignment[j]))
-        else:
-            e, ac = divmod(j - first_y, n * n)
-            a, c = divmod(ac, n)
-            flows[e][(pts[a], pts[c])] = assignment[j]
-    marginals = tuple(map(BeliefDistribution.from_pairs, pairs))
+    n, k = len(pts), len(glp.values)
+    rows = (assignment[i * n : i * n + n] for i in range(k))
+    marginals = tuple(BeliefDistribution.from_pairs(compress(zip(pts, row), row)) for row in rows)
     couplings = {
-        (i1, i2): Coupling(source=marginals[i1], target=marginals[i2], flow=flow)
-        for (i1, i2), flow in zip(glp.edges, flows)
+        (i1, i2): Coupling(
+            source=marginals[i1],
+            target=marginals[i2],
+            flow=beliefs.coupling_flows(pts, pts, assignment, k * n + e * n * n),
+        )
+        for e, (i1, i2) in enumerate(glp.edges)
     }
     return GridSolution(
         step=glp.grid.step,

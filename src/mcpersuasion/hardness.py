@@ -89,9 +89,7 @@ def min_b_union(
     """Exact minimum union cardinality over all b-subsets of the sets,
     with the lexicographically first witness (0-based set indices)."""
     if budget is not None and comb(inst.t, inst.b) > budget:
-        raise BudgetExceeded(
-            f"{comb(inst.t, inst.b)} selections exceed the budget of {budget}"
-        )
+        raise BudgetExceeded(f"C({inst.t}, {inst.b}) selections exceed the budget of {budget}")
     best = inst.w + 1, ()  # above every union: the first selection replaces it
     for picks, sets in zip(combinations(range(inst.t), inst.b), combinations(inst.sets, inst.b)):
         h = len(frozenset().union(*sets))
@@ -162,7 +160,7 @@ def _revealing(
     """Profiles and rows of revealing_table."""
     picked = [j in picks for j in range(instance.structure.n)]
     informed = [any(compress(row, picked)) for row in instance.structure.matrix]
-    prior = instance.prior.point()
+    prior = instance.prior.values
     # index (prior, revealed) by whether each receiver hears a picked channel
     sent = [tuple(map((prior, revealed).__getitem__, informed)) for revealed in _REVEALED]
     if not any(informed):

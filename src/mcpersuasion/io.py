@@ -491,6 +491,9 @@ def channel_scheme_from_doc(doc: Mapping) -> ChannelScheme:
             modulus=q,
             labels=tuple(parse_posterior(l) for l in _array(labels, f"alphabet {key}")),
         )
+    covered = {_integer(i, "covered receiver") for i in _field(doc, "covered", what, _array)}
+    if covered != {i + 1 for i, alphabet in enumerate(alphabets) if alphabet is not None}:
+        raise ValidationError("covered receivers must be exactly those with an alphabet")
     slots = []
     for entry in _field(doc, "slots", what, _array):
         owner = _field(entry, "owner", "slot")
@@ -506,9 +509,6 @@ def channel_scheme_from_doc(doc: Mapping) -> ChannelScheme:
     return ChannelScheme(
         q=q,
         structure=structure,
-        covered=frozenset(
-            _integer(i, "covered receiver") - 1 for i in _field(doc, "covered", what, _array)
-        ),
         alphabets=tuple(alphabets),
         slots=tuple(slots),
         key_count=_field(doc, "key_count", what, _integer),

@@ -229,6 +229,14 @@ def _value(lp: LinearProgram, ints: list[int], X: int) -> Fraction:
     return Fraction(sum(a * ints[j] for j, a in lp.obj.items()), lp.obj_den * X)
 
 
+def _inexact(v, name) -> str | None:
+    """v's first entry that is not an int or a Fraction, named; else None."""
+    if set(map(type, v)) <= {int, Fraction}:
+        return None
+    j = next(j for j, e in enumerate(v) if type(e) not in (int, Fraction))
+    return f"{name}[{j}] = {v[j]!r} is not exact"
+
+
 def _located(lp, v, what, name, scale) -> tuple[tuple[list[int], int] | None, str | None]:
     """(_point(lp, v), None) when v is a nonnegative vector of lp's length
     at which every row holds against its right-hand side times scale:
@@ -304,9 +312,9 @@ def _optimality(lp, x, y) -> tuple[str | None, Fraction | None]:
 
 
 def _optimality_failure(lp, x, y) -> str | None:
-    """_optimality's failure: None exactly when (x, y) certifies that x
-    is optimal."""
-    return _optimality(lp, x, y)[0]
+    """An inexact entry of y or x, else _optimality's failure: None
+    exactly when (x, y) certifies that x is optimal."""
+    return _inexact(y, "y") or _inexact(x, "x") or _optimality(lp, x, y)[0]
 
 
 def check_optimal(lp, x, y) -> bool:
@@ -315,11 +323,13 @@ def check_optimal(lp, x, y) -> bool:
 
 def _farkas_failure(lp, y) -> str | None:
     """The first part of the infeasibility certificate y that fails,
-    named with its index, in the order checked: its length, an entry of
-    the wrong sign, a column where y'A is negative, and y'b, which must
-    be negative.  None when y proves that lp has no feasible point."""
+    named with its index, in the order checked: its length, an inexact
+    entry, one of the wrong sign, a column where y'A is negative, and
+    y'b, which must be negative.  None when y proves lp infeasible."""
     if len(y) != lp.n_constraints:
         return f"Farkas vector has {len(y)} entries for {lp.n_constraints} rows"
+    if (failure := _inexact(y, "y")) is not None:
+        return failure
     if (i := _wrong_sign(lp, y)) is not None:
         return f"y[{i}] = {y[i]} has the wrong sign for a {lp.rows[i][1]} row"
     yA, yb, s = _scaled_yA(lp, y)
@@ -336,11 +346,11 @@ def check_farkas(lp, y) -> bool:
 
 def _ray_failure(lp, x0, d) -> str | None:
     """The first part of the unboundedness certificate (x0, d) that
-    fails, named with its index, in the order checked: the point x0's
-    length, signs and rows (A x0 rel b), the ray d's length, signs and
-    rows (A d rel 0), and its gain c.d, which must be positive.  None
-    when x0 is feasible and d an improving ray."""
-    failure = _located(lp, x0, "point", "x", 1)[1]
+    fails, named with its index, in the order checked: an inexact entry,
+    the point x0's length, signs and rows (A x0 rel b), the ray d's
+    length, signs and rows (A d rel 0), and its gain c.d, which must be
+    positive.  None when x0 is feasible and d an improving ray."""
+    failure = _inexact(x0, "x") or _inexact(d, "d") or _located(lp, x0, "point", "x", 1)[1]
     if failure is None:
         ray, failure = _located(lp, d, "ray", "d", 0)
     if failure is None and (gain := _value(lp, *ray)) <= 0:

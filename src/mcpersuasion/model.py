@@ -227,10 +227,6 @@ class Prior:
         if sum(self.values) != 1:
             raise PriorNotNormalized(f"prior sums to {sum(self.values)}, not 1")
 
-    def point(self) -> Posterior:
-        """The prior viewed as a posterior point."""
-        return self.values
-
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]
 

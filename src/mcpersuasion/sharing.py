@@ -114,14 +114,12 @@ class ChannelScheme:
 
     q: int
     structure: CommunicationStructure
-    covered: frozenset[int]
     alphabets: tuple[Optional[LabelAlphabet], ...]
     slots: tuple[Slot, ...]
     key_count: int
     table: SignalingTable
 
     def __post_init__(self):
-        object.__setattr__(self, "covered", frozenset(self.covered))
         object.__setattr__(self, "alphabets", tuple(self.alphabets))
         object.__setattr__(self, "slots", tuple(self.slots))
         k, n = self.structure.k, self.structure.n
@@ -131,17 +129,10 @@ class ChannelScheme:
             raise ReceiverCountMismatch(
                 f"table speaks of {self.table.k} receivers, structure of {k}"
             )
-        if not self.covered <= set(range(k)):
-            raise ValidationError("covered set names an unknown receiver")
         if len(self.alphabets) != k:
             raise ValidationError("one alphabet entry per receiver expected")
-        for i in range(k):
-            have = self.alphabets[i] is not None
-            if have != (i in self.covered):
-                raise ValidationError(
-                    f"receiver {i + 1}: alphabet present iff receiver is covered"
-                )
-            if have and self.alphabets[i].modulus != self.q:
+        for i, alphabet in enumerate(self.alphabets):
+            if alphabet is not None and alphabet.modulus != self.q:
                 raise ValidationError(f"receiver {i + 1}: alphabet modulus differs")
         bare = []
         for slot in self.slots:
@@ -149,14 +140,17 @@ class ChannelScheme:
                 raise ValidationError(f"slot on unknown channel {slot.channel + 1}")
             if slot.owner is None:
                 bare.append(slot.keys[0])
-            elif slot.owner not in self.covered:
-                raise ValidationError(
-                    f"payload for uncovered receiver {slot.owner + 1}"
-                )
+            elif not 0 <= slot.owner < k or self.alphabets[slot.owner] is None:
+                raise ValidationError(f"payload for uncovered receiver {slot.owner + 1}")
             if any(not 0 <= e < self.key_count for e in slot.keys):
                 raise ValidationError("slot references an unknown key")
         if len(bare) != self.key_count or sorted(bare) != list(range(self.key_count)):
             raise ValidationError("each key must ride exactly one bare slot")
+
+    @property
+    def covered(self) -> frozenset[int]:
+        """The receivers with an alphabet, whose labels the scheme delivers."""
+        return frozenset(i for i, alphabet in enumerate(self.alphabets) if alphabet is not None)
 
 
 @dataclass(frozen=True)
@@ -203,7 +197,9 @@ def _branch_runs(scheme: ChannelScheme) -> Iterator[tuple[str, int, Fraction, It
     probability, run); run yields (keys, channels) with keys in
     lexicographic order.  Each slot's sums over the inner key block are
     made once per scheme, shifted by each base value mod q, so a record's
-    channel tuples are zipped together in C."""
+    channel tuples are zipped together in C.  Past q = _INNER_BLOCK there
+    is no block, and key vectors count up in base q: product would first
+    make a tuple of range(q)."""
     q, count = scheme.q, scheme.key_count
     layout = _wire_layout(scheme)
     inner = 0
@@ -218,14 +214,20 @@ def _branch_runs(scheme: ChannelScheme) -> Iterator[tuple[str, int, Fraction, It
         for e in slot.keys:
             if e >= outer:
                 sums = list(map(operator.add, sums, columns[e - outer]))
-        shifted.append([[(b + s) % q for s in sums] for b in range(q)])
+        if inner:
+            shifted.append([[(b + s) % q for s in sums] for b in range(q)])
         leading.append([e for e in slot.keys if e < outer])
     # a channel with no slots would stop the outer zip at once
     blank = [()] * len(suffixes)
+    powers = [q**e for e in reversed(range(outer))]
 
     def run(codes):
-        for prefix in product(range(q), repeat=outer):
+        counted = (tuple([index // p % q for p in powers]) for index in range(q**outer))
+        for prefix in product(range(q), repeat=outer) if inner else counted:
             base = [(c + sum(map(prefix.__getitem__, ks))) % q for c, ks in zip(codes, leading)]
+            if not inner:
+                yield prefix, tuple([tuple([base[p] for p in wire]) for wire in layout])
+                continue
             wires = [
                 zip(*[shifted[p][base[p]] for p in wire]) if wire else blank
                 for wire in layout
@@ -237,11 +239,14 @@ def _branch_runs(scheme: ChannelScheme) -> Iterator[tuple[str, int, Fraction, It
         yield state, branch, mass * key_mass, run(codes)
 
 
+def _branch_count(scheme: ChannelScheme) -> int:
+    return sum(mass != 0 for row in scheme.table.rows.values() for mass in row)
+
+
 def execution_count(scheme: ChannelScheme) -> int:
     """How many executions enumerate_executions yields: every
     positive-mass branch of every state, once per key vector."""
-    branches = sum(mass != 0 for row in scheme.table.rows.values() for mass in row)
-    return branches * scheme.q**scheme.key_count
+    return _branch_count(scheme) * scheme.q**scheme.key_count
 
 
 def enumerate_executions(scheme: ChannelScheme) -> Iterator[ExecutionRecord]:
@@ -338,7 +343,6 @@ class _SchemeBuilder:
         self.structure = structure
         self.table = table
         self.slots: list[Slot] = []
-        self.covered: set[int] = set()
         self.alphabets: list[Optional[LabelAlphabet]] = [None] * structure.k
         self.key_count = 0
 
@@ -346,7 +350,6 @@ class _SchemeBuilder:
     def resume(cls, base: ChannelScheme) -> "_SchemeBuilder":
         builder = cls(base.q, base.structure, base.table)
         builder.slots = list(base.slots)
-        builder.covered = set(base.covered)
         builder.alphabets = list(base.alphabets)
         builder.key_count = base.key_count
         return builder
@@ -384,7 +387,6 @@ class _SchemeBuilder:
             self.slots.append(Slot(self._route(i, c), None, (kappa,)))
             keys.append(kappa)
         self.slots.append(Slot(carrier, i, tuple(keys)))
-        self.covered.add(i)
         self.alphabets[i] = self._alphabet_for(i)
 
     def shield(self, i: int) -> None:
@@ -396,12 +398,12 @@ class _SchemeBuilder:
         co-observer can fetch and i cannot.  Bare keys stay as they are:
         alone they carry nothing.
         """
-        if i in self.covered:
+        if self.alphabets[i] is not None:
             raise InvariantViolation(
                 f"receiver {i + 1} is already covered; shielding would cut him off"
             )
         dominated = {d for (a, d) in dominance_set(self.structure) if a == i}
-        guards = dominated & self.covered
+        guards = {d for d in dominated if self.alphabets[d] is not None}
         for j in self.structure.channels_of(i):
             watchers = self.structure.observers_of(j)
             if any(c in guards for c in watchers):
@@ -413,7 +415,7 @@ class _SchemeBuilder:
                     rebuilt.append(slot)
                     continue
                 for c in watchers:
-                    if c == i or c not in self.covered:
+                    if c == i or self.alphabets[c] is None:
                         continue
                     kappa = self._new_key()
                     fresh.append(Slot(self._route(c, i), None, (kappa,)))
@@ -424,7 +426,6 @@ class _SchemeBuilder:
         return ChannelScheme(
             q=self.q,
             structure=self.structure,
-            covered=frozenset(self.covered),
             alphabets=tuple(self.alphabets),
             slots=tuple(self.slots),
             key_count=self.key_count,
@@ -621,11 +622,14 @@ def verify_scheme(
     space = instance.space
     if scheme.table.space != space or target.space != space:
         raise StateSpaceMismatch("scheme, target, and instance disagree on states")
+    q, keys = scheme.q, scheme.key_count
+    # q^keys >= 2^(keys·(bits(q) - 1)): a count past the budget's bits is refused unmade
+    if budget is not None and (
+        keys * (q.bit_length() - 1) >= budget.bit_length() or execution_count(scheme) > budget
+    ):
+        count = f"{_branch_count(scheme)} × {q}^{keys}"
+        raise BudgetExceeded(f"verification needs {count} executions, budget allows {budget}")
     size = execution_count(scheme)
-    if budget is not None and size > budget:
-        raise BudgetExceeded(
-            f"verification needs {size} executions, budget allows {budget}"
-        )
     prior = instance.prior
     covered = tuple(sorted(scheme.covered))
 
@@ -667,7 +671,7 @@ def verify_scheme(
     dom = dominance_set(M)
     privacy: list[str] = []
     for r in range(M.k):
-        entitled = sorted(d for d in scheme.covered if d == r or (r, d) in dom)
+        entitled = [d for d in covered if d == r or (r, d) in dom]
         groups = defaultdict(dict)
         for event, offset in laws[r].offsets.items():
             cond = tuple(scheme.table.profiles[event[1]][d] for d in entitled)

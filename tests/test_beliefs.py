@@ -47,7 +47,7 @@ def test_from_pairs_canonicalizes():
 
 def test_bayes_plausibility():
     prior = Prior(TWO, (F(1, 2), F(1, 2)))
-    assert is_bayes_plausible(BeliefDistribution.from_pairs([(prior.point(), 1)]), prior)
+    assert is_bayes_plausible(BeliefDistribution.from_pairs([(prior.values, 1)]), prior)
     full = BeliefDistribution.from_pairs([(pt(1, 0), F(1, 2)), (pt(0, 1), F(1, 2))])
     assert is_bayes_plausible(full, prior)
     assert not is_bayes_plausible(BeliefDistribution.from_pairs([(pt(1, 0), 1)]), prior)
@@ -80,10 +80,10 @@ def test_identity_coupling_always_feasible():
 def test_spread_to_point_mass():
     prior = Prior(TWO, (F(1, 2), F(1, 2)))
     full = BeliefDistribution.from_pairs([(pt(1, 0), F(1, 2)), (pt(0, 1), F(1, 2))])
-    c = mps_coupling(full, BeliefDistribution.from_pairs([(prior.point(), 1)]))
+    c = mps_coupling(full, BeliefDistribution.from_pairs([(prior.values, 1)]))
     assert c is not None
     # the other direction collapses information and must fail
-    assert mps_coupling(BeliefDistribution.from_pairs([(prior.point(), 1)]), full) is None
+    assert mps_coupling(BeliefDistribution.from_pairs([(prior.values, 1)]), full) is None
 
 
 def test_worked_two_by_two_flows():
@@ -176,7 +176,7 @@ def test_concavify_threshold_worked_example():
 def test_concavify_prior_at_maximizer():
     grid = binary_grid(4)
     prior = Prior(TWO, (F(1, 2), F(1, 2)))
-    table = {p: (F(2) if p == prior.point() else F(0)) for p in grid}
+    table = {p: (F(2) if p == prior.values else F(0)) for p in grid}
     assert concavify_single(table, prior) == F(2)
 
 
@@ -192,13 +192,13 @@ def _concavify_oracle(table, prior):
     pts = sorted(table)
     best = None
     for p in pts:
-        if p == prior.point():
+        if p == prior.values:
             best = table[p]
     for a in pts:
         for b in pts:
             if a[1] == b[1]:
                 continue
-            lam = (prior.point()[1] - b[1]) / (a[1] - b[1])
+            lam = (prior.values[1] - b[1]) / (a[1] - b[1])
             if 0 <= lam <= 1:
                 val = lam * table[a] + (1 - lam) * table[b]
                 if best is None or val > best:

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from mcpersuasion import hardness
-from mcpersuasion.cli import main
+from mcpersuasion.cli import _parse_budget, main
 from mcpersuasion.dominance import sperner_structure
 from mcpersuasion.forest import evaluate_table
 from mcpersuasion.io import (
@@ -26,7 +28,9 @@ from mcpersuasion.io import (
     table_to_doc,
     write_document,
 )
-from mcpersuasion.model import validate_instance
+from mcpersuasion.errors import UsageError
+from mcpersuasion.model import format_rational, validate_instance
+from test_sharing import _reference_executions
 
 SINGLE = {
     "states": ["low", "high"],
@@ -493,6 +497,10 @@ def test_verify_share_budget_exit(capsys, files, tmp_path):
         pytest.param(lambda doc: doc["slots"][0].update(channel="a"), id="slot-channel"),
         pytest.param(lambda doc: doc["slots"][0].update(keys=["z"]), id="slot-keys"),
         pytest.param(lambda doc: doc["slots"].append(5), id="slot-entry"),
+        # the covered receivers must be exactly those with an alphabet
+        pytest.param(lambda doc: doc.update(covered=[1, 2]), id="covered-without-alphabet"),
+        pytest.param(lambda doc: doc.update(covered=[]), id="alphabet-not-covered"),
+        pytest.param(lambda doc: doc.update(covered=[1, 4]), id="covered-past-k"),
     ],
 )
 def test_verify_share_rejects_malformed_schemes(capsys, files, tmp_path, corrupt):
@@ -503,9 +511,9 @@ def test_verify_share_rejects_malformed_schemes(capsys, files, tmp_path, corrupt
     doc = load_document(out)
     corrupt(doc)
     write_document(out, doc)
-    code, _, err = run(capsys, "verify-share", out, instance, table)
-    assert code == 2
-    assert err.startswith("error:")
+    code, printed, err = run(capsys, "verify-share", out, instance, table)
+    assert code == 2 and not printed
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_share_refuses_an_alphabet_given_twice(capsys, files, tmp_path):
@@ -537,6 +545,63 @@ def test_verify_share_refuses_a_huge_key_count(capsys, files, tmp_path):
     code, printed, err = run(capsys, "verify-share", out, instance, table)
     assert code == 2 and not printed
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_share_refuses_a_count_past_4300_digits_at_once(capsys, files, tmp_path):
+    """One receiver's payload keyed by 44 keys over q = 10^100: the
+    2 × 10^4400 executions are refused with exit 4, and the message
+    names the count without printing it."""
+    instance = files("single.json", SINGLE)
+    table = files("reveal1.json", dict(REVEAL3, profiles=[[["0", "1"]], [["1", "0"]]]))
+    out = str(tmp_path / "cs.json")
+    run_doc(capsys, "share", instance, table, "--subset", "1", "--q", "3", "--out", out)
+    doc = load_document(out)
+    keys = list(range(1, 45))
+    doc.update(
+        q=10**100,
+        key_count=len(keys),
+        slots=[{"channel": 1, "owner": None, "keys": [key]} for key in keys]
+        + [{"channel": 1, "owner": 1, "keys": keys}],
+    )
+    write_document(out, doc)
+    start = time.perf_counter()
+    code, printed, err = run(capsys, "verify-share", out, instance, table)
+    assert time.perf_counter() - start < 1
+    assert code == 4 and not printed
+    assert err == (
+        f"error: verification needs 2 × {10**100}^44 executions, budget allows 10000000\n"
+    )
+
+
+def test_bunion_refuses_a_selection_count_past_4300_digits(capsys, files):
+    """C(15000, 7500) has 4,514 digits: the message names it without
+    printing it."""
+    path = files("wide.json", {"w": 1, "sets": [[1]] * 15000, "b": 7500})
+    code, printed, err = run(capsys, "bunion", path)
+    assert code == 4 and not printed
+    assert err == "error: C(15000, 7500) selections exceed the budget of 1000000\n"
+
+
+def test_budget_power_past_4300_digits_is_refused_before_it_is_made(capsys, tmp_path):
+    """10^100000000 took over a minute to compute before the missing
+    file was reported."""
+    start = time.perf_counter()
+    result = run(capsys, "bunion", str(tmp_path / "nope.json"), "--budget", "10^100000000")
+    assert time.perf_counter() - start < 1
+    assert_usage_error(*result)
+    assert "more than 4300 digits" in result[2]
+
+
+@pytest.mark.parametrize(
+    "budget, allowed",
+    [("10^4299", True), ("10^4300", False), ("2^14284", True), ("2^14285", False)],
+)
+def test_budget_powers_are_allowed_up_to_4300_digits(budget, allowed):
+    if allowed:
+        assert len(str(_parse_budget(budget))) <= 4300
+    else:
+        with pytest.raises(UsageError, match="more than 4300 digits"):
+            _parse_budget(budget)
 
 
 @pytest.mark.parametrize(
@@ -660,9 +725,9 @@ def test_reduce_out_needs_two_paths(capsys, files):
 
 
 def test_unknown_command(capsys):
-    code, _, err = run(capsys, "frobnicate")
-    assert code == 1
-    assert err
+    code, out, err = run(capsys, "frobnicate")
+    assert_usage_error(code, out, err)
+    assert "invalid choice" in err
 
 
 def test_no_command(capsys):
@@ -893,6 +958,44 @@ def test_share_documents_are_pinned(
     data = out.read_bytes()
     assert json.loads(data).get("executions_omitted", 0) == omitted
     assert sha256(data) == digest
+
+
+def test_share_past_the_inner_block_lists_the_reference_executions(capsys, files, tmp_path):
+    """share --q 2^32 on sperner_structure(6), full revelation: 12 keys,
+    no range(q) table, and the listing holds the reference enumeration's
+    first EXECUTION_DUMP_LIMIT records."""
+    instance, table = sperner_share_inputs(files, 6)
+    out = tmp_path / "cs.json"
+    subset = "1,2,3,4,5,6"
+    q = str(2**32)
+    run_doc(capsys, "share", instance, table, "--subset", subset, "--q", q, "--out", str(out))
+    doc = load_document(str(out))
+    assert doc["key_count"] == 12 and doc["executions_omitted"] == 2 * 2**384 - 20_000
+    listed = [(state, entry) for state, entries in doc["executions"].items() for entry in entries]
+    scheme = channel_scheme_from_doc(doc)
+    want = [
+        (
+            record.state,
+            {
+                "branch": record.branch + 1,
+                "keys": list(record.keys),
+                "probability": format_rational(record.probability),
+                "channels": [list(symbols) for symbols in record.channels],
+            },
+        )
+        for record in islice(_reference_executions(scheme), 20_000)
+    ]
+    assert listed == want
+
+
+def test_share_refuses_numbers_past_4300_digits(capsys, files):
+    """A 401-digit q over sperner_structure(6)'s 12 keys would list
+    probabilities 1/q^12 of 4,813 digits."""
+    instance, table = sperner_share_inputs(files, 6)
+    q = str(10**400)
+    result = run(capsys, "share", instance, table, "--subset", "1,2,3,4,5,6", "--q", q)
+    assert_usage_error(*result)
+    assert "pass 4300 digits" in result[2]
 
 
 def test_reduce_documents_are_pinned(capsys, files, tmp_path):

@@ -6,6 +6,7 @@ from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -182,7 +183,7 @@ def test_three_state_single_receiver_against_concavification():
     table = {w: u.value_at(w, space) for w in grid.points()}
     assert solution.objective == concavify_single(table, prior)
     # linear utility: revelation cannot help
-    assert solution.objective == u.value_at(prior.point(), space)
+    assert solution.objective == u.value_at(prior.values, space)
 
 
 CHAIN_UTILITIES = [
@@ -897,9 +898,54 @@ def _assert_closed_form(inst, denominator, built):
     assert sol.objective == lp.solve(full.program, propose=lambda: (X, Y)).objective
 
 
+def _one_pass_read_solution(glp, assignment, objective):
+    """_read_solution as it was before it read couplings through
+    coupling_flows: the nonzero entries, found in one pass and binned by
+    block by their index (i·n + a, then k·n + e·n² + a·n + c)."""
+    pts = glp.points
+    n = len(pts)
+    pairs = [[] for _ in glp.values]
+    flows = [{} for _ in glp.edges]
+    first_y = len(pairs) * n
+    for j in compress(range(len(assignment)), assignment):
+        if j < first_y:
+            i, a = divmod(j, n)
+            pairs[i].append((pts[a], assignment[j]))
+        else:
+            e, ac = divmod(j - first_y, n * n)
+            a, c = divmod(ac, n)
+            flows[e][(pts[a], pts[c])] = assignment[j]
+    marginals = tuple(map(BeliefDistribution.from_pairs, pairs))
+    couplings = {
+        (i1, i2): Coupling(source=marginals[i1], target=marginals[i2], flow=flow)
+        for (i1, i2), flow in zip(glp.edges, flows)
+    }
+    return GridSolution(glp.grid.step, marginals, couplings, objective)
+
+
+def test_read_back_matches_one_pass_binning():
+    """On the grid2 generator's jobs of seeds 1-3 and on seeded
+    three-state chains at 1/4 and 1/8, _read_solution reads the same
+    solution as the one-pass binning, flows in the same order."""
+    cases = [(job, 2) for seed in (1, 2, 3) for job in _grid2_jobs(seed)]
+    cases += [
+        ((_three_state_chain(random.Random(seed)), denominator), 3)
+        for seed in (8, 9)
+        for denominator in (4, 8)
+    ]
+    for (inst, denominator), dim in cases:
+        glp = build_grid_lp(inst, PosteriorGrid(dim=dim, denominator=denominator))
+        sol = lp.solve(glp.program, propose=glp.propose)
+        got = forest._read_solution(glp, sol.assignment, sol.objective)
+        want = _one_pass_read_solution(glp, sol.assignment, sol.objective)
+        assert got == want
+        for edge, coupling in got.couplings.items():
+            assert list(coupling.flow.items()) == list(want.couplings[edge].flow.items())
+
+
 def test_read_back_takes_each_flow_from_coupling_flows():
-    """_read_solution bins the assignment's nonzero entries by block in
-    one pass.  On GRID_CASES and the grid2 generator's jobs of seeds
+    """_read_solution reads each block of the assignment by slice.  On
+    GRID_CASES and the grid2 generator's jobs of seeds
     1-3, each coupling's flow is coupling_flows' on its edge, in the
     same order, and each marginal holds its x block's nonzero entries."""
     cases = [(_data_instance(name), denominator) for name, denominator in GRID_CASES]

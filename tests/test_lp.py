@@ -1359,6 +1359,20 @@ def test_a_failed_certificate_is_named_with_its_index(monkeypatch):
         x, y = tuple(map(F, x)), tuple(map(F, y))
         assert lp_module._optimality_failure(lp, x, y) == failure
         assert check_optimal(lp, x, y) is (failure is None)
+    # an entry that is not an int or a Fraction is named, not computed with
+    for x, y, failure in [
+        ((1.0, 0), (half, half), "x[0] = 1.0 is not exact"),
+        ((True, 0), (half, half), "x[0] = True is not exact"),
+        ((half, half), (half, 0.5), "y[1] = 0.5 is not exact"),
+        ((half, half), ("1/2", half), "y[0] = '1/2' is not exact"),
+        ((half, half), (False, 0), "y[0] = False is not exact"),
+    ]:
+        assert lp_module._optimality_failure(lp, x, y) == failure
+        assert check_optimal(lp, x, y) is False
+    one = LinearProgram(1, [1], [([1], LE, 1)])
+    assert check_optimal(one, [1.0], [1]) is False
+    assert check_optimal(one, [True], [1]) is False
+    assert check_optimal(one, [1], [1]) is True
     real_map_dual = lp_module._Engine._map_dual
 
     def map_dual(engine, *args):
@@ -1531,6 +1545,18 @@ def test_farkas_and_ray_failures_are_named(monkeypatch):
         "row # does not hold along d",
         "c.d = # is not positive",
     }, named
+    # an entry that is not an int or a Fraction is named, not computed with
+    one = LinearProgram(1, [1], [([1], LE, 1)])
+    for y, failure in [([0.5], "y[0] = 0.5 is not exact"), (["1"], "y[0] = '1' is not exact")]:
+        assert lp_module._farkas_failure(one, y) == failure
+        assert check_farkas(one, y) is False
+    for x0, d, failure in [
+        ([1.0], [1], "x[0] = 1.0 is not exact"),
+        ([0], [0.5], "d[0] = 0.5 is not exact"),
+        ([0], [True], "d[0] = True is not exact"),
+    ]:
+        assert lp_module._ray_failure(one, x0, d) == failure
+        assert check_ray(one, x0, d) is False
     lp = LinearProgram(1, [F(1)], [([F(1)], GE, F(2)), ([F(1)], LE, F(1))])
     real_map_dual = lp_module._Engine._map_dual
     monkeypatch.setattr(

@@ -131,7 +131,6 @@ def test_scheme_rejects_dangling_key():
         ChannelScheme(
             q=2,
             structure=_identity(1),
-            covered=frozenset({0}),
             alphabets=(LabelAlphabet(2, (LO, HI)),),
             slots=(Slot(0, 0, (0,)),),
             key_count=1,
@@ -145,11 +144,25 @@ def test_scheme_rejects_uncovered_owner():
         ChannelScheme(
             q=2,
             structure=_identity(2),
-            covered=frozenset({0}),
             alphabets=(LabelAlphabet(2, (LO, HI)), None),
             slots=(Slot(0, 0, ()), Slot(1, 1, ())),
             key_count=0,
             table=table,
+        )
+
+
+@pytest.mark.parametrize("owner", [2, 5, -1])
+def test_scheme_rejects_owner_past_k(owner):
+    """A payload owner must name a receiver in range(k): one past k, or
+    a negative one, is refused as input, not by an IndexError."""
+    with pytest.raises(ValidationError, match="uncovered receiver"):
+        ChannelScheme(
+            q=2,
+            structure=_identity(2),
+            alphabets=(LabelAlphabet(2, (LO, HI)), None),
+            slots=(Slot(0, 0, ()), Slot(1, owner, ())),
+            key_count=0,
+            table=_reveal_to_first(2),
         )
 
 
@@ -242,7 +255,6 @@ def test_shield_skips_channels_guarded_by_dominated_receivers():
     base = ChannelScheme(
         q=2,
         structure=nested,
-        covered=frozenset({1}),
         alphabets=(None, LabelAlphabet(2, (LO, HI))),
         slots=(Slot(1, 1, ()),),
         key_count=0,
@@ -277,7 +289,6 @@ def test_shield_leaves_unwatched_schemes_alone():
     base = ChannelScheme(
         q=2,
         structure=SPERNER3,
-        covered=frozenset({1}),
         alphabets=(None, LabelAlphabet(2, (MID,)), None),
         slots=(Slot(2, 1, ()),),
         key_count=0,
@@ -665,14 +676,18 @@ def test_hidden_keys_break_recovery():
 def _reference_executions(scheme):
     """The records enumerate_executions yields, built without its code:
     every payload label is coded with LabelAlphabet.code for every slot
-    of every execution, and every probability is worked out anew."""
+    of every execution, and every probability is worked out anew.  Key
+    vectors are the base-q digits of a counter, so a large q costs no
+    memory."""
     q, key_count = scheme.q, scheme.key_count
+    powers = [q**e for e in reversed(range(key_count))]
     for state in scheme.table.space.states:
         for branch, mass in enumerate(scheme.table.rows[state]):
             if mass == 0:
                 continue
             profile = scheme.table.profiles[branch]
-            for keys in product(range(q), repeat=key_count):
+            for index in range(q**key_count):
+                keys = tuple(index // power % q for power in powers)
                 wires = [[] for _ in range(scheme.structure.n)]
                 for slot in scheme.slots:
                     value = sum(keys[e] for e in slot.keys)
@@ -757,6 +772,18 @@ def test_scheme_documents_list_the_reference_executions(cut, monkeypatch):
     )
     assert any(s.key_count == 0 for s in family)
     assert any(s.q in (4, 6) for s in family)
+
+
+@pytest.mark.parametrize("q", [65, 97, 10**30], ids=["65", "97", "10^30"])
+def test_executions_past_the_inner_block_match_the_reference(q):
+    """Past _INNER_BLOCK there is no block, and key vectors are counted
+    out lazily: no list the size of q is made, so q = 10^30 lists its
+    first records at once."""
+    table = _independent_table(random.Random(0), 3)
+    for subset in ([0], [0, 1], [0, 1, 2]):
+        scheme = emulate_private_subset(SPERNER3, subset, table, q=q)
+        got = islice(enumerate_executions(scheme), 5000)
+        assert list(got) == list(islice(_reference_executions(scheme), 5000))
 
 
 def test_scheme_documents_build_no_execution_records(monkeypatch):
