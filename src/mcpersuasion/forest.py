@@ -7,13 +7,11 @@ per-state table of posterior-label profiles.  Dominating receivers sit
 on the spread side of every coupling; trees of the forest are kept
 conditionally independent given the state.
 
-On two states only the grid program over the breakpoints is built
-(_breakpoints); it holds an optimum of the full one.  lp.solve answers
-it from a proposal: a forest of paths in closed form, a nested
-concavification along each path (_path_certificate), any other forest
-from the prior split (_breakpoint_answer).  Its dual then certifies the
-answer on the whole 1/D lattice in O((k + E) n) integer work, with no
-coupling program (_lattice_dual, _lattice_failure).
+On two states only the grid program over the breakpoints is built; it
+holds an optimum of the full one.  The lattice module finds the
+breakpoints from the utilities' kinks, proposes the program's answer to
+lp.solve, and certifies it on the whole 1/D lattice, none of it walking
+the lattice.
 """
 
 from __future__ import annotations
@@ -21,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from itertools import compress, count, repeat
-from math import ceil, floor, lcm
-from operator import add, ge, getitem, itemgetter, mul
+from itertools import compress
+from math import lcm
+from operator import ge, getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from . import beliefs, lp
@@ -35,6 +33,13 @@ from .errors import (
     NotAForest,
     StateSpaceMismatch,
     ValidationError,
+)
+from .lattice import (
+    _breakpoint_answer,
+    _breakpoints,
+    _lattice_dual,
+    _lattice_failure,
+    _path_certificate,
 )
 from .model import (
     AdditiveUtility,
@@ -106,12 +111,15 @@ class GridLP:
     a solution is read back: for k receivers and n points, x(i, points[a])
     is i * n + a, and on the e-th edge y(points[a], points[c]) is
     k * n + e * n * n + a * n + c.  graph is the instance's domination
-    forest, whose sorted covering edges are edges.  values[i][a] is
-    receiver i's utility at grid.points()[a], so k is len(values).  Past
-    two states the program is over every grid point and propose is None.
-    On two states it is over the breakpoints alone, and propose is what
-    lp.solve is handed to reach its optimum: the closed form for a forest
-    of paths (_path_certificate), else the prior split as a start
+    forest, whose sorted covering edges are edges.  values[i] holds
+    receiver i's utility, so k is len(values).  Past two states the
+    program is over every grid point, values[i][a] is the utility at
+    points[a], and propose is None.  On two states the program is over
+    the breakpoints alone; values[i] maps a lattice position a, the point
+    (a/D, 1 - a/D), to the utility there, for every breakpoint and every
+    position looked up while finding them (_breakpoints); and propose is
+    what lp.solve is handed to reach its optimum: the closed form for a
+    forest of paths (_path_certificate), else the prior split as a start
     (_breakpoint_answer)."""
 
     program: lp.LinearProgram
@@ -120,7 +128,7 @@ class GridLP:
     edges: tuple[tuple[int, int], ...]
     graph: DominationGraph
     propose: Callable[[], tuple[list, list | None]] | None
-    values: tuple[tuple[Fraction, ...], ...]
+    values: tuple[Sequence[Fraction] | dict[int, Fraction], ...]
 
 
 def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]:
@@ -133,9 +141,10 @@ def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]
 
 
 def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
-    """The GridLP of a forest instance on the grid, every receiver's
-    utility tabulated at every grid point; on two states, the breakpoint
-    program and its proposal, computed only when called.
+    """The GridLP of a forest instance on the grid: past two states the
+    program over every grid point, each receiver's utility tabulated at
+    each; on two states the breakpoint program and its proposal,
+    computed only when called.
 
     Families, in row order: Bayes-plausibility per receiver per state;
     per covering edge the spread-side row sums, coarse-side column
@@ -148,22 +157,22 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     if grid.dim != instance.space.size:
         raise ValidationError("grid dimension differs from the state space")
     graph, edges = _forest_edges(instance)
-    D, k = grid.denominator, instance.k
-    lattice = grid.points()
+    D = grid.denominator
     space, receivers = instance.space, instance.utilities.receivers
-    values = tuple(tuple(u.value_at(w, space) for w in lattice) for u in receivers)
-    at, propose = range(len(lattice)), None
     if grid.dim == 2:
         p = instance.prior.values[0]
-        at = _breakpoints(p * D, values)
+        at, pts, values = _breakpoints(receivers, space, D, p * D)
+        table = [[u[a] for a in at] for u in values]
         if len({i1 for i1, _ in edges}) == len(edges):
             # no receiver spreads onto two: every tree is a path
-            propose = partial(_path_certificate, p, edges, values, at)
+            propose = partial(_path_certificate, p, edges, table, at)
         else:
-            propose = partial(_breakpoint_answer, p * D, k, len(edges), at)
-    pts = tuple(lattice[a] for a in at)
+            propose = partial(_breakpoint_answer, p * D, instance.k, len(edges), at)
+    else:
+        pts, propose = grid.points(), None
+        values = table = tuple(tuple(u.value_at(w, space) for w in pts) for u in receivers)
     return GridLP(
-        program=_grid_program(instance.prior, edges, D, pts, [[u[a] for a in at] for u in values]),
+        program=_grid_program(instance.prior, edges, D, pts, table),
         grid=grid,
         points=pts,
         edges=edges,
@@ -200,247 +209,6 @@ def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
         constraints.append((dict.fromkeys(range(base, base + n), 1), lp.EQ, 1, 1))
     n_vars = k * n + len(edges) * n * n
     return lp.LinearProgram.integral(n_vars, (objective, obj_den), constraints)
-
-
-def _breakpoints(p, values) -> list[int]:
-    """The breakpoints of a two-state grid as lattice positions: 0, D,
-    p (prior times D) or the two next to it, and every a where some
-    utility bends down, u(a-1) - 2u(a) + u(a+1) < 0, values[i][a] being
-    receiver i's utility at a/D.  Every utility is convex between
-    neighbouring breakpoints, so pushing each mass onto them keeps the
-    mean and the convex order and lowers no utility: the grid program
-    over them holds an optimum of the full one."""
-    D = len(values[0]) - 1
-    bends = {0, D, floor(p), ceil(p)}
-    for u in values:
-        V = lcm(*(v.denominator for v in u))
-        u = [v.numerator * (V // v.denominator) for v in u]
-        bends.update(a for a, l, c, r in zip(count(1), u, u[1:], u[2:]) if l + r < 2 * c)
-    return sorted(bends)
-
-
-def _breakpoint_answer(p, k, n_edges, points) -> tuple[list[Fraction], None]:
-    """The start of the breakpoint program (k receivers, n_edges covering
-    edges, over the lattice positions points; p is prior times D),
-    proposed without a dual: the one feasible point of the grid program
-    over the prior's neighbours alone, every marginal the prior split
-    onto them, every coupling the identity.  lp.solve solves from there
-    faster than afresh, and the start fixes which optimum, and so which
-    table, is reached.
-
-    Any optimal dual of the breakpoint program certifies its answer on
-    the whole lattice (_lattice_dual; ROADMAP item 14).  Let alpha be an
-    edge's row-sum duals interpolated between breakpoints and g =
-    cav(-alpha).  Dual feasibility of the y(l, c) columns puts each
-    column-sum dual at or above g, so lowering it to g, and raising the
-    row-sum duals to -g, only lowers the x columns' reduced costs.
-    Between breakpoints every utility is convex and every dual linear,
-    so every x column stays priced out; each y column prices at a
-    supporting line of the concave g; y'b is unchanged."""
-    q = floor(p)
-    first = {q: Fraction(1)} if p == q else _split(p, (q, q + 1), Fraction(1))
-    m = len(points)
-    start = [_ZERO] * (k * m + n_edges * m * m)
-    for a, v in first.items():
-        t = points.index(a)
-        start[t : k * m : m] = [v] * k  # x(i, a) for every receiver i
-        start[k * m + t * (m + 1) :: m * m] = [v] * n_edges  # y(a, a) on every edge
-    return start, None
-
-
-def _edge_dual(f, S, points) -> tuple[list[Fraction], tuple[list, int, list]]:
-    """One covering edge's row-sum, column-sum and barycenter duals at the
-    lattice positions points for the values
-    f / S, f integers at each point 0..D: -f / S, cav f / S and D times
-    cav f's slope to the right (to the left at D), per unit of the first
-    coordinate.  A y(l, c) column then prices at cav f's supporting line
-    at c, less f(l).  Also the majorant (_concave_majorant over 0..D of
-    f), which the closed form splits masses by."""
-    D = len(f) - 1
-    cav, M, pieces = _concave_majorant(range(D + 1), f)
-    slopes = [D * (cav[c + 1] - cav[c]) for c in (min(a, D - 1) for a in points)]
-    duals = [Fraction(-f[a], S) for a in points] + [Fraction(cav[a], S * M) for a in points]
-    return duals + [Fraction(v, S * M) for v in slopes], (cav, M, pieces)
-
-
-def _concave_majorant(xs, values) -> tuple[list, int, list[tuple[int, int]]]:
-    """The least concave majorant of the points (xs[t], values[t]), xs
-    increasing integers (the majorant of the function linear between the
-    points): (M times it, M, the piece of each t).  The majorant is
-    listed at every integer from xs[0] to xs[-1], so its j-th entry is at
-    xs[0] + j; the pieces are listed by position t in xs.  The two
-    indexings agree only when xs is range(n), as for every caller that
-    reads the pieces.  The pieces are the segments between neighbouring
-    vertices of the upper hull, M the lcm of their lengths, so that
-    integer values give an integer majorant; the piece of t is the one,
-    (l, r) as positions in xs, with l <= t < r, and the last one for the
-    last t."""
-    hull: list[int] = []
-    for t, (x, v) in enumerate(zip(xs, values)):
-        # drop the last vertex while it lies on or below the chord to t
-        while len(hull) > 1 and (
-            (values[hull[-1]] - values[hull[-2]]) * (x - xs[hull[-2]])
-            <= (v - values[hull[-2]]) * (xs[hull[-1]] - xs[hull[-2]])
-        ):
-            hull.pop()
-        hull.append(t)
-    M = lcm(*(xs[r] - xs[l] for l, r in zip(hull, hull[1:])))
-    majorant: list[int] = []
-    pieces = [(hull[-2], hull[-1])] * len(xs)
-    for l, r in zip(hull, hull[1:]):
-        start, width = values[l] * M, xs[r] - xs[l]
-        step = (values[r] - values[l]) * (M // width)
-        majorant += range(start, values[r] * M, step) if step else [start] * width
-        pieces[l:r] = [(l, r)] * (r - l)
-    majorant.append(values[-1] * M)
-    return majorant, M, pieces
-
-
-def _path_certificate(prior, edges, values, points) -> tuple[list, list]:
-    """The optimal point and dual of the two-state breakpoint program over
-    the lattice positions points, in _grid_program's numbering, when no
-    receiver spreads onto two (edges, sorted, make a forest of paths);
-    prior is the first state's prior, values[i][a] receiver i's utility
-    at a/D.  It is the full grid program's certificate restricted to the
-    breakpoints: the programs share their columns there.
-
-    Walking each path from its root, the most informed receiver, set
-    f(root) = u(root) and f(child) = u(child) + cav f(parent), each cav
-    the least concave majorant over 0..D; the optimum is the sum over
-    paths of cav f(leaf) at the prior (Kamenica and Gentzkow's cav u,
-    nested).  The dual: on each covering edge, _edge_dual of f(parent),
-    so that the x columns of every receiver but a leaf price at 0.  A
-    leaf's Bayes-plausibility duals are the supporting line of cav
-    f(leaf) at the prior; every other dual is 0.  The point: a leaf puts
-    its mass on the prior, or on the two hull vertices around it; up the
-    path, each atom c stays where f(parent) is cav f(parent), and
-    otherwise splits onto the ends of its piece of the hull, keeping its
-    mean.  Every column with mass prices at 0, so c.x = y'b.  Every atom
-    is a breakpoint, as a hull vertex inside 0..D is a point where f,
-    and so a utility on the path, bends down.
-
-    Values are integers over one denominator per receiver, which grows
-    by each majorant's M (_concave_majorant) down the path."""
-    k, n, m = len(values), len(values[0]), len(points)
-    D = n - 1
-    below, number = dict(edges), {edge: e for e, edge in enumerate(edges)}
-    place = {a: t for t, a in enumerate(points)}
-    V = lcm(*(v.denominator for u in values for v in u))
-    x: list[Fraction] = [_ZERO] * (k * m + len(edges) * m * m)
-    y: list[Fraction] = [_ZERO] * (3 * k + 3 * m * len(edges))
-    for root in sorted(set(range(k)) - set(below.values())):
-        path = [root]
-        while path[-1] in below:
-            path.append(below[path[-1]])
-        # down the path: f(i) in integers over S, each parent's majorant
-        S, f, parents = V, [v.numerator * (V // v.denominator) for v in values[root]], []
-        for i, child in zip(path, path[1:]):
-            at = 2 * k + 3 * m * number[i, child]
-            y[at : at + 3 * m], (cav, M, pieces) = _edge_dual(f, S, points)
-            parents.append((f, cav, M, pieces))
-            S *= M
-            f = [v.numerator * (S // v.denominator) + c for v, c in zip(values[child], cav)]
-        # the leaf's Bayes-plausibility duals: cav f's line over the piece
-        # that holds the prior, at (1, 0) and at (0, 1)
-        cav, M, pieces = _concave_majorant(range(n), f)
-        p = prior * D
-        q = floor(p)
-        step, leaf = cav[q + 1] - cav[q], 2 * path[-1]
-        line = (cav[q] + step * (D - q), cav[q] - step * q)
-        y[leaf : leaf + 2] = (Fraction(v, S * M) for v in line)
-        if p == q and f[q] * M == cav[q]:
-            mass = {q: Fraction(1)}
-        else:
-            mass = _split(p, pieces[q], Fraction(1))
-        # up the path: each receiver's marginal, and its parent's by the split
-        for t in range(len(path) - 1, 0, -1):
-            f, cav, M, pieces = parents[t - 1]
-            base = k * m + number[path[t - 1], path[t]] * m * m
-            spread: dict[int, Fraction] = {}
-            for c, w in mass.items():
-                x[path[t] * m + place[c]] = w
-                for a, v in ({c: w} if f[c] * M == cav[c] else _split(c, pieces[c], w)).items():
-                    x[base + place[a] * m + place[c]] = v
-                    spread[a] = spread.get(a, _ZERO) + v
-            mass = spread
-        for a, w in mass.items():
-            x[root * m + place[a]] = w
-    return x, y
-
-
-def _split(c, piece: tuple[int, int], m: Fraction) -> dict[int, Fraction]:
-    """Mass m at c, strictly inside piece (l, r), spread onto l and r
-    with its mean kept."""
-    l, r = piece
-    return {l: m * (r - c) / (r - l), r: m * (c - l) / (r - l)}
-
-
-def _lattice_dual(glp: GridLP, dual) -> tuple[list[tuple[Fraction, Fraction]], list]:
-    """The lattice certificate (lines, g) of a dual of glp's breakpoint
-    program: per receiver i, lines[i] = (l_i(1, 0), l_i(0, 1)), its
-    Bayes-plausibility duals each raised by its normalization dual; per
-    covering edge, g[e] = (h, S), the integers h over S at each point
-    0..D of cav(-alpha), alpha the edge's row-sum duals interpolated
-    between breakpoints.  It stands for the full program's dual with
-    row-sum duals -g, column-sum duals g and barycenter duals D times g's
-    slope to the right (to the left at D)."""
-    k, D = len(glp.values), glp.grid.denominator
-    at = [w[0].numerator * (D // w[0].denominator) for w in glp.points]
-    m = len(at)
-    lines = [
-        (dual[2 * i] + nu, dual[2 * i + 1] + nu) for i, nu in enumerate(dual[len(dual) - k :])
-    ]
-    g = []
-    for start in range(2 * k, 2 * k + 3 * m * len(glp.edges), 3 * m):
-        alpha = dual[start : start + m]
-        S = lcm(*(v.denominator for v in alpha))
-        h, M, _ = _concave_majorant(at, [-v.numerator * (S // v.denominator) for v in alpha])
-        g.append((h, S * M))
-    return lines, g
-
-
-def _lattice_failure(values, edges, prior, lines, g, objective) -> str | None:
-    """The first part of the lattice certificate (lines, g), as
-    _lattice_dual gives them, that fails, in the order checked: an edge
-    whose g is not concave at a point, a receiver priced above its line
-    at a point, and the gap between the lines' value at the prior (the
-    first state's) and objective; None when every check holds.
-    values[i][a] is receiver i's utility at a/D.  The receiver i's price
-    at a is u_i(a), less g_e(a) on each edge e that spreads from i, plus
-    g_e(a) on the edge that spreads onto i; it is checked in integers
-    over one denominator per receiver.
-
-    Expanded (_lattice_dual), these are lp.check_optimal's checks on the
-    full program: its y columns are priced out exactly when each g is
-    concave, its x columns by the prices, and y'b is the lines' value.
-    So with a validated, lattice-supported GridSolution of value
-    objective, weak duality proves it optimal on the grid; on two
-    states, Jensen's inequality stands in for the couplings."""
-    D = len(values[0]) - 1
-    for (i1, i2), (h, _) in zip(edges, g):
-        bent = next((a for a, l, c, r in zip(count(1), h, h[1:], h[2:]) if l + r > 2 * c), None)
-        if bent is not None:
-            return f"g of edge ({i1 + 1},{i2 + 1}) is not concave at {_lattice_label(bent, D)}"
-    for i, (u, (top, bottom)) in enumerate(zip(values, lines)):
-        terms = [(-1 if i1 == i else 1, g[e]) for e, (i1, i2) in enumerate(edges) if i in (i1, i2)]
-        T = lcm(*(v.denominator for v in (*u, top, bottom)), *(S for _, (_, S) in terms))
-        # D T times receiver i's price at each a, against T times its line, D l_i(a)
-        price = [v.numerator * (T // v.denominator) * D for v in u]
-        for sign, (h, S) in terms:
-            price = list(map(add, price, map(mul, h, repeat(sign * (T // S) * D))))
-        low = bottom.numerator * (T // bottom.denominator)
-        rise = top.numerator * (T // top.denominator) - low
-        above = next((a for a, v in enumerate(price) if v > low * D + rise * a), None)
-        if above is not None:
-            return f"receiver {i + 1} is priced above its line at {_lattice_label(above, D)}"
-    value = sum((top * prior + bottom * (1 - prior) for top, bottom in lines), _ZERO)
-    if value != objective:
-        return f"the lines' value {value} at the prior differs from c.x = {objective}"
-    return None
-
-
-def _lattice_label(a: int, D: int) -> str:
-    return format_label((Fraction(a, D), Fraction(D - a, D)))
 
 
 @dataclass(frozen=True)
@@ -508,11 +276,14 @@ class GridSolution:
 def _read_solution(glp: GridLP, assignment, objective) -> GridSolution:
     """The marginals and couplings of an assignment to glp's variables:
     receiver i's marginal from its block of n, and each coupling's flow
-    coupling_flows' on its edge's block of n²."""
+    coupling_flows' on its edge's block of n².  The points are sorted, so
+    each block's nonzero entries are a marginal in canonical form."""
     pts = glp.points
     n, k = len(pts), len(glp.values)
     rows = (assignment[i * n : i * n + n] for i in range(k))
-    marginals = tuple(BeliefDistribution.from_pairs(compress(zip(pts, row), row)) for row in rows)
+    marginals = tuple(
+        BeliefDistribution(tuple(compress(pts, row)), tuple(compress(row, row))) for row in rows
+    )
     couplings = {
         (i1, i2): Coupling(
             source=marginals[i1],
@@ -551,7 +322,7 @@ def _solve_grid(
     if grid.dim == 2:
         lines, g = _lattice_dual(glp, sol.dual)
         prior = instance.prior.values[0]
-        failure = _lattice_failure(glp.values, glp.edges, prior, lines, g, solution.objective)
+        failure = _lattice_failure(glp, prior, lines, g, solution.objective)
         if failure is not None:
             raise InvariantViolation(f"lattice certificate failed: {failure}")
     return solution, glp.graph

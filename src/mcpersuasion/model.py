@@ -308,14 +308,28 @@ def merge_duplicate_receivers(
 class ReceiverUtility:
     """One receiver's utility as a function of his marginal posterior.
 
-    Subclasses implement value_at.
+    Subclasses implement value_at, and may name its kinks.
     """
 
     def value_at(self, point: Posterior, space: StateSpace) -> Fraction:
         raise NotImplementedError
 
+    def kinks(self, space: StateSpace) -> tuple[Fraction, ...] | None:
+        """On two states, the first coordinates where value_at may bend or
+        jump: it is linear in the first coordinate on every interval of
+        [0, 1] that holds no kink.  None names no kinks, so that value_at
+        may bend anywhere; a subclass that changes value_at names its
+        own."""
+        return None
+
     def to_doc(self, space: StateSpace) -> dict:
         raise NotImplementedError
+
+
+def _first_coordinate(q: Fraction, state: str, space: StateSpace) -> Fraction:
+    """On two states, the first coordinate of the point where the named
+    state's probability is q."""
+    return q if space.index(state) == 0 else 1 - q
 
 
 @dataclass(frozen=True)
@@ -327,6 +341,9 @@ class ConstantUtility(ReceiverUtility):
 
     def value_at(self, point, space):
         return self.value
+
+    def kinks(self, space):
+        return ()
 
     def to_doc(self, space):
         return {"kind": "constant", "value": format_rational(self.value)}
@@ -354,6 +371,9 @@ class ThresholdUtility(ReceiverUtility):
         q = point[space.index(self.state)]
         hit = q > self.cutoff if self.strict else q >= self.cutoff
         return self.high if hit else self.low
+
+    def kinks(self, space):
+        return (_first_coordinate(self.cutoff, self.state, space),)
 
     def to_doc(self, space):
         return {
@@ -384,6 +404,9 @@ class PointUtility(ReceiverUtility):
         if len(self.point) != space.size:
             raise MatrixShapeMismatch("point utility dimension mismatch")
         return self.value if point == self.point else self.otherwise
+
+    def kinks(self, space):
+        return self.point[:1]
 
     def to_doc(self, space):
         return {
@@ -427,6 +450,9 @@ class PiecewiseUtility(ReceiverUtility):
             return max(self.values[idx], self.values[idx + 1])
         return self.values[idx]
 
+    def kinks(self, space):
+        return tuple(_first_coordinate(b, self.state, space) for b in self.breakpoints)
+
     def to_doc(self, space):
         return {
             "kind": "piecewise",
@@ -452,6 +478,9 @@ class LinearUtility(ReceiverUtility):
         if len(self.coeffs) != len(point):
             raise MatrixShapeMismatch("linear utility dimension mismatch")
         return self.offset + sum(c * q for c, q in zip(self.coeffs, point))
+
+    def kinks(self, space):
+        return ()
 
     def to_doc(self, space):
         return {

@@ -186,6 +186,8 @@ def test_solve_single_receiver(capsys, files, tmp_path):
     [
         ("chain2", "1/40", "chain2.solve-1-40.json"),
         ("star3", "1/20", "star3.solve-1-20.json"),
+        ("chain2", "1/1000000", "chain2.solve-1-1000000.json"),
+        ("star3", "1/1000000", "star3.solve-1-1000000.json"),
     ],
 )
 def test_solve_documents_are_pinned(capsys, name, epsilon, expected):
@@ -195,7 +197,9 @@ def test_solve_documents_are_pinned(capsys, name, epsilon, expected):
     solve (the chain's closed form, the star's breakpoint program's
     answer), so the bytes do not depend on scipy.  Recorded
     when the ladder replaced the scipy crash start, which moved the
-    optimal vertex (same objective) in 6 and 11 entries."""
+    optimal vertex (same objective) in 6 and 11 entries.  The same two
+    at 1/10^6 were recorded while the breakpoints were still found, and
+    the certificate still checked, by walking every lattice point."""
     data = Path(__file__).parent / "data"
     instance = str(data / f"{name}.instance.json")
     code, out, err = run(capsys, "solve", instance, "--epsilon", epsilon)

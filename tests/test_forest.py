@@ -2,16 +2,17 @@ import hashlib
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from itertools import compress
+from itertools import compress, count
 from pathlib import Path
 
 import pytest
 
-from mcpersuasion import forest, lp
+from mcpersuasion import forest, lattice, lp
 from mcpersuasion.beliefs import (
     BeliefDistribution,
     Coupling,
@@ -23,6 +24,7 @@ from mcpersuasion.dominance import dominance_set
 from mcpersuasion.errors import (
     BadEpsilon,
     DuplicateRows,
+    GridMismatch,
     InvariantViolation,
     NotAForest,
     ValidationError,
@@ -46,7 +48,9 @@ from mcpersuasion.model import (
     PiecewiseUtility,
     PointUtility,
     Prior,
+    ReceiverUtility,
     StateSpace,
+    TableUtility,
     ThresholdUtility,
     format_label,
     validate_instance,
@@ -550,7 +554,26 @@ def _lifted(glp, solution, dual):
     solution (read off glp's breakpoint program) in the full numbering,
     and the dual expanded from the lattice certificate of dual."""
     D = glp.grid.denominator
-    return _full_assignment(solution, glp.edges, D), _expanded(*forest._lattice_dual(glp, dual), D)
+    lines, g = lattice._lattice_dual(glp, dual)
+    return _full_assignment(solution, glp.edges, D), _expanded(lines, _on_lattice(glp, g), D)
+
+
+def _on_lattice(glp, g):
+    """A lattice certificate's g, given at glp's breakpoints, at every
+    point 0..D of the lattice, linear between breakpoints: per edge the
+    integers over S W, W the lcm of the gaps between breakpoints."""
+    at = lattice._positions(glp)
+    runs = list(zip(at, at[1:]))
+    W = math.lcm(*(r - l for l, r in runs))
+    out = []
+    for h, S in g:
+        H = [
+            (h[t] * (r - a) + h[t + 1] * (a - l)) * (W // (r - l))
+            for t, (l, r) in enumerate(runs)
+            for a in range(l, r)
+        ]
+        out.append((H + [h[-1] * W], S * W))
+    return out
 
 
 def _breakpoint_proposal(inst, glp):
@@ -564,13 +587,14 @@ def _breakpoint_run(inst, glp):
     """(x, y, points, program, start) for the full program of glp
     (full_grid_lp): the breakpoint program build_grid_lp builds, solved
     through lp.solve from start, the prior split that
-    forest._breakpoint_answer proposes without a dual, for a path forest
+    lattice._breakpoint_answer proposes without a dual, for a path forest
     too; its answer on the full program (_lifted); and the breakpoints
     as positions in glp.points."""
     bp = build_grid_lp(inst, glp.grid)
     D = glp.grid.denominator
     points = [w[0].numerator * (D // w[0].denominator) for w in bp.points]
-    start, dual = forest._breakpoint_answer(inst.prior.values[0] * D, inst.k, len(bp.edges), points)
+    p = inst.prior.values[0] * D
+    start, dual = lattice._breakpoint_answer(p, inst.k, len(bp.edges), points)
     assert dual is None
     sol = lp.solve(bp.program, propose=lambda: (start, None))
     solution = forest._read_solution(bp, sol.assignment, sol.objective)
@@ -671,7 +695,7 @@ def test_ladder_matches_the_plain_solve_on_jumps_and_off_grid_priors(
 
 
 def test_the_lift_certifies_every_two_state_grid(monkeypatch):
-    """The theorem behind forest._breakpoint_answer: on a two-state grid,
+    """The theorem behind lattice._breakpoint_answer: on a two-state grid,
     the breakpoint program's optimal point and dual, with each edge's
     duals rebuilt from the least concave majorant of its negated row-sum
     duals interpolated between breakpoints, are an optimality
@@ -719,7 +743,7 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
 def test_the_prior_split_is_the_one_point_over_its_neighbours():
     """The program over the prior's grid point, or the two next to it,
     has one feasible point, so lp.solve on it returns exactly the start
-    that forest._breakpoint_answer writes down: over _rung_programs(),
+    that lattice._breakpoint_answer writes down: over _rung_programs(),
     its solution, carried onto the breakpoint program's columns, is that
     start."""
     for inst, denominator in _rung_programs():
@@ -878,16 +902,16 @@ def _assert_closed_form(inst, denominator, built):
     and of the objective of the breakpoint answer, which check_optimal
     accepts too."""
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-    assert glp.propose.func is forest._path_certificate
+    assert glp.propose.func is lattice._path_certificate
     x, y = glp.propose()
     refused = lp._optimality_failure(glp.program, x, y)
     assert refused is None, f"closed form refused at 1/{denominator}: {refused}"
     built.clear()
     sol = lp.solve(glp.program, propose=glp.propose)
     assert built == [] and (sol.assignment, sol.dual) == (tuple(x), tuple(y))
-    lines, g = forest._lattice_dual(glp, y)
+    lines, g = lattice._lattice_dual(glp, y)
     p = inst.prior.values[0]
-    assert forest._lattice_failure(glp.values, glp.edges, p, lines, g, sol.objective) is None
+    assert lattice._lattice_failure(glp, p, lines, g, sol.objective) is None
     full = full_grid_lp(inst, glp.grid)
     X, Y = _closed_form(inst, denominator)[1:]
     refused = lp._optimality_failure(full.program, X, Y)
@@ -924,10 +948,17 @@ def _one_pass_read_solution(glp, assignment, objective):
 
 
 def test_read_back_matches_one_pass_binning():
-    """On the grid2 generator's jobs of seeds 1-3 and on seeded
-    three-state chains at 1/4 and 1/8, _read_solution reads the same
-    solution as the one-pass binning, flows in the same order."""
-    cases = [(job, 2) for seed in (1, 2, 3) for job in _grid2_jobs(seed)]
+    """On GRID_CASES, the JUMPS instances at 1/10, 1/20 and 1/40, the
+    grid2 generator's jobs of seeds 1-8 and seeded three-state chains at
+    1/4 and 1/8, _read_solution, which builds each marginal directly from
+    its block's nonzero entries at the sorted points, reads the same
+    solution as the one-pass binning through from_pairs, flows in the
+    same order and masses in Fractions."""
+    cases = [((_data_instance(name), denominator), 2) for name, denominator in GRID_CASES]
+    for utilities, prior, _ in JUMPS.values():
+        inst = make_instance(CHAIN2, utilities, prior=prior)
+        cases += [((inst, denominator), 2) for denominator in (10, 20, 40)]
+    cases += [(job, 2) for seed in range(1, 9) for job in _grid2_jobs(seed)]
     cases += [
         ((_three_state_chain(random.Random(seed)), denominator), 3)
         for seed in (8, 9)
@@ -939,6 +970,7 @@ def test_read_back_matches_one_pass_binning():
         got = forest._read_solution(glp, sol.assignment, sol.objective)
         want = _one_pass_read_solution(glp, sol.assignment, sol.objective)
         assert got == want
+        assert all(type(m) is F for dist in got.marginals for m in dist.masses)
         for edge, coupling in got.couplings.items():
             assert list(coupling.flow.items()) == list(want.couplings[edge].flow.items())
 
@@ -997,7 +1029,7 @@ def test_path_forests_are_certified_in_closed_form(monkeypatch):
         for inst, denominator in _grid2_jobs(seed):
             if inst.structure.matrix == tuple(map(tuple, STAR3)):
                 glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-                assert glp.propose.func is forest._breakpoint_answer
+                assert glp.propose.func is lattice._breakpoint_answer
                 stars += 1
             else:
                 cases.append((inst, denominator))
@@ -1111,7 +1143,7 @@ def test_chain_grid_values_are_nested_concavifications():
 
 
 def test_edge_dual_columns_are_the_concavification():
-    """forest._edge_dual's column-sum duals for f / S are cav(f / S) at
+    """lattice._edge_dual's column-sum duals for f / S are cav(f / S) at
     every point, as _cav_table finds it with beliefs.concavify_single,
     which knows no hull, and its barycenter duals D times cav's slope to
     the right (to the left at D); its row-sum duals are -f / S."""
@@ -1119,7 +1151,7 @@ def test_edge_dual_columns_are_the_concavification():
     for _ in range(60):
         D, S = rng.randint(1, 12), rng.randint(1, 6)
         f = [rng.randint(-20, 20) for _ in range(D + 1)]
-        duals, _ = forest._edge_dual(f, S, range(D + 1))
+        duals, _ = lattice._edge_dual(f, S, range(D + 1))
         table = {pt(F(a, D), 1 - F(a, D)): F(v, S) for a, v in enumerate(f)}
         cav = list(_cav_table(table).values())  # in the order of a
         slopes = [D * (r - l) for l, r in zip(cav, cav[1:])]
@@ -1132,9 +1164,9 @@ def test_path_certificate_duals_are_edge_duals_of_its_row_sums():
     its own row-sum duals, negated, taken in integers over their common
     denominator and interpolated between breakpoints: the column-sum
     duals are the least concave majorant of that interpolation
-    (forest._concave_majorant), the barycenter duals D times its slope to
-    the right (to the left at D), so the lattice certificate's g is the
-    closed form's cav f(parent)."""
+    over the whole lattice (_lattice_majorant), the barycenter duals D
+    times its slope to the right (to the left at D), so the lattice
+    certificate's g is the closed form's cav f(parent)."""
     rng = random.Random(73)
     edges_seen = 0
     for _ in range(200):
@@ -1147,7 +1179,7 @@ def test_path_certificate_duals_are_edge_duals_of_its_row_sums():
             rows = y[at : at + m]
             S = math.lcm(*(v.denominator for v in rows))
             f = [-v.numerator * (S // v.denominator) for v in rows]
-            h, M, _ = forest._concave_majorant(points, f)
+            h, M, _ = _lattice_majorant(points, f)
             right = [min(a, D - 1) for a in points]
             cav = [F(h[a], S * M) for a in points]
             slopes = [F(D * (h[c + 1] - h[c]), S * M) for c in right]
@@ -1230,7 +1262,7 @@ def _rung_programs():
 
 
 def test_rung_programs_are_restrictions_of_the_full_program():
-    """The breakpoint program that forest._breakpoint_answer makes over a
+    """The breakpoint program that lattice._breakpoint_answer makes over a
     subset of the points is the full program restricted to the columns
     of every x at those points and every y between two of them, as an
     independent builder from the Fraction rows makes it: the same
@@ -1351,11 +1383,11 @@ def test_a_replayed_solve_never_calls_the_proposal(name, denominator, monkeypatc
 # Two-state lattice certificates: no coupling program on the full grid
 
 
-def _lattice_accepts(inst, full, lines, g, x):
-    """Whether the lattice certificate (lines, g) proves x, a point of
-    full's program (full_grid_lp), optimal: x read back into a
-    GridSolution of value c.x and validated, then
-    forest._lattice_failure."""
+def _lattice_accepts(inst, glp, full, lines, g, x):
+    """Whether the lattice certificate (lines, g) of glp's breakpoint
+    program proves x, a point of full's program (full_grid_lp), optimal:
+    x read back into a GridSolution of value c.x and validated, then
+    lattice._lattice_failure."""
     program = full.program
     objective = sum((F(a, program.obj_den) * x[j] for j, a in program.obj.items()), F(0))
     try:
@@ -1364,7 +1396,7 @@ def _lattice_accepts(inst, full, lines, g, x):
     except (InvariantViolation, ValidationError):
         return False
     p = inst.prior.values[0]
-    return forest._lattice_failure(full.values, full.edges, p, lines, g, objective) is None
+    return lattice._lattice_failure(glp, p, lines, g, objective) is None
 
 
 def _lattice_certificate(inst, denominator):
@@ -1373,15 +1405,15 @@ def _lattice_certificate(inst, denominator):
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
     sol = lp.solve(glp.program, propose=glp.propose)
     solution = forest._read_solution(glp, sol.assignment, sol.objective)
-    return glp, solution, *forest._lattice_dual(glp, sol.dual)
+    return glp, solution, *lattice._lattice_dual(glp, sol.dual)
 
 
 def _mutations(rng, lines, g, x):
     """Single-entry mutations of the certificate (lines, g) and the point
     x: a line's value at (1, 0) or (0, 1) moved up and one moved down by
-    1/its denominator; four values of g moved by one unit of its
-    denominator; a nonzero entry of x moved by 1/its denominator, and a
-    zero entry given that mass."""
+    1/its denominator; four values of g, at breakpoints, moved by one
+    unit of its denominator; a nonzero entry of x moved by 1/its
+    denominator, and a zero entry given that mass."""
     out = []
     for move in (1, -1):
         i, side = rng.randrange(len(lines)), rng.randrange(2)
@@ -1404,7 +1436,7 @@ def _mutations(rng, lines, g, x):
 
 def test_the_lattice_check_agrees_with_check_optimal_on_the_full_program():
     """The lattice check (validation of the point read back, then
-    forest._lattice_failure) accepts exactly when lp.check_optimal
+    lattice._lattice_failure) accepts exactly when lp.check_optimal
     accepts on the full program with the dual expanded from the
     certificate (_expanded).  Over GRID_CASES, the JUMPS instances at
     1/10, 1/20 and 1/40, and every job of the grid2 workload's seeds 1-8,
@@ -1422,42 +1454,49 @@ def test_the_lattice_check_agrees_with_check_optimal_on_the_full_program():
         glp, solution, lines, g = _lattice_certificate(inst, D)
         full = full_grid_lp(inst, glp.grid)
         x = _full_assignment(solution, glp.edges, D)
-        assert lp.check_optimal(full.program, x, _expanded(lines, g, D))
-        assert _lattice_accepts(inst, full, lines, g, x)
+        assert lp.check_optimal(full.program, x, _expanded(lines, _on_lattice(glp, g), D))
+        assert _lattice_accepts(inst, glp, full, lines, g, x)
         for bent_lines, bent_g, bent_x in _mutations(rng, lines, g, x):
-            accepted = lp.check_optimal(full.program, bent_x, _expanded(bent_lines, bent_g, D))
-            assert _lattice_accepts(inst, full, bent_lines, bent_g, bent_x) == accepted
+            y = _expanded(bent_lines, _on_lattice(glp, bent_g), D)
+            accepted = lp.check_optimal(full.program, bent_x, y)
+            assert _lattice_accepts(inst, glp, full, bent_lines, bent_g, bent_x) == accepted
             verdicts.append(accepted)
     assert len(cases) == 222 and set(verdicts) == {True, False}
 
 
 @pytest.mark.parametrize("name", ["chain2", "star3"])
 def test_a_refused_lattice_certificate_names_its_failing_part(name, monkeypatch):
-    """forest._lattice_failure names each kind of failure, each made by a
+    """lattice._lattice_failure names each kind of failure, each made by a
     single-entry mutation of solve_grid's certificate at 1/20: a value of
-    g lowered by one unit where g is linear, so that it is not concave
-    there; a line's value at (0, 1) moved down (the receiver is then
-    priced above its line where its price met it, found here in
-    Fractions) or up (the lines' value at the prior then exceeds c.x).
-    solve_grid handed a dual that makes such a certificate raises
-    InvariantViolation with the name."""
+    g lowered by one unit at a breakpoint where g is linear, so that it
+    is not concave there; a line's value at (0, 1) moved down (the
+    receiver is then priced above its line where its price met it, found
+    here in Fractions over the whole lattice) or up (the lines' value at
+    the prior then exceeds c.x).  solve_grid handed a dual that makes
+    such a certificate raises InvariantViolation with the name."""
     inst = _data_instance(name)
     glp, solution, lines, g = _lattice_certificate(inst, 20)
     p, c = inst.prior.values[0], solution.objective
-    check = partial(forest._lattice_failure, glp.values, glp.edges, p)
+    check = partial(lattice._lattice_failure, glp, p)
     assert check(lines, g, c) is None
     (h, S), (i1, i2) = g[0], glp.edges[0]
-    a = next(a for a in range(1, 20) if h[a - 1] + h[a + 1] == 2 * h[a])
-    bent = [(h[:a] + [h[a] - 1] + h[a + 1 :], S)] + g[1:]
-    label = format_label((F(a, 20), F(20 - a, 20)))
+    at = lattice._positions(glp)
+    t = next(
+        t
+        for t in range(1, len(at) - 1)
+        if (h[t] - h[t - 1]) * (at[t + 1] - at[t]) == (h[t + 1] - h[t]) * (at[t] - at[t - 1])
+    )
+    bent = [(h[:t] + [h[t] - 1] + h[t + 1 :], S)] + g[1:]
+    label = format_label((F(at[t], 20), F(20 - at[t], 20)))
     assert check(lines, bent, c) == f"g of edge ({i1 + 1},{i2 + 1}) is not concave at {label}"
+    whole = full_grid_lp(inst, glp.grid).values
     for i, (top, bottom) in enumerate(lines):
         low = bottom - F(1, bottom.denominator)
         moved = lines[:i] + [(top, low)] + lines[i + 1 :]
         prices = [
-            u - sum(F(h[a], S) for (h, S), (j, _) in zip(g, glp.edges) if j == i)
-            + sum(F(h[a], S) for (h, S), (_, j) in zip(g, glp.edges) if j == i)
-            for a, u in enumerate(glp.values[i])
+            u - sum(F(h[a], S) for (h, S), (j, _) in zip(_on_lattice(glp, g), glp.edges) if j == i)
+            + sum(F(h[a], S) for (h, S), (_, j) in zip(_on_lattice(glp, g), glp.edges) if j == i)
+            for a, u in enumerate(whole[i])
         ]
         above = next(a for a, v in enumerate(prices) if v > (top * a + low * (20 - a)) / 20)
         label = format_label((F(above, 20), F(20 - above, 20)))
@@ -1479,6 +1518,256 @@ def test_a_refused_lattice_certificate_names_its_failing_part(name, monkeypatch)
         monkeypatch.setattr(forest.lp, "solve", solve)
         with pytest.raises(InvariantViolation, match=f"lattice certificate failed: {part}"):
             solve_grid(inst, PosteriorGrid(dim=2, denominator=20))
+
+
+# ---------------------------------------------------------------------------
+# The lattice scans that the utilities' kinks and the breakpoint
+# certificate replace, kept as oracles
+
+
+def _scan_breakpoints(p, values):
+    """The breakpoints of a two-state grid found by scanning every lattice
+    point: 0, D, p (prior times D) or the two next to it, and every a
+    where some utility bends down, u(a-1) - 2u(a) + u(a+1) < 0,
+    values[i][a] being receiver i's utility at a/D."""
+    D = len(values[0]) - 1
+    bends = {0, D, math.floor(p), math.ceil(p)}
+    for u in values:
+        V = math.lcm(*(v.denominator for v in u))
+        u = [v.numerator * (V // v.denominator) for v in u]
+        bends.update(a for a, l, c, r in zip(count(1), u, u[1:], u[2:]) if l + r < 2 * c)
+    return sorted(bends)
+
+
+def _lattice_majorant(xs, values):
+    """The least concave majorant of the points (xs[t], values[t]), xs
+    increasing integers, listed at every integer from xs[0] to xs[-1]:
+    (M times it, M, the piece (l, r) of each t as positions in xs), M
+    the lcm of the hull's piece lengths."""
+    hull = []
+    for t, (x, v) in enumerate(zip(xs, values)):
+        while len(hull) > 1 and (
+            (values[hull[-1]] - values[hull[-2]]) * (x - xs[hull[-2]])
+            <= (v - values[hull[-2]]) * (xs[hull[-1]] - xs[hull[-2]])
+        ):
+            hull.pop()
+        hull.append(t)
+    M = math.lcm(*(xs[r] - xs[l] for l, r in zip(hull, hull[1:])))
+    majorant = []
+    pieces = [(hull[-2], hull[-1])] * len(xs)
+    for l, r in zip(hull, hull[1:]):
+        start, width = values[l] * M, xs[r] - xs[l]
+        step = (values[r] - values[l]) * (M // width)
+        majorant += range(start, values[r] * M, step) if step else [start] * width
+        pieces[l:r] = [(l, r)] * (r - l)
+    majorant.append(values[-1] * M)
+    return majorant, M, pieces
+
+
+def _scan_dual(glp, dual):
+    """The lattice certificate (lines, g) of a dual of glp's breakpoint
+    program with each g listed at every point 0..D: the majorant over
+    the lattice of the negated row-sum duals interpolated between
+    breakpoints (_lattice_majorant)."""
+    k, at = len(glp.values), lattice._positions(glp)
+    m = len(at)
+    lines = [(dual[2 * i] + nu, dual[2 * i + 1] + nu) for i, nu in enumerate(dual[len(dual) - k :])]
+    g = []
+    for start in range(2 * k, 2 * k + 3 * m * len(glp.edges), 3 * m):
+        alpha = dual[start : start + m]
+        S = math.lcm(*(v.denominator for v in alpha))
+        h, M, _ = _lattice_majorant(at, [-v.numerator * (S // v.denominator) for v in alpha])
+        g.append((h, S * M))
+    return lines, g
+
+
+def _scan_failure(values, edges, prior, lines, g, objective):
+    """The first failing part of a lattice certificate (lines, g), g
+    listed at every point 0..D, found by checking every lattice point:
+    g's concavity, then each receiver's price against its line, in
+    integers over one denominator per receiver, then the lines' value at
+    the prior; values[i][a] is receiver i's utility at a/D."""
+    D = len(values[0]) - 1
+    for (i1, i2), (h, _) in zip(edges, g):
+        bent = next((a for a, l, c, r in zip(count(1), h, h[1:], h[2:]) if l + r > 2 * c), None)
+        if bent is not None:
+            label = lattice._lattice_label(bent, D)
+            return f"g of edge ({i1 + 1},{i2 + 1}) is not concave at {label}"
+    for i, (u, (top, bottom)) in enumerate(zip(values, lines)):
+        terms = [(-1 if i1 == i else 1, g[e]) for e, (i1, i2) in enumerate(edges) if i in (i1, i2)]
+        T = math.lcm(*(v.denominator for v in (*u, top, bottom)), *(S for _, (_, S) in terms))
+        price = [v.numerator * (T // v.denominator) * D for v in u]
+        for sign, (h, S) in terms:
+            price = [v + sign * (T // S) * D * x for v, x in zip(price, h)]
+        low = bottom.numerator * (T // bottom.denominator)
+        rise = top.numerator * (T // top.denominator) - low
+        above = next((a for a, v in enumerate(price) if v > low * D + rise * a), None)
+        if above is not None:
+            label = lattice._lattice_label(above, D)
+            return f"receiver {i + 1} is priced above its line at {label}"
+    value = sum((top * prior + bottom * (1 - prior) for top, bottom in lines), F(0))
+    if value != objective:
+        return f"the lines' value {value} at the prior differs from c.x = {objective}"
+    return None
+
+
+class _Wave(ReceiverUtility):
+    """A utility that defines value_at alone, so names no kinks: bumps of
+    height 0 to 6 thirds, in no pattern a kink would catch."""
+
+    def value_at(self, point, space):
+        return F((point[0] * 60).numerator % 7, 3)
+
+
+#: utilities that bend beside their kinks or name none: (utilities,
+#: prior, steps)
+KINKS = {
+    "thresholds-that-drop-on-the-lattice": (
+        [
+            ThresholdUtility(state="0", cutoff=F(1, 2), high=F(0), low=F(1)),
+            ThresholdUtility(state="1", cutoff=F(3, 10), high=F(-1), low=F(2)),
+        ],
+        ("2/5", "3/5"),
+        (5, 7, 10, 20, 40),
+    ),
+    "keyed-on-either-state": (
+        [
+            PiecewiseUtility(state="0", breakpoints=(F(1, 5), F(2, 3)), values=(F(1), F(3), F(0))),
+            PiecewiseUtility(state="1", breakpoints=(F(1, 4), F(1, 2)), values=(F(2), F(0), F(4))),
+        ],
+        ("1/3", "2/3"),
+        (5, 7, 10, 20, 40),
+    ),
+    "a-table": (
+        [
+            TableUtility(tuple((pt(F(a, 20), F(20 - a, 20)), F(a * a % 9, 2)) for a in range(21))),
+            LinearUtility(coeffs=(F(1), F(-1))),
+        ],
+        ("3/5", "2/5"),
+        (4, 5, 10, 20),
+    ),
+    "value-at-only": (
+        [_Wave(), PointUtility(point=pt("3/10", "7/10"), value=F(2))],
+        ("1/2", "1/2"),
+        (5, 7, 10, 20, 40),
+    ),
+    "points-and-constants": (
+        [
+            PointUtility(point=pt("1/3", "2/3"), value=F(3), otherwise=F(1)),
+            PointUtility(point=pt("3/5", "2/5"), value=F(-1), otherwise=F(1, 2)),
+        ],
+        ("1/4", "3/4"),
+        (3, 5, 10, 20, 40),
+    ),
+}
+
+
+def _kink_cases():
+    """(instance, denominator): GRID_CASES, the JUMPS instances at 1/10,
+    1/20 and 1/40, the grid2 generator's jobs of seeds 1-8, and the
+    KINKS chains at their steps."""
+    cases = [(_data_instance(name), denominator) for name, denominator in GRID_CASES]
+    for utilities, prior, _ in JUMPS.values():
+        inst = make_instance(CHAIN2, utilities, prior=prior)
+        cases += [(inst, denominator) for denominator in (10, 20, 40)]
+    cases += [job for seed in range(1, 9) for job in _grid2_jobs(seed)]
+    for utilities, prior, steps in KINKS.values():
+        inst = make_instance(CHAIN2, utilities, prior=prior)
+        cases += [(inst, denominator) for denominator in steps]
+    return cases
+
+
+def _tabulated(inst, denominator):
+    """Every receiver's utility at every point of the two-state lattice."""
+    pts = PosteriorGrid(2, denominator).points()
+    return [[u.value_at(w, inst.space) for w in pts] for u in inst.utilities.receivers]
+
+
+def test_kinks_give_the_breakpoints_of_the_lattice_scan():
+    """lattice._breakpoints looks each utility up only beside its kinks,
+    and finds the breakpoints the scan of every lattice point finds
+    (_scan_breakpoints) over _kink_cases(): a threshold whose high is
+    below its low at a cutoff on the lattice, utilities keyed on state
+    "0" and on "1", a TableUtility and a utility that defines value_at
+    alone among them.  Each value it looks up is the tabulated one,
+    between neighbouring positions looked up the tabulated utility is
+    linear (which lattice._lattice_failure relies on), and a utility that
+    names no kinks is looked up everywhere.  On the KINKS chains,
+    solve_grid, certified on the lattice, reaches the full program's
+    optimum."""
+    for inst, D in _kink_cases():
+        whole = _tabulated(inst, D)
+        p = inst.prior.values[0] * D
+        at, pts, values = lattice._breakpoints(inst.utilities.receivers, inst.space, D, p)
+        assert at == _scan_breakpoints(p, whole)
+        assert pts == tuple(PosteriorGrid(2, D).points()[a] for a in at)
+        for u, v, table in zip(inst.utilities.receivers, values, whole):
+            assert all(table[a] == x for a, x in v.items())
+            looked = sorted(v)
+            for l, r in zip(looked, looked[1:]):
+                rise = table[r] - table[l]
+                assert all((table[a] - table[l]) * (r - l) == rise * (a - l) for a in range(l, r))
+            if u.kinks(inst.space) is None:
+                assert looked == list(range(D + 1))
+    for utilities, prior, steps in KINKS.values():
+        inst = make_instance(CHAIN2, utilities, prior=prior)
+        for denominator in steps[:3]:
+            grid = PosteriorGrid(dim=2, denominator=denominator)
+            full = full_grid_lp(inst, grid)
+            assert solve_grid(inst, grid).objective == lp.solve(full.program).objective
+
+
+def test_a_table_off_the_step_is_refused_at_its_first_missing_point():
+    """A TableUtility on the 1/20 lattice, solved at 1/40: the first
+    lattice point it lacks is named, as tabulating every point names it."""
+    utilities, prior, _ = KINKS["a-table"]
+    inst = make_instance(CHAIN2, utilities[::-1], prior=prior)
+    with pytest.raises(GridMismatch) as tabulated:
+        _tabulated(inst, 40)
+    with pytest.raises(GridMismatch, match=re.escape(str(tabulated.value))):
+        solve_fptas(inst, F(1, 40))
+
+
+def test_the_breakpoint_certificate_reads_as_the_lattice_scan():
+    """lattice._lattice_dual's g, given at the breakpoints, is, linear
+    between them (_on_lattice), the g of the scan's dual over 0..D
+    (_scan_dual).  lattice._lattice_failure, which checks g at the
+    breakpoints and each price where its utility was looked up, gives
+    the verdict of _scan_failure, which checks every lattice point: None
+    or the same named failure.  Over _kink_cases(), on solve_grid's
+    certificate, on its single-entry mutations (_mutations), and on each
+    line's value at (1, 0) or (0, 1) lowered by a seeded amount, which
+    sometimes first crosses a price between two positions looked up, so
+    that the first lattice point above the line is found in closed form."""
+    rng = random.Random(83)
+    verdicts, between = set(), 0
+    for inst, D in _kink_cases():
+        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=D))
+        sol = lp.solve(glp.program, propose=glp.propose)
+        lines, g = lattice._lattice_dual(glp, sol.dual)
+        scan_lines, scan_g = _scan_dual(glp, sol.dual)
+        assert lines == scan_lines
+        for (h, S), (H, T) in zip(_on_lattice(glp, g), scan_g, strict=True):
+            assert [F(v, S) for v in h] == [F(v, T) for v in H]
+        whole, p = _tabulated(inst, D), inst.prior.values[0]
+        program = glp.program
+        bent = _mutations(rng, lines, g, list(sol.assignment))
+        for i, side in ((i, side) for i in range(len(lines)) for side in (0, 1)):
+            lowered = [list(line) for line in lines]
+            lowered[i][side] -= F(rng.randint(1, 30), rng.randint(1, 30))
+            bent.append(([tuple(line) for line in lowered], g, sol.assignment))
+        for bent_lines, bent_g, x in bent:
+            objective = sum((F(a, program.obj_den) * x[j] for j, a in program.obj.items()), F(0))
+            got = lattice._lattice_failure(glp, p, bent_lines, bent_g, objective)
+            on_lattice = _on_lattice(glp, bent_g)
+            want = _scan_failure(whole, glp.edges, p, bent_lines, on_lattice, objective)
+            assert got == want
+            verdicts.add(got and got.split(" ")[0])
+            if got and "priced above" in got:
+                label = got.rsplit(" at ", 1)[1]
+                looked = {lattice._lattice_label(a, D) for v in glp.values for a in v}
+                between += label not in looked
+    assert verdicts == {None, "g", "receiver", "the"} and between
 
 
 def test_solution_validate_refuses_points_off_the_lattice():
@@ -1522,6 +1811,36 @@ def test_fine_steps_build_no_large_program(name, monkeypatch):
     assert sizes and max(sizes) <= 10_000
     assert solution.step == F(1, 10_000)
     assert solution.objective == evaluate_table(table, inst) == reference
+
+
+@pytest.mark.parametrize("name", ["chain2", "star3"])
+def test_fine_steps_look_up_no_more_utility_values(name, monkeypatch):
+    """Step independence, counted: solve_fptas looks the utilities up no
+    more often at 1/10^6 than at 1/40, and never lists the lattice
+    (PosteriorGrid.points), since the breakpoints come from the kinks
+    and the certificate checks the positions looked up alone."""
+    inst = _data_instance(name)
+    looked, listed = [], []
+    real_value_at = PiecewiseUtility.value_at
+
+    def value_at(self, point, space):
+        looked.append(point)
+        return real_value_at(self, point, space)
+
+    def points(self):
+        listed.append(self)
+        return ()
+
+    monkeypatch.setattr(PiecewiseUtility, "value_at", value_at)
+    monkeypatch.setattr(PosteriorGrid, "points", points)
+    counts = []
+    for denominator in (40, 10**6):
+        looked.clear()
+        solution, _ = solve_fptas(inst, F(1, denominator))
+        assert solution.step == F(1, denominator)
+        counts.append(len(looked))
+    assert 0 < counts[1] <= counts[0]
+    assert listed == []
 
 
 # ---------------------------------------------------------------------------

@@ -1048,13 +1048,16 @@ def full_grid_lp(instance, grid):
     """build_grid_lp's GridLP with the grid program over every point of
     the grid: on two states, where build_grid_lp builds the breakpoint
     program only, the full one from forest._grid_program over
-    grid.points(), with its points and numbering."""
+    grid.points(), with its points and numbering, and every receiver's
+    utility tabulated at every point, as past two states."""
     glp = build_grid_lp(instance, grid)
     if grid.dim != 2:
         return glp
     pts = grid.points()
-    program = forest._grid_program(instance.prior, glp.edges, grid.denominator, pts, glp.values)
-    return replace(glp, program=program, points=pts)
+    receivers = instance.utilities.receivers
+    values = tuple(tuple(u.value_at(w, instance.space) for w in pts) for u in receivers)
+    program = forest._grid_program(instance.prior, glp.edges, grid.denominator, pts, values)
+    return replace(glp, program=program, points=pts, values=values)
 
 
 def _grid_program(name, denominator):
