@@ -101,6 +101,14 @@ def _parse_subset(text: str, k: int) -> frozenset:
     return frozenset(i - 1 for i in members)
 
 
+def _decimal(value) -> float:
+    """value's float rendering for --decimal; one past float range is refused."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise UsageError("--decimal cannot render a value past float range") from None
+
+
 def _pairs_doc(pairs) -> list:
     return [[a + 1, b + 1] for a, b in sorted(pairs)]
 
@@ -187,7 +195,7 @@ def _cmd_solve(args):
     solution, table = solve_fptas(inst, epsilon)
     doc = scheme_to_doc(solution, table)
     if args.decimal:
-        doc["objective_decimal"] = float(solution.objective)
+        doc["objective_decimal"] = _decimal(solution.objective)
     summary = f"objective {format_rational(solution.objective)} at step {format_rational(solution.step)}"
     return _deliver(doc, args, summary), 0
 
@@ -266,7 +274,7 @@ def _cmd_verify_scheme(args):
         "expected_utility": format_rational(expected),
     }
     if args.decimal:
-        doc["expected_utility_decimal"] = float(expected)
+        doc["expected_utility_decimal"] = _decimal(expected)
     return doc, 0 if ok else 3
 
 
@@ -332,7 +340,7 @@ def _cmd_reduce(args):
         "value": value,
     }
     if args.decimal:
-        doc["value_decimal"] = float(out.value)
+        doc["value_decimal"] = _decimal(out.value)
     if args.out:
         paths = [piece.strip() for piece in args.out.split(",")]
         if len(paths) != 2 or not all(paths):

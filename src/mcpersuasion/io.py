@@ -309,7 +309,8 @@ def write_document(path, doc: Mapping) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise FileError(f"cannot write {path}: {exc}") from exc
+        # strerror alone: exc may name the temp file, which differs on every run
+        raise FileError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -71,17 +71,20 @@ def _breakpoints(receivers, space, D, p) -> tuple[list[int], tuple[Posterior, ..
         v = {a: u.value_at(point(a), space) for a in at}
         V = lcm(*(x.denominator for x in v.values()))
         w = [v[a].numerator * (V // v[a].denominator) for a in at]
-        found.update(
-            a
-            for l, a, r, wl, wa, wr in zip(at, at[1:], at[2:], w, w[1:], w[2:])
-            if (wa - wl) * (r - a) > (wr - wa) * (a - l)
-        )
+        found.update(at[t] for t in range(1, len(at) - 1) if _bend(at, w, t - 1, t, t + 1) > 0)
         values.append(v)
     for u, v in zip(receivers, values):
         for a in found.difference(v):
             v[a] = u.value_at(point(a), space)
     at = sorted(found)
     return at, tuple(map(point, at)), tuple(values)
+
+
+def _bend(xs, vs, l, a, r) -> int:
+    """The bend at index a, between indices l < a < r, of the function
+    through the points (xs[t], vs[t]): positive where its slope falls at
+    a (it bends down), negative where it rises, 0 where it is straight."""
+    return (vs[a] - vs[l]) * (xs[r] - xs[a]) - (vs[r] - vs[a]) * (xs[a] - xs[l])
 
 
 def _breakpoint_answer(p, k, n_edges, points) -> tuple[list[Fraction], None]:
@@ -143,12 +146,9 @@ def _concave_majorant(xs, values) -> tuple[list, int, list[tuple[int, int]]]:
     xs[0] to xs[-1]; the piece of t is the one, (l, r), with l <= xs[t]
     < r, and the last one for the last t."""
     hull: list[int] = []
-    for t, (x, v) in enumerate(zip(xs, values)):
-        # drop the last vertex while it lies on or below the chord to t
-        while len(hull) > 1 and (
-            (values[hull[-1]] - values[hull[-2]]) * (x - xs[hull[-2]])
-            <= (v - values[hull[-2]]) * (xs[hull[-1]] - xs[hull[-2]])
-        ):
+    for t in range(len(xs)):
+        # drop the last vertex while it does not bend down on the way to t
+        while len(hull) > 1 and _bend(xs, values, hull[-2], hull[-1], t) <= 0:
             hull.pop()
         hull.append(t)
     M = lcm(*(xs[r] - xs[l] for l, r in zip(hull, hull[1:])))
@@ -307,16 +307,9 @@ def _lattice_failure(glp: GridLP, prior, lines, g, objective) -> str | None:
     D = at[-1]
     runs = list(zip(at, at[1:]))
     for (i1, i2), (h, _) in zip(edges, g):
-        bent = next(
-            (
-                a
-                for (l, a), (_, r), hl, ha, hr in zip(runs, runs[1:], h, h[1:], h[2:])
-                if (ha - hl) * (r - a) < (hr - ha) * (a - l)
-            ),
-            None,
-        )
+        bent = next((t for t in range(1, len(at) - 1) if _bend(at, h, t - 1, t, t + 1) < 0), None)
         if bent is not None:
-            return f"g of edge ({i1 + 1},{i2 + 1}) is not concave at {_lattice_label(bent, D)}"
+            return f"g of edge ({i1 + 1},{i2 + 1}) is not concave at {_lattice_label(at[bent], D)}"
     for i, (u, (top, bottom)) in enumerate(zip(glp.values, lines)):
         terms = [(-1 if i1 == i else 1, g[e]) for e, (i1, i2) in enumerate(edges) if i in (i1, i2)]
         T = lcm(*(v.denominator for v in (*u.values(), top, bottom)), *(S for _, (_, S) in terms))

@@ -25,9 +25,9 @@ No status is reported on trust: an optimal answer carries a dual
 vector, an infeasible one a Farkas vector, an unbounded one a feasible
 point and an improving ray, each checked exactly against the program as
 stored, never the engine's scaled rows; a failed check is named with
-its row or column (_optimality_failure, _farkas_failure,
-_ray_failure).  Output is deterministic for a fixed input; only a solve
-that takes the floating-point start can depend on the installation.
+its row or column (_optimality, _farkas_failure, _ray_failure).
+Output is deterministic for a fixed input; only a solve that takes the
+floating-point start can depend on the installation.
 """
 
 from __future__ import annotations
@@ -256,10 +256,11 @@ def _located(lp, v, what, name, scale) -> tuple[tuple[list[int], int] | None, st
     return point, None
 
 
-def _wrong_sign(lp, y) -> int | None:
-    """The first row whose dual has the wrong sign: y_i >= 0 on each <=
-    row and y_i <= 0 on each >= row; None when every sign is right."""
-    return _first_false(yi.numerator * _SIGN[rel] >= 0 for (_, rel, _, _), yi in zip(lp.rows, y))
+def _wrong_sign(lp, y) -> str | None:
+    """The first row whose dual has the wrong sign, named: y_i >= 0 on
+    each <= row and y_i <= 0 on each >= row; None when every sign is right."""
+    i = _first_false(yi.numerator * _SIGN[rel] >= 0 for (_, rel, _, _), yi in zip(lp.rows, y))
+    return None if i is None else f"y[{i}] = {y[i]} has the wrong sign for a {lp.rows[i][1]} row"
 
 
 def _scaled_yA(lp, y) -> tuple[list[int], int, int]:
@@ -289,18 +290,18 @@ def _priced_column(lp, yA, s) -> int | None:
 def _optimality(lp, x, y) -> tuple[str | None, Fraction | None]:
     """(failure, value).  failure names the first part of the optimality
     certificate (x, y) that fails, with its index, in the order checked:
-    the dual's length, the point's length and signs, a row of lp at x, a
-    dual of the wrong sign, a column's reduced cost, and the gap between
-    c.x and y'b; value is then None.  When (x, y) certifies that x is
-    optimal, failure is None and value is c.x, read off the check's one
-    scan of x."""
+    an inexact entry of y, then of x, the dual's length, the point's
+    length and signs, a row of lp at x, a dual of the wrong sign, a
+    column's reduced cost, and the gap between c.x and y'b; value is then
+    None.  When (x, y) certifies that x is optimal, failure is None and
+    value is c.x, read off the check's one scan of x."""
+    if (failure := _inexact(y, "y") or _inexact(x, "x")) is not None:
+        return failure, None
     if len(y) != lp.n_constraints:
         return f"dual has {len(y)} entries for {lp.n_constraints} rows", None
     point, failure = _located(lp, x, "point", "x", 1)
-    if failure is not None:
+    if (failure := failure or _wrong_sign(lp, y)) is not None:
         return failure, None
-    if (i := _wrong_sign(lp, y)) is not None:
-        return f"y[{i}] = {y[i]} has the wrong sign for a {lp.rows[i][1]} row", None
     yA, yb, s = _scaled_yA(lp, y)
     if (j := _priced_column(lp, yA, s)) is not None:
         cost = Fraction(lp.obj.get(j, 0), lp.obj_den) - Fraction(yA[j], s)
@@ -311,14 +312,8 @@ def _optimality(lp, x, y) -> tuple[str | None, Fraction | None]:
     return None, value
 
 
-def _optimality_failure(lp, x, y) -> str | None:
-    """An inexact entry of y or x, else _optimality's failure: None
-    exactly when (x, y) certifies that x is optimal."""
-    return _inexact(y, "y") or _inexact(x, "x") or _optimality(lp, x, y)[0]
-
-
 def check_optimal(lp, x, y) -> bool:
-    return _optimality_failure(lp, x, y) is None
+    return _optimality(lp, x, y)[0] is None
 
 
 def _farkas_failure(lp, y) -> str | None:
@@ -328,10 +323,8 @@ def _farkas_failure(lp, y) -> str | None:
     y'b, which must be negative.  None when y proves lp infeasible."""
     if len(y) != lp.n_constraints:
         return f"Farkas vector has {len(y)} entries for {lp.n_constraints} rows"
-    if (failure := _inexact(y, "y")) is not None:
+    if (failure := _inexact(y, "y") or _wrong_sign(lp, y)) is not None:
         return failure
-    if (i := _wrong_sign(lp, y)) is not None:
-        return f"y[{i}] = {y[i]} has the wrong sign for a {lp.rows[i][1]} row"
     yA, yb, s = _scaled_yA(lp, y)
     if (j := _first_false(v >= 0 for v in yA)) is not None:
         return f"column {j} has y'A = {Fraction(yA[j], s)} < 0"
@@ -364,6 +357,12 @@ def check_ray(lp, x0, d) -> bool:
 
 # ---------------------------------------------------------------------------
 # the engine
+
+
+def _verified(what: str, failure: str | None) -> None:
+    """Raise InvariantViolation when failure names a failed part of the what certificate."""
+    if failure is not None:
+        raise InvariantViolation(f"{what} certificate failed verification: {failure}")
 
 
 def _ratio(num: int, den: int) -> float:
@@ -721,26 +720,19 @@ class _Engine:
             self._start_all_artificial()
             farkas = self._phase1() if self.m > 0 else None
             if farkas is not None:
-                failure = _farkas_failure(self.lp, farkas)
-                if failure is not None:
-                    raise InvariantViolation(f"Farkas certificate failed verification: {failure}")
+                _verified("Farkas", _farkas_failure(self.lp, farkas))
                 return LPSolution(status=INFEASIBLE, farkas=tuple(farkas))
         entering = self._run(self.obj)
         if entering is not None:
             x0 = self._assignment()
             d = self._ray(entering)
-            failure = _ray_failure(self.lp, x0, d)
-            if failure is not None:
-                raise InvariantViolation(
-                    f"unboundedness certificate failed verification: {failure}"
-                )
+            _verified("unboundedness", _ray_failure(self.lp, x0, d))
             return LPSolution(status=UNBOUNDED, assignment=tuple(x0), ray=tuple(d))
         x = self._assignment()
         # undo the row scales, the objective scale and den
         y = self._map_dual(self._duals(self.obj), self.obj_scale * self.den)
         failure, value = _optimality(self.lp, x, y)
-        if failure is not None:
-            raise InvariantViolation(f"optimality certificate failed verification: {failure}")
+        _verified("optimality", failure)
         return LPSolution(status=OPTIMAL, assignment=tuple(x), objective=value, dual=tuple(y))
 
     def _assignment(self) -> list[Fraction]:
@@ -796,9 +788,10 @@ def solve(lp: LinearProgram, *, propose: Callable[[], tuple] | None = None) -> L
     exactly (_start), never from a floating-point solve.  A basic
     feasible point of lp restricted to some of its columns, padded with
     zeros, always completes.  A proposal is never trusted, so none is
-    checked to come from lp.  Without propose,
-    the floating-point start is tried exactly when lp has a row, is at
-    least _CRASH_THRESHOLD rows x columns and scipy imports (_highs)."""
+    checked to come from lp, and one holding anything but ints and
+    Fractions is a ValidationError.  Without propose, the floating-point
+    start is tried exactly when lp has a row, is at least
+    _CRASH_THRESHOLD rows x columns and scipy imports (_highs)."""
     if propose is None:
         engine = _Engine(lp)
         big = len(lp.rows) * max(lp.n_vars, 1) >= _CRASH_THRESHOLD
@@ -808,4 +801,6 @@ def solve(lp: LinearProgram, *, propose: Callable[[], tuple] | None = None) -> L
         failure, value = _optimality(lp, x, y)
         if failure is None:
             return LPSolution(OPTIMAL, assignment=tuple(x), objective=value, dual=tuple(y))
+    if (failure := _inexact(() if y is None else y, "y") or _inexact(x, "x")) is not None:
+        raise ValidationError(failure)
     return _Engine(lp).solve(_start(lp, x))

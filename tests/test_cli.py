@@ -261,6 +261,21 @@ def test_solve_decimal_flag(capsys, files):
     assert doc["objective_decimal"] == 0.6
 
 
+def test_decimal_past_float_range_is_a_usage_error(capsys, files, tmp_path):
+    """An objective of 10^400 has no float rendering: solve and
+    verify-scheme --decimal exit 1 with one error line, and solve writes
+    nothing; without --decimal both succeed."""
+    huge = dict(SINGLE, utilities=[{"kind": "constant", "value": "1" + "0" * 400}])
+    instance = files("huge.json", huge)
+    out = tmp_path / "scheme.json"
+    solve = ("solve", instance, "--epsilon", "1/10", "--out", str(out))
+    assert_usage_error(*run(capsys, *solve, "--decimal"))
+    assert not out.exists()
+    run_doc(capsys, *solve)
+    assert_usage_error(*run(capsys, "verify-scheme", instance, str(out), "--decimal"))
+    assert run_doc(capsys, "verify-scheme", instance, str(out))["ok"] is True
+
+
 def test_solve_epsilon_from_instance_only(capsys, files):
     with_eps = dict(SINGLE, epsilon="1/10")
     instance = files("witheps.json", with_eps)
@@ -505,6 +520,9 @@ def test_verify_share_budget_exit(capsys, files, tmp_path):
         pytest.param(lambda doc: doc.update(covered=[1, 2]), id="covered-without-alphabet"),
         pytest.param(lambda doc: doc.update(covered=[]), id="alphabet-not-covered"),
         pytest.param(lambda doc: doc.update(covered=[1, 4]), id="covered-past-k"),
+        pytest.param(
+            lambda doc: doc["alphabets"].update({"9": doc["alphabets"]["1"]}), id="alphabet-past-k"
+        ),
     ],
 )
 def test_verify_share_rejects_malformed_schemes(capsys, files, tmp_path, corrupt):
@@ -884,6 +902,12 @@ def test_subset_takes_ascii_digits_only(capsys, files, subset):
     assert_usage_error(*run(capsys, "share", instance, table, "--subset", subset))
 
 
+def test_subset_member_past_k_is_a_usage_error(capsys, files):
+    instance = files("sperner3.json", SPERNER3_INSTANCE)
+    table = files("reveal.json", REVEAL3)
+    assert_usage_error(*run(capsys, "share", instance, table, "--subset", "9"))
+
+
 @pytest.mark.parametrize("q", NOT_ASCII_INTEGERS)
 def test_q_takes_ascii_digits_only(capsys, files, q):
     instance = files("sperner3.json", SPERNER3_INSTANCE)
@@ -915,6 +939,16 @@ def test_out_files_are_valid_json(capsys, files, tmp_path):
     run_doc(capsys, "bunion", path, "--out", out)
     saved = load_document(out)
     assert saved["h"] == 2
+
+
+def test_write_into_a_missing_directory_names_the_target(capsys, tmp_path):
+    """The error names the --out path, not the temp file beside it, so
+    it reads the same on every rerun."""
+    out = str(tmp_path / "missing" / "sperner.json")
+    first = run(capsys, "sperner", "3", "--out", out)
+    assert_usage_error(*first)
+    assert first[2] == f"error: cannot write {out}: No such file or directory\n"
+    assert run(capsys, "sperner", "3", "--out", out) == first
 
 
 # ---------------------------------------------------------------------------

@@ -725,7 +725,7 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
         glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
         x, y, points, program, start = _breakpoint_run(inst, glp)
         whole += program.n_vars == glp.program.n_vars
-        refused = lp._optimality_failure(glp.program, x, y)
+        refused = lp._optimality(glp.program, x, y)[0]
         assert refused is None, f"breakpoint answer refused at 1/{denominator}: {refused}"
         built.clear()
         starts.clear()
@@ -815,7 +815,7 @@ def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
         y[row] -= F(1, y[row].denominator)
         return x, y
 
-    refused = lp._optimality_failure(glp.program, *bent())
+    refused = lp._optimality(glp.program, *bent())[0]
     assert refused is not None and refused.startswith("column "), refused
     completed, phases = [], []
     real_complete, real_run = lp._Engine._complete, lp._Engine._run
@@ -904,7 +904,7 @@ def _assert_closed_form(inst, denominator, built):
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
     assert glp.propose.func is lattice._path_certificate
     x, y = glp.propose()
-    refused = lp._optimality_failure(glp.program, x, y)
+    refused = lp._optimality(glp.program, x, y)[0]
     assert refused is None, f"closed form refused at 1/{denominator}: {refused}"
     built.clear()
     sol = lp.solve(glp.program, propose=glp.propose)
@@ -914,10 +914,10 @@ def _assert_closed_form(inst, denominator, built):
     assert lattice._lattice_failure(glp, p, lines, g, sol.objective) is None
     full = full_grid_lp(inst, glp.grid)
     X, Y = _closed_form(inst, denominator)[1:]
-    refused = lp._optimality_failure(full.program, X, Y)
+    refused = lp._optimality(full.program, X, Y)[0]
     assert refused is None, f"lifted closed form refused at 1/{denominator}: {refused}"
     X, Y = _breakpoint_proposal(inst, full)()
-    refused = lp._optimality_failure(full.program, X, Y)
+    refused = lp._optimality(full.program, X, Y)[0]
     assert refused is None, f"breakpoint answer refused at 1/{denominator}: {refused}"
     assert sol.objective == lp.solve(full.program, propose=lambda: (X, Y)).objective
 
@@ -1093,7 +1093,7 @@ def test_a_refused_proposal_falls_back_to_exact_solving(monkeypatch):
     for row, move in [(2 * k, 1), (2 * k + n, -1), (2, 1), (2 * k + 3 * n, 1)]:
         _, x, y = _closed_form(inst, 20)
         y[row] += F(move, y[row].denominator)
-        refused = lp._optimality_failure(glp.program, x, y)
+        refused = lp._optimality(glp.program, x, y)[0]
         assert refused is not None
         built.clear()
         completed.clear()

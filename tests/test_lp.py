@@ -1343,7 +1343,7 @@ def _engines_built(monkeypatch) -> list:
 
 
 def test_a_failed_certificate_is_named_with_its_index(monkeypatch):
-    """_optimality_failure names the first part of (x, y) that fails,
+    """_optimality names the first part of (x, y) that fails,
     with its index, and check_optimal is its verdict; an engine whose own
     certificate fails raises InvariantViolation with that name."""
     lp = LinearProgram(2, [1, 0], [([1, 1], LE, 1), ([1, -1], EQ, 0)])
@@ -1360,7 +1360,7 @@ def test_a_failed_certificate_is_named_with_its_index(monkeypatch):
     ]
     for x, y, failure in cases:
         x, y = tuple(map(F, x)), tuple(map(F, y))
-        assert lp_module._optimality_failure(lp, x, y) == failure
+        assert lp_module._optimality(lp, x, y)[0] == failure
         assert check_optimal(lp, x, y) is (failure is None)
     # an entry that is not an int or a Fraction is named, not computed with
     for x, y, failure in [
@@ -1370,7 +1370,7 @@ def test_a_failed_certificate_is_named_with_its_index(monkeypatch):
         ((half, half), ("1/2", half), "y[0] = '1/2' is not exact"),
         ((half, half), (False, 0), "y[0] = False is not exact"),
     ]:
-        assert lp_module._optimality_failure(lp, x, y) == failure
+        assert lp_module._optimality(lp, x, y)[0] == failure
         assert check_optimal(lp, x, y) is False
     one = LinearProgram(1, [1], [([1], LE, 1)])
     assert check_optimal(one, [1.0], [1]) is False
@@ -1385,6 +1385,25 @@ def test_a_failed_certificate_is_named_with_its_index(monkeypatch):
     failure = r"failed verification: c\.x = 1/2 differs from y'b = 3/2"
     with pytest.raises(InvariantViolation, match=failure):
         solve(lp)
+
+
+@pytest.mark.parametrize("entry", [0.5, "1/2"])
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_an_inexact_proposal_is_refused(monkeypatch, where, entry):
+    """solve(lp, propose=f) with a float or a string in f's point or dual
+    raises ValidationError, naming the entry as check_optimal's check
+    does, and builds no engine; so does a point without a dual."""
+    built = _engines_built(monkeypatch)
+    lp = LinearProgram(2, [1, 0], [([1, 1], LE, 1), ([1, -1], EQ, 0)])
+    x, y = [F(1, 2)] * 2, [F(1, 2)] * 2
+    {"x": x, "y": y}[where][1] = entry
+    failure = f"{where}[1] = {entry!r} is not exact"
+    assert lp_module._optimality(lp, x, y)[0] == failure
+    proposals = [(x, y), (x, None)] if where == "x" else [(x, y)]
+    for proposal in proposals:
+        with pytest.raises(ValidationError, match=re.escape(failure)):
+            solve(lp, propose=lambda: proposal)
+    assert not built
 
 
 def test_a_proposal_is_returned_only_when_it_certifies(monkeypatch):
