@@ -15,7 +15,6 @@ from .beliefs import (
     concavify_single,
     concavify_support,
     is_bayes_plausible,
-    mps_coupling,
 )
 from .dominance import (
     DominationGraph,
@@ -112,7 +111,6 @@ __all__ = [
     "is_superior",
     "merge_duplicate_receivers",
     "min_b_union",
-    "mps_coupling",
     "network_structure",
     "optimal_value",
     "parse_rational",

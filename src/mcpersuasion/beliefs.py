@@ -1,10 +1,11 @@
 """Posterior-belief geometry.
 
 Finite distributions over exact posterior points, the Bayes-plausibility
-test, mean-preserving-spread couplings decided by a feasibility LP, and
-a single-receiver concavification computed by support enumeration.  The
-enumeration route is deliberate: it shares no machinery with the
-simplex solver, so the two can vouch for each other in tests.
+test, mean-preserving-spread couplings and the rows and flows of the
+program that finds them, and a single-receiver concavification computed
+by support enumeration.  The enumeration route is deliberate: it shares
+no machinery with the simplex solver, so the two can vouch for each
+other in tests.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from math import lcm
 from operator import sub
 from typing import Iterable, Mapping, Sequence
 
-from . import lp
 from .errors import PriorOutsideHull, StateSpaceMismatch, ValidationError
 from .model import Posterior, Prior, check_posterior
 
@@ -175,29 +175,6 @@ def coupling_flows(spread, coarse, assignment: Sequence[Fraction], base=0) -> di
     of coupling_rows(spread, coarse, base), in variable order."""
     block = assignment[base : base + len(spread) * len(coarse)]
     return dict(compress(zip(product(spread, coarse), block), block))
-
-
-def mps_coupling(
-    spread: BeliefDistribution, coarse: BeliefDistribution
-) -> Coupling | None:
-    """A coupling witnessing spread ⊒ coarse, or None when none exists,
-    decided by an exact feasibility program: coupling_rows, with the
-    masses on the right of the row and column sums."""
-    if spread.dim != coarse.dim:
-        raise StateSpaceMismatch("cannot couple distributions of mixed dimension")
-    rows = coupling_rows(spread.points, coarse.points)
-    # a row or column sum over den 1 equals its mass m: scaled by m's denominator
-    constraints = [
-        (dict.fromkeys(row, m.denominator), lp.EQ, m.numerator, m.denominator)
-        for (row, _), m in zip(rows, (*spread.masses, *coarse.masses))
-    ]
-    constraints += [(row, lp.EQ, 0, den) for row, den in rows[len(constraints) :]]
-    n = len(spread.points) * len(coarse.points)
-    sol = lp.solve(lp.LinearProgram.integral(n, ({}, 1), constraints))
-    if sol.status != lp.OPTIMAL:
-        return None
-    flow = coupling_flows(spread.points, coarse.points, sol.assignment)
-    return Coupling(source=spread, target=coarse, flow=flow)
 
 
 def _solve_unique(rows, rhs):

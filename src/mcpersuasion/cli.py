@@ -102,11 +102,15 @@ def _parse_subset(text: str, k: int) -> frozenset:
 
 
 def _decimal(value) -> float:
-    """value's float rendering for --decimal; one past float range is refused."""
+    """value's float rendering for --decimal; one past float range, or a
+    nonzero one that rounds to 0.0 below it, is refused."""
     try:
-        return float(value)
+        rendered = float(value)
     except OverflowError:
         raise UsageError("--decimal cannot render a value past float range") from None
+    if value and not rendered:
+        raise UsageError("--decimal cannot render a nonzero value below float range")
+    return rendered
 
 
 def _pairs_doc(pairs) -> list:

@@ -1,17 +1,13 @@
 """Grid relaxation and signaling-table extraction for forest structures.
 
 The pipeline: discretize the simplex at a unit-fraction step, assemble
-the mass/coupling linear program over the covering edges of the
-dominance forest, solve exactly, then unwind the solution into a
-per-state table of posterior-label profiles.  Dominating receivers sit
-on the spread side of every coupling; trees of the forest are kept
-conditionally independent given the state.
-
-On two states only the grid program over the breakpoints is built; it
-holds an optimum of the full one.  The lattice module finds the
-breakpoints from the utilities' kinks, proposes the program's answer to
-lp.solve, and certifies it on the whole 1/D lattice, none of it walking
-the lattice.
+the linear program over the covering edges of the dominance forest,
+solve exactly, then unwind the solution into a per-state table of
+posterior-label profiles.  Dominating receivers sit on the spread side
+of every coupling; trees of the forest are kept conditionally
+independent given the state.  On two states the program is over
+marginals alone, and the lattice module builds the couplings after the
+solve and certifies the answer on the 1/D lattice.
 """
 
 from __future__ import annotations
@@ -35,11 +31,12 @@ from .errors import (
     ValidationError,
 )
 from .lattice import (
-    _breakpoint_answer,
     _breakpoints,
+    _curtain,
     _lattice_dual,
     _lattice_failure,
     _path_certificate,
+    _prior_split,
 )
 from .model import (
     AdditiveUtility,
@@ -107,20 +104,20 @@ class PosteriorGrid:
 @dataclass(frozen=True)
 class GridLP:
     """The program lp.solve is handed for a grid, plus its variable
-    bookkeeping.  Variables are numbered by point position, which is how
-    a solution is read back: for k receivers and n points, x(i, points[a])
-    is i * n + a, and on the e-th edge y(points[a], points[c]) is
-    k * n + e * n * n + a * n + c.  graph is the instance's domination
-    forest, whose sorted covering edges are edges.  values[i] holds
-    receiver i's utility, so k is len(values).  Past two states the
-    program is over every grid point, values[i][a] is the utility at
-    points[a], and propose is None.  On two states the program is over
-    the breakpoints alone; values[i] maps a lattice position a, the point
-    (a/D, 1 - a/D), to the utility there, for every breakpoint and every
-    position looked up while finding them (_breakpoints); and propose is
-    what lp.solve is handed to reach its optimum: the closed form for a
-    forest of paths (_path_certificate), else the prior split as a start
-    (_breakpoint_answer)."""
+    bookkeeping.  For k receivers and n points, x(i, points[a]) is
+    variable i * n + a.  Rows are each receiver's Bayes-plausibility
+    rows, one per state, the covering edges' rows, edge by edge, and a
+    normalization row per receiver.  graph is the domination forest,
+    edges its sorted covering edges, values[i] receiver i's utility.
+    Past two states the program is over every grid point, values[i][a]
+    is the utility at points[a], propose is None, and on the e-th edge
+    the flow y(points[a], points[c]) is k * n + e * n * n + a * n + c.
+    On two states the potential program over the breakpoints has no
+    flows: row 2k + e (n - 2) + s - 1 is sum_a (x(i1, a) - x(i2, a))
+    |a - points[s]| >= 0 on the e-th edge (i1, i2), a over lattice
+    positions; values[i] maps a position a, the point (a/D, 1 - a/D), to
+    the utility there (_breakpoints), and propose is _path_certificate
+    on a forest of paths, else _prior_split."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
@@ -142,16 +139,9 @@ def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]
 
 def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     """The GridLP of a forest instance on the grid: past two states the
-    program over every grid point, each receiver's utility tabulated at
-    each; on two states the breakpoint program and its proposal,
-    computed only when called.
-
-    Families, in row order: Bayes-plausibility per receiver per state;
-    per covering edge the spread-side row sums, coarse-side column
-    sums, and per-coarse-point barycenter equalities (one per state but
-    the last, which is implied); one normalization row per receiver.
-    Nonnegativity is carried by the solver's variable bounds.
-    """
+    coupling program over every grid point; on two states the potential
+    program over the breakpoints and its proposal, computed only when
+    called.  Nonnegativity is carried by the solver's variable bounds."""
     if not isinstance(instance.utilities, AdditiveUtility):
         raise ValidationError("grid program needs additive per-receiver utilities")
     if grid.dim != instance.space.size:
@@ -167,27 +157,19 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
             # no receiver spreads onto two: every tree is a path
             propose = partial(_path_certificate, p, edges, table, at)
         else:
-            propose = partial(_breakpoint_answer, p * D, instance.k, len(edges), at)
+            propose = partial(_prior_split, p * D, instance.k, at)
+        program = _potential_program(instance.prior, edges, D, at, pts, table)
     else:
         pts, propose = grid.points(), None
         values = table = tuple(tuple(u.value_at(w, space) for w in pts) for u in receivers)
-    return GridLP(
-        program=_grid_program(instance.prior, edges, D, pts, table),
-        grid=grid,
-        points=pts,
-        edges=edges,
-        graph=graph,
-        propose=propose,
-        values=values,
-    )
+        program = _grid_program(instance.prior, edges, D, pts, table)
+    return GridLP(program, grid, pts, edges, graph, propose, values)
 
 
-def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
-    """The grid program over the points pts, sorted and on the 1/D
-    lattice, values[i][a] receiver i's utility at pts[a]; variables
-    numbered as GridLP numbers them over pts.  A row left without a
-    coefficient and with a zero right-hand side, such as a barycenter
-    row at a lone point, is left out."""
+def _program(prior, D, pts, values, edge_rows, n_vars) -> lp.LinearProgram:
+    """The program over the points pts, sorted and on the 1/D lattice,
+    values[i][a] receiver i's utility at pts[a], with the integer rows
+    edge_rows between the receivers' other rows, numbered as GridLP."""
     k, n = len(values), len(pts)
     flat = [v for u in values for v in u]  # x(i, pts[a]) is variable i * n + a
     obj_den = lcm(*(v.denominator for v in flat))
@@ -199,16 +181,36 @@ def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
         for b, q in enumerate(prior.values):
             row = {base + a: c[b] * q.denominator for a, c in enumerate(lattice) if c[b]}
             constraints.append((row, lp.EQ, q.numerator * D, q.denominator * D))
-    for e, (i1, i2) in enumerate(edges):
-        rows = beliefs.coupling_rows(pts, pts, k * n + e * n * n)
-        for a in range(n):
-            rows[a][0][i1 * n + a] = -1  # row sum = x_{i1}(pts[a])
-            rows[n + a][0][i2 * n + a] = -1  # column sum = x_{i2}(pts[a])
-        constraints += [(row, lp.EQ, 0, den) for row, den in rows if row]
+    constraints += edge_rows
     for base in range(0, k * n, n):
         constraints.append((dict.fromkeys(range(base, base + n), 1), lp.EQ, 1, 1))
-    n_vars = k * n + len(edges) * n * n
     return lp.LinearProgram.integral(n_vars, (objective, obj_den), constraints)
+
+
+def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
+    """The coupling program over the points pts (_program), less rows left
+    without a coefficient, such as a barycenter row at a lone point."""
+    k, n = len(values), len(pts)
+    rows = []
+    for e, (i1, i2) in enumerate(edges):
+        block = beliefs.coupling_rows(pts, pts, k * n + e * n * n)
+        for a in range(n):
+            block[a][0][i1 * n + a] = -1  # row sum = x_{i1}(pts[a])
+            block[n + a][0][i2 * n + a] = -1  # column sum = x_{i2}(pts[a])
+        rows += [(row, lp.EQ, 0, den) for row, den in block if row]
+    return _program(prior, D, pts, values, rows, k * n + len(edges) * n * n)
+
+
+def _potential_program(prior, edges, D, at, pts, values) -> lp.LinearProgram:
+    """The potential program over the breakpoints pts, at the lattice
+    positions at (_program)."""
+    n, rows = len(at), []
+    for i1, i2 in edges:
+        for t in at[1:-1]:
+            row = {i1 * n + s: abs(a - t) for s, a in enumerate(at) if a != t}
+            row.update({i2 * n + s: -abs(a - t) for s, a in enumerate(at) if a != t})
+            rows.append((row, lp.GE, 0, 1))
+    return _program(prior, D, pts, values, rows, len(values) * n)
 
 
 @dataclass(frozen=True)
@@ -275,29 +277,27 @@ class GridSolution:
 
 def _read_solution(glp: GridLP, assignment, objective) -> GridSolution:
     """The marginals and couplings of an assignment to glp's variables:
-    receiver i's marginal from its block of n, and each coupling's flow
-    coupling_flows' on its edge's block of n².  The points are sorted, so
-    each block's nonzero entries are a marginal in canonical form."""
+    receiver i's marginal from its block of n, in canonical form at the
+    sorted points.  Past two states each flow is coupling_flows' on its
+    edge's block of n²; on two states each coupling is built from its
+    marginals (_curtain), and one not in convex order leaves its edge
+    without, which GridSolution._validate refuses."""
     pts = glp.points
     n, k = len(pts), len(glp.values)
     rows = (assignment[i * n : i * n + n] for i in range(k))
     marginals = tuple(
         BeliefDistribution(tuple(compress(pts, row)), tuple(compress(row, row))) for row in rows
     )
-    couplings = {
-        (i1, i2): Coupling(
-            source=marginals[i1],
-            target=marginals[i2],
-            flow=beliefs.coupling_flows(pts, pts, assignment, k * n + e * n * n),
-        )
-        for e, (i1, i2) in enumerate(glp.edges)
-    }
-    return GridSolution(
-        step=glp.grid.step,
-        marginals=marginals,
-        couplings=couplings,
-        objective=objective,
-    )
+    couplings = {}
+    for e, (i1, i2) in enumerate(glp.edges):
+        if glp.grid.dim == 2:
+            coupling = _curtain(marginals[i1], marginals[i2])
+        else:
+            flow = beliefs.coupling_flows(pts, pts, assignment, k * n + e * n * n)
+            coupling = Coupling(marginals[i1], marginals[i2], flow)
+        if coupling is not None:
+            couplings[i1, i2] = coupling
+    return GridSolution(glp.grid.step, marginals, couplings, objective)
 
 
 def solve_grid(instance: PersuasionInstance, grid: PosteriorGrid) -> GridSolution:
@@ -310,7 +310,7 @@ def _solve_grid(
     instance: PersuasionInstance, grid: PosteriorGrid
 ) -> tuple[GridSolution, DominationGraph]:
     """solve_grid, with the domination forest the program was built on.
-    On two states the program is the breakpoint program, and its dual
+    On two states the program is the potential program, and its dual
     certifies the solution on the whole lattice (_lattice_failure); a
     certificate that fails is named in an InvariantViolation."""
     glp = build_grid_lp(instance, grid)
@@ -321,8 +321,7 @@ def _solve_grid(
     solution._validate(instance, glp.edges)
     if grid.dim == 2:
         lines, g = _lattice_dual(glp, sol.dual)
-        prior = instance.prior.values[0]
-        failure = _lattice_failure(glp, prior, lines, g, solution.objective)
+        failure = _lattice_failure(glp, instance.prior.values[0], lines, g, solution.objective)
         if failure is not None:
             raise InvariantViolation(f"lattice certificate failed: {failure}")
     return solution, glp.graph

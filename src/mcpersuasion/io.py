@@ -65,7 +65,8 @@ def load_document(path) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
-        raise FileError(f"cannot read {path}: {exc}") from exc
+        # strerror alone: str(exc) names the path a second time
+        raise FileError(f"cannot read {path}: {exc.strerror}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise FileError(f"{path} is not valid JSON: {exc}") from exc
     return doc

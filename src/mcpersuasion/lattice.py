@@ -1,25 +1,30 @@
-"""The two-state 1/D lattice: the breakpoint program's points, its
-proposals, and the certificate of its answer on the whole lattice.
+"""The two-state 1/D lattice: the potential program's points and
+proposals, its couplings, and the certificate of its answer on the
+whole lattice.
 
 Each utility names its kinks (ReceiverUtility.kinks) and is linear
 between them, so it is looked up only beside them, and the breakpoints,
 where some utility bends down, are found among those points
-(_breakpoints).  The grid program over the breakpoints holds an optimum
-of the full one.  lp.solve answers it from a proposal: a forest of
-paths in closed form, a nested concavification along each path
-(_path_certificate), any other forest from the prior split
-(_breakpoint_answer).  Its dual then certifies the answer on the whole
-lattice, with no coupling program (_lattice_dual, _lattice_failure), in
-integer work over the points looked up: O(k b) for k receivers and b
-breakpoints and kinks, whatever the step.
+(_breakpoints).  The potential program over them (forest.GridLP) holds
+an optimum of the full grid program.  lp.solve answers it from a
+proposal: a forest of paths in closed form, a nested concavification
+along each path (_path_certificate), any other forest from the prior
+split (_prior_split).  Each edge's coupling is built afterwards from its
+two marginals (_curtain), and the dual certifies the answer on the whole
+lattice (_lattice_dual, _lattice_failure) in integer work over the points
+looked up: O(k b) for k receivers and b breakpoints and kinks, whatever
+the step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, floor, lcm
 from typing import TYPE_CHECKING
 
+from .beliefs import BeliefDistribution, Coupling
 from .model import Posterior, format_label
 
 if TYPE_CHECKING:
@@ -87,64 +92,27 @@ def _bend(xs, vs, l, a, r) -> int:
     return (vs[a] - vs[l]) * (xs[r] - xs[a]) - (vs[r] - vs[a]) * (xs[a] - xs[l])
 
 
-def _breakpoint_answer(p, k, n_edges, points) -> tuple[list[Fraction], None]:
-    """The start of the breakpoint program (k receivers, n_edges covering
-    edges, over the lattice positions points; p is prior times D),
-    proposed without a dual: the one feasible point of the grid program
-    over the prior's neighbours alone, every marginal the prior split
-    onto them, every coupling the identity.  lp.solve solves from there
-    faster than afresh, and the start fixes which optimum, and so which
-    table, is reached.
-
-    Any optimal dual of the breakpoint program certifies its answer on
-    the whole lattice (_lattice_dual; ROADMAP item 14).  Let alpha be an
-    edge's row-sum duals interpolated between breakpoints and g =
-    cav(-alpha).  Dual feasibility of the y(l, c) columns puts each
-    column-sum dual at or above g, so lowering it to g, and raising the
-    row-sum duals to -g, only lowers the x columns' reduced costs.
-    Between breakpoints every utility is convex and every dual linear,
-    so every x column stays priced out; each y column prices at a
-    supporting line of the concave g; y'b is unchanged."""
+def _prior_split(p, k, points) -> tuple[list[Fraction], None]:
+    """The start of the potential program (k receivers, over the lattice
+    positions points; p is prior times D), proposed without a dual: every
+    marginal the prior split onto its grid point or the two next to it.
+    The start fixes which optimum, and so which table, is reached."""
     q = floor(p)
     first = {q: Fraction(1)} if p == q else _split(p, (q, q + 1), Fraction(1))
-    m = len(points)
-    start = [_ZERO] * (k * m + n_edges * m * m)
+    m, start = len(points), [_ZERO] * (k * len(points))
     for a, v in first.items():
-        t = points.index(a)
-        start[t : k * m : m] = [v] * k  # x(i, a) for every receiver i
-        start[k * m + t * (m + 1) :: m * m] = [v] * n_edges  # y(a, a) on every edge
+        start[points.index(a) :: m] = [v] * k  # x(i, a) for every receiver i
     return start, None
-
-
-def _edge_dual(f, S, points) -> tuple[list[Fraction], tuple[list, int, list]]:
-    """One covering edge's row-sum, column-sum and barycenter duals at the
-    lattice positions points (0 and D among them) for the values f / S,
-    f integers at each point, convex on the lattice between neighbouring
-    points: -f / S, cav f / S and D times cav f's slope to the right (to
-    the left at D), per unit of the first coordinate.  A y(l, c) column
-    then prices at cav f's supporting line at c, less f(l).  Also the
-    majorant (_concave_majorant of f over points), which the closed form
-    splits masses by.  Its vertices are points, as f is convex between
-    them, so it is the majorant over the whole lattice there, and linear
-    between them."""
-    cav, M, pieces = _concave_majorant(points, f)
-    last = len(points) - 1
-    right = [(t, t + 1) if t < last else (t - 1, t) for t in range(last + 1)]
-    D = points[last]
-    slopes = [D * (cav[r] - cav[l]) // (points[r] - points[l]) for l, r in right]
-    duals = [Fraction(-v, S) for v in f] + [Fraction(c, S * M) for c in cav]
-    return duals + [Fraction(v, S * M) for v in slopes], (cav, M, pieces)
 
 
 def _concave_majorant(xs, values) -> tuple[list, int, list[tuple[int, int]]]:
     """The least concave majorant of the points (xs[t], values[t]), xs
-    increasing integers (the majorant of the function linear between the
-    points), at each xs[t]: (M times it, M, the piece of each t).  The
-    pieces are the segments between neighbouring vertices of the upper
-    hull, as pairs of xs, M the lcm of their lengths, so that integer
-    values give a majorant that is an integer at every integer from
-    xs[0] to xs[-1]; the piece of t is the one, (l, r), with l <= xs[t]
-    < r, and the last one for the last t."""
+    increasing integers, at each xs[t]: (M times it, M, the piece of each
+    t).  The pieces are the segments between neighbouring vertices of the
+    upper hull, as pairs of xs, M the lcm of their lengths, so that
+    integer values give a majorant that is an integer at every integer
+    from xs[0] to xs[-1]; the piece of t is the one, (l, r), with
+    l <= xs[t] < r, and the last one for the last t."""
     hull: list[int] = []
     for t in range(len(xs)):
         # drop the last vertex while it does not bend down on the way to t
@@ -165,38 +133,33 @@ def _concave_majorant(xs, values) -> tuple[list, int, list[tuple[int, int]]]:
 
 
 def _path_certificate(prior, edges, values, points) -> tuple[list, list]:
-    """The optimal point and dual of the two-state breakpoint program over
-    the lattice positions points, in _grid_program's numbering, when no
-    receiver spreads onto two (edges, sorted, make a forest of paths);
-    prior is the first state's prior, values[i][t] receiver i's utility
-    at points[t] / D.  It is the full grid program's certificate
-    restricted to the breakpoints: the programs share their columns
-    there.
+    """The optimal point and dual of the potential program over the
+    lattice positions points (forest.GridLP) when no receiver spreads
+    onto two (edges, sorted, make a forest of paths); prior is the first
+    state's prior, values[i][t] receiver i's utility at points[t] / D.
 
-    Walking each path from its root, the most informed receiver, set
-    f(root) = u(root) and f(child) = u(child) + cav f(parent), each cav
-    the least concave majorant, over the breakpoints, where it is the
-    one over the whole lattice (_edge_dual); the optimum is the sum over
-    paths of cav f(leaf) at the prior (Kamenica and Gentzkow's cav u,
-    nested).  The dual: on each covering edge, _edge_dual of f(parent),
-    so that the x columns of every receiver but a leaf price at 0.  A
-    leaf's Bayes-plausibility duals are the supporting line of cav
-    f(leaf) at the prior; every other dual is 0.  The point: a leaf puts
-    its mass on the prior, or on the two hull vertices around it; up the
-    path, each atom c stays where f(parent) is cav f(parent), and
-    otherwise splits onto the ends of its piece of the hull, keeping its
-    mean.  Every column with mass prices at 0, so c.x = y'b.  Every atom
-    is a breakpoint, as a hull vertex inside 0..D is a point where f,
-    and so a utility on the path, bends down.
-
-    Values are integers over one denominator per receiver, which grows
-    by each majorant's M (_concave_majorant) down the path."""
+    Down each path from its root, f(root) = u(root) and f(child) =
+    u(child) + cav f(parent), each cav the least concave majorant over
+    the breakpoints, which is the one over the lattice; the optimum is
+    the sum over paths of cav f(leaf) at the prior (Kamenica and
+    Gentzkow's cav u, nested).  The dual: on each edge, g = cav f(parent)
+    is sum_t y_t |a - t|, y_t half its slope drop at t, plus a linear
+    part, added to the parent's line and taken off the child's; a leaf's
+    line holds cav f(leaf)'s supporting line at the prior.  The point: a
+    leaf's mass sits on the prior or the hull vertices around it; up the
+    path, an atom stays where f(parent) is cav f(parent), else splits
+    onto the ends of its hull piece, which are breakpoints.  Values are
+    integers over one denominator per receiver, which grows by each
+    majorant's M down the path."""
     k, m, D = len(values), len(points), points[-1]
     below, number = dict(edges), {edge: e for e, edge in enumerate(edges)}
     place = {a: t for t, a in enumerate(points)}
     V = lcm(*(v.denominator for u in values for v in u))
-    x: list[Fraction] = [_ZERO] * (k * m + len(edges) * m * m)
-    y: list[Fraction] = [_ZERO] * (3 * k + 3 * m * len(edges))
+    x, y = [_ZERO] * (k * m), [_ZERO] * (3 * k + len(edges) * (m - 2))
+
+    def add_line(i, top, bottom, S):  # to receiver i's Bayes-plausibility duals
+        y[2 * i : 2 * i + 2] = y[2 * i] + Fraction(top, S), y[2 * i + 1] + Fraction(bottom, S)
+
     for root in sorted(set(range(k)) - set(below.values())):
         path = [root]
         while path[-1] in below:
@@ -204,34 +167,36 @@ def _path_certificate(prior, edges, values, points) -> tuple[list, list]:
         # down the path: f(i) in integers over S, each parent's majorant
         S, f, parents = V, [v.numerator * (V // v.denominator) for v in values[root]], []
         for i, child in zip(path, path[1:]):
-            at = 2 * k + 3 * m * number[i, child]
-            y[at : at + 3 * m], (cav, M, pieces) = _edge_dual(f, S, points)
+            cav, M, pieces = _concave_majorant(points, f)
             parents.append((f, cav, M, pieces))
             S *= M
+            # g = cav / S: 2 S y_t is its slope drop at t, an integer
+            slopes = [(r - l) // (b - a) for a, b, l, r in zip(points, points[1:], cav, cav[1:])]
+            drops = [r - l for l, r in zip(slopes, slopes[1:])]
+            at = 2 * k + number[i, child] * (m - 2)
+            y[at : at + m - 2] = (Fraction(d, 2 * S) for d in drops)
+            # 2 S times the linear part at (1, 0) and at (0, 1)
+            top = 2 * cav[-1] - sum(d * (D - t) for d, t in zip(drops, points[1:]))
+            bottom = 2 * cav[0] - sum(d * t for d, t in zip(drops, points[1:]))
+            add_line(i, top, bottom, 2 * S)
+            add_line(child, -top, -bottom, 2 * S)
             f = [v.numerator * (S // v.denominator) + c for v, c in zip(values[child], cav)]
-        # the leaf's Bayes-plausibility duals: cav f's line over the piece
-        # that holds the prior, at (1, 0) and at (0, 1)
+        # the leaf's line: cav f's over the piece that holds the prior
         cav, M, pieces = _concave_majorant(points, f)
-        p = prior * D
-        q = floor(p)
-        t, leaf = place[q], 2 * path[-1]
+        q = floor(p := prior * D)
+        t = place[q]
         step = (cav[t + 1] - cav[t]) // (points[t + 1] - q)
-        line = (cav[t] + step * (D - q), cav[t] - step * q)
-        y[leaf : leaf + 2] = (Fraction(v, S * M) for v in line)
-        if p == q and f[t] * M == cav[t]:
-            mass = {q: Fraction(1)}
-        else:
-            mass = _split(p, pieces[t], Fraction(1))
+        add_line(path[-1], cav[t] + step * (D - q), cav[t] - step * q, S * M)
+        one = Fraction(1)
+        mass = {q: one} if p == q and f[t] * M == cav[t] else _split(p, pieces[t], one)
         # up the path: each receiver's marginal, and its parent's by the split
         for t in range(len(path) - 1, 0, -1):
             f, cav, M, pieces = parents[t - 1]
-            base = k * m + number[path[t - 1], path[t]] * m * m
             spread: dict[int, Fraction] = {}
             for c, w in mass.items():
                 s = place[c]
                 x[path[t] * m + s] = w
                 for a, v in ({c: w} if f[s] * M == cav[s] else _split(c, pieces[s], w)).items():
-                    x[base + place[a] * m + place[c]] = v
                     spread[a] = spread.get(a, _ZERO) + v
             mass = spread
         for a, w in mass.items():
@@ -246,27 +211,65 @@ def _split(c, piece: tuple[int, int], m: Fraction) -> dict[int, Fraction]:
     return {l: m * (r - c) / (r - l), r: m * (c - l) / (r - l)}
 
 
+def _curtain(spread: BeliefDistribution, coarse: BeliefDistribution) -> Coupling | None:
+    """The left-curtain coupling (Beiglböck and Juillet, Ann. Probab.
+    2016) of two distributions on two states, along the first coordinate:
+    coarse's atoms, left to right, each take their shadow (_shadow) in
+    what is left of spread.  None when one has none, exactly when spread
+    is not a mean-preserving spread of coarse."""
+    xs, left, flow = [w[0] for w in spread.points], list(spread.masses), {}
+    for c, m in zip(coarse.points, coarse.masses):
+        if (window := _shadow(xs, left, m, c[0])) is None:
+            return None
+        for j, v in window.items():
+            left[j] -= v
+            flow[spread.points[j], c] = v
+    return Coupling(source=spread, target=coarse, flow=flow)
+
+
+def _shadow(xs, left, m, x) -> dict[int, Fraction] | None:
+    """{j: mass} of the masses left[j] at the increasing xs[j] between the
+    quantiles s and s + m (m at most their total), for the s at which
+    their mean is x; None when there is none.  Their first moment W(s)
+    rises with s, linearly between the s where an end crosses an edge."""
+    at = [j for j, w in enumerate(left) if w]
+    cum = list(accumulate((left[j] for j in at), initial=_ZERO))
+    # i and r: the atoms holding the quantiles s and s + m
+    i, r, s, goal = 0, bisect_left(cum, m, 1) - 1, _ZERO, m * x
+    W = sum((left[j] * xs[j] for j in at[:r]), (m - cum[r]) * xs[at[r]])
+    if W > goal:
+        return None
+    while W < goal:
+        if r == len(at):  # the window is at the right end, its mean still short
+            return None
+        dl, dr, slope = cum[i + 1] - s, cum[r + 1] - s - m, xs[at[r]] - xs[at[i]]
+        if W + slope * (d := min(dl, dr)) >= goal:
+            s += (goal - W) / slope
+            break
+        W, s, i, r = W + slope * d, s + d, i + (d == dl), r + (d == dr)
+    return {at[t]: v for t in range(i, r + 1) if (v := min(cum[t + 1], s + m) - max(cum[t], s)) > 0}
+
+
 def _lattice_dual(glp: GridLP, dual) -> tuple[list[tuple[Fraction, Fraction]], list]:
-    """The lattice certificate (lines, g) of a dual of glp's breakpoint
+    """The lattice certificate (lines, g) of a dual of glp's potential
     program: per receiver i, lines[i] = (l_i(1, 0), l_i(0, 1)), its
     Bayes-plausibility duals each raised by its normalization dual; per
     covering edge, g[e] = (h, S), the integers h over S at each
-    breakpoint of cav(-alpha), alpha the edge's row-sum duals.  g is
-    linear between breakpoints.  It stands for the full program's dual
-    with row-sum duals -g, column-sum duals g and barycenter duals D
-    times g's slope to the right (to the left at D), at every lattice
-    point."""
-    k, at = len(glp.values), _positions(glp)
-    m = len(at)
-    lines = [
-        (dual[2 * i] + nu, dual[2 * i + 1] + nu) for i, nu in enumerate(dual[len(dual) - k :])
-    ]
+    breakpoint a of sum_t y_t |a - t|, y_t the dual of the edge's row at
+    t, so linear between breakpoints and, with every y_t <= 0, concave.
+    It stands for the full program's dual with row-sum duals -g,
+    column-sum duals g and barycenter duals D times g's slope to the
+    right (to the left at D).  So any optimal dual certifies the answer on
+    the lattice (ROADMAP item 14): between breakpoints every utility is
+    convex and every g linear."""
+    k, at, n = len(glp.values), _positions(glp), len(glp.points) - 2
+    lines = [(dual[2 * i] + nu, dual[2 * i + 1] + nu) for i, nu in enumerate(dual[-k:])]
     g = []
-    for start in range(2 * k, 2 * k + 3 * m * len(glp.edges), 3 * m):
-        alpha = dual[start : start + m]
-        S = lcm(*(v.denominator for v in alpha))
-        h, M, _ = _concave_majorant(at, [-v.numerator * (S // v.denominator) for v in alpha])
-        g.append((h, S * M))
+    for e in range(len(glp.edges)):
+        ys = dual[2 * k + e * n : 2 * k + e * n + n]
+        S = lcm(*(v.denominator for v in ys))
+        w = [v.numerator * (S // v.denominator) for v in ys]
+        g.append(([sum(c * abs(a - t) for c, t in zip(w, at[1:])) for a in at], S))
     return lines, g
 
 
@@ -278,7 +281,7 @@ def _positions(glp: GridLP) -> list[int]:
 
 def _lattice_failure(glp: GridLP, prior, lines, g, objective) -> str | None:
     """The first part of the lattice certificate (lines, g) of glp's
-    breakpoint program, as _lattice_dual gives them, that fails, in the
+    potential program, as _lattice_dual gives them, that fails, in the
     order checked: an edge whose g is not concave at a lattice point, a
     receiver priced above its line at a lattice point, and the gap
     between the lines' value at the prior (the first state's) and
@@ -298,11 +301,8 @@ def _lattice_failure(glp: GridLP, prior, lines, g, objective) -> str | None:
     width.
 
     Expanded (_lattice_dual), these are lp.check_optimal's checks on the
-    full program: its y columns are priced out exactly when each g is
-    concave, its x columns by the prices, and y'b is the lines' value.
-    So with a validated, lattice-supported GridSolution of value
-    objective, weak duality proves it optimal on the grid; on two
-    states, Jensen's inequality stands in for the couplings."""
+    full program, so with a validated, lattice-supported GridSolution of
+    value objective, weak duality proves it optimal on the grid."""
     at, edges = _positions(glp), glp.edges
     D = at[-1]
     runs = list(zip(at, at[1:]))

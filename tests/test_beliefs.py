@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mcpersuasion import lp
 from mcpersuasion.beliefs import (
     BeliefDistribution,
     Coupling,
@@ -11,13 +12,36 @@ from mcpersuasion.beliefs import (
     coupling_flows,
     coupling_rows,
     is_bayes_plausible,
-    mps_coupling,
 )
 from mcpersuasion.errors import PriorOutsideHull, StateSpaceMismatch, ValidationError
+from mcpersuasion.lattice import _curtain
 from mcpersuasion.model import Prior, StateSpace
 
 F = Fraction
 TWO = StateSpace(("0", "1"))
+
+
+def mps_coupling(spread, coarse):
+    """A coupling witnessing spread ⊒ coarse, or None when none exists,
+    decided by an exact feasibility program: coupling_rows, with the
+    masses on the right of the row and column sums.  The oracle of
+    lattice._curtain, which builds the couplings of two-state solutions
+    with no program."""
+    if spread.dim != coarse.dim:
+        raise StateSpaceMismatch("cannot couple distributions of mixed dimension")
+    rows = coupling_rows(spread.points, coarse.points)
+    # a row or column sum over den 1 equals its mass m: scaled by m's denominator
+    constraints = [
+        (dict.fromkeys(row, m.denominator), lp.EQ, m.numerator, m.denominator)
+        for (row, _), m in zip(rows, (*spread.masses, *coarse.masses))
+    ]
+    constraints += [(row, lp.EQ, 0, den) for row, den in rows[len(constraints) :]]
+    n = len(spread.points) * len(coarse.points)
+    sol = lp.solve(lp.LinearProgram.integral(n, ({}, 1), constraints))
+    if sol.status != lp.OPTIMAL:
+        return None
+    flow = coupling_flows(spread.points, coarse.points, sol.assignment)
+    return Coupling(source=spread, target=coarse, flow=flow)
 
 
 def pt(*xs):
@@ -151,6 +175,66 @@ def test_mps_transitivity_and_mean_preservation():
         # unequal means can never couple
         if A.mean() != pts[0]:
             assert mps_coupling(A, BeliefDistribution.from_pairs([(pts[0], 1)])) is None
+
+
+def _two_state_pairs(rng):
+    """Pairs (spread, coarse) of two-state distributions: a distribution
+    and a coarsening of it (_coarsen), in convex order; the pair swapped,
+    in order only when both are one distribution; and two drawn apart, on
+    one 1/d grid or with unrelated denominators (_random_points), rarely
+    in order and often with unequal means."""
+    pts = binary_grid(rng.choice((2, 4, 6, 10)))
+    spread = _random_grid_distribution(rng, pts, min(len(pts), 6))
+    coarse = _coarsen(rng, spread)
+    yield spread, coarse
+    yield coarse, spread
+    for on_grid in (True, False):
+        drawn = []
+        for _ in range(2):
+            points = _random_points(rng, 2, on_grid)
+            weights = [rng.randint(1, 4) for _ in points]
+            drawn.append(BeliefDistribution.from_pairs(
+                (w, F(v, sum(weights))) for w, v in zip(points, weights)
+            ))
+        yield tuple(drawn)
+        # the second moved onto the first's mean by one atom at its mean
+        mean = drawn[0].mean()
+        yield drawn[0], BeliefDistribution.from_pairs([(mean, 1)])
+        yield BeliefDistribution.from_pairs([(mean, 1)]), drawn[0]
+
+
+def test_curtain_couples_exactly_when_a_coupling_exists():
+    """lattice._curtain, the left-curtain coupling, against mps_coupling's
+    feasibility program on random two-state pairs in and out of convex
+    order: it returns a Coupling (which checks itself) exactly when
+    mps_coupling finds one, and None otherwise."""
+    rng = random.Random(1709)
+    outcomes = []
+    for _ in range(300):
+        for spread, coarse in _two_state_pairs(rng):
+            got, want = _curtain(spread, coarse), mps_coupling(spread, coarse)
+            assert (got is None) == (want is None)
+            assert got is None or (got.source, got.target) == (spread, coarse)
+            outcomes.append(got is None)
+    assert outcomes.count(True) > 100 and outcomes.count(False) > 500
+
+
+def test_curtain_takes_the_left_curtain_shadows():
+    """The worked 2x2 pair has one coupling, which the curtain finds.  In
+    the collinear case, spread {0: 1/10, 9/10: 1/2, 1: 2/5} onto coarse
+    {4/5: 1/2, 9/10: 1/2} (first coordinates), the coarse atom at 4/5,
+    taken first, takes the narrowest window of spread with its mass and
+    mean, from 0 and 9/10; the atom at 9/10 takes the rest."""
+    spread = BeliefDistribution.from_pairs([(pt(1, 0), F(1, 2)), (pt(0, 1), F(1, 2))])
+    coarse = BeliefDistribution.from_pairs(
+        [(pt("3/4", "1/4"), F(1, 2)), (pt("1/4", "3/4"), F(1, 2))]
+    )
+    assert _curtain(spread, coarse).flow == mps_coupling(spread, coarse).flow
+    a, b, c, d = (pt(x, 1 - F(x)) for x in (0, "4/5", "9/10", 1))
+    spread = BeliefDistribution.from_pairs([(a, F(1, 10)), (c, F(1, 2)), (d, F(2, 5))])
+    coarse = BeliefDistribution.from_pairs([(b, F(1, 2)), (c, F(1, 2))])
+    flow = {(a, b): F(1, 18), (c, b): F(4, 9), (a, c): F(2, 45), (c, c): F(1, 18), (d, c): F(2, 5)}
+    assert _curtain(spread, coarse).flow == flow
 
 
 def test_concavify_constant():

@@ -194,7 +194,7 @@ def test_solve_documents_are_pinned(capsys, name, epsilon, expected):
     """The solve document of a criterion-5 chain at 1/40 and of a
     three-receiver star at 1/20, byte for byte.  Both are two-state grid
     programs, which come with a proposal that tries no floating-point
-    solve (the chain's closed form, the star's breakpoint program's
+    solve (the chain's closed form, the star's potential program's
     answer), so the bytes do not depend on scipy.  Recorded
     when the ladder replaced the scipy crash start, which moved the
     optimal vertex (same objective) in 6 and 11 entries.  The same two
@@ -231,7 +231,7 @@ def test_solve_imports_neither_scipy_nor_numpy(name, epsilon, expected):
     """solve on a two-state chain at 1/40 and a three-receiver star at
     1/20, each in a fresh process, writes the pinned document and leaves
     scipy and numpy unimported: the chain's closed form and the star's
-    breakpoint program never try the floating-point start.
+    potential program never try the floating-point start.
     A sys.modules entry of None is a blocked import, not an import, so
     it is not counted."""
     data = Path(__file__).parent / "data"
@@ -265,8 +265,17 @@ def test_decimal_past_float_range_is_a_usage_error(capsys, files, tmp_path):
     """An objective of 10^400 has no float rendering: solve and
     verify-scheme --decimal exit 1 with one error line, and solve writes
     nothing; without --decimal both succeed."""
-    huge = dict(SINGLE, utilities=[{"kind": "constant", "value": "1" + "0" * 400}])
-    instance = files("huge.json", huge)
+    _assert_decimal_refused(capsys, files, tmp_path, "1" + "0" * 400)
+
+
+def test_decimal_below_float_range_is_a_usage_error(capsys, files, tmp_path):
+    """An objective of 10^-400 would render as 0.0 beside an exact
+    objective that is not 0, so it is refused as 10^400 is."""
+    _assert_decimal_refused(capsys, files, tmp_path, "1/1" + "0" * 400)
+
+
+def _assert_decimal_refused(capsys, files, tmp_path, value):
+    instance = files("extreme.json", dict(SINGLE, utilities=[{"kind": "constant", "value": value}]))
     out = tmp_path / "scheme.json"
     solve = ("solve", instance, "--epsilon", "1/10", "--out", str(out))
     assert_usage_error(*run(capsys, *solve, "--decimal"))
@@ -764,9 +773,11 @@ def test_help_exits_zero(capsys):
 
 
 def test_missing_file(capsys, tmp_path):
-    code, _, err = run(capsys, "analyze", str(tmp_path / "nope.json"))
-    assert code == 1
-    assert "cannot read" in err
+    """The error names the path once, with the reason alone."""
+    path = str(tmp_path / "nope.json")
+    code, out, err = run(capsys, "analyze", path)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {path}: No such file or directory\n"
 
 
 @pytest.mark.parametrize(

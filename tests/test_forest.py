@@ -13,13 +13,7 @@ from pathlib import Path
 import pytest
 
 from mcpersuasion import forest, lattice, lp
-from mcpersuasion.beliefs import (
-    BeliefDistribution,
-    Coupling,
-    concavify_single,
-    coupling_flows,
-    mps_coupling,
-)
+from mcpersuasion.beliefs import BeliefDistribution, Coupling, concavify_single, coupling_flows
 from mcpersuasion.dominance import dominance_set
 from mcpersuasion.errors import (
     BadEpsilon,
@@ -55,7 +49,7 @@ from mcpersuasion.model import (
     format_label,
     validate_instance,
 )
-from test_beliefs import assert_coupling_check_matches_the_reference
+from test_beliefs import assert_coupling_check_matches_the_reference, mps_coupling
 from test_lp import GRID_CASES, _engines_built, _restriction, dump, full_grid_lp, var_names
 
 F = Fraction
@@ -128,8 +122,8 @@ def test_build_sizes_two_receiver_chain():
     )
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=2))
     assert glp.edges == ((0, 1),)
-    assert glp.program.n_vars == 15  # 6 mass + 9 coupling
-    assert glp.program.n_constraints == 15  # 4 + 3 + 3 + 3 + 2
+    assert glp.program.n_vars == 6  # 2 receivers x 3 breakpoints, no coupling
+    assert glp.program.n_constraints == 7  # 4 Bayes + 1 spread + 2 normalization
 
 
 def test_build_rejects_non_forest_and_duplicates():
@@ -464,7 +458,7 @@ def test_grid_program_listing_is_pinned(make, denominator, digest):
 
 
 # ---------------------------------------------------------------------------
-# Two-state grid programs answered by their breakpoint program
+# Two-state grid programs answered by their potential program
 
 CHAIN2 = [[1, 1], [0, 1]]
 CHAIN3 = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
@@ -484,13 +478,18 @@ def _two_state_forest(rng, structure):
     return make_instance(structure, utilities, prior=(1 - high, high))
 
 
-#: md5 of repr((objective, assignment)) of the grid program's solution,
-#: one line per solve, that solve_grid reaches on
-#: _two_state_forest(random.Random(seed), STAR3) for seeds 1-40, each at
-#: 1/10, 1/20 and 1/40: branching vertices, which no CLI document pins
-#: beyond star3's.  Recorded when the full program was solved; its
-#: assignment is now rebuilt from the GridSolution (_full_assignment).
-STAR3_SOLVES = "f453961b644e9fe211667cbd79cc168c"
+#: md5 of the repr of each objective, one line per solve, that solve_grid
+#: reaches on _two_state_forest(random.Random(seed), STAR3) for seeds
+#: 1-40, each at 1/10, 1/20 and 1/40.  Recorded when the coupling program
+#: over the breakpoints was solved, and kept since.
+STAR3_OBJECTIVES = "8e369b085f222f542a440c0d648c3178"
+
+#: md5 of repr((objective, assignment)) of the same solves, the
+#: assignment the solution on the full grid program (_full_assignment):
+#: branching vertices, which no CLI document pins beyond star3's.
+#: Re-pinned when the potential program replaced the coupling program;
+#: 60 of the 120 vertices moved there, with every objective kept.
+STAR3_VERTICES = "058b7e66d200a7643848e7fbfee85792"
 
 
 def test_branching_grid_solves_are_pinned(monkeypatch):
@@ -502,17 +501,19 @@ def test_branching_grid_solves_are_pinned(monkeypatch):
         return solved[-1]
 
     monkeypatch.setattr(forest.lp, "solve", solve)
-    lines = []
+    objectives, vertices = [], []
     for seed in range(1, 41):
         inst = _two_state_forest(random.Random(seed), STAR3)
         for denominator in (10, 20, 40):
             solution = solve_grid(inst, PosteriorGrid(dim=2, denominator=denominator))
-            sol = solved[-1]  # the breakpoint program's, which solve_grid reads back
+            sol = solved[-1]  # the potential program's, which solve_grid reads back
             assert sol.objective == solution.objective
             edges = tuple(solution.couplings)
             assignment = tuple(_full_assignment(solution, edges, denominator))
-            lines.append(repr((sol.objective, assignment)))
-    assert hashlib.md5("\n".join(lines).encode()).hexdigest() == STAR3_SOLVES
+            objectives.append(repr(sol.objective))
+            vertices.append(repr((sol.objective, assignment)))
+    assert hashlib.md5("\n".join(objectives).encode()).hexdigest() == STAR3_OBJECTIVES
+    assert hashlib.md5("\n".join(vertices).encode()).hexdigest() == STAR3_VERTICES
 
 
 def _full_assignment(solution, edges, D):
@@ -550,9 +551,10 @@ def _expanded(lines, g, D):
 
 
 def _lifted(glp, solution, dual):
-    """The breakpoint program's answer on the full program: the point of
-    solution (read off glp's breakpoint program) in the full numbering,
-    and the dual expanded from the lattice certificate of dual."""
+    """The potential program's answer on the full program: the point of
+    solution (read off glp's potential program, its couplings built
+    after) in the full numbering, and the dual expanded from the lattice
+    certificate of dual."""
     D = glp.grid.denominator
     lines, g = lattice._lattice_dual(glp, dual)
     return _full_assignment(solution, glp.edges, D), _expanded(lines, _on_lattice(glp, g), D)
@@ -585,16 +587,14 @@ def _breakpoint_proposal(inst, glp):
 
 def _breakpoint_run(inst, glp):
     """(x, y, points, program, start) for the full program of glp
-    (full_grid_lp): the breakpoint program build_grid_lp builds, solved
-    through lp.solve from start, the prior split that
-    lattice._breakpoint_answer proposes without a dual, for a path forest
-    too; its answer on the full program (_lifted); and the breakpoints
-    as positions in glp.points."""
+    (full_grid_lp): the potential program build_grid_lp builds, solved
+    through lp.solve from start, the prior split that lattice._prior_split
+    proposes without a dual, for a path forest too; its answer on the
+    full program (_lifted); and the breakpoints as positions in
+    glp.points."""
     bp = build_grid_lp(inst, glp.grid)
-    D = glp.grid.denominator
-    points = [w[0].numerator * (D // w[0].denominator) for w in bp.points]
-    p = inst.prior.values[0] * D
-    start, dual = lattice._breakpoint_answer(p, inst.k, len(bp.edges), points)
+    points = lattice._positions(bp)
+    start, dual = lattice._prior_split(inst.prior.values[0] * glp.grid.denominator, inst.k, points)
     assert dual is None
     sol = lp.solve(bp.program, propose=lambda: (start, None))
     solution = forest._read_solution(bp, sol.assignment, sol.objective)
@@ -603,10 +603,11 @@ def _breakpoint_run(inst, glp):
 
 
 def _climb_and_compare(inst, denominator):
-    """The breakpoint answer's point, proposed as a start without a dual,
-    against plain lp.solve on the grid program: the same objective,
-    certified against the full program, and the start completes to a
-    feasible basis of the full program, so phase 1 is skipped.
+    """The breakpoint answer's point, its marginals and the couplings
+    built from them, proposed as a start without a dual, against plain
+    lp.solve on the grid program: the same objective, certified against
+    the full program, and the start completes to a feasible basis of the
+    full program, so phase 1 is skipped.
     solve_grid, which takes the closed form on path forests, reaches the
     same objective.  Returns the GridLP of the full program."""
     grid = PosteriorGrid(dim=2, denominator=denominator)
@@ -672,12 +673,12 @@ def test_ladder_matches_the_plain_solve_on_jumps_and_off_grid_priors(
     utilities, prior, off_grid, monkeypatch
 ):
     """Utilities that are not upper-semicontinuous, and a prior of 1/3
-    between grid points (the breakpoint program's start then holds two
+    between grid points (the potential program's start then holds two
     points).  The breakpoints bend on the tabulated values, so they need
     no semicontinuity.  The prior off the grid leaves the completed start
     short of optimal on the full program, but the breakpoint answer is
     certified as it is, so on the grid or off it one engine is built, on
-    the breakpoint program, and none on the full one; solve_grid, which
+    the potential program, and none on the full one; solve_grid, which
     takes the closed form of these chains, builds no engine at all."""
     built = _engines_built(monkeypatch)
     inst = make_instance(CHAIN2, utilities, prior=prior)
@@ -695,23 +696,23 @@ def test_ladder_matches_the_plain_solve_on_jumps_and_off_grid_priors(
 
 
 def test_the_lift_certifies_every_two_state_grid(monkeypatch):
-    """The theorem behind lattice._breakpoint_answer: on a two-state grid,
-    the breakpoint program's optimal point and dual, with each edge's
-    duals rebuilt from the least concave majorant of its negated row-sum
-    duals interpolated between breakpoints, are an optimality
-    certificate of the full program.  Over GRID_CASES, the JUMPS instances (the prior off the
+    """The theorem behind lattice._lattice_dual: on a two-state grid, the
+    potential program's optimal marginals, with each edge's coupling
+    built from them, and its dual, with each edge's g = sum_t y_t |a - t|
+    of its spread-row duals, are an optimality certificate of the full
+    program.  Over GRID_CASES, the JUMPS instances (the prior off the
     grid among them) and seeds 1-3 of the grid2 generator (chains and
     three-receiver forests), the answer is never refused, solve returns
-    it as given, and the one engine built is on the breakpoint program;
+    it as given, and the one engine built is on the potential program;
     at steps up to 1/20, where a plain solve is cheap, the objective is
     the plain solve's.  The steps 1/2 to 1/6 include grids whose
-    breakpoints are every point: the program is then a copy of the full
-    one.  The chains, which build_grid_lp certifies in closed form, take
-    the breakpoint answer directly (_breakpoint_proposal), so the theorem
-    stays covered on them.  The breakpoint program starts from the
-    point written down for the prior's neighbours, largest values first.
-    The answer on the full program is the breakpoint program's point with
-    the dual expanded from its lattice certificate (_lifted)."""
+    breakpoints are every point.  The chains, which build_grid_lp
+    certifies in closed form, take the breakpoint answer directly
+    (_breakpoint_proposal), so the theorem stays covered on them.  The
+    potential program starts from the prior split, largest values first.
+    The answer on the full program is the potential program's point with
+    its couplings and the dual expanded from its lattice certificate
+    (_lifted)."""
     built, starts = _engines_built(monkeypatch), []
     real_solve = lp._Engine.solve
 
@@ -724,7 +725,7 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
     for inst, denominator in _rung_programs():
         glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
         x, y, points, program, start = _breakpoint_run(inst, glp)
-        whole += program.n_vars == glp.program.n_vars
+        whole += len(points) == len(glp.points)
         refused = lp._optimality(glp.program, x, y)[0]
         assert refused is None, f"breakpoint answer refused at 1/{denominator}: {refused}"
         built.clear()
@@ -743,9 +744,9 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
 def test_the_prior_split_is_the_one_point_over_its_neighbours():
     """The program over the prior's grid point, or the two next to it,
     has one feasible point, so lp.solve on it returns exactly the start
-    that lattice._breakpoint_answer writes down: over _rung_programs(),
-    its solution, carried onto the breakpoint program's columns, is that
-    start."""
+    that lattice._prior_split writes down: over _rung_programs(), the
+    solution of the coupling program over those points, its marginals
+    carried onto the potential program's columns, is that start."""
     for inst, denominator in _rung_programs():
         glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
         _, _, points, program, start = _breakpoint_run(inst, glp)
@@ -758,11 +759,8 @@ def test_the_prior_split_is_the_one_point_over_its_neighbours():
         assert sol.status == lp.OPTIMAL
         k, m, t = inst.k, len(points), [points.index(a) for a in near]
         columns = [i * m + a for i in range(k) for a in t]
-        columns += [
-            k * m + e * m * m + a * m + c for e, _ in enumerate(glp.edges) for a in t for c in t
-        ]
         carried = [F(0)] * program.n_vars
-        for j, v in zip(columns, sol.assignment, strict=True):
+        for j, v in zip(columns, sol.assignment[: len(columns)]):
             carried[j] = v
         assert carried == start
 
@@ -770,12 +768,12 @@ def test_the_prior_split_is_the_one_point_over_its_neighbours():
 @pytest.mark.parametrize("name, denominator", [("chain2", 400), ("star3", 80)])
 def test_fine_two_state_grids_need_no_engine_on_the_full_program(name, denominator, monkeypatch):
     """chain2 at 1/400 (161,603 columns) and star3 at 1/80 through
-    solve_fptas: its one lp.solve call is on the breakpoint program, and
+    solve_fptas: its one lp.solve call is on the potential program, and
     its answer, chain2's in closed form and star3's solved from the prior
     split, lifted to the full program (_lifted), is certified there by
     check_optimal; the objective is the 1/40 one, since every breakpoint
     and the prior lie on 1/10.  chain2 builds no engine at all; star3
-    builds one, on its breakpoint program."""
+    builds one, on its potential program."""
     inst = _data_instance(name)
     reference = solve_fptas(inst, F(1, 40))[0].objective
     built, solved = _engines_built(monkeypatch), []
@@ -801,7 +799,7 @@ def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
     """A real breakpoint answer with one column-sum dual moved down by
     1/den, at a point that is no breakpoint, prices a y column positive,
     so check_optimal refuses it.  solve, handed it as its proposal, then
-    completes the breakpoint program's point on the full program, skips
+    completes the breakpoint answer's point on the full program, skips
     phase 1 and runs phase 2 there, to the plain solve's objective,
     certified."""
     inst = _data_instance("chain2")
@@ -885,9 +883,9 @@ def _grid2_jobs(seed):
 
 
 def _closed_form(inst, denominator):
-    """(glp, x, y): inst's breakpoint program at 1/denominator and the
-    closed form its GridLP proposes for it, lifted to the full program
-    (_lifted)."""
+    """(glp, x, y): inst's potential program at 1/denominator and the
+    closed form its GridLP proposes for it, with the couplings built from
+    its marginals, lifted to the full program (_lifted)."""
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
     x, y = glp.propose()
     solution = forest._read_solution(glp, x, None)
@@ -896,7 +894,7 @@ def _closed_form(inst, denominator):
 
 def _assert_closed_form(inst, denominator, built):
     """The closed form of inst's grid program at 1/denominator: what
-    GridLP proposes, accepted by check_optimal on the breakpoint program,
+    GridLP proposes, accepted by check_optimal on the potential program,
     returned by solve as given with no engine built, and by the lattice
     check; lifted to the full program, accepted by check_optimal there;
     and of the objective of the breakpoint answer, which check_optimal
@@ -923,9 +921,11 @@ def _assert_closed_form(inst, denominator, built):
 
 
 def _one_pass_read_solution(glp, assignment, objective):
-    """_read_solution as it was before it read couplings through
-    coupling_flows: the nonzero entries, found in one pass and binned by
-    block by their index (i·n + a, then k·n + e·n² + a·n + c)."""
+    """_read_solution of a coupling program's assignment as it was before
+    it read couplings through coupling_flows: the nonzero entries, found
+    in one pass and binned by block by their index (i·n + a, then
+    k·n + e·n² + a·n + c).  A program of marginals only (the potential
+    program) has no flows to bin: each coupling is _curtain's."""
     pts = glp.points
     n = len(pts)
     pairs = [[] for _ in glp.values]
@@ -942,6 +942,8 @@ def _one_pass_read_solution(glp, assignment, objective):
     marginals = tuple(map(BeliefDistribution.from_pairs, pairs))
     couplings = {
         (i1, i2): Coupling(source=marginals[i1], target=marginals[i2], flow=flow)
+        if len(assignment) > first_y
+        else lattice._curtain(marginals[i1], marginals[i2])
         for (i1, i2), flow in zip(glp.edges, flows)
     }
     return GridSolution(glp.grid.step, marginals, couplings, objective)
@@ -953,7 +955,8 @@ def test_read_back_matches_one_pass_binning():
     1/4 and 1/8, _read_solution, which builds each marginal directly from
     its block's nonzero entries at the sorted points, reads the same
     solution as the one-pass binning through from_pairs, flows in the
-    same order and masses in Fractions."""
+    same order and masses in Fractions; on two states each coupling is
+    the one built from its marginals."""
     cases = [((_data_instance(name), denominator), 2) for name, denominator in GRID_CASES]
     for utilities, prior, _ in JUMPS.values():
         inst = make_instance(CHAIN2, utilities, prior=prior)
@@ -977,21 +980,31 @@ def test_read_back_matches_one_pass_binning():
 
 def test_read_back_takes_each_flow_from_coupling_flows():
     """_read_solution reads each block of the assignment by slice.  On
-    GRID_CASES and the grid2 generator's jobs of seeds
-    1-3, each coupling's flow is coupling_flows' on its edge, in the
-    same order, and each marginal holds its x block's nonzero entries."""
-    cases = [(_data_instance(name), denominator) for name, denominator in GRID_CASES]
-    cases += [job for seed in (1, 2, 3) for job in _grid2_jobs(seed)]
-    for inst, denominator in cases:
-        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+    seeded three-state chains at 1/4 and 1/8, each coupling's flow is
+    coupling_flows' on its edge, in the same order; on GRID_CASES and the
+    grid2 generator's jobs of seeds 1-3, whose programs hold marginals
+    only, each coupling is lattice._curtain's of its marginals; and each
+    marginal holds its x block's nonzero entries."""
+    cases = [(_data_instance(name), denominator, 2) for name, denominator in GRID_CASES]
+    cases += [(*job, 2) for seed in (1, 2, 3) for job in _grid2_jobs(seed)]
+    cases += [
+        (_three_state_chain(random.Random(seed)), denominator, 3)
+        for seed in (8, 9)
+        for denominator in (4, 8)
+    ]
+    for inst, denominator, dim in cases:
+        glp = build_grid_lp(inst, PosteriorGrid(dim=dim, denominator=denominator))
         sol = lp.solve(glp.program, propose=glp.propose)
         solution = forest._read_solution(glp, sol.assignment, sol.objective)
         pts, x = glp.points, sol.assignment
         assert list(solution.couplings) == list(glp.edges)
         n, k = len(pts), inst.k
-        for e, edge in enumerate(glp.edges):
-            want = coupling_flows(pts, pts, x, k * n + e * n * n)
-            assert list(solution.couplings[edge].flow.items()) == list(want.items())
+        for e, (i1, i2) in enumerate(glp.edges):
+            if dim == 2:
+                want = lattice._curtain(solution.marginals[i1], solution.marginals[i2]).flow
+            else:
+                want = coupling_flows(pts, pts, x, k * n + e * n * n)
+            assert list(solution.couplings[i1, i2].flow.items()) == list(want.items())
         for i, dist in enumerate(solution.marginals):
             want = {w: v for w, v in zip(pts, x[i * n : (i + 1) * n]) if v}
             assert dict(zip(dist.points, dist.masses)) == want
@@ -1029,7 +1042,7 @@ def test_path_forests_are_certified_in_closed_form(monkeypatch):
         for inst, denominator in _grid2_jobs(seed):
             if inst.structure.matrix == tuple(map(tuple, STAR3)):
                 glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-                assert glp.propose.func is lattice._breakpoint_answer
+                assert glp.propose.func is lattice._prior_split
                 stars += 1
             else:
                 cases.append((inst, denominator))
@@ -1049,23 +1062,125 @@ def test_seeded_path_forests_are_certified_in_closed_form(monkeypatch):
 
 
 def test_a_path_forest_builds_one_program_and_no_engine(monkeypatch):
-    """solve_grid on a path forest builds the breakpoint program and
-    nothing else, and no engine; on STAR3, a root with two children, it
-    builds the breakpoint program and one engine, on it."""
-    built = _engines_built(monkeypatch)
-    programs = []
-    real_program = forest._grid_program
+    """solve_grid on a two-state grid builds the potential program and no
+    other, with k * n columns for k receivers and n breakpoints and no
+    coupling among them; a path forest builds no engine, and any other
+    forest, such as STAR3, a root with two children, one, on that
+    program; none reaches the floating-point start (_Engine._try_crash).
+    Over chain2 at 1/40, star3 at 1/20, _rung_programs() and the grid2
+    generator's jobs of seeds 1-8."""
+    built, programs = _engines_built(monkeypatch), []
 
-    def program(*args):
-        programs.append(args)
-        return real_program(*args)
+    def counted(name):
+        real = getattr(forest, name)
 
-    monkeypatch.setattr(forest, "_grid_program", program)
-    for name, denominator, expected in [("chain2", 40, (1, 0)), ("star3", 20, (1, 1))]:
+        def build(*args):
+            programs.append(name)
+            return real(*args)
+
+        return build
+
+    for name in ("_grid_program", "_potential_program"):
+        monkeypatch.setattr(forest, name, counted(name))
+    monkeypatch.setattr(lp._Engine, "_try_crash", lambda engine: pytest.fail("HiGHS reached"))
+    cases = [(_data_instance("chain2"), 40), (_data_instance("star3"), 20), *_rung_programs()]
+    cases += [job for seed in range(1, 9) for job in _grid2_jobs(seed)]
+    for inst, denominator in cases:
+        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+        assert glp.program.n_vars == inst.k * len(glp.points)
+        engines = 0 if glp.propose.func is lattice._path_certificate else 1
         programs.clear()
         built.clear()
-        solve_grid(_data_instance(name), PosteriorGrid(dim=2, denominator=denominator))
-        assert (len(programs), len(built)) == expected
+        solve_grid(inst, glp.grid)
+        assert programs == ["_potential_program"]
+        assert [program.rows for program in built] == [glp.program.rows] * engines
+
+
+def _closed_form_couplings(glp, solution):
+    """The couplings of a path forest's solution as the closed form split
+    them before they were built after the solve: on each covering edge,
+    each atom c of the child's marginal stays where f(parent) is
+    cav f(parent), and otherwise splits onto the ends of its piece of the
+    hull (lattice._split), with f(root) = u(root) and f(child) = u(child)
+    + cav f(parent) at the breakpoints (lattice._concave_majorant)."""
+    points = lattice._positions(glp)
+    D, parent, f = points[-1], {i2: i1 for i1, i2 in glp.edges}, {}
+
+    def values(i):
+        if i not in f:
+            u = [glp.values[i][a] for a in points]
+            f[i] = u if i not in parent else [v + c for v, c in zip(u, majorant(parent[i])[0])]
+        return f[i]
+
+    def majorant(i):
+        V = math.lcm(*(v.denominator for v in values(i)))
+        h, M, pieces = lattice._concave_majorant(points, [int(v * V) for v in values(i)])
+        return [F(v, V * M) for v in h], pieces
+
+    couplings = {}
+    for i1, i2 in glp.edges:
+        cav, pieces = majorant(i1)
+        spread, coarse = solution.marginals[i1], solution.marginals[i2]
+        flow = {}
+        for w, m in zip(coarse.points, coarse.masses):
+            s = points.index(c := w[0] * D)
+            split = {c: m} if values(i1)[s] == cav[s] else lattice._split(c, pieces[s], m)
+            flow.update({((F(a, D), 1 - F(a, D)), w): v for a, v in split.items()})
+        couplings[i1, i2] = Coupling(spread, coarse, flow)
+    return couplings
+
+
+#: A chain on the 1/10 grid whose two couplings differ: receiver 1's
+#: utility, 0 at 0, 9/10 and 1 in the first state and -1 elsewhere, is its
+#: own f and meets its majorant, the zero line over the hull piece (0, 1),
+#: at 9/10 too.  Receiver 2's marginal, 1/2 each at 4/5 and 9/10, then
+#: spreads in closed form onto 0 and 1 from 4/5, and in the left curtain
+#: onto 0 and 9/10, the narrowest window with that mass and mean.
+TENTHS = [pt(F(a, 10), 1 - F(a, 10)) for a in range(11)]
+COLLINEAR = make_instance(
+    CHAIN2,
+    [
+        TableUtility(tuple((w, F(-(a not in (0, 9, 10)))) for a, w in enumerate(TENTHS))),
+        TableUtility(tuple((w, F(a in (8, 9))) for a, w in enumerate(TENTHS))),
+    ],
+    prior=("17/20", "3/20"),
+)
+
+
+def test_path_forest_couplings_are_the_closed_form_ones():
+    """Each coupling solve_grid builds from its two marginals
+    (lattice._curtain) on a path forest is the one the closed form splits
+    out along the hull (_closed_form_couplings): over the grid2
+    generator's chains of two and three, seeds 0-59 at 1/10, 1/20 and
+    1/40, the JUMPS instances, chain2's data instance at steps up to
+    1/10^6 and 200 seeded path forests (_path_forest).  On COLLINEAR the
+    two differ, both valid, over the same marginals and objective."""
+    cases = [
+        (_two_state_forest(random.Random(seed), structure), denominator)
+        for seed in range(60)
+        for structure in (CHAIN2, CHAIN3)
+        for denominator in (10, 20, 40)
+    ]
+    for utilities, prior, _ in JUMPS.values():
+        cases += [(make_instance(CHAIN2, utilities, prior=prior), d) for d in (10, 20, 40)]
+    cases += [(_data_instance("chain2"), d) for d in (10, 40, 400, 10**6)]
+    rng = random.Random(2029)
+    cases += [_path_forest(rng) for _ in range(200)]
+    for inst, denominator in cases:
+        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+        solution = solve_grid(inst, glp.grid)
+        assert solution.couplings == _closed_form_couplings(glp, solution)
+    glp = build_grid_lp(COLLINEAR, PosteriorGrid(dim=2, denominator=10))
+    solution = solve_grid(COLLINEAR, glp.grid)
+    closed = _closed_form_couplings(glp, solution)[0, 1]
+    assert (solution.objective, closed.flow) == (1, {
+        (pt(0, 1), pt("4/5", "1/5")): F(1, 10),
+        (pt(1, 0), pt("4/5", "1/5")): F(2, 5),
+        (pt("9/10", "1/10"), pt("9/10", "1/10")): F(1, 2),
+    })
+    curtain = solution.couplings[0, 1]
+    assert curtain != closed and (curtain.source, curtain.target) == (closed.source, closed.target)
+    assert (pt("9/10", "1/10"), pt("4/5", "1/5")) in curtain.flow
 
 
 def test_a_refused_proposal_falls_back_to_exact_solving(monkeypatch):
@@ -1076,7 +1191,8 @@ def test_a_refused_proposal_falls_back_to_exact_solving(monkeypatch):
     check_optimal refuses each, so solve never returns it: one engine,
     on the full program, completes the proposed point, skips phase 1,
     and reaches the breakpoint answer's objective, certified.  The
-    closed form is lifted to the full program (_closed_form)."""
+    closed form, its couplings built from its marginals, is lifted to the
+    full program (_closed_form)."""
     inst = _data_instance("chain2")
     glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
     n, k = len(glp.points), len(glp.values)
@@ -1142,49 +1258,65 @@ def test_chain_grid_values_are_nested_concavifications():
         assert solve_grid(inst, PosteriorGrid(2, denominator)).objective == oracle
 
 
-def test_edge_dual_columns_are_the_concavification():
-    """lattice._edge_dual's column-sum duals for f / S are cav(f / S) at
-    every point, as _cav_table finds it with beliefs.concavify_single,
-    which knows no hull, and its barycenter duals D times cav's slope to
-    the right (to the left at D); its row-sum duals are -f / S."""
+def test_concave_majorant_is_the_concavification():
+    """lattice._concave_majorant of f / S, at every lattice point, is
+    cav(f / S) there, as _cav_table finds it with
+    beliefs.concavify_single, which knows no hull; each point lies in its
+    piece (l, r), whose ends are on f, and the majorant is linear over it."""
     rng = random.Random(71)
     for _ in range(60):
         D, S = rng.randint(1, 12), rng.randint(1, 6)
         f = [rng.randint(-20, 20) for _ in range(D + 1)]
-        duals, _ = lattice._edge_dual(f, S, range(D + 1))
+        cav, M, pieces = lattice._concave_majorant(range(D + 1), f)
         table = {pt(F(a, D), 1 - F(a, D)): F(v, S) for a, v in enumerate(f)}
-        cav = list(_cav_table(table).values())  # in the order of a
-        slopes = [D * (r - l) for l, r in zip(cav, cav[1:])]
-        assert duals == [F(-v, S) for v in f] + cav + slopes + slopes[-1:]
+        assert [F(c, S * M) for c in cav] == list(_cav_table(table).values())  # in the order of a
+        for a, (l, r) in enumerate(pieces):
+            assert l <= a < r or a == r == D
+            assert cav[l] == f[l] * M and cav[r] == f[r] * M
+            assert (cav[a] - cav[l]) * (r - l) == (cav[r] - cav[l]) * (a - l)
 
 
-def test_path_certificate_duals_are_edge_duals_of_its_row_sums():
+def test_path_certificate_duals_are_the_nested_majorants():
     """On every covering edge of 200 seeded path forests (_path_forest),
-    _path_certificate's duals at the breakpoints are _edge_dual's for
-    its own row-sum duals, negated, taken in integers over their common
-    denominator and interpolated between breakpoints: the column-sum
-    duals are the least concave majorant of that interpolation
-    over the whole lattice (_lattice_majorant), the barycenter duals D
-    times its slope to the right (to the left at D), so the lattice
-    certificate's g is the closed form's cav f(parent)."""
+    the g of _path_certificate's dual (lattice._lattice_dual: its
+    spread-row duals), linear between breakpoints (_on_lattice), is
+    cav f(parent) less a linear function at every lattice point, cav
+    the least concave majorant over the whole lattice (_lattice_majorant)
+    of f(parent) interpolated between breakpoints, with f(root) =
+    u(root) and f(child) = u(child) + cav f(parent) (Fractions); and the
+    lines' value at the prior is the sum over leaves of cav f(leaf)
+    there (concavify_single)."""
     rng = random.Random(73)
     edges_seen = 0
     for _ in range(200):
         inst, D = _path_forest(rng)
         glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=D))
         _, y = glp.propose()
-        m, k = len(glp.points), inst.k
-        points = [w[0].numerator * (D // w[0].denominator) for w in glp.points]
-        for at in range(2 * k, 2 * k + 3 * m * len(glp.edges), 3 * m):
-            rows = y[at : at + m]
-            S = math.lcm(*(v.denominator for v in rows))
-            f = [-v.numerator * (S // v.denominator) for v in rows]
-            h, M, _ = _lattice_majorant(points, f)
-            right = [min(a, D - 1) for a in points]
-            cav = [F(h[a], S * M) for a in points]
-            slopes = [F(D * (h[c + 1] - h[c]), S * M) for c in right]
-            assert rows + cav + slopes == y[at : at + 3 * m]
+        lines, g = lattice._lattice_dual(glp, y)
+        points = lattice._positions(glp)
+        parent = {i2: i1 for i1, i2 in glp.edges}
+        cav = {}
+
+        def f(i):  # f(i) at the breakpoints
+            u = [glp.values[i][a] for a in points]
+            return u if i not in parent else [v + c for v, c in zip(u, majorant(parent[i]))]
+
+        def majorant(i):  # cav f(i) at the breakpoints, from the one on the lattice
+            if i not in cav:
+                values = f(i)
+                V = math.lcm(*(v.denominator for v in values))
+                h, M, _ = _lattice_majorant(points, [int(v * V) for v in values])
+                cav[i] = [F(h[a], V * M) for a in range(D + 1)]
+            return [cav[i][a] for a in points]
+
+        for (i1, _), (h, S) in zip(glp.edges, _on_lattice(glp, g)):
+            majorant(i1)
+            rest = [F(v, S) - c for v, c in zip(h, cav[i1])]
+            assert all(l + r == 2 * c for l, c, r in zip(rest, rest[1:], rest[2:]))
             edges_seen += 1
+        p, leaves = inst.prior.values[0], set(range(inst.k)) - set(parent.values())
+        nested = sum(concavify_single(dict(zip(glp.points, f(i))), inst.prior) for i in leaves)
+        assert sum(t * p + b * (1 - p) for t, b in lines) == nested
     assert edges_seen
 
 
@@ -1221,17 +1353,17 @@ def test_a_chain_is_worth_at_most_private_channels():
     ],
 )
 def test_rung_points_are_pinned(name, denominator, first, second):
-    """The breakpoint program's start holds the prior's grid point, and
+    """The potential program's start holds the prior's grid point, and
     its points add (0,1), (1,0) and every point where a receiver's
-    utility bends down; its columns are every x at its points and every
-    y between two of them (test_rung_programs_are_restrictions_of_the_full_program)."""
+    utility bends down; its columns are the marginals at its points
+    (test_potential_programs_are_built_from_the_full_programs_rows)."""
     inst = _data_instance(name)
     glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
     _, _, points, program, start = _breakpoint_run(inst, glp)
     labels = [",".join(map(str, glp.points[a])) for a in points]
     assert labels == second
     assert [label for label, v in zip(labels, start) if v] == first
-    assert program.n_vars == inst.k * len(points) + len(glp.edges) * len(points) ** 2
+    assert program.n_vars == inst.k * len(points)
 
 
 def test_three_state_grids_have_no_rungs():
@@ -1244,7 +1376,7 @@ def test_three_state_grids_have_no_rungs():
 
 def _rung_programs():
     """(instance, denominator) of two-state grids to answer by their
-    breakpoint program, path forests among them: the five
+    potential program, path forests among them: the five
     GRID_CASES, seeded grid2-generator chains and three-receiver
     forests, also at the coarse steps 1/2 to 1/6, and the JUMPS
     instances."""
@@ -1261,25 +1393,29 @@ def _rung_programs():
     return cases
 
 
-def test_rung_programs_are_restrictions_of_the_full_program():
-    """The breakpoint program that lattice._breakpoint_answer makes over a
-    subset of the points is the full program restricted to the columns
-    of every x at those points and every y between two of them, as an
-    independent builder from the Fraction rows makes it: the same
-    variables, objective and rows, in the same order."""
+def test_potential_programs_are_built_from_the_full_programs_rows():
+    """The potential program over a subset of the points is what an
+    independent builder from the Fraction rows makes: the full program
+    restricted to the x columns at those points, its objective, its
+    Bayes-plausibility rows and its normalization rows, with, between
+    them, per covering edge (i1, i2) and interior point t, the row
+    sum_a (x_i1(a) - x_i2(a)) |a - t| >= 0; the same variables,
+    objective and rows, in the same order."""
     for inst, denominator in _rung_programs():
         glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
         _, _, points, program, _ = _breakpoint_run(inst, glp)
-        n, k = len(glp.points), inst.k
-        columns = [i * n + a for i in range(k) for a in points]
-        columns += [
-            k * n + e * n * n + a * n + c
-            for e in range(len(glp.edges))
-            for a in points
-            for c in points
-        ]
-        oracle = _restriction(glp.program, columns)
-        assert program.n_vars == oracle.n_vars == len(columns)
+        m, k = len(points), inst.k
+        columns = [i * len(glp.points) + a for i in range(k) for a in points]
+        restricted = _restriction(glp.program, columns)
+        rows, spread = restricted.constraints, []
+        for i1, i2 in glp.edges:
+            for t in points[1:-1]:
+                row = {i1 * m + s: F(abs(a - t)) for s, a in enumerate(points) if a != t}
+                row.update({i2 * m + s: F(-abs(a - t)) for s, a in enumerate(points) if a != t})
+                spread.append((row, lp.GE, F(0)))
+        constraints = [*rows[: 2 * k], *spread, *rows[-k:]]
+        oracle = lp.LinearProgram(k * m, restricted.objective, constraints)
+        assert program.n_vars == oracle.n_vars == k * m
         assert (program.obj, program.obj_den) == (oracle.obj, oracle.obj_den)
         assert program.rows == oracle.rows
 
@@ -1288,7 +1424,7 @@ def test_a_grid_solve_builds_once_and_solves_once(monkeypatch):
     """solve_grid and solve_fptas build through one forest.build_grid_lp
     call and solve through one forest.lp.solve call: the call pattern
     that the benchmark's read-back replay swaps out.  On two states that
-    call solves the breakpoint program, and the lattice certificate
+    call solves the potential program, and the lattice certificate
     needs no other (test_a_replayed_solve_never_calls_the_proposal)."""
     calls = []
     real_build, real_solve = forest.build_grid_lp, forest.lp.solve
@@ -1320,10 +1456,10 @@ def test_a_grid_solve_builds_once_and_solves_once(monkeypatch):
 @pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED])
 @pytest.mark.parametrize("call", [1, 2])
 def test_a_rung_that_is_not_optimal_raises(call, status, monkeypatch):
-    """A breakpoint program is a grid program, always feasible and
-    bounded, so one that lp.solve reports as anything but optimal is a
-    solver defect.  solve_grid on chain2 and then on star3 at 1/20 calls
-    lp.solve once each, on the breakpoint program: when the call-th
+    """A potential program, like any grid program, is always feasible
+    and bounded, so one that lp.solve reports as anything but optimal is
+    a solver defect.  solve_grid on chain2 and then on star3 at 1/20
+    calls lp.solve once each, on the potential program: when the call-th
     reports status, solve_grid raises InvariantViolation naming the
     program and the status, and no engine is built."""
     built, calls = _engines_built(monkeypatch), []
@@ -1384,14 +1520,15 @@ def test_a_replayed_solve_never_calls_the_proposal(name, denominator, monkeypatc
 
 
 def _lattice_accepts(inst, glp, full, lines, g, x):
-    """Whether the lattice certificate (lines, g) of glp's breakpoint
+    """Whether the lattice certificate (lines, g) of glp's potential
     program proves x, a point of full's program (full_grid_lp), optimal:
-    x read back into a GridSolution of value c.x and validated, then
+    x read back, its flows among it (_one_pass_read_solution), into a
+    GridSolution of value c.x and validated, then
     lattice._lattice_failure."""
     program = full.program
     objective = sum((F(a, program.obj_den) * x[j] for j, a in program.obj.items()), F(0))
     try:
-        solution = forest._read_solution(full, x, objective)
+        solution = _one_pass_read_solution(full, x, objective)
         solution._validate(inst, full.edges)
     except (InvariantViolation, ValidationError):
         return False
@@ -1400,7 +1537,7 @@ def _lattice_accepts(inst, glp, full, lines, g, x):
 
 
 def _lattice_certificate(inst, denominator):
-    """(glp, solution, lines, g): solve_grid's breakpoint program, the
+    """(glp, solution, lines, g): solve_grid's potential program, the
     solution it reads back and the lattice certificate of its dual."""
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
     sol = lp.solve(glp.program, propose=glp.propose)
@@ -1565,19 +1702,19 @@ def _lattice_majorant(xs, values):
 
 
 def _scan_dual(glp, dual):
-    """The lattice certificate (lines, g) of a dual of glp's breakpoint
-    program with each g listed at every point 0..D: the majorant over
-    the lattice of the negated row-sum duals interpolated between
-    breakpoints (_lattice_majorant)."""
+    """The lattice certificate (lines, g) of a dual of glp's potential
+    program with each g listed at every point 0..D: sum_t y_t |a - t| at
+    each a, y_t the edge's spread-row duals at the interior breakpoints
+    t, in integers over their common denominator."""
     k, at = len(glp.values), lattice._positions(glp)
-    m = len(at)
+    n = len(at) - 2
     lines = [(dual[2 * i] + nu, dual[2 * i + 1] + nu) for i, nu in enumerate(dual[len(dual) - k :])]
     g = []
-    for start in range(2 * k, 2 * k + 3 * m * len(glp.edges), 3 * m):
-        alpha = dual[start : start + m]
-        S = math.lcm(*(v.denominator for v in alpha))
-        h, M, _ = _lattice_majorant(at, [-v.numerator * (S // v.denominator) for v in alpha])
-        g.append((h, S * M))
+    for e in range(len(glp.edges)):
+        ys = dual[2 * k + e * n : 2 * k + e * n + n]
+        S = math.lcm(*(v.denominator for v in ys))
+        w = [v.numerator * (S // v.denominator) for v in ys]
+        g.append(([sum(c * abs(a - t) for c, t in zip(w, at[1:])) for a in range(at[-1] + 1)], S))
     return lines, g
 
 
@@ -1795,7 +1932,7 @@ def test_solution_validate_refuses_points_off_the_lattice():
 def test_fine_steps_build_no_large_program(name, monkeypatch):
     """solve_fptas at 1/10,000, whose full grid program would have about
     10^8 columns per covering edge, builds no LinearProgram above 10^4
-    columns: only the breakpoint program; the objective is the 1/40 one,
+    columns: only the potential program; the objective is the 1/40 one,
     since every breakpoint and the prior lie on 1/10."""
     inst = _data_instance(name)
     reference = solve_fptas(inst, F(1, 40))[0].objective
