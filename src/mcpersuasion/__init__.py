@@ -12,8 +12,6 @@ generates hardness instances from minimum b-union problems.
 from .beliefs import (
     BeliefDistribution,
     Coupling,
-    concavify_single,
-    concavify_support,
     is_bayes_plausible,
 )
 from .dominance import (
@@ -67,7 +65,6 @@ from .sharing import (
     SchemeReport,
     emulate_private_subset,
     enumerate_executions,
-    shield_receiver,
     transport_scheme,
     verify_scheme,
 )
@@ -98,8 +95,6 @@ __all__ = [
     "ValidationError",
     "build_reduction",
     "check_private_equivalence_condition",
-    "concavify_single",
-    "concavify_support",
     "dominance_set",
     "domination_graph",
     "emulate_private_subset",
@@ -114,7 +109,6 @@ __all__ = [
     "network_structure",
     "optimal_value",
     "parse_rational",
-    "shield_receiver",
     "solve_fptas",
     "solve_grid",
     "sperner_channel_count",

@@ -1,23 +1,22 @@
 """Posterior-belief geometry.
 
 Finite distributions over exact posterior points, the Bayes-plausibility
-test, mean-preserving-spread couplings and the rows and flows of the
-program that finds them, and a single-receiver concavification computed
-by support enumeration.  The enumeration route is deliberate: it shares
-no machinery with the simplex solver, so the two can vouch for each
-other in tests.
+test, and mean-preserving-spread couplings with the rows and flows of
+the program that finds them.  The tests keep a single-receiver
+concavification by support enumeration, which shares no machinery with
+the simplex solver, so the two can vouch for each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, product, repeat
+from itertools import compress, product, repeat
 from math import lcm
 from operator import sub
 from typing import Iterable, Mapping, Sequence
 
-from .errors import PriorOutsideHull, StateSpaceMismatch, ValidationError
+from .errors import StateSpaceMismatch, ValidationError
 from .model import Posterior, Prior, check_posterior
 
 _ZERO = Fraction(0)
@@ -175,82 +174,3 @@ def coupling_flows(spread, coarse, assignment: Sequence[Fraction], base=0) -> di
     of coupling_rows(spread, coarse, base), in variable order."""
     block = assignment[base : base + len(spread) * len(coarse)]
     return dict(compress(zip(product(spread, coarse), block), block))
-
-
-def _solve_unique(rows, rhs):
-    """Exact solution of an overdetermined system if it exists and is
-    unique; None on inconsistency or underdetermination."""
-    m, s = len(rows), len(rows[0]) if rows else 0
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    pivots = []
-    row_at = 0
-    for col in range(s):
-        pivot = next((i for i in range(row_at, m) if aug[i][col]), None)
-        if pivot is None:
-            return None  # free column: not unique
-        aug[row_at], aug[pivot] = aug[pivot], aug[row_at]
-        pv = aug[row_at][col]
-        aug[row_at] = [v / pv for v in aug[row_at]]
-        for i in range(m):
-            if i != row_at and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row_at])]
-        pivots.append(col)
-        row_at += 1
-    for i in range(row_at, m):
-        if aug[i][s]:
-            return None  # inconsistent
-    return [aug[r][s] for r in range(s)]
-
-
-def concavify_single(
-    u_table: Mapping[Posterior, Fraction],
-    prior: Prior,
-    points: Iterable[Posterior] | None = None,
-) -> Fraction:
-    """Best expected value of u over Bayes-plausible distributions
-    supported on the given points (defaults: the table's own keys)."""
-    value, _ = concavify_support(u_table, prior, points)
-    return value
-
-
-def concavify_support(
-    u_table: Mapping[Posterior, Fraction],
-    prior: Prior,
-    points: Iterable[Posterior] | None = None,
-) -> tuple[Fraction, BeliefDistribution]:
-    """concavify_single together with an optimal distribution.
-
-    Works by exhausting supports of at most |states| points: some
-    optimal distribution is basic for the moment system, hence has a
-    support of that size with linearly independent moment columns, and
-    on such a support the weights are the unique solution of the
-    system.  Larger or dependent supports never need to be examined.
-    """
-    pts = sorted(points) if points is not None else sorted(u_table)
-    dim = prior.space.size
-    for p in pts:
-        if len(p) != dim:
-            raise StateSpaceMismatch("grid point dimension differs from the prior's")
-    target = list(prior.values) + [Fraction(1)]
-    best: tuple[Fraction, BeliefDistribution] | None = None
-    for size in range(1, dim + 1):
-        for support in combinations(pts, size):
-            rows = [[p[b] for p in support] for b in range(dim)]
-            rows.append([Fraction(1)] * size)
-            weights = _solve_unique(rows, target)
-            if weights is None or any(w < 0 for w in weights):
-                continue
-            value = sum(
-                (w * u_table[p] for w, p in zip(weights, support)), Fraction(0)
-            )
-            if best is None or value > best[0]:
-                best = (
-                    value,
-                    BeliefDistribution.from_pairs(zip(support, weights)),
-                )
-    if best is None:
-        raise PriorOutsideHull(
-            "prior is not a convex combination of the given grid points"
-        )
-    return best

@@ -432,7 +432,9 @@ class SignalingTable:
         receiver's entries are grouped by label object first, which needs
         no hashing of Fractions: the condition is linear in the entries,
         so groups that each pass pass together, and only a failure is
-        checked again with equal labels grouped by value."""
+        checked again with equal labels grouped by value.  Equal labels
+        are one object in a table from from_signals and in one read from
+        a file, so there the first grouping is the only one."""
         if prior.space != self.space:
             raise InvariantViolation("table and prior disagree on the state space")
         size = self.space.size
@@ -470,7 +472,8 @@ class SignalingTable:
         """Canonicalize an arbitrary-signal table: each receiver's signal
         is renamed to the posterior it induces, by Bayes' rule, and
         equal-label profiles are merged.  Equal posteriors, of one receiver
-        or of several, are one label object."""
+        or of several, are one label object, as they are in a table read
+        from a file (io.table_from_doc)."""
         space, size = prior.space, prior.space.size
         if set(per_state) != set(space.states):
             raise ValidationError("signal table does not cover the state space")

@@ -10,6 +10,10 @@ their file or to stdout in bounded chunks instead of as one string: about
 a thousand pieces, or one block of up to 64 records of a list of dicts
 rendered column by column by one %-format (stream_document).  Any other
 list renders item by item, a list of ints or of strs by one join.
+Within one document, readers parse each distinct label or rational
+literal once, so copies of one label literal are one object, as in a
+table from SignalingTable.from_signals, and writers format each label
+object once (model._reader, model._writer).
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ from .model import (
     _field,
     _integer,
     _object,
+    _reader,
     _states_field,
     _structure_field,
+    _writer,
     format_posterior,
     format_rational,
     parse_posterior,
@@ -328,8 +334,16 @@ def structure_to_doc(structure: CommunicationStructure) -> dict:
 
 def structure_from_doc(doc: Mapping) -> CommunicationStructure:
     """Accepts any document carrying a "structure" field, so instance
-    files double as structure files for the comparison commands."""
-    return _structure_field(doc, "structure document")
+    files double as structure files for the comparison commands.  A "k"
+    or "n" beside it must be the matrix's receiver or channel count."""
+    what = "structure document"
+    structure = _structure_field(doc, what)
+    for key, count, counted in (("k", structure.k, "receivers"), ("n", structure.n, "channels")):
+        if key in doc and _field(doc, key, what, _integer) != count:
+            raise ValidationError(
+                f"{what} field {key!r} is {doc[key]!r}, but its matrix has {count} {counted}"
+            )
+    return structure
 
 
 def graph_from_doc(doc: Mapping) -> NetworkGraph:
@@ -349,11 +363,10 @@ def graph_from_doc(doc: Mapping) -> NetworkGraph:
 
 
 def table_to_doc(table: SignalingTable) -> dict:
+    label = _writer(format_posterior)  # equal labels are usually one object
     return {
         "states": list(table.space.states),
-        "profiles": [
-            [format_posterior(label) for label in profile] for profile in table.profiles
-        ],
+        "profiles": [list(map(label, profile)) for profile in table.profiles],
         "rows": {
             state: [format_rational(v) for v in table.rows[state]]
             for state in table.space.states
@@ -362,30 +375,34 @@ def table_to_doc(table: SignalingTable) -> dict:
 
 
 def table_from_doc(doc: Mapping) -> SignalingTable:
+    """The table a document holds; copies of one label literal are one
+    label object, as in a table built by SignalingTable.from_signals."""
     space = _states_field(doc, "table")
+    label, entry = _reader(parse_posterior), _reader(parse_rational)
     profiles = tuple(
-        tuple(parse_posterior(label) for label in _array(profile, "table profile"))
+        tuple(map(label, _array(profile, "table profile")))
         for profile in _field(doc, "profiles", "table", _array)
     )
     rows = {
-        state: tuple(parse_rational(v) for v in _array(vec, f"table row {state!r}"))
+        state: tuple(map(entry, _array(vec, f"table row {state!r}")))
         for state, vec in _field(doc, "rows", "table", _object).items()
     }
     return SignalingTable(space=space, profiles=profiles, rows=rows)
 
 
-def _marginal_to_doc(dist: BeliefDistribution) -> list:
+def _marginal_to_doc(dist: BeliefDistribution, label) -> list:
     return [
-        {"point": format_posterior(p), "mass": format_rational(m)}
+        {"point": label(p), "mass": format_rational(m)}
         for p, m in zip(dist.points, dist.masses)
     ]
 
 
 def _marginal_from_doc(entries) -> BeliefDistribution:
+    point, mass = _reader(parse_posterior), _reader(parse_rational)
     return BeliefDistribution.from_pairs(
         (
-            parse_posterior(_field(entry, "point", "marginal entry")),
-            parse_rational(_field(entry, "mass", "marginal entry")),
+            point(_field(entry, "point", "marginal entry")),
+            mass(_field(entry, "mass", "marginal entry")),
         )
         for entry in _array(entries, "marginal")
     )
@@ -403,11 +420,12 @@ class SchemeDocument:
 
 
 def scheme_to_doc(solution: GridSolution, table: SignalingTable) -> dict:
+    label = _writer(format_posterior)  # the marginals share label objects
     return {
         "step": format_rational(solution.step),
         "objective": format_rational(solution.objective),
         "table": table_to_doc(table),
-        "marginals": [_marginal_to_doc(d) for d in solution.marginals],
+        "marginals": [_marginal_to_doc(d, label) for d in solution.marginals],
     }
 
 
@@ -432,9 +450,10 @@ def channel_scheme_to_doc(scheme: ChannelScheme) -> dict:
     """Serialize the wire layout plus a (possibly capped) execution
     listing.  Receivers, channels, and key ids are 1-based in files."""
     alphabets = {}
+    label = _writer(format_posterior)  # alphabets share label objects
     for i, alphabet in enumerate(scheme.alphabets):
         if alphabet is not None:
-            alphabets[str(i + 1)] = [format_posterior(l) for l in alphabet.labels]
+            alphabets[str(i + 1)] = list(map(label, alphabet.labels))
     slots = [
         {
             "channel": slot.channel + 1,
@@ -478,11 +497,13 @@ def channel_scheme_to_doc(scheme: ChannelScheme) -> dict:
 
 def channel_scheme_from_doc(doc: Mapping) -> ChannelScheme:
     """Rebuild a scheme from its symbolic part; the execution listing is
-    advisory output and is rederived, never trusted."""
+    advisory output and is rederived, never trusted.  Copies of one label
+    literal across the alphabets are one object."""
     what = "channel scheme"
     q = _field(doc, "q", what, _integer)
     structure = structure_from_doc(_field(doc, "structure", what))
     alphabets: list[Optional[LabelAlphabet]] = [None] * structure.k
+    label = _reader(parse_posterior)
     for key, labels in _field(doc, "alphabets", what, _object).items():
         i = _integer(key, "alphabet receiver") - 1
         if not 0 <= i < structure.k:
@@ -491,7 +512,7 @@ def channel_scheme_from_doc(doc: Mapping) -> ChannelScheme:
             raise ValidationError(f"alphabet for receiver {i + 1} given twice")
         alphabets[i] = LabelAlphabet(
             modulus=q,
-            labels=tuple(parse_posterior(l) for l in _array(labels, f"alphabet {key}")),
+            labels=tuple(map(label, _array(labels, f"alphabet {key}"))),
         )
     covered = {_integer(i, "covered receiver") for i in _field(doc, "covered", what, _array)}
     if covered != {i + 1 for i, alphabet in enumerate(alphabets) if alphabet is not None}:

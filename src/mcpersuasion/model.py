@@ -15,6 +15,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -35,6 +36,7 @@ _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _BITS = frozenset((0, 1))
 _INT_ONLY = frozenset((int,))
+_STR_ONLY = frozenset((str,))
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +99,47 @@ def _structure_field(doc, what: str) -> CommunicationStructure:
     return CommunicationStructure(
         tuple(tuple(_integer(x, entry_what) for x in _array(row, row_what)) for row in rows)
     )
+
+
+def _reader(parse):
+    """parse for one document read: a literal made only of strs (a str, or
+    an array or object whose entries, keys included, are all strs) is
+    parsed, and so checked, once, and its copies get the object its first
+    copy gave; any other value is parsed each time, so that parse makes
+    every refusal and no bool is served an earlier int's object."""
+    seen = {}
+
+    def read(value):
+        kind = type(value)
+        if kind is str:
+            key = value
+        elif kind is list and _STR_ONLY.issuperset(map(type, value)):
+            key = tuple(value)
+        elif kind is dict and _STR_ONLY.issuperset(map(type, chain(value, value.values()))):
+            key = frozenset(value.items())  # never equal to a str or a tuple
+        else:
+            return parse(value)
+        found = seen.get(key)
+        if found is None:
+            found = seen[key] = parse(value)
+        return found
+
+    return read
+
+
+def _writer(form):
+    """form for one document write, run once per object by id(), which
+    is the object's own while the caller holds it; each occurrence gets
+    a fresh copy of the list or dict (a str is its own copy)."""
+    seen = {}
+
+    def write(obj):
+        found = seen.get(id(obj))
+        if found is None:
+            found = seen[id(obj)] = form(obj)
+        return type(found)(found)
+
+    return write
 
 
 def parse_rational(text) -> Fraction:
@@ -640,6 +683,7 @@ class SupermajorityUtility:
         return Fraction(total) if scale == 1 else Fraction(total, scale)
 
     def to_doc(self, space):
+        rule = _writer(MemberRule.to_doc)  # groups usually share rule objects
         return {
             "kind": "supermajority",
             "groups": [
@@ -647,7 +691,7 @@ class SupermajorityUtility:
                     "members": [i + 1 for i in g.members],
                     "weight": format_rational(g.weight),
                     "threshold": g.threshold,
-                    "condition": g.rule.to_doc(),
+                    "condition": rule(g.rule),
                 }
                 for g in self.groups
             ],
@@ -739,15 +783,21 @@ def _parse_receiver_utility(doc, space: StateSpace) -> ReceiverUtility:
 
 def _parse_utilities(doc, space: StateSpace, k: int):
     if isinstance(doc, dict) and doc.get("kind") == "supermajority":
-        groups = []
-        for g in _field(doc, "groups", "supermajority utilities", _array):
-            cond = _field(g, "condition", "group")
+        rational = _reader(parse_rational)
+
+        def condition(cond) -> MemberRule:
             rule = MemberRule(
                 op=_field(cond, "op", "group condition", _string),
                 state=_field(cond, "state", "group condition", _string),
-                cutoff=parse_rational(_field(cond, "cutoff", "group condition")),
+                cutoff=rational(_field(cond, "cutoff", "group condition")),
             )
             space.index(rule.state)
+            return rule
+
+        rule_of = _reader(condition)
+        groups = []
+        for g in _field(doc, "groups", "supermajority utilities", _array):
+            rule = rule_of(_field(g, "condition", "group"))
             members = tuple(
                 _integer(i, "group member") - 1 for i in _field(g, "members", "group", _array)
             )
@@ -756,7 +806,7 @@ def _parse_utilities(doc, space: StateSpace, k: int):
             groups.append(
                 Group(
                     members=members,
-                    weight=parse_rational(_field(g, "weight", "group")),
+                    weight=rational(_field(g, "weight", "group")),
                     threshold=_field(g, "threshold", "group", _integer),
                     rule=rule,
                 )

@@ -346,14 +346,6 @@ class _SchemeBuilder:
         self.alphabets: list[Optional[LabelAlphabet]] = [None] * structure.k
         self.key_count = 0
 
-    @classmethod
-    def resume(cls, base: ChannelScheme) -> "_SchemeBuilder":
-        builder = cls(base.q, base.structure, base.table)
-        builder.slots = list(base.slots)
-        builder.alphabets = list(base.alphabets)
-        builder.key_count = base.key_count
-        return builder
-
     def _alphabet_for(self, i: int) -> LabelAlphabet:
         labels = sorted({profile[i] for profile in self.table.profiles})
         return LabelAlphabet(self.q, tuple(labels))
@@ -477,21 +469,6 @@ def emulate_private_subset(
     everyone = set(range(M.k))
     for i in targets:
         builder.add_bundle(i, audience=everyone)
-    return builder.build()
-
-
-def shield_receiver(
-    M: CommunicationStructure, i: int, base: ChannelScheme
-) -> ChannelScheme:
-    """Rework base so that receiver i can recover only the labels of the
-    receivers he dominates, leaving every covered receiver's decoding
-    intact."""
-    if base.structure != M:
-        raise ValidationError("scheme was built for a different structure")
-    if not 0 <= i < M.k:
-        raise ValidationError(f"unknown receiver {i + 1}")
-    builder = _SchemeBuilder.resume(base)
-    builder.shield(i)
     return builder.build()
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,8 +8,6 @@ from mcpersuasion import lp
 from mcpersuasion.beliefs import (
     BeliefDistribution,
     Coupling,
-    concavify_single,
-    concavify_support,
     coupling_flows,
     coupling_rows,
     is_bayes_plausible,
@@ -42,6 +41,77 @@ def mps_coupling(spread, coarse):
         return None
     flow = coupling_flows(spread.points, coarse.points, sol.assignment)
     return Coupling(source=spread, target=coarse, flow=flow)
+
+
+def _solve_unique(rows, rhs):
+    """Exact solution of an overdetermined system if it exists and is
+    unique; None on inconsistency or underdetermination."""
+    m, s = len(rows), len(rows[0]) if rows else 0
+    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    pivots = []
+    row_at = 0
+    for col in range(s):
+        pivot = next((i for i in range(row_at, m) if aug[i][col]), None)
+        if pivot is None:
+            return None  # free column: not unique
+        aug[row_at], aug[pivot] = aug[pivot], aug[row_at]
+        pv = aug[row_at][col]
+        aug[row_at] = [v / pv for v in aug[row_at]]
+        for i in range(m):
+            if i != row_at and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row_at])]
+        pivots.append(col)
+        row_at += 1
+    for i in range(row_at, m):
+        if aug[i][s]:
+            return None  # inconsistent
+    return [aug[r][s] for r in range(s)]
+
+
+def concavify_single(u_table, prior, points=None):
+    """Best expected value of u over Bayes-plausible distributions
+    supported on the given points (defaults: the table's own keys)."""
+    value, _ = concavify_support(u_table, prior, points)
+    return value
+
+
+def concavify_support(u_table, prior, points=None):
+    """concavify_single together with an optimal distribution.
+
+    Works by exhausting supports of at most |states| points: some
+    optimal distribution is basic for the moment system, hence has a
+    support of that size with linearly independent moment columns, and
+    on such a support the weights are the unique solution of the
+    system.  Larger or dependent supports never need to be examined.
+    """
+    pts = sorted(points) if points is not None else sorted(u_table)
+    dim = prior.space.size
+    for p in pts:
+        if len(p) != dim:
+            raise StateSpaceMismatch("grid point dimension differs from the prior's")
+    target = list(prior.values) + [Fraction(1)]
+    best = None
+    for size in range(1, dim + 1):
+        for support in combinations(pts, size):
+            rows = [[p[b] for p in support] for b in range(dim)]
+            rows.append([Fraction(1)] * size)
+            weights = _solve_unique(rows, target)
+            if weights is None or any(w < 0 for w in weights):
+                continue
+            value = sum(
+                (w * u_table[p] for w, p in zip(weights, support)), Fraction(0)
+            )
+            if best is None or value > best[0]:
+                best = (
+                    value,
+                    BeliefDistribution.from_pairs(zip(support, weights)),
+                )
+    if best is None:
+        raise PriorOutsideHull(
+            "prior is not a convex combination of the given grid points"
+        )
+    return best
 
 
 def pt(*xs):

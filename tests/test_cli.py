@@ -117,6 +117,15 @@ def test_analyze_chain(capsys, files):
     assert "merged" not in doc
 
 
+def test_analyze_refuses_counts_that_do_not_match_the_matrix(capsys, files):
+    path = files("mismatch.json", {"k": 5, "n": 9, "structure": [[1, 1], [0, 1]]})
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2 and not out
+    assert err == "error: structure document field 'k' is 5, but its matrix has 2 receivers\n"
+    path = files("counted.json", {"k": 2, "n": 2, "structure": [[1, 1], [0, 1]]})
+    assert run_doc(capsys, "analyze", path)["k"] == 2
+
+
 def test_analyze_merges_duplicates(capsys, files):
     path = files("dup.json", {"structure": [[1, 0], [1, 0], [1, 1]]})
     doc = run_doc(capsys, "analyze", path)

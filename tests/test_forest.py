@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from mcpersuasion import forest, lattice, lp
-from mcpersuasion.beliefs import BeliefDistribution, Coupling, concavify_single, coupling_flows
+from mcpersuasion.beliefs import BeliefDistribution, Coupling, coupling_flows
 from mcpersuasion.dominance import dominance_set
 from mcpersuasion.errors import (
     BadEpsilon,
@@ -49,7 +49,11 @@ from mcpersuasion.model import (
     format_label,
     validate_instance,
 )
-from test_beliefs import assert_coupling_check_matches_the_reference, mps_coupling
+from test_beliefs import (
+    assert_coupling_check_matches_the_reference,
+    concavify_single,
+    mps_coupling,
+)
 from test_lp import GRID_CASES, _engines_built, _restriction, dump, full_grid_lp, var_names
 
 F = Fraction

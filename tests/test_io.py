@@ -7,8 +7,10 @@ document."""
 import hashlib
 import json
 import math
+import operator
 import os
 import random
+import re
 import stat
 import tracemalloc
 from enum import IntEnum
@@ -27,6 +29,7 @@ from mcpersuasion.io import (
     graph_from_doc,
     render_document,
     scheme_from_doc,
+    scheme_to_doc,
     stream_document,
     structure_from_doc,
     table_from_doc,
@@ -34,9 +37,11 @@ from mcpersuasion.io import (
     write_document,
 )
 from mcpersuasion.dominance import sperner_structure
+from mcpersuasion.forest import SignalingTable, solve_fptas
 from mcpersuasion.model import instance_to_doc, validate_instance
 from mcpersuasion.sharing import emulate_private_subset, transport_scheme
 from test_cli import FLAGSHIP, REVEAL3, SINGLE, SPERNER3_INSTANCE, sperner_share_inputs
+from test_model import outcomes
 from test_sharing import _identity, _independent_table
 
 DATA = Path(__file__).parent / "data"
@@ -910,3 +915,173 @@ def test_every_single_mutation_reads_or_raises_validation_error(reader, doc):
         except Exception as exc:
             pytest.fail(f"{type(exc).__name__}: {exc} on {mutant!r}")
     assert refused
+
+
+# ---------------------------------------------------------------------------
+# Each distinct label literal read, and each label object written, once
+
+ONE_ZERO = ["1", "0"]
+LATER_LABELS = [
+    pytest.param(["1", "0"], id="same"),
+    pytest.param([1, 0], id="ints"),
+    pytest.param([True, False], id="bools"),
+    pytest.param([1.0, 0], id="float"),
+    pytest.param([["1"], "0"], id="nested"),
+    pytest.param(["1", "0", "0"], id="longer"),
+    pytest.param("1", id="str"),
+]
+
+
+def _table_doc(later):
+    """A table whose label ["1", "0"] appears three times, the last
+    copy replaced by later."""
+    return {
+        "states": ["low", "high"],
+        "profiles": [[["0", "1"], ONE_ZERO], [list(ONE_ZERO), ["0", "1"]], [ONE_ZERO, later]],
+        "rows": {"low": ["1/2", "1/2", "0"], "high": ["0", "1/2", "1/2"]},
+    }
+
+
+def _scheme_doc(later):
+    """A solve document whose marginals repeat the point ["1", "0"], the
+    last copy replaced by later."""
+    entry = {"point": ONE_ZERO, "mass": "1/2"}
+    marginal = [{"point": ["0", "1"], "mass": "1/2"}, entry]
+    again = [{"point": ONE_ZERO, "mass": "1/2"}, dict(entry, point=later)]
+    return dict(SCHEME, marginals=[marginal, again])
+
+
+def _channel_scheme_doc(later):
+    """A share document with two alphabets over the same labels, the
+    second alphabet's ["1", "0"] replaced by later."""
+    structure = structure_from_doc(SPERNER3_INSTANCE)
+    scheme = emulate_private_subset(structure, [0, 1], table_from_doc(REVEAL3), 3)
+    doc = channel_scheme_to_doc(scheme)
+    del doc["executions"]
+    assert doc["alphabets"]["2"][1] == ONE_ZERO
+    doc["alphabets"]["2"][1] = later
+    return doc
+
+
+@pytest.mark.parametrize("later", LATER_LABELS)
+@pytest.mark.parametrize(
+    "reader, make",
+    [
+        pytest.param(table_from_doc, _table_doc, id="table"),
+        pytest.param(scheme_from_doc, _scheme_doc, id="marginals"),
+        pytest.param(channel_scheme_from_doc, _channel_scheme_doc, id="alphabets"),
+    ],
+)
+def test_a_repeated_label_reads_as_when_each_copy_is_read(reader, make, later):
+    got, want = outcomes(reader, make(later))
+    assert got == want
+
+
+@pytest.mark.parametrize("later", ["1/2", "2/4", 1, True, 0.5, ["1/2"], None])
+def test_a_repeated_row_entry_reads_as_when_each_copy_is_read(later):
+    doc = _table_doc(ONE_ZERO)
+    doc["rows"]["high"][2] = later
+    got, want = outcomes(table_from_doc, doc)
+    assert got == want
+
+
+def test_copies_of_one_label_literal_are_one_object():
+    table = table_from_doc(_table_doc(ONE_ZERO))
+    labels = [label for profile in table.profiles for label in profile]
+    assert len(set(map(id, labels))) == len(set(labels)) == 2
+    assert len({id(v) for row in table.rows.values() for v in row}) == 2
+    # an equal label from another literal is its own object
+    first, later = table_from_doc(_table_doc([1, 0])).profiles[2]
+    assert first == later and first is not later
+    scheme = channel_scheme_from_doc(_channel_scheme_doc(ONE_ZERO))
+    first, second = (a.labels for a in scheme.alphabets[:2])
+    assert all(map(operator.is_, first, second))
+
+
+def _copied_labels(table):
+    """table with every label a fresh object, so that no two are one."""
+    profiles = tuple(
+        tuple(tuple(Fraction(x.numerator, x.denominator) for x in w) for w in p)
+        for p in table.profiles
+    )
+    return SignalingTable(space=table.space, profiles=profiles, rows=table.rows)
+
+
+def test_writers_equal_a_per_occurrence_writer():
+    rng = random.Random(20261020)
+    for trial in range(60):
+        k = rng.randint(1, 3)
+        table = _independent_table(rng, k, signals=rng.randint(2, 3))
+        if trial % 2:
+            table = _copied_labels(table)
+        scheme = emulate_private_subset(_identity(k), range(k), table)
+        for write, value in ((table_to_doc, table), (channel_scheme_to_doc, scheme)):
+            got, want = outcomes(write, value)
+            assert got == want
+            assert render_document(got) == render_document(want)
+        labels = [w for p in table_to_doc(table)["profiles"] for w in p]
+        assert len(set(map(id, labels))) == len(labels)  # no aliased lists
+    for name in ("chain2", "star3"):
+        instance = validate_instance(json.loads((DATA / f"{name}.instance.json").read_text()))
+        solution, table = solve_fptas(instance, Fraction(1, 10))
+        got, want = outcomes(scheme_to_doc, solution, table)
+        assert got == want
+        points = [entry["point"] for marginal in got["marginals"] for entry in marginal]
+        assert len(set(map(id, points))) == len(points)
+
+
+def test_table_to_doc_formats_each_label_object_once(monkeypatch):
+    formatted = []
+
+    def record(label):
+        formatted.append(label)
+        return list(map(str, label))
+
+    monkeypatch.setattr(mc_io, "format_posterior", record)
+    table = _independent_table(random.Random(7), 3)
+    table_to_doc(table)
+    assert sorted(map(id, formatted)) == sorted({id(w) for p in table.profiles for w in p})
+    formatted.clear()
+    table_to_doc(_copied_labels(table))
+    assert len(formatted) == 3 * len(table.profiles)
+
+
+# ---------------------------------------------------------------------------
+# Structure documents: k and n beside the matrix
+
+
+CHAIN = [[1, 1], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"k": 5, "n": 9}, "field 'k' is 5, but its matrix has 2 receivers"),
+        ({"n": 3}, "field 'n' is 3, but its matrix has 2 channels"),
+        ({"k": "3"}, "field 'k' is '3', but its matrix has 2 receivers"),
+        ({"k": 2.0}, "field 'k' must be an integer, got 2.0"),
+        ({"n": True}, "field 'n' must be an integer, got True"),
+    ],
+)
+def test_a_structure_documents_counts_must_match_its_matrix(counts, message):
+    with pytest.raises(ValidationError, match=re.escape(f"structure document {message}")):
+        structure_from_doc(dict(counts, structure=CHAIN))
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"k": 5}, "field 'k' is 5, but its matrix has 3 receivers"),
+        ({"n": 2}, "field 'n' is 2, but its matrix has 3 channels"),
+    ],
+)
+def test_a_share_documents_structure_counts_must_match_its_matrix(counts, message):
+    share = channel_scheme_doc()
+    share["structure"].update(counts)
+    with pytest.raises(ValidationError, match=re.escape(f"structure document {message}")):
+        channel_scheme_from_doc(share)
+
+
+@pytest.mark.parametrize("counts", [{}, {"k": 2, "n": 2}, {"k": "2"}])
+def test_a_structure_documents_matching_counts_read(counts):
+    assert structure_from_doc(dict(counts, structure=CHAIN)).matrix == ((1, 1), (0, 1))

@@ -27,6 +27,7 @@ from mcpersuasion.model import (
     PointUtility,
     Prior,
     StateSpace,
+    SupermajorityUtility,
     TableUtility,
     ThresholdUtility,
     format_rational,
@@ -466,3 +467,147 @@ def test_validate_instance_errors():
     raw["states"] = ["0", "0"]
     with pytest.raises(ValidationError):
         validate_instance(raw)
+
+
+# ---------------------------------------------------------------------------
+# Each distinct literal read, and each rule object written, once
+
+
+def per_occurrence(monkeypatch):
+    """Make every document reader parse, and every writer format, each
+    occurrence on its own: the reference the interning is checked against."""
+    from mcpersuasion import io, model
+
+    for module in (io, model):
+        monkeypatch.setattr(module, "_reader", lambda parse: parse)
+        monkeypatch.setattr(module, "_writer", lambda form: form)
+
+
+def outcomes(call, *args):
+    """call(*args) as it is, then per occurrence: each a value, or a
+    refusal's type and message."""
+    found = []
+    for reference in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if reference:
+                per_occurrence(mp)
+            try:
+                found.append(call(*args))
+            except ValidationError as exc:
+                found.append((type(exc), str(exc)))
+    return found
+
+
+CALM = {"op": "le", "state": "1", "cutoff": "9/10"}
+
+
+def _groups_doc(condition, weight):
+    """Two one-member groups: the first with CALM and weight "1", the
+    second with the given condition and weight."""
+    return dict(
+        _raw_instance(),
+        utilities={
+            "kind": "supermajority",
+            "groups": [
+                {"members": [1], "weight": "1", "threshold": 1, "condition": dict(CALM)},
+                {"members": [2], "weight": weight, "threshold": 1, "condition": condition},
+            ],
+        },
+    )
+
+
+LATER_CONDITIONS = [
+    pytest.param(dict(CALM), id="same"),
+    pytest.param(dict(reversed(CALM.items())), id="reordered"),
+    pytest.param(dict(CALM, note="x"), id="extra-key"),
+    pytest.param(dict(CALM, cutoff=1), id="int-cutoff"),
+    pytest.param(dict(CALM, cutoff=True), id="bool-cutoff"),
+    pytest.param(dict(CALM, cutoff=0.9), id="float-cutoff"),
+    pytest.param(dict(CALM, cutoff=["9/10"]), id="nested-cutoff"),
+    pytest.param(dict(CALM, op=["le"]), id="nested-op"),
+    pytest.param(dict(CALM, state="2"), id="unknown-state"),
+    pytest.param(list(CALM.values()), id="array"),
+    pytest.param({1: "le", "state": "1", "cutoff": "9/10"}, id="int-key"),
+]
+
+
+@pytest.mark.parametrize("condition", LATER_CONDITIONS)
+def test_a_repeated_condition_reads_as_when_each_copy_is_read(condition):
+    got, want = outcomes(validate_instance, _groups_doc(condition, "1"))
+    assert got == want
+
+
+@pytest.mark.parametrize("weight", ["1", "2", 1, True, 1.0, ["1"], None])
+def test_a_repeated_weight_reads_as_when_each_copy_is_read(weight):
+    got, want = outcomes(validate_instance, _groups_doc(dict(CALM), weight))
+    assert got == want
+
+
+def test_a_condition_on_an_unknown_state_is_refused():
+    with pytest.raises(ValidationError, match="unknown state '2'"):
+        validate_instance(_groups_doc(dict(CALM, state="2"), "1"))
+
+
+def test_copies_of_one_condition_or_weight_literal_are_one_object():
+    first, second = validate_instance(_groups_doc(dict(CALM), "1")).utilities.groups
+    assert first.rule is second.rule and first.weight is second.weight
+    # equal values from other literals: "18/20" and the int 1
+    first, second = validate_instance(_groups_doc(dict(CALM, cutoff="18/20"), 1)).utilities.groups
+    assert first.rule == second.rule and first.rule is not second.rule
+    assert first.weight == second.weight and first.weight is not second.weight
+
+
+def test_a_read_reduction_instance_shares_its_payers_rule():
+    from mcpersuasion.hardness import BUnionInstance, build_reduction
+
+    out = build_reduction(BUnionInstance(w=4, sets=({1, 2}, {2, 3}, {4}), b=2))
+    doc = json.loads(render_document(instance_to_doc(out.instance)))
+    _, *payers = validate_instance(doc).utilities.groups
+    assert len({id(g.rule) for g in payers}) == 1
+
+
+def _random_supermajority(rng):
+    """Groups over a random partition of k receivers, their rules drawn
+    from a pool of three; now and then a group gets an equal copy of its
+    rule, a distinct object."""
+    k = rng.randint(1, 6)
+    pool = [
+        MemberRule(rng.choice(("le", "ge", "eq")), rng.choice("01"), F(rng.randint(0, 4), 4))
+        for _ in range(3)
+    ]
+    order = rng.sample(range(k), k)
+    groups = []
+    while order:
+        members = tuple(order[: rng.randint(1, len(order))])
+        del order[: len(members)]
+        rule = rng.choice(pool)
+        if rng.random() < 0.3:
+            cutoff = F(rule.cutoff.numerator, rule.cutoff.denominator)
+            rule = MemberRule(rule.op, rule.state, cutoff)
+        weight = F(rng.randint(0, 6), rng.randint(1, 3))
+        groups.append(Group(members, weight, rng.randint(0, len(members)), rule))
+    utilities = SupermajorityUtility(k=k, groups=tuple(groups))
+    structure = CommunicationStructure(tuple((1,) for _ in range(k)))
+    return PersuasionInstance(TWO, Prior(TWO, (F(1, 2), F(1, 2))), structure, utilities)
+
+
+def test_instance_to_doc_equals_a_per_occurrence_writer():
+    rng = random.Random(20261020)
+    for _ in range(300):
+        inst = _random_supermajority(rng)
+        got, want = outcomes(instance_to_doc, inst)
+        assert got == want
+        assert render_document(got) == render_document(want)
+        conditions = [g["condition"] for g in got["utilities"]["groups"]]
+        assert len(set(map(id, conditions))) == len(conditions)  # no aliased dicts
+
+
+def test_instance_to_doc_formats_each_rule_object_once(monkeypatch):
+    from mcpersuasion.hardness import BUnionInstance, build_reduction
+
+    formatted = []
+    to_doc = MemberRule.to_doc
+    monkeypatch.setattr(MemberRule, "to_doc", lambda rule: formatted.append(rule) or to_doc(rule))
+    inst = build_reduction(BUnionInstance(w=4, sets=({1, 2}, {2, 3}, {4}), b=2)).instance
+    assert len(instance_to_doc(inst)["utilities"]["groups"]) == 5
+    assert formatted == [g.rule for g in inst.utilities.groups[:2]]

@@ -38,7 +38,6 @@ from mcpersuasion.sharing import (
     emulate_private_subset,
     enumerate_executions,
     execution_count,
-    shield_receiver,
     transport_scheme,
     verify_scheme,
     view_laws,
@@ -243,6 +242,22 @@ def test_a_modulus_below_two_is_refused_not_replaced_by_the_default(q):
         emulate_private_subset(_identity(2), [0], table, q=q)
     with pytest.raises(AlphabetTooSmall):
         transport_scheme(_identity(2), _identity(2), table, q=q)
+
+
+def shield_receiver(M, i, base):
+    """Rework base so that receiver i can recover only the labels of the
+    receivers he dominates, leaving every covered receiver's decoding
+    intact: the scheme builder resumed from base, then its shield."""
+    if base.structure != M:
+        raise ValidationError("scheme was built for a different structure")
+    if not 0 <= i < M.k:
+        raise ValidationError(f"unknown receiver {i + 1}")
+    builder = sharing._SchemeBuilder(base.q, base.structure, base.table)
+    builder.slots = list(base.slots)
+    builder.alphabets = list(base.alphabets)
+    builder.key_count = base.key_count
+    builder.shield(i)
+    return builder.build()
 
 
 def test_shield_skips_channels_guarded_by_dominated_receivers():
