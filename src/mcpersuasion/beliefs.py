@@ -2,24 +2,23 @@
 
 Finite distributions over exact posterior points, the Bayes-plausibility
 test, and mean-preserving-spread couplings with the rows and flows of
-the program that finds them.  The tests keep a single-receiver
+the program that finds them, every check in integers over one
+denominator (BeliefDistribution.scaled).  The tests keep a single-receiver
 concavification by support enumeration, which shares no machinery with
 the simplex solver, so the two can vouch for each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import lcm
-from operator import sub
+from operator import lt, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import StateSpaceMismatch, ValidationError
-from .model import Posterior, Prior, check_posterior
-
-_ZERO = Fraction(0)
+from .model import Posterior, Prior, _exact, _integers, _probability, check_posterior
 
 
 @dataclass(frozen=True)
@@ -28,30 +27,36 @@ class BeliefDistribution:
 
     Canonical form: distinct support points in sorted order, strictly
     positive masses summing to one.  Build through from_pairs, which
-    merges duplicates and drops zeros.
+    merges duplicates and drops zeros.  scaled is (L, coordinates, M,
+    masses), integers over the least common denominators L and M.
     """
 
     points: tuple[Posterior, ...]
     masses: tuple[Fraction, ...]
+    scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) != len(self.masses):
             raise ValidationError("support and mass lists differ in length")
         if not self.points:
             raise ValidationError("belief distribution has empty support")
-        dim = len(self.points[0])
+        dim, points = len(self.points[0]), []
         for p in self.points:
             if len(p) != dim:
                 raise StateSpaceMismatch("support points of mixed dimension")
-            check_posterior(p)
-        if any(m <= 0 for m in self.masses):
+            points.append(check_posterior(p))
+        L = lcm(*(den for den, _ in points))
+        points = [[x * (L // den) for x in xs] for den, xs in points]
+        M, masses = _integers([_exact(m, "belief mass") for m in self.masses])
+        if min(masses) <= 0:
             raise ValidationError("masses must be positive in canonical form")
-        if sum(self.masses) != 1:
+        if sum(masses) != M:
             raise ValidationError("masses must sum to 1")
-        if list(self.points) != sorted(set(self.points)):
+        if not all(map(lt, self.points, self.points[1:])):
             raise ValidationError(
                 "support must be sorted and duplicate-free; use from_pairs"
             )
+        object.__setattr__(self, "scaled", (L, points, M, masses))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Posterior, Fraction]]) -> "BeliefDistribution":
@@ -70,21 +75,23 @@ class BeliefDistribution:
     def dim(self) -> int:
         return len(self.points[0])
 
-    def mean(self) -> Posterior:
-        out = [Fraction(0)] * self.dim
-        for point, mass in zip(self.points, self.masses):
-            for b, x in enumerate(point):
-                out[b] += mass * x
-        return tuple(out)
-
 
 def is_bayes_plausible(dist: BeliefDistribution, prior: Prior) -> bool:
-    """True iff the mass-weighted mean of the support equals the prior."""
+    """True iff the mass-weighted mean of the support, in integers, is the prior."""
     if dist.dim != prior.space.size:
         raise StateSpaceMismatch(
             f"distribution over {dist.dim} states, prior over {prior.space.size}"
         )
-    return dist.mean() == prior.values
+    L, points, M, masses = dist.scaled
+    means = (sum(map(mul, masses, xs)) for xs in zip(*points))  # times L M
+    return all(s * q.denominator == q.numerator * L * M for s, q in zip(means, prior.values))
+
+
+def _position(points: Sequence[Posterior], ids: dict[int, int], w) -> int | None:
+    """The index of w among points, by object (ids maps id to index) and
+    else, for an equal copy, by value; None when w is not there."""
+    a = ids.get(id(w))
+    return a if a is not None or w not in points else points.index(w)
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,7 @@ class Coupling:
     """Witness that source spreads target: a joint flow on their supports
     whose rows have the source masses, whose columns have the target
     masses, and whose flow-weighted barycenter over each target column
-    equals that target point."""
+    equals that target point.  The sums are checked in integers."""
 
     source: BeliefDistribution
     target: BeliefDistribution
@@ -102,36 +109,39 @@ class Coupling:
         source, target = self.source, self.target
         if source.dim != target.dim:
             raise StateSpaceMismatch("coupling endpoints of mixed dimension")
-        row_of = {l: a for a, l in enumerate(source.points)}
-        col_of = {r: c for c, r in enumerate(target.points)}
-        # per source point its row sum; per target point its column sum,
-        # then its flow-weighted moment in each coordinate
-        row_sums = [_ZERO] * len(row_of)
-        col_sums = [[_ZERO] * (1 + target.dim) for _ in col_of]
-        clean = {}
+        row_of, col_of = ({id(w): a for a, w in enumerate(d.points)} for d in (source, target))
+        clean, entries = {}, []
         for (l, r), f in self.flow.items():
-            f = Fraction(f)
-            if f < 0:
+            f = _probability(f)
+            if f.numerator < 0:
                 raise ValidationError(f"negative flow at ({l}, {r})")
             if f:
-                l, r = tuple(l), tuple(r)
-                a, c = row_of.get(l), col_of.get(r)
+                a, c = _position(source.points, row_of, l), _position(target.points, col_of, r)
                 if a is None or c is None:
                     raise ValidationError(f"flow at ({l}, {r}) lies off the supports")
-                clean[(l, r)] = f
-                row_sums[a] += f
-                col = col_sums[c]
-                col[0] += f
-                for b, x in enumerate(l, 1):
-                    col[b] += f * x
+                clean[l, r] = f
+                entries.append((a, c))
         object.__setattr__(self, "flow", clean)
-        for l, row, mass in zip(source.points, row_sums, source.masses):
-            if row != mass:
-                raise ValidationError(f"row sum {row} != source mass {mass} at {l}")
-        for r, (total, *moments), mass in zip(target.points, col_sums, target.masses):
-            if total != mass:
-                raise ValidationError(f"column sum {total} != target mass {mass} at {r}")
-            if any(m != mass * x for m, x in zip(moments, r)):
+        # per source point its row sum; per target point its column sum, then
+        # its moment in each coordinate: integers over Q, Q L for the moments
+        Q, flows = _integers(list(clean.values()))
+        L, ls, M, row_masses = source.scaled
+        R, rs, N, col_masses = target.scaled
+        rows, cols = [0] * len(ls), [[0] * (1 + target.dim) for _ in rs]
+        for (a, c), f in zip(entries, flows):
+            rows[a] += f
+            col = cols[c]
+            col[0] += f
+            for b, x in enumerate(ls[a], 1):
+                col[b] += f * x
+        for l, row, m, mass in zip(source.points, rows, row_masses, source.masses):
+            if row * M != m * Q:
+                raise ValidationError(f"row sum {Fraction(row, Q)} != source mass {mass} at {l}")
+        for r, (total, *moments), m, xs in zip(target.points, cols, col_masses, rs):
+            if total * N != m * Q:
+                mass = f"target mass {Fraction(m, N)}"
+                raise ValidationError(f"column sum {Fraction(total, Q)} != {mass} at {r}")
+            if any(s * N * R != m * x * Q * L for s, x in zip(moments, xs)):
                 raise ValidationError(f"barycenter violated at target {r}")
 
 

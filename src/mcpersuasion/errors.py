@@ -66,10 +66,6 @@ class NotAForest(PreconditionError):
     """Domination graph is not a forest."""
 
 
-class PriorOutsideHull(PreconditionError):
-    """Prior is not a convex combination of the given grid points."""
-
-
 class InvariantViolation(PreconditionError):
     """A supposedly valid solution object fails its own invariants."""
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import lcm
-from operator import ge, getitem, itemgetter
+from operator import ge, getitem, itemgetter, mul
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from . import beliefs, lp
-from .beliefs import BeliefDistribution, Coupling, is_bayes_plausible
+from .beliefs import BeliefDistribution, Coupling, _position, is_bayes_plausible
 from .dominance import DominationGraph, domination_graph
 from .errors import (
     BadEpsilon,
@@ -44,6 +44,7 @@ from .model import (
     Posterior,
     Prior,
     StateSpace,
+    _integers,
     _probability,
     check_epsilon,
     dot,
@@ -114,10 +115,10 @@ class GridLP:
     the flow y(points[a], points[c]) is k * n + e * n * n + a * n + c.
     On two states the potential program over the breakpoints has no
     flows: row 2k + e (n - 2) + s - 1 is sum_a (x(i1, a) - x(i2, a))
-    |a - points[s]| >= 0 on the e-th edge (i1, i2), a over lattice
-    positions; values[i] maps a position a, the point (a/D, 1 - a/D), to
-    the utility there (_breakpoints), and propose is _path_certificate
-    on a forest of paths, else _prior_split."""
+    |a - positions[s]| >= 0 on the e-th edge (i1, i2), positions[s] being
+    points[s]'s, a for (a/D, 1 - a/D); values[i] is (V, w), w mapping a
+    position to V times the utility there (_breakpoints), and propose is
+    _path_certificate on a forest of paths, else _prior_split."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
@@ -125,7 +126,8 @@ class GridLP:
     edges: tuple[tuple[int, int], ...]
     graph: DominationGraph
     propose: Callable[[], tuple[list, list | None]] | None
-    values: tuple[Sequence[Fraction] | dict[int, Fraction], ...]
+    values: tuple[Sequence[Fraction] | tuple[int, dict[int, int]], ...]
+    positions: list[int] | None = None
 
 
 def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]:
@@ -152,30 +154,30 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     if grid.dim == 2:
         p = instance.prior.values[0]
         at, pts, values = _breakpoints(receivers, space, D, p * D)
-        table = [[u[a] for a in at] for u in values]
+        table = [(V, [w[a] for a in at]) for V, w in values]
         if len({i1 for i1, _ in edges}) == len(edges):
             # no receiver spreads onto two: every tree is a path
             propose = partial(_path_certificate, p, edges, table, at)
         else:
             propose = partial(_prior_split, p * D, instance.k, at)
-        program = _potential_program(instance.prior, edges, D, at, pts, table)
-    else:
-        pts, propose = grid.points(), None
-        values = table = tuple(tuple(u.value_at(w, space) for w in pts) for u in receivers)
-        program = _grid_program(instance.prior, edges, D, pts, table)
-    return GridLP(program, grid, pts, edges, graph, propose, values)
+        program = _potential_program(instance.prior, edges, D, at, table)
+        return GridLP(program, grid, pts, edges, graph, propose, values, at)
+    pts = grid.points()
+    values = tuple(tuple(u.value_at(w, space) for w in pts) for u in receivers)
+    program = _grid_program(instance.prior, edges, D, pts, values)
+    return GridLP(program, grid, pts, edges, graph, None, values)
 
 
-def _program(prior, D, pts, values, edge_rows, n_vars) -> lp.LinearProgram:
-    """The program over the points pts, sorted and on the 1/D lattice,
-    values[i][a] receiver i's utility at pts[a], with the integer rows
+def _program(prior, D, lattice, values, edge_rows, n_vars) -> lp.LinearProgram:
+    """The program over the sorted points of the 1/D lattice whose
+    coordinates times D are lattice[a], values[i] = (V, w), w[a] V times
+    receiver i's utility at the a-th point, with the integer rows
     edge_rows between the receivers' other rows, numbered as GridLP."""
-    k, n = len(values), len(pts)
-    flat = [v for u in values for v in u]  # x(i, pts[a]) is variable i * n + a
-    obj_den = lcm(*(v.denominator for v in flat))
-    objective = {j: v.numerator * (obj_den // v.denominator) for j, v in enumerate(flat) if v}
-    # integer rows (coeffs, rel, rhs, den); a point's coordinates are its lattice ones over D
-    lattice = [[x.numerator * (D // x.denominator) for x in w] for w in pts]
+    k, n = len(values), len(lattice)
+    flat = [(V, v) for V, w in values for v in w]  # x(i, a) is variable i * n + a
+    obj_den = lcm(*(V for V, _ in values))
+    objective = {j: v * (obj_den // V) for j, (V, v) in enumerate(flat) if v}
+    # integer rows (coeffs, rel, rhs, den)
     constraints = []
     for base in range(0, k * n, n):
         for b, q in enumerate(prior.values):
@@ -198,11 +200,12 @@ def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
             block[a][0][i1 * n + a] = -1  # row sum = x_{i1}(pts[a])
             block[n + a][0][i2 * n + a] = -1  # column sum = x_{i2}(pts[a])
         rows += [(row, lp.EQ, 0, den) for row, den in block if row]
-    return _program(prior, D, pts, values, rows, k * n + len(edges) * n * n)
+    lattice = [[x.numerator * (D // x.denominator) for x in w] for w in pts]
+    return _program(prior, D, lattice, [*map(_integers, values)], rows, k * n + len(edges) * n * n)
 
 
-def _potential_program(prior, edges, D, at, pts, values) -> lp.LinearProgram:
-    """The potential program over the breakpoints pts, at the lattice
+def _potential_program(prior, edges, D, at, values) -> lp.LinearProgram:
+    """The potential program over the breakpoints at the lattice
     positions at (_program)."""
     n, rows = len(at), []
     for i1, i2 in edges:
@@ -210,7 +213,7 @@ def _potential_program(prior, edges, D, at, pts, values) -> lp.LinearProgram:
             row = {i1 * n + s: abs(a - t) for s, a in enumerate(at) if a != t}
             row.update({i2 * n + s: -abs(a - t) for s, a in enumerate(at) if a != t})
             rows.append((row, lp.GE, 0, 1))
-    return _program(prior, D, pts, values, rows, len(values) * n)
+    return _program(prior, D, [(a, D - a) for a in at], values, rows, len(values) * n)
 
 
 @dataclass(frozen=True)
@@ -230,7 +233,7 @@ class GridSolution:
         self._validate(instance, _forest_edges(instance)[1])
 
     def _validate(self, instance: PersuasionInstance, edges) -> None:
-        """validate, given the instance's sorted covering edges."""
+        """validate, given the instance's sorted covering edges, in integers."""
         if len(self.marginals) != instance.k:
             raise InvariantViolation("marginal count differs from receiver count")
         for i, dist in enumerate(self.marginals):
@@ -252,12 +255,9 @@ class GridSolution:
                     side = f"coupling ({i1 + 1},{i2 + 1}) {side} side"
                     raise InvariantViolation(f"{side} is not receiver {i + 1}'s marginal")
         if isinstance(instance.utilities, AdditiveUtility):
-            total = Fraction(0)
-            for dist, u in zip(self.marginals, instance.utilities.receivers):
-                total += sum(
-                    (m * u.value_at(p, instance.space) for p, m in zip(dist.points, dist.masses)),
-                    Fraction(0),
-                )
+            space, pairs = instance.space, zip(self.marginals, instance.utilities.receivers)
+            values = (u.value_at(p, space) for dist, u in pairs for p in dist.points)
+            total = dot(chain.from_iterable(dist.masses for dist in self.marginals), values)
             if total != self.objective:
                 raise InvariantViolation(
                     f"stored objective {self.objective} != recomputed {total}"
@@ -265,12 +265,13 @@ class GridSolution:
 
 
     def _off_lattice(self, dist: BeliefDistribution) -> str | None:
-        """The first support point of dist off the lattice of the step,
-        named with the lattice; None when every point lies on it.  A
-        coupling's flows lie on its sides' supports."""
+        """The first support point x / L of dist off the lattice of the step
+        n / d, where L n does not divide x d, named with the lattice; None
+        when every point lies on it.  A coupling's flows lie on its sides' supports."""
         step = self.step
-        for w in dist.points:
-            if any((x / step).denominator != 1 for x in w):
+        L, points, _, _ = dist.scaled
+        for w, xs in zip(dist.points, points):
+            if any(x * step.denominator % (L * step.numerator) for x in xs):
                 return f"the point {format_label(w)} off the {step} lattice"
         return None
 
@@ -396,8 +397,7 @@ class SignalingTable:
             if len(vec) != len(self.profiles):
                 raise ValidationError(f"row {state!r} has wrong length")
             # the row in integers over its common denominator
-            scale = lcm(*(v.denominator for v in vec))
-            scaled = [v.numerator * (scale // v.denominator) for v in vec]
+            scale, scaled = _integers(vec)
             if min(scaled) < 0:
                 raise ValidationError(f"negative probability in row {state!r}")
             if sum(scaled) != scale:
@@ -535,35 +535,44 @@ def extract_table(
 def _extract_validated(
     solution: GridSolution, instance: PersuasionInstance, graph: DominationGraph
 ) -> SignalingTable:
-    parent, roots, marginals = graph.parent, graph.roots(), solution.marginals
-    prior = instance.prior.values
+    """extract_table of a validated solution, in integers, each entry made
+    a Fraction once."""
+    parent, marginals, prior = graph.parent, solution.marginals, instance.prior.values
+    size, k = len(prior), instance.k
     # a label is an index into its receiver's marginal; a path holds the labels
-    # drawn so far in walk order, after a label 0 that every root is drawn given
-    at, paths = {None: 0}, [((0,), Fraction(1))]
+    # drawn so far in walk order, after a label 0 that every root is drawn given,
+    # and its weight in each state b, x[b] / d[b]
+    at, paths = {None: 0}, [((0,), [1] * size, [1] * size)]
     for v in graph.top_down():
         p, dist = parent[v], marginals[v]
-        law = [list(enumerate(dist.masses))]
-        if p is not None:
-            # the law of v's label given its parent's, from their coupling
+        if p is None:
+            # a root's label: its mass times, in state b, its coordinate b over q_b
+            L, points, M, masses = dist.scaled
+            den = [M * L * q.numerator for q in prior]
+            xs = [[m * x * q.denominator for x, q in zip(w, prior)] for m, w in zip(masses, points)]
+            law = [[(c, x, den) for c, x in enumerate(xs)]]
+        else:
+            # v's label given its parent's, from their coupling: f over the parent's mass
             source = marginals[p]
-            row, col = ({w: a for a, w in enumerate(d.points)} for d in (source, dist))
+            _, _, N, masses = source.scaled
+            row, col = ({id(w): a for a, w in enumerate(d.points)} for d in (source, dist))
             law = [[] for _ in source.points]
             for (l, r), f in solution.couplings[(p, v)].flow.items():
-                a = row[l]
-                law[a].append((col[r], f / source.masses[a]))
+                a, c = _position(source.points, row, l), _position(dist.points, col, r)
+                law[a].append((c, [f.numerator * N] * size, [f.denominator * masses[a]] * size))
         n, at[v] = at[p], len(at)
-        paths = [(labels + (c,), mass * m) for labels, mass in paths for c, m in law[labels[n]]]
-    # distinct paths draw distinct profiles, so none need merging
-    rows = []
-    for labels, mass in paths:
-        vec = [mass] * len(prior)
-        for v in roots:
-            vec = [x * w / q for x, w, q in zip(vec, marginals[v].points[labels[at[v]]], prior)]
-        rows.append((tuple(marginals[i].points[labels[at[i]]] for i in range(instance.k)), vec))
-    for state, total in zip(instance.space.states, map(sum, zip(*(vec for _, vec in rows)))):
-        if total != 1:
+        grown = ((ls + (c,), x, d, y, e) for ls, x, d in paths for c, y, e in law[ls[n]])
+        paths = [(ls, list(map(mul, x, y)), list(map(mul, d, e))) for ls, x, d, y, e in grown]
+    # every path's weight in state b over one denominator
+    dens = [lcm(*ds) for ds in zip(*(d for _, _, d in paths))]
+    weights = [[x * (D // d) for x, d, D in zip(xs, ds, dens)] for _, xs, ds in paths]
+    for state, total, den in zip(instance.space.states, map(sum, zip(*weights)), dens):
+        if total != den:
+            total = Fraction(total, den)
             raise InvariantViolation(f"extracted row for state {state!r} sums to {total}")
-    table = _table(instance.space, rows)
+    # distinct paths draw distinct profiles, so none need merging
+    profiles = (tuple(marginals[i].points[ls[at[i]]] for i in range(k)) for ls, _, _ in paths)
+    table = _table(instance.space, zip(profiles, (map(Fraction, w, dens) for w in weights)))
     table.validate(instance.prior)
     return table
 

@@ -25,7 +25,7 @@ from math import ceil, floor, lcm
 from typing import TYPE_CHECKING
 
 from .beliefs import BeliefDistribution, Coupling
-from .model import Posterior, format_label
+from .model import Posterior, _integers, format_label
 
 if TYPE_CHECKING:
     from .forest import GridLP
@@ -35,8 +35,8 @@ _ZERO = Fraction(0)
 
 def _breakpoints(receivers, space, D, p) -> tuple[list[int], tuple[Posterior, ...], tuple]:
     """The breakpoints of a two-state grid as lattice positions and as
-    points, and each receiver's utility at the positions looked up, a
-    dict by position (a is the point (a/D, 1 - a/D)).  The breakpoints
+    points, and per receiver (V, w), w mapping each position looked up, in
+    order, a for (a/D, 1 - a/D), to V times the utility there.  The breakpoints
     are 0, D, p (prior times D) or the two next to it, and every a where
     some utility bends down, u(a-1) - 2u(a) + u(a+1) < 0.  Every utility
     is convex between neighbouring breakpoints, so pushing each mass onto
@@ -63,6 +63,12 @@ def _breakpoints(receivers, space, D, p) -> tuple[list[int], tuple[Posterior, ..
             w = made[a] = (Fraction(a, D), Fraction(D - a, D))
         return w
 
+    def tabulate(u, at, V, w):  # (V, w) with u looked up at the positions at too
+        U, new = _integers([u.value_at(point(a), space) for a in at])
+        W = lcm(U, V)
+        w = {a: x * (W // V) for a, x in w.items()} | {a: x * (W // U) for a, x in zip(at, new)}
+        return W, dict(sorted(w.items()))
+
     values = []
     for u in receivers:
         kinks = u.kinks(space)
@@ -73,14 +79,13 @@ def _breakpoints(receivers, space, D, p) -> tuple[list[int], tuple[Posterior, ..
             near = ((b.numerator * D, b.denominator) for b in kinks)
             runs = (range(max(-(-x // y) - 1, 0), min(x // y + 2, D + 1)) for x, y in near)
             at = sorted(ends.union(*runs))
-        v = {a: u.value_at(point(a), space) for a in at}
-        V = lcm(*(x.denominator for x in v.values()))
-        w = [v[a].numerator * (V // v[a].denominator) for a in at]
-        found.update(at[t] for t in range(1, len(at) - 1) if _bend(at, w, t - 1, t, t + 1) > 0)
-        values.append(v)
-    for u, v in zip(receivers, values):
-        for a in found.difference(v):
-            v[a] = u.value_at(point(a), space)
+        V, w = tabulate(u, at, 1, {})
+        vs = list(w.values())
+        found.update(at[t] for t in range(1, len(at) - 1) if _bend(at, vs, t - 1, t, t + 1) > 0)
+        values.append((V, w))
+    for i, (u, (V, w)) in enumerate(zip(receivers, values)):
+        if extra := found.difference(w):
+            values[i] = tabulate(u, sorted(extra), V, w)
     at = sorted(found)
     return at, tuple(map(point, at)), tuple(values)
 
@@ -136,7 +141,8 @@ def _path_certificate(prior, edges, values, points) -> tuple[list, list]:
     """The optimal point and dual of the potential program over the
     lattice positions points (forest.GridLP) when no receiver spreads
     onto two (edges, sorted, make a forest of paths); prior is the first
-    state's prior, values[i][t] receiver i's utility at points[t] / D.
+    state's prior, values[i] = (V, w), w[t] V times receiver i's utility
+    at points[t] / D.
 
     Down each path from its root, f(root) = u(root) and f(child) =
     u(child) + cav f(parent), each cav the least concave majorant over
@@ -154,18 +160,18 @@ def _path_certificate(prior, edges, values, points) -> tuple[list, list]:
     k, m, D = len(values), len(points), points[-1]
     below, number = dict(edges), {edge: e for e, edge in enumerate(edges)}
     place = {a: t for t, a in enumerate(points)}
-    V = lcm(*(v.denominator for u in values for v in u))
+    V = lcm(*(V for V, _ in values))
     x, y = [_ZERO] * (k * m), [_ZERO] * (3 * k + len(edges) * (m - 2))
-
-    def add_line(i, top, bottom, S):  # to receiver i's Bayes-plausibility duals
-        y[2 * i : 2 * i + 2] = y[2 * i] + Fraction(top, S), y[2 * i + 1] + Fraction(bottom, S)
+    # per receiver its Bayes-plausibility duals' terms, each (top, bottom, den)
+    lines: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
 
     for root in sorted(set(range(k)) - set(below.values())):
         path = [root]
         while path[-1] in below:
             path.append(below[path[-1]])
         # down the path: f(i) in integers over S, each parent's majorant
-        S, f, parents = V, [v.numerator * (V // v.denominator) for v in values[root]], []
+        W, f = values[root]
+        S, f, parents = V, [v * (V // W) for v in f], []
         for i, child in zip(path, path[1:]):
             cav, M, pieces = _concave_majorant(points, f)
             parents.append((f, cav, M, pieces))
@@ -178,15 +184,16 @@ def _path_certificate(prior, edges, values, points) -> tuple[list, list]:
             # 2 S times the linear part at (1, 0) and at (0, 1)
             top = 2 * cav[-1] - sum(d * (D - t) for d, t in zip(drops, points[1:]))
             bottom = 2 * cav[0] - sum(d * t for d, t in zip(drops, points[1:]))
-            add_line(i, top, bottom, 2 * S)
-            add_line(child, -top, -bottom, 2 * S)
-            f = [v.numerator * (S // v.denominator) + c for v, c in zip(values[child], cav)]
+            lines[i].append((top, bottom, 2 * S))
+            lines[child].append((-top, -bottom, 2 * S))
+            W, f = values[child]
+            f = [v * (S // W) + c for v, c in zip(f, cav)]
         # the leaf's line: cav f's over the piece that holds the prior
         cav, M, pieces = _concave_majorant(points, f)
         q = floor(p := prior * D)
         t = place[q]
         step = (cav[t + 1] - cav[t]) // (points[t + 1] - q)
-        add_line(path[-1], cav[t] + step * (D - q), cav[t] - step * q, S * M)
+        lines[path[-1]].append((cav[t] + step * (D - q), cav[t] - step * q, S * M))
         one = Fraction(1)
         mass = {q: one} if p == q and f[t] * M == cav[t] else _split(p, pieces[t], one)
         # up the path: each receiver's marginal, and its parent's by the split
@@ -201,6 +208,10 @@ def _path_certificate(prior, edges, values, points) -> tuple[list, list]:
             mass = spread
         for a, w in mass.items():
             x[root * m + place[a]] = w
+    for i, terms in enumerate(lines):
+        S = lcm(*(S for _, _, S in terms))
+        y[2 * i] = Fraction(sum(top * (S // T) for top, _, T in terms), S)
+        y[2 * i + 1] = Fraction(sum(bottom * (S // T) for _, bottom, T in terms), S)
     return x, y
 
 
@@ -216,26 +227,32 @@ def _curtain(spread: BeliefDistribution, coarse: BeliefDistribution) -> Coupling
     2016) of two distributions on two states, along the first coordinate:
     coarse's atoms, left to right, each take their shadow (_shadow) in
     what is left of spread.  None when one has none, exactly when spread
-    is not a mean-preserving spread of coarse."""
-    xs, left, flow = [w[0] for w in spread.points], list(spread.masses), {}
-    for c, m in zip(coarse.points, coarse.masses):
-        if (window := _shadow(xs, left, m, c[0])) is None:
+    is not a mean-preserving spread of coarse.  Positions are integers
+    over X, masses over Q, which a shadow may refine (_shadow)."""
+    (L, xs, M, left), (R, ys, N, ms) = spread.scaled, coarse.scaled
+    X, Q = lcm(L, R), lcm(M, N)
+    xs, left, flow = [w[0] * (X // L) for w in xs], [m * (Q // M) for m in left], {}
+    for c, y, m in zip(coarse.points, ys, ms):
+        if (shadow := _shadow(xs, left, m * (Q // N), y[0] * (X // R))) is None:
             return None
+        window, refine = shadow
+        left, Q = [v * refine for v in left], Q * refine
         for j, v in window.items():
             left[j] -= v
-            flow[spread.points[j], c] = v
+            flow[spread.points[j], c] = Fraction(v, Q)
     return Coupling(source=spread, target=coarse, flow=flow)
 
 
-def _shadow(xs, left, m, x) -> dict[int, Fraction] | None:
-    """{j: mass} of the masses left[j] at the increasing xs[j] between the
-    quantiles s and s + m (m at most their total), for the s at which
-    their mean is x; None when there is none.  Their first moment W(s)
-    rises with s, linearly between the s where an end crosses an edge."""
+def _shadow(xs, left, m, x) -> tuple[dict[int, int], int] | None:
+    """({j: mass}, refine) of the integer masses left[j] at the increasing
+    xs[j] between the quantiles s and s + m (m at most their total), for
+    the s at which their mean is x, in units refine times finer; None when
+    there is none.  Their first moment W(s) rises with s, linearly between
+    the s where an end crosses an edge."""
     at = [j for j, w in enumerate(left) if w]
-    cum = list(accumulate((left[j] for j in at), initial=_ZERO))
+    cum = list(accumulate((left[j] for j in at), initial=0))
     # i and r: the atoms holding the quantiles s and s + m
-    i, r, s, goal = 0, bisect_left(cum, m, 1) - 1, _ZERO, m * x
+    i, r, s, goal, refine = 0, bisect_left(cum, m, 1) - 1, 0, m * x, 1
     W = sum((left[j] * xs[j] for j in at[:r]), (m - cum[r]) * xs[at[r]])
     if W > goal:
         return None
@@ -244,10 +261,13 @@ def _shadow(xs, left, m, x) -> dict[int, Fraction] | None:
             return None
         dl, dr, slope = cum[i + 1] - s, cum[r + 1] - s - m, xs[at[r]] - xs[at[i]]
         if W + slope * (d := min(dl, dr)) >= goal:
-            s += (goal - W) / slope
+            # s moves on by (goal - W) / slope: count in units of 1 / slope
+            s, refine = s * slope + goal - W, slope
             break
         W, s, i, r = W + slope * d, s + d, i + (d == dl), r + (d == dr)
-    return {at[t]: v for t in range(i, r + 1) if (v := min(cum[t + 1], s + m) - max(cum[t], s)) > 0}
+    cum, m = [v * refine for v in cum], m * refine
+    window = ((at[t], min(cum[t + 1], s + m) - max(cum[t], s)) for t in range(i, r + 1))
+    return {j: v for j, v in window if v > 0}, refine
 
 
 def _lattice_dual(glp: GridLP, dual) -> tuple[list[tuple[Fraction, Fraction]], list]:
@@ -262,21 +282,13 @@ def _lattice_dual(glp: GridLP, dual) -> tuple[list[tuple[Fraction, Fraction]], l
     right (to the left at D).  So any optimal dual certifies the answer on
     the lattice (ROADMAP item 14): between breakpoints every utility is
     convex and every g linear."""
-    k, at, n = len(glp.values), _positions(glp), len(glp.points) - 2
+    k, at, n = len(glp.values), glp.positions, len(glp.points) - 2
     lines = [(dual[2 * i] + nu, dual[2 * i + 1] + nu) for i, nu in enumerate(dual[-k:])]
     g = []
     for e in range(len(glp.edges)):
-        ys = dual[2 * k + e * n : 2 * k + e * n + n]
-        S = lcm(*(v.denominator for v in ys))
-        w = [v.numerator * (S // v.denominator) for v in ys]
+        S, w = _integers(dual[2 * k + e * n : 2 * k + e * n + n])
         g.append(([sum(c * abs(a - t) for c, t in zip(w, at[1:])) for a in at], S))
     return lines, g
-
-
-def _positions(glp: GridLP) -> list[int]:
-    """The lattice positions of a two-state GridLP's points."""
-    D = glp.grid.denominator
-    return [w[0].numerator * (D // w[0].denominator) for w in glp.points]
 
 
 def _lattice_failure(glp: GridLP, prior, lines, g, objective) -> str | None:
@@ -303,16 +315,16 @@ def _lattice_failure(glp: GridLP, prior, lines, g, objective) -> str | None:
     Expanded (_lattice_dual), these are lp.check_optimal's checks on the
     full program, so with a validated, lattice-supported GridSolution of
     value objective, weak duality proves it optimal on the grid."""
-    at, edges = _positions(glp), glp.edges
+    at, edges = glp.positions, glp.edges
     D = at[-1]
     runs = list(zip(at, at[1:]))
     for (i1, i2), (h, _) in zip(edges, g):
         bent = next((t for t in range(1, len(at) - 1) if _bend(at, h, t - 1, t, t + 1) < 0), None)
         if bent is not None:
             return f"g of edge ({i1 + 1},{i2 + 1}) is not concave at {_lattice_label(at[bent], D)}"
-    for i, (u, (top, bottom)) in enumerate(zip(glp.values, lines)):
+    for i, ((V, u), (top, bottom)) in enumerate(zip(glp.values, lines)):
         terms = [(-1 if i1 == i else 1, g[e]) for e, (i1, i2) in enumerate(edges) if i in (i1, i2)]
-        T = lcm(*(v.denominator for v in (*u.values(), top, bottom)), *(S for _, (_, S) in terms))
+        T = lcm(V, top.denominator, bottom.denominator, *(S for _, (_, S) in terms))
         low = bottom.numerator * (T // bottom.denominator)
         rise = top.numerator * (T // top.denominator) - low
         # D T times the price less the line: the g terms at each breakpoint,
@@ -321,10 +333,8 @@ def _lattice_failure(glp: GridLP, prior, lines, g, objective) -> str | None:
         for sign, (h, S) in terms:
             c = sign * (T // S) * D
             G = [x + c * y for x, y in zip(G, h)]
-        looked = sorted(u)
-        rest = [
-            u[a].numerator * (T // u[a].denominator) * D - low * D - rise * a for a in looked
-        ]
+        looked = list(u)
+        rest = [x * (T // V) * D - low * D - rise * a for a, x in u.items()]
         j = 0
         for t, (l, r) in enumerate(runs):
             # in the run from l to r, times its width r - l; looked[j] is l

@@ -181,11 +181,14 @@ def format_label(point: Posterior) -> str:
     return "(" + ", ".join(format_rational(x) for x in point) + ")"
 
 
-def check_posterior(point: Sequence[Fraction]) -> None:
-    if any(x < 0 for x in point):
+def check_posterior(point: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """Refuse an inexact or negative coordinate or a sum not 1; the point as _integers gives it."""
+    den, scaled = _integers([_exact(x, "posterior coordinate") for x in point])
+    if any(x < 0 for x in scaled):
         raise ValidationError(f"negative coordinate in posterior {point}")
-    if sum(point) != 1:
+    if sum(scaled) != den:
         raise ValidationError(f"posterior does not sum to 1: {point}")
+    return den, scaled
 
 
 def check_epsilon(epsilon) -> None:
@@ -209,6 +212,12 @@ def _exact(v, what: str):
 def _probability(v) -> Fraction:
     """v, exactly (_exact), as a Fraction."""
     return v if isinstance(v, Fraction) else Fraction(_exact(v, "probability"))
+
+
+def _integers(xs: Sequence) -> tuple[int, list[int]]:
+    """(den, ints): the exact numbers xs as integers over den, their lcd."""
+    den = lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def dot(xs: Iterable[Fraction], ys: Iterable[Fraction]) -> Fraction:
@@ -372,7 +381,7 @@ class ReceiverUtility:
 def _first_coordinate(q: Fraction, state: str, space: StateSpace) -> Fraction:
     """On two states, the first coordinate of the point where the named
     state's probability is q."""
-    return q if space.index(state) == 0 else 1 - q
+    return q if space.index(state) == 0 else Fraction(q.denominator - q.numerator, q.denominator)
 
 
 @dataclass(frozen=True)
@@ -473,6 +482,7 @@ class PiecewiseUtility(ReceiverUtility):
     state: str
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
+    _keys: tuple = field(init=False, repr=False, compare=False)  # (den, bps times den, peaks)
 
     def __post_init__(self):
         for name in ("breakpoints", "values"):
@@ -483,14 +493,16 @@ class PiecewiseUtility(ReceiverUtility):
         bps = self.breakpoints
         if any(not (0 < b < 1) for b in bps) or list(bps) != sorted(set(bps)):
             raise ValidationError("breakpoints must be strictly increasing inside (0, 1)")
+        peaks = tuple(map(max, self.values, self.values[1:]))  # on a breakpoint both pieces compete
+        object.__setattr__(self, "_keys", (*_integers(bps), peaks))
 
     def value_at(self, point, space):
         q = point[space.index(self.state)]
-        bps = self.breakpoints
-        idx = bisect_left(bps, q)
-        if idx < len(bps) and bps[idx] == q:
-            # on a breakpoint both neighbouring pieces compete
-            return max(self.values[idx], self.values[idx + 1])
+        den, keys, peaks = self._keys
+        n, d = q.numerator * den, q.denominator  # the first key >= n/d is the first >= ceil(n/d)
+        idx = bisect_left(keys, -(-n // d))
+        if idx < len(keys) and keys[idx] * d == n:
+            return peaks[idx]
         return self.values[idx]
 
     def kinks(self, space):
@@ -576,10 +588,8 @@ class AdditiveUtility:
     def evaluate(self, profile: Sequence[Posterior], space: StateSpace) -> Fraction:
         if len(profile) != len(self.receivers):
             raise MatrixShapeMismatch("profile length does not match receiver count")
-        return sum(
-            (u.value_at(p, space) for u, p in zip(self.receivers, profile)),
-            Fraction(0),
-        )
+        den, values = _integers([u.value_at(p, space) for u, p in zip(self.receivers, profile)])
+        return Fraction(sum(values), den)
 
     def to_doc(self, space):
         return {"kind": "additive", "receivers": [u.to_doc(space) for u in self.receivers]}

@@ -131,9 +131,14 @@ class ChannelScheme:
             )
         if len(self.alphabets) != k:
             raise ValidationError("one alphabet entry per receiver expected")
+        size = self.table.space.size
         for i, alphabet in enumerate(self.alphabets):
             if alphabet is not None and alphabet.modulus != self.q:
                 raise ValidationError(f"receiver {i + 1}: alphabet modulus differs")
+            for w in () if alphabet is None else alphabet.labels:
+                if len(w) != size:
+                    label = f"receiver {i + 1}: alphabet label {format_label(w)}"
+                    raise StateSpaceMismatch(f"{label} is not over the {size} states")
         bare = []
         for slot in self.slots:
             if not 0 <= slot.channel < n:

@@ -12,12 +12,25 @@ from mcpersuasion.beliefs import (
     coupling_rows,
     is_bayes_plausible,
 )
-from mcpersuasion.errors import PriorOutsideHull, StateSpaceMismatch, ValidationError
+from mcpersuasion.errors import PreconditionError, StateSpaceMismatch, ValidationError
 from mcpersuasion.lattice import _curtain
 from mcpersuasion.model import Prior, StateSpace
 
 F = Fraction
 TWO = StateSpace(("0", "1"))
+
+
+class PriorOutsideHull(PreconditionError):
+    """Prior is not a convex combination of the given grid points."""
+
+
+def _mean(dist):
+    """The mass-weighted mean of dist's support, in Fractions."""
+    out = [Fraction(0)] * dist.dim
+    for point, mass in zip(dist.points, dist.masses):
+        for b, x in enumerate(point):
+            out[b] += mass * x
+    return tuple(out)
 
 
 def mps_coupling(spread, coarse):
@@ -240,10 +253,10 @@ def test_mps_transitivity_and_mean_preservation():
         ab = mps_coupling(A, B)
         bc = mps_coupling(B, C)
         assert ab is not None and bc is not None
-        assert A.mean() == B.mean() == C.mean()
+        assert _mean(A) == _mean(B) == _mean(C)
         assert mps_coupling(A, C) is not None
         # unequal means can never couple
-        if A.mean() != pts[0]:
+        if _mean(A) != pts[0]:
             assert mps_coupling(A, BeliefDistribution.from_pairs([(pts[0], 1)])) is None
 
 
@@ -268,7 +281,7 @@ def _two_state_pairs(rng):
             ))
         yield tuple(drawn)
         # the second moved onto the first's mean by one atom at its mean
-        mean = drawn[0].mean()
+        mean = _mean(drawn[0])
         yield drawn[0], BeliefDistribution.from_pairs([(mean, 1)])
         yield BeliefDistribution.from_pairs([(mean, 1)]), drawn[0]
 
@@ -560,4 +573,154 @@ def test_coupling_checks_each_flow_once_and_agrees_with_the_reference():
             spread = _random_grid_distribution(rng, pts, 4)
             coupling = mps_coupling(spread, _coarsen(rng, spread))
             seen |= assert_coupling_check_matches_the_reference(coupling)
+    assert seen >= {"negative", "row", "column", "barycenter", "flow"}
+
+
+# ---------------------------------------------------------------------------
+# The integer checks against the Fraction checks they replaced
+
+
+def _fraction_distribution(points, masses):
+    """BeliefDistribution's checks as they ran in Fractions: the same
+    refusals, in the same order, with the same messages."""
+    if len(points) != len(masses):
+        raise ValidationError("support and mass lists differ in length")
+    if not points:
+        raise ValidationError("belief distribution has empty support")
+    dim = len(points[0])
+    for p in points:
+        if len(p) != dim:
+            raise StateSpaceMismatch("support points of mixed dimension")
+        if any(x < 0 for x in p):
+            raise ValidationError(f"negative coordinate in posterior {p}")
+        if sum(p) != 1:
+            raise ValidationError(f"posterior does not sum to 1: {p}")
+    if any(m <= 0 for m in masses):
+        raise ValidationError("masses must be positive in canonical form")
+    if sum(masses) != 1:
+        raise ValidationError("masses must sum to 1")
+    if list(points) != sorted(set(points)):
+        raise ValidationError("support must be sorted and duplicate-free; use from_pairs")
+    return points, masses
+
+
+def _distribution_outcome(build, points, masses):
+    try:
+        built = build(points, masses)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return tuple(built.points) if isinstance(built, BeliefDistribution) else tuple(built[0])
+
+
+def _copied(point):
+    """point as a fresh tuple of fresh Fractions: equal, no object shared."""
+    return tuple(F(x.numerator, x.denominator) for x in point)
+
+
+def _distribution_mutations(rng, dist):
+    """dist's support and masses, then each with one defect, named: a
+    negative coordinate, a posterior off 1, a zero mass, masses off 1,
+    the support unsorted or with a duplicate, of mixed dimension, or of
+    another length than the masses; and the support as equal copies."""
+    points, masses = list(dist.points), list(dist.masses)
+    yield "valid", points, masses
+    yield "copies", [_copied(p) for p in points], masses
+    t = rng.randrange(len(points))
+    p = points[t]
+    negative = (p[0] - 1 - F(1, rng.randint(2, 9)), p[1] + 1 + F(1, rng.randint(2, 9)), *p[2:])
+    negative = (negative[0], 1 - negative[0] - sum(negative[2:]), *negative[2:])
+    yield "negative", points[:t] + [negative] + points[t + 1 :], masses
+    yield "off-one", points[:t] + [(p[0] + F(1, 11), *p[1:])] + points[t + 1 :], masses
+    yield "zero-mass", points, masses[:t] + [F(0)] + masses[t + 1 :]
+    yield "masses-off-one", points, [m * F(9, 10) for m in masses]
+    if len(points) > 1:
+        yield "unsorted", points[::-1], masses[::-1]
+        half = masses[t] / 2
+        doubled = points[: t + 1] + [_copied(p)] + points[t + 1 :]
+        yield "duplicate", doubled, masses[:t] + [half, half] + masses[t + 1 :]
+    yield "mixed-dimension", points[:t] + [(*p, F(0))] + points[t + 1 :], masses
+    yield "lengths", points, masses + [F(0)]
+
+
+def test_distribution_checks_refuse_as_the_fraction_checks_did():
+    """BeliefDistribution, checked in integers, accepts exactly what its
+    Fraction checks accepted and refuses the rest with the same type and
+    message, over seeded distributions on two and three states, each
+    with one defect at a time (_distribution_mutations); a copied
+    support reads as the original."""
+    rng = random.Random(3901)
+    third = [pt(F(a, 3), F(b, 3), F(3 - a - b, 3)) for a in range(4) for b in range(4 - a)]
+    seen = set()
+    for pts in (binary_grid(6), binary_grid(10), third):
+        for _ in range(40):
+            dist = _random_grid_distribution(rng, pts, 4)
+            for name, points, masses in _distribution_mutations(rng, dist):
+                want = _distribution_outcome(_fraction_distribution, points, masses)
+                assert _distribution_outcome(BeliefDistribution, points, masses) == want, name
+                seen.add((name, isinstance(want[0], type)))
+    assert {name for name, refused in seen if refused} >= {
+        "negative", "off-one", "zero-mass", "masses-off-one", "unsorted", "duplicate",
+        "mixed-dimension", "lengths",
+    }
+    assert ("valid", False) in seen and ("copies", False) in seen
+
+
+def test_bayes_plausibility_agrees_with_the_fraction_mean():
+    rng = random.Random(3902)
+    verdicts = set()
+    for _ in range(300):
+        pts = binary_grid(rng.randint(2, 12))
+        dist = _random_grid_distribution(rng, pts, min(4, len(pts)))
+        mean = _mean(dist)
+        if 0 < mean[0] < 1 and rng.random() < 0.5:
+            prior = Prior(TWO, mean)
+        else:
+            a = F(rng.randint(1, 11), 12)
+            prior = Prior(TWO, (1 - a, a))
+        want = mean == prior.values
+        assert is_bayes_plausible(dist, prior) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "point, bad",
+    [((0.5, 0.5), 0.5), ((True, False), True), (("1/2", "1/2"), "1/2")],
+    ids=["float", "bool", "str"],
+)
+def test_support_masses_and_flows_that_are_not_exact_are_refused(point, bad):
+    """A coordinate, a mass or a flow that is not an int or a Fraction is
+    a ValidationError, as model._exact refuses one elsewhere.  The
+    Fraction checks read a float or bool support, float or bool masses
+    and every one of these flows as numbers."""
+    half = F(1, 2)
+    with pytest.raises(ValidationError, match="posterior coordinate"):
+        BeliefDistribution((point,), (F(1),))
+    with pytest.raises(ValidationError, match="belief mass"):
+        BeliefDistribution((pt(0, 1), pt(1, 0)), (bad, half))
+    spread = BeliefDistribution((pt(0, 1), pt(1, 0)), (half, half))
+    coarse = BeliefDistribution((pt(half, half),), (F(1),))
+    flow = {(pt(0, 1), pt(half, half)): half, (pt(1, 0), pt(half, half)): bad}
+    with pytest.raises(ValidationError, match="neither an int nor a Fraction"):
+        Coupling(spread, coarse, flow)
+
+
+def test_coupling_checks_agree_with_the_fraction_checks_on_copied_points():
+    """Coupling, which finds each flow's points among its sides' supports
+    by object first and by value only when that misses, refuses and
+    accepts _flow_mutations as the Fraction checks (_reference_coupling)
+    do, with every key an equal copy of its point too, and keeps the
+    same flow."""
+    rng = random.Random(3903)
+    seen = set()
+    for pts in (binary_grid(6), binary_grid(10)):
+        for _ in range(20):
+            spread = _random_grid_distribution(rng, pts, 4)
+            coupling = mps_coupling(spread, _coarsen(rng, spread))
+            for flow in _flow_mutations(coupling):
+                for keyed in (flow, {(_copied(l), _copied(r)): f for (l, r), f in flow.items()}):
+                    want = _coupling_outcome(_reference_coupling, spread, coupling.target, keyed)
+                    assert _coupling_outcome(Coupling, spread, coupling.target, keyed) == want
+                    if isinstance(want, tuple):
+                        seen.add(want[1].split()[0])
     assert seen >= {"negative", "row", "column", "barycenter", "flow"}

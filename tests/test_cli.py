@@ -572,6 +572,22 @@ def test_verify_share_refuses_an_alphabet_given_twice(capsys, files, tmp_path):
     assert err == "error: alphabet for receiver 1 given twice\n"
 
 
+def test_verify_share_names_an_alphabet_label_over_other_states(capsys, files, tmp_path):
+    """An alphabet label over three states in a two-state share document
+    is refused with exit 2 and one error line that names the receiver
+    and the label, not a missing label."""
+    instance = files("sperner3.json", SPERNER3_INSTANCE)
+    table = files("reveal.json", REVEAL3)
+    out = str(tmp_path / "cs.json")
+    run_doc(capsys, "share", instance, table, "--subset", "1", "--q", "3", "--out", out)
+    doc = load_document(out)
+    doc["alphabets"]["1"][-1] = ["1", "0", "0"]
+    write_document(out, doc)
+    code, printed, err = run(capsys, "verify-share", out, instance, table)
+    assert code == 2 and not printed
+    assert err == "error: receiver 1: alphabet label (1, 0, 0) is not over the 2 states\n"
+
+
 def test_verify_share_refuses_a_huge_key_count(capsys, files, tmp_path):
     """A key_count of 10**18 is refused as malformed at the cost of its
     bare slots' count, not of a list of that many keys."""

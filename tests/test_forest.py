@@ -50,6 +50,7 @@ from mcpersuasion.model import (
     validate_instance,
 )
 from test_beliefs import (
+    _copied,
     assert_coupling_check_matches_the_reference,
     concavify_single,
     mps_coupling,
@@ -568,7 +569,7 @@ def _on_lattice(glp, g):
     """A lattice certificate's g, given at glp's breakpoints, at every
     point 0..D of the lattice, linear between breakpoints: per edge the
     integers over S W, W the lcm of the gaps between breakpoints."""
-    at = lattice._positions(glp)
+    at = glp.positions
     runs = list(zip(at, at[1:]))
     W = math.lcm(*(r - l for l, r in runs))
     out = []
@@ -597,7 +598,7 @@ def _breakpoint_run(inst, glp):
     full program (_lifted); and the breakpoints as positions in
     glp.points."""
     bp = build_grid_lp(inst, glp.grid)
-    points = lattice._positions(bp)
+    points = bp.positions
     start, dual = lattice._prior_split(inst.prior.values[0] * glp.grid.denominator, inst.k, points)
     assert dual is None
     sol = lp.solve(bp.program, propose=lambda: (start, None))
@@ -1107,12 +1108,13 @@ def _closed_form_couplings(glp, solution):
     cav f(parent), and otherwise splits onto the ends of its piece of the
     hull (lattice._split), with f(root) = u(root) and f(child) = u(child)
     + cav f(parent) at the breakpoints (lattice._concave_majorant)."""
-    points = lattice._positions(glp)
+    points = glp.positions
     D, parent, f = points[-1], {i2: i1 for i1, i2 in glp.edges}, {}
 
     def values(i):
         if i not in f:
-            u = [glp.values[i][a] for a in points]
+            V, w = glp.values[i]
+            u = [F(w[a], V) for a in points]
             f[i] = u if i not in parent else [v + c for v, c in zip(u, majorant(parent[i])[0])]
         return f[i]
 
@@ -1297,12 +1299,13 @@ def test_path_certificate_duals_are_the_nested_majorants():
         glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=D))
         _, y = glp.propose()
         lines, g = lattice._lattice_dual(glp, y)
-        points = lattice._positions(glp)
+        points = glp.positions
         parent = {i2: i1 for i1, i2 in glp.edges}
         cav = {}
 
         def f(i):  # f(i) at the breakpoints
-            u = [glp.values[i][a] for a in points]
+            V, w = glp.values[i]
+            u = [F(w[a], V) for a in points]
             return u if i not in parent else [v + c for v, c in zip(u, majorant(parent[i]))]
 
         def majorant(i):  # cav f(i) at the breakpoints, from the one on the lattice
@@ -1621,7 +1624,7 @@ def test_a_refused_lattice_certificate_names_its_failing_part(name, monkeypatch)
     check = partial(lattice._lattice_failure, glp, p)
     assert check(lines, g, c) is None
     (h, S), (i1, i2) = g[0], glp.edges[0]
-    at = lattice._positions(glp)
+    at = glp.positions
     t = next(
         t
         for t in range(1, len(at) - 1)
@@ -1710,7 +1713,7 @@ def _scan_dual(glp, dual):
     program with each g listed at every point 0..D: sum_t y_t |a - t| at
     each a, y_t the edge's spread-row duals at the interior breakpoints
     t, in integers over their common denominator."""
-    k, at = len(glp.values), lattice._positions(glp)
+    k, at = len(glp.values), glp.positions
     n = len(at) - 2
     lines = [(dual[2 * i] + nu, dual[2 * i + 1] + nu) for i, nu in enumerate(dual[len(dual) - k :])]
     g = []
@@ -1842,9 +1845,10 @@ def test_kinks_give_the_breakpoints_of_the_lattice_scan():
         at, pts, values = lattice._breakpoints(inst.utilities.receivers, inst.space, D, p)
         assert at == _scan_breakpoints(p, whole)
         assert pts == tuple(PosteriorGrid(2, D).points()[a] for a in at)
-        for u, v, table in zip(inst.utilities.receivers, values, whole):
-            assert all(table[a] == x for a, x in v.items())
+        for u, (V, v), table in zip(inst.utilities.receivers, values, whole):
+            assert all(table[a] == F(x, V) for a, x in v.items())
             looked = sorted(v)
+            assert list(v) == looked
             for l, r in zip(looked, looked[1:]):
                 rise = table[r] - table[l]
                 assert all((table[a] - table[l]) * (r - l) == rise * (a - l) for a in range(l, r))
@@ -1906,7 +1910,7 @@ def test_the_breakpoint_certificate_reads_as_the_lattice_scan():
             verdicts.add(got and got.split(" ")[0])
             if got and "priced above" in got:
                 label = got.rsplit(" at ", 1)[1]
-                looked = {lattice._lattice_label(a, D) for v in glp.values for a in v}
+                looked = {lattice._lattice_label(a, D) for _, w in glp.values for a in w}
                 between += label not in looked
     assert verdicts == {None, "g", "receiver", "the"} and between
 
@@ -1930,6 +1934,65 @@ def test_solution_validate_refuses_points_off_the_lattice():
     stray = GridSolution(F(1, 4), (spread, coarse), {(0, 1): mps_coupling(spread, thirds)}, F(1))
     with pytest.raises(InvariantViolation, match=r"coupling \(1,2\) " + off_lattice):
         stray.validate(inst)
+
+
+def test_off_lattice_agrees_with_division_by_the_step():
+    """GridSolution._off_lattice, a divisibility test on the support in
+    integers, names the first point that division by the step names,
+    for steps that are not unit fractions too (x / (n/d) an integer)."""
+    rng = random.Random(3906)
+    verdicts = set()
+    for _ in range(400):
+        n, d = rng.randint(1, 4), rng.randint(2, 24)
+        step = F(n, d)
+        e = rng.choice([d, 2 * d, d // math.gcd(d, n) or 1, rng.randint(2, 30)])
+        weights = rng.sample(range(e + 1), min(e + 1, rng.randint(1, 4)))
+        points = sorted({pt(F(a, e), F(e - a, e)) for a in weights})
+        dist = BeliefDistribution(tuple(points), tuple(F(1, len(points)) for _ in points))
+        want = next(
+            (f"the point {format_label(w)} off the {step} lattice"
+             for w in dist.points if any((x / step).denominator != 1 for x in w)),
+            None,
+        )
+        got = GridSolution(step, (dist,), {}, F(0))._off_lattice(dist)
+        assert got == want, (step, points)
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+def _copied_solution(solution):
+    """solution with every point a fresh object: each marginal's support
+    copied, and each coupling's flow keyed by other copies, so no point
+    object is shared and only equality finds one."""
+    marginals = tuple(
+        BeliefDistribution(tuple(map(_copied, d.points)), d.masses) for d in solution.marginals
+    )
+    couplings = {
+        (i1, i2): Coupling(
+            marginals[i1],
+            marginals[i2],
+            {(_copied(l), _copied(r)): f for (l, r), f in c.flow.items()},
+        )
+        for (i1, i2), c in solution.couplings.items()
+    }
+    return GridSolution(solution.step, marginals, couplings, solution.objective)
+
+
+@pytest.mark.parametrize("name", ["chain2", "star3"])
+def test_equal_copies_of_points_give_the_same_couplings_and_table(name):
+    """Couplings and the table extraction find points by object first and
+    by value when that misses: a solution whose points are all equal
+    copies, none shared, validates and gives the same couplings and the
+    same table as solve_fptas's own, whose points are shared objects."""
+    inst = _data_instance(name)
+    for denominator in (10, 20):
+        solution, table = solve_fptas(inst, F(1, denominator))
+        copied = _copied_solution(solution)
+        assert copied == solution
+        assert {e: c.flow for e, c in copied.couplings.items()} == {
+            e: c.flow for e, c in solution.couplings.items()
+        }
+        assert extract_table(copied, inst) == table
 
 
 @pytest.mark.parametrize("name", ["chain2", "star3"])

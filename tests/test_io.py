@@ -21,7 +21,7 @@ import pytest
 
 from mcpersuasion import io as mc_io
 from mcpersuasion.cli import build_parser
-from mcpersuasion.errors import ValidationError
+from mcpersuasion.errors import StateSpaceMismatch, ValidationError
 from mcpersuasion.io import (
     bunion_from_doc,
     channel_scheme_from_doc,
@@ -983,6 +983,16 @@ def test_a_repeated_row_entry_reads_as_when_each_copy_is_read(later):
     doc["rows"]["high"][2] = later
     got, want = outcomes(table_from_doc, doc)
     assert got == want
+
+
+def test_an_alphabet_label_over_other_states_is_refused_by_name():
+    """A share document over two states whose alphabet "2" holds the
+    label ["1", "0", "0"] is refused when read, with the receiver and the
+    label named, as a table names a label not over its states; read
+    alone, the label is a posterior."""
+    with pytest.raises(StateSpaceMismatch) as refused:
+        channel_scheme_from_doc(_channel_scheme_doc(["1", "0", "0"]))
+    assert str(refused.value) == "receiver 2: alphabet label (1, 0, 0) is not over the 2 states"
 
 
 def test_copies_of_one_label_literal_are_one_object():

@@ -1057,7 +1057,8 @@ def full_grid_lp(instance, grid):
     receivers = instance.utilities.receivers
     values = tuple(tuple(u.value_at(w, instance.space) for w in pts) for u in receivers)
     program = forest._grid_program(instance.prior, glp.edges, grid.denominator, pts, values)
-    return replace(glp, program=program, points=pts, values=values)
+    positions = list(range(grid.denominator + 1))
+    return replace(glp, program=program, points=pts, values=values, positions=positions)
 
 
 def _grid_program(name, denominator):

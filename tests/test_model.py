@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from mcpersuasion.model import (
     SupermajorityUtility,
     TableUtility,
     ThresholdUtility,
+    check_posterior,
     format_rational,
     instance_to_doc,
     merge_duplicate_receivers,
@@ -218,6 +220,74 @@ def test_piecewise_value_at_matches_the_scan_on_every_lattice_point():
                 on_breakpoint += q in bps
                 assert u.value_at(point, TWO) == _piecewise_reference(u, q), (u, point)
     assert on_breakpoint > 500
+
+
+def _bisect_reference(u, q):
+    """value_at as it ran: bisect_left over the Fraction breakpoints."""
+    bps = u.breakpoints
+    idx = bisect_left(bps, q)
+    if idx < len(bps) and bps[idx] == q:
+        return max(u.values[idx], u.values[idx + 1])
+    return u.values[idx]
+
+
+def test_piecewise_value_at_agrees_with_bisect_over_fractions():
+    """value_at, which bisects the breakpoints as integers over their
+    common denominator, gives what bisect_left over the Fraction
+    breakpoints gives, at every breakpoint, between and beside them and
+    at 0 and 1, for up to 200 breakpoints of unrelated denominators."""
+    rng = random.Random(3904)
+    for count in (0, 1, 2, 5, 30, 200):
+        for _ in range(6):
+            pool = {Fraction(rng.randint(1, d - 1), d) for d in rng.sample(range(2, 400), 60)}
+            bps = tuple(sorted(rng.sample(sorted(pool), min(count, len(pool)))))
+            u = PiecewiseUtility(
+                state=rng.choice(("0", "1")),
+                breakpoints=bps,
+                values=tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in (0, *bps)),
+            )
+            tiny = Fraction(1, 10**9)
+            qs = [Fraction(0), Fraction(1), *bps]
+            qs += [b + tiny for b in bps] + [b - tiny for b in bps]
+            qs += [Fraction(rng.randint(0, 997), 997) for _ in range(50)]
+            for q in qs:
+                point = (q, 1 - q) if u.state == "0" else (1 - q, q)
+                assert u.value_at(point, TWO) == _bisect_reference(u, q), (u, q)
+
+
+def _fraction_posterior_check(point):
+    """check_posterior as it ran in Fractions."""
+    if any(x < 0 for x in point):
+        raise ValidationError(f"negative coordinate in posterior {point}")
+    if sum(point) != 1:
+        raise ValidationError(f"posterior does not sum to 1: {point}")
+
+
+def test_check_posterior_refuses_as_the_fraction_check_did():
+    """check_posterior, in integers over the point's common denominator,
+    refuses a negative coordinate and coordinates off 1 with the Fraction
+    check's messages, and accepts what it accepted; an inexact
+    coordinate is refused by type."""
+    rng = random.Random(3905)
+    verdicts = set()
+    for _ in range(400):
+        size = rng.randint(1, 4)
+        point = tuple(Fraction(rng.randint(-2, 9), rng.randint(1, 9)) for _ in range(size))
+        if rng.random() < 0.5:
+            point = (*point[:-1], 1 - sum(point[:-1]))
+        outcome = []
+        for check in (check_posterior, _fraction_posterior_check):
+            try:
+                check(point)
+                outcome.append(None)
+            except ValidationError as exc:
+                outcome.append(str(exc))
+        assert outcome[0] == outcome[1], point
+        verdicts.add(outcome[0] and outcome[0].split()[0])
+    assert verdicts == {None, "negative", "posterior"}
+    for bad in ((0.5, 0.5), (True, False), ("1", "0")):
+        with pytest.raises(ValidationError, match="posterior coordinate"):
+            check_posterior(bad)
 
 
 def test_linear_utility_value_at():
