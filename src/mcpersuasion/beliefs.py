@@ -62,8 +62,8 @@ class BeliefDistribution:
     def from_pairs(cls, pairs: Iterable[tuple[Posterior, Fraction]]) -> "BeliefDistribution":
         acc: dict[Posterior, Fraction] = {}
         for point, mass in pairs:
-            point = tuple(Fraction(x) for x in point)
-            mass = Fraction(mass)
+            point = tuple(Fraction(_exact(x, "posterior coordinate")) for x in point)
+            mass = Fraction(_exact(mass, "belief mass"))
             if mass < 0:
                 raise ValidationError(f"negative mass {mass} at {point}")
             if mass:

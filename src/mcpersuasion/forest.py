@@ -44,6 +44,7 @@ from .model import (
     Posterior,
     Prior,
     StateSpace,
+    _exact,
     _integers,
     _probability,
     check_epsilon,
@@ -95,10 +96,12 @@ class PosteriorGrid:
         return tuple(out)
 
     def contains(self, point: Posterior) -> bool:
+        """Whether point, of exact coordinates (model._exact), is on the grid."""
+        xs = [_exact(x, "posterior coordinate") for x in point]
         return (
-            len(point) == self.dim
-            and all(x >= 0 and (x * self.denominator).denominator == 1 for x in point)
-            and sum(point) == 1
+            len(xs) == self.dim
+            and all(x >= 0 and (x * self.denominator).denominator == 1 for x in xs)
+            and sum(xs) == 1
         )
 
 
@@ -186,7 +189,7 @@ def _program(prior, D, lattice, values, edge_rows, n_vars) -> lp.LinearProgram:
     constraints += edge_rows
     for base in range(0, k * n, n):
         constraints.append((dict.fromkeys(range(base, base + n), 1), lp.EQ, 1, 1))
-    return lp.LinearProgram.integral(n_vars, (objective, obj_den), constraints)
+    return lp.LinearProgram(n_vars, (objective, obj_den), constraints)
 
 
 def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
@@ -303,7 +306,7 @@ def _read_solution(glp: GridLP, assignment, objective) -> GridSolution:
 
 def solve_grid(instance: PersuasionInstance, grid: PosteriorGrid) -> GridSolution:
     """Assemble and solve at a fixed grid; the LP is always feasible and
-    bounded, so anything but an optimal status is a solver defect."""
+    bounded, so lp.solve raising that it is not is a solver defect."""
     return _solve_grid(instance, grid)[0]
 
 
@@ -316,8 +319,6 @@ def _solve_grid(
     certificate that fails is named in an InvariantViolation."""
     glp = build_grid_lp(instance, grid)
     sol = lp.solve(glp.program, propose=glp.propose)
-    if sol.status != lp.OPTIMAL:
-        raise InvariantViolation(f"grid program reported {sol.status}")
     solution = _read_solution(glp, sol.assignment, sol.objective)
     solution._validate(instance, glp.edges)
     if grid.dim == 2:

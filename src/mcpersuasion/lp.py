@@ -21,11 +21,12 @@ imports, starts from a floating-point solve's support, completed the
 same way; any other program, and any start whose completed basis is
 refused, starts from the all-artificial basis with phase 1.
 
-No status is reported on trust: an optimal answer carries a dual
-vector, an infeasible one a Farkas vector, an unbounded one a feasible
-point and an improving ray, each checked exactly against the program as
-stored, never the engine's scaled rows; a failed check is named with
-its row or column (_optimality, _farkas_failure, _ray_failure).
+solve answers only the programs its callers build, which are feasible
+and bounded: every answer is an optimum with a dual vector, checked
+exactly against the program as stored, never the engine's scaled rows,
+and a failed check is named with its row or column (_optimality).  A
+program that turns out infeasible or unbounded is a solver defect, and
+so is a failed check: each raises InvariantViolation naming it.
 Output is deterministic for a fixed input; only a solve that takes the
 floating-point start can depend on the installation.
 """
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress, count, repeat
 from math import gcd, inf, lcm
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .errors import InvariantViolation, ValidationError
 
@@ -47,8 +48,6 @@ LE = "<="
 GE = ">="
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 # A crash basis (a HiGHS solve of the sparse float program, then its exact
 # completion) only pays off once rows x columns is sizable.
@@ -79,23 +78,6 @@ def _index(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
-def _integral(row, rel, rhs) -> tuple[dict, str, int, int]:
-    """The one adapter for rational rows: a row, a mapping (index -> coeff)
-    or a sequence, with its relation and right-hand side, as integers over
-    the lcm of their denominators, (coeffs, rel, rhs, den).  Values must be
-    ints or Fractions; floats, strings and booleans are refused."""
-    if not isinstance(row, (Mapping, Sequence)):
-        raise ValidationError("row must be a mapping or a sequence")
-    items = row.items() if isinstance(row, Mapping) else enumerate(row)
-    values = {j if type(j) is int else _index(j, "variable index"): v for j, v in items}
-    for v in (rhs, *values.values()):
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            raise ValidationError(f"coefficient or right-hand side {v!r} is not exact")
-    den = lcm(rhs.denominator, *(v.denominator for v in values.values()))
-    coeffs = {j: v.numerator * (den // v.denominator) for j, v in values.items()}
-    return coeffs, rel, rhs.numerator * (den // rhs.denominator), den
-
-
 def _lowest(row: tuple, n_vars: int) -> tuple[dict, str, int, int]:
     """An integer row (coeffs, rel, rhs, den) reduced by one gcd to lowest
     terms, zero coefficients dropped.  Refused unless rel is a relation,
@@ -120,30 +102,17 @@ def _lowest(row: tuple, n_vars: int) -> tuple[dict, str, int, int]:
 class LinearProgram:
     """Immutable program data, stored in integers.
 
-    Row i is (coeffs, rel, rhs, den), the constraint
-    sum_j coeffs[j] x_j / den  rel  rhs / den, in lowest terms (den is
-    the lcm of the rational row's denominators), without zero
-    coefficients; the objective is obj over obj_den.  The constructor
-    takes rational rows, sparse (index -> coeff mappings) or dense, of
-    ints and Fractions; integral takes integer rows over any den >= 1,
-    keeping each dict already in lowest terms.  constraints and objective
-    give the rows as Fractions."""
+    LinearProgram(n_vars, (coeffs, den), rows) is the program with
+    objective sum_j coeffs[j] x_j / den and row i (coeffs, rel, rhs, den),
+    the constraint sum_j coeffs[j] x_j / den  rel  rhs / den, each an
+    {index: int} dict over any den >= 1.  Each is stored in lowest terms
+    (_lowest), without zero coefficients, keeping a dict already in
+    lowest terms; the objective is obj over obj_den.  constraints and
+    objective give them back as Fractions."""
 
     __slots__ = ("n_vars", "obj", "obj_den", "rows")
 
-    def __init__(self, n_vars, objective, constraints):
-        obj, _, _, den = _integral(objective, EQ, 0)
-        self._store(n_vars, (obj, den), [_integral(*row) for row in constraints])
-
-    @classmethod
-    def integral(cls, n_vars, objective, rows) -> "LinearProgram":
-        """The program with objective (coeffs, den) and rows
-        (coeffs, rel, rhs, den) in integers."""
-        program = cls.__new__(cls)
-        program._store(n_vars, objective, rows)
-        return program
-
-    def _store(self, n_vars, objective, rows):
+    def __init__(self, n_vars, objective, rows):
         self.n_vars = n = _index(n_vars, "variable count")
         if n < 0:
             raise ValidationError("variable count must be nonnegative")
@@ -170,21 +139,14 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Certified outcome of a solve.
-
-    assignment/objective are set when optimal (assignment is basic
-    feasible); dual is the certified dual vector, one entry per
-    constraint.  For infeasible programs farkas holds the separating
-    vector; for unbounded ones assignment holds a feasible point and
-    ray the improving direction.
-    """
+    """A certified optimum: status is always OPTIMAL, assignment an
+    optimal point, objective its value and dual the dual vector, one
+    entry per constraint, that check_optimal accepts with it."""
 
     status: str
-    assignment: tuple[Fraction, ...] | None = None
-    objective: Fraction | None = None
-    dual: tuple[Fraction, ...] | None = None
-    farkas: tuple[Fraction, ...] | None = None
-    ray: tuple[Fraction, ...] | None = None
+    assignment: tuple[Fraction, ...]
+    objective: Fraction
+    dual: tuple[Fraction, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -213,20 +175,14 @@ def _first_false(flags) -> int | None:
     return next(compress(count(), map(operator.not_, flags)), None)
 
 
-def _failing_row(lp: LinearProgram, ints: list[int], scale: int) -> int | None:
-    """The first row that does not hold at the integer point ints against
-    its right-hand side times scale (lhs and rhs are both in the row's
-    den); None when every row holds."""
+def _failing_row(lp: LinearProgram, ints: list[int], X: int) -> int | None:
+    """The first row that does not hold at the point ints / X (lhs and
+    rhs times X are both in the row's den); None when every row holds."""
     at = ints.__getitem__
     return _first_false(
-        _HOLDS[rel](sum(map(operator.mul, map(at, coeffs), coeffs.values())), rhs * scale)
+        _HOLDS[rel](sum(map(operator.mul, map(at, coeffs), coeffs.values())), rhs * X)
         for coeffs, rel, rhs, _ in lp.rows
     )
-
-
-def _value(lp: LinearProgram, ints: list[int], X: int) -> Fraction:
-    """c.x at x = ints / X."""
-    return Fraction(sum(a * ints[j] for j, a in lp.obj.items()), lp.obj_den * X)
 
 
 def _inexact(v, name) -> str | None:
@@ -237,22 +193,18 @@ def _inexact(v, name) -> str | None:
     return f"{name}[{j}] = {v[j]!r} is not exact"
 
 
-def _located(lp, v, what, name, scale) -> tuple[tuple[list[int], int] | None, str | None]:
-    """(_point(lp, v), None) when v is a nonnegative vector of lp's length
-    at which every row holds against its right-hand side times scale:
-    1 for a point, at which A v rel b, and 0 for a ray, along which
-    A v rel 0.  Otherwise (None, the first part that fails, named with
-    its index): what is v's name in the length's message, name its
-    entries' and the rows'."""
-    point = _point(lp, v)
+def _located(lp, x) -> tuple[tuple[list[int], int] | None, str | None]:
+    """(_point(lp, x), None) when x is a point of lp: a nonnegative
+    vector of lp's length at which every row holds.  Otherwise (None,
+    the first part that fails, named with its index)."""
+    point = _point(lp, x)
     if point is None:
-        if len(v) != lp.n_vars:
-            return None, f"{what} has {len(v)} entries for {lp.n_vars} columns"
-        j = next(j for j, e in enumerate(v) if e < 0)
-        return None, f"{name}[{j}] = {v[j]} is negative"
-    ints, X = point
-    if (i := _failing_row(lp, ints, X * scale)) is not None:
-        return None, f"row {i} does not hold {'at' if scale else 'along'} {name}"
+        if len(x) != lp.n_vars:
+            return None, f"point has {len(x)} entries for {lp.n_vars} columns"
+        j = next(j for j, e in enumerate(x) if e < 0)
+        return None, f"x[{j}] = {x[j]} is negative"
+    if (i := _failing_row(lp, *point)) is not None:
+        return None, f"row {i} does not hold at x"
     return point, None
 
 
@@ -299,14 +251,15 @@ def _optimality(lp, x, y) -> tuple[str | None, Fraction | None]:
         return failure, None
     if len(y) != lp.n_constraints:
         return f"dual has {len(y)} entries for {lp.n_constraints} rows", None
-    point, failure = _located(lp, x, "point", "x", 1)
+    point, failure = _located(lp, x)
     if (failure := failure or _wrong_sign(lp, y)) is not None:
         return failure, None
     yA, yb, s = _scaled_yA(lp, y)
     if (j := _priced_column(lp, yA, s)) is not None:
         cost = Fraction(lp.obj.get(j, 0), lp.obj_den) - Fraction(yA[j], s)
         return f"column {j} has reduced cost {cost} > 0", None
-    value, bound = _value(lp, *point), Fraction(yb, s)
+    (ints, X), bound = point, Fraction(yb, s)
+    value = Fraction(sum(a * ints[j] for j, a in lp.obj.items()), lp.obj_den * X)
     if value != bound:
         return f"c.x = {value} differs from y'b = {bound}", None
     return None, value
@@ -316,53 +269,8 @@ def check_optimal(lp, x, y) -> bool:
     return _optimality(lp, x, y)[0] is None
 
 
-def _farkas_failure(lp, y) -> str | None:
-    """The first part of the infeasibility certificate y that fails,
-    named with its index, in the order checked: its length, an inexact
-    entry, one of the wrong sign, a column where y'A is negative, and
-    y'b, which must be negative.  None when y proves lp infeasible."""
-    if len(y) != lp.n_constraints:
-        return f"Farkas vector has {len(y)} entries for {lp.n_constraints} rows"
-    if (failure := _inexact(y, "y") or _wrong_sign(lp, y)) is not None:
-        return failure
-    yA, yb, s = _scaled_yA(lp, y)
-    if (j := _first_false(v >= 0 for v in yA)) is not None:
-        return f"column {j} has y'A = {Fraction(yA[j], s)} < 0"
-    if yb >= 0:
-        return f"y'b = {Fraction(yb, s)} is not negative"
-    return None
-
-
-def check_farkas(lp, y) -> bool:
-    return _farkas_failure(lp, y) is None
-
-
-def _ray_failure(lp, x0, d) -> str | None:
-    """The first part of the unboundedness certificate (x0, d) that
-    fails, named with its index, in the order checked: an inexact entry,
-    the point x0's length, signs and rows (A x0 rel b), the ray d's
-    length, signs and rows (A d rel 0), and its gain c.d, which must be
-    positive.  None when x0 is feasible and d an improving ray."""
-    failure = _inexact(x0, "x") or _inexact(d, "d") or _located(lp, x0, "point", "x", 1)[1]
-    if failure is None:
-        ray, failure = _located(lp, d, "ray", "d", 0)
-    if failure is None and (gain := _value(lp, *ray)) <= 0:
-        failure = f"c.d = {gain} is not positive"
-    return failure
-
-
-def check_ray(lp, x0, d) -> bool:
-    return _ray_failure(lp, x0, d) is None
-
-
 # ---------------------------------------------------------------------------
 # the engine
-
-
-def _verified(what: str, failure: str | None) -> None:
-    """Raise InvariantViolation when failure names a failed part of the what certificate."""
-    if failure is not None:
-        raise InvariantViolation(f"{what} certificate failed verification: {failure}")
 
 
 def _ratio(num: int, den: int) -> float:
@@ -608,23 +516,17 @@ class _Engine:
     def _run(self, obj):
         """Iterate to optimality of obj over the columns below n_std,
         evicting artificials lazily on the program's own objective
-        (phase 2).
-
-        Returns None on optimality, or the entering column index when
-        unbounded (its direction had no positive entry).
-        """
+        (phase 2).  A column whose direction has no leaving row makes the
+        program unbounded, which raises InvariantViolation."""
         degenerate_streak = 0
         bland = False
         lazy = obj is self.obj
         num, lev, fl = self._prices(obj)
-        while True:
-            j = self._entering(num, lev, fl, bland)
-            if j is None:
-                return None
+        while (j := self._entering(num, lev, fl, bland)) is not None:
             d = self._direction(j)
             r = self._leaving(d, lazy)
             if r is None:
-                return j
+                raise InvariantViolation(f"the program is unbounded along column {j}")
             degenerate = self.xb[r] == 0
             evicts = self.basis[r] >= self.n_std
             den = self.den
@@ -652,17 +554,12 @@ class _Engine:
         self.xb = list(self.b)
         self.real_rows = 0
 
-    def _phase1(self) -> list[Fraction] | None:
-        """None once a feasible basis is reached, else a Farkas vector."""
+    def _phase1(self) -> bool:
+        """Whether phase 1 reaches a feasible basis: every artificial at zero."""
         # the artificial of row i in units of the L-scaled row
         obj1 = [0] * self.n_std + [-(self.scale * g // d) for _, d, g in self.row_scale]
-        if self._run(obj1) is not None:
-            raise InvariantViolation("phase-1 objective cannot be unbounded")
-        value = sum(obj1[self.basis[r]] * self.xb[r] for r in range(self.m))
-        if value < 0:
-            # a Farkas vector of the L-scaled rows, phase 1's units
-            return self._map_dual(self._duals(obj1), self.scale * self.den)
-        return None
+        self._run(obj1)
+        return not any(obj1[j] * x for j, x in zip(self.basis, self.xb))
 
     # -- starts from a support
 
@@ -715,24 +612,19 @@ class _Engine:
     def solve(self, start: Sequence[int] | None = None) -> LPSolution:
         """From the completion of start, a support, when one is given and
         its completed basis is kept; else from the all-artificial start
-        and phase 1."""
+        and phase 1, which raises InvariantViolation when no feasible
+        basis is reached."""
         if start is None or not self._complete(start):
             self._start_all_artificial()
-            farkas = self._phase1() if self.m > 0 else None
-            if farkas is not None:
-                _verified("Farkas", _farkas_failure(self.lp, farkas))
-                return LPSolution(status=INFEASIBLE, farkas=tuple(farkas))
-        entering = self._run(self.obj)
-        if entering is not None:
-            x0 = self._assignment()
-            d = self._ray(entering)
-            _verified("unboundedness", _ray_failure(self.lp, x0, d))
-            return LPSolution(status=UNBOUNDED, assignment=tuple(x0), ray=tuple(d))
+            if not self._phase1():
+                raise InvariantViolation("the program is infeasible")
+        self._run(self.obj)
         x = self._assignment()
         # undo the row scales, the objective scale and den
         y = self._map_dual(self._duals(self.obj), self.obj_scale * self.den)
         failure, value = _optimality(self.lp, x, y)
-        _verified("optimality", failure)
+        if failure is not None:
+            raise InvariantViolation(f"optimality certificate failed verification: {failure}")
         return LPSolution(status=OPTIMAL, assignment=tuple(x), objective=value, dual=tuple(y))
 
     def _assignment(self) -> list[Fraction]:
@@ -741,16 +633,6 @@ class _Engine:
             if self.basis[r] < self.n_real:
                 x[self.basis[r]] = Fraction(self.xb[r], self.den)
         return x
-
-    def _ray(self, j: int) -> list[Fraction]:
-        d = self._direction(j)
-        ray = [Fraction(0)] * self.n_real
-        if j < self.n_real:
-            ray[j] = Fraction(1)
-        for r in range(self.m):
-            if self.basis[r] < self.n_real and d[r]:
-                ray[self.basis[r]] = Fraction(-d[r], self.den)
-        return ray
 
     def _map_dual(self, y_std, den: int) -> list[Fraction]:
         """Original-row duals y_std / den, with the row scales and flips
@@ -777,8 +659,9 @@ def _start(program: LinearProgram, x) -> list[int]:
 
 
 def solve(lp: LinearProgram, *, propose: Callable[[], tuple] | None = None) -> LPSolution:
-    """Solve to a certified status, from the start picked here; lp is
-    read, never changed.
+    """lp's certified optimum, from the start picked here; lp is read,
+    never changed.  lp must be feasible and bounded: one that is not
+    raises InvariantViolation naming the outcome, as a failed check does.
 
     propose() gives (x, y): a point of lp, and a dual, one entry per row
     of lp, or None.  If y is given and check_optimal accepts (x, y), that

@@ -12,7 +12,12 @@ from mcpersuasion.beliefs import (
     coupling_rows,
     is_bayes_plausible,
 )
-from mcpersuasion.errors import PreconditionError, StateSpaceMismatch, ValidationError
+from mcpersuasion.errors import (
+    InvariantViolation,
+    PreconditionError,
+    StateSpaceMismatch,
+    ValidationError,
+)
 from mcpersuasion.lattice import _curtain
 from mcpersuasion.model import Prior, StateSpace
 
@@ -49,8 +54,11 @@ def mps_coupling(spread, coarse):
     ]
     constraints += [(row, lp.EQ, 0, den) for row, den in rows[len(constraints) :]]
     n = len(spread.points) * len(coarse.points)
-    sol = lp.solve(lp.LinearProgram.integral(n, ({}, 1), constraints))
-    if sol.status != lp.OPTIMAL:
+    try:
+        sol = lp.solve(lp.LinearProgram(n, ({}, 1), constraints))
+    except InvariantViolation as exc:
+        if str(exc) != "the program is infeasible":
+            raise
         return None
     flow = coupling_flows(spread.points, coarse.points, sol.assignment)
     return Coupling(source=spread, target=coarse, flow=flow)
@@ -150,6 +158,27 @@ def test_from_pairs_canonicalizes():
         BeliefDistribution.from_pairs([(pt(1, 0), F(1, 2))])
     with pytest.raises(ValidationError):
         BeliefDistribution.from_pairs([(pt(1, 0), F(-1)), (pt(0, 1), F(2))])
+
+
+@pytest.mark.parametrize(
+    "pairs, refused",
+    [
+        ([((0.5, 0.5), 1)], "posterior coordinate 0.5"),
+        ([(("1/2", "1/2"), "1")], "posterior coordinate '1/2'"),
+        ([((True, False), True)], "posterior coordinate True"),
+        ([(pt(1, 0), 1.0)], "belief mass 1.0"),
+        ([(pt(1, 0), "1")], "belief mass '1'"),
+        ([((1, 0), True)], "belief mass True"),
+    ],
+    ids=["float-point", "str-point", "bool-point", "float-mass", "str-mass", "bool-mass"],
+)
+def test_from_pairs_refuses_inexact_input(pairs, refused):
+    """from_pairs reads every coordinate and mass as the constructor
+    does (model._exact): a float, a str or a bool is refused with the
+    constructor's message, never converted; ints are exact."""
+    with pytest.raises(ValidationError, match=f"^{refused} is neither an int nor a Fraction$"):
+        BeliefDistribution.from_pairs(pairs)
+    assert BeliefDistribution.from_pairs([((1, 0), 1)]).points == (pt(1, 0),)
 
 
 def test_bayes_plausibility():

@@ -55,7 +55,15 @@ from test_beliefs import (
     concavify_single,
     mps_coupling,
 )
-from test_lp import GRID_CASES, _engines_built, _restriction, dump, full_grid_lp, var_names
+from test_lp import (
+    GRID_CASES,
+    _engines_built,
+    _restriction,
+    dump,
+    full_grid_lp,
+    rational_program,
+    var_names,
+)
 
 F = Fraction
 TWO = StateSpace(("0", "1"))
@@ -86,6 +94,20 @@ def test_grid_points_and_membership():
     assert g.contains(pt("1/2", "1/2"))
     assert not g.contains(pt("1/3", "2/3"))
     assert not g.contains(pt("1/2", "1/4"))
+
+
+def test_grid_membership_refuses_inexact_coordinates():
+    """contains reads each coordinate as a posterior's (model._exact): a
+    float, a str or a bool is a ValidationError, never converted; exact
+    points off the grid, negative ones, ones of another length and ones
+    not summing to 1 are not members."""
+    g = PosteriorGrid(dim=2, denominator=2)
+    for point in [(0.5, 0.5), ("1/2", "1/2"), (True, False)]:
+        with pytest.raises(ValidationError, match="^posterior coordinate .* is neither"):
+            g.contains(point)
+    assert g.contains((1, 0)) and g.contains(pt("1/2", "1/2"))
+    for point in [pt("1/4", "3/4"), pt("-1/2", "3/2"), pt("1/2", "1/2", 0), pt("1/2", 0)]:
+        assert not g.contains(point)
 
 
 def test_grid_for_epsilon():
@@ -1421,7 +1443,7 @@ def test_potential_programs_are_built_from_the_full_programs_rows():
                 row.update({i2 * m + s: F(-abs(a - t)) for s, a in enumerate(points) if a != t})
                 spread.append((row, lp.GE, F(0)))
         constraints = [*rows[: 2 * k], *spread, *rows[-k:]]
-        oracle = lp.LinearProgram(k * m, restricted.objective, constraints)
+        oracle = rational_program(k * m, restricted.objective, constraints)
         assert program.n_vars == oracle.n_vars == k * m
         assert (program.obj, program.obj_den) == (oracle.obj, oracle.obj_den)
         assert program.rows == oracle.rows
@@ -1458,31 +1480,6 @@ def test_a_grid_solve_builds_once_and_solves_once(monkeypatch):
         calls.clear()
         run()
         assert calls == ["build", "solve"]
-
-
-@pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED])
-@pytest.mark.parametrize("call", [1, 2])
-def test_a_rung_that_is_not_optimal_raises(call, status, monkeypatch):
-    """A potential program, like any grid program, is always feasible
-    and bounded, so one that lp.solve reports as anything but optimal is
-    a solver defect.  solve_grid on chain2 and then on star3 at 1/20
-    calls lp.solve once each, on the potential program: when the call-th
-    reports status, solve_grid raises InvariantViolation naming the
-    program and the status, and no engine is built."""
-    built, calls = _engines_built(monkeypatch), []
-    real_solve = forest.lp.solve
-
-    def solve(program, **kwargs):
-        calls.append(program)
-        if len(calls) == call:
-            return lp.LPSolution(status)
-        return real_solve(program, **kwargs)
-
-    monkeypatch.setattr(forest.lp, "solve", solve)
-    with pytest.raises(InvariantViolation, match=f"grid program reported {status}"):
-        for name in ("chain2", "star3"):
-            solve_grid(_data_instance(name), PosteriorGrid(dim=2, denominator=20))
-    assert len(calls) == call and built == []
 
 
 @pytest.mark.parametrize("name, denominator", [("chain2", 40), ("star3", 20)])
@@ -2004,13 +2001,13 @@ def test_fine_steps_build_no_large_program(name, monkeypatch):
     inst = _data_instance(name)
     reference = solve_fptas(inst, F(1, 40))[0].objective
     sizes = []
-    real = lp.LinearProgram.integral.__func__
+    real = lp.LinearProgram.__init__
 
-    def integral(cls, n_vars, objective, rows):
+    def init(program, n_vars, objective, rows):
         sizes.append(n_vars)
-        return real(cls, n_vars, objective, rows)
+        real(program, n_vars, objective, rows)
 
-    monkeypatch.setattr(lp.LinearProgram, "integral", classmethod(integral))
+    monkeypatch.setattr(lp.LinearProgram, "__init__", init)
     solution, table = solve_fptas(inst, F(1, 10_000))
     assert sizes and max(sizes) <= 10_000
     assert solution.step == F(1, 10_000)

@@ -19,7 +19,8 @@ from mcpersuasion.hardness import (
     revealing_table,
     state_ceilings,
 )
-from mcpersuasion.lp import EQ, LE, OPTIMAL, LinearProgram, solve
+from mcpersuasion.lp import EQ, LE, OPTIMAL, solve
+from test_lp import rational_program
 
 MID = (Fraction(1, 2), Fraction(1, 2))
 
@@ -273,7 +274,7 @@ def _best_two_letter_scheme(inst):
                 for k in range(n)
             ]
             objective = {s * n + k: Fraction(pay[k], 2) for s in (0, 1) for k in range(n)}
-            solution = solve(LinearProgram(2 * n, objective, constraints))
+            solution = solve(rational_program(2 * n, objective, constraints))
             assert solution.status == OPTIMAL
             if best is None or solution.objective > best:
                 best = solution.objective

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -16,22 +17,69 @@ from mcpersuasion import forest
 from mcpersuasion import lp as lp_module
 from mcpersuasion.errors import InvariantViolation, ValidationError
 from mcpersuasion.forest import PosteriorGrid, build_grid_lp
-from mcpersuasion.lp import (
-    EQ,
-    GE,
-    INFEASIBLE,
-    LE,
-    OPTIMAL,
-    UNBOUNDED,
-    LinearProgram,
-    check_farkas,
-    check_optimal,
-    check_ray,
-    solve,
-)
+from mcpersuasion.lp import EQ, GE, LE, OPTIMAL, LinearProgram, check_optimal, solve
 from mcpersuasion.model import validate_instance
 
 F = Fraction
+
+
+# --- rational programs, and the outcomes solve raises on ---
+
+
+def _integral(row, rel, rhs) -> tuple[dict, str, int, int]:
+    """A rational row, a mapping (index -> coeff) or a sequence, with its
+    relation and right-hand side, as integers over the lcm of their
+    denominators, (coeffs, rel, rhs, den).  Indices go through
+    operator.index, and values must be ints or Fractions; floats,
+    strings and booleans are refused."""
+    if not isinstance(row, (Mapping, Sequence)):
+        raise ValidationError("row must be a mapping or a sequence")
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    values = {j if type(j) is int else lp_module._index(j, "variable index"): v for j, v in items}
+    for v in (rhs, *values.values()):
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise ValidationError(f"coefficient or right-hand side {v!r} is not exact")
+    den = lcm(rhs.denominator, *(v.denominator for v in values.values()))
+    coeffs = {j: v.numerator * (den // v.denominator) for j, v in values.items()}
+    return coeffs, rel, rhs.numerator * (den // rhs.denominator), den
+
+
+def rational_program(n_vars, objective, constraints) -> LinearProgram:
+    """The LinearProgram of a rational objective and rational rows
+    (row, rel, rhs), each sparse or dense, of ints and Fractions
+    (_integral)."""
+    obj, _, _, den = _integral(objective, EQ, 0)
+    return LinearProgram(n_vars, (obj, den), [_integral(*row) for row in constraints])
+
+
+_RAISED = re.compile(r"the program is (infeasible|unbounded)(?: along column \d+)?")
+
+
+def outcome(lp, solver=solve, **kwargs) -> tuple:
+    """(OPTIMAL, solver(lp, **kwargs)), or ("infeasible", None) or
+    ("unbounded", None) when the solver raises the InvariantViolation that
+    names that outcome; any other raise, a failed certificate say, passes."""
+    try:
+        return OPTIMAL, solver(lp, **kwargs)
+    except InvariantViolation as exc:
+        named = _RAISED.fullmatch(str(exc))
+        if named is None:
+            raise
+        return named[1], None
+
+
+def _answer(result) -> tuple:
+    """An outcome's status and objective, None where solve raised."""
+    status, sol = result
+    return status, sol and sol.objective
+
+
+def _certified(lp, result) -> bool:
+    """Whether an outcome of solving lp is an optimum that check_optimal
+    accepts, or a raise naming the outcome, which is all the engine
+    answers on a program with no optimum."""
+    _, sol = result
+    return sol is None or check_optimal(lp, sol.assignment, sol.dual)
 
 
 # --- listings and a feasibility check that tests read programs through ---
@@ -72,7 +120,7 @@ def var_names(glp) -> list[str]:
 
 def check_feasible(lp: LinearProgram, x) -> bool:
     """x is a point of lp, by the check check_optimal runs first."""
-    return lp_module._located(lp, x, "point", "x", 1)[1] is None
+    return lp_module._located(lp, x)[1] is None
 
 
 # --- an independent brute-force oracle: enumerate candidate active sets ---
@@ -124,13 +172,13 @@ def oracle(n, objective, constraints):
     """(status, value) by vertex and recession-ray enumeration."""
     verts = _vertices(n, constraints)
     if not verts:
-        return INFEASIBLE, None
+        return "infeasible", None
     # recession cone sliced by sum d = 1
     cone = [(row, EQ if rel == EQ else rel, F(0)) for row, rel, _ in constraints]
     cone.append(([F(1)] * n, EQ, F(1)))
     for d in _vertices(n, cone):
         if sum(c * v for c, v in zip(objective, d)) > 0:
-            return UNBOUNDED, None
+            return "unbounded", None
     best = max(sum(c * v for c, v in zip(objective, x)) for x in verts)
     return OPTIMAL, best
 
@@ -139,7 +187,7 @@ def oracle(n, objective, constraints):
 
 
 def test_single_upper_bound():
-    lp = LinearProgram(1, [F(1)], [([F(1)], LE, F(1))])
+    lp = rational_program(1, [F(1)], [([F(1)], LE, F(1))])
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.objective == 1
@@ -147,14 +195,13 @@ def test_single_upper_bound():
 
 
 def test_infeasible_pair():
-    lp = LinearProgram(1, [F(1)], [([F(1)], GE, F(2)), ([F(1)], LE, F(1))])
-    sol = solve(lp)
-    assert sol.status == INFEASIBLE
-    assert check_farkas(lp, sol.farkas)
+    lp = rational_program(1, [F(1)], [([F(1)], GE, F(2)), ([F(1)], LE, F(1))])
+    with pytest.raises(InvariantViolation, match="^the program is infeasible$"):
+        solve(lp)
 
 
 def test_two_variable_example():
-    lp = LinearProgram(
+    lp = rational_program(
         2,
         [F(3), F(2)],
         [([F(1), F(1)], LE, F(4)), ([F(1), F(0)], LE, F(2))],
@@ -167,15 +214,14 @@ def test_two_variable_example():
 
 
 def test_unbounded():
-    lp = LinearProgram(2, [F(1), F(1)], [([F(1), F(-1)], LE, F(1))])
-    sol = solve(lp)
-    assert sol.status == UNBOUNDED
-    assert check_ray(lp, sol.assignment, sol.ray)
+    lp = rational_program(2, [F(1), F(1)], [([F(1), F(-1)], LE, F(1))])
+    with pytest.raises(InvariantViolation, match=r"^the program is unbounded along column \d+$"):
+        solve(lp)
 
 
 def test_equality_and_negative_rhs():
     # -x1 - x2 = -3 exercises the row-flip path
-    lp = LinearProgram(
+    lp = rational_program(
         2,
         [F(1), F(2)],
         [([F(-1), F(-1)], EQ, F(-3)), ([F(0), F(1)], LE, F(2))],
@@ -188,7 +234,7 @@ def test_equality_and_negative_rhs():
 
 def test_redundant_rows_are_dropped():
     # second row is the double of the first
-    lp = LinearProgram(
+    lp = rational_program(
         2,
         [F(1), F(1)],
         [
@@ -204,7 +250,7 @@ def test_redundant_rows_are_dropped():
 
 
 def test_beale_degenerate_instance_terminates():
-    lp = LinearProgram(
+    lp = rational_program(
         4,
         [F(3, 4), F(-150), F(1, 50), F(-6)],
         [
@@ -220,17 +266,17 @@ def test_beale_degenerate_instance_terminates():
 
 
 def test_zero_objective_and_empty_program():
-    sol = solve(LinearProgram(2, {}, [([F(1), F(1)], LE, F(1))]))
+    sol = solve(rational_program(2, {}, [([F(1), F(1)], LE, F(1))]))
     assert sol.status == OPTIMAL and sol.objective == 0
-    sol = solve(LinearProgram(1, [F(-1)], []))
+    sol = solve(rational_program(1, [F(-1)], []))
     assert sol.status == OPTIMAL and sol.assignment == (F(0),)
-    sol = solve(LinearProgram(1, [F(1)], []))
-    assert sol.status == UNBOUNDED
+    with pytest.raises(InvariantViolation, match="^the program is unbounded along column 0$"):
+        solve(rational_program(1, [F(1)], []))
 
 
 def test_random_programs_match_vertex_oracle():
     rng = random.Random(271)
-    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    statuses = {OPTIMAL: 0, "infeasible": 0, "unbounded": 0}
     for _ in range(250):
         n = rng.randint(2, 4)
         m = rng.randint(1, 6)
@@ -241,25 +287,20 @@ def test_random_programs_match_vertex_oracle():
             rel = rng.choice([EQ, LE, GE])
             rhs = F(rng.randint(-4, 4))
             constraints.append((row, rel, rhs))
-        lp = LinearProgram(n, obj, constraints)
-        sol = solve(lp)
-        status, value = oracle(n, obj, constraints)
-        assert sol.status == status, dump(lp)
+        lp = rational_program(n, obj, constraints)
+        status, sol = result = outcome(lp)
+        assert _answer(result) == oracle(n, obj, constraints), dump(lp)
         statuses[status] += 1
-        if status == OPTIMAL:
-            assert sol.objective == value, dump(lp)
+        if sol is not None:
             assert check_optimal(lp, sol.assignment, sol.dual)
-        elif status == INFEASIBLE:
-            assert check_farkas(lp, sol.farkas)
-        else:
-            assert check_ray(lp, sol.assignment, sol.ray)
-    # the generator should exercise every status
+    # the generator should exercise every outcome, infeasible and
+    # unbounded ones raising InvariantViolation that names them
     assert all(count > 0 for count in statuses.values())
 
 
 def test_degenerate_transportation_ties():
     # many optimal bases, heavy degeneracy in the ratio test
-    lp = LinearProgram(
+    lp = rational_program(
         4,
         [F(1), F(1), F(1), F(1)],
         [
@@ -298,7 +339,7 @@ def test_crash_and_pure_paths_agree(take_route):
     for i in range(m):
         row = [F(rng.randint(0, 3)) for _ in range(n)]
         constraints.append((row, LE, F(rng.randint(5, 20))))
-    lp = LinearProgram(n, obj, constraints)
+    lp = rational_program(n, obj, constraints)
     take_route("crash")
     fast = solve(lp)
     take_route("pure")
@@ -328,7 +369,7 @@ def test_crash_keeps_only_a_feasible_completed_basis(monkeypatch, take_route, gu
     value is nonnegative and every artificial left basic is at zero;
     otherwise the solve takes the all-artificial route instead."""
     _, scipy_optimize, _ = _highs_or_skip()
-    lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1), ([1, -1, 1], EQ, 3)])
+    lp = rational_program(3, [1, 0, 0], [([1, 1, 0], EQ, 1), ([1, -1, 1], EQ, 3)])
     result = SimpleNamespace(success=True, x=guess)
     monkeypatch.setattr(scipy_optimize, "linprog", lambda *args, **kwargs: result)
     engine = lp_module._Engine(lp)
@@ -385,14 +426,12 @@ def test_determinism():
             ([F(rng.randint(-2, 2)) for _ in range(n)], rng.choice([LE, GE, EQ]), F(rng.randint(-2, 4)))
             for _ in range(rng.randint(1, 4))
         ]
-        lp = LinearProgram(n, obj, cons)
-        a = solve(lp)
-        b = solve(lp)
-        assert a == b
+        lp = rational_program(n, obj, cons)
+        assert outcome(lp) == outcome(lp)
 
 
 def test_dump_listing():
-    lp = LinearProgram(
+    lp = rational_program(
         2,
         [F(3), F(2)],
         [([F(1), F(1)], LE, F(4)), ({0: F(1)}, LE, F(2))],
@@ -455,11 +494,11 @@ def test_program_refuses_indices_that_are_not_integers(n_vars, objective, row):
     operator.index: floats, strings and booleans are refused, never
     truncated, and so are indices out of range."""
     with pytest.raises(ValidationError):
-        LinearProgram(n_vars, objective, [(row, LE, 1)])
+        rational_program(n_vars, objective, [(row, LE, 1)])
 
 
 def test_program_takes_integer_like_indices():
-    lp = LinearProgram(_Index(2), {_Index(1): 1}, [({_Index(0): 1, 1: 1}, LE, 1)])
+    lp = rational_program(_Index(2), {_Index(1): 1}, [({_Index(0): 1, 1: 1}, LE, 1)])
     assert lp.n_vars == 2 and type(lp.n_vars) is int
     assert lp.objective == {1: 1}
     assert lp.constraints == (({0: 1, 1: 1}, LE, 1),)
@@ -469,14 +508,14 @@ def test_program_takes_integer_like_indices():
 
 @pytest.mark.parametrize("bad", [0.5, True, "1/2"], ids=["float", "bool", "str"])
 def test_program_refuses_inexact_values(bad):
-    """Coefficients, objective entries and right-hand sides of rational
-    rows must be ints or Fractions: floats, booleans and strings are
-    refused, never converted.  Integer rows refuse them as right-hand
-    sides and denominators, and floats and strings as coefficients."""
+    """Integer rows refuse floats, booleans and strings as right-hand
+    sides and denominators, and floats and strings as coefficients, and
+    the tests' rational rows refuse all three as coefficients, objective
+    entries and right-hand sides: never converted."""
     rational = [([bad], [1], 1), ([1], [bad], 1), ([1], [1], bad), ({0: bad}, {0: 1}, 1)]
     for objective, row, rhs in rational:
         with pytest.raises(ValidationError):
-            LinearProgram(1, objective, [(row, LE, rhs)])
+            rational_program(1, objective, [(row, LE, rhs)])
     integral = [
         (({}, 1), ({0: 1}, LE, bad, 1)),
         (({}, 1), ({0: 1}, LE, 1, bad)),
@@ -486,44 +525,39 @@ def test_program_refuses_inexact_values(bad):
         integral += [(({0: bad}, 1), ({0: 1}, LE, 1, 1)), (({}, 1), ({0: bad}, LE, 1, 1))]
     for objective, row in integral:
         with pytest.raises(ValidationError):
-            LinearProgram.integral(1, objective, [row])
+            LinearProgram(1, objective, [row])
 
 
 def test_integer_rows_are_stored_in_lowest_terms():
     """Rational and integer rows alike are stored as integers over the
     lcm of the row's denominators, with zero coefficients dropped, and
     constraints and objective give them back as Fractions."""
-    lp = LinearProgram(3, [F(1, 2), 0, F(-1, 3)], [([F(2, 3), 0, 4], GE, F(1, 2))])
+    lp = rational_program(3, [F(1, 2), 0, F(-1, 3)], [([F(2, 3), 0, 4], GE, F(1, 2))])
     assert (lp.obj, lp.obj_den) == ({0: 3, 2: -2}, 6)
     assert lp.rows == (({0: 4, 2: 24}, GE, 3, 6),)
-    same = LinearProgram.integral(3, ({0: 6, 1: 0, 2: -4}, 12), [({0: 8, 2: 48}, GE, 6, 12)])
+    same = LinearProgram(3, ({0: 6, 1: 0, 2: -4}, 12), [({0: 8, 2: 48}, GE, 6, 12)])
     assert (same.obj, same.obj_den, same.rows) == (lp.obj, lp.obj_den, lp.rows)
     assert same.objective == {0: F(1, 2), 2: F(-1, 3)}
     assert same.constraints == (({0: F(2, 3), 2: F(4)}, GE, F(1, 2)),)
     for bad in ({3: 1}, {-1: 1}, {"0": 1}):
         with pytest.raises(ValidationError):
-            LinearProgram.integral(3, ({}, 1), [(bad, EQ, 0, 1)])
+            LinearProgram(3, ({}, 1), [(bad, EQ, 0, 1)])
     with pytest.raises(ValidationError):
-        LinearProgram.integral(3, ({}, 1), [({0: 1}, EQ, 0, 0)])
+        LinearProgram(3, ({}, 1), [({0: 1}, EQ, 0, 0)])
 
 
 def test_feasibility_checker():
-    lp = LinearProgram(2, [F(1), F(1)], [([F(1), F(1)], LE, F(1))])
+    lp = rational_program(2, [F(1), F(1)], [([F(1), F(1)], LE, F(1))])
     assert check_feasible(lp, (F(1, 2), F(1, 2)))
     assert not check_feasible(lp, (F(1), F(1)))
     assert not check_feasible(lp, (F(-1), F(0)))
 
 
 def test_certificate_checkers_reject_a_dual_of_the_wrong_length():
-    lp = LinearProgram(1, [1], [([1], LE, 1), ([1], LE, 2)])
+    lp = rational_program(1, [1], [([1], LE, 1), ([1], LE, 2)])
     assert check_optimal(lp, [1], [1, 0])
     assert not check_optimal(lp, [1], [1])
     assert not check_optimal(lp, [1], [1, 0, -7])
-    lp = LinearProgram(1, [F(1)], [([F(1)], GE, F(2)), ([F(1)], LE, F(1))])
-    y = solve(lp).farkas
-    assert check_farkas(lp, y)
-    assert not check_farkas(lp, y[:1])
-    assert not check_farkas(lp, y + (F(-7),))
 
 
 # --- the certificate checks, against the Fraction versions they replaced ---
@@ -580,33 +614,6 @@ def _fraction_check_optimal(lp, x, y):
     return _fraction_dot(x, lp.objective) == dual
 
 
-def _fraction_check_farkas(lp, y):
-    if len(y) != lp.n_constraints or not _fraction_dual_signs_ok(lp, y):
-        return False
-    if any(v < 0 for v in _fraction_yA(lp, y)):
-        return False
-    return sum((yi * rhs for (_, _, rhs), yi in zip(lp.constraints, y)), F(0)) < 0
-
-
-def _fraction_check_ray(lp, x0, d):
-    if not _fraction_check_feasible(lp, x0):
-        return False
-    if len(d) != lp.n_vars or any(v < 0 for v in d):
-        return False
-    gain = sum((d[j] * v for j, v in lp.objective.items()), F(0))
-    if gain <= 0:
-        return False
-    for row, rel, rhs in lp.constraints:
-        along = sum((d[j] * v for j, v in row.items()), F(0))
-        if rel == EQ and along != 0:
-            return False
-        if rel == LE and along > 0:
-            return False
-        if rel == GE and along < 0:
-            return False
-    return True
-
-
 def _reduced_costs_ok(lp, y):
     """lp's integer reduced-cost check of y."""
     yA, _, s = lp_module._scaled_yA(lp, y)
@@ -614,26 +621,25 @@ def _reduced_costs_ok(lp, y):
 
 
 def test_integer_certificate_sums_match_the_fraction_formula():
-    """check_optimal and check_farkas sum y'A in integers.  On seeded
-    programs, their solved certificates and those with one entry nudged
-    by +-1/(D L) (D and L the common denominators of y and of the
-    coefficients), every verdict is that of the Fraction formula.  Two
-    kinds of nudge must be rejected: one that takes a tight column's
-    y'A below its bound, and, for an optimal dual, one at a row with a
-    nonzero right-hand side, which breaks strong duality."""
+    """check_optimal sums y'A in integers.  On seeded programs, their
+    optimal duals and those with one entry nudged by +-1/(D L) (D and L
+    the common denominators of y and of the coefficients), every verdict
+    is that of the Fraction formula.  Two kinds of nudge must be
+    rejected: one that takes a tight column's y'A below its bound, and
+    one at a row with a nonzero right-hand side, which breaks strong
+    duality."""
     rng = random.Random(17)
     programs = [_pinned_program(rng) for _ in range(300)]
     programs += [_grid_program("chain2", 10), _grid_program("star3", 10)]
-    rejected = {OPTIMAL: 0, INFEASIBLE: 0}
+    rejected = 0
     for lp in programs:
-        sol = solve(lp)
-        if sol.status == UNBOUNDED:
+        _, sol = outcome(lp)
+        if sol is None:
             continue
-        optimal = sol.status == OPTIMAL
-        y = sol.dual if optimal else sol.farkas
+        y = sol.dual
         L = lcm(*(v.denominator for row, _, _ in lp.constraints for v in row.values()))
         step = F(1, lcm(*(v.denominator for v in y)) * L)
-        bound = lp.objective if optimal else {}
+        bound = lp.objective
         yA = _fraction_yA(lp, y)
         tight = [
             (k, j, v)
@@ -649,26 +655,22 @@ def test_integer_certificate_sums_match_the_fraction_formula():
         rows = [k for k, (_, _, rhs) in enumerate(lp.constraints) if rhs]
         if rows:
             k = rng.choice(rows)
-            nudges += [(k, step, optimal), (k, -step, optimal)]
+            nudges += [(k, step, True), (k, -step, True)]
         for k, delta, must_reject in [(0, 0, False)] + nudges:
             z = list(y)
             z[k] += delta
             assert _reduced_costs_ok(lp, z) == _fraction_reduced_costs_ok(lp, z)
-            if optimal:
-                ok = check_optimal(lp, sol.assignment, z)
-                assert ok == _fraction_check_optimal(lp, sol.assignment, z)
-            else:
-                ok = check_farkas(lp, z)
-                assert ok == _fraction_check_farkas(lp, z)
+            ok = check_optimal(lp, sol.assignment, z)
+            assert ok == _fraction_check_optimal(lp, sol.assignment, z)
             if delta == 0:
                 assert ok
             elif must_reject:
                 assert not ok
-                rejected[sol.status] += 1
-    assert min(rejected.values()) >= 20, rejected
+                rejected += 1
+    assert rejected >= 20, rejected
     # y'A short of a zero and of a nonzero bound by one unit of D L
     for c, y in (({}, F(-1, 4)), ([F(1, 3)], F(1, 2))):
-        lp = LinearProgram(1, c, [([F(1, 2)], LE, F(1))])
+        lp = rational_program(1, c, [([F(1, 2)], LE, F(1))])
         assert not _reduced_costs_ok(lp, [y])
         assert not _fraction_reduced_costs_ok(lp, [y])
         assert _reduced_costs_ok(lp, [y + F(1, 4)])
@@ -707,10 +709,10 @@ def _pinned_program(rng):
         k = F(rng.randint(1, 3), rng.choice((1, 2)))
         cons.append((row, EQ, rhs))
         cons.insert(rng.randrange(len(cons)), ([k * v for v in row], EQ, k * rhs))
-    return LinearProgram(n, obj, cons)
+    return rational_program(n, obj, cons)
 
 
-#: md5 of the repr of every solution of the 400 programs _pinned_program
+#: _digest of the outcome of every program of the 400 that _pinned_program
 #: draws from random.Random(3).  On the crash route the start comes from
 #: scipy's HiGHS (recorded with scipy 1.17.1); without scipy that route
 #: falls back to the all-artificial start, whose digest is PURE.  First
@@ -718,18 +720,37 @@ def _pinned_program(rng):
 #: one; re-pinned when phase 2 began to evict artificials lazily, which
 #: moved the duals of 10 (pure) and 23 (crash) degenerate optima and
 #: nothing else: the PRIMAL digests below were recorded before that change.
-PINNED_PURE = "31463627f2da0c7840dd5282dd42ec03"
-PINNED_CRASH = "e0b9b406839e8680dd737b4032a1823a"
+#: Re-pinned again when infeasible and unbounded programs began to raise
+#: instead of returning a Farkas vector or a ray: the values are those of
+#: the same _digest of the engine before that change, on its statuses,
+#: so no pivot path moved.
+PINNED_PURE = "fd83029bcbf71e6e403e7fca23590c40"
+PINNED_CRASH = "6979f5075510ada1ac8027d93c97a2b4"
 
-#: md5 of the same solutions with the dual left out (_primal_digest).
-PINNED_PURE_PRIMAL = "9f87034e4150f34b87900e9bac495105"
-PINNED_CRASH_PRIMAL = "950d4c5d9f6c6cde14de5342c2fdb760"
+#: _digest of the same outcomes with the dual left out (primal).
+PINNED_PURE_PRIMAL = "a3b016d51a797ae571bd9f91b8fd6e51"
+PINNED_CRASH_PRIMAL = "c01521032a769892d88982ae32e3b940"
 
 
-def _primal_digest(solutions):
-    """md5 of status, assignment, objective, Farkas vector and ray."""
-    fields = (repr((s.status, s.assignment, s.objective, s.farkas, s.ray)) for s in solutions)
-    return hashlib.md5("\n".join(fields).encode()).hexdigest()
+def _written(status, sol, primal=False) -> str:
+    """An outcome as the digests read it: the outcome's name where solve
+    raised; else the solution's repr as LPSolution wrote it when it also
+    held a Farkas vector and a ray, both None on an optimum, or, primal,
+    the repr of (status, assignment, objective, None, None)."""
+    if sol is None:
+        return status
+    if primal:
+        return repr((sol.status, sol.assignment, sol.objective, None, None))
+    return (
+        f"LPSolution(status={sol.status!r}, assignment={sol.assignment!r}, "
+        f"objective={sol.objective!r}, dual={sol.dual!r}, farkas=None, ray=None)"
+    )
+
+
+def _digest(outcomes, primal=False) -> str:
+    """md5 of the outcomes, one _written line each."""
+    lines = (_written(status, sol, primal) for status, sol in outcomes)
+    return hashlib.md5("\n".join(lines).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("crash", [False, True])
@@ -740,24 +761,23 @@ def test_pivot_path_matches_the_rational_engine(crash, take_route, monkeypatch):
 
     def recording_solve(engine, start=None):
         sol = real_solve(engine, start)
-        if sol.status == OPTIMAL and any(j >= engine.n_std for j in engine.basis):
+        if any(j >= engine.n_std for j in engine.basis):
             left_basic.append(engine)
         return sol
 
     monkeypatch.setattr(lp_module._Engine, "solve", recording_solve)
     take_route("crash" if crash else "pure")
     rng = random.Random(3)
-    solutions = [solve(_pinned_program(rng)) for _ in range(400)]
-    assert {sol.status for sol in solutions} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    outcomes = [outcome(_pinned_program(rng)) for _ in range(400)]
+    assert {status for status, _ in outcomes} == {OPTIMAL, "infeasible", "unbounded"}
     # some optima keep an artificial basic at zero
     assert left_basic
-    digest = hashlib.md5("\n".join(map(repr, solutions)).encode()).hexdigest()
     if crash and scipy:
-        assert _primal_digest(solutions) == PINNED_CRASH_PRIMAL
-        assert digest == PINNED_CRASH
+        assert _digest(outcomes, primal=True) == PINNED_CRASH_PRIMAL
+        assert _digest(outcomes) == PINNED_CRASH
     else:
-        assert _primal_digest(solutions) == PINNED_PURE_PRIMAL
-        assert digest == PINNED_PURE
+        assert _digest(outcomes, primal=True) == PINNED_PURE_PRIMAL
+        assert _digest(outcomes) == PINNED_PURE
 
 
 def test_artificials_left_basic_sit_at_zero_with_dual_zero(monkeypatch, take_route):
@@ -770,11 +790,10 @@ def test_artificials_left_basic_sit_at_zero_with_dual_zero(monkeypatch, take_rou
 
     def checking_solve(engine, start=None):
         sol = real_solve(engine, start)
-        if sol.status == OPTIMAL:
-            for r, j in enumerate(engine.basis):
-                if j >= engine.n_std:
-                    assert engine.xb[r] == 0 and sol.dual[r] == 0, (r, j)
-                    seen.add(route)
+        for r, j in enumerate(engine.basis):
+            if j >= engine.n_std:
+                assert engine.xb[r] == 0 and sol.dual[r] == 0, (r, j)
+                seen.add(route)
         return sol
 
     monkeypatch.setattr(lp_module._Engine, "solve", checking_solve)
@@ -784,7 +803,7 @@ def test_artificials_left_basic_sit_at_zero_with_dual_zero(monkeypatch, take_rou
     for route in ("pure", "crash"):
         take_route(route)
         for lp in programs:
-            solve(lp)
+            outcome(lp)
     assert seen == {"pure", "crash"}
 
 
@@ -953,7 +972,7 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch, take_route):
     _check_pricing(monkeypatch, priced)
     # fractional data, a row twice (one left dependent), a flipped row, a
     # degenerate vertex
-    lp = LinearProgram(
+    lp = rational_program(
         3,
         [F(3, 2), F(1), F(-1, 3)],
         [
@@ -970,7 +989,7 @@ def test_integer_inverse_stays_the_scaled_adjugate(monkeypatch, take_route):
         assert check_optimal(lp, sol.assignment, sol.dual)
         rng = random.Random(3)
         for _ in range(40):
-            solve(_pinned_program(rng))
+            outcome(_pinned_program(rng))
     assert "start" in checked
     assert ("pivot", False, True) in checked
     assert ("prices", False) in checked
@@ -1003,7 +1022,7 @@ def test_entering_breaks_float_ties_exactly(monkeypatch, take_route):
 
     _check_pricing(monkeypatch, note)
     # phase 1 prices x2 above x1 by less than a float can show
-    lp = LinearProgram(2, [1, 1], [([2**60, 2**60 + 1], LE, 2**61)])
+    lp = rational_program(2, [1, 1], [([2**60, 2**60 + 1], LE, 2**61)])
     take_route("pure")
     assert solve(lp).assignment == (2, 0)
     assert ties == {"below float resolution"}
@@ -1013,7 +1032,7 @@ def test_entering_breaks_float_ties_exactly(monkeypatch, take_route):
     for route in ("pure", "crash"):
         take_route(route)
         for lp in programs:
-            solve(lp)
+            outcome(lp)
     assert ties == {"below float resolution", "equal at two levels", "equal"}
 
 
@@ -1032,7 +1051,7 @@ def test_entering_reads_prices_beyond_float_range():
         # no positive price: optimal
         ([-huge, -1, 0], [1, tiny, 1], [-inf, 0.0, 0.0], None, None),
     ]
-    engine = lp_module._Engine(LinearProgram(0, {}, []))
+    engine = lp_module._Engine(rational_program(0, {}, []))
     for num, lev, floats, largest, first in cases:
         fl = [lp_module._ratio(v, d) for v, d in zip(num, lev)]
         assert fl == floats
@@ -1090,7 +1109,7 @@ def test_engine_rows_are_primitive_with_phase1_weights(monkeypatch, take_route):
         )
         engine = lp_module._Engine(lp)
         objectives.clear()
-        engine.solve()
+        outcome(lp, lambda _: engine.solve())
         phase1 = objectives[0]
         slacks = iter(range(lp.n_vars, engine.n_std))
         for i, (row, rel, rhs) in enumerate(lp.constraints):
@@ -1122,7 +1141,7 @@ def test_optimal_basis_determinant_is_small(take_route):
 
 GRID_CASES = [("chain2", 10), ("chain2", 20), ("chain2", 40), ("star3", 10), ("star3", 20)]
 
-#: md5 of the reprs of solve on the grid programs of GRID_CASES.  The
+#: _digest of solve on the grid programs of GRID_CASES.  The
 #: default route crashes from scipy's HiGHS (recorded with scipy 1.17.1)
 #: on all but chain2 at 1/10; without scipy it is the all-artificial
 #: route, whose digest is PURE.  First recorded before rows were scaled
@@ -1132,7 +1151,7 @@ GRID_CASES = [("chain2", 10), ("chain2", 20), ("chain2", 40), ("star3", 10), ("s
 GRID_SOLVES_DEFAULT = "589d7a7ceb9d7de8a42996c8cca85043"
 GRID_SOLVES_PURE = "bfd60a47a298a73511d25d4abb289f0c"
 
-#: _primal_digest of the same solves, recorded before that change, with
+#: The primal _digest of the same solves, recorded before that change, with
 #: the 6 entries of chain2's 1/40 all-artificial assignment that it moved
 #: (index: (before, after)) put back.  The objective is the same.
 GRID_SOLVES_DEFAULT_PRIMAL = "2964330139226bd3692530a4664cd97e"
@@ -1151,20 +1170,21 @@ CHAIN2_40_PURE_MOVED = {
 def test_grid_solves_are_pinned(route, take_route):
     scipy = lp_module._highs() is not None
     take_route(route)
-    solutions = [solve(_grid_program(*case)) for case in GRID_CASES]
-    digest = hashlib.md5("\n".join(map(repr, solutions)).encode()).hexdigest()
+    outcomes = [outcome(_grid_program(*case)) for case in GRID_CASES]
+    digest = _digest(outcomes)
     if route == "default" and scipy:
-        assert _primal_digest(solutions) == GRID_SOLVES_DEFAULT_PRIMAL
+        assert _digest(outcomes, primal=True) == GRID_SOLVES_DEFAULT_PRIMAL
         assert digest == GRID_SOLVES_DEFAULT
     else:
-        x = list(solutions[2].assignment)
+        status, sol = outcomes[2]
+        x = list(sol.assignment)
         assert {i: x[i] for i in CHAIN2_40_PURE_MOVED} == {
             i: after for i, (_, after) in CHAIN2_40_PURE_MOVED.items()
         }
         for i, (before, _) in CHAIN2_40_PURE_MOVED.items():
             x[i] = before
-        solutions[2] = replace(solutions[2], assignment=tuple(x))
-        assert _primal_digest(solutions) == GRID_SOLVES_PURE_PRIMAL
+        outcomes[2] = status, replace(sol, assignment=tuple(x))
+        assert _digest(outcomes, primal=True) == GRID_SOLVES_PURE_PRIMAL
         assert digest == GRID_SOLVES_PURE
 
 
@@ -1182,15 +1202,7 @@ def _restriction(lp, cols):
         if kept or rhs:
             constraints.append((kept, rel, rhs))
     objective = {at[j]: v for j, v in lp.objective.items() if j in at}
-    return LinearProgram(len(cols), objective, constraints)
-
-
-def _certified(lp, sol):
-    if sol.status == OPTIMAL:
-        return check_optimal(lp, sol.assignment, sol.dual)
-    if sol.status == INFEASIBLE:
-        return check_farkas(lp, sol.farkas)
-    return check_ray(lp, sol.assignment, sol.ray)
+    return rational_program(len(cols), objective, constraints)
 
 
 def _drawn_columns(rng, n, always=()):
@@ -1212,9 +1224,9 @@ def _start_cases():
     cases = []
     for _ in range(400):
         lp = _pinned_program(rng)
-        sol = solve(lp)
+        status, sol = outcome(lp)
         always = ()
-        if sol.status == OPTIMAL and draw.random() < 0.5:
+        if status == OPTIMAL and draw.random() < 0.5:
             always = [j for j, v in enumerate(sol.assignment) if v]
         cases.append((lp, _drawn_columns(draw, lp.n_vars, always)))
     for name, denominator in GRID_CASES[:2] + GRID_CASES[3:4]:
@@ -1235,7 +1247,7 @@ def test_a_start_is_the_support_then_the_slack_rows():
     index on ties, then the slack column of each inequality row that x
     leaves slack, numbered from n_vars in row order as _Engine numbers
     them.  Entries past program's columns are dropped."""
-    lp = LinearProgram(
+    lp = rational_program(
         3,
         [1, 0, 0],
         [([1, 1, 0], LE, 2), ([1, 1, 1], EQ, 1), ([0, 1, 1], GE, 1), ([1, 0, 1], LE, 1)],
@@ -1267,9 +1279,8 @@ def test_a_start_gives_the_plain_answer_certified(monkeypatch, take_route):
     real_try_crash = lp_module._Engine._try_crash
 
     def recording_solve(engine, start=None):
-        sol = real_solve(engine, start)
-        solves.append((engine, start, sol))
-        return sol
+        solves.append((engine, start))
+        return real_solve(engine, start)
 
     def complete(engine, support):
         completed = real_complete(engine, support)
@@ -1286,36 +1297,36 @@ def test_a_start_gives_the_plain_answer_certified(monkeypatch, take_route):
     take_route("crash")
     outcomes = {}
     for lp, cols in _start_cases():
-        plain = solve(lp)
-        restricted = solve(_restriction(lp, cols))
+        plain = outcome(lp)
+        _, restricted = outcome(_restriction(lp, cols))
         x = [F(0)] * lp.n_vars
-        if restricted.status == OPTIMAL:
+        if restricted is not None:
             for j, v in zip(cols, restricted.assignment):
                 x[j] = v
         solves.clear()
         completions.clear()
         crashes.clear()
-        sol = solve(lp, propose=lambda: (x, None))
+        result = outcome(lp, propose=lambda: (x, None))
         assert not crashes
-        assert (sol.status, sol.objective) == (plain.status, plain.objective)
-        assert _certified(lp, sol)
-        [(engine, start, _)] = solves
+        assert _answer(result) == _answer(plain)
+        assert _certified(lp, result)
+        [(engine, start)] = solves
         support = [j for j, v in enumerate(x) if v]
         assert engine.lp is lp
         assert start[: len(support)] == sorted(support, key=lambda j: (-x[j], j))
         assert all(j >= lp.n_vars for j in start[len(support) :])
-        if restricted.status == OPTIMAL:
+        if restricted is not None:
             assert completions == [(start, True)]
-        optimum = {j for j, v in enumerate(plain.assignment or ()) if v}
-        holds = plain.status == OPTIMAL and optimum <= set(cols)
+        status, optimum = plain
+        holds = status == OPTIMAL and {j for j, v in enumerate(optimum.assignment) if v} <= set(cols)
         if holds:
-            assert restricted.objective == plain.objective
-        outcome = "holds an optimum" if holds else "restricted optimum"
-        if restricted.status != OPTIMAL:
-            outcome = "no restricted optimum"
+            assert restricted.objective == optimum.objective
+        kind = "holds an optimum" if holds else "restricted optimum"
+        if restricted is None:
+            kind = "no restricted optimum"
         # the pinned draws have at most 7 columns, the grid programs 143 and more
-        outcome += " (grid)" if lp.n_vars > 7 else ""
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        kind += " (grid)" if lp.n_vars > 7 else ""
+        outcomes[kind] = outcomes.get(kind, 0) + 1
     kinds = ("holds an optimum", "restricted optimum", "no restricted optimum")
     assert min(outcomes[kind] for kind in kinds) > 20, outcomes
     assert outcomes["holds an optimum (grid)"] and outcomes["no restricted optimum (grid)"], outcomes
@@ -1347,7 +1358,7 @@ def test_a_failed_certificate_is_named_with_its_index(monkeypatch):
     """_optimality names the first part of (x, y) that fails,
     with its index, and check_optimal is its verdict; an engine whose own
     certificate fails raises InvariantViolation with that name."""
-    lp = LinearProgram(2, [1, 0], [([1, 1], LE, 1), ([1, -1], EQ, 0)])
+    lp = rational_program(2, [1, 0], [([1, 1], LE, 1), ([1, -1], EQ, 0)])
     half = F(1, 2)
     cases = [
         ((half, half), (half, half), None),
@@ -1373,7 +1384,7 @@ def test_a_failed_certificate_is_named_with_its_index(monkeypatch):
     ]:
         assert lp_module._optimality(lp, x, y)[0] == failure
         assert check_optimal(lp, x, y) is False
-    one = LinearProgram(1, [1], [([1], LE, 1)])
+    one = rational_program(1, [1], [([1], LE, 1)])
     assert check_optimal(one, [1.0], [1]) is False
     assert check_optimal(one, [True], [1]) is False
     assert check_optimal(one, [1], [1]) is True
@@ -1395,7 +1406,7 @@ def test_an_inexact_proposal_is_refused(monkeypatch, where, entry):
     raises ValidationError, naming the entry as check_optimal's check
     does, and builds no engine; so does a point without a dual."""
     built = _engines_built(monkeypatch)
-    lp = LinearProgram(2, [1, 0], [([1, 1], LE, 1), ([1, -1], EQ, 0)])
+    lp = rational_program(2, [1, 0], [([1, 1], LE, 1), ([1, -1], EQ, 0)])
     x, y = [F(1, 2)] * 2, [F(1, 2)] * 2
     {"x": x, "y": y}[where][1] = entry
     failure = f"{where}[1] = {entry!r} is not exact"
@@ -1423,10 +1434,12 @@ def test_a_proposal_is_returned_only_when_it_certifies(monkeypatch):
     draws = random.Random(3)
     for _ in range(400):
         lp = _pinned_program(draws)
-        optimum = solve(lp)
-        x, y = optimum.assignment, optimum.dual
-        if optimum.status != OPTIMAL:
+        plain = outcome(lp)
+        _, optimum = plain
+        if optimum is None:
             x, y = (F(0),) * lp.n_vars, (F(0),) * lp.n_constraints
+        else:
+            x, y = optimum.assignment, optimum.dual
         for kind, answer in [
             ("as it is", (x, y)),
             ("dual moved", (x, _moved(y, rng))),
@@ -1440,12 +1453,12 @@ def test_a_proposal_is_returned_only_when_it_certifies(monkeypatch):
                 return answer
 
             built.clear()
-            sol = solve(lp, propose=propose)
-            assert (sol.status, sol.objective) == (optimum.status, optimum.objective)
-            assert _certified(lp, sol) and len(calls) == 1
+            result = outcome(lp, propose=propose)
+            assert _answer(result) == _answer(plain)
+            assert _certified(lp, result) and len(calls) == 1
             accepted = answer[1] is not None and check_optimal(lp, *answer)
             if accepted:
-                assert (sol.assignment, sol.dual) == tuple(map(tuple, answer))
+                assert (result[1].assignment, result[1].dual) == tuple(map(tuple, answer))
             assert built == ([] if accepted else [lp])
             verdicts[kind, accepted] = verdicts.get((kind, accepted), 0) + 1
     assert verdicts["as it is", True] > 100, verdicts
@@ -1466,10 +1479,10 @@ def test_a_lift_is_returned_only_when_it_certifies(monkeypatch):
     built = _engines_built(monkeypatch)
     verdicts = {}
     for lp, cols in _start_cases():
-        plain = solve(lp)
+        plain = outcome(lp)
         restriction = _restriction(lp, cols)
-        restricted = solve(restriction)
-        if restricted.status != OPTIMAL:
+        _, restricted = outcome(restriction)
+        if restricted is None:
             continue
         x, y = [F(0)] * lp.n_vars, [F(0)] * lp.n_constraints
         for j, v in zip(cols, restricted.assignment):
@@ -1479,117 +1492,15 @@ def test_a_lift_is_returned_only_when_it_certifies(monkeypatch):
         for i, v in zip(kept, restricted.dual):
             y[i] = v
         built.clear()
-        sol = solve(lp, propose=lambda: (x, y))
-        assert (sol.status, sol.objective) == (plain.status, plain.objective)
-        assert _certified(lp, sol)
+        result = outcome(lp, propose=lambda: (x, y))
+        assert _answer(result) == _answer(plain)
+        assert _certified(lp, result)
         accepted = check_optimal(lp, x, y)
         if accepted:
-            assert (sol.assignment, sol.dual) == (tuple(x), tuple(y))
+            assert (result[1].assignment, result[1].dual) == (tuple(x), tuple(y))
         assert built == ([] if accepted else [lp])
         verdicts[accepted] = verdicts.get(accepted, 0) + 1
     assert min(verdicts[True], verdicts[False]) > 20, verdicts
-
-
-def _fraction_farkas_failure(lp, y):
-    """_farkas_failure from the Fraction rows."""
-    if len(y) != lp.n_constraints:
-        return f"Farkas vector has {len(y)} entries for {lp.n_constraints} rows"
-    for i, ((_, rel, _), yi) in enumerate(zip(lp.constraints, y)):
-        if (rel == LE and yi < 0) or (rel == GE and yi > 0):
-            return f"y[{i}] = {yi} has the wrong sign for a {rel} row"
-    for j, v in enumerate(_fraction_yA(lp, y)):
-        if v < 0:
-            return f"column {j} has y'A = {v} < 0"
-    yb = sum((yi * rhs for (_, _, rhs), yi in zip(lp.constraints, y)), F(0))
-    return None if yb < 0 else f"y'b = {yb} is not negative"
-
-
-def _fraction_ray_failure(lp, x0, d):
-    """_ray_failure from the Fraction rows."""
-    for v, what, name, at in ((x0, "point", "x", "at"), (d, "ray", "d", "along")):
-        if len(v) != lp.n_vars:
-            return f"{what} has {len(v)} entries for {lp.n_vars} columns"
-        for j, e in enumerate(v):
-            if e < 0:
-                return f"{name}[{j}] = {e} is negative"
-        for i, (row, rel, rhs) in enumerate(lp.constraints):
-            lhs, rhs = _fraction_dot(v, row), (rhs if v is x0 else F(0))
-            if not {EQ: lhs == rhs, LE: lhs <= rhs, GE: lhs >= rhs}[rel]:
-                return f"row {i} does not hold {at} {name}"
-    gain = sum((d[j] * c for j, c in lp.objective.items()), F(0))
-    return None if gain > 0 else f"c.d = {gain} is not positive"
-
-
-def test_farkas_and_ray_failures_are_named(monkeypatch):
-    """_farkas_failure and _ray_failure name the first part of a Farkas
-    vector, or of an unbounded solution's point and ray, that fails,
-    with its index, and check_farkas and check_ray are their verdicts.
-    On every such certificate that the 400 pinned draws return, and on
-    seeded perturbations of it (an entry moved by 1/den, the signs
-    flipped, a ray entry zeroed, an entry dropped or added), each gives
-    the name that the same checks on the Fraction rows give.  An engine
-    whose own certificate fails raises InvariantViolation with it."""
-    rng = random.Random(31)
-    draws = random.Random(3)
-    named = set()
-    for _ in range(400):
-        lp = _pinned_program(draws)
-        sol = solve(lp)
-        if sol.status == INFEASIBLE:
-            y = list(sol.farkas)
-            for z in (y, _nudged(rng, y), _nudged(rng, y), [-v for v in y], y[:-1], y + [F(1)]):
-                failure = lp_module._farkas_failure(lp, z)
-                assert failure == _fraction_farkas_failure(lp, z)
-                assert check_farkas(lp, z) is (failure is None)
-                named.add(failure and re.sub(r"-?\d+(/\d+)?", "#", failure))
-        elif sol.status == UNBOUNDED:
-            x, d = list(sol.assignment), list(sol.ray)
-            zeroed = list(d)
-            zeroed[rng.choice([j for j, v in enumerate(d) if v])] = F(0)
-            for x0, ray in [(x, d), (_nudged(rng, x), d), (x, _nudged(rng, d)), (x, zeroed)] + [
-                (x, [-v for v in d]), (x[:-1], d), (x, d[:-1])
-            ]:
-                failure = lp_module._ray_failure(lp, x0, ray)
-                assert failure == _fraction_ray_failure(lp, x0, ray)
-                assert check_ray(lp, x0, ray) is (failure is None)
-                named.add(failure and re.sub(r"-?\d+(/\d+)?", "#", failure))
-    assert named == {
-        None,
-        "Farkas vector has # entries for # rows",
-        "y[#] = # has the wrong sign for a <= row",
-        "y[#] = # has the wrong sign for a >= row",
-        "column # has y'A = # < #",
-        "y'b = # is not negative",
-        "point has # entries for # columns",
-        "x[#] = # is negative",
-        "row # does not hold at x",
-        "ray has # entries for # columns",
-        "d[#] = # is negative",
-        "row # does not hold along d",
-        "c.d = # is not positive",
-    }, named
-    # an entry that is not an int or a Fraction is named, not computed with
-    one = LinearProgram(1, [1], [([1], LE, 1)])
-    for y, failure in [([0.5], "y[0] = 0.5 is not exact"), (["1"], "y[0] = '1' is not exact")]:
-        assert lp_module._farkas_failure(one, y) == failure
-        assert check_farkas(one, y) is False
-    for x0, d, failure in [
-        ([1.0], [1], "x[0] = 1.0 is not exact"),
-        ([0], [0.5], "d[0] = 0.5 is not exact"),
-        ([0], [True], "d[0] = True is not exact"),
-    ]:
-        assert lp_module._ray_failure(one, x0, d) == failure
-        assert check_ray(one, x0, d) is False
-    lp = LinearProgram(1, [F(1)], [([F(1)], GE, F(2)), ([F(1)], LE, F(1))])
-    real_map_dual = lp_module._Engine._map_dual
-    monkeypatch.setattr(
-        lp_module._Engine, "_map_dual", lambda engine, *args: [-v for v in real_map_dual(engine, *args)]
-    )
-    with pytest.raises(InvariantViolation, match=r"Farkas certificate failed verification: y\[0\] = "):
-        solve(lp)
-    monkeypatch.setattr(lp_module._Engine, "_ray", lambda engine, j: [F(0)] * engine.n_real)
-    with pytest.raises(InvariantViolation, match="unboundedness certificate failed verification: c.d = 0"):
-        solve(LinearProgram(1, [1], [([1], GE, 1)]))
 
 
 def test_a_start_that_does_not_complete_falls_back_to_the_all_artificial_start(take_route):
@@ -1597,7 +1508,7 @@ def test_a_start_that_does_not_complete_falls_back_to_the_all_artificial_start(t
     keeps the basis only if it is feasible with every artificial at zero;
     otherwise it takes the all-artificial start and gives the
     all-artificial route's answer."""
-    lp = LinearProgram(3, [1, 0, 0], [([1, 1, 0], EQ, 1), ([1, -1, 1], EQ, 3)])
+    lp = rational_program(3, [1, 0, 0], [([1, 1, 0], EQ, 1), ([1, -1, 1], EQ, 3)])
     take_route("pure")
     pure = solve(lp)
     cases = [([0, 2], True), ([2, 0], True), ([0], False), ([0, 1], False), ([], False)]
@@ -1633,7 +1544,7 @@ def test_bland_fallback_counts_only_rows_not_left_dependent(monkeypatch):
             ([0, 1, 0, F(1, 2), F(-12), F(-1, 2), F(3), 0], EQ, 0),
             ([0, 0, 1, 0, 0, 1, 0, 0], EQ, 1),
         ] + [([0] * 7 + [1], EQ, 0)] * copies
-        engine = lp_module._Engine(LinearProgram(8, obj, cons))
+        engine = lp_module._Engine(rational_program(8, obj, cons))
         # the slack basis, z, and the artificials left in the copies
         engine._start_all_artificial()
         for r, j in enumerate((0, 1, 2, 7)):
@@ -1756,7 +1667,7 @@ def test_solve_leaves_its_program_as_it_was(family, take_route, monkeypatch):
         take_route(route)
         for lp in programs:
             before = copy.deepcopy((lp.rows, lp.obj, lp.obj_den))
-            solve(lp)
+            outcome(lp)
             assert (lp.rows, lp.obj, lp.obj_den) == before
 
 
@@ -1770,13 +1681,12 @@ def _nudged(rng, v):
 
 
 def test_integer_certificates_match_the_fraction_checks():
-    """check_feasible, check_optimal, check_farkas and check_ray run in
-    integers on the stored rows.  On every certificate that the pinned
-    programs return (the 400 pinned draws and the pinned grid programs)
-    and on seeded perturbations of it, each gives the verdict of its
-    Fraction version: one entry of x, y, the Farkas vector, the feasible
-    point or the ray moved by +-1/den; the sign of an inequality's
-    nonzero dual flipped; a nonzero ray entry zeroed."""
+    """check_feasible and check_optimal run in integers on the stored
+    rows.  On every optimum that the pinned programs return (the 400
+    pinned draws and the pinned grid programs) and on seeded
+    perturbations of it, each gives the verdict of its Fraction version:
+    one entry of x or y moved by +-1/den; the sign of an inequality's
+    nonzero dual flipped."""
     rng = random.Random(3)
     programs = [_pinned_program(rng) for _ in range(400)]
     programs += [_grid_program(*case) for case in GRID_CASES]
@@ -1790,31 +1700,16 @@ def test_integer_certificates_match_the_fraction_checks():
         return verdict
 
     for lp in programs:
-        sol = solve(lp)
-        inequalities = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel != EQ]
-        if sol.status == UNBOUNDED:
-            x, d = sol.assignment, sol.ray
-            assert same(check_ray, _fraction_check_ray, x, d)
-            same(check_feasible, _fraction_check_feasible, _nudged(rng, x))
-            for _ in range(2):
-                same(check_ray, _fraction_check_ray, _nudged(rng, x), d)
-                same(check_ray, _fraction_check_ray, x, _nudged(rng, d))
-            zeroed = list(d)
-            zeroed[rng.choice([j for j, v in enumerate(d) if v])] = F(0)
-            same(check_ray, _fraction_check_ray, x, zeroed)
+        _, sol = outcome(lp)
+        if sol is None:
             continue
-        y = sol.dual if sol.status == OPTIMAL else sol.farkas
+        inequalities = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel != EQ]
+        x, y = sol.assignment, sol.dual
         flips = []
         for i in [i for i in inequalities if y[i]][:2]:
             flipped = list(y)
             flipped[i] = -y[i]
             flips.append(flipped)
-        if sol.status == INFEASIBLE:
-            assert same(check_farkas, _fraction_check_farkas, y)
-            for z in [_nudged(rng, y), _nudged(rng, y), *flips]:
-                same(check_farkas, _fraction_check_farkas, z)
-            continue
-        x = sol.assignment
         assert same(check_optimal, _fraction_check_optimal, x, y)
         for _ in range(2):
             same(check_feasible, _fraction_check_feasible, _nudged(rng, x))
