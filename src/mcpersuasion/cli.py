@@ -414,7 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("solve", _cmd_solve, "grid-solve an instance, emit the scheme")
     p.add_argument("instance")
-    p.add_argument("--epsilon", help="accuracy as a rational, overrides the instance")
+    p.add_argument(
+        "--epsilon",
+        help="a rational, overriding the instance's; the grid step is 1/ceil(1/EPSILON), "
+        "with no accuracy guarantee for discontinuous utilities",
+    )
     out_flag(p)
     decimal_flag(p)
 

@@ -25,14 +25,8 @@ def dominance_set(structure: CommunicationStructure) -> frozenset[tuple[int, int
     Identical rows dominate each other, so duplicates contribute pairs in
     both orders.
     """
-    masks = structure.row_masks()
-    k = structure.k
-    pairs = set()
-    for i1 in range(k):
-        for i2 in range(k):
-            if i1 != i2 and masks[i1] | masks[i2] == masks[i1]:
-                pairs.add((i1, i2))
-    return frozenset(pairs)
+    dominates, k = structure.dominance_masks[0], structure.k
+    return frozenset((i1, i2) for i1 in range(k) for i2 in range(k) if dominates[i1] >> i2 & 1)
 
 
 def is_superior(
@@ -48,7 +42,8 @@ def is_superior(
         raise ReceiverCountMismatch(
             f"cannot compare structures with {candidate.k} and {reference.k} receivers"
         )
-    return dominance_set(reference) >= dominance_set(candidate)
+    mine, theirs = candidate.dominance_masks[0], reference.dominance_masks[0]
+    return all(c | r == r for c, r in zip(mine, theirs))
 
 
 @dataclass(frozen=True)
@@ -102,26 +97,15 @@ def domination_graph(structure: CommunicationStructure) -> DominationGraph:
         raise DuplicateRows(
             "structure has duplicate receiver rows; merge duplicates first"
         )
-    pairs = dominance_set(structure)
-    edges = set()
-    for i1, i2 in pairs:
-        if any(
-            (i1, i3) in pairs and (i3, i2) in pairs
-            for i3 in range(structure.k)
-            if i3 not in (i1, i2)
-        ):
-            continue
-        edges.add((i1, i2))
+    dominates, dominated_by = structure.dominance_masks
+    k = structure.k
+    # i1 covers i2 when no receiver that i1 dominates dominates i2
     cover_parents = tuple(
-        tuple(sorted(p for p, c in edges if c == i)) for i in range(structure.k)
+        tuple(i1 for i1 in range(k) if above >> i1 & 1 and not dominates[i1] & above)
+        for above in dominated_by
     )
-    is_forest = all(len(ps) <= 1 for ps in cover_parents)
-    return DominationGraph(
-        k=structure.k,
-        edges=frozenset(edges),
-        cover_parents=cover_parents,
-        is_forest=is_forest,
-    )
+    edges = frozenset((i1, i2) for i2, parents in enumerate(cover_parents) for i1 in parents)
+    return DominationGraph(k, edges, cover_parents, all(len(ps) <= 1 for ps in cover_parents))
 
 
 def sperner_channel_count(k: int) -> int:

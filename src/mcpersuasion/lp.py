@@ -49,6 +49,8 @@ GE = ">="
 
 OPTIMAL = "optimal"
 
+_INT_ONLY = frozenset((int,))
+
 # A crash basis (a HiGHS solve of the sparse float program, then its exact
 # completion) only pays off once rows x columns is sizable.
 _CRASH_THRESHOLD = 20_000
@@ -82,8 +84,11 @@ def _lowest(row: tuple, n_vars: int) -> tuple[dict, str, int, int]:
     """An integer row (coeffs, rel, rhs, den) reduced by one gcd to lowest
     terms, zero coefficients dropped.  Refused unless rel is a relation,
     rhs and den are ints, den >= 1, the coefficients integers (gcd takes
-    no float, string or Fraction) and every index in range(n_vars)."""
+    no float, string or Fraction) and every index an int in range(n_vars)."""
     coeffs, rel, rhs, den = row
+    if not _INT_ONLY.issuperset(map(type, coeffs)):
+        j = next(j for j in coeffs if type(j) is not int)
+        raise ValidationError(f"variable index {j!r} is not an int")
     if rel not in (EQ, LE, GE):
         raise ValidationError(f"unknown relation {rel!r}")
     if type(rhs) is not int or type(den) is not int or den < 1:

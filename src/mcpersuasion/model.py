@@ -15,6 +15,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -160,8 +161,7 @@ def parse_rational(text) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical string form, gcd-reduced, "n" or "n/d"."""
-    value = Fraction(value)
-    return str(value)
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def parse_posterior(items: Sequence) -> Posterior:
@@ -323,11 +323,19 @@ class CommunicationStructure:
     def observers_of(self, channel: int) -> tuple[int, ...]:
         return tuple(i for i in range(self.k) if self.matrix[i][channel])
 
-    def row_masks(self) -> tuple[int, ...]:
-        """Each row as an integer bitmask, bit j set iff channel j observed."""
-        return tuple(
-            sum(1 << j for j, x in enumerate(row) if x) for row in self.matrix
-        )
+    @cached_property
+    def dominance_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(dominates, dominated_by), derived from the rows as bitmasks on
+        first use and then kept: bit i2 of dominates[i1] and bit i1 of
+        dominated_by[i2] are set iff i1 != i2 and row i1 >= row i2 entrywise."""
+        masks = [int.from_bytes(bytes(row), "big") for row in self.matrix]  # a bit per entry
+        dominates, dominated_by = [0] * self.k, [0] * self.k
+        for i1, m1 in enumerate(masks):
+            for i2, m2 in enumerate(masks):
+                if m1 | m2 == m1 and i1 != i2:
+                    dominates[i1] |= 1 << i2
+                    dominated_by[i2] |= 1 << i1
+        return tuple(dominates), tuple(dominated_by)
 
     def has_duplicate_rows(self) -> bool:
         return len(set(self.matrix)) != self.k
@@ -340,17 +348,14 @@ def merge_duplicate_receivers(
 
     Returns the merged structure and a mapping old index -> new index.
     Representatives keep the order of first occurrence, so merging an
-    already duplicate-free structure is the identity.
+    already duplicate-free structure is the identity: the structure
+    itself, with its kept dominance order.
     """
-    seen: dict[tuple[int, ...], int] = {}
-    rows: list[tuple[int, ...]] = []
-    mapping: list[int] = []
-    for row in structure.matrix:
-        if row not in seen:
-            seen[row] = len(rows)
-            rows.append(row)
-        mapping.append(seen[row])
-    return CommunicationStructure(tuple(rows)), tuple(mapping)
+    if not structure.has_duplicate_rows():
+        return structure, tuple(range(structure.k))
+    rows = tuple(dict.fromkeys(structure.matrix))
+    index = {row: i for i, row in enumerate(rows)}
+    return CommunicationStructure(rows), tuple(index[row] for row in structure.matrix)
 
 
 # ---------------------------------------------------------------------------

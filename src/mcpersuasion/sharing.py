@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional
 
-from .dominance import dominance_set, is_superior
+from .dominance import is_superior
 from .errors import (
     AlphabetTooSmall,
     BudgetExceeded,
@@ -399,11 +399,10 @@ class _SchemeBuilder:
             raise InvariantViolation(
                 f"receiver {i + 1} is already covered; shielding would cut him off"
             )
-        dominated = {d for (a, d) in dominance_set(self.structure) if a == i}
-        guards = {d for d in dominated if self.alphabets[d] is not None}
+        dominated = self.structure.dominance_masks[0][i]
         for j in self.structure.channels_of(i):
             watchers = self.structure.observers_of(j)
-            if any(c in guards for c in watchers):
+            if any(dominated >> c & 1 and self.alphabets[c] is not None for c in watchers):
                 continue
             rebuilt: list[Slot] = []
             fresh: list[Slot] = []
@@ -460,10 +459,10 @@ def emulate_private_subset(
         raise ReceiverCountMismatch(
             f"table speaks of {table.k} receivers, structure of {M.k}"
         )
-    dom = dominance_set(M)
     for i in targets:
-        offender = next((a for a in range(M.k) if (a, i) in dom), None)
-        if offender is not None:
+        above = M.dominance_masks[1][i]
+        if above:
+            offender = (above & -above).bit_length() - 1  # the lowest dominator
             raise DominatedTarget(
                 f"receiver {i + 1} is dominated by receiver {offender + 1}; "
                 "his label cannot be kept private"
@@ -509,15 +508,13 @@ def transport_scheme(
         raise SuperiorityViolated(
             "destination structure admits dominating pairs absent from the source"
         )
-    dom = dominance_set(M2)
+    dominated_by = M2.dominance_masks[1]
     order: list[int] = []
-    active = set(range(M2.k))
+    active = (1 << M2.k) - 1
     while active:
-        pick = min(
-            i for i in active if not any((a, i) in dom for a in active if a != i)
-        )
+        pick = next(i for i in range(M2.k) if active >> i & 1 and not dominated_by[i] & active)
         order.append(pick)
-        active.remove(pick)
+        active ^= 1 << pick
     builder = _SchemeBuilder(
         _default_modulus(table, range(M2.k)) if q is None else q, M2, table
     )
@@ -650,10 +647,10 @@ def verify_scheme(
             f"receiver {r + 1}: view {view} {verdict}" for view, verdict in sorted(failures)
         )
 
-    dom = dominance_set(M)
+    dominates = M.dominance_masks[0]
     privacy: list[str] = []
     for r in range(M.k):
-        entitled = [d for d in covered if d == r or (r, d) in dom]
+        entitled = [d for d in covered if d == r or dominates[r] >> d & 1]
         groups = defaultdict(dict)
         for event, offset in laws[r].offsets.items():
             cond = tuple(scheme.table.profiles[event[1]][d] for d in entitled)

@@ -87,6 +87,70 @@ def test_domination_graph_rejects_duplicates():
         domination_graph(S([[1, 0], [1, 0]]))
 
 
+def _random_structures(seed, duplicates):
+    """300 seeded random structures with k <= 7 and n <= 5: with
+    duplicates, each has a row copied onto another; without, the rows
+    are distinct."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        k = rng.randint(2 if duplicates else 1, min(7, 1 << n))
+        masks = rng.sample(range(1 << n), k)
+        if duplicates:
+            a, b = rng.sample(range(k), 2)
+            masks[a] = masks[b]
+        yield S([[m >> j & 1 for j in range(n)] for m in masks])
+
+
+def _inclusion_pairs(M):
+    """The dominance order by brute force: channel-set inclusion."""
+    chans = [set(M.channels_of(i)) for i in range(M.k)]
+    return {(a, b) for a in range(M.k) for b in range(M.k) if a != b and chans[a] >= chans[b]}
+
+
+def _covering_by_thirds(pairs, k):
+    """The k^3 covering rule: (i1, i2) is an edge unless some third
+    receiver i3 has (i1, i3) and (i3, i2) in pairs."""
+    return {
+        (i1, i2)
+        for i1, i2 in pairs
+        if not any((i1, i3) in pairs and (i3, i2) in pairs for i3 in range(k) if i3 not in (i1, i2))
+    }
+
+
+@pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicates"])
+def test_kept_order_is_channel_set_inclusion(duplicates):
+    for M in _random_structures(41 + duplicates, duplicates):
+        pairs = _inclusion_pairs(M)
+        dominates, dominated_by = M.dominance_masks
+        for a in range(M.k):
+            for b in range(M.k):
+                assert bool(dominates[a] >> b & 1) == ((a, b) in pairs), M.matrix
+                assert bool(dominated_by[b] >> a & 1) == ((a, b) in pairs), M.matrix
+                if a != b and M.matrix[a] == M.matrix[b]:
+                    assert (a, b) in pairs and (b, a) in pairs
+        assert dominance_set(M) == pairs
+        assert M.has_duplicate_rows() == duplicates
+
+
+def test_covering_edges_match_the_rule_by_thirds():
+    for M in _random_structures(43, duplicates=False):
+        g = domination_graph(M)
+        edges = _covering_by_thirds(_inclusion_pairs(M), M.k)
+        assert g.edges == edges, M.matrix
+        assert g.cover_parents == tuple(
+            tuple(sorted(p for p, c in edges if c == i)) for i in range(M.k)
+        )
+
+
+def test_the_order_is_derived_once_and_kept():
+    M = S([[1, 1], [0, 1], [1, 0]])
+    assert M.dominance_masks is M.dominance_masks
+    assert M.dominance_masks == ((0b110, 0, 0), (0, 0b001, 0b001))
+    # the kept order is no field: it leaves equality and hashing alone
+    assert M == S([[1, 1], [0, 1], [1, 0]]) and hash(M) == hash(S(M.matrix))
+
+
 def test_sperner_channel_counts():
     assert [sperner_channel_count(k) for k in (1, 2, 3, 4, 6, 7)] == [1, 2, 3, 4, 4, 5]
 

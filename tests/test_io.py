@@ -1092,6 +1092,39 @@ def test_a_share_documents_structure_counts_must_match_its_matrix(counts, messag
         channel_scheme_from_doc(share)
 
 
+_ENTRY = "an entry of structure document field 'structure' must be an integer, got"
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1, 0.5]], f"{_ENTRY} 0.5"),
+        ([[1, 1], [0, 1.0]], f"{_ENTRY} 1.0"),
+        ([[True, 0]], f"{_ENTRY} True"),
+        ([[1, 0], [0, False]], f"{_ENTRY} False"),
+        ([[[1], 0]], f"{_ENTRY} [1]"),
+        ([[1, None]], f"{_ENTRY} None"),
+        ([[2, 0]], "matrix entry 2 is not an integer 0/1"),
+        ([[1, 0], [0, -1]], "matrix entry -1 is not an integer 0/1"),
+        ([[1, 0], "10"], "a row of structure document field 'structure' must be an array, not str"),
+        ([[1, 0], [1]], "ragged structure matrix"),
+        ([[]], "structure has no channels"),
+    ],
+    ids=repr,
+)
+def test_a_structure_documents_bad_entries_are_refused_by_name(matrix, message):
+    """Each entry is read as an exact integer, naming any other it is
+    handed, and CommunicationStructure then checks the 0/1s and the shape."""
+    with pytest.raises(ValidationError) as refused:
+        structure_from_doc({"structure": matrix})
+    assert str(refused.value) == message
+
+
+def test_a_structure_documents_rows_of_digit_strings_read():
+    matrix = [[1, 0], ["0", "1"], ["1", 1]]
+    assert structure_from_doc({"structure": matrix}).matrix == ((1, 0), (0, 1), (1, 1))
+
+
 @pytest.mark.parametrize("counts", [{}, {"k": 2, "n": 2}, {"k": "2"}])
 def test_a_structure_documents_matching_counts_read(counts):
     assert structure_from_doc(dict(counts, structure=CHAIN)).matrix == ((1, 1), (0, 1))

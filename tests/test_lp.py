@@ -497,6 +497,19 @@ def test_program_refuses_indices_that_are_not_integers(n_vars, objective, row):
         rational_program(n_vars, objective, [(row, LE, 1)])
 
 
+@pytest.mark.parametrize("index", [0.5, 1.0, True, False, "1", None], ids=repr)
+def test_program_constructor_refuses_an_index_that_is_not_an_int(index):
+    """LinearProgram itself, with no adapter in front, takes an index only
+    as an exact int and names any other it is handed, in the objective or
+    in a row, before anything is stored."""
+    refused = re.escape(f"variable index {index!r} is not an int")
+    for objective, row in [(({index: 1}, 1), ({0: 1}, LE, 1, 1)), (({}, 1), ({index: 1}, LE, 1, 1))]:
+        with pytest.raises(ValidationError, match=refused):
+            LinearProgram(2, objective, [row])
+    with pytest.raises(ValidationError, match=r"variable index 0\.5 is not an int"):
+        LinearProgram(2, ({1: 1}, 1), [({0.5: 1, True: 1}, LE, 1, 1)])
+
+
 def test_program_takes_integer_like_indices():
     lp = rational_program(_Index(2), {_Index(1): 1}, [({_Index(0): 1, 1: 1}, LE, 1)])
     assert lp.n_vars == 2 and type(lp.n_vars) is int

@@ -94,6 +94,27 @@ def test_format_rational_is_reduced():
     assert format_rational(Fraction(0, 5)) == "0"
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (0, "0"),
+        (3, "3"),
+        (-4, "-4"),
+        (True, "1"),
+        (False, "0"),
+        (Fraction(0), "0"),
+        (Fraction(-3, 6), "-1/2"),
+        (Fraction(-5), "-5"),
+        (Fraction(7, 1), "7"),
+    ],
+    ids=repr,
+)
+def test_format_rational_formats_every_exact_type_as_its_fraction(value, text):
+    """An exact Fraction is formatted as it is; an int or a bool is made a
+    Fraction first, so True is "1", never "True"."""
+    assert format_rational(value) == text
+
+
 def test_prior_validation():
     Prior(TWO, (Fraction(7, 10), Fraction(3, 10)))
     with pytest.raises(NonPositivePrior):
@@ -125,7 +146,7 @@ def test_structure_basics():
     assert M.k == 2 and M.n == 3
     assert M.channels_of(0) == (0, 1)
     assert M.observers_of(1) == (0, 1)
-    assert M.row_masks() == (0b011, 0b110)
+    assert M.dominance_masks == ((0, 0), (0, 0))  # neither row holds the other
     assert not M.has_duplicate_rows()
     with pytest.raises(MatrixShapeMismatch):
         CommunicationStructure(((1, 0), (1,)))
@@ -150,6 +171,7 @@ def test_merge_duplicate_receivers():
     assert mapping == (0, 0, 1)
     again, identity = merge_duplicate_receivers(merged)
     assert again == merged and identity == (0, 1)
+    assert again is merged  # with the dominance order merged keeps
 
 
 def test_threshold_utility_cutoff_inclusive():

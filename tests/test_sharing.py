@@ -214,6 +214,12 @@ def test_emulate_rejects_dominated_target():
         emulate_private_subset(nested, [1], table)
 
 
+def test_emulate_names_the_lowest_dominator():
+    nested = CommunicationStructure(((0, 1, 0), (1, 1, 1), (1, 1, 0), (0, 1, 0)))
+    with pytest.raises(DominatedTarget, match="receiver 4 is dominated by receiver 1;"):
+        emulate_private_subset(nested, [1, 3], _reveal_to_first(4))
+
+
 def test_emulate_needs_a_carrier():
     deaf = CommunicationStructure(((0,),))
     table = _reveal_to_first(1)
@@ -375,6 +381,26 @@ def test_transport_refuses_duplicate_destination_rows():
             CommunicationStructure(((1,), (1,))),
             table,
         )
+
+
+def test_transport_derives_each_structures_order_once(monkeypatch):
+    """is_superior, the peel, every shield and the verifier read the
+    order each structure keeps."""
+    derived = Counter()
+    kept = vars(CommunicationStructure)["dominance_masks"]
+    derive = kept.func
+
+    def counting(structure):
+        derived[id(structure)] += 1
+        return derive(structure)
+
+    monkeypatch.setattr(kept, "func", counting)
+    M1, M2 = _identity(4), sperner_structure(4)
+    table = _reveal_to_first(4)
+    scheme = transport_scheme(M1, M2, table)
+    assert derived == {id(M1): 1, id(M2): 1}
+    assert verify_scheme(scheme, M2, table, _instance(M2)).ok
+    assert derived == {id(M1): 1, id(M2): 1}
 
 
 def test_misrouted_key_is_caught():
