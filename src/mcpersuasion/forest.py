@@ -110,17 +110,18 @@ class GridLP:
     """The program lp.solve is handed for a grid, plus its variable
     bookkeeping.  For k receivers and n points, x(i, points[a]) is
     variable i * n + a.  Rows are each receiver's Bayes-plausibility
-    rows, one per state, the covering edges' rows, edge by edge, and a
-    normalization row per receiver.  graph is the domination forest,
-    edges its sorted covering edges, values[i] receiver i's utility.
-    Past two states the program is over every grid point, values[i][a]
-    is the utility at points[a], propose is None, and on the e-th edge
-    the flow y(points[a], points[c]) is k * n + e * n * n + a * n + c.
-    On two states the potential program over the breakpoints has no
-    flows: row 2k + e (n - 2) + s - 1 is sum_a (x(i1, a) - x(i2, a))
-    |a - positions[s]| >= 0 on the e-th edge (i1, i2), positions[s] being
-    points[s]'s, a for (a/D, 1 - a/D); values[i] is (V, w), w mapping a
-    position to V times the utility there (_breakpoints), and propose is
+    rows, one per state, then the covering edges' rows, edge by edge.
+    graph is the domination forest, edges its sorted covering edges,
+    values[i] receiver i's utility.  Past two states the program is over
+    every grid point, a normalization row per receiver comes last,
+    values[i][a] is the utility at points[a], propose is None, and on
+    the e-th edge the flow y(points[a], points[c]) is k * n + e * n * n
+    + a * n + c.  On two states the potential program over the
+    breakpoints has no flows and no normalization rows: row
+    2k + e (n - 2) + s - 1 is sum_a (x(i1, a) - x(i2, a)) |a - positions[s]|
+    >= 0 on the e-th edge (i1, i2), positions[s] being points[s]'s, a
+    for (a/D, 1 - a/D); values[i] is (V, w), w mapping a position to V
+    times the utility there (_breakpoints), and propose is
     _path_certificate on a forest of paths, else _prior_split."""
 
     program: lp.LinearProgram
@@ -171,11 +172,12 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     return GridLP(program, grid, pts, edges, graph, None, values)
 
 
-def _program(prior, D, lattice, values, edge_rows, n_vars) -> lp.LinearProgram:
+def _program(prior, D, lattice, values, rows, n_vars) -> lp.LinearProgram:
     """The program over the sorted points of the 1/D lattice whose
     coordinates times D are lattice[a], values[i] = (V, w), w[a] V times
-    receiver i's utility at the a-th point, with the integer rows
-    edge_rows between the receivers' other rows, numbered as GridLP."""
+    receiver i's utility at the a-th point: the receivers'
+    Bayes-plausibility rows, then rows, each (coeffs, rel, rhs, den) in
+    integers, numbered as GridLP."""
     k, n = len(values), len(lattice)
     flat = [(V, v) for V, w in values for v in w]  # x(i, a) is variable i * n + a
     obj_den = lcm(*(V for V, _ in values))
@@ -186,15 +188,13 @@ def _program(prior, D, lattice, values, edge_rows, n_vars) -> lp.LinearProgram:
         for b, q in enumerate(prior.values):
             row = {base + a: c[b] * q.denominator for a, c in enumerate(lattice) if c[b]}
             constraints.append((row, lp.EQ, q.numerator * D, q.denominator * D))
-    constraints += edge_rows
-    for base in range(0, k * n, n):
-        constraints.append((dict.fromkeys(range(base, base + n), 1), lp.EQ, 1, 1))
-    return lp.LinearProgram(n_vars, (objective, obj_den), constraints)
+    return lp.LinearProgram(n_vars, (objective, obj_den), constraints + rows)
 
 
 def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
     """The coupling program over the points pts (_program), less rows left
-    without a coefficient, such as a barycenter row at a lone point."""
+    without a coefficient, such as a barycenter row at a lone point, and
+    with a normalization row per receiver last."""
     k, n = len(values), len(pts)
     rows = []
     for e, (i1, i2) in enumerate(edges):
@@ -203,13 +203,16 @@ def _grid_program(prior, edges, D, pts, values) -> lp.LinearProgram:
             block[a][0][i1 * n + a] = -1  # row sum = x_{i1}(pts[a])
             block[n + a][0][i2 * n + a] = -1  # column sum = x_{i2}(pts[a])
         rows += [(row, lp.EQ, 0, den) for row, den in block if row]
+    rows += [(dict.fromkeys(range(base, base + n), 1), lp.EQ, 1, 1) for base in range(0, k * n, n)]
     lattice = [[x.numerator * (D // x.denominator) for x in w] for w in pts]
     return _program(prior, D, lattice, [*map(_integers, values)], rows, k * n + len(edges) * n * n)
 
 
 def _potential_program(prior, edges, D, at, values) -> lp.LinearProgram:
     """The potential program over the breakpoints at the lattice
-    positions at (_program)."""
+    positions at (_program), with no normalization rows: on two states
+    each receiver's two Bayes-plausibility rows add up to its own, so
+    the program has full row rank."""
     n, rows = len(at), []
     for i1, i2 in edges:
         for t in at[1:-1]:

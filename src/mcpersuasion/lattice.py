@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import ceil, floor, lcm
 from typing import TYPE_CHECKING
 
@@ -44,17 +44,20 @@ def _breakpoints(receivers, space, D, p) -> tuple[list[int], tuple[Posterior, ..
     grid program over them holds an optimum of the full one.
 
     A utility is linear on every stretch of the lattice that holds no
-    kink (ReceiverUtility.kinks), so it is looked up at 0, D, each
-    kink's lattice neighbours, ceil(bD) - 1 to floor(bD) + 1 for a kink
-    b, and every breakpoint, in increasing order; one that names no
-    kinks, a table among them, at every position.  It is then linear
-    between neighbouring positions looked up, which the lattice
-    certificate relies on (_lattice_failure), and it bends down at such
-    a position exactly when its slope falls there: a point utility below
-    its otherwise, or a threshold that drops at its cutoff, bends beside
-    the kink, not on it."""
-    ends = {0, D, floor(p), ceil(p)}
-    found = set(ends)
+    kink (ReceiverUtility.kinks), and is looked up once.  One that names
+    no kinks, a table among them, goes first, at every position, so a
+    table off the step is refused at its first missing point; every
+    other is then looked up at one shared set: 0, D, the prior's
+    neighbours, ceil(bD) - 1 to floor(bD) + 1 for every receiver's kink
+    b, and the bends found so far, which holds every later bend.  So
+    each is looked up at every breakpoint and is linear between
+    neighbouring positions looked up, which the lattice certificate
+    relies on (_lattice_failure), and it bends down at such a position
+    exactly when its slope falls there: a point utility below its
+    otherwise, or a threshold that drops at its cutoff, bends beside the
+    kink, not on it."""
+    near = {0, D, floor(p), ceil(p)}
+    found = set(near)
     made: dict[int, Posterior] = {}
 
     def point(a: int) -> Posterior:
@@ -63,29 +66,17 @@ def _breakpoints(receivers, space, D, p) -> tuple[list[int], tuple[Posterior, ..
             w = made[a] = (Fraction(a, D), Fraction(D - a, D))
         return w
 
-    def tabulate(u, at, V, w):  # (V, w) with u looked up at the positions at too
-        U, new = _integers([u.value_at(point(a), space) for a in at])
-        W = lcm(U, V)
-        w = {a: x * (W // V) for a, x in w.items()} | {a: x * (W // U) for a, x in zip(at, new)}
-        return W, dict(sorted(w.items()))
-
-    values = []
-    for u in receivers:
-        kinks = u.kinks(space)
-        if kinks is None:
-            at = range(D + 1)
-        else:
-            # ceil(bD) - 1 to floor(bD) + 1 for b = x / y, kept on the lattice
-            near = ((b.numerator * D, b.denominator) for b in kinks)
-            runs = (range(max(-(-x // y) - 1, 0), min(x // y + 2, D + 1)) for x, y in near)
-            at = sorted(ends.union(*runs))
-        V, w = tabulate(u, at, 1, {})
-        vs = list(w.values())
-        found.update(at[t] for t in range(1, len(at) - 1) if _bend(at, vs, t - 1, t, t + 1) > 0)
-        values.append((V, w))
-    for i, (u, (V, w)) in enumerate(zip(receivers, values)):
-        if extra := found.difference(w):
-            values[i] = tabulate(u, sorted(extra), V, w)
+    kinks = [u.kinks(space) for u in receivers]
+    for x, y in ((b.numerator * D, b.denominator) for b in chain(*filter(None, kinks))):
+        # ceil(bD) - 1 to floor(bD) + 1 for b = x / y, kept on the lattice
+        near.update(range(max(-(-x // y) - 1, 0), min(x // y + 2, D + 1)))
+    values: list = [None] * len(receivers)
+    for plain in (True, False):
+        at = range(D + 1) if plain else sorted(near.union(found))
+        for i in [i for i, b in enumerate(kinks) if (b is None) is plain]:
+            V, vs = _integers([receivers[i].value_at(point(a), space) for a in at])
+            found.update(at[t] for t in range(1, len(at) - 1) if _bend(at, vs, t - 1, t, t + 1) > 0)
+            values[i] = (V, dict(zip(at, vs)))
     at = sorted(found)
     return at, tuple(map(point, at)), tuple(values)
 
@@ -148,10 +139,13 @@ def _path_certificate(prior, edges, values, points) -> tuple[list, list]:
     u(child) + cav f(parent), each cav the least concave majorant over
     the breakpoints, which is the one over the lattice; the optimum is
     the sum over paths of cav f(leaf) at the prior (Kamenica and
-    Gentzkow's cav u, nested).  The dual: on each edge, g = cav f(parent)
-    is sum_t y_t |a - t|, y_t half its slope drop at t, plus a linear
-    part, added to the parent's line and taken off the child's; a leaf's
-    line holds cav f(leaf)'s supporting line at the prior.  The point: a
+    Gentzkow's cav u, nested).  The dual, 2k + E (m - 2) long for E
+    edges and m points, holds each receiver's line as its two
+    Bayes-plausibility duals, then each edge's row duals.  On each edge,
+    g = cav f(parent) is sum_t y_t |a - t|, y_t half its slope drop at
+    t, plus a linear part, added to the parent's line and taken off the
+    child's; a leaf's line holds cav f(leaf)'s supporting line at the
+    prior.  The point: a
     leaf's mass sits on the prior or the hull vertices around it; up the
     path, an atom stays where f(parent) is cav f(parent), else splits
     onto the ends of its hull piece, which are breakpoints.  Values are
@@ -161,7 +155,7 @@ def _path_certificate(prior, edges, values, points) -> tuple[list, list]:
     below, number = dict(edges), {edge: e for e, edge in enumerate(edges)}
     place = {a: t for t, a in enumerate(points)}
     V = lcm(*(V for V, _ in values))
-    x, y = [_ZERO] * (k * m), [_ZERO] * (3 * k + len(edges) * (m - 2))
+    x, y = [_ZERO] * (k * m), [_ZERO] * (2 * k + len(edges) * (m - 2))
     # per receiver its Bayes-plausibility duals' terms, each (top, bottom, den)
     lines: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
 
@@ -272,18 +266,18 @@ def _shadow(xs, left, m, x) -> tuple[dict[int, int], int] | None:
 
 def _lattice_dual(glp: GridLP, dual) -> tuple[list[tuple[Fraction, Fraction]], list]:
     """The lattice certificate (lines, g) of a dual of glp's potential
-    program: per receiver i, lines[i] = (l_i(1, 0), l_i(0, 1)), its
-    Bayes-plausibility duals each raised by its normalization dual; per
-    covering edge, g[e] = (h, S), the integers h over S at each
-    breakpoint a of sum_t y_t |a - t|, y_t the dual of the edge's row at
-    t, so linear between breakpoints and, with every y_t <= 0, concave.
-    It stands for the full program's dual with row-sum duals -g,
-    column-sum duals g and barycenter duals D times g's slope to the
-    right (to the left at D).  So any optimal dual certifies the answer on
-    the lattice (ROADMAP item 14): between breakpoints every utility is
-    convex and every g linear."""
+    program: per receiver i, lines[i] = (l_i(1, 0), l_i(0, 1)), its two
+    Bayes-plausibility duals; per covering edge, g[e] = (h, S), the
+    integers h over S at each breakpoint a of sum_t y_t |a - t|, y_t the
+    dual of the edge's row at t, so linear between breakpoints and, with
+    every y_t <= 0, concave.  It stands for the full program's dual with
+    row-sum duals -g, column-sum duals g, barycenter duals D times g's
+    slope to the right (to the left at D) and normalization duals 0.
+    So any optimal dual certifies the answer on the lattice (ROADMAP
+    item 14): between breakpoints every utility is convex and every g
+    linear."""
     k, at, n = len(glp.values), glp.positions, len(glp.points) - 2
-    lines = [(dual[2 * i] + nu, dual[2 * i + 1] + nu) for i, nu in enumerate(dual[-k:])]
+    lines = list(zip(dual[0 : 2 * k : 2], dual[1 : 2 * k : 2]))
     g = []
     for e in range(len(glp.edges)):
         S, w = _integers(dual[2 * k + e * n : 2 * k + e * n + n])

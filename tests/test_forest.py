@@ -138,7 +138,7 @@ def test_build_sizes_single_receiver():
     inst = make_instance([[1]], [ThresholdUtility(state="1", cutoff=F(1, 2))])
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=2))
     assert glp.program.n_vars == 3
-    assert glp.program.n_constraints == 3  # two Bayes rows + normalization
+    assert glp.program.n_constraints == 2  # two Bayes rows
     assert glp.edges == ()
 
 
@@ -150,7 +150,7 @@ def test_build_sizes_two_receiver_chain():
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=2))
     assert glp.edges == ((0, 1),)
     assert glp.program.n_vars == 6  # 2 receivers x 3 breakpoints, no coupling
-    assert glp.program.n_constraints == 7  # 4 Bayes + 1 spread + 2 normalization
+    assert glp.program.n_constraints == 5  # 4 Bayes + 1 spread
 
 
 def test_build_rejects_non_forest_and_duplicates():
@@ -1425,11 +1425,11 @@ def _rung_programs():
 def test_potential_programs_are_built_from_the_full_programs_rows():
     """The potential program over a subset of the points is what an
     independent builder from the Fraction rows makes: the full program
-    restricted to the x columns at those points, its objective, its
-    Bayes-plausibility rows and its normalization rows, with, between
-    them, per covering edge (i1, i2) and interior point t, the row
-    sum_a (x_i1(a) - x_i2(a)) |a - t| >= 0; the same variables,
-    objective and rows, in the same order."""
+    restricted to the x columns at those points, its objective and its
+    Bayes-plausibility rows, without its normalization rows, which those
+    add up to, and after them, per covering edge (i1, i2) and interior
+    point t, the row sum_a (x_i1(a) - x_i2(a)) |a - t| >= 0; the same
+    variables, objective and rows, in the same order."""
     for inst, denominator in _rung_programs():
         glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
         _, _, points, program, _ = _breakpoint_run(inst, glp)
@@ -1442,11 +1442,63 @@ def test_potential_programs_are_built_from_the_full_programs_rows():
                 row = {i1 * m + s: F(abs(a - t)) for s, a in enumerate(points) if a != t}
                 row.update({i2 * m + s: F(-abs(a - t)) for s, a in enumerate(points) if a != t})
                 spread.append((row, lp.GE, F(0)))
-        constraints = [*rows[: 2 * k], *spread, *rows[-k:]]
+        constraints = [*rows[: 2 * k], *spread]
         oracle = rational_program(k * m, restricted.objective, constraints)
         assert program.n_vars == oracle.n_vars == k * m
         assert (program.obj, program.obj_den) == (oracle.obj, oracle.obj_den)
         assert program.rows == oracle.rows
+
+
+def _rank(program):
+    """The exact rank of program's rows, by Gaussian elimination in
+    Fractions: each row is reduced by the kept rows until its lowest
+    column is no kept row's, and kept there, or it vanishes."""
+    kept = {}
+    for row, _, _ in program.constraints:
+        row = dict(row)
+        while row and (j := min(row)) in kept:
+            pivot, f = kept[j], row[j] / kept[j][j]
+            for c, v in pivot.items():
+                if x := row.get(c, 0) - f * v:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+        if row:
+            kept[j] = row
+    return len(kept)
+
+
+def test_potential_programs_have_full_row_rank():
+    """On two states each receiver's Bayes-plausibility rows add up to
+    its normalization row, so the potential program leaves it out: over
+    _rung_programs(), every potential program's rows are independent."""
+    for inst, denominator in _rung_programs():
+        program = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator)).program
+        assert _rank(program) == program.n_constraints, f"rank deficient at 1/{denominator}"
+
+
+def test_normalization_rows_leave_the_solve_unchanged():
+    """The potential program with each receiver's normalization row
+    appended, as it was once built, solved from the same proposal (its
+    dual, if any, given a 0 on each appended row): over
+    _rung_programs(), the same assignment and objective, the same duals
+    on the shared rows, and a 0 dual on each appended row."""
+    for inst, denominator in _rung_programs():
+        glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
+        program, k, m = glp.program, inst.k, len(glp.points)
+        normalization = [(dict.fromkeys(range(i * m, i * m + m), 1), lp.EQ, 1, 1) for i in range(k)]
+        padded = lp.LinearProgram(
+            program.n_vars, (program.obj, program.obj_den), [*program.rows, *normalization]
+        )
+
+        def propose():
+            x, y = glp.propose()
+            return x, None if y is None else [*y, *[F(0)] * k]
+
+        sol = lp.solve(program, propose=glp.propose)
+        old = lp.solve(padded, propose=propose)
+        assert (sol.assignment, sol.objective) == (old.assignment, old.objective)
+        assert sol.dual == old.dual[:-k] and old.dual[-k:] == (0,) * k
 
 
 def test_a_grid_solve_builds_once_and_solves_once(monkeypatch):
@@ -1707,12 +1759,13 @@ def _lattice_majorant(xs, values):
 
 def _scan_dual(glp, dual):
     """The lattice certificate (lines, g) of a dual of glp's potential
-    program with each g listed at every point 0..D: sum_t y_t |a - t| at
-    each a, y_t the edge's spread-row duals at the interior breakpoints
-    t, in integers over their common denominator."""
+    program with each g listed at every point 0..D: each receiver's line
+    its two Bayes-plausibility duals; sum_t y_t |a - t| at each a, y_t
+    the edge's spread-row duals at the interior breakpoints t, in
+    integers over their common denominator."""
     k, at = len(glp.values), glp.positions
     n = len(at) - 2
-    lines = [(dual[2 * i] + nu, dual[2 * i + 1] + nu) for i, nu in enumerate(dual[len(dual) - k :])]
+    lines = [(dual[2 * i], dual[2 * i + 1]) for i in range(k)]
     g = []
     for e in range(len(glp.edges)):
         ys = dual[2 * k + e * n : 2 * k + e * n + n]
@@ -1868,6 +1921,37 @@ def test_a_table_off_the_step_is_refused_at_its_first_missing_point():
         _tabulated(inst, 40)
     with pytest.raises(GridMismatch, match=re.escape(str(tabulated.value))):
         solve_fptas(inst, F(1, 40))
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_a_table_beside_a_kinked_utility_is_refused_before_the_fine_lattice(order, monkeypatch):
+    """A TableUtility on the 1/20 lattice beside a PiecewiseUtility, in
+    either receiver order, solved at 1/40 and at 1/10^6: solve_fptas
+    names the table's first missing point, and, since a utility that
+    names no kinks is looked up first, it looks the piecewise utility up
+    no more often at 1/10^6 than at 1/40 and lists no lattice."""
+    table = KINKS["a-table"][0][0]
+    piecewise = PiecewiseUtility(state="1", breakpoints=(F(1, 4), F(1, 2)), values=(F(2), F(0), F(4)))
+    inst = make_instance(CHAIN2, [table, piecewise][::order], prior=("3/5", "2/5"))
+    looked, listed = [], []
+    real_value_at = PiecewiseUtility.value_at
+
+    def value_at(self, point, space):
+        looked.append(point)
+        return real_value_at(self, point, space)
+
+    monkeypatch.setattr(PiecewiseUtility, "value_at", value_at)
+    monkeypatch.setattr(PosteriorGrid, "points", lambda grid: listed.append(grid) or ())
+    counts = []
+    for denominator in (40, 10**6):
+        with pytest.raises(GridMismatch) as missing:
+            table.value_at(pt(F(1, denominator), F(denominator - 1, denominator)), inst.space)
+        looked.clear()
+        with pytest.raises(GridMismatch, match=re.escape(str(missing.value))):
+            solve_fptas(inst, F(1, denominator))
+        counts.append(len(looked))
+    assert counts[1] <= counts[0]
+    assert listed == []
 
 
 def test_the_breakpoint_certificate_reads_as_the_lattice_scan():
