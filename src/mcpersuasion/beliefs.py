@@ -18,7 +18,7 @@ from operator import lt, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import StateSpaceMismatch, ValidationError
-from .model import Posterior, Prior, _exact, _integers, _probability, check_posterior
+from .model import Posterior, Prior, _exact, _integers, _probability, check_posterior, format_label
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class BeliefDistribution:
             point = tuple(Fraction(_exact(x, "posterior coordinate")) for x in point)
             mass = Fraction(_exact(mass, "belief mass"))
             if mass < 0:
-                raise ValidationError(f"negative mass {mass} at {point}")
+                raise ValidationError(f"negative mass {mass} at {format_label(point)}")
             if mass:
                 acc[point] = acc.get(point, Fraction(0)) + mass
         items = sorted(acc.items())

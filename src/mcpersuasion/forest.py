@@ -13,7 +13,6 @@ solve and certifies the answer on the 1/D lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
 from itertools import chain, compress
 from math import lcm
@@ -121,15 +120,16 @@ class GridLP:
     2k + e (n - 2) + s - 1 is sum_a (x(i1, a) - x(i2, a)) |a - positions[s]|
     >= 0 on the e-th edge (i1, i2), positions[s] being points[s]'s, a
     for (a/D, 1 - a/D); values[i] is (V, w), w mapping a position to V
-    times the utility there (_breakpoints), and propose is
-    _path_certificate on a forest of paths, else _prior_split."""
+    times the utility there (_breakpoints), and propose, lp.solve's
+    proposal (x, y), is _path_certificate's on a forest of paths, with a
+    dual, else _prior_split's, without one."""
 
     program: lp.LinearProgram
     grid: PosteriorGrid
     points: tuple[Posterior, ...]
     edges: tuple[tuple[int, int], ...]
     graph: DominationGraph
-    propose: Callable[[], tuple[list, list | None]] | None
+    propose: tuple[list, list | None] | None
     values: tuple[Sequence[Fraction] | tuple[int, dict[int, int]], ...]
     positions: list[int] | None = None
 
@@ -146,8 +146,8 @@ def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]
 def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
     """The GridLP of a forest instance on the grid: past two states the
     coupling program over every grid point; on two states the potential
-    program over the breakpoints and its proposal, computed only when
-    called.  Nonnegativity is carried by the solver's variable bounds."""
+    program over the breakpoints and its proposal.  Nonnegativity is
+    carried by the solver's variable bounds."""
     if not isinstance(instance.utilities, AdditiveUtility):
         raise ValidationError("grid program needs additive per-receiver utilities")
     if grid.dim != instance.space.size:
@@ -161,9 +161,9 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         table = [(V, [w[a] for a in at]) for V, w in values]
         if len({i1 for i1, _ in edges}) == len(edges):
             # no receiver spreads onto two: every tree is a path
-            propose = partial(_path_certificate, p, edges, table, at)
+            propose = _path_certificate(p, edges, table, at)
         else:
-            propose = partial(_prior_split, p * D, instance.k, at)
+            propose = _prior_split(p * D, instance.k, at)
         program = _potential_program(instance.prior, edges, D, at, table)
         return GridLP(program, grid, pts, edges, graph, propose, values, at)
     pts = grid.points()

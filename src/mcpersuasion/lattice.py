@@ -6,11 +6,11 @@ Each utility names its kinks (ReceiverUtility.kinks) and is linear
 between them, so it is looked up only beside them, and the breakpoints,
 where some utility bends down, are found among those points
 (_breakpoints).  The potential program over them (forest.GridLP) holds
-an optimum of the full grid program.  lp.solve answers it from a
-proposal: a forest of paths in closed form, a nested concavification
-along each path (_path_certificate), any other forest from the prior
-split (_prior_split).  Each edge's coupling is built afterwards from its
-two marginals (_curtain), and the dual certifies the answer on the whole
+an optimum of the full grid program and is built with its proposal to
+lp.solve: a forest of paths in closed form, a nested concavification
+along each path (_path_certificate), any other forest the prior split
+(_prior_split).  Each edge's coupling is built afterwards from its two
+marginals (_curtain), and the dual certifies the answer on the whole
 lattice (_lattice_dual, _lattice_failure) in integer work over the points
 looked up: O(k b) for k receivers and b breakpoints and kinks, whatever
 the step.

@@ -11,15 +11,16 @@ after a long run of degenerate pivots, so it always terminates.
 
 solve alone picks the start, and a start changes only the path taken.
 A caller may propose a point of the program, with its dual or without
-one (propose).  solve returns a proposal with a dual, as given, exactly
-when it certifies optimality, and then no engine is built; a refused
-one is never returned.  After a refused proposal, and after one without
-a dual, the program starts from the proposed point, completed exactly,
-and no floating-point solve is tried.  Without a proposal, a program
-with a row and at least _CRASH_THRESHOLD rows x columns, when scipy
-imports, starts from a floating-point solve's support, completed the
-same way; any other program, and any start whose completed basis is
-refused, starts from the all-artificial basis with phase 1.
+one: propose=(x, y), y None without.  solve returns a proposal with a
+dual, as given, exactly when it certifies optimality, and then no
+engine is built; a refused one is never returned.  After a refused
+proposal, and after one without a dual, the program starts from the
+proposed point, completed exactly, and no floating-point solve is
+tried.  Without a proposal, a program with a row and at least
+_CRASH_THRESHOLD rows x columns, when scipy imports, starts from a
+floating-point solve's support, completed the same way; any other
+program, and any start whose completed basis is refused, starts from
+the all-artificial basis with phase 1.
 
 solve answers only the programs its callers build, which are feasible
 and bounded: every answer is an optimum with a dual vector, checked
@@ -39,7 +40,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress, count, repeat
 from math import gcd, inf, lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import InvariantViolation, ValidationError
 
@@ -47,6 +48,7 @@ EQ = "="
 LE = "<="
 GE = ">="
 
+# no answer carries a status; perfbench's read-back replay stand-in copies it
 OPTIMAL = "optimal"
 
 _INT_ONLY = frozenset((int,))
@@ -144,11 +146,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """A certified optimum: status is always OPTIMAL, assignment an
-    optimal point, objective its value and dual the dual vector, one
-    entry per constraint, that check_optimal accepts with it."""
+    """A certified optimum: assignment an optimal point, objective its
+    value and dual the dual vector, one entry per constraint, that
+    check_optimal accepts with it."""
 
-    status: str
     assignment: tuple[Fraction, ...]
     objective: Fraction
     dual: tuple[Fraction, ...]
@@ -162,32 +163,9 @@ _HOLDS = {EQ: operator.eq, LE: operator.le, GE: operator.ge}
 _SIGN = {EQ: 0, LE: 1, GE: -1}
 
 
-def _point(lp: LinearProgram, x: Sequence[Fraction]) -> tuple[list[int], int] | None:
-    """x as integers over their common denominator X, with X, when x is
-    a nonnegative vector of lp's length; None otherwise."""
-    support = [(j, v) for j, v in enumerate(x) if v]
-    if len(x) != lp.n_vars or any(v < 0 for _, v in support):
-        return None
-    X = lcm(*(v.denominator for _, v in support))
-    ints = [0] * lp.n_vars
-    for j, v in support:
-        ints[j] = v.numerator * (X // v.denominator)
-    return ints, X
-
-
 def _first_false(flags) -> int | None:
     """The index of the first false one of flags; None when all are true."""
     return next(compress(count(), map(operator.not_, flags)), None)
-
-
-def _failing_row(lp: LinearProgram, ints: list[int], X: int) -> int | None:
-    """The first row that does not hold at the point ints / X (lhs and
-    rhs times X are both in the row's den); None when every row holds."""
-    at = ints.__getitem__
-    return _first_false(
-        _HOLDS[rel](sum(map(operator.mul, map(at, coeffs), coeffs.values())), rhs * X)
-        for coeffs, rel, rhs, _ in lp.rows
-    )
 
 
 def _inexact(v, name) -> str | None:
@@ -199,18 +177,28 @@ def _inexact(v, name) -> str | None:
 
 
 def _located(lp, x) -> tuple[tuple[list[int], int] | None, str | None]:
-    """(_point(lp, x), None) when x is a point of lp: a nonnegative
-    vector of lp's length at which every row holds.  Otherwise (None,
-    the first part that fails, named with its index)."""
-    point = _point(lp, x)
-    if point is None:
-        if len(x) != lp.n_vars:
-            return None, f"point has {len(x)} entries for {lp.n_vars} columns"
-        j = next(j for j, e in enumerate(x) if e < 0)
+    """((ints, X), None) when x is a point of lp: a nonnegative vector of
+    lp's length at which every row holds, ints being x as integers over
+    its common denominator X (a row's lhs and rhs times X are then both
+    in its den).  Otherwise (None, the first part that fails, named with
+    its index)."""
+    if len(x) != lp.n_vars:
+        return None, f"point has {len(x)} entries for {lp.n_vars} columns"
+    support = [(j, v) for j, v in enumerate(x) if v]
+    if (j := next((j for j, v in support if v < 0), None)) is not None:
         return None, f"x[{j}] = {x[j]} is negative"
-    if (i := _failing_row(lp, *point)) is not None:
+    X = lcm(*(v.denominator for _, v in support))
+    ints = [0] * lp.n_vars
+    for j, v in support:
+        ints[j] = v.numerator * (X // v.denominator)
+    at = ints.__getitem__
+    i = _first_false(
+        _HOLDS[rel](sum(map(operator.mul, map(at, coeffs), coeffs.values())), rhs * X)
+        for coeffs, rel, rhs, _ in lp.rows
+    )
+    if i is not None:
         return None, f"row {i} does not hold at x"
-    return point, None
+    return (ints, X), None
 
 
 def _wrong_sign(lp, y) -> str | None:
@@ -630,7 +618,7 @@ class _Engine:
         failure, value = _optimality(self.lp, x, y)
         if failure is not None:
             raise InvariantViolation(f"optimality certificate failed verification: {failure}")
-        return LPSolution(status=OPTIMAL, assignment=tuple(x), objective=value, dual=tuple(y))
+        return LPSolution(assignment=tuple(x), objective=value, dual=tuple(y))
 
     def _assignment(self) -> list[Fraction]:
         x = [Fraction(0)] * self.n_real
@@ -663,13 +651,13 @@ def _start(program: LinearProgram, x) -> list[int]:
     return start
 
 
-def solve(lp: LinearProgram, *, propose: Callable[[], tuple] | None = None) -> LPSolution:
+def solve(lp: LinearProgram, *, propose: tuple | None = None) -> LPSolution:
     """lp's certified optimum, from the start picked here; lp is read,
     never changed.  lp must be feasible and bounded: one that is not
     raises InvariantViolation naming the outcome, as a failed check does.
 
-    propose() gives (x, y): a point of lp, and a dual, one entry per row
-    of lp, or None.  If y is given and check_optimal accepts (x, y), that
+    propose is (x, y): a point of lp, and a dual, one entry per row of
+    lp, or None.  If y is given and check_optimal accepts (x, y), that
     is the answer, as given, with c.x from the check, and no engine is
     built.  A refused proposal is never returned.  lp then starts from
     x, as it does whenever y is None: from x's support, completed
@@ -684,11 +672,11 @@ def solve(lp: LinearProgram, *, propose: Callable[[], tuple] | None = None) -> L
         engine = _Engine(lp)
         big = len(lp.rows) * max(lp.n_vars, 1) >= _CRASH_THRESHOLD
         return engine.solve(engine._try_crash() if lp.rows and big else None)
-    x, y = propose()
+    x, y = propose
     if y is not None:
         failure, value = _optimality(lp, x, y)
         if failure is None:
-            return LPSolution(OPTIMAL, assignment=tuple(x), objective=value, dual=tuple(y))
+            return LPSolution(assignment=tuple(x), objective=value, dual=tuple(y))
     if (failure := _inexact(() if y is None else y, "y") or _inexact(x, "x")) is not None:
         raise ValidationError(failure)
     return _Engine(lp).solve(_start(lp, x))

@@ -185,9 +185,9 @@ def check_posterior(point: Sequence[Fraction]) -> tuple[int, list[int]]:
     """Refuse an inexact or negative coordinate or a sum not 1; the point as _integers gives it."""
     den, scaled = _integers([_exact(x, "posterior coordinate") for x in point])
     if any(x < 0 for x in scaled):
-        raise ValidationError(f"negative coordinate in posterior {point}")
+        raise ValidationError(f"negative coordinate in posterior {format_label(point)}")
     if sum(scaled) != den:
-        raise ValidationError(f"posterior does not sum to 1: {point}")
+        raise ValidationError(f"posterior does not sum to 1: {format_label(point)}")
     return den, scaled
 
 
@@ -574,7 +574,7 @@ class TableUtility(ReceiverUtility):
         try:
             return self._values[point]
         except KeyError:
-            raise GridMismatch(f"utility table has no value at {point}") from None
+            raise GridMismatch(f"utility table has no value at {format_label(point)}") from None
 
     def to_doc(self, space):
         return {

@@ -19,7 +19,7 @@ from mcpersuasion.errors import (
     ValidationError,
 )
 from mcpersuasion.lattice import _curtain
-from mcpersuasion.model import Prior, StateSpace
+from mcpersuasion.model import Prior, StateSpace, format_label
 
 F = Fraction
 TWO = StateSpace(("0", "1"))
@@ -621,9 +621,9 @@ def _fraction_distribution(points, masses):
         if len(p) != dim:
             raise StateSpaceMismatch("support points of mixed dimension")
         if any(x < 0 for x in p):
-            raise ValidationError(f"negative coordinate in posterior {p}")
+            raise ValidationError(f"negative coordinate in posterior {format_label(p)}")
         if sum(p) != 1:
-            raise ValidationError(f"posterior does not sum to 1: {p}")
+            raise ValidationError(f"posterior does not sum to 1: {format_label(p)}")
     if any(m <= 0 for m in masses):
         raise ValidationError("masses must be positive in canonical form")
     if sum(masses) != 1:

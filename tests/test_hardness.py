@@ -19,7 +19,7 @@ from mcpersuasion.hardness import (
     revealing_table,
     state_ceilings,
 )
-from mcpersuasion.lp import EQ, LE, OPTIMAL, solve
+from mcpersuasion.lp import EQ, LE, solve
 from test_lp import rational_program
 
 MID = (Fraction(1, 2), Fraction(1, 2))
@@ -275,7 +275,6 @@ def _best_two_letter_scheme(inst):
             ]
             objective = {s * n + k: Fraction(pay[k], 2) for s in (0, 1) for k in range(n)}
             solution = solve(rational_program(2 * n, objective, constraints))
-            assert solution.status == OPTIMAL
             if best is None or solution.objective > best:
                 best = solution.objective
     return best

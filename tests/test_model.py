@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from mcpersuasion.beliefs import BeliefDistribution
 from mcpersuasion.errors import (
     BadEpsilon,
     GridMismatch,
@@ -32,6 +33,7 @@ from mcpersuasion.model import (
     TableUtility,
     ThresholdUtility,
     check_posterior,
+    format_label,
     format_rational,
     instance_to_doc,
     merge_duplicate_receivers,
@@ -280,9 +282,9 @@ def test_piecewise_value_at_agrees_with_bisect_over_fractions():
 def _fraction_posterior_check(point):
     """check_posterior as it ran in Fractions."""
     if any(x < 0 for x in point):
-        raise ValidationError(f"negative coordinate in posterior {point}")
+        raise ValidationError(f"negative coordinate in posterior {format_label(point)}")
     if sum(point) != 1:
-        raise ValidationError(f"posterior does not sum to 1: {point}")
+        raise ValidationError(f"posterior does not sum to 1: {format_label(point)}")
 
 
 def test_check_posterior_refuses_as_the_fraction_check_did():
@@ -330,7 +332,7 @@ def _table_scan(u, point):
     for p, v in u.table:
         if p == point:
             return v
-    raise GridMismatch(f"utility table has no value at {point}")
+    raise GridMismatch(f"utility table has no value at {format_label(point)}")
 
 
 def test_table_value_at_matches_the_scan_with_missing_points():
@@ -408,6 +410,38 @@ def test_an_instance_carrying_an_epsilon_round_trips_through_a_document():
 
 
 F = Fraction
+
+
+_MILLIONTH = (F(1, 10**6), F(999999, 10**6))
+_TWENTIETHS = tuple(((F(a, 20), F(20 - a, 20)), F(a % 3)) for a in range(21))
+
+
+@pytest.mark.parametrize(
+    "refuse, point, message",
+    [
+        (
+            lambda w: TableUtility(_TWENTIETHS).value_at(w, TWO),
+            _MILLIONTH,
+            "utility table has no value at (1/1000000, 999999/1000000)",
+        ),
+        (check_posterior, (F(3, 2), F(-1, 2)), "negative coordinate in posterior (3/2, -1/2)"),
+        (check_posterior, (F(1, 3), F(1, 3)), "posterior does not sum to 1: (1/3, 1/3)"),
+        (
+            lambda w: BeliefDistribution.from_pairs([(w, F(-1, 7))]),
+            (F(2, 5), F(3, 5)),
+            "negative mass -1/7 at (2/5, 3/5)",
+        ),
+    ],
+    ids=["missing-table-point", "negative-coordinate", "sum-off-1", "negative-mass"],
+)
+def test_a_refusal_names_its_point_as_format_label_writes_it(refuse, point, message):
+    """A missing table point, a negative coordinate, a posterior off 1
+    and a negative belief mass are each refused with the point written
+    as format_label writes it, never as its repr."""
+    with pytest.raises(ValidationError) as raised:
+        refuse(point)
+    assert str(raised.value) == message
+    assert format_label(point) in message and "Fraction(" not in message
 
 
 @pytest.mark.parametrize(
