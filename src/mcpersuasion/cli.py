@@ -240,9 +240,11 @@ def _cmd_verify_scheme(args):
                     return "a posterior label is off the declared grid"
         return None
 
+    marginals = [table.receiver_marginal(i, inst.prior) for i in range(table.k)]
+
     def bayes_plausible():
-        for i in range(table.k):
-            if not is_bayes_plausible(table.receiver_marginal(i, inst.prior), inst.prior):
+        for i, dist in enumerate(marginals):
+            if not is_bayes_plausible(dist, inst.prior):
                 return f"receiver {i + 1} marginal does not average to the prior"
         return None
 
@@ -259,8 +261,8 @@ def _cmd_verify_scheme(args):
     def marginals_match():
         if len(saved.marginals) != table.k:
             return "wrong number of recorded marginals"
-        for i, dist in enumerate(saved.marginals):
-            if dist != table.receiver_marginal(i, inst.prior):
+        for i, (dist, derived) in enumerate(zip(saved.marginals, marginals)):
+            if dist != derived:
                 return f"recorded marginal of receiver {i + 1} differs from the table's"
         return None
 

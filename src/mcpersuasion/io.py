@@ -50,7 +50,6 @@ from .model import (
 )
 from .sharing import (
     ChannelScheme,
-    LabelAlphabet,
     Slot,
     _branch_runs,
     execution_count,
@@ -453,7 +452,7 @@ def channel_scheme_to_doc(scheme: ChannelScheme) -> dict:
     label = _writer(format_posterior)  # alphabets share label objects
     for i, alphabet in enumerate(scheme.alphabets):
         if alphabet is not None:
-            alphabets[str(i + 1)] = list(map(label, alphabet.labels))
+            alphabets[str(i + 1)] = list(map(label, alphabet))
     slots = [
         {
             "channel": slot.channel + 1,
@@ -502,7 +501,7 @@ def channel_scheme_from_doc(doc: Mapping) -> ChannelScheme:
     what = "channel scheme"
     q = _field(doc, "q", what, _integer)
     structure = structure_from_doc(_field(doc, "structure", what))
-    alphabets: list[Optional[LabelAlphabet]] = [None] * structure.k
+    alphabets: list[Optional[tuple]] = [None] * structure.k
     label = _reader(parse_posterior)
     for key, labels in _field(doc, "alphabets", what, _object).items():
         i = _integer(key, "alphabet receiver") - 1
@@ -510,10 +509,7 @@ def channel_scheme_from_doc(doc: Mapping) -> ChannelScheme:
             raise ValidationError(f"alphabet for unknown receiver {key}")
         if alphabets[i] is not None:
             raise ValidationError(f"alphabet for receiver {i + 1} given twice")
-        alphabets[i] = LabelAlphabet(
-            modulus=q,
-            labels=tuple(map(label, _array(labels, f"alphabet {key}"))),
-        )
+        alphabets[i] = tuple(map(label, _array(labels, f"alphabet {key}")))
     covered = {_integer(i, "covered receiver") for i in _field(doc, "covered", what, _array)}
     if covered != {i + 1 for i, alphabet in enumerate(alphabets) if alphabet is not None}:
         raise ValidationError("covered receivers must be exactly those with an alphabet")
@@ -529,14 +525,19 @@ def channel_scheme_from_doc(doc: Mapping) -> ChannelScheme:
                 ),
             )
         )
-    return ChannelScheme(
+    scheme = ChannelScheme(
         q=q,
         structure=structure,
         alphabets=tuple(alphabets),
         slots=tuple(slots),
-        key_count=_field(doc, "key_count", what, _integer),
         table=table_from_doc(_field(doc, "table", what)),
     )
+    if (count := _field(doc, "key_count", what, _integer)) != scheme.key_count:
+        raise ValidationError(
+            f"{what} field 'key_count' is {count}, "
+            f"but its bare key slot count is {scheme.key_count}"
+        )
+    return scheme
 
 
 # ---------------------------------------------------------------------------

@@ -379,7 +379,7 @@ class ReceiverUtility:
         own."""
         return None
 
-    def to_doc(self, space: StateSpace) -> dict:
+    def to_doc(self) -> dict:
         raise NotImplementedError
 
 
@@ -402,7 +402,7 @@ class ConstantUtility(ReceiverUtility):
     def kinks(self, space):
         return ()
 
-    def to_doc(self, space):
+    def to_doc(self):
         return {"kind": "constant", "value": format_rational(self.value)}
 
 
@@ -432,7 +432,7 @@ class ThresholdUtility(ReceiverUtility):
     def kinks(self, space):
         return (_first_coordinate(self.cutoff, self.state, space),)
 
-    def to_doc(self, space):
+    def to_doc(self):
         return {
             "kind": "threshold",
             "state": self.state,
@@ -465,7 +465,7 @@ class PointUtility(ReceiverUtility):
     def kinks(self, space):
         return self.point[:1]
 
-    def to_doc(self, space):
+    def to_doc(self):
         return {
             "kind": "point",
             "point": format_posterior(self.point),
@@ -513,7 +513,7 @@ class PiecewiseUtility(ReceiverUtility):
     def kinks(self, space):
         return tuple(_first_coordinate(b, self.state, space) for b in self.breakpoints)
 
-    def to_doc(self, space):
+    def to_doc(self):
         return {
             "kind": "piecewise",
             "state": self.state,
@@ -542,7 +542,7 @@ class LinearUtility(ReceiverUtility):
     def kinks(self, space):
         return ()
 
-    def to_doc(self, space):
+    def to_doc(self):
         return {
             "kind": "linear",
             "coeffs": [format_rational(c) for c in self.coeffs],
@@ -576,7 +576,7 @@ class TableUtility(ReceiverUtility):
         except KeyError:
             raise GridMismatch(f"utility table has no value at {format_label(point)}") from None
 
-    def to_doc(self, space):
+    def to_doc(self):
         return {
             "kind": "table",
             "points": [format_posterior(p) for p, _ in self.table],
@@ -596,8 +596,8 @@ class AdditiveUtility:
         den, values = _integers([u.value_at(p, space) for u, p in zip(self.receivers, profile)])
         return Fraction(sum(values), den)
 
-    def to_doc(self, space):
-        return {"kind": "additive", "receivers": [u.to_doc(space) for u in self.receivers]}
+    def to_doc(self):
+        return {"kind": "additive", "receivers": [u.to_doc() for u in self.receivers]}
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +697,7 @@ class SupermajorityUtility:
                     total += unit
         return Fraction(total) if scale == 1 else Fraction(total, scale)
 
-    def to_doc(self, space):
+    def to_doc(self):
         rule = _writer(MemberRule.to_doc)  # groups usually share rule objects
         return {
             "kind": "supermajority",
@@ -853,7 +853,7 @@ def instance_to_doc(inst: PersuasionInstance) -> dict:
         "states": list(inst.space.states),
         "prior": [format_rational(p) for p in inst.prior.values],
         "structure": [list(row) for row in inst.structure.matrix],
-        "utilities": inst.utilities.to_doc(inst.space),
+        "utilities": inst.utilities.to_doc(),
     }
     if inst.epsilon is not None:
         doc["epsilon"] = format_rational(inst.epsilon)

@@ -53,36 +53,6 @@ DEFAULT_VERIFY_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
-class LabelAlphabet:
-    """Injective coding of a receiver's posterior labels into Z_q.
-
-    Codes are assigned by sorted label order, so a given label set always
-    codes the same way.
-    """
-
-    modulus: int
-    labels: tuple[Posterior, ...]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise AlphabetTooSmall(f"modulus {self.modulus} is below 2")
-        labels = tuple(self.labels)
-        if list(labels) != sorted(set(labels)):
-            raise ValidationError("alphabet labels must be sorted and distinct")
-        if len(labels) > self.modulus:
-            raise AlphabetTooSmall(
-                f"{len(labels)} labels do not fit into Z_{self.modulus}"
-            )
-        object.__setattr__(self, "labels", labels)
-
-    def code(self, label: Posterior) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValidationError(f"label {format_label(label)} not in alphabet") from None
-
-
-@dataclass(frozen=True)
 class Slot:
     """One Z_q symbol position on a channel.
 
@@ -110,17 +80,21 @@ class ChannelScheme:
     then fill the slots.  The slot list fixes the wire layout; channel j
     carries the subsequence of slots with slot.channel == j, in order, so
     tuple arities are constant across executions.
+
+    alphabets[i] is receiver i's sorted label tuple, a payload coding a
+    label by its index there, or None if his label is not delivered.
+    The keys are 0 to key_count - 1, one per bare slot.
     """
 
     q: int
     structure: CommunicationStructure
-    alphabets: tuple[Optional[LabelAlphabet], ...]
+    alphabets: tuple[Optional[tuple[Posterior, ...]], ...]
     slots: tuple[Slot, ...]
-    key_count: int
     table: SignalingTable
 
     def __post_init__(self):
-        object.__setattr__(self, "alphabets", tuple(self.alphabets))
+        alphabets = tuple(None if a is None else tuple(a) for a in self.alphabets)
+        object.__setattr__(self, "alphabets", alphabets)
         object.__setattr__(self, "slots", tuple(self.slots))
         k, n = self.structure.k, self.structure.n
         if self.q < 2:
@@ -133,13 +107,18 @@ class ChannelScheme:
             raise ValidationError("one alphabet entry per receiver expected")
         size = self.table.space.size
         for i, alphabet in enumerate(self.alphabets):
-            if alphabet is not None and alphabet.modulus != self.q:
-                raise ValidationError(f"receiver {i + 1}: alphabet modulus differs")
-            for w in () if alphabet is None else alphabet.labels:
+            if alphabet is None:
+                continue
+            who = f"receiver {i + 1}"
+            if list(alphabet) != sorted(set(alphabet)):
+                raise ValidationError(f"{who}: alphabet must be sorted and distinct")
+            if len(alphabet) > self.q:
+                raise AlphabetTooSmall(f"{who}: {len(alphabet)} labels do not fit into Z_{self.q}")
+            for w in alphabet:
                 if len(w) != size:
-                    label = f"receiver {i + 1}: alphabet label {format_label(w)}"
+                    label = f"{who}: alphabet label {format_label(w)}"
                     raise StateSpaceMismatch(f"{label} is not over the {size} states")
-        bare = []
+        count, bare = self.key_count, []
         for slot in self.slots:
             if not 0 <= slot.channel < n:
                 raise ValidationError(f"slot on unknown channel {slot.channel + 1}")
@@ -147,15 +126,20 @@ class ChannelScheme:
                 bare.append(slot.keys[0])
             elif not 0 <= slot.owner < k or self.alphabets[slot.owner] is None:
                 raise ValidationError(f"payload for uncovered receiver {slot.owner + 1}")
-            if any(not 0 <= e < self.key_count for e in slot.keys):
+            if any(not 0 <= e < count for e in slot.keys):
                 raise ValidationError("slot references an unknown key")
-        if len(bare) != self.key_count or sorted(bare) != list(range(self.key_count)):
+        if sorted(bare) != list(range(count)):
             raise ValidationError("each key must ride exactly one bare slot")
 
     @property
     def covered(self) -> frozenset[int]:
         """The receivers with an alphabet, whose labels the scheme delivers."""
         return frozenset(i for i, alphabet in enumerate(self.alphabets) if alphabet is not None)
+
+    @property
+    def key_count(self) -> int:
+        """The number of keys: one per bare slot."""
+        return sum(slot.owner is None for slot in self.slots)
 
 
 @dataclass(frozen=True)
@@ -175,12 +159,16 @@ def _branch_codes(scheme: ChannelScheme) -> Iterator[tuple[str, int, Fraction, l
     """Every positive-mass branch, state by state, as (state, branch,
     mass, codes): codes holds each slot's value under the all-zero key
     vector, the owner's label code for a payload and 0 for a bare key."""
+    owners = [s.owner for s in scheme.slots if s.owner is not None]
     for state in scheme.table.space.states:
         for branch, mass in enumerate(scheme.table.rows[state]):
             if mass != 0:
                 profile = scheme.table.profiles[branch]
+                for i in owners:
+                    if profile[i] not in scheme.alphabets[i]:
+                        raise ValidationError(f"label {format_label(profile[i])} not in alphabet")
                 yield state, branch, mass, [
-                    0 if s.owner is None else scheme.alphabets[s.owner].code(profile[s.owner])
+                    0 if s.owner is None else scheme.alphabets[s.owner].index(profile[s.owner])
                     for s in scheme.slots
                 ]
 
@@ -348,12 +336,8 @@ class _SchemeBuilder:
         self.structure = structure
         self.table = table
         self.slots: list[Slot] = []
-        self.alphabets: list[Optional[LabelAlphabet]] = [None] * structure.k
+        self.alphabets: list[Optional[tuple[Posterior, ...]]] = [None] * structure.k
         self.key_count = 0
-
-    def _alphabet_for(self, i: int) -> LabelAlphabet:
-        labels = sorted({profile[i] for profile in self.table.profiles})
-        return LabelAlphabet(self.q, tuple(labels))
 
     def _new_key(self) -> int:
         kappa = self.key_count
@@ -384,7 +368,7 @@ class _SchemeBuilder:
             self.slots.append(Slot(self._route(i, c), None, (kappa,)))
             keys.append(kappa)
         self.slots.append(Slot(carrier, i, tuple(keys)))
-        self.alphabets[i] = self._alphabet_for(i)
+        self.alphabets[i] = tuple(sorted({profile[i] for profile in self.table.profiles}))
 
     def shield(self, i: int) -> None:
         """Re-encrypt every channel i watches that none of the receivers
@@ -419,14 +403,7 @@ class _SchemeBuilder:
             self.slots = rebuilt + fresh
 
     def build(self) -> ChannelScheme:
-        return ChannelScheme(
-            q=self.q,
-            structure=self.structure,
-            alphabets=tuple(self.alphabets),
-            slots=tuple(self.slots),
-            key_count=self.key_count,
-            table=self.table,
-        )
+        return ChannelScheme(self.q, self.structure, self.alphabets, self.slots, self.table)
 
 
 def _default_modulus(table: SignalingTable, receivers) -> int:

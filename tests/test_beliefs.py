@@ -247,6 +247,14 @@ def test_coupling_validation_rejects_bad_flows():
         )
 
 
+def test_coupling_refuses_endpoints_of_mixed_dimension():
+    spread = BeliefDistribution.from_pairs([(pt(1, 0), F(1, 2)), (pt(0, 1), F(1, 2))])
+    coarse = BeliefDistribution.from_pairs([(pt("1/3", "1/3", "1/3"), 1)])
+    with pytest.raises(StateSpaceMismatch) as refused:
+        Coupling(source=spread, target=coarse, flow={})
+    assert str(refused.value) == "coupling endpoints of mixed dimension"
+
+
 def _random_grid_distribution(rng, pts, max_support):
     chosen = rng.sample(pts, rng.randint(1, max_support))
     weights = [rng.randint(1, 4) for _ in chosen]

@@ -251,3 +251,19 @@ def test_network_graph_validation():
         NetworkGraph(3, frozenset({frozenset((0,))}))
     with pytest.raises(ValidationError):
         NetworkGraph(3, frozenset({frozenset((0, 5))}))
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda: sperner_channel_count(0), "receiver count must be positive"),
+        (lambda: NetworkGraph(0, frozenset()), "network needs at least one vertex"),
+    ],
+    ids=["sperner-count", "empty-network"],
+)
+def test_dominance_refusals_name_their_fault(refuse, message):
+    """Each refusal in dominance.py that no other test reaches, with its
+    message."""
+    with pytest.raises(ValidationError) as refused:
+        refuse()
+    assert str(refused.value) == message

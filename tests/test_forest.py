@@ -37,13 +37,16 @@ from mcpersuasion.model import (
     AdditiveUtility,
     CommunicationStructure,
     ConstantUtility,
+    Group,
     LinearUtility,
+    MemberRule,
     PersuasionInstance,
     PiecewiseUtility,
     PointUtility,
     Prior,
     ReceiverUtility,
     StateSpace,
+    SupermajorityUtility,
     TableUtility,
     ThresholdUtility,
     format_label,
@@ -2385,3 +2388,97 @@ def test_from_signals_merges_signals_whose_masses_cancel():
     expected = _outcome(_reference_from_signals, HALF, per_state)
     assert expected == (((pt("1/2", "1/2"),),), {"0": (F(1),), "1": (F(1),)})
     assert _outcome(SignalingTable.from_signals, HALF, per_state) == expected
+
+
+def _supermajority_on_one_receiver():
+    rule = MemberRule("ge", "1", F(1))
+    inst = make_instance([[1]], [ConstantUtility(F(1))])
+    group = Group((0,), F(1), 1, rule)
+    return replace(inst, utilities=SupermajorityUtility(k=1, groups=(group,)))
+
+
+def _spread_side_off_its_marginal():
+    """The chain's coupling beside a first marginal that is not its
+    spread side."""
+    inst, spread, coarse, coupling = _worked_chain_solution()
+    solution = GridSolution(
+        step=F(1, 4), marginals=(coarse, coarse), couplings={(0, 1): coupling}, objective=F(1)
+    )
+    solution.validate(inst)
+
+
+_ONE_CONSTANT = make_instance([[1]], [ConstantUtility(F(1))])
+_REVEALED = SignalingTable(
+    space=TWO,
+    profiles=((pt(0, 1),), (pt(1, 0),)),
+    rows={"0": (F(0), F(1)), "1": (F(1), F(0))},
+)
+
+
+@pytest.mark.parametrize(
+    "refuse, error, message",
+    [
+        (
+            lambda: PosteriorGrid(dim=0, denominator=4),
+            ValidationError,
+            "grid needs dim >= 1 and denominator >= 1",
+        ),
+        (
+            lambda: build_grid_lp(_supermajority_on_one_receiver(), PosteriorGrid(2, 4)),
+            ValidationError,
+            "grid program needs additive per-receiver utilities",
+        ),
+        (
+            lambda: build_grid_lp(_ONE_CONSTANT, PosteriorGrid(3, 4)),
+            ValidationError,
+            "grid dimension differs from the state space",
+        ),
+        (
+            lambda: GridSolution(F(1, 4), (), {}, F(1)).validate(_ONE_CONSTANT),
+            InvariantViolation,
+            "marginal count differs from receiver count",
+        ),
+        (
+            _spread_side_off_its_marginal,
+            InvariantViolation,
+            "coupling (1,2) spread side is not receiver 1's marginal",
+        ),
+        (
+            lambda: SignalingTable(
+                space=TWO,
+                profiles=tuple(reversed(_REVEALED.profiles)),
+                rows={"0": (F(1), F(0)), "1": (F(0), F(1))},
+            ),
+            ValidationError,
+            "profiles must be sorted and distinct",
+        ),
+        (
+            lambda: _REVEALED.validate(Prior(StateSpace(("x", "y")), (F(1, 2), F(1, 2)))),
+            InvariantViolation,
+            "table and prior disagree on the state space",
+        ),
+        (
+            lambda: evaluate_table(
+                _REVEALED, make_instance([[1], [1]], [ConstantUtility(F(1))] * 2)
+            ),
+            ValidationError,
+            "table and instance disagree on receiver count",
+        ),
+    ],
+    ids=[
+        "grid-dim",
+        "grid-utilities",
+        "grid-space",
+        "marginal-count",
+        "spread-side",
+        "unsorted-profiles",
+        "validate-space",
+        "payoff-receivers",
+    ],
+)
+def test_forest_refusals_name_their_fault(refuse, error, message):
+    """Each refusal in forest.py that no other test reaches, with its
+    message."""
+    with pytest.raises(error) as refused:
+        refuse()
+    assert str(refused.value) == message

@@ -20,6 +20,7 @@ from mcpersuasion.hardness import (
     state_ceilings,
 )
 from mcpersuasion.lp import EQ, LE, solve
+from mcpersuasion.model import AdditiveUtility, ConstantUtility
 from test_lp import rational_program
 
 MID = (Fraction(1, 2), Fraction(1, 2))
@@ -382,3 +383,34 @@ def test_value_moves_the_right_way_with_the_budget():
         if b == 1:
             assert value <= prev_value
         prev_h, prev_value = h, value
+
+
+def _additive_reduction():
+    instance = build_reduction(FLAGSHIP).instance
+    utilities = AdditiveUtility((ConstantUtility(Fraction(0)),) * instance.k)
+    return replace(instance, utilities=utilities)
+
+
+def _uncertain_bonus():
+    instance = build_reduction(FLAGSHIP).instance
+    bonus, *payers = instance.utilities.groups
+    vague = replace(bonus, rule=replace(bonus.rule, cutoff=Fraction(9, 10)))
+    return replace(instance, utilities=replace(instance.utilities, groups=(vague, *payers)))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_additive_reduction, "not a two-state supermajority instance"),
+        (_uncertain_bonus, "the first group does not reward certainty of state 1"),
+    ],
+    ids=["additive", "uncertain-bonus"],
+)
+def test_state_ceilings_refuse_another_shape(make, message):
+    """state_ceilings reads only a reduction's own shape: additive
+    utilities, or a bonus that does not ask certainty of state 1, are
+    refused with their message."""
+    instance = make()
+    with pytest.raises(ValidationError) as refused:
+        state_ceilings(instance)
+    assert str(refused.value) == message

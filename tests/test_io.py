@@ -995,6 +995,22 @@ def test_an_alphabet_label_over_other_states_is_refused_by_name():
     assert str(refused.value) == "receiver 2: alphabet label (1, 0, 0) is not over the 2 states"
 
 
+@pytest.mark.parametrize("off", [-1, 1])
+def test_a_key_count_other_than_the_bare_slot_count_is_refused(off):
+    """A scheme's key count is its number of bare key slots, so a
+    document whose key_count field says otherwise is refused, naming
+    both counts."""
+    doc = _channel_scheme_doc(ONE_ZERO)
+    count = channel_scheme_from_doc(doc).key_count
+    assert count == doc["key_count"] > 0
+    doc["key_count"] = count + off
+    with pytest.raises(ValidationError) as refused:
+        channel_scheme_from_doc(doc)
+    assert str(refused.value) == (
+        f"channel scheme field 'key_count' is {count + off}, but its bare key slot count is {count}"
+    )
+
+
 def test_copies_of_one_label_literal_are_one_object():
     table = table_from_doc(_table_doc(ONE_ZERO))
     labels = [label for profile in table.profiles for label in profile]
@@ -1004,7 +1020,7 @@ def test_copies_of_one_label_literal_are_one_object():
     first, later = table_from_doc(_table_doc([1, 0])).profiles[2]
     assert first == later and first is not later
     scheme = channel_scheme_from_doc(_channel_scheme_doc(ONE_ZERO))
-    first, second = (a.labels for a in scheme.alphabets[:2])
+    first, second = scheme.alphabets[:2]
     assert all(map(operator.is_, first, second))
 
 

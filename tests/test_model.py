@@ -14,6 +14,7 @@ from mcpersuasion.errors import (
     MatrixShapeMismatch,
     NonPositivePrior,
     PriorNotNormalized,
+    StateSpaceMismatch,
     ValidationError,
 )
 from mcpersuasion.io import render_document
@@ -453,7 +454,7 @@ def test_a_refusal_names_its_point_as_format_label_writes_it(refuse, point, mess
         TableUtility((((F(1), F(0)), F(4)), ((F(0), F(1)), F(-2)))),
         ThresholdUtility(state="0", cutoff=F(2, 5), high=F(3), low=F(-1), strict=True),
     ],
-    ids=lambda u: u.to_doc(TWO)["kind"],
+    ids=lambda u: u.to_doc()["kind"],
 )
 def test_every_receiver_utility_kind_round_trips_through_a_document(utility):
     inst = PersuasionInstance(
@@ -737,3 +738,101 @@ def test_instance_to_doc_formats_each_rule_object_once(monkeypatch):
     inst = build_reduction(BUnionInstance(w=4, sets=({1, 2}, {2, 3}, {4}), b=2)).instance
     assert len(instance_to_doc(inst)["utilities"]["groups"]) == 5
     assert formatted == [g.rule for g in inst.utilities.groups[:2]]
+
+
+THREE = StateSpace(("a", "b", "c"))
+_THIRDS = (F(1, 3), F(1, 3), F(1, 3))
+_HALVES = (F(1, 2), F(1, 2))
+_CERTAIN = MemberRule("ge", "1", F(1))
+
+
+def _supermajority_instance(k, structure):
+    """k receivers in one group on the given structure rows."""
+    utilities = SupermajorityUtility(k=k, groups=(Group(tuple(range(k)), F(1), k, _CERTAIN),))
+    return PersuasionInstance(
+        TWO, Prior(TWO, _HALVES), CommunicationStructure(structure), utilities
+    )
+
+
+def _point_over_three_states():
+    raw = _raw_instance()
+    raw["utilities"][0] = {"kind": "point", "point": ["1/3", "1/3", "1/3"], "value": "1"}
+    return validate_instance(raw)
+
+
+@pytest.mark.parametrize(
+    "refuse, error, message",
+    [
+        (
+            lambda: PointUtility(point=_HALVES, value=F(1)).value_at(_THIRDS, THREE),
+            MatrixShapeMismatch,
+            "point utility dimension mismatch",
+        ),
+        (
+            lambda: LinearUtility(coeffs=(F(1), F(0))).value_at(_THIRDS, THREE),
+            MatrixShapeMismatch,
+            "linear utility dimension mismatch",
+        ),
+        (
+            lambda: TableUtility(((_HALVES, F(1)), (_HALVES, F(2)))),
+            ValidationError,
+            "table utility has duplicate points",
+        ),
+        (
+            lambda: AdditiveUtility((ConstantUtility(F(1)),)).evaluate([_HALVES] * 2, TWO),
+            MatrixShapeMismatch,
+            "profile length does not match receiver count",
+        ),
+        (
+            lambda: Group((0,), F(-1), 1, _CERTAIN),
+            ValidationError,
+            "group weight must be nonnegative",
+        ),
+        (
+            lambda: _supermajority_instance(1, ((1,),)).utilities.evaluate([_HALVES] * 2, TWO),
+            MatrixShapeMismatch,
+            "profile length does not match receiver count",
+        ),
+        (
+            lambda: PersuasionInstance(
+                TWO,
+                Prior(StateSpace(("x", "y")), _HALVES),
+                CommunicationStructure(((1,),)),
+                AdditiveUtility((ConstantUtility(F(1)),)),
+            ),
+            StateSpaceMismatch,
+            "prior and instance disagree on the state space",
+        ),
+        (
+            lambda: _supermajority_instance(2, ((1,),)),
+            MatrixShapeMismatch,
+            "supermajority utility covers wrong receiver count",
+        ),
+        (
+            lambda: PersuasionInstance(
+                TWO, Prior(TWO, _HALVES), CommunicationStructure(((1,),)), (ConstantUtility(F(1)),)
+            ),
+            ValidationError,
+            "unknown utility container",
+        ),
+        (_point_over_three_states, MatrixShapeMismatch, "point utility dimension mismatch"),
+    ],
+    ids=[
+        "point-value-at",
+        "linear-value-at",
+        "table-duplicates",
+        "additive-profile",
+        "negative-weight",
+        "supermajority-profile",
+        "prior-space",
+        "supermajority-k",
+        "unknown-container",
+        "point-document",
+    ],
+)
+def test_model_refusals_name_their_fault(refuse, error, message):
+    """Each refusal in model.py that no other test reaches, with its
+    message."""
+    with pytest.raises(error) as refused:
+        refuse()
+    assert str(refused.value) == message

@@ -17,7 +17,11 @@ from mcpersuasion.errors import (
     BudgetExceeded,
     DominatedTarget,
     DuplicateRows,
+    InvariantViolation,
     NoCarrierChannel,
+    NoKeyChannel,
+    ReceiverCountMismatch,
+    StateSpaceMismatch,
     SuperiorityViolated,
     ValidationError,
 )
@@ -33,7 +37,6 @@ from mcpersuasion.model import (
 from mcpersuasion.sharing import (
     ChannelScheme,
     ExecutionRecord,
-    LabelAlphabet,
     Slot,
     emulate_private_subset,
     enumerate_executions,
@@ -102,19 +105,39 @@ def _independent_table(rng, k, signals=2, den=6):
 
 
 def test_alphabet_codes_by_sorted_order():
-    alpha = LabelAlphabet(3, (LO, MID, HI))
-    assert alpha.code(LO) == 0
-    assert alpha.code(MID) == 1
-    assert alpha.labels[2] == HI
-    with pytest.raises(ValidationError):
-        alpha.code((Fraction(1, 3), Fraction(2, 3)))
+    """A payload codes its owner's label by its index in his sorted
+    alphabet; a label the alphabet lacks is refused when it is coded."""
+    table = SignalingTable(
+        space=BIN,
+        profiles=((LO,), (MID,), (HI,)),
+        rows={
+            "0": (Fraction(0), Fraction(1, 2), Fraction(1, 2)),
+            "1": (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
+        },
+    )
+    scheme = ChannelScheme(
+        q=3,
+        structure=_identity(1),
+        alphabets=((LO, MID, HI),),
+        slots=(Slot(0, 0, ()),),
+        table=table,
+    )
+    codes = {rec.branch: rec.channels for rec in enumerate_executions(scheme)}
+    assert codes == {0: ((0,),), 1: ((1,),), 2: ((2,),)}
+    short = replace(scheme, alphabets=((LO, HI),))
+    with pytest.raises(ValidationError, match=r"^label \(1/2, 1/2\) not in alphabet$"):
+        list(enumerate_executions(short))
 
 
 def test_alphabet_rejects_small_modulus():
-    with pytest.raises(AlphabetTooSmall):
-        LabelAlphabet(2, (LO, MID, HI))
-    with pytest.raises(AlphabetTooSmall):
-        LabelAlphabet(1, (LO,))
+    """An alphabet must fit into Z_q, and q must be at least 2; the
+    refusal names the receiver whose alphabet does not fit."""
+    table = _reveal_to_first(2)
+    scheme = dict(structure=_identity(2), slots=(), table=table)
+    with pytest.raises(AlphabetTooSmall, match=r"^receiver 2: 3 labels do not fit into Z_2$"):
+        ChannelScheme(q=2, alphabets=(None, (LO, MID, HI)), **scheme)
+    with pytest.raises(AlphabetTooSmall, match=r"^modulus 1 is below 2$"):
+        ChannelScheme(q=1, alphabets=((LO,), None), **scheme)
 
 
 def test_one_time_pad_is_uniform():
@@ -130,9 +153,8 @@ def test_scheme_rejects_dangling_key():
         ChannelScheme(
             q=2,
             structure=_identity(1),
-            alphabets=(LabelAlphabet(2, (LO, HI)),),
+            alphabets=((LO, HI),),
             slots=(Slot(0, 0, (0,)),),
-            key_count=1,
             table=table,
         )
 
@@ -143,9 +165,8 @@ def test_scheme_rejects_uncovered_owner():
         ChannelScheme(
             q=2,
             structure=_identity(2),
-            alphabets=(LabelAlphabet(2, (LO, HI)), None),
+            alphabets=((LO, HI), None),
             slots=(Slot(0, 0, ()), Slot(1, 1, ())),
-            key_count=0,
             table=table,
         )
 
@@ -158,9 +179,8 @@ def test_scheme_rejects_owner_past_k(owner):
         ChannelScheme(
             q=2,
             structure=_identity(2),
-            alphabets=(LabelAlphabet(2, (LO, HI)), None),
+            alphabets=((LO, HI), None),
             slots=(Slot(0, 0, ()), Slot(1, owner, ())),
-            key_count=0,
             table=_reveal_to_first(2),
         )
 
@@ -276,9 +296,8 @@ def test_shield_skips_channels_guarded_by_dominated_receivers():
     base = ChannelScheme(
         q=2,
         structure=nested,
-        alphabets=(None, LabelAlphabet(2, (LO, HI))),
+        alphabets=(None, (LO, HI)),
         slots=(Slot(1, 1, ()),),
-        key_count=0,
         table=table,
     )
     shielded = shield_receiver(nested, 0, base)
@@ -310,9 +329,8 @@ def test_shield_leaves_unwatched_schemes_alone():
     base = ChannelScheme(
         q=2,
         structure=SPERNER3,
-        alphabets=(None, LabelAlphabet(2, (MID,)), None),
+        alphabets=(None, (MID,), None),
         slots=(Slot(2, 1, ()),),
-        key_count=0,
         table=table,
     )
     assert shield_receiver(SPERNER3, 0, base) == base
@@ -716,10 +734,10 @@ def test_hidden_keys_break_recovery():
 
 def _reference_executions(scheme):
     """The records enumerate_executions yields, built without its code:
-    every payload label is coded with LabelAlphabet.code for every slot
-    of every execution, and every probability is worked out anew.  Key
-    vectors are the base-q digits of a counter, so a large q costs no
-    memory."""
+    every payload label is coded by its index in the owner's alphabet,
+    for every slot of every execution, and every probability is worked
+    out anew.  Key vectors are the base-q digits of a counter, so a
+    large q costs no memory."""
     q, key_count = scheme.q, scheme.key_count
     powers = [q**e for e in reversed(range(key_count))]
     for state in scheme.table.space.states:
@@ -733,7 +751,7 @@ def _reference_executions(scheme):
                 for slot in scheme.slots:
                     value = sum(keys[e] for e in slot.keys)
                     if slot.owner is not None:
-                        value += scheme.alphabets[slot.owner].code(profile[slot.owner])
+                        value += scheme.alphabets[slot.owner].index(profile[slot.owner])
                     wires[slot.channel].append(value % q)
                 yield ExecutionRecord(
                     state=state,
@@ -910,3 +928,131 @@ def test_brute_force_tally_walks_the_executions_once_without_keeping_them(
     assert calls == [scheme]
     assert most_alive <= 2
     assert sum(sum(views.values()) for views in tally[0].values()) == 72
+
+
+def _scheme_on_identity(k, alphabets, table=None):
+    return ChannelScheme(
+        q=2,
+        structure=_identity(k),
+        alphabets=alphabets,
+        slots=(),
+        table=_reveal_to_first(k) if table is None else table,
+    )
+
+
+def _shield_a_covered_receiver():
+    builder = sharing._SchemeBuilder(2, _identity(1), _reveal_to_first(1))
+    builder.add_bundle(0, audience={0})
+    builder.shield(0)
+
+
+def _verify_private(k, M=None, target=None, space=BIN):
+    """Verify the scheme delivering the table to receiver 1 of k private
+    channels against M, target and an instance over space."""
+    scheme = emulate_private_subset(_identity(k), [0], _reveal_to_first(k))
+    M = _identity(k) if M is None else M
+    receivers = AdditiveUtility((ConstantUtility(Fraction(1)),) * M.k)
+    prior = Prior(space, (Fraction(1, 2), Fraction(1, 2)))
+    instance = PersuasionInstance(space, prior, M, receivers)
+    verify_scheme(scheme, M, _reveal_to_first(k) if target is None else target, instance)
+
+
+@pytest.mark.parametrize(
+    "refuse, error, message",
+    [
+        (
+            lambda: _scheme_on_identity(1, (None,), _reveal_to_first(2)),
+            ReceiverCountMismatch,
+            "table speaks of 2 receivers, structure of 1",
+        ),
+        (
+            lambda: _scheme_on_identity(2, ((LO, HI),)),
+            ValidationError,
+            "one alphabet entry per receiver expected",
+        ),
+        (
+            lambda: _scheme_on_identity(2, (None, (HI, LO))),
+            ValidationError,
+            "receiver 2: alphabet must be sorted and distinct",
+        ),
+        (
+            lambda: _scheme_on_identity(2, ((LO, LO), None)),
+            ValidationError,
+            "receiver 1: alphabet must be sorted and distinct",
+        ),
+        (
+            lambda: sharing._SchemeBuilder(
+                2, CommunicationStructure(((1, 1), (0, 1))), _reveal_to_first(2)
+            )._route(1, 0),
+            NoKeyChannel,
+            "no channel reaches receiver 2 past receiver 1",
+        ),
+        (
+            _shield_a_covered_receiver,
+            InvariantViolation,
+            "receiver 1 is already covered; shielding would cut him off",
+        ),
+        (
+            lambda: emulate_private_subset(_identity(2), [], _reveal_to_first(2)),
+            ValidationError,
+            "the target subset is empty",
+        ),
+        (
+            lambda: emulate_private_subset(_identity(2), [2], _reveal_to_first(2)),
+            ValidationError,
+            "target subset names an unknown receiver",
+        ),
+        (
+            lambda: emulate_private_subset(_identity(2), [0], _reveal_to_first(1)),
+            ReceiverCountMismatch,
+            "table speaks of 1 receivers, structure of 2",
+        ),
+        (
+            lambda: transport_scheme(_identity(2), _identity(3), _reveal_to_first(3)),
+            ReceiverCountMismatch,
+            "cannot transport between 2 and 3 receivers",
+        ),
+        (
+            lambda: transport_scheme(_identity(2), _identity(2), _reveal_to_first(1)),
+            ReceiverCountMismatch,
+            "table speaks of 1 receivers, structures of 2",
+        ),
+        (
+            lambda: _verify_private(3, M=SPERNER3),
+            ValidationError,
+            "scheme was built for a different structure",
+        ),
+        (
+            lambda: _verify_private(2, target=_reveal_to_first(3)),
+            ReceiverCountMismatch,
+            "target table speaks of 3 receivers, structure of 2",
+        ),
+        (
+            lambda: _verify_private(2, space=StateSpace(("x", "y"))),
+            StateSpaceMismatch,
+            "scheme, target, and instance disagree on states",
+        ),
+    ],
+    ids=[
+        "scheme-table-receivers",
+        "alphabet-count",
+        "alphabet-unsorted",
+        "alphabet-duplicated",
+        "no-key-channel",
+        "shield-covered",
+        "empty-subset",
+        "unknown-target",
+        "emulate-table-receivers",
+        "transport-receivers",
+        "transport-table-receivers",
+        "verify-structure",
+        "verify-target-receivers",
+        "verify-states",
+    ],
+)
+def test_sharing_refusals_name_their_fault(refuse, error, message):
+    """Each refusal in sharing.py that no other test reaches, with its
+    message."""
+    with pytest.raises(error) as refused:
+        refuse()
+    assert str(refused.value) == message
