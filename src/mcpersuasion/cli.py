@@ -93,6 +93,14 @@ def _parse_budget(text: str) -> int:
     raise UsageError(f"budget must be an integer or base^exp, got {text!r}")
 
 
+def _parse_out_pair(text: str) -> list[str]:
+    """reduce's --out: the instance's path, then the witness's, naming two files."""
+    paths = [piece.strip() for piece in text.split(",")]
+    if len(paths) != 2 or not all(paths) or Path(paths[0]).resolve() == Path(paths[1]).resolve():
+        raise UsageError("reduce --out takes two paths to two files: instance.json,witness.json")
+    return paths
+
+
 def _parse_subset(text: str, k: int) -> frozenset:
     members = [_parse_int(piece, "subset member") for piece in text.split(",")]
     for i in members:
@@ -195,7 +203,7 @@ def _cmd_netstruct(args):
 
 def _cmd_solve(args):
     inst = validate_instance(load_document(args.instance))
-    epsilon = parse_rational(args.epsilon) if args.epsilon is not None else None
+    epsilon = None if args.epsilon is None else parse_rational(args.epsilon, "--epsilon")
     solution, table = solve_fptas(inst, epsilon)
     doc = scheme_to_doc(solution, table)
     if args.decimal:
@@ -348,12 +356,9 @@ def _cmd_reduce(args):
     if args.decimal:
         doc["value_decimal"] = _decimal(out.value)
     if args.out:
-        paths = [piece.strip() for piece in args.out.split(",")]
-        if len(paths) != 2 or not all(paths):
-            raise UsageError("reduce --out takes two paths: instance.json,witness.json")
-        write_document(paths[0], instance_to_doc(out.instance))
-        write_document(paths[1], table_to_doc(out.witness))
-        doc["written"] = paths
+        write_document(args.out[0], instance_to_doc(out.instance))
+        write_document(args.out[1], table_to_doc(out.witness))
+        doc["written"] = args.out
         doc["summary"] = f"value {value} with h = {out.h}"
         return doc, 0
     doc["instance"] = instance_to_doc(out.instance)
@@ -456,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="b-union file")
     budget_flag(p, DEFAULT_UNION_BUDGET)
     decimal_flag(p)
-    p.add_argument("--out", help="two paths: instance.json,witness.json")
+    p.add_argument("--out", type=_parse_out_pair, help="two paths: instance.json,witness.json")
 
     return parser
 

@@ -51,61 +51,36 @@ class DominationGraph:
     """Covering pairs of the dominance order on a duplicate-free structure.
 
     An edge (i1, i2) means i1 dominates i2 with no third receiver
-    strictly between them.  The graph is a forest when every receiver
-    has at most one covering dominator; parent[i] is that dominator or
-    None.  parent is only populated when is_forest holds.
+    strictly between them.  The graph is a forest when no receiver is
+    the lower end of two edges: then the receivers that dominate one are
+    its ancestors.
     """
 
-    k: int
     edges: frozenset[tuple[int, int]]
-    cover_parents: tuple[tuple[int, ...], ...]
-    is_forest: bool
 
     @property
-    def parent(self) -> tuple[int | None, ...]:
-        if not self.is_forest:
-            raise ValidationError("parent map undefined: graph is not a forest")
-        return tuple(ps[0] if ps else None for ps in self.cover_parents)
-
-    def roots(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.k) if not self.cover_parents[i])
-
-    def children(self, i: int) -> tuple[int, ...]:
-        return tuple(c for p, c in sorted(self.edges) if p == i)
-
-    def top_down(self) -> tuple[int, ...]:
-        """Vertices ordered with every parent before its children."""
-        order: list[int] = []
-        stack = sorted(self.roots(), reverse=True)
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(sorted(self.children(v), reverse=True))
-        if len(order) != self.k:
-            raise ValidationError("covering graph contains a cycle")
-        return tuple(order)
+    def is_forest(self) -> bool:
+        return len(self.edges) == len({i2 for _, i2 in self.edges})
 
 
 def domination_graph(structure: CommunicationStructure) -> DominationGraph:
-    """Covering-edge graph of the dominance order.
+    """Covering-edge graph of the dominance order, from dominance_masks.
 
     Requires duplicate-free rows (merge first); with ties removed the
     dominance relation is a strict partial order, so covering edges are
     well defined and acyclic.
     """
     if structure.has_duplicate_rows():
-        raise DuplicateRows(
-            "structure has duplicate receiver rows; merge duplicates first"
-        )
+        raise DuplicateRows("structure has duplicate receiver rows; merge duplicates first")
     dominates, dominated_by = structure.dominance_masks
-    k = structure.k
     # i1 covers i2 when no receiver that i1 dominates dominates i2
-    cover_parents = tuple(
-        tuple(i1 for i1 in range(k) if above >> i1 & 1 and not dominates[i1] & above)
-        for above in dominated_by
+    edges = frozenset(
+        (i1, i2)
+        for i2, above in enumerate(dominated_by)
+        for i1 in range(structure.k)
+        if above >> i1 & 1 and not dominates[i1] & above
     )
-    edges = frozenset((i1, i2) for i2, parents in enumerate(cover_parents) for i1 in parents)
-    return DominationGraph(k, edges, cover_parents, all(len(ps) <= 1 for ps in cover_parents))
+    return DominationGraph(edges)
 
 
 def sperner_channel_count(k: int) -> int:

@@ -21,7 +21,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from . import beliefs, lp
 from .beliefs import BeliefDistribution, Coupling, _position, is_bayes_plausible
-from .dominance import DominationGraph, domination_graph
+from .dominance import domination_graph
 from .errors import (
     BadEpsilon,
     InvariantViolation,
@@ -110,7 +110,7 @@ class GridLP:
     bookkeeping.  For k receivers and n points, x(i, points[a]) is
     variable i * n + a.  Rows are each receiver's Bayes-plausibility
     rows, one per state, then the covering edges' rows, edge by edge.
-    graph is the domination forest, edges its sorted covering edges,
+    edges are the domination forest's sorted covering edges, and
     values[i] receiver i's utility.  Past two states the program is over
     every grid point, a normalization row per receiver comes last,
     values[i][a] is the utility at points[a], propose is None, and on
@@ -128,19 +128,16 @@ class GridLP:
     grid: PosteriorGrid
     points: tuple[Posterior, ...]
     edges: tuple[tuple[int, int], ...]
-    graph: DominationGraph
     propose: tuple[list, list | None] | None
     values: tuple[Sequence[Fraction] | tuple[int, dict[int, int]], ...]
     positions: list[int] | None = None
 
 
-def _forest_edges(instance: PersuasionInstance) -> tuple[DominationGraph, tuple]:
+def _forest_edges(instance: PersuasionInstance) -> tuple[tuple[int, int], ...]:
     graph = domination_graph(instance.structure)
     if not graph.is_forest:
-        raise NotAForest(
-            "dominance covering graph has a receiver with two incomparable dominators"
-        )
-    return graph, tuple(sorted(graph.edges))
+        raise NotAForest("dominance covering graph has a receiver with two incomparable dominators")
+    return tuple(sorted(graph.edges))
 
 
 def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
@@ -152,7 +149,7 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         raise ValidationError("grid program needs additive per-receiver utilities")
     if grid.dim != instance.space.size:
         raise ValidationError("grid dimension differs from the state space")
-    graph, edges = _forest_edges(instance)
+    edges = _forest_edges(instance)
     D = grid.denominator
     space, receivers = instance.space, instance.utilities.receivers
     if grid.dim == 2:
@@ -165,11 +162,11 @@ def build_grid_lp(instance: PersuasionInstance, grid: PosteriorGrid) -> GridLP:
         else:
             propose = _prior_split(p * D, instance.k, at)
         program = _potential_program(instance.prior, edges, D, at, table)
-        return GridLP(program, grid, pts, edges, graph, propose, values, at)
+        return GridLP(program, grid, pts, edges, propose, values, at)
     pts = grid.points()
     values = tuple(tuple(u.value_at(w, space) for w in pts) for u in receivers)
     program = _grid_program(instance.prior, edges, D, pts, values)
-    return GridLP(program, grid, pts, edges, graph, None, values)
+    return GridLP(program, grid, pts, edges, None, values)
 
 
 def _program(prior, D, lattice, values, rows, n_vars) -> lp.LinearProgram:
@@ -235,11 +232,14 @@ class GridSolution:
 
     def validate(self, instance: PersuasionInstance) -> None:
         """Re-check every invariant against the instance; raises
-        InvariantViolation on the first failure."""
-        self._validate(instance, _forest_edges(instance)[1])
+        InvariantViolation on the first failure, and ValidationError on
+        utilities that build_grid_lp refuses, whose objective is unchecked."""
+        self._validate(instance, _forest_edges(instance))
 
     def _validate(self, instance: PersuasionInstance, edges) -> None:
         """validate, given the instance's sorted covering edges, in integers."""
+        if not isinstance(instance.utilities, AdditiveUtility):
+            raise ValidationError("grid solution needs additive per-receiver utilities")
         if len(self.marginals) != instance.k:
             raise InvariantViolation("marginal count differs from receiver count")
         for i, dist in enumerate(self.marginals):
@@ -260,15 +260,11 @@ class GridSolution:
                 if dist != self.marginals[i]:
                     side = f"coupling ({i1 + 1},{i2 + 1}) {side} side"
                     raise InvariantViolation(f"{side} is not receiver {i + 1}'s marginal")
-        if isinstance(instance.utilities, AdditiveUtility):
-            space, pairs = instance.space, zip(self.marginals, instance.utilities.receivers)
-            values = (u.value_at(p, space) for dist, u in pairs for p in dist.points)
-            total = dot(chain.from_iterable(dist.masses for dist in self.marginals), values)
-            if total != self.objective:
-                raise InvariantViolation(
-                    f"stored objective {self.objective} != recomputed {total}"
-                )
-
+        space, pairs = instance.space, zip(self.marginals, instance.utilities.receivers)
+        values = (u.value_at(p, space) for dist, u in pairs for p in dist.points)
+        total = dot(chain.from_iterable(dist.masses for dist in self.marginals), values)
+        if total != self.objective:
+            raise InvariantViolation(f"stored objective {self.objective} != recomputed {total}")
 
     def _off_lattice(self, dist: BeliefDistribution) -> str | None:
         """The first support point x / L of dist off the lattice of the step
@@ -308,18 +304,11 @@ def _read_solution(glp: GridLP, assignment, objective) -> GridSolution:
 
 
 def solve_grid(instance: PersuasionInstance, grid: PosteriorGrid) -> GridSolution:
-    """Assemble and solve at a fixed grid; the LP is always feasible and
-    bounded, so lp.solve raising that it is not is a solver defect."""
-    return _solve_grid(instance, grid)[0]
-
-
-def _solve_grid(
-    instance: PersuasionInstance, grid: PosteriorGrid
-) -> tuple[GridSolution, DominationGraph]:
-    """solve_grid, with the domination forest the program was built on.
-    On two states the program is the potential program, and its dual
-    certifies the solution on the whole lattice (_lattice_failure); a
-    certificate that fails is named in an InvariantViolation."""
+    """Assemble, solve and validate at a fixed grid.  The LP is always
+    feasible and bounded, so lp.solve raising that it is not is a solver
+    defect.  On two states the program is the potential program, and its
+    dual certifies the solution on the whole lattice (_lattice_failure);
+    a certificate that fails is named in an InvariantViolation."""
     glp = build_grid_lp(instance, grid)
     sol = lp.solve(glp.program, propose=glp.propose)
     solution = _read_solution(glp, sol.assignment, sol.objective)
@@ -329,7 +318,7 @@ def _solve_grid(
         failure = _lattice_failure(glp, instance.prior.values[0], lines, g, solution.objective)
         if failure is not None:
             raise InvariantViolation(f"lattice certificate failed: {failure}")
-    return solution, glp.graph
+    return solution
 
 
 def solve_fptas(
@@ -345,8 +334,8 @@ def solve_fptas(
     if epsilon is None:
         raise BadEpsilon("no epsilon given and the instance carries none")
     grid = PosteriorGrid.for_epsilon(instance.space.size, epsilon)
-    solution, graph = _solve_grid(instance, grid)  # validates the solution
-    return solution, _extract_validated(solution, instance, graph)
+    solution = solve_grid(instance, grid)  # validates the solution
+    return solution, _extract_validated(solution, instance)
 
 
 def _divergence(
@@ -519,9 +508,7 @@ def _table(
     return SignalingTable(space=space, profiles=tuple(p for p, _ in items), rows=rows)
 
 
-def extract_table(
-    solution: GridSolution, instance: PersuasionInstance
-) -> SignalingTable:
+def extract_table(solution: GridSolution, instance: PersuasionInstance) -> SignalingTable:
     """Turn a grid solution into an explicit per-state table.
 
     Labels are drawn top-down in one walk: each root from its marginal,
@@ -531,24 +518,23 @@ def extract_table(
     prod_roots label_root(state)/prior(state), which is exactly Bayes'
     rule because only root labels carry direct state information.
     """
-    graph, edges = _forest_edges(instance)
-    solution._validate(instance, edges)
-    return _extract_validated(solution, instance, graph)
+    solution._validate(instance, _forest_edges(instance))
+    return _extract_validated(solution, instance)
 
 
-def _extract_validated(
-    solution: GridSolution, instance: PersuasionInstance, graph: DominationGraph
-) -> SignalingTable:
+def _extract_validated(solution: GridSolution, instance: PersuasionInstance) -> SignalingTable:
     """extract_table of a validated solution, in integers, each entry made
-    a Fraction once."""
-    parent, marginals, prior = graph.parent, solution.marginals, instance.prior.values
+    a Fraction once.  Each child's parent is read off the couplings, and
+    receivers are walked by their count of dominators, their ancestors."""
+    marginals, prior = solution.marginals, instance.prior.values
     size, k = len(prior), instance.k
+    parent, above = {v: p for p, v in solution.couplings}, instance.structure.dominance_masks[1]
     # a label is an index into its receiver's marginal; a path holds the labels
     # drawn so far in walk order, after a label 0 that every root is drawn given,
     # and its weight in each state b, x[b] / d[b]
     at, paths = {None: 0}, [((0,), [1] * size, [1] * size)]
-    for v in graph.top_down():
-        p, dist = parent[v], marginals[v]
+    for v in sorted(range(k), key=lambda v: above[v].bit_count()):
+        p, dist = parent.get(v), marginals[v]
         if p is None:
             # a root's label: its mass times, in state b, its coordinate b over q_b
             L, points, M, masses = dist.scaled

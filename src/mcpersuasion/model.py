@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -72,8 +72,17 @@ def _integer(value, what: str) -> int:
     if type(value) is int:
         return value
     if isinstance(value, str) and _INTEGER_RE.fullmatch(value):
-        return int(value)
+        return _from_digits(value, what)
     raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _from_digits(digits: str, what: str) -> int:
+    """int(digits), refusing digits past Python's 4,300-digit cap on int-string conversion."""
+    try:
+        return int(digits)
+    except ValueError:
+        count = len(digits.lstrip("+-"))
+        raise ValidationError(f"{what} has {count} digits, past the 4300-digit cap") from None
 
 
 def _field(doc, key: str, what: str, read=None):
@@ -143,9 +152,9 @@ def _writer(form):
     return write
 
 
-def parse_rational(text) -> Fraction:
+def parse_rational(text, what: str = "a rational literal") -> Fraction:
     """Parse a "num/den" (or plain integer) string, with nothing around
-    it, into a Fraction.
+    it, into a Fraction; what names it if a term passes 4,300 digits.
 
     Floats and decimal notation are rejected on purpose: every number in
     an input file is meant to be exact.
@@ -156,12 +165,19 @@ def parse_rational(text) -> Fraction:
     if match is None:
         raise ValidationError(f"not a rational literal: {text!r}")
     num, den = match.groups()
-    return Fraction(int(num), int(den or 1))
+    return Fraction(_from_digits(num, what), _from_digits(den or "1", what))
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical string form, gcd-reduced, "n" or "n/d"."""
-    return str(value if type(value) is Fraction else Fraction(value))
+    """Canonical string form, gcd-reduced, "n" or "n/d"; refuses a term past 4,300 digits."""
+    value = value if type(value) is Fraction else Fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # past Python's cap on int-string conversion
+        term = max(abs(value.numerator), value.denominator)
+        d = int((term.bit_length() - 1) * log10(2))  # 10^d <= term < 10^(d+2)
+        count = d + 1 + (term >= 10 ** (d + 1))
+        raise ValidationError(f"cannot write a number of {count} digits, past 4300") from None
 
 
 def parse_posterior(items: Sequence) -> Posterior:
@@ -837,12 +853,14 @@ def _parse_utilities(doc, space: StateSpace, k: int):
 def validate_instance(raw) -> PersuasionInstance:
     """Parse and validate a raw instance description (decoded JSON)."""
     space = _states_field(raw, "instance")
-    prior = Prior(space, tuple(map(parse_rational, _field(raw, "prior", "instance", _array))))
+    what = "an entry of instance field 'prior'"
+    priors = _field(raw, "prior", "instance", _array)
+    prior = Prior(space, tuple(parse_rational(p, what) for p in priors))
     structure = _structure_field(raw, "instance")
     utilities = _parse_utilities(_field(raw, "utilities", "instance"), space, structure.k)
     epsilon = None
     if raw.get("epsilon") is not None:
-        epsilon = parse_rational(raw["epsilon"])
+        epsilon = parse_rational(raw["epsilon"], "instance field 'epsilon'")
     return PersuasionInstance(
         space=space, prior=prior, structure=structure, utilities=utilities, epsilon=epsilon
     )

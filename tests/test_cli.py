@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mcpersuasion import hardness
+from mcpersuasion import cli, hardness
 from mcpersuasion.cli import _parse_budget, main
 from mcpersuasion.dominance import sperner_structure
 from mcpersuasion.forest import evaluate_table
@@ -214,6 +214,19 @@ def test_solve_documents_are_pinned(capsys, name, epsilon, expected):
     code, out, err = run(capsys, "solve", instance, "--epsilon", epsilon)
     assert code == 0, err
     assert out.encode() == (data / expected).read_bytes()
+
+
+def test_two_tree_solve_document_is_pinned(capsys):
+    """The solve document of a forest of two paths, receivers 1 > 2 and
+    3 > 4, at 1/10, byte for byte: every receiver's label splits, so the
+    table's nine profiles multiply the two trees' draws.  Recorded while
+    extraction still walked the forest tree by tree (receivers 1, 2, 3,
+    4), before it walked them by depth (1, 3, 2, 4)."""
+    data = Path(__file__).parent / "data"
+    instance = str(data / "twotrees.instance.json")
+    code, out, err = run(capsys, "solve", instance, "--epsilon", "1/10")
+    assert code == 0, err
+    assert out.encode() == (data / "twotrees.solve-1-10.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", ["chain2", "star3"])
@@ -660,6 +673,74 @@ def test_budget_powers_are_allowed_up_to_4300_digits(budget, allowed):
             _parse_budget(budget)
 
 
+_DIGITS_5001 = "9" * 5001
+_ONE_STATE_PAIR = {"states": ["a", "b"], "structure": [[1]]}
+_ZERO = [{"kind": "constant", "value": "0"}]
+_TEN_4000 = 10**4000
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra, message",
+    [
+        (
+            "analyze",
+            {"structure": [[1, _DIGITS_5001]]},
+            (),
+            "an entry of structure document field 'structure' has 5001 digits",
+        ),
+        ("bunion", dict(FLAGSHIP, b=_DIGITS_5001), (), "b-union field 'b' has 5001 digits"),
+        (
+            "solve",
+            dict(
+                _ONE_STATE_PAIR,
+                prior=[f"1/{_DIGITS_5001}", "1"],
+                utilities=_ZERO,
+            ),
+            ("--epsilon", "1/2"),
+            "an entry of instance field 'prior' has 5001 digits",
+        ),
+        (
+            "solve",
+            dict(
+                _ONE_STATE_PAIR,
+                prior=["1/2", "1/2"],
+                epsilon=f"1/{_DIGITS_5001}",
+                utilities=_ZERO,
+            ),
+            (),
+            "instance field 'epsilon' has 5001 digits",
+        ),
+        (
+            "solve",
+            dict(_ONE_STATE_PAIR, prior=["1/2", "1/2"], utilities=_ZERO),
+            ("--epsilon", f"1/{_DIGITS_5001}"),
+            "--epsilon has 5001 digits",
+        ),
+        (
+            # a valid instance whose answer has a denominator of 8,000 digits
+            "solve",
+            dict(
+                _ONE_STATE_PAIR,
+                prior=[f"1/{_TEN_4000}", f"{_TEN_4000 - 1}/{_TEN_4000}"],
+                utilities=[{"kind": "linear", "coeffs": [f"1/{3 * _TEN_4000 // 10 + 7}", "0"]}],
+            ),
+            ("--epsilon", "1/2"),
+            "cannot write a number of 8000 digits, past 4300",
+        ),
+    ],
+    ids=["structure-entry", "bunion-b", "prior", "epsilon", "epsilon-flag", "written-answer"],
+)
+def test_numbers_past_4300_digits_end_in_one_error_line(
+    capsys, files, command, doc, extra, message
+):
+    """A number past Python's 4,300-digit cap on int-string conversion, read
+    from a document or a flag or written in the answer, is refused with
+    exit 2 and one error line naming it, not a traceback."""
+    code, out, err = run(capsys, command, files("big.json", doc), *extra)
+    assert code == 2 and not out
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("rows", [["0", "1"], ["1", "0"]]), ("profiles", 5)],
@@ -774,6 +855,21 @@ def test_reduce_out_needs_two_paths(capsys, files):
     code, _, err = run(capsys, "reduce", path, "--out", "only-one.json")
     assert code == 1
     assert "two paths" in err
+
+
+@pytest.mark.parametrize("second", ["t/a.json", "./t/a.json"])
+def test_reduce_out_refuses_one_file_named_twice(capsys, files, tmp_path, monkeypatch, second):
+    """The witness would be written over the instance: refused before the
+    reduction is built, and nothing is written."""
+    path = files("flagship.json", FLAGSHIP)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t").mkdir()
+    built = []
+    monkeypatch.setattr(cli, "build_reduction", lambda *args, **kwargs: built.append(args))
+    code, out, err = run(capsys, "reduce", path, "--out", f"t/a.json,{second}")
+    assert code == 1 and not out and not built
+    assert err == "error: reduce --out takes two paths to two files: instance.json,witness.json\n"
+    assert not any((tmp_path / "t").iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -2142,6 +2142,22 @@ def test_solution_validate_needs_a_coupling_on_every_covering_edge():
         extract_table(bare, inst)
 
 
+def test_solution_validate_refuses_utilities_that_are_not_additive():
+    """The objective is recomputed from additive per-receiver utilities
+    only, so a solution checked against other utilities is refused, not
+    passed with its objective unchecked."""
+    inst, spread, coarse, coupling = _worked_chain_solution()
+    group = Group((0, 1), F(1), 1, MemberRule("ge", "1", F(1, 2)))
+    majority = replace(inst, utilities=SupermajorityUtility(k=2, groups=(group,)))
+    solution = GridSolution(
+        step=F(1, 4), marginals=(spread, coarse), couplings={(0, 1): coupling}, objective=F(999)
+    )
+    for check in (solution.validate, partial(extract_table, solution)):
+        with pytest.raises(ValidationError) as refused:
+            check(majority)
+        assert str(refused.value) == "grid solution needs additive per-receiver utilities"
+
+
 def test_solution_validate_refuses_a_coupling_off_the_covering_edges():
     inst, spread, coarse, coupling = _worked_chain_solution()
     # receivers 1 and 2 of a three-receiver chain: (1,3) is dominance but
