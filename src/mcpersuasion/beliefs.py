@@ -1,11 +1,14 @@
-"""Posterior-belief geometry.
+"""Posterior-belief geometry and signaling tables.
 
 Finite distributions over exact posterior points, the Bayes-plausibility
 test, and mean-preserving-spread couplings with the rows and flows of
 the program that finds them, every check in integers over one
-denominator (BeliefDistribution.scaled).  The tests keep a single-receiver
-concavification by support enumeration, which shares no machinery with
-the simplex solver, so the two can vouch for each other.
+denominator (BeliefDistribution.scaled).  SignalingTable and
+payoff_by_state live here, so the modules that read, share or audit a
+table (io, sharing, hardness) import neither forest nor lp.  The tests
+keep a single-receiver concavification by support enumeration, which
+shares no machinery with the simplex solver, so the two can vouch for
+each other.
 """
 
 from __future__ import annotations
@@ -14,11 +17,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, product, repeat
 from math import lcm
-from operator import lt, mul, sub
-from typing import Iterable, Mapping, Sequence
+from operator import ge, getitem, itemgetter, lt, mul, sub
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .errors import StateSpaceMismatch, ValidationError
-from .model import Posterior, Prior, _exact, _integers, _probability, check_posterior, format_label
+from .errors import InvariantViolation, StateSpaceMismatch, ValidationError
+from .model import (
+    PersuasionInstance,
+    Posterior,
+    Prior,
+    StateSpace,
+    _exact,
+    _integers,
+    _probability,
+    check_posterior,
+    dot,
+    format_label,
+)
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -184,3 +200,189 @@ def coupling_flows(spread, coarse, assignment: Sequence[Fraction], base=0) -> di
     of coupling_rows(spread, coarse, base), in variable order."""
     block = assignment[base : base + len(spread) * len(coarse)]
     return dict(compress(zip(product(spread, coarse), block), block))
+
+
+def _divergence(
+    masses: list[tuple[int, int]],
+    labels: list[Posterior],
+    size: int,
+    key: Callable[[Posterior], Hashable],
+) -> tuple[Posterior, int] | None:
+    """The first (label, state index) at which a label differs from the
+    posterior given it, with the entries grouped by key(label); None when
+    every label is its posterior.  masses[e] is entry e's (state index,
+    integer mass) and labels[e] its label."""
+    sums: dict[Hashable, tuple[Posterior, list[int]]] = {}
+    for (b, m), label in zip(masses, labels):
+        sums.setdefault(key(label), (label, [0] * size))[1][b] += m
+    for label, weighted in sums.values():
+        total = sum(weighted)
+        for b in range(size):
+            if weighted[b] * label[b].denominator != label[b].numerator * total:
+                return label, b
+    return None
+
+
+@dataclass(frozen=True)
+class SignalingTable:
+    """Per-state conditional distribution over posterior-label profiles.
+
+    profiles are sorted and distinct; rows maps each state name to the
+    probability vector aligned with profiles.
+    """
+
+    space: StateSpace
+    profiles: tuple[tuple[Posterior, ...], ...]
+    rows: Mapping[str, tuple[Fraction, ...]]
+
+    def __post_init__(self):
+        if not self.profiles:
+            raise ValidationError("table has no profiles")
+        if len(set(map(len, self.profiles))) != 1:
+            raise ValidationError("profiles of unequal receiver count")
+        size = self.space.size
+        bad = next((w for p in self.profiles for w in p if len(w) != size), None)
+        if bad is not None:
+            raise StateSpaceMismatch(f"label {format_label(bad)} is not over the {size} states")
+        if any(map(ge, self.profiles, self.profiles[1:])):
+            raise ValidationError("profiles must be sorted and distinct")
+        rows = {s: tuple(map(_probability, vec)) for s, vec in self.rows.items()}
+        object.__setattr__(self, "rows", rows)
+        if set(rows) != set(self.space.states):
+            raise ValidationError("table rows do not cover the state space")
+        for state, vec in rows.items():
+            if len(vec) != len(self.profiles):
+                raise ValidationError(f"row {state!r} has wrong length")
+            # the row in integers over its common denominator
+            scale, scaled = _integers(vec)
+            if min(scaled) < 0:
+                raise ValidationError(f"negative probability in row {state!r}")
+            if sum(scaled) != scale:
+                raise ValidationError(f"row {state!r} sums to {sum(vec)}, not 1")
+
+    @property
+    def k(self) -> int:
+        return len(self.profiles[0])
+
+    def joint_law(self, prior: Prior) -> dict[tuple[str, int], Fraction]:
+        """Map (state, profile index) -> unconditional probability."""
+        out = {}
+        for b, state in enumerate(self.space.states):
+            vec = self.rows[state]
+            for idx in range(len(self.profiles)):
+                if vec[idx]:
+                    out[(state, idx)] = prior[b] * vec[idx]
+        return out
+
+    def receiver_marginal(self, i: int, prior: Prior) -> BeliefDistribution:
+        acc: dict[Posterior, Fraction] = {}
+        for (state, idx), mass in self.joint_law(prior).items():
+            label = self.profiles[idx][i]
+            acc[label] = acc.get(label, Fraction(0)) + mass
+        return BeliefDistribution.from_pairs(acc.items())
+
+    def validate(self, prior: Prior) -> None:
+        """Check that every receiver's posterior given his own label is
+        that label; raises InvariantViolation with the offender.
+
+        Works in integers over the joint law's common denominator.  Each
+        receiver's entries are grouped by label object first, which needs
+        no hashing of Fractions: the condition is linear in the entries,
+        so groups that each pass pass together, and only a failure is
+        checked again with equal labels grouped by value.  Equal labels
+        are one object in a table from from_signals and in one read from
+        a file, so there the first grouping is the only one."""
+        if prior.space != self.space:
+            raise InvariantViolation("table and prior disagree on the state space")
+        size = self.space.size
+        # (state index, profile index, joint mass as numerator and denominator)
+        joint = [
+            (b, idx, q.numerator * p.numerator, q.denominator * p.denominator)
+            for b, (q, state) in enumerate(zip(prior.values, self.space.states))
+            for idx, p in enumerate(self.rows[state])
+            if p
+        ]
+        scale = lcm(*(d for _, _, _, d in joint))
+        masses = [(b, n * (scale // d)) for b, _, n, d in joint]
+        # receivers whose labels are the same objects split the joint law
+        # alike: check each split once, at its first receiver
+        splits = list(zip(*(map(id, self.profiles[idx]) for _, idx, _, _ in joint)))
+        for split in dict.fromkeys(splits):
+            i = splits.index(split)
+            labels = [self.profiles[idx][i] for _, idx, _, _ in joint]
+            if _divergence(masses, labels, size, id) is None:
+                continue
+            found = _divergence(masses, labels, size, lambda label: label)
+            if found is not None:
+                label, b = found
+                raise InvariantViolation(
+                    f"receiver {i + 1}: posterior given label {format_label(label)} "
+                    f"diverges from the label in state {self.space.states[b]!r}"
+                )
+
+    @classmethod
+    def from_signals(
+        cls,
+        prior: Prior,
+        per_state: Mapping[str, Mapping[tuple, Fraction]],
+    ) -> "SignalingTable":
+        """Canonicalize an arbitrary-signal table: each receiver's signal
+        is renamed to the posterior it induces, by Bayes' rule, and
+        equal-label profiles are merged.  Equal posteriors, of one receiver
+        or of several, are one label object, as they are in a table read
+        from a file (io.table_from_doc)."""
+        space, size = prior.space, prior.space.size
+        if set(per_state) != set(space.states):
+            raise ValidationError("signal table does not cover the state space")
+        per_state = {s: dict(zip(d, map(_probability, d.values()))) for s, d in per_state.items()}
+        lengths = {len(prof) for dist in per_state.values() for prof in dist}
+        if len(lengths) > 1:
+            raise ValidationError("signal profiles of unequal receiver count")
+        if not lengths:
+            raise ValidationError("signal table is empty")
+        sent = [
+            (b, prof, p)
+            for b, state in enumerate(space.states)
+            for prof, p in per_state[state].items()
+            if p
+        ]
+        labels: dict[Posterior, Posterior] = {}
+        names = []
+        for i in range(lengths.pop()):
+            acc: dict = {}
+            for b, prof, p in sent:
+                acc.setdefault(prof[i], [_ZERO] * size)[b] += prior.values[b] * p
+            # each signal's mass summed once, not once per coordinate
+            totals = map(sum, acc.values())
+            posteriors = (tuple(v / t for v in vec) for vec, t in zip(acc.values(), totals))
+            names.append({sig: labels.setdefault(w, w) for sig, w in zip(acc, posteriors)})
+        merged: dict[tuple[Posterior, ...], list[Fraction]] = {}
+        for b, prof, p in sent:
+            merged.setdefault(tuple(map(getitem, names, prof)), [_ZERO] * size)[b] += p
+        return _table(space, merged.items())
+
+
+def _table(
+    space: StateSpace, mass: Iterable[tuple[tuple[Posterior, ...], Sequence[Fraction]]]
+) -> SignalingTable:
+    """The table that sends profile p in the b-th state with probability
+    vec[b], for each (p, vec) in mass; the profiles, distinct, are sorted."""
+    items = sorted(mass, key=itemgetter(0))
+    rows = dict(zip(space.states, zip(*(vec for _, vec in items))))
+    return SignalingTable(space=space, profiles=tuple(p for p, _ in items), rows=rows)
+
+
+def payoff_by_state(
+    table: SignalingTable, instance: PersuasionInstance
+) -> dict[str, Fraction]:
+    """The sender's expected utility in each state under the table: the
+    utility of each profile the state sends, weighted by its row."""
+    if table.k != instance.k:
+        raise ValidationError("table and instance disagree on receiver count")
+    space, evaluate = instance.space, instance.utilities.evaluate
+    rows = [table.rows[state] for state in space.states]
+    sent = map(any, zip(*rows))
+    values = [
+        evaluate(profile, space) if s else None for profile, s in zip(table.profiles, sent)
+    ]
+    return {state: dot(vec, values) for state, vec in zip(space.states, rows)}

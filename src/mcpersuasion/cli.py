@@ -5,7 +5,9 @@ redirects the document to a file (written atomically) and leaves a short
 receipt on stdout instead.  Exit codes: 0 success, 1 usage or file
 trouble, 2 validation, 3 violated precondition or failed verification,
 4 enumeration budget exceeded.  Output is deterministic, so rerunning a
-command on unchanged inputs reproduces the same bytes.
+command on unchanged inputs reproduces the same bytes.  Each handler
+imports the solver module it calls (beliefs, forest, hardness or
+sharing), so a command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import sys
 from math import log10
 from pathlib import Path
 
-from .beliefs import is_bayes_plausible
 from .dominance import (
     check_private_equivalence_condition,
     dominance_set,
@@ -35,8 +36,6 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .forest import PosteriorGrid, evaluate_table, solve_fptas
-from .hardness import DEFAULT_UNION_BUDGET, build_reduction, min_b_union, verify_reduction
 from .io import (
     bunion_from_doc,
     channel_scheme_from_doc,
@@ -59,7 +58,6 @@ from .model import (
     parse_rational,
     validate_instance,
 )
-from .sharing import DEFAULT_VERIFY_BUDGET, emulate_private_subset, execution_count, verify_scheme
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,11 +68,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _from_digits(digits: str, what: str) -> int:
+    """int(digits) of ASCII digits, refusing more than 4,300 of them,
+    Python's cap on int-string conversion, by their count."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise UsageError(f"{what} has {len(digits)} digits, past the 4300-digit cap") from None
+
+
 def _parse_int(text: str, what: str) -> int:
     """A nonnegative integer in the ASCII digits 0-9 alone, which int()
     would also take with a sign, spaces, underscores or other digits."""
     if re.fullmatch(r"[0-9]+", text):
-        return int(text)
+        return _from_digits(text, what)
     raise UsageError(f"{what} must be an integer in digits 0-9, got {text!r}")
 
 
@@ -84,13 +91,20 @@ def _parse_budget(text: str) -> int:
     is refused before it is made."""
     power = re.fullmatch(r"([0-9]+)\^([0-9]+)", text)
     if power:
-        base, exponent = int(power.group(1)), int(power.group(2))
+        base = _from_digits(power.group(1), "budget base")
+        exponent = _from_digits(power.group(2), "budget exponent")
         if base > 1 and exponent * log10(base) >= 4300:
             raise UsageError(f"budget {text} has more than 4300 digits")
         return base**exponent
     if re.fullmatch(r"[0-9]+", text):
-        return int(text)
+        return _from_digits(text, "budget")
     raise UsageError(f"budget must be an integer or base^exp, got {text!r}")
+
+
+def _budget(args) -> dict:
+    """--budget as the library call's keyword when it is given; unset,
+    the library's own default applies."""
+    return {} if args.budget is None else {"budget": args.budget}
 
 
 def _parse_out_pair(text: str) -> list[str]:
@@ -202,6 +216,8 @@ def _cmd_netstruct(args):
 
 
 def _cmd_solve(args):
+    from .forest import solve_fptas
+
     inst = validate_instance(load_document(args.instance))
     epsilon = None if args.epsilon is None else parse_rational(args.epsilon, "--epsilon")
     solution, table = solve_fptas(inst, epsilon)
@@ -213,6 +229,9 @@ def _cmd_solve(args):
 
 
 def _cmd_verify_scheme(args):
+    from .beliefs import is_bayes_plausible
+    from .forest import PosteriorGrid, evaluate_table
+
     inst = validate_instance(load_document(args.instance))
     saved = scheme_from_doc(load_document(args.scheme))
     table = saved.table
@@ -293,6 +312,8 @@ def _cmd_verify_scheme(args):
 
 
 def _cmd_share(args):
+    from .sharing import emulate_private_subset, execution_count
+
     inst = validate_instance(load_document(args.instance))
     table = table_from_doc(load_document(args.table))
     if table.k != inst.k:
@@ -315,16 +336,20 @@ def _cmd_share(args):
 
 
 def _cmd_verify_share(args):
+    from .sharing import verify_scheme
+
     scheme = channel_scheme_from_doc(load_document(args.scheme))
     inst = validate_instance(load_document(args.instance))
     target = table_from_doc(load_document(args.table))
-    report = verify_scheme(scheme, inst.structure, target, inst, budget=args.budget)
+    report = verify_scheme(scheme, inst.structure, target, inst, **_budget(args))
     return report.to_doc(), 0 if report.ok else 3
 
 
 def _cmd_bunion(args):
+    from .hardness import min_b_union
+
     inst = bunion_from_doc(load_document(args.path))
-    h, picks = min_b_union(inst, budget=args.budget)
+    h, picks = min_b_union(inst, **_budget(args))
     union = sorted(set().union(*(inst.sets[i] for i in picks))) if picks else []
     doc = {
         "w": inst.w,
@@ -339,8 +364,10 @@ def _cmd_bunion(args):
 
 
 def _cmd_reduce(args):
+    from .hardness import build_reduction, verify_reduction
+
     inst = bunion_from_doc(load_document(args.path))
-    out = build_reduction(inst, budget=args.budget)
+    out = build_reduction(inst, **_budget(args))
     audit = verify_reduction(out)
     if not audit.ok:
         return {"ok": False, "failures": list(audit.failures)}, 3
@@ -394,11 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="add float renderings of headline rationals (display only)",
         )
 
-    def budget_flag(p, default):
+    def budget_flag(p):
         p.add_argument(
             "--budget",
             type=_parse_budget,
-            default=default,
             help="cap on enumeration size, integer or base^exp (e.g. 10^7)",
         )
 
@@ -450,16 +476,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme")
     p.add_argument("instance")
     p.add_argument("table")
-    budget_flag(p, DEFAULT_VERIFY_BUDGET)
+    budget_flag(p)
 
     p = command("bunion", _cmd_bunion, "minimum b-union by enumeration")
     p.add_argument("path", help="b-union file")
-    budget_flag(p, DEFAULT_UNION_BUDGET)
+    budget_flag(p)
     out_flag(p)
 
     p = command("reduce", _cmd_reduce, "persuasion instance encoding a b-union problem")
     p.add_argument("path", help="b-union file")
-    budget_flag(p, DEFAULT_UNION_BUDGET)
+    budget_flag(p)
     decimal_flag(p)
     p.add_argument("--out", type=_parse_out_pair, help="two paths: instance.json,witness.json")
 

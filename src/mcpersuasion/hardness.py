@@ -26,8 +26,8 @@ from math import comb
 from operator import and_, or_
 from typing import Optional
 
+from .beliefs import SignalingTable, payoff_by_state
 from .errors import BudgetExceeded, ValidationError
-from .forest import SignalingTable, payoff_by_state
 from .model import (
     CommunicationStructure,
     Group,

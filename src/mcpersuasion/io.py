@@ -13,7 +13,9 @@ list renders item by item, a list of ints or of strs by one join.
 Within one document, readers parse each distinct label or rational
 literal once, so copies of one label literal are one object, as in a
 table from SignalingTable.from_signals, and writers format each label
-object once (model._reader, model._writer).
+object once (model._reader, model._writer).  The channel-scheme and
+b-union converters import sharing and hardness when called, so reading
+a structure or a table imports neither, nor forest.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-from .beliefs import BeliefDistribution
+from .beliefs import BeliefDistribution, SignalingTable
 from .dominance import NetworkGraph
 from .errors import FileError, ValidationError
-from .forest import GridSolution, SignalingTable
-from .hardness import BUnionInstance
 from .model import (
     CommunicationStructure,
     _array,
@@ -48,12 +48,11 @@ from .model import (
     parse_posterior,
     parse_rational,
 )
-from .sharing import (
-    ChannelScheme,
-    Slot,
-    _branch_runs,
-    execution_count,
-)
+
+if TYPE_CHECKING:
+    from .forest import GridSolution
+    from .hardness import BUnionInstance
+    from .sharing import ChannelScheme
 
 #: Executions listed in a channel-scheme file are capped; past this many
 #: the remainder is summarized by an "executions_omitted" count.  The
@@ -448,6 +447,8 @@ def scheme_from_doc(doc: Mapping) -> SchemeDocument:
 def channel_scheme_to_doc(scheme: ChannelScheme) -> dict:
     """Serialize the wire layout plus a (possibly capped) execution
     listing.  Receivers, channels, and key ids are 1-based in files."""
+    from .sharing import _branch_runs, execution_count
+
     alphabets = {}
     label = _writer(format_posterior)  # alphabets share label objects
     for i, alphabet in enumerate(scheme.alphabets):
@@ -498,6 +499,8 @@ def channel_scheme_from_doc(doc: Mapping) -> ChannelScheme:
     """Rebuild a scheme from its symbolic part; the execution listing is
     advisory output and is rederived, never trusted.  Copies of one label
     literal across the alphabets are one object."""
+    from .sharing import ChannelScheme, Slot
+
     what = "channel scheme"
     q = _field(doc, "q", what, _integer)
     structure = structure_from_doc(_field(doc, "structure", what))
@@ -553,6 +556,8 @@ def bunion_to_doc(inst: BUnionInstance) -> dict:
 
 
 def bunion_from_doc(doc: Mapping) -> BUnionInstance:
+    from .hardness import BUnionInstance
+
     return BUnionInstance(
         w=_field(doc, "w", "b-union", _integer),
         sets=tuple(

@@ -32,6 +32,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional
 
+from .beliefs import SignalingTable
 from .dominance import is_superior
 from .errors import (
     AlphabetTooSmall,
@@ -46,7 +47,6 @@ from .errors import (
     SuperiorityViolated,
     ValidationError,
 )
-from .forest import SignalingTable
 from .model import CommunicationStructure, PersuasionInstance, Posterior, format_label
 
 DEFAULT_VERIFY_BUDGET = 10_000_000

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mcpersuasion import cli, hardness
+from mcpersuasion import hardness
 from mcpersuasion.cli import _parse_budget, main
 from mcpersuasion.dominance import sperner_structure
 from mcpersuasion.forest import evaluate_table
@@ -275,6 +275,75 @@ def test_solve_imports_neither_scipy_nor_numpy(name, epsilon, expected):
     assert done.returncode == 0, done.stderr
     assert done.stderr.decode().strip() == "[]"
     assert done.stdout == (data / expected).read_bytes()
+
+
+def _loaded_modules(*argv, script=None) -> set:
+    """The mcpersuasion modules a fresh interpreter has imported after
+    running cli.main on argv, which must exit 0, or after script alone."""
+    script = script or "from mcpersuasion.cli import main\nassert main(sys.argv[1:]) == 0\n"
+    report = "print(*(m for m in sys.modules if m.startswith('mcpersuasion.')), file=sys.stderr)\n"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{script}{report}", *argv],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return {m.removeprefix("mcpersuasion.") for m in done.stderr.decode().split()}
+
+
+def test_importing_the_package_imports_no_module():
+    assert _loaded_modules(script="import mcpersuasion\n") == set()
+
+
+_SOLVER = {"forest", "lp", "lattice"}
+_COMMAND_IMPORTS = [
+    (("analyze", "{chain2}"), _SOLVER | {"sharing", "hardness"}),
+    (("compare", "{chain2}", "{private}"), _SOLVER | {"sharing", "hardness"}),
+    (("sperner", "4"), _SOLVER | {"sharing", "hardness"}),
+    (("netstruct", "{network}"), _SOLVER | {"sharing", "hardness"}),
+    (("bunion", "{bunion}"), _SOLVER | {"sharing"}),
+    (("reduce", "{bunion}", "--out", "{instance},{witness}"), _SOLVER | {"sharing"}),
+    (("share", "{instance}", "{witness}", "--subset", "4", "--q", "2"), _SOLVER | {"hardness"}),
+    (("verify-share", "{scheme}", "{instance}", "{witness}"), _SOLVER | {"hardness"}),
+    (("solve", "{chain2}", "--epsilon", "1/40"), {"sharing", "hardness"}),
+    (("verify-scheme", "{chain2}", "{chain2_scheme}"), {"sharing", "hardness"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded", _COMMAND_IMPORTS, ids=[argv[0] for argv, _ in _COMMAND_IMPORTS]
+)
+def test_each_command_imports_only_what_it_runs(capsys, files, tmp_path, argv, unloaded):
+    """Each command, run in a fresh interpreter, leaves the solver modules
+    it does not call unimported: the structure commands run on model and
+    dominance, the b-union commands on hardness, the share commands on
+    sharing, and the grid commands on forest, lp and lattice."""
+    data = Path(__file__).parent / "data"
+    paths = {
+        "chain2": str(data / "chain2.instance.json"),
+        "private": files("private.json", {"structure": [[1, 0], [0, 1]]}),
+        "chain2_scheme": str(data / "chain2.solve-1-40.json"),
+        "network": files("circle.json", {"k": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}),
+        "bunion": files("flagship.json", FLAGSHIP),
+        "instance": str(tmp_path / "i.json"),
+        "witness": str(tmp_path / "w.json"),
+        "scheme": str(tmp_path / "s.json"),
+    }
+    run_doc(capsys, "reduce", paths["bunion"], "--out", f"{paths['instance']},{paths['witness']}")
+    share = ("share", paths["instance"], paths["witness"], "--subset", "4", "--q", "2")
+    run_doc(capsys, *share, "--out", paths["scheme"])
+    loaded = _loaded_modules(*(arg.format(**paths) for arg in argv))
+    assert loaded and not loaded & unloaded
+
+
+def test_the_readme_library_example_runs():
+    """README's "Library use" block, which imports each name from its module."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library use\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_solve_decimal_flag(capsys, files):
@@ -742,6 +811,37 @@ def test_numbers_past_4300_digits_end_in_one_error_line(
 
 
 @pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("sperner", _DIGITS_5001), "k"),
+        (("share", "{instance}", "{table}", "--subset", "1", "--q", _DIGITS_5001), "q"),
+        (("share", "{instance}", "{table}", "--subset", f"1,{_DIGITS_5001}"), "subset member"),
+        (("bunion", "{bunion}", "--budget", _DIGITS_5001), "budget"),
+        (("bunion", "{bunion}", "--budget", f"{_DIGITS_5001}^2"), "budget base"),
+        (("bunion", "{bunion}", "--budget", f"2^{_DIGITS_5001}"), "budget exponent"),
+    ],
+    ids=["sperner-k", "share-q", "subset-member", "budget", "budget-base", "budget-exponent"],
+)
+def test_cli_integers_past_4300_digits_end_in_one_short_error_line(capsys, files, argv, what):
+    """A command-line integer past Python's 4,300-digit cap on int-string
+    conversion is refused with exit 1 and one short error line naming the
+    argument and its digit count, instead of echoing every digit."""
+    paths = {
+        "{instance}": files("sperner3.json", SPERNER3_INSTANCE),
+        "{table}": files("reveal.json", REVEAL3),
+        "{bunion}": files("flagship.json", FLAGSHIP),
+    }
+    code, out, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == 1 and not out
+    assert err == f"error: {what} has 5001 digits, past the 4300-digit cap\n"
+
+
+def test_a_budget_of_4300_digits_is_taken(capsys, files):
+    path = files("flagship.json", FLAGSHIP)
+    assert run_doc(capsys, "bunion", path, "--budget", "9" * 4300) == run_doc(capsys, "bunion", path)
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("rows", [["0", "1"], ["1", "0"]]), ("profiles", 5)],
 )
@@ -865,7 +965,7 @@ def test_reduce_out_refuses_one_file_named_twice(capsys, files, tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     (tmp_path / "t").mkdir()
     built = []
-    monkeypatch.setattr(cli, "build_reduction", lambda *args, **kwargs: built.append(args))
+    monkeypatch.setattr(hardness, "build_reduction", lambda *args, **kwargs: built.append(args))
     code, out, err = run(capsys, "reduce", path, "--out", f"t/a.json,{second}")
     assert code == 1 and not out and not built
     assert err == "error: reduce --out takes two paths to two files: instance.json,witness.json\n"
