@@ -130,11 +130,12 @@ class Coupling:
         for (l, r), f in self.flow.items():
             f = _probability(f)
             if f.numerator < 0:
-                raise ValidationError(f"negative flow at ({l}, {r})")
+                raise ValidationError(f"negative flow at ({format_label(l)}, {format_label(r)})")
             if f:
                 a, c = _position(source.points, row_of, l), _position(target.points, col_of, r)
                 if a is None or c is None:
-                    raise ValidationError(f"flow at ({l}, {r}) lies off the supports")
+                    where = f"({format_label(l)}, {format_label(r)})"
+                    raise ValidationError(f"flow at {where} lies off the supports")
                 clean[l, r] = f
                 entries.append((a, c))
         object.__setattr__(self, "flow", clean)
@@ -152,13 +153,14 @@ class Coupling:
                 col[b] += f * x
         for l, row, m, mass in zip(source.points, rows, row_masses, source.masses):
             if row * M != m * Q:
-                raise ValidationError(f"row sum {Fraction(row, Q)} != source mass {mass} at {l}")
+                want = f"source mass {mass} at {format_label(l)}"
+                raise ValidationError(f"row sum {Fraction(row, Q)} != {want}")
         for r, (total, *moments), m, xs in zip(target.points, cols, col_masses, rs):
             if total * N != m * Q:
-                mass = f"target mass {Fraction(m, N)}"
-                raise ValidationError(f"column sum {Fraction(total, Q)} != {mass} at {r}")
+                mass = f"target mass {Fraction(m, N)} at {format_label(r)}"
+                raise ValidationError(f"column sum {Fraction(total, Q)} != {mass}")
             if any(s * N * R != m * x * Q * L for s, x in zip(moments, xs)):
-                raise ValidationError(f"barycenter violated at target {r}")
+                raise ValidationError(f"barycenter violated at target {format_label(r)}")
 
 
 def coupling_rows(spread: Sequence[Posterior], coarse: Sequence[Posterior], base=0) -> list:

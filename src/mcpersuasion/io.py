@@ -14,8 +14,9 @@ Within one document, readers parse each distinct label or rational
 literal once, so copies of one label literal are one object, as in a
 table from SignalingTable.from_signals, and writers format each label
 object once (model._reader, model._writer).  The channel-scheme and
-b-union converters import sharing and hardness when called, so reading
-a structure or a table imports neither, nor forest.
+b-union converters import sharing and hardness when called, and the
+table and marginal readers beliefs, so reading a structure imports none
+of the three, nor forest, and reading a table only beliefs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from itertools import chain, islice
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from .beliefs import BeliefDistribution, SignalingTable
 from .dominance import NetworkGraph
 from .errors import FileError, ValidationError
 from .model import (
@@ -50,6 +50,7 @@ from .model import (
 )
 
 if TYPE_CHECKING:
+    from .beliefs import BeliefDistribution, SignalingTable
     from .forest import GridSolution
     from .hardness import BUnionInstance
     from .sharing import ChannelScheme
@@ -375,6 +376,8 @@ def table_to_doc(table: SignalingTable) -> dict:
 def table_from_doc(doc: Mapping) -> SignalingTable:
     """The table a document holds; copies of one label literal are one
     label object, as in a table built by SignalingTable.from_signals."""
+    from .beliefs import SignalingTable
+
     space = _states_field(doc, "table")
     label, entry = _reader(parse_posterior), _reader(parse_rational)
     profiles = tuple(
@@ -396,6 +399,8 @@ def _marginal_to_doc(dist: BeliefDistribution, label) -> list:
 
 
 def _marginal_from_doc(entries) -> BeliefDistribution:
+    from .beliefs import BeliefDistribution
+
     point, mass = _reader(parse_posterior), _reader(parse_rational)
     return BeliefDistribution.from_pairs(
         (

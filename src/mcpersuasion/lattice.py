@@ -2,9 +2,9 @@
 proposals, its couplings, and the certificate of its answer on the
 whole lattice.
 
-Each utility names its kinks (ReceiverUtility.kinks) and is linear
-between them, so it is looked up only beside them, and the breakpoints,
-where some utility bends down, are found among those points
+Each utility but a table states its profile (ReceiverUtility.profile),
+so it is looked up, in integers, only beside its kinks, and the
+breakpoints, where some utility bends down, are found among those points
 (_breakpoints).  The potential program over them (forest.GridLP) holds
 an optimum of the full grid program and is built with its proposal to
 lp.solve: a forest of paths in closed form, a nested concavification
@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import ceil, floor, lcm
 from typing import TYPE_CHECKING
 
 from .beliefs import BeliefDistribution, Coupling
-from .model import Posterior, _integers, format_label
+from .model import Posterior, _integers, _profile_at, format_label
 
 if TYPE_CHECKING:
     from .forest import GridLP
@@ -43,9 +43,10 @@ def _breakpoints(receivers, space, D, p) -> tuple[list[int], tuple[Posterior, ..
     them keeps the mean and the convex order and lowers no utility: the
     grid program over them holds an optimum of the full one.
 
-    A utility is linear on every stretch of the lattice that holds no
-    kink (ReceiverUtility.kinks), and is looked up once.  One that names
-    no kinks, a table among them, goes first, at every position, so a
+    A utility that states a profile (ReceiverUtility.profile) is linear
+    on every stretch of the lattice that holds no kink, and is looked up
+    once, in integers off its profile.  One that states none, a table
+    among them, goes first, through value_at at every position, so a
     table off the step is refused at its first missing point; every
     other is then looked up at one shared set: 0, D, the prior's
     neighbours, ceil(bD) - 1 to floor(bD) + 1 for every receiver's kink
@@ -58,27 +59,28 @@ def _breakpoints(receivers, space, D, p) -> tuple[list[int], tuple[Posterior, ..
     kink, not on it."""
     near = {0, D, floor(p), ceil(p)}
     found = set(near)
-    made: dict[int, Posterior] = {}
-
-    def point(a: int) -> Posterior:
-        w = made.get(a)
-        if w is None:
-            w = made[a] = (Fraction(a, D), Fraction(D - a, D))
-        return w
-
-    kinks = [u.kinks(space) for u in receivers]
-    for x, y in ((b.numerator * D, b.denominator) for b in chain(*filter(None, kinks))):
-        # ceil(bD) - 1 to floor(bD) + 1 for b = x / y, kept on the lattice
-        near.update(range(max(-(-x // y) - 1, 0), min(x // y + 2, D + 1)))
+    stated = [u.profile(space) for u in receivers]
+    for b, (N, kinks, _) in filter(None, stated):
+        for x in ((N - k if b else k) * D for k in kinks):
+            # ceil(cD) - 1 to floor(cD) + 1 for the kink c = x / (N D), kept on the lattice
+            near.update(range(max(-(-x // N) - 1, 0), min(x // N + 2, D + 1)))
     values: list = [None] * len(receivers)
     for plain in (True, False):
         at = range(D + 1) if plain else sorted(near.union(found))
-        for i in [i for i, b in enumerate(kinks) if (b is None) is plain]:
-            V, vs = _integers([receivers[i].value_at(point(a), space) for a in at])
+        for i in [i for i, s in enumerate(stated) if (s is None) is plain]:
+            if plain:
+                V, vs = _integers([receivers[i].value_at(_point(a, D), space) for a in at])
+            else:
+                b, profile = stated[i]
+                V, vs = profile[0] * D, [_profile_at(profile, D - a if b else a, D) for a in at]
             found.update(at[t] for t in range(1, len(at) - 1) if _bend(at, vs, t - 1, t, t + 1) > 0)
             values[i] = (V, dict(zip(at, vs)))
     at = sorted(found)
-    return at, tuple(map(point, at)), tuple(values)
+    return at, tuple(_point(a, D) for a in at), tuple(values)
+
+
+def _point(a: int, D: int) -> Posterior:
+    return (Fraction(a, D), Fraction(D - a, D))
 
 
 def _bend(xs, vs, l, a, r) -> int:
@@ -359,4 +361,4 @@ def _lattice_failure(glp: GridLP, prior, lines, g, objective) -> str | None:
 
 
 def _lattice_label(a: int, D: int) -> str:
-    return format_label((Fraction(a, D), Fraction(D - a, D)))
+    return format_label(_point(a, D))

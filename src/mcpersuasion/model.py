@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -378,31 +378,57 @@ def merge_duplicate_receivers(
 # Receiver utilities (additive family)
 
 
+#: A function of one probability q, in integers over one denominator N:
+#: (N, kinks, lines), kinks[j] / N the j-th kink, sorted, and lines[2j],
+#: lines[2j + 1] and lines[-1], each (slope, intercept), its line on the
+#: open piece below kink j, at kink j and above the last kink, where the
+#: value is (slope q + intercept) / N.
+Profile = tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]
+
+
+def _profile_of(kinks, lines) -> Profile:
+    """The Profile of the exact kinks (sorted) and lines."""
+    N, xs = _integers([*kinks, *chain.from_iterable(lines)])
+    n = len(kinks)
+    return N, tuple(xs[:n]), tuple(zip(xs[n::2], xs[n + 1 :: 2]))
+
+
+def _profile_at(profile: Profile, n: int, d: int) -> int:
+    """N d times the profile's value at q = n / d, d > 0."""
+    N, kinks, lines = profile
+    x = n * N  # below x / d lie the kinks below ceil(x / d), up to it those up to floor(x / d)
+    slope, intercept = lines[bisect_left(kinks, -(-x // d)) + bisect_right(kinks, x // d)]
+    return slope * n + intercept * d
+
+
 class ReceiverUtility:
     """One receiver's utility as a function of his marginal posterior.
 
-    Subclasses implement value_at, and may name its kinks.
+    A subclass states its profile and answers value_at through it, or
+    implements value_at itself.
     """
 
-    def value_at(self, point: Posterior, space: StateSpace) -> Fraction:
-        raise NotImplementedError
+    #: (state, profile) of a constant (state None), threshold or piecewise utility
+    _stated: tuple[str | None, Profile] | None = None
 
-    def kinks(self, space: StateSpace) -> tuple[Fraction, ...] | None:
-        """On two states, the first coordinates where value_at may bend or
-        jump: it is linear in the first coordinate on every interval of
-        [0, 1] that holds no kink.  None names no kinks, so that value_at
-        may bend anywhere; a subclass that changes value_at names its
-        own."""
-        return None
+    def value_at(self, point: Posterior, space: StateSpace) -> Fraction:
+        b, profile = self.profile(space)
+        n, d = point[b].numerator, point[b].denominator
+        return Fraction(_profile_at(profile, n, d), profile[0] * d)
+
+    def profile(self, space: StateSpace) -> tuple[int, Profile] | None:
+        """(b, profile): the utility is profile's function of a point's
+        coordinate b, on two states, and on any number for a constant,
+        threshold or piecewise utility; None, so that value_at may bend
+        anywhere, when it states none.  A subclass that changes value_at
+        states its own."""
+        if self._stated is None:
+            return None
+        state, profile = self._stated
+        return (0 if state is None else space.index(state)), profile
 
     def to_doc(self) -> dict:
         raise NotImplementedError
-
-
-def _first_coordinate(q: Fraction, state: str, space: StateSpace) -> Fraction:
-    """On two states, the first coordinate of the point where the named
-    state's probability is q."""
-    return q if space.index(state) == 0 else Fraction(q.denominator - q.numerator, q.denominator)
 
 
 @dataclass(frozen=True)
@@ -411,12 +437,7 @@ class ConstantUtility(ReceiverUtility):
 
     def __post_init__(self):
         _exact(self.value, "constant utility value")
-
-    def value_at(self, point, space):
-        return self.value
-
-    def kinks(self, space):
-        return ()
+        object.__setattr__(self, "_stated", (None, _profile_of((), ((0, self.value),))))
 
     def to_doc(self):
         return {"kind": "constant", "value": format_rational(self.value)}
@@ -439,14 +460,8 @@ class ThresholdUtility(ReceiverUtility):
     def __post_init__(self):
         for name in ("cutoff", "high", "low"):
             _exact(getattr(self, name), f"threshold utility {name}")
-
-    def value_at(self, point, space):
-        q = point[space.index(self.state)]
-        hit = q > self.cutoff if self.strict else q >= self.cutoff
-        return self.high if hit else self.low
-
-    def kinks(self, space):
-        return (_first_coordinate(self.cutoff, self.state, space),)
+        lines = ((0, self.low), (0, self.low if self.strict else self.high), (0, self.high))
+        object.__setattr__(self, "_stated", (self.state, _profile_of((self.cutoff,), lines)))
 
     def to_doc(self):
         return {
@@ -478,8 +493,12 @@ class PointUtility(ReceiverUtility):
             raise MatrixShapeMismatch("point utility dimension mismatch")
         return self.value if point == self.point else self.otherwise
 
-    def kinks(self, space):
-        return self.point[:1]
+    def profile(self, space):
+        if len(self.point) != space.size:
+            raise MatrixShapeMismatch("point utility dimension mismatch")
+        x, y = self.point  # (q, 1 - q) is the point only when x + y == 1
+        on = self.value if x + y == 1 else self.otherwise
+        return 0, _profile_of((x,), ((0, self.otherwise), (0, on), (0, self.otherwise)))
 
     def to_doc(self):
         return {
@@ -503,7 +522,6 @@ class PiecewiseUtility(ReceiverUtility):
     state: str
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
-    _keys: tuple = field(init=False, repr=False, compare=False)  # (den, bps times den, peaks)
 
     def __post_init__(self):
         for name in ("breakpoints", "values"):
@@ -511,23 +529,12 @@ class PiecewiseUtility(ReceiverUtility):
                 _exact(v, f"piecewise utility {name[:-1]}")
         if len(self.values) != len(self.breakpoints) + 1:
             raise MatrixShapeMismatch("piecewise utility needs len(values) == len(breakpoints) + 1")
-        bps = self.breakpoints
+        bps, values = self.breakpoints, self.values
         if any(not (0 < b < 1) for b in bps) or list(bps) != sorted(set(bps)):
             raise ValidationError("breakpoints must be strictly increasing inside (0, 1)")
-        peaks = tuple(map(max, self.values, self.values[1:]))  # on a breakpoint both pieces compete
-        object.__setattr__(self, "_keys", (*_integers(bps), peaks))
-
-    def value_at(self, point, space):
-        q = point[space.index(self.state)]
-        den, keys, peaks = self._keys
-        n, d = q.numerator * den, q.denominator  # the first key >= n/d is the first >= ceil(n/d)
-        idx = bisect_left(keys, -(-n // d))
-        if idx < len(keys) and keys[idx] * d == n:
-            return peaks[idx]
-        return self.values[idx]
-
-    def kinks(self, space):
-        return tuple(_first_coordinate(b, self.state, space) for b in self.breakpoints)
+        peaks = map(max, values, values[1:])  # on a breakpoint both pieces compete
+        lines = [(0, v) for v in chain(*zip(values, peaks), values[-1:])]
+        object.__setattr__(self, "_stated", (self.state, _profile_of(bps, lines)))
 
     def to_doc(self):
         return {
@@ -555,8 +562,11 @@ class LinearUtility(ReceiverUtility):
             raise MatrixShapeMismatch("linear utility dimension mismatch")
         return self.offset + sum(c * q for c, q in zip(self.coeffs, point))
 
-    def kinks(self, space):
-        return ()
+    def profile(self, space):
+        if len(self.coeffs) != space.size:
+            raise MatrixShapeMismatch("linear utility dimension mismatch")
+        c0, c1 = self.coeffs  # offset + c0 q + c1 (1 - q)
+        return 0, _profile_of((), ((c0 - c1, self.offset + c1),))
 
     def to_doc(self):
         return {

@@ -635,9 +635,9 @@ def verify_scheme(
         for cond, by_event in sorted(groups.items()):
             events = sorted(by_event)
             reference = by_event[events[0]]
-            conditioning = ", ".join(format_label(c) for c in cond) or "nothing"
             for event in events[1:]:
                 if by_event[event] != reference:
+                    conditioning = ", ".join(format_label(c) for c in cond) or "nothing"
                     privacy.append(
                         f"receiver {r + 1}: view law given labels [{conditioning}] "
                         f"differs between (state {events[0][0]}, profile "

@@ -237,14 +237,19 @@ def test_worked_two_by_two_flows():
 
 
 def test_coupling_validation_rejects_bad_flows():
+    """Each refusal writes its points as labels (model.format_label)."""
     spread = BeliefDistribution.from_pairs([(pt(1, 0), F(1, 2)), (pt(0, 1), F(1, 2))])
     coarse = BeliefDistribution.from_pairs([(pt("1/2", "1/2"), 1)])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as refused:
         Coupling(
             source=spread,
             target=coarse,
             flow={(pt(1, 0), pt("1/2", "1/2")): F(1)},
         )
+    assert str(refused.value) == "row sum 0 != source mass 1/2 at (0, 1)"
+    with pytest.raises(ValidationError) as refused:
+        Coupling(source=spread, target=coarse, flow={(pt(0, 1), pt("1/2", "1/2")): F(-1)})
+    assert str(refused.value) == "negative flow at ((0, 1), (1/2, 1/2))"
 
 
 def test_coupling_refuses_endpoints_of_mixed_dimension():
@@ -526,25 +531,26 @@ def _reference_coupling(source, target, flow):
     for (l, r), f in flow.items():
         f = Fraction(f)
         if f < 0:
-            raise ValidationError(f"negative flow at ({l}, {r})")
+            raise ValidationError(f"negative flow at ({format_label(l)}, {format_label(r)})")
         if f:
             l, r = tuple(l), tuple(r)
             if l not in rows or r not in cols:
-                raise ValidationError(f"flow at ({l}, {r}) lies off the supports")
+                where = f"({format_label(l)}, {format_label(r)})"
+                raise ValidationError(f"flow at {where} lies off the supports")
             clean[(l, r)] = f
     for l, mass in zip(source.points, source.masses):
         row = sum((f for (a, _), f in clean.items() if a == l), Fraction(0))
         if row != mass:
-            raise ValidationError(f"row sum {row} != source mass {mass} at {l}")
+            raise ValidationError(f"row sum {row} != source mass {mass} at {format_label(l)}")
     for r, mass in zip(target.points, target.masses):
         col = [(a, f) for (a, b), f in clean.items() if b == r]
         total = sum((f for _, f in col), Fraction(0))
         if total != mass:
-            raise ValidationError(f"column sum {total} != target mass {mass} at {r}")
+            raise ValidationError(f"column sum {total} != target mass {mass} at {format_label(r)}")
         for b_idx in range(source.dim):
             moment = sum((f * a[b_idx] for a, f in col), Fraction(0))
             if moment != mass * r[b_idx]:
-                raise ValidationError(f"barycenter violated at target {r}")
+                raise ValidationError(f"barycenter violated at target {format_label(r)}")
     return clean
 
 

@@ -197,6 +197,8 @@ def test_solve_single_receiver(capsys, files, tmp_path):
         ("star3", "1/20", "star3.solve-1-20.json"),
         ("chain2", "1/1000000", "chain2.solve-1-1000000.json"),
         ("star3", "1/1000000", "star3.solve-1-1000000.json"),
+        ("kinds", "1/40", "kinds.solve-1-40.json"),
+        ("kinds", "1/1000000", "kinds.solve-1-1000000.json"),
     ],
 )
 def test_solve_documents_are_pinned(capsys, name, epsilon, expected):
@@ -208,7 +210,13 @@ def test_solve_documents_are_pinned(capsys, name, epsilon, expected):
     when the ladder replaced the scipy crash start, which moved the
     optimal vertex (same objective) in 6 and 11 entries.  The same two
     at 1/10^6 were recorded while the breakpoints were still found, and
-    the certificate still checked, by walking every lattice point."""
+    the certificate still checked, by walking every lattice point.  A
+    two-tree forest, a path and a root with two children, whose
+    receivers hold one utility of each kind but a table (thresholds,
+    strict and not, keyed on state "0" and on "1", a point, a linear, a
+    piecewise and a constant utility), at 1/40 and 1/10^6, recorded
+    while each kind still answered value_at and named its kinks on its
+    own."""
     data = Path(__file__).parent / "data"
     instance = str(data / f"{name}.instance.json")
     code, out, err = run(capsys, "solve", instance, "--epsilon", epsilon)
@@ -300,10 +308,10 @@ def test_importing_the_package_imports_no_module():
 
 _SOLVER = {"forest", "lp", "lattice"}
 _COMMAND_IMPORTS = [
-    (("analyze", "{chain2}"), _SOLVER | {"sharing", "hardness"}),
-    (("compare", "{chain2}", "{private}"), _SOLVER | {"sharing", "hardness"}),
-    (("sperner", "4"), _SOLVER | {"sharing", "hardness"}),
-    (("netstruct", "{network}"), _SOLVER | {"sharing", "hardness"}),
+    (("analyze", "{chain2}"), _SOLVER | {"sharing", "hardness", "beliefs"}),
+    (("compare", "{chain2}", "{private}"), _SOLVER | {"sharing", "hardness", "beliefs"}),
+    (("sperner", "4"), _SOLVER | {"sharing", "hardness", "beliefs"}),
+    (("netstruct", "{network}"), _SOLVER | {"sharing", "hardness", "beliefs"}),
     (("bunion", "{bunion}"), _SOLVER | {"sharing"}),
     (("reduce", "{bunion}", "--out", "{instance},{witness}"), _SOLVER | {"sharing"}),
     (("share", "{instance}", "{witness}", "--subset", "4", "--q", "2"), _SOLVER | {"hardness"}),
@@ -319,8 +327,9 @@ _COMMAND_IMPORTS = [
 def test_each_command_imports_only_what_it_runs(capsys, files, tmp_path, argv, unloaded):
     """Each command, run in a fresh interpreter, leaves the solver modules
     it does not call unimported: the structure commands run on model and
-    dominance, the b-union commands on hardness, the share commands on
-    sharing, and the grid commands on forest, lp and lattice."""
+    dominance, without beliefs, the b-union commands on hardness, the
+    share commands on sharing, and the grid commands on forest, lp and
+    lattice."""
     data = Path(__file__).parent / "data"
     paths = {
         "chain2": str(data / "chain2.instance.json"),

@@ -20,6 +20,7 @@ from mcpersuasion.errors import (
     DuplicateRows,
     GridMismatch,
     InvariantViolation,
+    MatrixShapeMismatch,
     NotAForest,
     ValidationError,
 )
@@ -1866,15 +1867,15 @@ def _tabulated(inst, denominator):
 
 
 def test_kinks_give_the_breakpoints_of_the_lattice_scan():
-    """lattice._breakpoints looks each utility up only beside its kinks,
-    and finds the breakpoints the scan of every lattice point finds
-    (_scan_breakpoints) over _kink_cases(): a threshold whose high is
-    below its low at a cutoff on the lattice, utilities keyed on state
-    "0" and on "1", a TableUtility and a utility that defines value_at
-    alone among them.  Each value it looks up is the tabulated one,
-    between neighbouring positions looked up the tabulated utility is
-    linear (which lattice._lattice_failure relies on), and a utility that
-    names no kinks is looked up everywhere.  On the KINKS chains,
+    """lattice._breakpoints looks each utility up only beside the kinks
+    of its profile, and finds the breakpoints the scan of every lattice
+    point finds (_scan_breakpoints) over _kink_cases(): a threshold whose
+    high is below its low at a cutoff on the lattice, utilities keyed on
+    state "0" and on "1", a TableUtility and a utility that defines
+    value_at alone among them.  Each value it looks up is the tabulated
+    one, between neighbouring positions looked up the tabulated utility
+    is linear (which lattice._lattice_failure relies on), and a utility
+    that states no profile is looked up everywhere.  On the KINKS chains,
     solve_grid, certified on the lattice, reaches the full program's
     optimum."""
     for inst, D in _kink_cases():
@@ -1890,7 +1891,7 @@ def test_kinks_give_the_breakpoints_of_the_lattice_scan():
             for l, r in zip(looked, looked[1:]):
                 rise = table[r] - table[l]
                 assert all((table[a] - table[l]) * (r - l) == rise * (a - l) for a in range(l, r))
-            if u.kinks(inst.space) is None:
+            if u.profile(inst.space) is None:
                 assert looked == list(range(D + 1))
     for utilities, prior, steps in KINKS.values():
         inst = make_instance(CHAIN2, utilities, prior=prior)
@@ -1898,6 +1899,49 @@ def test_kinks_give_the_breakpoints_of_the_lattice_scan():
             grid = PosteriorGrid(dim=2, denominator=denominator)
             full = full_grid_lp(inst, grid)
             assert solve_grid(inst, grid).objective == lp.solve(full.program).objective
+
+
+def test_breakpoints_look_profiles_up_without_value_at_or_posteriors(monkeypatch):
+    """lattice._breakpoints looks a utility that states a profile up off
+    its profile alone, calling no value_at, and builds a Posterior
+    (lattice._point) only for the positions it returns: over the
+    _kink_cases() whose every receiver states a profile."""
+    cases = [
+        (inst, D)
+        for inst, D in _kink_cases()
+        if all(u.profile(inst.space) for u in inst.utilities.receivers)
+    ]
+    made, real_point = [], lattice._point
+
+    def refuse(self, point, space):
+        raise AssertionError(f"value_at called on {self!r}")
+
+    for kind in (ReceiverUtility, PointUtility, LinearUtility):
+        monkeypatch.setattr(kind, "value_at", refuse)
+    monkeypatch.setattr(lattice, "_point", lambda a, D: made.append(a) or real_point(a, D))
+    for inst, D in cases:
+        made.clear()
+        p = inst.prior.values[0] * D
+        at, _, _ = lattice._breakpoints(inst.utilities.receivers, inst.space, D, p)
+        assert made == at
+    assert len(cases) > 50
+
+
+@pytest.mark.parametrize(
+    "utility, message",
+    [
+        (PointUtility(point=(F(1, 3),) * 3, value=F(1)), "point utility dimension mismatch"),
+        (LinearUtility(coeffs=(F(1), F(0), F(0))), "linear utility dimension mismatch"),
+    ],
+    ids=["point", "linear"],
+)
+def test_a_utility_of_the_wrong_dimension_is_refused_by_the_two_state_solve(utility, message):
+    """A point or linear utility over three states, on a two-state chain,
+    is refused by name when the solve reads its profile."""
+    inst = make_instance(CHAIN2, [ConstantUtility(F(1)), utility], prior=("1/2", "1/2"))
+    with pytest.raises(MatrixShapeMismatch) as refused:
+        solve_fptas(inst, F(1, 40))
+    assert str(refused.value) == message
 
 
 def test_a_table_off_the_step_is_refused_at_its_first_missing_point():
@@ -1911,24 +1955,36 @@ def test_a_table_off_the_step_is_refused_at_its_first_missing_point():
         solve_fptas(inst, F(1, 40))
 
 
-@pytest.mark.parametrize("order", [1, -1])
-def test_a_table_beside_a_kinked_utility_is_refused_before_the_fine_lattice(order, monkeypatch):
-    """A TableUtility on the 1/20 lattice beside a PiecewiseUtility, in
-    either receiver order, solved at 1/40 and at 1/10^6: solve_fptas
-    names the table's first missing point, and, since a utility that
-    names no kinks is looked up first, it looks the piecewise utility up
-    no more often at 1/10^6 than at 1/40 and lists no lattice."""
-    table = KINKS["a-table"][0][0]
-    piecewise = PiecewiseUtility(state="1", breakpoints=(F(1, 4), F(1, 2)), values=(F(2), F(0), F(4)))
-    inst = make_instance(CHAIN2, [table, piecewise][::order], prior=("3/5", "2/5"))
-    looked, listed = [], []
-    real_value_at = PiecewiseUtility.value_at
+def _count_lookups(monkeypatch, looked):
+    """Append to looked each PiecewiseUtility.value_at call and each
+    lookup that lattice._breakpoints makes off a profile."""
+    real_value_at, real_profile_at = PiecewiseUtility.value_at, lattice._profile_at
 
     def value_at(self, point, space):
         looked.append(point)
         return real_value_at(self, point, space)
 
+    def profile_at(profile, n, d):
+        looked.append(F(n, d))
+        return real_profile_at(profile, n, d)
+
     monkeypatch.setattr(PiecewiseUtility, "value_at", value_at)
+    monkeypatch.setattr(lattice, "_profile_at", profile_at)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_a_table_beside_a_kinked_utility_is_refused_before_the_fine_lattice(order, monkeypatch):
+    """A TableUtility on the 1/20 lattice beside a PiecewiseUtility, in
+    either receiver order, solved at 1/40 and at 1/10^6: solve_fptas
+    names the table's first missing point, and, since a utility that
+    states no profile is looked up first, it looks the piecewise utility
+    up, through value_at or its profile, no more often at 1/10^6 than at
+    1/40 and lists no lattice."""
+    table = KINKS["a-table"][0][0]
+    piecewise = PiecewiseUtility(state="1", breakpoints=(F(1, 4), F(1, 2)), values=(F(2), F(0), F(4)))
+    inst = make_instance(CHAIN2, [table, piecewise][::order], prior=("3/5", "2/5"))
+    looked, listed = [], []
+    _count_lookups(monkeypatch, looked)
     monkeypatch.setattr(PosteriorGrid, "points", lambda grid: listed.append(grid) or ())
     counts = []
     for denominator in (40, 10**6):
@@ -2088,23 +2144,19 @@ def test_fine_steps_build_no_large_program(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["chain2", "star3"])
 def test_fine_steps_look_up_no_more_utility_values(name, monkeypatch):
-    """Step independence, counted: solve_fptas looks the utilities up no
-    more often at 1/10^6 than at 1/40, and never lists the lattice
-    (PosteriorGrid.points), since the breakpoints come from the kinks
-    and the certificate checks the positions looked up alone."""
+    """Step independence, counted: solve_fptas looks the utilities up,
+    through value_at or their profiles, no more often at 1/10^6 than at
+    1/40, and never lists the lattice (PosteriorGrid.points), since the
+    breakpoints come from the kinks and the certificate checks the
+    positions looked up alone."""
     inst = _data_instance(name)
     looked, listed = [], []
-    real_value_at = PiecewiseUtility.value_at
-
-    def value_at(self, point, space):
-        looked.append(point)
-        return real_value_at(self, point, space)
 
     def points(self):
         listed.append(self)
         return ()
 
-    monkeypatch.setattr(PiecewiseUtility, "value_at", value_at)
+    _count_lookups(monkeypatch, looked)
     monkeypatch.setattr(PosteriorGrid, "points", points)
     counts = []
     for denominator in (40, 10**6):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import re
 from bisect import bisect_left
@@ -33,6 +34,7 @@ from mcpersuasion.model import (
     SupermajorityUtility,
     TableUtility,
     ThresholdUtility,
+    _profile_at,
     check_posterior,
     format_label,
     format_rational,
@@ -278,6 +280,123 @@ def test_piecewise_value_at_agrees_with_bisect_over_fractions():
             for q in qs:
                 point = (q, 1 - q) if u.state == "0" else (1 - q, q)
                 assert u.value_at(point, TWO) == _bisect_reference(u, q), (u, q)
+
+
+def _oracle_value_at(u, point, space):
+    """Each kind's value_at as it ran before the kinds stated profiles."""
+    if isinstance(u, ConstantUtility):
+        return u.value
+    if isinstance(u, ThresholdUtility):
+        q = point[space.index(u.state)]
+        return u.high if (q > u.cutoff if u.strict else q >= u.cutoff) else u.low
+    if isinstance(u, PointUtility):
+        return u.value if point == u.point else u.otherwise
+    if isinstance(u, PiecewiseUtility):
+        return _bisect_reference(u, point[space.index(u.state)])
+    return u.offset + sum(c * q for c, q in zip(u.coeffs, point))
+
+
+def _oracle_kinks(u, space):
+    """On two states, each kind's kinks as its own kinks() named them:
+    the first coordinates where value_at may bend or jump."""
+    def first(q, state):
+        return q if space.index(state) == 0 else 1 - q
+
+    if isinstance(u, ThresholdUtility):
+        return (first(u.cutoff, u.state),)
+    if isinstance(u, PointUtility):
+        return u.point[:1]
+    if isinstance(u, PiecewiseUtility):
+        return tuple(first(b, u.state) for b in u.breakpoints)
+    return ()
+
+
+def _seeded_utility(rng, kind, state):
+    """A seeded utility of the given kind, keyed on state where it has one."""
+    def rational():
+        return Fraction(rng.randint(-24, 24), rng.choice((1, 2, 3, 6)))
+
+    def q():
+        d = rng.choice((10, 40, 10**6, 7, 13))
+        return Fraction(rng.randint(0, d), d)
+
+    if kind == "constant":
+        return ConstantUtility(rational())
+    if kind == "threshold":
+        high, low = rational(), rational()
+        return ThresholdUtility(state, q(), high, low, strict=rng.random() < 0.5)
+    if kind == "piecewise":
+        bps = sorted({b for b in (q() for _ in range(rng.randint(0, 4))) if 0 < b < 1})
+        return PiecewiseUtility(state, tuple(bps), tuple(rational() for _ in range(len(bps) + 1)))
+    if kind == "point":
+        x = q()
+        # a point off the two-state simplex is never met on it
+        y = 1 - x if rng.random() < 0.8 else Fraction(rng.randint(0, 5), 7)
+        return PointUtility((x, y), rational(), rational())
+    return LinearUtility((rational(), rational()), rational())
+
+
+def test_profiles_answer_as_the_per_kind_utilities_on_two_states():
+    """On two states every kind, keyed on each state, states the kinks
+    its own kinks() named, and both value_at and its profile, looked up
+    in integers at a lattice position as lattice._breakpoints looks it
+    up, answer as the kind's own value_at did (_oracle_value_at): at
+    every kink and its lattice neighbours, and at 0, 1 and seeded
+    positions, at steps 1/10, 1/40 and 1/10^6."""
+    rng = random.Random(4733)
+    looked = 0
+    for _ in range(60):
+        for kind in ("constant", "threshold", "piecewise", "point", "linear"):
+            for state in ("0", "1"):
+                u = _seeded_utility(rng, kind, state)
+                b, profile = u.profile(TWO)
+                N, kinks = profile[:2]
+                assert list(kinks) == sorted(kinks)
+                stated = sorted(Fraction(k, N) if b == 0 else 1 - Fraction(k, N) for k in kinks)
+                assert stated == sorted(_oracle_kinks(u, TWO)), u
+                for D in (10, 40, 10**6):
+                    positions = {0, D, *(rng.randint(0, D) for _ in range(3))}
+                    for c in stated:
+                        positions.update(range(math.ceil(c * D) - 1, math.floor(c * D) + 2))
+                    for a in sorted(x for x in positions if 0 <= x <= D):
+                        point = (Fraction(a, D), Fraction(D - a, D))
+                        want = _oracle_value_at(u, point, TWO)
+                        assert u.value_at(point, TWO) == want, (u, point)
+                        got = _profile_at(profile, D - a if b else a, D)
+                        assert Fraction(got, N * D) == want, (u, point)
+                        looked += 1
+                for c in stated:
+                    if 0 <= c <= 1:
+                        point = (c, 1 - c)
+                        assert u.value_at(point, TWO) == _oracle_value_at(u, point, TWO)
+    assert looked > 10_000
+
+
+def test_profiles_answer_as_the_per_kind_utilities_on_three_states():
+    """Constant, threshold and piecewise utilities answer value_at
+    through their profiles on any number of states: on three, keyed on
+    each state, at seeded points, some with the keyed probability on a
+    kink, as the kind's own value_at did (_oracle_value_at)."""
+    rng = random.Random(3)
+    for _ in range(200):
+        for kind in ("constant", "threshold", "piecewise"):
+            state = rng.choice(THREE.states)
+            u = _seeded_utility(rng, kind, state)
+            b, profile = u.profile(THREE)
+            assert b == (THREE.index(state) if kind != "constant" else 0)
+            kinks = [Fraction(k, profile[0]) for k in profile[1]]
+            for _ in range(6):
+                w = [rng.randint(0, 9) for _ in range(3)]
+                w[rng.randrange(3)] += 1
+                point = [Fraction(x, sum(w)) for x in w]
+                on = [k for k in kinks if 0 <= k <= 1]
+                if on and rng.random() < 0.5:
+                    # a kink on the keyed state, the rest on another
+                    q, i = rng.choice(on), THREE.index(state)
+                    point = [Fraction(0)] * 3
+                    point[i], point[(i + rng.randint(1, 2)) % 3] = q, 1 - q
+                point = tuple(point)
+                assert u.value_at(point, THREE) == _oracle_value_at(u, point, THREE), (u, point)
 
 
 def _fraction_posterior_check(point):
